@@ -1,5 +1,6 @@
 #include "core/escape_updown.hpp"
 
+#include <algorithm>
 #include <deque>
 
 namespace hxsp {
@@ -81,12 +82,11 @@ EscapeUpDown::EscapeUpDown(const Graph& g, const Config& cfg)
     const std::uint8_t* ua = &u_[a * n_];
     for (std::size_t b = a; b < n_; ++b) {
       const std::uint8_t* ub = &u_[b * n_];
+      // A kUnreachable term makes the sum at least kUnreachable, which
+      // never beats the initial best, so the minimum needs no branch.
       int best = kUnreachable;
-      for (std::size_t z = 0; z < n_; ++z) {
-        if (ua[z] == kUnreachable || ub[z] == kUnreachable) continue;
-        const int s = ua[z] + ub[z];
-        if (s < best) best = s;
-      }
+      for (std::size_t z = 0; z < n_; ++z)
+        best = std::min(best, ua[z] + ub[z]);
       ud_[a * n_ + b] = static_cast<std::uint8_t>(best);
       ud_[b * n_ + a] = static_cast<std::uint8_t>(best);
     }

@@ -41,7 +41,7 @@ void Router::audit_local(const SimConfig& cfg) const {
   for (Port p = 0; p < static_cast<Port>(outputs_.size()); ++p) {
     for (Vc v = 0; v < num_vcs_; ++v) {
       const InputVc& iv = inputs_[vc_index(p, v)];
-      const int occ = len * iv.q.size() + (iv.draining ? len : 0);
+      const int occ = len * iv.q.size + (iv.draining ? len : 0);
       HXSP_CHECK_MSG(iv.occupancy == occ,
                      "audit: input occupancy drifted from queue contents");
       HXSP_CHECK_MSG(iv.occupancy <= cfg.input_buffer_phits(),
@@ -59,7 +59,7 @@ void Router::audit_local(const SimConfig& cfg) const {
       // The head gate is a max of known lower bounds; each bound must
       // still hold (a gate below one would let a head request early —
       // an RNG draw the full rescan would not make).
-      Cycle bound = iv.q.front()->buf_head;
+      Cycle bound = in_front(vc_index(p, v)).buf_head;
       if (iv.draining && iv.drain_until > bound) bound = iv.drain_until;
       const Cycle xbar = in_xbar_free_[static_cast<std::size_t>(p)];
       if (xbar > bound) bound = xbar;
@@ -69,6 +69,24 @@ void Router::audit_local(const SimConfig& cfg) const {
   }
   HXSP_CHECK_MSG(static_cast<int>(active_.size()) == active_count,
                  "audit: active input list size drifted");
+
+  // --- candidate slots: one per active entry, never stale -----------------
+  // A slot caches the candidates of the head at the same active_ position.
+  // A grant must invalidate it (the next head routes differently), and a
+  // swap-remove must carry it along with its entry; a miss at either site
+  // would route a packet on another packet's candidates.
+  HXSP_CHECK_MSG(cand_slots_.size() >= active_.size(),
+                 "audit: active input without a candidate slot");
+  for (std::size_t i = 0; i < cand_slots_.size(); ++i) {
+    const CandSlot& slot = cand_slots_[i];
+    if (!slot.valid) continue;
+    HXSP_CHECK_MSG(i < active_.size(),
+                   "audit: valid candidate slot past the active input list");
+    HXSP_CHECK_MSG(
+        slot.head_id ==
+            in_front(static_cast<std::size_t>(active_[i])).id,
+        "audit: candidate slot outlived its head (granted since filled)");
+  }
 
   // --- outputs: qs, score sums, masks, head caches, waiting counts --------
   int waiting_sum = 0;
@@ -81,13 +99,14 @@ void Router::audit_local(const SimConfig& cfg) const {
       HXSP_CHECK_MSG(ov.occupancy >= 0 &&
                          ov.occupancy <= cfg.output_buffer_phits(),
                      "audit: output occupancy out of range");
-      HXSP_CHECK_MSG(ov.credits >= 0 && ov.credits <= ov.base_credits,
+      HXSP_CHECK_MSG(ov.credits >= 0 && ov.credits <= base_credits_,
                      "audit: credit counter out of range");
-      const int qs = ov.occupancy + (ov.base_credits - ov.credits);
+      const int qs = ov.occupancy + (base_credits_ - ov.credits);
       HXSP_CHECK_MSG(out_qs_[vc_index(p, v)] == qs,
                      "audit: incremental qs drifted from recomputation");
       HXSP_CHECK_MSG(out_head_[vc_index(p, v)] ==
-                         (ov.q.empty() ? kNeverReady : ov.q.front()->buf_head),
+                         (ov.q.empty() ? kNeverReady
+                                       : out_front(vc_index(p, v)).buf_head),
                      "audit: out-head cache drifted from queue front");
       const bool feasible =
           ov.credits >= len_ && ov.occupancy + len_ <= outbuf_cap_;
@@ -95,7 +114,7 @@ void Router::audit_local(const SimConfig& cfg) const {
                          (feasible ? 1u : 0u),
                      "audit: feasibility mask drifted from recomputation");
       score_sum += qs;
-      port_waiting += ov.q.size();
+      port_waiting += ov.q.size;
     }
     HXSP_CHECK_MSG(op.score_sum == score_sum,
                    "audit: per-port score sum drifted from recomputation");
@@ -219,7 +238,7 @@ void Network::run_audit() const {
         // link: queued packets plus transmissions awaiting OutTailGone.
         HXSP_CHECK_MSG(
             ov.occupancy ==
-                len * (ov.q.size() +
+                len * (ov.q.size +
                        tail_pending[static_cast<std::size_t>(r.id_)][idx]),
             "audit: output occupancy drifted from queue + pending tails");
         if (dead_link) {
@@ -231,7 +250,7 @@ void Network::run_audit() const {
         // is exactly one of — still free (credits), reserved by a packet
         // queued here, occupied downstream, or riding the wheel home.
         long accounted =
-            ov.credits + static_cast<long>(len) * ov.q.size() +
+            ov.credits + static_cast<long>(len) * ov.q.size +
             credit_inflight[static_cast<std::size_t>(r.id_)][idx];
         if (p < r.num_switch_ports_) {
           const PortInfo& pi = ctx_.graph->port(r.id_, p);
@@ -240,7 +259,7 @@ void Network::run_audit() const {
                   .input(pi.remote_port, v)
                   .occupancy;
         }
-        HXSP_CHECK_MSG(accounted == ov.base_credits,
+        HXSP_CHECK_MSG(accounted == r.base_credits_,
                        "audit: credit conservation violated");
       }
     }
@@ -253,7 +272,9 @@ void Network::run_audit() const {
         r.first_server_port() + static_cast<Port>(s.local_index());
     for (Vc v = 0; v < num_vcs; ++v) {
       const long accounted =
-          s.credits(v) +
+          server_credits_[static_cast<std::size_t>(s.id()) *
+                              static_cast<std::size_t>(num_vcs) +
+                          static_cast<std::size_t>(v)] +
           server_credit_inflight[static_cast<std::size_t>(s.id())]
                                 [static_cast<std::size_t>(v)] +
           r.input(port, v).occupancy;

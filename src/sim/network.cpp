@@ -32,6 +32,11 @@ Network::Network(const NetworkContext& ctx, RoutingMechanism& mech,
     routers_.emplace_back(s, ctx_.graph->degree(s), servers_per_switch_, cfg_);
 
   const ServerId total = static_cast<ServerId>(n) * servers_per_switch_;
+  server_queues_.reset(static_cast<std::size_t>(total),
+                       cfg_.server_queue_packets);
+  server_credits_.assign(static_cast<std::size_t>(total) *
+                             static_cast<std::size_t>(cfg_.num_vcs),
+                         cfg_.input_buffer_phits());
   for (ServerId v = 0; v < total; ++v) {
     const SwitchId sw = static_cast<SwitchId>(v / servers_per_switch_);
     const int local = static_cast<int>(v % servers_per_switch_);
@@ -204,8 +209,7 @@ void Network::process_events() {
           next.push_back(staged_credits_[i]);
           break;
         case Event::Kind::CreditServer:
-          servers_[static_cast<std::size_t>(ev.a)].credit_return(
-              ev.vc, static_cast<int>(ev.aux));
+          server_credits(ev.a)[ev.vc] += static_cast<int>(ev.aux);
           break;
         case Event::Kind::Consume:
           handle_consume(ev, next);
@@ -241,8 +245,7 @@ void Network::process_events() {
               ev.port, ev.vc, static_cast<int>(ev.aux));
           break;
         case Event::Kind::CreditServer:
-          servers_[static_cast<std::size_t>(ev.a)].credit_return(
-              ev.vc, static_cast<int>(ev.aux));
+          server_credits(ev.a)[ev.vc] += static_cast<int>(ev.aux);
           break;
         case Event::Kind::OutTailGone:
           routers_[static_cast<std::size_t>(ev.a)].output_tail_gone(

@@ -220,6 +220,20 @@ class Network {
   Router& router(SwitchId s) { return routers_[static_cast<std::size_t>(s)]; }
   Server& server(ServerId v) { return servers_[static_cast<std::size_t>(v)]; }
 
+  /// Every server's injection queue: server v's queue is ring v.
+  RingSlab<PacketPtr>& server_queues() { return server_queues_; }
+
+  /// Server \p v's injection credits: free phits of its switch's
+  /// server-port input buffer, one int per VC.
+  int* server_credits(ServerId v) {
+    return &server_credits_[static_cast<std::size_t>(v) *
+                            static_cast<std::size_t>(cfg_.num_vcs)];
+  }
+
+  /// Scratch VC list for Server::injection_phase (the injection loop is
+  /// serial, so one per Network suffices).
+  std::vector<Vc>& vc_scratch() { return vc_scratch_; }
+
   /// Schedules \p ev for cycle \p when (must be < 64 cycles ahead).
   /// Inline: several events fire per packet transfer.
   void schedule(Cycle when, const Event& ev) {
@@ -365,9 +379,14 @@ class Network {
   // it is destroyed after every outstanding packet returned to it.
   PacketPool pool_;
 
-  // deque: Router/Server hold move-only buffers and must never relocate.
+  // deque: built one element at a time without relocating earlier ones.
   std::deque<Router> routers_;
   std::deque<Server> servers_;
+  // Server-side storage kept outside the Server objects (see server.hpp);
+  // the slab is declared after pool_ for the same reason as the routers.
+  RingSlab<PacketPtr> server_queues_;
+  std::vector<int> server_credits_; ///< [server][vc]
+  std::vector<Vc> vc_scratch_;
 
   // Sorted ids of routers with per-cycle phase work (see step()). The
   // scratch vector snapshots a list before iterating it, because phase

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "sim/network.hpp"
 
@@ -10,20 +11,18 @@ namespace hxsp {
 Router::Router(SwitchId id, int num_switch_ports, int num_server_ports,
                const SimConfig& cfg)
     : id_(id), num_switch_ports_(num_switch_ports), num_vcs_(cfg.num_vcs),
-      len_(cfg.packet_length), outbuf_cap_(cfg.output_buffer_phits()) {
+      len_(cfg.packet_length), outbuf_cap_(cfg.output_buffer_phits()),
+      base_credits_(cfg.input_buffer_phits()) {
   HXSP_CHECK_MSG(num_vcs_ <= 32, "feasible_mask holds at most 32 VCs");
   const int total_ports = num_switch_ports + num_server_ports;
   const std::size_t total_vcs = static_cast<std::size_t>(total_ports) *
                                 static_cast<std::size_t>(num_vcs_);
-  // Direct construction (not resize): these structs hold move-only buffers.
-  inputs_ = std::vector<InputVc>(total_vcs);
-  for (auto& iv : inputs_) iv.q.reset_capacity(cfg.input_buffer_packets);
-  out_vcs_ = std::vector<OutputVc>(total_vcs);
-  for (auto& ov : out_vcs_) {
-    ov.q.reset_capacity(cfg.output_buffer_packets);
-    ov.credits = cfg.input_buffer_phits();
-    ov.base_credits = cfg.input_buffer_phits();
-  }
+  inputs_.assign(total_vcs, InputVc{});
+  in_q_.reset(total_vcs, cfg.input_buffer_packets);
+  OutputVc fresh;
+  fresh.credits = base_credits_;
+  out_vcs_.assign(total_vcs, fresh);
+  out_q_.reset(total_vcs, cfg.output_buffer_packets);
   out_qs_.assign(total_vcs, 0);
   out_head_.assign(total_vcs, kNeverReady);
   in_gate_.assign(total_vcs, 0);
@@ -31,7 +30,7 @@ Router::Router(SwitchId id, int num_switch_ports, int num_server_ports,
   for (Port p = 0; p < static_cast<Port>(total_ports); ++p)
     for (Vc v = 0; v < num_vcs_; ++v) update_feasible(p, v);
   in_xbar_free_.assign(static_cast<std::size_t>(total_ports), 0);
-  pending_.resize(static_cast<std::size_t>(total_ports));
+  req_chains_.assign(static_cast<std::size_t>(total_ports), RequestChain{});
 }
 
 void Router::mark_active(Network& net, Port p, Vc v) {
@@ -40,15 +39,24 @@ void Router::mark_active(Network& net, Port p, Vc v) {
   if (active_.empty()) net.router_alloc_activated(id_);
   iv.active_pos = static_cast<int>(active_.size());
   active_.push_back(static_cast<std::int32_t>(vc_index(p, v)));
+  // The slot at the new position is a spare, hence invalid: the fresh
+  // head computes its candidates on first use.
+  if (cand_slots_.size() < active_.size()) cand_slots_.emplace_back();
 }
 
 void Router::unmark_active(Network& net, Port p, Vc v) {
   InputVc& iv = input_mut(p, v);
   if (iv.active_pos < 0) return;
-  const int pos = iv.active_pos;
-  const std::int32_t last = active_.back();
-  active_[static_cast<std::size_t>(pos)] = last;
-  inputs_[static_cast<std::size_t>(last)].active_pos = pos;
+  const std::size_t pos = static_cast<std::size_t>(iv.active_pos);
+  const std::size_t last_pos = active_.size() - 1;
+  const std::int32_t last = active_[last_pos];
+  active_[pos] = last;
+  inputs_[static_cast<std::size_t>(last)].active_pos = static_cast<int>(pos);
+  // The moved entry takes its candidate slot along; the removed entry's
+  // slot (invalidated by the grant that emptied its queue) becomes the
+  // spare at the end.
+  if (pos != last_pos) std::swap(cand_slots_[pos], cand_slots_[last_pos]);
+  HXSP_DCHECK(!cand_slots_[last_pos].valid);
   active_.pop_back();
   iv.active_pos = -1;
   if (active_.empty()) net.router_alloc_deactivated(id_);
@@ -62,7 +70,6 @@ void Router::push_input(Network& net, PacketPtr pkt, Port port, Vc vc,
   iv.occupancy += pkt->length;
   HXSP_DCHECK(iv.occupancy <= net.cfg().input_buffer_phits());
   if (iv.q.empty()) {
-    iv.cand_valid = false;
     // Fresh head: it can first request once its head phit is here, any
     // in-progress drain of this VC finished, and the input port's
     // crossbar is free again.
@@ -72,7 +79,7 @@ void Router::push_input(Network& net, PacketPtr pkt, Port port, Vc vc,
     if (xbar > gate) gate = xbar;
     in_gate_[vc_index(port, vc)] = gate;
   }
-  iv.q.push_back(std::move(pkt));
+  in_q_.push_back(vc_index(port, vc), iv.q, std::move(pkt));
   mark_active(net, port, vc);
 }
 
@@ -86,23 +93,24 @@ int Router::queue_score(Port port, Vc vc) const {
          outputs_[static_cast<std::size_t>(port)].score_sum;
 }
 
-void Router::compute_candidates(const Network& net, InputVc& iv) {
-  const Packet& pkt = *iv.q.front();
-  iv.cand.clear();
-  if (pkt.dst_switch == id_) {
+void Router::compute_candidates(const Network& net, const Packet& head,
+                                CandSlot& slot) {
+  slot.cand.clear();
+  if (head.dst_switch == id_) {
     // Ejection: the only candidate is this packet's server port, VC 0.
     const Port eject = first_server_port() +
-                       static_cast<Port>(pkt.dst_server %
+                       static_cast<Port>(head.dst_server %
                                          net.servers_per_switch());
-    iv.cand.push_back({eject, 0, 0, false, false});
-    iv.num_routing_cands = 1;
+    slot.cand.push_back({eject, 0, 0, false, false});
+    slot.num_routing = 1;
   } else {
-    net.mechanism().candidates(net.ctx(), pkt, id_, scratch_, iv.cand);
+    net.mechanism().candidates(net.ctx(), head, id_, scratch_, slot.cand);
     int routing = 0;
-    for (const Candidate& c : iv.cand) routing += c.escape ? 0 : 1;
-    iv.num_routing_cands = routing;
+    for (const Candidate& c : slot.cand) routing += c.escape ? 0 : 1;
+    slot.num_routing = routing;
   }
-  iv.cand_valid = true;
+  slot.head_id = head.id;
+  slot.valid = true;
 }
 
 void Router::precompute_candidates(const Network& net, Cycle now) {
@@ -113,11 +121,12 @@ void Router::precompute_candidates(const Network& net, Cycle now) {
   // future-cycle events), so the precomputed set is exactly what serial
   // alloc would have computed — candidate caching is a pure function of
   // the head packet and shared-immutable tables, and draws no RNG.
-  for (const std::int32_t enc : active_) {
-    if (now < in_gate_[static_cast<std::size_t>(enc)]) continue;
-    InputVc& iv = inputs_[static_cast<std::size_t>(enc)];
-    if (iv.cand_valid) continue;
-    compute_candidates(net, iv);
+  for (std::size_t ai = 0; ai < active_.size(); ++ai) {
+    const std::size_t enc = static_cast<std::size_t>(active_[ai]);
+    if (now < in_gate_[enc]) continue;
+    CandSlot& slot = cand_slots_[ai];
+    if (slot.valid) continue;
+    compute_candidates(net, in_front(enc), slot);
   }
 }
 
@@ -133,14 +142,14 @@ void Router::alloc_phase(Network& net, Cycle now) {
     // possible request (arrival, drain, input crossbar, output parking),
     // so one compare replaces the whole eligibility chain.
     if (now < in_gate_[static_cast<std::size_t>(enc)]) { continue; }
-    InputVc& iv = inputs_[static_cast<std::size_t>(enc)];
-    HXSP_DCHECK(!iv.draining && !iv.q.empty());
-    Packet& pkt = *iv.q.front();
+    HXSP_DCHECK(!inputs_[static_cast<std::size_t>(enc)].draining);
+    const Packet& pkt = in_front(static_cast<std::size_t>(enc));
     HXSP_DCHECK(pkt.buf_head <= now);
     HXSP_DCHECK(in_xbar_free_[static_cast<std::size_t>(enc / num_vcs_)] <= now);
 
-    if (!iv.cand_valid) compute_candidates(net, iv);
-    if (iv.cand.empty()) {
+    CandSlot& slot = cand_slots_[ai];
+    if (!slot.valid) compute_candidates(net, pkt, slot);
+    if (slot.cand.empty()) {
       // Stuck: no legal move at all (e.g. DOR + fault). Only a table
       // rebuild can change that, and it resets the gate.
       in_gate_[static_cast<std::size_t>(enc)] =
@@ -155,8 +164,8 @@ void Router::alloc_phase(Network& net, Cycle now) {
     int best_idx = -1;
     int ties = 0;
     Cycle wake = std::numeric_limits<Cycle>::max();
-    for (std::size_t i = 0; i < iv.cand.size(); ++i) {
-      const Candidate& c = iv.cand[i];
+    for (std::size_t i = 0; i < slot.cand.size(); ++i) {
+      const Candidate& c = slot.cand[i];
       const OutputPort& op = outputs_[static_cast<std::size_t>(c.port)];
       if (op.xbar_free_at > now) {
         // Release times only move forward: this candidate cannot be
@@ -186,47 +195,62 @@ void Router::alloc_phase(Network& net, Cycle now) {
       in_gate_[static_cast<std::size_t>(enc)] = wake;
       continue;
     }
-    const Candidate& c = iv.cand[static_cast<std::size_t>(best_idx)];
-    auto& reqs = pending_[static_cast<std::size_t>(c.port)];
-    if (reqs.empty()) dirty_outputs_.push_back(c.port);
+    const Candidate& c = slot.cand[static_cast<std::size_t>(best_idx)];
     // A forced hop (paper §3) is a CRout packet pushed into the escape
     // because the base routing offered nothing; hops of packets already
     // living on the escape are ordinary escape hops.
-    const bool forced = c.escape && !pkt.in_escape && iv.num_routing_cands == 0;
-    reqs.push_back({enc, c.vc, best_score, c.escape, forced, c.escape_down});
+    const bool forced = c.escape && !pkt.in_escape && slot.num_routing == 0;
+    // Chain the request behind earlier ones to the same output, so each
+    // output sees its requests in posting order.
+    const std::int32_t ri = static_cast<std::int32_t>(requests_.size());
+    requests_.push_back(
+        {enc, -1, c.vc, best_score, c.escape, forced, c.escape_down});
+    RequestChain& chain = req_chains_[static_cast<std::size_t>(c.port)];
+    if (chain.first < 0) {
+      chain.first = ri;
+      dirty_outputs_.push_back(c.port);
+    } else {
+      requests_[static_cast<std::size_t>(chain.last)].next = ri;
+    }
+    chain.last = ri;
   }
 
   // --- grant phase: each requested output grants its best request ---------
   for (const Port out_port : dirty_outputs_) {
-    auto& reqs = pending_[static_cast<std::size_t>(out_port)];
+    RequestChain& chain = req_chains_[static_cast<std::size_t>(out_port)];
     int best = -1;
     int best_score = std::numeric_limits<int>::max();
     int ties = 0;
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      const Port in_port = static_cast<Port>(reqs[i].in_enc / num_vcs_);
+    for (std::int32_t i = chain.first; i >= 0;
+         i = requests_[static_cast<std::size_t>(i)].next) {
+      const Request& r = requests_[static_cast<std::size_t>(i)];
+      const Port in_port = static_cast<Port>(r.in_enc / num_vcs_);
       // The input port may have been claimed by a grant of an earlier
       // output this cycle.
       if (in_xbar_free_[static_cast<std::size_t>(in_port)] > now) continue;
-      if (reqs[i].score < best_score) {
-        best_score = reqs[i].score;
-        best = static_cast<int>(i);
+      if (r.score < best_score) {
+        best_score = r.score;
+        best = i;
         ties = 1;
-      } else if (reqs[i].score == best_score) {
+      } else if (r.score == best_score) {
         ++ties;
         if (net.rng().next_below(static_cast<std::uint64_t>(ties)) == 0)
-          best = static_cast<int>(i);
+          best = i;
       }
     }
+    chain = RequestChain{};
     if (best >= 0) {
-      const Request req = reqs[static_cast<std::size_t>(best)];
+      const Request req = requests_[static_cast<std::size_t>(best)];
       // ---- commit the grant --------------------------------------------
       InputVc& iv = inputs_[static_cast<std::size_t>(req.in_enc)];
       const Port in_port = static_cast<Port>(req.in_enc / num_vcs_);
       const Vc in_vc = static_cast<Vc>(req.in_enc % num_vcs_);
-      PacketPtr pkt = iv.q.pop_front();
+      // The cached candidates belonged to the departing head.
+      cand_slots_[static_cast<std::size_t>(iv.active_pos)].valid = false;
+      PacketPtr pkt =
+          in_q_.pop_front(static_cast<std::size_t>(req.in_enc), iv.q);
       if (iv.q.empty()) unmark_active(net, in_port, in_vc);
       iv.draining = true;
-      iv.cand_valid = false;
 
       // Cut-through: the tail leaves the input when the crossbar is done
       // or when it has fully arrived, whichever is later.
@@ -247,25 +271,28 @@ void Router::alloc_phase(Network& net, Cycle now) {
       {
         Cycle& gate = in_gate_[static_cast<std::size_t>(req.in_enc)];
         gate = drain_done;
-        if (!iv.q.empty() && iv.q.front()->buf_head > gate)
-          gate = iv.q.front()->buf_head;
+        if (!iv.q.empty()) {
+          const Cycle next_head =
+              in_front(static_cast<std::size_t>(req.in_enc)).buf_head;
+          if (next_head > gate) gate = next_head;
+        }
       }
 
       OutputPort& op = outputs_[static_cast<std::size_t>(out_port)];
       op.xbar_free_at = now + cfg.xbar_cycles();
-      OutputVc& ov = output_vc_mut(out_port, req.out_vc);
+      const std::size_t out_idx = vc_index(out_port, req.out_vc);
+      OutputVc& ov = out_vcs_[out_idx];
       ov.credits -= len;
       ov.occupancy += len;
       op.score_sum += 2 * len; // +len occupancy, +len consumed credits
-      out_qs_[vc_index(out_port, req.out_vc)] += 2 * len;
+      out_qs_[out_idx] += 2 * len;
       update_feasible(out_port, req.out_vc);
       if (op.waiting++ == 0) sorted_id_insert(link_ports_, out_port);
       if (waiting_total_++ == 0) net.router_link_activated(id_);
 
       pkt->buf_head = now + cfg.xbar_latency;
       pkt->buf_tail = drain_done + cfg.xbar_latency;
-      if (ov.q.empty())
-        out_head_[vc_index(out_port, req.out_vc)] = pkt->buf_head;
+      if (ov.q.empty()) out_head_[out_idx] = pkt->buf_head;
 
       // Telemetry: before commit_hop mutates pkt->in_escape, so an escape
       // grant of a packet not yet on the escape counts as a SurePath
@@ -288,11 +315,11 @@ void Router::alloc_phase(Network& net, Cycle now) {
                              : req.escape ? HopKind::Escape
                                           : HopKind::Routing);
       }
-      ov.q.push_back(std::move(pkt));
+      out_q_.push_back(out_idx, ov.q, std::move(pkt));
       net.note_progress();
     }
-    reqs.clear();
   }
+  requests_.clear();
   dirty_outputs_.clear();
 }
 
@@ -308,10 +335,10 @@ void Router::link_phase(Network& net, Cycle now) {
     for (int k = 0; k < num_vcs_; ++k) {
       const int v = (op.rr_next + k) % num_vcs_;
       if (out_head_[vbase + static_cast<std::size_t>(v)] > now) continue;
-      OutputVc& ov = out_vcs_[vbase + static_cast<std::size_t>(v)];
-      PacketPtr pkt = ov.q.pop_front();
-      out_head_[vbase + static_cast<std::size_t>(v)] =
-          ov.q.empty() ? kNeverReady : ov.q.front()->buf_head;
+      const std::size_t idx = vbase + static_cast<std::size_t>(v);
+      OutputVc& ov = out_vcs_[idx];
+      PacketPtr pkt = out_q_.pop_front(idx, ov.q);
+      out_head_[idx] = ov.q.empty() ? kNeverReady : out_front(idx).buf_head;
       if (--op.waiting == 0) sorted_id_erase(link_ports_, p);
       if (--waiting_total_ == 0) net.router_link_deactivated(id_);
       op.link_free_at = now + len;
@@ -352,10 +379,10 @@ void Router::link_phase_collect(const SimConfig& cfg, Cycle now,
     for (int k = 0; k < num_vcs_; ++k) {
       const int v = (op.rr_next + k) % num_vcs_;
       if (out_head_[vbase + static_cast<std::size_t>(v)] > now) continue;
-      OutputVc& ov = out_vcs_[vbase + static_cast<std::size_t>(v)];
-      PacketPtr pkt = ov.q.pop_front();
-      out_head_[vbase + static_cast<std::size_t>(v)] =
-          ov.q.empty() ? kNeverReady : ov.q.front()->buf_head;
+      const std::size_t idx = vbase + static_cast<std::size_t>(v);
+      OutputVc& ov = out_vcs_[idx];
+      PacketPtr pkt = out_q_.pop_front(idx, ov.q);
+      out_head_[idx] = ov.q.empty() ? kNeverReady : out_front(idx).buf_head;
       if (--op.waiting == 0) sorted_id_erase(link_ports_, p);
       if (--waiting_total_ == 0) out.deactivated.push_back(id_);
       op.link_free_at = now + len;
@@ -375,29 +402,32 @@ void Router::input_drain_done(Network& net, Port port, Vc vc) {
 }
 
 void Router::on_tables_rebuilt() {
+  for (CandSlot& slot : cand_slots_) slot.valid = false;
   for (Port p = 0; p < static_cast<Port>(outputs_.size()); ++p) {
     for (Vc v = 0; v < num_vcs_; ++v) {
-      InputVc& iv = input_mut(p, v);
-      iv.cand_valid = false;
+      const std::size_t idx = vc_index(p, v);
+      InputVc& iv = inputs_[idx];
       // Drop the (stale-candidate-based) output park bound from the gate
       // but keep the exact input-side bounds, so every head rescans as
       // soon as it legally can on the new tables.
       Cycle gate = 0;
       if (!iv.q.empty()) {
-        gate = iv.q.front()->buf_head;
+        gate = in_front(idx).buf_head;
         if (iv.drain_until > gate) gate = iv.drain_until;
         const Cycle xbar = in_xbar_free_[static_cast<std::size_t>(p)];
         if (xbar > gate) gate = xbar;
       }
-      in_gate_[vc_index(p, v)] = gate;
+      in_gate_[idx] = gate;
       // Strict-phase escape liveness is proven per table build; restart
       // the phase so every packet re-derives a valid route on the new
       // tables.
-      for (int i = 0; i < iv.q.size(); ++i) iv.q[i]->escape_gone_down = false;
+      for (int i = 0; i < iv.q.size; ++i)
+        in_q_.at(idx, iv.q, i)->escape_gone_down = false;
+      const RingSlab<PacketPtr>::Ring oq = out_vcs_[idx].q;
+      for (int i = 0; i < oq.size; ++i)
+        out_q_.at(idx, oq, i)->escape_gone_down = false;
     }
   }
-  for (auto& ov : out_vcs_)
-    for (int i = 0; i < ov.q.size(); ++i) ov.q[i]->escape_gone_down = false;
 }
 
 int Router::drop_output_queue(Network& net, Port port) {
@@ -405,18 +435,19 @@ int Router::drop_output_queue(Network& net, Port port) {
   OutputPort& op = outputs_[static_cast<std::size_t>(port)];
   int dropped = 0;
   for (Vc v = 0; v < num_vcs_; ++v) {
-    OutputVc& ov = output_vc_mut(port, v);
+    const std::size_t idx = vc_index(port, v);
+    OutputVc& ov = out_vcs_[idx];
     while (!ov.q.empty()) {
-      (void)ov.q.pop_front(); // destroys the packet (back to the pool)
+      (void)out_q_.pop_front(idx, ov.q); // destroys the packet (to the pool)
       ov.occupancy -= len;    // no OutTailGone will fire
       ov.credits += len;      // reserved downstream space unused
       op.score_sum -= 2 * len;
-      out_qs_[vc_index(port, v)] -= 2 * len;
+      out_qs_[idx] -= 2 * len;
       --op.waiting;
       --waiting_total_;
       ++dropped;
     }
-    out_head_[vc_index(port, v)] = kNeverReady;
+    out_head_[idx] = kNeverReady;
     update_feasible(port, v);
   }
   if (dropped > 0) {
@@ -428,15 +459,15 @@ int Router::drop_output_queue(Network& net, Port port) {
 
 int Router::buffered_packets() const {
   int n = 0;
-  for (const auto& iv : inputs_) n += iv.q.size();
-  for (const auto& ov : out_vcs_) n += ov.q.size();
+  for (const auto& iv : inputs_) n += iv.q.size;
+  for (const auto& ov : out_vcs_) n += ov.q.size;
   return n;
 }
 
 void Router::check_invariants(const SimConfig& cfg) const {
   for (const auto& iv : inputs_) {
     HXSP_CHECK(iv.occupancy >= 0 && iv.occupancy <= cfg.input_buffer_phits());
-    HXSP_CHECK(iv.q.size() * cfg.packet_length <=
+    HXSP_CHECK(iv.q.size * cfg.packet_length <=
                iv.occupancy + (iv.draining ? cfg.packet_length : 0));
   }
   int waiting = 0;
@@ -447,10 +478,11 @@ void Router::check_invariants(const SimConfig& cfg) const {
       const OutputVc& ov = output_vc(p, v);
       HXSP_CHECK(ov.occupancy >= 0 && ov.occupancy <= cfg.output_buffer_phits());
       HXSP_CHECK(ov.credits >= 0);
-      const int qs = ov.occupancy + (ov.base_credits - ov.credits);
+      const int qs = ov.occupancy + (base_credits_ - ov.credits);
       HXSP_CHECK(out_qs_[vc_index(p, v)] == qs);
       HXSP_CHECK(out_head_[vc_index(p, v)] ==
-                 (ov.q.empty() ? kNeverReady : ov.q.front()->buf_head));
+                 (ov.q.empty() ? kNeverReady
+                               : out_front(vc_index(p, v)).buf_head));
       const bool feasible = ov.credits >= len_ &&
                             ov.occupancy + len_ <= outbuf_cap_;
       HXSP_CHECK(((op.feasible_mask >> static_cast<unsigned>(v)) & 1u) ==

@@ -30,9 +30,13 @@
 /// instead of O(num_vcs) — it is the innermost arithmetic of the engine,
 /// evaluated per candidate per active head per cycle.
 ///
-/// All packet queues are bounded by flow control, so they live in
-/// fixed-capacity ring buffers (util/ringbuf.hpp) instead of deques; see
-/// that header for the capacity argument.
+/// All packet queues are bounded by flow control, so each router carves
+/// its queues out of two fixed slabs (util/ringbuf.hpp): one RingSlab for
+/// every input VC and one for every output VC, each queue a 4-byte Ring
+/// header in its InputVc/OutputVc. Candidate caches live in slots that
+/// travel with the active input list, and requests in one per-router
+/// buffer, so a router's state is a dozen flat arrays however many ports
+/// and VCs it has — no heap block per (port, VC).
 
 #include <cstdint>
 #include <limits>
@@ -48,30 +52,44 @@ namespace hxsp {
 
 class Network;
 
-/// Per-(input port, VC) buffer state.
+/// Per-(input port, VC) buffer state. The queued packets live in the
+/// router's input slab, in the ring with this VC's [port][vc] index.
 struct InputVc {
-  RingBuf<PacketPtr> q;          ///< waiting packets; front = head
+  RingSlab<PacketPtr>::Ring q;   ///< waiting packets; front = head
   int occupancy = 0;             ///< phits of reserved space
-  bool draining = false;         ///< head transfer in progress
   Cycle drain_until = 0;         ///< when the in-progress drain completes
                                  ///< (valid whenever draining; kept for
                                  ///< exact gate reconstruction)
-  bool cand_valid = false;       ///< cached candidates valid for current head
-  std::vector<Candidate> cand;   ///< cached candidate set of the head
-  int num_routing_cands = 0;     ///< non-escape entries in `cand`
   int active_pos = -1;           ///< index in Router::active_, -1 = not listed
+  bool draining = false;         ///< head transfer in progress
 };
 
 /// Per-(output port, VC) buffer state plus the credit counter for the
 /// downstream input buffer this queue feeds. Stored flattened
 /// ([port][vc], like InputVc) so the allocator's per-candidate probe is
 /// one computed address instead of a pointer chase through a per-port
-/// vector.
+/// vector. The queued packets live in the router's output slab.
 struct OutputVc {
-  RingBuf<PacketPtr> q;     ///< packets heading for the link; front = next
+  RingSlab<PacketPtr>::Ring q; ///< packets heading for the link; front = next
   int occupancy = 0;        ///< phits reserved (grant) until tail departs
   int credits = 0;          ///< free phits in the downstream input buffer
-  int base_credits = 0;     ///< downstream capacity (for consumed-credit Q)
+};
+
+// Byte budgets: a router holds one InputVc and one OutputVc per
+// (port, VC) — 8.2 million of each in the million-server configuration
+// (32,768 routers x 125 ports x 2 VCs) — so a stray field here costs tens
+// of megabytes there.
+static_assert(sizeof(InputVc) <= 24, "InputVc grew past its per-VC budget");
+static_assert(sizeof(OutputVc) <= 12, "OutputVc grew past its per-VC budget");
+
+/// Cached candidate set of one buffered input head. A router keeps one
+/// slot per entry of its active input list, at the same position, so
+/// only heads that are actually buffered hold candidate storage.
+struct CandSlot {
+  std::vector<Candidate> cand; ///< candidate set of the head
+  std::int64_t head_id = -1;   ///< Packet::id of the head it was computed for
+  int num_routing = 0;         ///< non-escape entries in `cand`
+  bool valid = false;          ///< computed for the current head
 };
 
 /// Per-output-port state shared by its VCs (kept small: the link phase
@@ -250,6 +268,10 @@ class Router {
   Cycle& corrupt_out_head_for_test(Port p, Vc v) {
     return out_head_[vc_index(p, v)];
   }
+  /// Candidate slot of the \p pos-th active input (needs has_input_work()).
+  CandSlot& corrupt_cand_slot_for_test(int pos) {
+    return cand_slots_[static_cast<std::size_t>(pos)];
+  }
 
  private:
   friend class Network;
@@ -261,6 +283,14 @@ class Router {
 
   InputVc& input_mut(Port p, Vc v) { return inputs_[vc_index(p, v)]; }
   OutputVc& output_vc_mut(Port p, Vc v) { return out_vcs_[vc_index(p, v)]; }
+
+  /// Head packet of the input / output queue with flat index \p idx.
+  const Packet& in_front(std::size_t idx) const {
+    return *in_q_.front(idx, inputs_[idx].q);
+  }
+  const Packet& out_front(std::size_t idx) const {
+    return *out_q_.front(idx, out_vcs_[idx].q);
+  }
 
   /// Recomputes output (p,v)'s bit of OutputPort::feasible_mask from its
   /// credit and occupancy state. Called at every mutation site.
@@ -285,18 +315,23 @@ class Router {
   /// Q term of the paper's allocation rule for output (port,vc).
   int queue_score(Port port, Vc vc) const;
 
-  /// Fills \p iv's candidate cache for its current head packet (the shared
-  /// body of alloc_phase and precompute_candidates).
-  void compute_candidates(const Network& net, InputVc& iv);
+  /// Fills \p slot with the candidate set of \p head (the shared body of
+  /// alloc_phase and precompute_candidates).
+  void compute_candidates(const Network& net, const Packet& head,
+                          CandSlot& slot);
 
   SwitchId id_;
   int num_switch_ports_;
   int num_vcs_;
   int len_ = 0;                     ///< SimConfig::packet_length
   int outbuf_cap_ = 0;              ///< SimConfig::output_buffer_phits()
+  int base_credits_ = 0;            ///< downstream input capacity, phits
+                                    ///< (for the consumed-credit Q term)
   int waiting_total_ = 0;           ///< sum of OutputPort::waiting
   std::vector<InputVc> inputs_;     ///< [port][vc] flattened
   std::vector<OutputVc> out_vcs_;   ///< [port][vc] flattened
+  RingSlab<PacketPtr> in_q_;        ///< input queues, ring = [port][vc]
+  RingSlab<PacketPtr> out_q_;       ///< output queues, ring = [port][vc]
   std::vector<OutputPort> outputs_; ///< [port]
   /// Incrementally maintained qs = occupancy + consumed credits per
   /// output (port,vc), flattened like out_vcs_. The request loop reads
@@ -310,6 +345,10 @@ class Router {
   static constexpr Cycle kNeverReady = std::numeric_limits<Cycle>::max();
   std::vector<Cycle> in_xbar_free_; ///< per input port
   std::vector<std::int32_t> active_; ///< encoded (port*V+vc) of non-empty inputs
+  /// cand_slots_[i] caches the candidates of active_[i]'s head. Slots
+  /// travel with their entry when a swap-remove moves it; slots past
+  /// active_.size() are spares (always invalid) kept for their storage.
+  std::vector<CandSlot> cand_slots_;
   /// Head gate per input (port,vc): the earliest cycle the current head
   /// could possibly post a request — the max of its known lower bounds
   /// (head phit arrival, drain completion, the input port's crossbar
@@ -331,14 +370,22 @@ class Router {
   /// A request posted to an output port during the current cycle.
   struct Request {
     std::int32_t in_enc = -1; ///< encoded input (port*V+vc)
+    std::int32_t next = -1;   ///< next request to the same output, -1 = last
     Vc out_vc = -1;
     int score = 0;            ///< Q + P
     bool escape = false;
     bool forced = false;
     bool escape_down = false; ///< strict-phase escape Down step
   };
-  std::vector<std::vector<Request>> pending_; ///< per output port
-  std::vector<Port> dirty_outputs_;           ///< outputs with requests
+  /// First and last request of one output port's chain in requests_.
+  struct RequestChain {
+    std::int32_t first = -1;
+    std::int32_t last = -1;
+  };
+  std::vector<Request> requests_;        ///< this cycle's, in posting order
+  std::vector<RequestChain> req_chains_; ///< per output port
+  std::vector<Port> dirty_outputs_;      ///< outputs with requests, in
+                                         ///< first-request order
   RouteScratch scratch_; ///< per-router routing scratch (thread safety of
                          ///< the parallel candidate phase rests on this)
 };

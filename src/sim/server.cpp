@@ -7,10 +7,7 @@ namespace hxsp {
 
 Server::Server(ServerId id, SwitchId sw, int local, const SimConfig& cfg)
     : queue_capacity_(cfg.server_queue_packets), id_(id), switch_(sw),
-      local_(local),
-      credits_(static_cast<std::size_t>(cfg.num_vcs), cfg.input_buffer_phits()) {
-  queue_.reset_capacity(queue_capacity_);
-}
+      local_(local) {}
 
 void Server::set_offered_load(double load, int packet_length) {
   HXSP_CHECK(load >= 0.0);
@@ -46,12 +43,17 @@ void Server::make_packet(Network& net, Cycle now) {
   net.mechanism().on_inject(net.ctx(), *pkt, net.rng());
   net.metrics().on_generated(id_, now);
   net.on_packet_created();
-  queue_.push_back(std::move(pkt));
+  enqueue(net, std::move(pkt));
+}
+
+void Server::enqueue(Network& net, PacketPtr pkt) {
+  net.server_queues().push_back(static_cast<std::size_t>(id_), queue_,
+                                std::move(pkt));
 }
 
 void Server::completion_refill(Network& net, Cycle now) {
   // Completion mode: refill the queue as fast as it drains.
-  while (remaining_ > 0 && queue_.size() < queue_capacity_) {
+  while (remaining_ > 0 && queue_.size < queue_capacity_) {
     make_packet(net, now);
     --remaining_;
     net.on_completion_packet_generated();
@@ -61,11 +63,10 @@ void Server::completion_refill(Network& net, Cycle now) {
 void Server::workload_refill(Network& net, Cycle now) {
   MessageSource* wl = net.workload();
   HXSP_DCHECK(wl != nullptr);
-  while (queue_.size() < queue_capacity_) {
+  while (queue_.size < queue_capacity_) {
     if (wl_left_ == 0) {
       if (wl_ready_.empty()) return;
-      wl_msg_ = wl_ready_.front();
-      wl_ready_.pop_front();
+      wl_msg_ = wl_ready_.pop_front();
       wl_left_ = wl->msg_packets(wl_msg_);
     }
     // Like make_packet, but the destination comes from the message (no
@@ -84,7 +85,7 @@ void Server::workload_refill(Network& net, Cycle now) {
     net.mechanism().on_inject(net.ctx(), *pkt, net.rng());
     net.metrics().on_generated(id_, now);
     net.on_packet_created();
-    queue_.push_back(std::move(pkt));
+    enqueue(net, std::move(pkt));
     --wl_left_;
     net.on_completion_packet_generated();
   }
@@ -93,16 +94,19 @@ void Server::workload_refill(Network& net, Cycle now) {
 void Server::injection_phase(Network& net, Cycle now) {
   if (queue_.empty() || link_free_at_ > now) return;
   const int len = net.cfg().packet_length;
+  RingSlab<PacketPtr>& queues = net.server_queues();
+  const std::size_t ring = static_cast<std::size_t>(id_);
 
-  std::vector<Vc>& legal = legal_scratch_;
+  std::vector<Vc>& legal = net.vc_scratch();
   legal.clear();
-  net.mechanism().injection_vcs(net.ctx(), *queue_.front(), legal);
+  net.mechanism().injection_vcs(net.ctx(), *queues.front(ring, queue_), legal);
 
   // Join the emptiest legal VC with room for the whole packet.
+  int* const credits = net.server_credits(id_);
   Vc best = kInvalid;
   int best_credits = len - 1;
   for (Vc v : legal) {
-    const int c = credits_[static_cast<std::size_t>(v)];
+    const int c = credits[v];
     if (c > best_credits) {
       best_credits = c;
       best = v;
@@ -116,10 +120,10 @@ void Server::injection_phase(Network& net, Cycle now) {
     return;
   }
 
-  PacketPtr pkt = queue_.pop_front();
+  PacketPtr pkt = queues.pop_front(ring, queue_);
   pkt->injected = now;
   pkt->cur_vc = best;
-  credits_[static_cast<std::size_t>(best)] -= len;
+  credits[best] -= len;
   link_free_at_ = now + len;
 
   HXSP_DCHECK(inject_port_ != kInvalid);

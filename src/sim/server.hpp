@@ -14,15 +14,21 @@
 /// released Messages and injects the current head's packets as the queue
 /// drains; messages enter the FIFO only through WorkloadRun's dependency
 /// release, and the mode draws nothing from the shared RNG stream.
+///
+/// A Server object holds no heap storage of its own: its injection queue
+/// is a ring of the Network's server slab, its injection credits live in
+/// the Network's per-(server, VC) array, and the released-message FIFO
+/// allocates only once a message is released to it. At a million servers
+/// per Network, per-server heap blocks would cost hundreds of megabytes.
 
-#include <deque>
-#include <vector>
+#include <cstdint>
 
 #include "sim/config.hpp"
 #include "sim/packet.hpp"
 #include "util/ringbuf.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
+#include "util/vecfifo.hpp"
 
 namespace hxsp {
 
@@ -52,7 +58,7 @@ class Server {
     if (inject_prob_ <= 0.0 || !rng.next_bool(inject_prob_)) return;
     // A generation attempt against a full queue is lost: this
     // backpressure is what the Jain index of generated load measures.
-    if (queue_.size() < queue_capacity_) make_packet(net, now);
+    if (queue_.size < queue_capacity_) make_packet(net, now);
   }
 
   /// Moves the queue head onto the injection link when possible.
@@ -62,11 +68,6 @@ class Server {
   /// the per-cycle gate that lets the network skip idle servers.
   bool injection_ready(Cycle now) const {
     return !queue_.empty() && link_free_at_ <= now;
-  }
-
-  /// Credit returned by the router's server-port input buffer.
-  void credit_return(Vc vc, int phits) {
-    credits_[static_cast<std::size_t>(vc)] += phits;
   }
 
   /// Sets the offered load in phits/cycle (rate mode).
@@ -92,16 +93,15 @@ class Server {
   void set_inject_port(Port p) { inject_port_ = p; }
 
   /// Packets still waiting in the injection queue.
-  int queued() const { return queue_.size(); }
+  int queued() const { return queue_.size; }
 
   /// Packets not yet generated in completion mode (0 in rate mode).
   long remaining() const { return remaining_ < 0 ? 0 : remaining_; }
 
-  // --- auditor accessors (sim/audit.cpp) ----------------------------------
+  /// Released messages not yet started (workload mode), front = next.
+  const VecFifo<std::int32_t>& released_messages() const { return wl_ready_; }
 
-  /// Free phits this server believes remain in its switch's server-port
-  /// input buffer for \p vc (the upstream half of the credit ledger).
-  int credits(Vc vc) const { return credits_[static_cast<std::size_t>(vc)]; }
+  // --- auditor accessors (sim/audit.cpp) ----------------------------------
 
   /// True in completion mode (a fixed per-server packet budget).
   bool in_completion_mode() const { return remaining_ >= 0; }
@@ -116,6 +116,9 @@ class Server {
   static constexpr long kWorkloadMode = -2;
 
   void make_packet(Network& net, Cycle now);
+
+  /// Appends \p pkt to this server's ring of the network's server slab.
+  void enqueue(Network& net, PacketPtr pkt);
 
   /// Completion-mode branch of generation_phase (out of line: runs a
   /// refill loop and touches Network bookkeeping).
@@ -133,19 +136,19 @@ class Server {
   Cycle link_free_at_ = 0;
   Port inject_port_ = kInvalid; ///< router input port (set_inject_port)
   int queue_capacity_;
-  RingBuf<PacketPtr> queue_;
+  RingSlab<PacketPtr>::Ring queue_; ///< ring id_ of Network::server_queues()
   ServerId id_;
   SwitchId switch_;
   int local_; ///< index among the servers of this switch
-  std::vector<int> credits_; ///< per VC of the router's server-port buffer
-  // Scratch for injection_phase(); instance-scoped (not static/thread_local)
-  // so concurrent Networks on a sweep pool never share it.
-  std::vector<Vc> legal_scratch_;
   // Workload mode: current message + packets of it still to generate,
   // and the FIFO of released-but-not-started messages.
   std::int32_t wl_msg_ = kInvalid;
   int wl_left_ = 0;
-  std::deque<std::int32_t> wl_ready_;
+  VecFifo<std::int32_t> wl_ready_;
 };
+
+// Byte budget: a Network holds one Server per endpoint — 1,048,576 at the
+// million-server scale — so every byte here costs a megabyte there.
+static_assert(sizeof(Server) <= 88, "Server grew past its per-endpoint budget");
 
 } // namespace hxsp

@@ -1,21 +1,23 @@
 #pragma once
 /// \file ringbuf.hpp
-/// Bounded FIFO ring buffer over one contiguous allocation, plus the
-/// pooled chunk rings the event wheel's slots live in.
+/// Bounded FIFO rings carved out of one shared slab, plus the pooled
+/// chunk rings the event wheel's slots live in.
 ///
 /// The engine's packet queues (router input/output VCs, server injection
 /// queues) are all bounded by construction — credit-based flow control
 /// caps an input FIFO at input_buffer_packets, the grant check caps an
 /// output FIFO at output_buffer_packets, and the server queue at
-/// server_queue_packets. A std::deque pays a map + chunk allocation and a
-/// double indirection for what is at most a handful of slots; RingBuf
-/// stores those slots in one power-of-two array indexed with a mask, so
-/// push/pop/front are a couple of arithmetic ops on memory that stays
-/// cache-resident for the lifetime of the queue.
+/// server_queue_packets. Each owner therefore carves all of its queues
+/// out of one RingSlab: a router holds one slab for its input VCs and one
+/// for its output VCs, the network one for every server queue. A queue
+/// is a 4-byte Ring header beside its owner's other per-queue state, and
+/// push/pop/front are a couple of arithmetic ops on a power-of-two slice
+/// of the slab. At a million servers a heap block per queue would
+/// dominate both the engine's footprint and the Network's build time.
 ///
-/// Capacity is fixed by reset_capacity() (called once when the owning
-/// component is built from its SimConfig); exceeding it is a logic error
-/// (HXSP_DCHECK), never a reallocation.
+/// Capacity is fixed by reset() (called once when the owner is built
+/// from its SimConfig); exceeding it is a logic error (HXSP_DCHECK),
+/// never a reallocation.
 ///
 /// The event wheel has the opposite shape: 64 slots whose sizes swing
 /// with load and are unbounded in principle. Giving each slot its own
@@ -25,6 +27,7 @@
 /// events actually in flight (one cycle's spike is the next cycle's free
 /// chunks) and a slot scan walks cache-dense 64-item chunks.
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <type_traits>
@@ -34,75 +37,99 @@
 
 namespace hxsp {
 
-/// Fixed-capacity FIFO. Elements are indexable from the front (operator[])
-/// for in-place sweeps over queued items. Move-only when T is move-only.
+/// Fixed-capacity FIFO rings carved out of one contiguous slab.
+///
+/// A ring is only its 16-bit head index and length (Ring, 4 bytes), kept
+/// by the ring's owner beside the rest of its per-queue state; ring r's
+/// slots are the r-th power-of-two slice of the slab, indexed with a
+/// mask. So N bounded queues cost one allocation and 4 bytes of header
+/// each, instead of N allocations and N heap headers. Each call names
+/// the ring by its index and its header; the slab itself knows nothing
+/// of which rings are in use. Move-only when T is move-only.
 template <typename T>
-class RingBuf {
+class RingSlab {
  public:
-  RingBuf() = default;
+  /// Head index and length of one ring, stored by the queue's owner.
+  struct Ring {
+    std::uint16_t head = 0;
+    std::uint16_t size = 0;
 
-  /// (Re)allocates storage for \p capacity elements (rounded up to a power
-  /// of two internally). Must be empty; existing storage is discarded.
-  void reset_capacity(int capacity) {
-    HXSP_CHECK(capacity > 0);
-    HXSP_CHECK(size_ == 0);
+    bool empty() const { return size == 0; }
+  };
+
+  /// Largest per-ring capacity the 16-bit indices can address.
+  static constexpr int kMaxCapacity = 1 << 15;
+
+  RingSlab() = default;
+
+  /// (Re)allocates the slab for \p rings rings of \p capacity elements
+  /// each (slots per ring rounded up to a power of two). Any previous
+  /// slab and its elements are destroyed; the owners' Ring headers must
+  /// start again from Ring{}.
+  void reset(std::size_t rings, int capacity) {
+    HXSP_CHECK(capacity > 0 && capacity <= kMaxCapacity);
+    unsigned shift = 0;
+    while ((1 << shift) < capacity) ++shift;
+    shift_ = shift;
+    mask_ = (1u << shift) - 1;
     cap_ = capacity;
-    std::uint32_t slots = 1;
-    while (slots < static_cast<std::uint32_t>(capacity)) slots <<= 1;
-    mask_ = slots - 1;
-    buf_ = std::make_unique<T[]>(slots);
-    head_ = 0;
+    slots_ = std::make_unique<T[]>(rings << shift);
   }
 
-  bool empty() const { return size_ == 0; }
-  int size() const { return size_; }
+  /// Elements one ring can hold.
   int capacity() const { return cap_; }
 
-  T& front() {
-    HXSP_DCHECK(size_ > 0);
-    return buf_[head_ & mask_];
+  /// Slab slots reserved per ring (capacity rounded up to a power of 2).
+  int slots_per_ring() const { return static_cast<int>(mask_) + 1; }
+
+  T& front(std::size_t r, Ring q) {
+    HXSP_DCHECK(q.size > 0);
+    return slot(r, q.head);
   }
-  const T& front() const {
-    HXSP_DCHECK(size_ > 0);
-    return buf_[head_ & mask_];
+  const T& front(std::size_t r, Ring q) const {
+    HXSP_DCHECK(q.size > 0);
+    return slot(r, q.head);
   }
 
-  /// i-th element from the front (0 = front()).
-  T& operator[](int i) {
-    HXSP_DCHECK(i >= 0 && i < size_);
-    return buf_[(head_ + static_cast<std::uint32_t>(i)) & mask_];
-  }
-  const T& operator[](int i) const {
-    HXSP_DCHECK(i >= 0 && i < size_);
-    return buf_[(head_ + static_cast<std::uint32_t>(i)) & mask_];
+  /// i-th element of ring \p r from its front (0 = front()).
+  T& at(std::size_t r, Ring q, int i) {
+    HXSP_DCHECK(i >= 0 && i < q.size);
+    return slot(r, q.head + static_cast<unsigned>(i));
   }
 
-  void push_back(T v) {
-    HXSP_DCHECK(size_ < cap_);
-    buf_[(head_ + static_cast<std::uint32_t>(size_)) & mask_] = std::move(v);
-    ++size_;
+  void push_back(std::size_t r, Ring& q, T v) {
+    HXSP_DCHECK(q.size < cap_);
+    slot(r, q.head + q.size) = std::move(v);
+    ++q.size;
   }
 
-  /// Removes and returns the front element.
-  T pop_front() {
-    HXSP_DCHECK(size_ > 0);
-    T v = std::move(buf_[head_ & mask_]);
-    ++head_;  // uint32 wrap is harmless: slot count divides 2^32
-    --size_;
+  /// Removes and returns the front element of ring \p r.
+  T pop_front(std::size_t r, Ring& q) {
+    HXSP_DCHECK(q.size > 0);
+    T v = std::move(slot(r, q.head));
+    // uint16 wrap is harmless: the slot count divides 2^16.
+    q.head = static_cast<std::uint16_t>(q.head + 1);
+    --q.size;
     return v;
   }
 
-  /// Destroys every queued element (slots are reset to T{}).
-  void clear() {
-    while (size_ > 0) (void)pop_front();
+  /// Destroys every element queued in ring \p r.
+  void clear(std::size_t r, Ring& q) {
+    while (q.size > 0) (void)pop_front(r, q);
   }
 
  private:
-  std::unique_ptr<T[]> buf_;
-  std::uint32_t mask_ = 0;
-  std::uint32_t head_ = 0;
+  T& slot(std::size_t r, unsigned i) {
+    return slots_[(r << shift_) + (i & mask_)];
+  }
+  const T& slot(std::size_t r, unsigned i) const {
+    return slots_[(r << shift_) + (i & mask_)];
+  }
+
+  std::unique_ptr<T[]> slots_;
+  unsigned shift_ = 0;
+  unsigned mask_ = 0;
   int cap_ = 0;
-  int size_ = 0;
 };
 
 /// Freelist of fixed-size chunks shared by every PooledRing attached to

@@ -125,6 +125,22 @@ TEST(AuditDeath, CatchesCorruptedHeadCache) {
   EXPECT_DEATH(l.net.run_audit(), "audit");
 }
 
+TEST(AuditDeath, CatchesStaleCandidateSlot) {
+  LoadedNet l(0);
+  // A valid slot whose head id is not the current head's: the state a
+  // grant that forgot to invalidate (or a swap-remove that left the slot
+  // behind) would leave. Routing from it would move a packet on another
+  // packet's candidates.
+  SwitchId busy = kInvalid;
+  for (SwitchId s = 0; s < 16 && busy == kInvalid; ++s)
+    if (l.net.router(s).has_input_work()) busy = s;
+  ASSERT_NE(busy, kInvalid);
+  CandSlot& slot = l.net.router(busy).corrupt_cand_slot_for_test(0);
+  slot.valid = true;
+  slot.head_id = -2;
+  EXPECT_DEATH(l.net.run_audit(), "audit: candidate slot outlived its head");
+}
+
 TEST(AuditDeath, CorruptionCaughtByPeriodicAuditDuringRun) {
   // End-to-end: the in-run audit (step() every audit_interval cycles)
   // catches the corruption without any manual run_audit call.

@@ -1,8 +1,12 @@
 /// \file ringbuf_test.cpp
-/// RingBuf (util/ringbuf.hpp): FIFO semantics, wrap-around, capacity
+/// RingSlab (util/ringbuf.hpp): FIFO semantics, wrap-around, capacity
 /// rounding, move-only element support and indexed sweeps — the contract
-/// behind every packet queue in the engine. Also ChunkPool/PooledRing,
-/// the pooled append-only FIFOs behind the event wheel's slots.
+/// behind every packet queue in the engine — plus the slab layout itself:
+/// rings sharing one slab never touch each other's slices, and packets
+/// queued in a slab go back to their pool. The RingBuf suite keeps the
+/// single-ring cases of the per-queue ring buffer the slab replaced. Also
+/// ChunkPool/PooledRing, the pooled append-only FIFOs behind the event
+/// wheel's slots.
 
 #include <gtest/gtest.h>
 
@@ -11,121 +15,210 @@
 #include <utility>
 #include <vector>
 
+#include "sim/packet.hpp"
 #include "util/ringbuf.hpp"
 
 namespace hxsp {
 namespace {
 
+using IntSlab = RingSlab<int>;
+
 TEST(RingBuf, FifoOrder) {
-  RingBuf<int> rb;
-  rb.reset_capacity(8);
-  EXPECT_TRUE(rb.empty());
-  EXPECT_EQ(rb.capacity(), 8);
-  for (int i = 0; i < 8; ++i) rb.push_back(i);
-  EXPECT_EQ(rb.size(), 8);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(rb.pop_front(), i);
-  EXPECT_TRUE(rb.empty());
+  IntSlab slab;
+  slab.reset(1, 8);
+  IntSlab::Ring q;
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(slab.capacity(), 8);
+  for (int i = 0; i < 8; ++i) slab.push_back(0, q, i);
+  EXPECT_EQ(q.size, 8);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(slab.pop_front(0, q), i);
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(RingBuf, WrapAroundKeepsOrder) {
-  RingBuf<int> rb;
-  rb.reset_capacity(4);
+  IntSlab slab;
+  slab.reset(1, 4);
+  IntSlab::Ring q;
   int next_in = 0, next_out = 0;
-  // Push/pop churn far beyond one lap of the storage.
-  for (int round = 0; round < 100; ++round) {
-    while (rb.size() < rb.capacity()) rb.push_back(next_in++);
+  // Push/pop churn far beyond one lap of the storage (and beyond the
+  // 16-bit head's own wrap).
+  for (int round = 0; round < 40000; ++round) {
+    while (q.size < slab.capacity()) slab.push_back(0, q, next_in++);
     const int drain = 1 + round % 4;
-    for (int i = 0; i < drain && !rb.empty(); ++i)
-      EXPECT_EQ(rb.pop_front(), next_out++);
+    for (int i = 0; i < drain && !q.empty(); ++i)
+      ASSERT_EQ(slab.pop_front(0, q), next_out++);
   }
-  while (!rb.empty()) EXPECT_EQ(rb.pop_front(), next_out++);
+  while (!q.empty()) EXPECT_EQ(slab.pop_front(0, q), next_out++);
   EXPECT_EQ(next_in, next_out);
 }
 
 TEST(RingBuf, NonPowerOfTwoCapacity) {
-  RingBuf<int> rb;
-  rb.reset_capacity(5); // storage rounds to 8, logical capacity stays 5
-  EXPECT_EQ(rb.capacity(), 5);
-  for (int i = 0; i < 5; ++i) rb.push_back(i);
-  EXPECT_EQ(rb.size(), 5);
-  EXPECT_EQ(rb.pop_front(), 0);
-  rb.push_back(5);
-  for (int i = 1; i <= 5; ++i) EXPECT_EQ(rb.pop_front(), i);
+  IntSlab slab;
+  slab.reset(1, 5); // slots round to 8, logical capacity stays 5
+  IntSlab::Ring q;
+  EXPECT_EQ(slab.capacity(), 5);
+  EXPECT_EQ(slab.slots_per_ring(), 8);
+  for (int i = 0; i < 5; ++i) slab.push_back(0, q, i);
+  EXPECT_EQ(q.size, 5);
+  EXPECT_EQ(slab.pop_front(0, q), 0);
+  slab.push_back(0, q, 5);
+  for (int i = 1; i <= 5; ++i) EXPECT_EQ(slab.pop_front(0, q), i);
 }
 
 TEST(RingBuf, FrontAndIndexing) {
-  RingBuf<std::string> rb;
-  rb.reset_capacity(4);
-  rb.push_back("a");
-  rb.push_back("b");
-  rb.push_back("c");
-  EXPECT_EQ(rb.front(), "a");
-  EXPECT_EQ(rb[0], "a");
-  EXPECT_EQ(rb[1], "b");
-  EXPECT_EQ(rb[2], "c");
-  (void)rb.pop_front();
-  rb.push_back("d");
-  rb.push_back("e"); // wrapped by now
-  EXPECT_EQ(rb[0], "b");
-  EXPECT_EQ(rb[3], "e");
+  RingSlab<std::string> slab;
+  slab.reset(1, 4);
+  RingSlab<std::string>::Ring q;
+  slab.push_back(0, q, "a");
+  slab.push_back(0, q, "b");
+  slab.push_back(0, q, "c");
+  EXPECT_EQ(slab.front(0, q), "a");
+  EXPECT_EQ(slab.at(0, q, 0), "a");
+  EXPECT_EQ(slab.at(0, q, 1), "b");
+  EXPECT_EQ(slab.at(0, q, 2), "c");
+  (void)slab.pop_front(0, q);
+  slab.push_back(0, q, "d");
+  slab.push_back(0, q, "e"); // wrapped by now
+  EXPECT_EQ(slab.at(0, q, 0), "b");
+  EXPECT_EQ(slab.at(0, q, 3), "e");
   // Indexed mutation is visible through pop (the on_tables_rebuilt sweep).
-  rb[1] = "C";
-  (void)rb.pop_front();
-  EXPECT_EQ(rb.front(), "C");
+  slab.at(0, q, 1) = "C";
+  (void)slab.pop_front(0, q);
+  EXPECT_EQ(slab.front(0, q), "C");
 }
 
 TEST(RingBuf, MoveOnlyElements) {
-  RingBuf<std::unique_ptr<int>> rb;
-  rb.reset_capacity(3);
-  rb.push_back(std::make_unique<int>(1));
-  rb.push_back(std::make_unique<int>(2));
-  std::unique_ptr<int> p = rb.pop_front();
+  RingSlab<std::unique_ptr<int>> slab;
+  slab.reset(1, 3);
+  RingSlab<std::unique_ptr<int>>::Ring q;
+  slab.push_back(0, q, std::make_unique<int>(1));
+  slab.push_back(0, q, std::make_unique<int>(2));
+  std::unique_ptr<int> p = slab.pop_front(0, q);
   EXPECT_EQ(*p, 1);
-  EXPECT_EQ(*rb.front(), 2);
-  // The whole buffer is movable (InputVc lives in growing vectors).
-  RingBuf<std::unique_ptr<int>> other = std::move(rb);
-  EXPECT_EQ(other.size(), 1);
-  EXPECT_EQ(*other.pop_front(), 2);
+  EXPECT_EQ(*slab.front(0, q), 2);
+  // The whole slab is movable; the Ring header stays valid with it.
+  RingSlab<std::unique_ptr<int>> other = std::move(slab);
+  EXPECT_EQ(q.size, 1);
+  EXPECT_EQ(*other.pop_front(0, q), 2);
 }
+
+/// Counts live instances through a shared counter (moved-from: inert).
+struct Probe {
+  int* alive = nullptr;
+  Probe() = default;
+  explicit Probe(int* a) : alive(a) { ++*a; }
+  Probe(Probe&& o) noexcept : alive(o.alive) { o.alive = nullptr; }
+  Probe& operator=(Probe&& o) noexcept {
+    if (alive) --*alive;
+    alive = o.alive;
+    o.alive = nullptr;
+    return *this;
+  }
+  ~Probe() {
+    if (alive) --*alive;
+  }
+};
 
 TEST(RingBuf, ClearDestroysElements) {
   int alive = 0;
-  struct Probe {
-    int* alive = nullptr;
-    Probe() = default;
-    explicit Probe(int* a) : alive(a) { ++*a; }
-    Probe(Probe&& o) noexcept : alive(o.alive) { o.alive = nullptr; }
-    Probe& operator=(Probe&& o) noexcept {
-      if (alive) --*alive;
-      alive = o.alive;
-      o.alive = nullptr;
-      return *this;
-    }
-    ~Probe() {
-      if (alive) --*alive;
-    }
-  };
-  RingBuf<Probe> rb;
-  rb.reset_capacity(4);
-  rb.push_back(Probe(&alive));
-  rb.push_back(Probe(&alive));
-  rb.push_back(Probe(&alive));
+  RingSlab<Probe> slab;
+  slab.reset(1, 4);
+  RingSlab<Probe>::Ring q;
+  slab.push_back(0, q, Probe(&alive));
+  slab.push_back(0, q, Probe(&alive));
+  slab.push_back(0, q, Probe(&alive));
   EXPECT_EQ(alive, 3);
-  rb.clear();
+  slab.clear(0, q);
   EXPECT_EQ(alive, 0);
-  EXPECT_TRUE(rb.empty());
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(RingBuf, ResetCapacityReallocates) {
-  RingBuf<int> rb;
-  rb.reset_capacity(2);
-  rb.push_back(1);
-  (void)rb.pop_front();
-  rb.reset_capacity(16); // legal while empty
-  EXPECT_EQ(rb.capacity(), 16);
-  for (int i = 0; i < 16; ++i) rb.push_back(i);
-  EXPECT_EQ(rb.size(), 16);
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(rb.pop_front(), i);
+  IntSlab slab;
+  slab.reset(1, 2);
+  IntSlab::Ring q;
+  slab.push_back(0, q, 1);
+  (void)slab.pop_front(0, q);
+  slab.reset(1, 16);
+  q = IntSlab::Ring{}; // a reset slab starts every ring afresh
+  EXPECT_EQ(slab.capacity(), 16);
+  for (int i = 0; i < 16; ++i) slab.push_back(0, q, i);
+  EXPECT_EQ(q.size, 16);
+  for (int i = 0; i < 16; ++i) EXPECT_EQ(slab.pop_front(0, q), i);
+}
+
+// ---------------------------------------------------------------------------
+// RingSlab layout: many rings in one slab.
+
+TEST(RingSlab, CapacityThreeRoundsUpToFourSlots) {
+  IntSlab slab;
+  slab.reset(2, 3);
+  EXPECT_EQ(slab.capacity(), 3);
+  EXPECT_EQ(slab.slots_per_ring(), 4);
+  IntSlab::Ring a, b;
+  for (int i = 0; i < 3; ++i) slab.push_back(0, a, i);
+  for (int i = 0; i < 3; ++i) slab.push_back(1, b, 10 + i);
+  // Ring 1 starts at slot 4, not 3: a full ring 0 leaves it alone.
+  EXPECT_EQ(&slab.front(1, b) - &slab.front(0, a), 4);
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(slab.pop_front(0, a), i);
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(slab.pop_front(1, b), 10 + i);
+}
+
+TEST(RingSlab, AdjacentRingsWrapWithoutTouchingNeighbours) {
+  IntSlab slab;
+  slab.reset(3, 3);
+  IntSlab::Ring lo, mid, hi;
+  // The middle ring holds sentinels while both neighbours wrap around
+  // their own slices many times over.
+  for (int i = 0; i < 3; ++i) slab.push_back(1, mid, -1 - i);
+  int lo_in = 0, lo_out = 0, hi_in = 0, hi_out = 0;
+  for (int round = 0; round < 50; ++round) {
+    while (lo.size < 3) slab.push_back(0, lo, lo_in++);
+    while (hi.size < 3) slab.push_back(2, hi, 1000 + hi_in++);
+    for (int i = 0; i <= round % 3; ++i) {
+      ASSERT_EQ(slab.pop_front(0, lo), lo_out++);
+      ASSERT_EQ(slab.pop_front(2, hi), 1000 + hi_out++);
+    }
+    for (int i = 0; i < 3; ++i) ASSERT_EQ(slab.at(1, mid, i), -1 - i);
+  }
+  EXPECT_GT(lo_in, 4 * slab.slots_per_ring()); // many laps, not one
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(slab.pop_front(1, mid), -1 - i);
+}
+
+TEST(RingSlab, PacketPtrElementsReturnToPool) {
+  PacketPool pool;
+  {
+    RingSlab<PacketPtr> slab;
+    slab.reset(2, 3);
+    RingSlab<PacketPtr>::Ring a, b;
+    for (int i = 0; i < 3; ++i) {
+      PacketPtr p = pool.make();
+      p->id = i;
+      slab.push_back(0, a, std::move(p));
+    }
+    slab.push_back(1, b, pool.make());
+    EXPECT_EQ(pool.live(), 4u);
+    EXPECT_EQ(slab.pop_front(0, a)->id, 0); // destroyed at end of statement
+    EXPECT_EQ(pool.live(), 3u);
+    slab.clear(0, a);
+    EXPECT_EQ(pool.live(), 1u);
+    // Ring 1 still holds a packet: destroying the slab returns it.
+  }
+  EXPECT_EQ(pool.live(), 0u);
+}
+
+TEST(RingSlabDeathTest, PushOnFullRingHitsDcheck) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "HXSP_DCHECK is compiled out of NDEBUG builds";
+#else
+  IntSlab slab;
+  slab.reset(2, 3);
+  IntSlab::Ring q;
+  for (int i = 0; i < 3; ++i) slab.push_back(0, q, i);
+  // The fourth element would land in the ring's spare slot; the check
+  // fires before any write.
+  EXPECT_DEATH(slab.push_back(0, q, 3), "q.size < cap_");
+#endif
 }
 
 // ---------------------------------------------------------------------------

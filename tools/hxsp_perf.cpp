@@ -12,10 +12,13 @@
 /// ...). The file is rewritten (atomic tmp+rename) after every completed
 /// config, so a config that throws mid-grid still leaves the earlier
 /// configs — including their --phase-times rows — on disk.
-/// Timing uses thread CPU time and the best of --reps
-/// repetitions to shave scheduler noise. Rate reps continue one
-/// steady-state Network (each rep times the next `--cycles` window);
-/// drain reps re-run the identical drain from scratch.
+/// Each config reports the best of --reps repetitions by wall time
+/// (monotonic clock), that rep's CPU time (the whole process, so step
+/// pool workers count), and the process's peak resident set so far
+/// (getrusage; it never falls, so a config's figure covers every config
+/// run before it). Rate reps continue one steady-state Network (each rep
+/// times the next `--cycles` window); drain reps re-run the identical
+/// drain from scratch.
 ///
 /// Usage: hxsp_perf [--quick] [--grid=fig06|big] [--label=NAME]
 ///                  [--out=FILE] [--reps=N] [--cycles=N] [--warmup=N]
@@ -50,13 +53,15 @@
 ///             phase_seconds in the entry — the measurement behind any
 ///             "phase X bounds the speedup" claim. Uses a monotonic clock
 ///             injected into the engine (phase shares must include worker
-///             wall time, which the thread-CPU meter used for the
-///             headline numbers cannot see); profiling adds a few clock
+///             wall time, which a CPU-time meter would add up across
+///             threads instead); profiling adds a few clock
 ///             reads per cycle, so headline rates from a profiled run are
 ///             modestly pessimistic.
 ///
 ///   --note=TEXT  free-text annotation stored in the written entry (e.g.
 ///             the host's core count, which bounds any parallel speedup).
+
+#include <sys/resource.h>
 
 #include <cstdio>
 #include <ctime>
@@ -88,6 +93,8 @@ struct PerfResult {
   std::string name;
   Cycle cycles = 0;           ///< simulated cycles in the timed region
   double wall_seconds = 0.0;  ///< best rep
+  double cpu_seconds = 0.0;   ///< process CPU time of the best rep
+  double peak_rss_mb = 0.0;   ///< process peak resident set after the config
   double cycles_per_sec = 0.0;
   double packets_per_sec = 0.0;  ///< consumed packets per wall second
   std::int64_t consumed = 0;     ///< packets consumed in the timed region
@@ -112,18 +119,24 @@ double mono_now() {
 #endif
 }
 
-/// CPU time of the calling thread. The stepping loop is single-threaded
-/// and deterministic, so CPU time is the right meter: unlike wall time it
-/// is immune to scheduler steal on shared or single-core hosts (where
-/// wall-clock noise easily exceeds the effects being measured).
+/// CPU time of the whole process: the main thread plus any step-pool
+/// workers, so a parallel step shows what it costs in cores, not only in
+/// wall time.
 double cpu_now() {
-#if defined(CLOCK_THREAD_CPUTIME_ID)
+#if defined(CLOCK_PROCESS_CPUTIME_ID)
   timespec ts;
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
   return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
 #else
   return static_cast<double>(std::clock()) / CLOCKS_PER_SEC;
 #endif
+}
+
+/// Peak resident set of the process so far, in MB (Linux reports KiB).
+double peak_rss_mb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;
 }
 
 /// fig06-style base spec: square 2-D HyperX, PolSP, uniform traffic,
@@ -196,15 +209,19 @@ PerfResult measure_rate(const PerfConfig& pc, Cycle warmup, Cycle timed,
   r.cycles = timed;
   for (int rep = 0; rep < reps; ++rep) {
     const std::int64_t c0 = net.metrics().total_consumed_packets();
-    const double t0 = cpu_now();
+    const double t0 = mono_now();
+    const double cpu0 = cpu_now();
     net.run_cycles(timed);
-    const double dt = cpu_now() - t0;
+    const double cpu = cpu_now() - cpu0;
+    const double dt = mono_now() - t0;
     const std::int64_t consumed = net.metrics().total_consumed_packets() - c0;
     if (rep == 0 || dt < r.wall_seconds) {
       r.wall_seconds = dt;
+      r.cpu_seconds = cpu;
       r.consumed = consumed;
     }
   }
+  r.peak_rss_mb = peak_rss_mb();
   r.cycles_per_sec = static_cast<double>(timed) / r.wall_seconds;
   r.packets_per_sec = static_cast<double>(r.consumed) / r.wall_seconds;
   if (phase_times) store_phases(r, phases);
@@ -223,16 +240,20 @@ PerfResult measure_drain(const PerfConfig& pc, Cycle limit, int reps,
     net.set_step_pool(pool);
     if (phase_times) net.attach_phase_times(&phases);
     net.set_completion_load(pc.drain_packets);
-    const double t0 = cpu_now();
+    const double t0 = mono_now();
+    const double cpu0 = cpu_now();
     const bool drained = net.run_until_drained(limit);
-    const double dt = cpu_now() - t0;
+    const double cpu = cpu_now() - cpu0;
+    const double dt = mono_now() - t0;
     HXSP_CHECK_MSG(drained, "perf drain config did not complete");
     if (rep == 0 || dt < r.wall_seconds) {
       r.wall_seconds = dt;
+      r.cpu_seconds = cpu;
       r.cycles = net.now();
       r.consumed = net.metrics().total_consumed_packets();
     }
   }
+  r.peak_rss_mb = peak_rss_mb();
   r.cycles_per_sec = static_cast<double>(r.cycles) / r.wall_seconds;
   r.packets_per_sec = static_cast<double>(r.consumed) / r.wall_seconds;
   if (phase_times) store_phases(r, phases);
@@ -317,6 +338,8 @@ void write_bench_json(const std::string& path, const std::string& label,
     w.key("cycles").value(static_cast<std::int64_t>(r.cycles));
     w.key("consumed_packets").value(r.consumed);
     w.key("wall_seconds").value(r.wall_seconds);
+    w.key("cpu_seconds").value(r.cpu_seconds);
+    w.key("peak_rss_mb").value(r.peak_rss_mb);
     w.key("cycles_per_sec").value(r.cycles_per_sec);
     w.key("packets_per_sec").value(r.packets_per_sec);
     if (r.has_phases) {
@@ -422,8 +445,8 @@ int main(int argc, char** argv) {
   }
   std::printf("hxsp_perf — engine stepping rate, grid %s, label '%s'\n",
               grid_name.c_str(), label.c_str());
-  std::printf("%-12s %10s %12s %14s %14s\n", "config", "cycles", "wall_s",
-              "cycles/sec", "packets/sec");
+  std::printf("%-12s %10s %10s %10s %12s %14s %14s\n", "config", "cycles",
+              "wall_s", "cpu_s", "peak_rss_mb", "cycles/sec", "packets/sec");
 
   const std::unique_ptr<ThreadPool> pool =
       step_threads > 0 ? std::make_unique<ThreadPool>(step_threads) : nullptr;
@@ -445,9 +468,10 @@ int main(int argc, char** argv) {
                    pc.name.c_str(), ex.what());
       return 1;
     }
-    std::printf("%-12s %10lld %12.4f %14.0f %14.0f\n", r.name.c_str(),
-                static_cast<long long>(r.cycles), r.wall_seconds,
-                r.cycles_per_sec, r.packets_per_sec);
+    std::printf("%-12s %10lld %10.4f %10.4f %12.1f %14.0f %14.0f\n",
+                r.name.c_str(), static_cast<long long>(r.cycles),
+                r.wall_seconds, r.cpu_seconds, r.peak_rss_mb, r.cycles_per_sec,
+                r.packets_per_sec);
     if (r.has_phases) print_phases(r);
     std::fflush(stdout);
     results.push_back(r);
