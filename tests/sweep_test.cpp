@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "harness/experiment.hpp"
 #include "topology/builders.hpp"
 
@@ -133,6 +135,13 @@ struct PatternParam {
   int side;
   int sps;
 };
+
+// Without this gtest prints the raw bytes, which include the pattern
+// string's address and so change from run to run, and ctest names each
+// case after the printed value.
+void PrintTo(const PatternParam& p, std::ostream* os) {
+  *os << p.pattern << "_" << p.dims << "d_side" << p.side << "_sps" << p.sps;
+}
 
 class PatternAdmissibility : public ::testing::TestWithParam<PatternParam> {};
 
