@@ -92,11 +92,11 @@ else
 fi
 
 # Intra-run step-pool smoke (see Network::set_step_pool): re-run the
-# workload grid with --step-threads=2 — candidate precompute, link-phase
-# collect and sharded event application all fan out across the pool —
-# and require the CSV byte-identical to the serial-step run above. This
-# is the driver-level check of the "bit-identical at every thread count"
-# engine contract, on a task kind that exercises Consume callbacks.
+# workload grid with --step-threads=2 — candidate precompute and
+# link-phase collect fan out across the pool — and require the CSV
+# byte-identical to the serial-step run above. This is the driver-level
+# check of the "bit-identical at every thread count" engine contract, on
+# a task kind that exercises Consume callbacks.
 if [[ -x "$BUILD_DIR/ext_workloads" && -s "$WORK_DIR/ext_workloads.csv" ]]; then
   if "$BUILD_DIR/ext_workloads" --side=4 --sps=1 --msg-packets=2 \
        --fault-fracs=0,0.05 --bucket=500 --jobs=2 --step-threads=2 \

@@ -211,20 +211,15 @@ void Network::run_audit() const {
     });
   }
 
-  // --- parallel-step staging buffers ---------------------------------------
-  // Both staging areas live only inside one phase of one step: the link
-  // stages between collect and commit, the sharded-credit array between
-  // the worker scan and the serial pass. At any cycle boundary (where
-  // the audit runs) they must be fully drained — a staged-but-uncommitted
-  // item here would be a packet or credit missing from every ledger
-  // above.
+  // --- link-phase staging buffers -----------------------------------------
+  // The link stages live only between collect and commit inside one step.
+  // At any cycle boundary (where the audit runs) they must be fully
+  // drained — a staged-but-uncommitted transmission here would be a
+  // packet missing from every ledger above.
   for (const LinkStage& stage : link_stages_)
     HXSP_CHECK_MSG(stage.empty(),
                    "audit: link-phase staging buffer not drained at a cycle "
                    "boundary");
-  HXSP_CHECK_MSG(staged_credits_.empty(),
-                 "audit: sharded event credits not committed at a cycle "
-                 "boundary");
 
   // --- per-output-VC conservation: occupancy and credits ------------------
   for (const Router& r : routers_) {

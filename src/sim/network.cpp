@@ -24,6 +24,28 @@ Network::Network(const NetworkContext& ctx, RoutingMechanism& mech,
   HXSP_CHECK_MSG(!mech_.needs_escape() || ctx_.escape != nullptr,
                  "mechanism requires an escape subnetwork in the context");
   HXSP_CHECK(servers_per_switch_ >= 1);
+  // Config validation. Manifests may set any sim field, and a delay the
+  // 64-slot wheel cannot hold would wrap into an earlier slot and corrupt
+  // the run silently, so each field is named in its own check.
+  HXSP_CHECK_MSG(cfg_.packet_length >= 1, "sim.packet_length must be >= 1");
+  HXSP_CHECK_MSG(cfg_.xbar_speedup >= 1, "sim.xbar_speedup must be >= 1");
+  HXSP_CHECK_MSG(cfg_.num_vcs >= 1, "sim.num_vcs must be >= 1");
+  HXSP_CHECK_MSG(cfg_.input_buffer_packets >= 1,
+                 "sim.input_buffer_packets must be >= 1");
+  HXSP_CHECK_MSG(cfg_.output_buffer_packets >= 1,
+                 "sim.output_buffer_packets must be >= 1");
+  HXSP_CHECK_MSG(cfg_.server_queue_packets >= 1,
+                 "sim.server_queue_packets must be >= 1");
+  // The scheduled delays: OutTailGone after packet_length cycles (which
+  // also bounds InDrainDone), Consume after link_latency + packet_length
+  // - 1. Credits are always one cycle ahead.
+  HXSP_CHECK_MSG(cfg_.packet_length < kWheelSize,
+                 "sim.packet_length must be < 64 (event wheel horizon)");
+  HXSP_CHECK_MSG(cfg_.link_latency >= 0, "sim.link_latency must be >= 0");
+  const int consume_delay = cfg_.link_latency + cfg_.packet_length - 1;
+  HXSP_CHECK_MSG(consume_delay >= 1 && consume_delay < kWheelSize,
+                 "sim.link_latency + sim.packet_length - 1 must lie in 1..63 "
+                 "(event wheel horizon)");
 
   for (auto& slot : wheel_) slot.attach(&event_chunks_);
 
@@ -111,74 +133,10 @@ void Network::handle_consume(const Event& ev, PooledRing<Event>& next) {
                   cfg_.packet_length});
 }
 
-void Network::apply_router_event_shard(const PooledRing<Event>& slot, int w,
-                                       int workers) {
-  // Every worker scans the whole slot (pure reads — nothing pushes while
-  // workers run) and applies only the router-targeted events of its own
-  // shard: target router ids with a % workers == w. Two workers never
-  // touch the same router, and one router's events are applied by one
-  // worker in slot order — exactly the per-target serial order. The
-  // handlers themselves touch only the target router (plus read-only
-  // config/topology), and events targeting *different* routers commute,
-  // so the post-slot state is identical to the serial loop's for every
-  // worker count. InDrainDone's follow-on credit is precomputed into
-  // staged_credits_ at the event's slot ordinal (each ordinal has
-  // exactly one owner — disjoint writes); the serial pass commits the
-  // credits in slot order so the next slot's contents stay bit-exact.
-  std::size_t ord = 0;
-  slot.for_each([&](const Event& ev) {
-    const std::size_t i = ord++;
-    switch (ev.kind) {
-      case Event::Kind::InDrainDone: {
-        if (ev.a % workers != w) break;
-        Router& r = routers_[static_cast<std::size_t>(ev.a)];
-        r.input_drain_done(*this, ev.port, ev.vc);
-        if (ev.port < r.first_server_port()) {
-          const PortInfo& pi = ctx_.graph->port(ev.a, ev.port);
-          staged_credits_[i] = {Event::Kind::CreditRouter, ev.vc,
-                                pi.remote_port, pi.neighbor,
-                                cfg_.packet_length};
-        } else {
-          const ServerId srv =
-              static_cast<ServerId>(ev.a) * servers_per_switch_ +
-              (ev.port - r.first_server_port());
-          staged_credits_[i] = {Event::Kind::CreditServer, ev.vc, 0, srv,
-                                cfg_.packet_length};
-        }
-        break;
-      }
-      case Event::Kind::CreditRouter:
-        if (ev.a % workers == w)
-          routers_[static_cast<std::size_t>(ev.a)].credit_return(
-              ev.port, ev.vc, static_cast<int>(ev.aux));
-        break;
-      case Event::Kind::OutTailGone:
-        if (ev.a % workers == w)
-          routers_[static_cast<std::size_t>(ev.a)].output_tail_gone(
-              ev.port, ev.vc, cfg_.packet_length);
-        break;
-      case Event::Kind::CreditServer:
-      case Event::Kind::Consume:
-        break; // serial pass: global metrics / workload callbacks / servers
-    }
-  });
-}
-
 void Network::process_events() {
   PooledRing<Event>& slot =
       wheel_[static_cast<std::size_t>(now_ & (kWheelSize - 1))];
   if (slot.empty()) return;
-  // Flight recorder: remember the slot's events before applying them (a
-  // serial pre-pass, so the ring order is the application order even when
-  // the sharded path below fans out).
-  if (flight_) {
-    slot.for_each([&](const Event& ev) {
-      const bool router_target = ev.kind != Event::Kind::CreditServer &&
-                                 ev.kind != Event::Kind::Consume;
-      flight_->record(now_, static_cast<std::uint8_t>(ev.kind), ev.a,
-                      ev.port, ev.vc, ev.aux, router_target);
-    });
-  }
   // Every credit this slot emits lands exactly one cycle ahead, so the
   // destination slot is resolved once and pushed into directly — the
   // coalesced form of the per-event schedule(now_ + 1, ...) calls. The
@@ -186,77 +144,48 @@ void Network::process_events() {
   // pushing while scanning is safe.
   PooledRing<Event>& next =
       wheel_[static_cast<std::size_t>((now_ + 1) & (kWheelSize - 1))];
-  if (step_pool_ != nullptr && slot.size() >= kShardEventsMin) {
-    staged_credits_.assign(static_cast<std::size_t>(slot.size()), Event{});
-    const int workers = step_pool_->size();
-    for (int w = 0; w < workers; ++w)
-      step_pool_->submit([this, &slot, w, workers] {
-        apply_router_event_shard(slot, w, workers);
-      });
-    step_pool_->wait_idle();
-    // Serial ordered pass: commit the staged credits and run the event
-    // kinds that touch global state (metrics, the workload callback
-    // chain, server credit counters) in exact slot order. The serial
-    // kinds read nothing the workers mutated (Consume touches metrics/
-    // servers/workload; workers touch only router buffers), so the
-    // split cannot change the outcome, only the interleaving of
-    // commutative router updates.
-    std::size_t ord = 0;
-    slot.for_each([&](const Event& ev) {
-      const std::size_t i = ord++;
-      switch (ev.kind) {
-        case Event::Kind::InDrainDone:
-          next.push_back(staged_credits_[i]);
-          break;
-        case Event::Kind::CreditServer:
-          server_credits(ev.a)[ev.vc] += static_cast<int>(ev.aux);
-          break;
-        case Event::Kind::Consume:
-          handle_consume(ev, next);
-          break;
-        case Event::Kind::CreditRouter:
-        case Event::Kind::OutTailGone:
-          break; // applied by the sharded workers
-      }
-    });
-    staged_credits_.clear();
-  } else {
-    slot.for_each([&](const Event& ev) {
-      switch (ev.kind) {
-        case Event::Kind::InDrainDone: {
-          Router& r = routers_[static_cast<std::size_t>(ev.a)];
-          r.input_drain_done(*this, ev.port, ev.vc);
-          // Return the freed space upstream, one cycle of credit latency.
-          if (ev.port < r.first_server_port()) {
-            const PortInfo& pi = ctx_.graph->port(ev.a, ev.port);
-            next.push_back({Event::Kind::CreditRouter, ev.vc, pi.remote_port,
-                            pi.neighbor, cfg_.packet_length});
-          } else {
-            const ServerId srv =
-                static_cast<ServerId>(ev.a) * servers_per_switch_ +
-                (ev.port - r.first_server_port());
-            next.push_back({Event::Kind::CreditServer, ev.vc, 0, srv,
-                            cfg_.packet_length});
-          }
-          break;
+  slot.for_each([&](const Event& ev) {
+    // Flight recorder: remember the event just before applying it, so the
+    // ring order is the application order.
+    if (flight_)
+      flight_->record(now_, static_cast<std::uint8_t>(ev.kind), ev.a, ev.port,
+                      ev.vc, ev.aux,
+                      ev.kind != Event::Kind::CreditServer &&
+                          ev.kind != Event::Kind::Consume);
+    switch (ev.kind) {
+      case Event::Kind::InDrainDone: {
+        Router& r = routers_[static_cast<std::size_t>(ev.a)];
+        r.input_drain_done(*this, ev.port, ev.vc);
+        // Return the freed space upstream, one cycle of credit latency.
+        if (ev.port < r.first_server_port()) {
+          const PortInfo& pi = ctx_.graph->port(ev.a, ev.port);
+          next.push_back({Event::Kind::CreditRouter, ev.vc, pi.remote_port,
+                          pi.neighbor, cfg_.packet_length});
+        } else {
+          const ServerId srv =
+              static_cast<ServerId>(ev.a) * servers_per_switch_ +
+              (ev.port - r.first_server_port());
+          next.push_back({Event::Kind::CreditServer, ev.vc, 0, srv,
+                          cfg_.packet_length});
         }
-        case Event::Kind::CreditRouter:
-          routers_[static_cast<std::size_t>(ev.a)].credit_return(
-              ev.port, ev.vc, static_cast<int>(ev.aux));
-          break;
-        case Event::Kind::CreditServer:
-          server_credits(ev.a)[ev.vc] += static_cast<int>(ev.aux);
-          break;
-        case Event::Kind::OutTailGone:
-          routers_[static_cast<std::size_t>(ev.a)].output_tail_gone(
-              ev.port, ev.vc, cfg_.packet_length);
-          break;
-        case Event::Kind::Consume:
-          handle_consume(ev, next);
-          break;
+        break;
       }
-    });
-  }
+      case Event::Kind::CreditRouter:
+        routers_[static_cast<std::size_t>(ev.a)].credit_return(
+            ev.port, ev.vc, static_cast<int>(ev.aux));
+        break;
+      case Event::Kind::CreditServer:
+        server_credits(ev.a)[ev.vc] += static_cast<int>(ev.aux);
+        break;
+      case Event::Kind::OutTailGone:
+        routers_[static_cast<std::size_t>(ev.a)].output_tail_gone(
+            ev.port, ev.vc, cfg_.packet_length);
+        break;
+      case Event::Kind::Consume:
+        handle_consume(ev, next);
+        break;
+    }
+  });
   slot.clear();
 }
 
@@ -293,8 +222,23 @@ void Network::consume_at(PacketPtr pkt, Cycle when, Vc vc) {
 void Network::set_step_pool(ThreadPool* pool) {
   step_pool_ = pool;
   link_stages_.clear();
-  if (pool != nullptr)
-    link_stages_.resize(static_cast<std::size_t>(pool->size()));
+  link_stages_.resize(
+      pool != nullptr ? static_cast<std::size_t>(pool->size()) : 1);
+}
+
+template <typename Fn>
+void Network::fan_out(const Fn& fn) {
+  // Contiguous ascending ranges, one per worker: concatenating the
+  // workers' outputs in worker order is the serial (router id) order.
+  const std::size_t n = phase_scratch_.size();
+  const std::size_t workers = static_cast<std::size_t>(step_pool_->size());
+  const std::size_t per = (n + workers - 1) / workers;
+  for (std::size_t w = 0; w * per < n; ++w) {
+    const std::size_t lo = w * per;
+    const std::size_t hi = std::min(lo + per, n);
+    step_pool_->submit([&fn, w, lo, hi] { fn(w, lo, hi); });
+  }
+  step_pool_->wait_idle();
 }
 
 void Network::commit_link_stages() {
@@ -308,8 +252,8 @@ void Network::commit_link_stages() {
     for (StagedTx& t : stage.txs) {
 #ifndef NDEBUG
       // Contiguous ascending partitions + in-order emission: the
-      // concatenation is sorted by source router id, i.e. the exact
-      // order the serial link loop visits transmissions.
+      // concatenation is sorted by source router id, i.e. the order a
+      // router-by-router link loop would transmit in.
       HXSP_CHECK(t.src >= prev_src);
       prev_src = t.src;
 #endif
@@ -382,30 +326,17 @@ void Network::step() {
   // after alloc so a zero-latency crossbar grant can still transmit in
   // the same cycle (as it would under the full scan).
   phase_scratch_.assign(alloc_active_.begin(), alloc_active_.end());
-  if (step_pool_ && phase_scratch_.size() > 1) {
-    // Two-phase deterministic parallel step. Phase A precomputes routing
-    // candidates — the expensive, RNG-free, read-mostly prefix of the
-    // alloc phase — with the active routers partitioned contiguously
-    // across the pool; each job writes only its own routers' caches, so
-    // the phase is race-free by partition. Phase B (the serial loop
-    // below) then finds every candidate set already cached and performs
-    // requests, grants and RNG draws in exactly the serial order —
-    // bit-identical output at any worker count, including zero.
-    const std::size_t workers =
-        static_cast<std::size_t>(step_pool_->size());
-    const std::size_t per =
-        (phase_scratch_.size() + workers - 1) / workers;
-    for (std::size_t w = 0; w * per < phase_scratch_.size(); ++w) {
-      const std::size_t lo = w * per;
-      const std::size_t hi =
-          std::min(lo + per, phase_scratch_.size());
-      step_pool_->submit([this, lo, hi] {
-        for (std::size_t i = lo; i < hi; ++i)
-          routers_[static_cast<std::size_t>(phase_scratch_[i])]
-              .precompute_candidates(*this, now_);
-      });
-    }
-    step_pool_->wait_idle();
+  if (step_pool_ != nullptr && phase_scratch_.size() > 1) {
+    // Candidate precompute — the expensive, RNG-free, read-mostly prefix
+    // of the alloc phase — fanned out across the pool; each job writes
+    // only its own routers' caches, so it is race-free by partition. The
+    // serial alloc loop below then finds every candidate set cached and
+    // performs requests, grants and RNG draws in exactly the serial order.
+    fan_out([this](std::size_t, std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i)
+        routers_[static_cast<std::size_t>(phase_scratch_[i])]
+            .precompute_candidates(*this, now_);
+    });
   }
   for (SwitchId s : phase_scratch_)
     routers_[static_cast<std::size_t>(s)].alloc_phase(*this, now_);
@@ -414,35 +345,25 @@ void Network::step() {
     pt->alloc += t - t_prev;
     t_prev = t;
   }
+  // Link phase: every link-active router performs its router-local link
+  // work (RNG-free) into a LinkStage — one stage serially, one per worker
+  // with a pool — and commit_link_stages replays deliveries, wheel events
+  // and link stats in (source router id, ordinal) order. Deferring
+  // deliveries to the commit is exact even within the cycle: a delivery
+  // mutates only the destination router's input side, which no link
+  // phase reads.
   phase_scratch_.assign(link_active_.begin(), link_active_.end());
-  if (step_pool_ != nullptr && phase_scratch_.size() > 1) {
-    // Parallel link phase: the same contiguous ascending partition as
-    // phase A, but over the link-active snapshot. Each worker performs
-    // its routers' router-local link work (RNG-free) and stages the
-    // popped transmissions into its own LinkStage; the serial commit
-    // below then replays deliveries, wheel events and link stats in
-    // concatenation order — exactly the serial loop's order. Deferring
-    // deliveries is behaviour-preserving even within the cycle: a
-    // delivery mutates only the *destination* router's input side, which
-    // no link phase reads (the link phase scans output state only).
-    const std::size_t workers = static_cast<std::size_t>(step_pool_->size());
-    const std::size_t per = (phase_scratch_.size() + workers - 1) / workers;
-    for (std::size_t w = 0; w * per < phase_scratch_.size(); ++w) {
-      const std::size_t lo = w * per;
-      const std::size_t hi = std::min(lo + per, phase_scratch_.size());
-      LinkStage* const stage = &link_stages_[w];
-      step_pool_->submit([this, lo, hi, stage] {
-        for (std::size_t i = lo; i < hi; ++i)
-          routers_[static_cast<std::size_t>(phase_scratch_[i])]
-              .link_phase_collect(cfg_, now_, *stage);
-      });
-    }
-    step_pool_->wait_idle();
-    commit_link_stages();
-  } else {
-    for (SwitchId s : phase_scratch_)
-      routers_[static_cast<std::size_t>(s)].link_phase(*this, now_);
-  }
+  const auto collect = [this](std::size_t w, std::size_t lo, std::size_t hi) {
+    LinkStage& stage = link_stages_[w];
+    for (std::size_t i = lo; i < hi; ++i)
+      routers_[static_cast<std::size_t>(phase_scratch_[i])].link_phase(
+          cfg_, now_, stage);
+  };
+  if (step_pool_ != nullptr && phase_scratch_.size() > 1)
+    fan_out(collect);
+  else
+    collect(0, 0, phase_scratch_.size());
+  commit_link_stages();
   if (pt != nullptr) pt->link += pt->clock() - t_prev; // det-lint: allow(wall-clock)
 
   if (cfg_.watchdog_cycles > 0 && packets_in_system_ > 0 &&

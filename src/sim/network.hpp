@@ -117,7 +117,7 @@ struct StepPhaseTimes {
   double events = 0.0;     ///< process_events (wheel slot application)
   double generation = 0.0; ///< server generation + injection
   double alloc = 0.0;      ///< candidate precompute + allocation
-  double link = 0.0;       ///< link phase (collect + commit when parallel)
+  double link = 0.0;       ///< link phase (collect + commit)
 
   double total() const { return events + generation + alloc + link; }
 };
@@ -234,7 +234,8 @@ class Network {
   /// serial, so one per Network suffices).
   std::vector<Vc>& vc_scratch() { return vc_scratch_; }
 
-  /// Schedules \p ev for cycle \p when (must be < 64 cycles ahead).
+  /// Schedules \p ev for cycle \p when (must be < 64 cycles ahead; the
+  /// constructor rejects configs whose delays could exceed that).
   /// Inline: several events fire per packet transfer.
   void schedule(Cycle when, const Event& ev) {
     HXSP_DCHECK(when > now_ && when < now_ + kWheelSize);
@@ -293,30 +294,25 @@ class Network {
 
   // --- deterministic intra-run parallel stepping ---------------------------
 
-  /// Attaches a worker pool for the parallel phases of step(). Three
-  /// phases fan out across the pool, all bit-identical to serial:
+  /// Attaches a worker pool for the parallel phases of step(). Two
+  /// phases fan out across the pool, over the same contiguous ascending
+  /// partition of their active-router snapshot, and both are bit-identical
+  /// to serial stepping:
   ///
-  ///  1. Candidate precompute — routers partitioned contiguously, each
-  ///     worker precomputing routing candidates (pure, RNG-free); the
-  ///     serial allocation loop then replays them in ascending router id,
-  ///     so every request, grant and RNG draw keeps its serial order.
-  ///  2. Link phase — the same contiguous partition of link_active_; each
-  ///     worker pops transmissions into its per-worker LinkStage (router-
-  ///     local mutations only), and a serial commit applies deliveries,
-  ///     wheel events and link stats in concatenation order, which equals
-  ///     (source router id, ordinal) order because partitions are
-  ///     contiguous and ascending. The link phase draws no RNG, so the
-  ///     replay is exact, not just equivalent.
-  ///  3. Event application — each wheel slot's router-targeted events
-  ///     (InDrainDone / CreditRouter / OutTailGone) are sharded by target
-  ///     router id so workers mutate disjoint routers in per-target slot
-  ///     order; Consume and CreditServer (global metrics, workload
-  ///     callbacks) stay on a serial ordered pass that also commits the
-  ///     credits the workers staged.
+  ///  1. Candidate precompute — each worker precomputes its routers'
+  ///     routing candidates (pure, RNG-free); the serial allocation loop
+  ///     then replays them in ascending router id, so every request, grant
+  ///     and RNG draw keeps its serial order.
+  ///  2. Link phase — each worker pops its routers' transmissions into its
+  ///     own LinkStage (router-local mutations only), and the serial
+  ///     commit applies deliveries, wheel events and link stats in
+  ///     concatenation order, which equals (source router id, ordinal)
+  ///     order. Serial stepping is the one-stage case of the same
+  ///     collect/commit, so the two cannot drift apart.
   ///
-  /// Pass nullptr to return to fully serial stepping. The pool is
-  /// borrowed, not owned, and must outlive the Network (or be detached
-  /// first).
+  /// Event application, generation and allocation stay serial. Pass
+  /// nullptr to return to fully serial stepping. The pool is borrowed,
+  /// not owned, and must outlive the Network (or be detached first).
   void set_step_pool(ThreadPool* pool);
 
   /// The attached step pool (null = serial stepping).
@@ -346,27 +342,21 @@ class Network {
   void step();
   void process_events();
 
-  /// Sharded event application: worker \p w applies the router-targeted
-  /// events of \p slot whose target router id satisfies a % workers == w,
-  /// in slot order, and stages each InDrainDone's follow-on credit into
-  /// staged_credits_ (indexed by slot ordinal — disjoint writes).
-  void apply_router_event_shard(const PooledRing<Event>& slot, int w,
-                                int workers);
-
   /// Applies one Consume event (metrics, time series, workload callback,
-  /// eject credit into \p next). Serial path only.
+  /// eject credit into \p next).
   void handle_consume(const Event& ev, PooledRing<Event>& next);
 
-  /// Serial commit of the parallel link phase: replays every staged
-  /// transmission (wheel events, link stats, delivery/consumption,
-  /// watchdog progress) in the exact order the serial loop would have
-  /// produced, then retires routers whose output work drained.
-  void commit_link_stages();
+  /// Runs \p fn(w, lo, hi) on the step pool for each worker w's
+  /// contiguous ascending range [lo, hi) of phase_scratch_, then waits
+  /// for all of them. Requires an attached pool.
+  template <typename Fn>
+  void fan_out(const Fn& fn);
 
-  /// Events below this slot size are applied serially even with a pool
-  /// attached — the fan-out/join costs more than the scan. Small enough
-  /// that modest test networks still exercise the sharded path.
-  static constexpr int kShardEventsMin = 16;
+  /// Serial commit of the link phase: replays every staged transmission
+  /// (wheel events, link stats, delivery/consumption, watchdog progress)
+  /// in (source router id, ordinal) order, then retires routers whose
+  /// output work drained. The only place a transmission leaves a router.
+  void commit_link_stages();
 
   NetworkContext ctx_;
   RoutingMechanism& mech_;
@@ -417,12 +407,10 @@ class Network {
   ThreadPool* step_pool_ = nullptr; ///< borrowed; null = serial stepping
   StepPhaseTimes* phase_times_ = nullptr; ///< borrowed; null = no profiling
 
-  /// Per-worker staging buffers of the parallel link phase (sized to the
-  /// pool on set_step_pool; all empty outside the link phase — audited).
-  std::vector<LinkStage> link_stages_;
-  /// Sharded event application: slot-ordinal-indexed credits staged by
-  /// workers, committed by the serial pass (empty outside process_events).
-  std::vector<Event> staged_credits_;
+  /// Staging buffers of the link phase: one per pool worker, or one when
+  /// stepping serially (never empty; all drained outside the link phase —
+  /// audited).
+  std::vector<LinkStage> link_stages_ = std::vector<LinkStage>(1);
 
   Cycle now_ = 0;
   Cycle last_progress_ = 0;

@@ -323,54 +323,9 @@ void Router::alloc_phase(Network& net, Cycle now) {
   dirty_outputs_.clear();
 }
 
-void Router::link_phase(Network& net, Cycle now) {
-  const SimConfig& cfg = net.cfg();
+void Router::link_phase(const SimConfig& cfg, Cycle now, LinkStage& out) {
   const int len = cfg.packet_length;
   // Snapshot: transmissions may drain a port and shrink link_ports_.
-  link_scratch_.assign(link_ports_.begin(), link_ports_.end());
-  for (const Port p : link_scratch_) {
-    OutputPort& op = outputs_[static_cast<std::size_t>(p)];
-    if (op.waiting == 0 || op.link_free_at > now) continue;
-    const std::size_t vbase = vc_index(p, 0);
-    for (int k = 0; k < num_vcs_; ++k) {
-      const int v = (op.rr_next + k) % num_vcs_;
-      if (out_head_[vbase + static_cast<std::size_t>(v)] > now) continue;
-      const std::size_t idx = vbase + static_cast<std::size_t>(v);
-      OutputVc& ov = out_vcs_[idx];
-      PacketPtr pkt = out_q_.pop_front(idx, ov.q);
-      out_head_[idx] = ov.q.empty() ? kNeverReady : out_front(idx).buf_head;
-      if (--op.waiting == 0) sorted_id_erase(link_ports_, p);
-      if (--waiting_total_ == 0) net.router_link_deactivated(id_);
-      op.link_free_at = now + len;
-      op.rr_next = (v + 1) % num_vcs_;
-      net.schedule(now + len, {Event::Kind::OutTailGone, static_cast<Vc>(v), p,
-                               id_, 0});
-      const Cycle head = now + cfg.link_latency;
-      const Cycle tail = now + cfg.link_latency + len - 1;
-      if (p < num_switch_ports_) {
-        const PortInfo& pi = net.ctx().graph->port(id_, p);
-        HXSP_DCHECK(net.ctx().graph->link_alive(pi.link));
-        net.link_stats().on_transmit(id_, p, len);
-        if (TelemetryRegistry* const t = net.telemetry())
-          t->on_transmit(id_, p, len);
-        net.deliver(std::move(pkt), pi.neighbor, pi.remote_port,
-                    static_cast<Vc>(v), head, tail);
-      } else {
-        net.consume_at(std::move(pkt), tail, static_cast<Vc>(v));
-      }
-      net.note_progress();
-      break;
-    }
-  }
-}
-
-void Router::link_phase_collect(const SimConfig& cfg, Cycle now,
-                                LinkStage& out) {
-  const int len = cfg.packet_length;
-  // Lockstep mirror of link_phase's router-local half: same snapshot,
-  // same round-robin scan, same pops and cache updates, in the same
-  // order. The network-visible tail (wheel events, link stats, delivery
-  // or consumption, active-set erasure) is staged for the serial commit.
   link_scratch_.assign(link_ports_.begin(), link_ports_.end());
   for (const Port p : link_scratch_) {
     OutputPort& op = outputs_[static_cast<std::size_t>(p)];

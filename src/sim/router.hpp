@@ -109,9 +109,9 @@ struct OutputPort {
                                    ///< updated wherever either input moves
 };
 
-/// One transmission popped by the parallel link phase, awaiting its
-/// serial commit (wheel events, link stats, delivery/consumption). The
-/// packet is owned by the stage between collect and commit.
+/// One transmission popped by the link phase, awaiting its serial commit
+/// (wheel events, link stats, delivery/consumption). The packet is owned
+/// by the stage between collect and commit.
 struct StagedTx {
   PacketPtr pkt;
   SwitchId src = kInvalid;
@@ -119,13 +119,13 @@ struct StagedTx {
   Vc vc = 0;
 };
 
-/// Per-worker staging buffer of the parallel link phase. Each worker owns
-/// a contiguous ascending range of the link-active snapshot and appends
-/// in iteration order, so concatenating the stages in worker order
-/// reproduces the serial loop's (source router id, ordinal) order exactly
-/// — no sort, no timestamps. `deactivated` defers the link-active-set
-/// erasures (the one non-router-local mutation of the serial link phase)
-/// to the commit.
+/// Staging buffer of the link phase: one for a serial step, one per worker
+/// with a step pool. Each stage covers a contiguous ascending range of the
+/// link-active snapshot and is appended in iteration order, so
+/// concatenating the stages in order reproduces the (source router id,
+/// ordinal) order of a router-by-router loop exactly — no sort, no
+/// timestamps. `deactivated` defers the link-active-set erasures to the
+/// commit.
 struct LinkStage {
   std::vector<StagedTx> txs;
   std::vector<SwitchId> deactivated;
@@ -171,19 +171,15 @@ class Router {
   /// Allocation phase: requests + grants for this cycle.
   void alloc_phase(Network& net, Cycle now);
 
-  /// Link phase: starts output-port transmissions.
-  void link_phase(Network& net, Cycle now);
-
-  /// The parallel half of the link phase: performs exactly the
-  /// router-local mutations link_phase would (pop the granted head,
-  /// refresh out-head caches and waiting counts, stamp link_free_at,
-  /// advance round-robin) but stages the popped packet into \p out
-  /// instead of delivering it, and records this router in
-  /// out.deactivated instead of touching the network's link active set.
-  /// RNG-free and confined to this router, so it is safe to run
-  /// concurrently for disjoint routers; Network::commit_link_stages
-  /// replays the staged transmissions in serial order.
-  void link_phase_collect(const SimConfig& cfg, Cycle now, LinkStage& out);
+  /// Link phase: starts output-port transmissions. Performs the
+  /// router-local half (pop the granted head, refresh out-head caches and
+  /// waiting counts, stamp link_free_at, advance round-robin) and stages
+  /// each popped packet into \p out, recording this router in
+  /// out.deactivated when its last waiting packet leaves; the network-
+  /// visible half (wheel events, link stats, delivery or consumption) is
+  /// Network::commit_link_stages. RNG-free and confined to this router, so
+  /// it is safe to run concurrently for disjoint routers.
+  void link_phase(const SimConfig& cfg, Cycle now, LinkStage& out);
 
   // --- event handlers -----------------------------------------------------
 

@@ -1,9 +1,10 @@
 /// \file parallel_step_test.cpp
 /// Deterministic intra-run parallel stepping: partitioning the candidate
-/// phase across a worker pool must leave every simulation observable —
-/// rates, latencies, tail percentiles, packet counts — bit-identical to
-/// serial stepping at every thread count, for every mechanism family,
-/// with faults, online fault events and the invariant auditor enabled.
+/// precompute and the link phase across a worker pool must leave every
+/// simulation observable — rates, latencies, tail percentiles, packet
+/// counts — bit-identical to serial stepping at every thread count, for
+/// every mechanism family, with faults, online fault events and the
+/// invariant auditor enabled.
 
 #include <gtest/gtest.h>
 
@@ -100,10 +101,10 @@ TEST(ParallelStep, BitIdenticalCompletionMode) {
 }
 
 TEST(ParallelStep, BitIdenticalWorkloadKind) {
-  // Message-level workloads drive the Consume -> workload-callback path
-  // through the sharded event application (Consume stays serial; the
-  // callback order must match exactly or message completion cycles move).
-  // The auditor cross-checks the wheel's ring-buffer slots every pass.
+  // Message-level workloads drive the Consume -> workload-callback path:
+  // consumptions are scheduled by the link commit, and their callback
+  // order must match exactly or message completion cycles move. The
+  // auditor cross-checks the wheel's ring-buffer slots every pass.
   ExperimentSpec spec = small_spec("polsp");
   spec.sim.audit_interval = 512;
   WorkloadParams wp;
@@ -165,6 +166,26 @@ TEST(ParallelStep, BitIdenticalMultitenantKind) {
       EXPECT_EQ(a.p50_msg_latency, b.p50_msg_latency) << what << " job " << i;
       EXPECT_EQ(a.p99_msg_latency, b.p99_msg_latency) << what << " job " << i;
     }
+  }
+}
+
+TEST(ParallelStep, BitIdenticalAtLongestLegalDelay) {
+  // The longest delays the 64-slot event wheel holds: OutTailGone after
+  // packet_length = 63 cycles and Consume after link_latency +
+  // packet_length - 1 = 63 cycles, so both land in the slot just behind
+  // the current one. 3 threads give uneven link-stage partitions; the
+  // auditor cross-checks the wheel's in-flight credits every pass.
+  ExperimentSpec spec = small_spec("polsp");
+  spec.sim.packet_length = 63;
+  spec.sim.link_latency = 1;
+  spec.sim.audit_interval = 256;
+  Experiment e(spec);
+  const ResultRow serial = e.run_load(0.6);
+  EXPECT_GT(serial.packets, 0);
+  for (const int threads : {1, 2, 3}) {
+    e.set_step_threads(threads);
+    expect_identical(e.run_load(0.6), serial,
+                     "longest delay threads=" + std::to_string(threads));
   }
 }
 

@@ -154,6 +154,32 @@ TEST(SimDetail, ZeroLatencyCrossbarRejected) {
   EXPECT_EQ(cfg.xbar_cycles(), 8); // ceil(15/2)
 }
 
+// Config validation: a scheduled delay past the 64-slot event wheel would
+// wrap into an earlier slot and corrupt the run without a sound in
+// Release, and a zero crossbar speedup divides by zero in xbar_cycles().
+// The Network constructor rejects both, naming the field.
+TEST(SimDetailDeathTest, PacketLongerThanEventWheelRejected) {
+  ExperimentSpec s = k2_spec();
+  s.sim.packet_length = 80;
+  EXPECT_DEATH(
+      {
+        Experiment e(s);
+        e.run_load(0.05);
+      },
+      "sim\\.packet_length");
+}
+
+TEST(SimDetailDeathTest, ZeroCrossbarSpeedupRejected) {
+  ExperimentSpec s = k2_spec();
+  s.sim.xbar_speedup = 0;
+  EXPECT_DEATH(
+      {
+        Experiment e(s);
+        e.run_load(0.05);
+      },
+      "sim\\.xbar_speedup");
+}
+
 TEST(SimDetail, ServerQueueDepthLimitsBurstiness) {
   // With a 1-packet injection queue, generated load under backpressure is
   // visibly below offered at saturation.

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "core/surepath.hpp"
@@ -243,6 +244,14 @@ struct SpSweep {
   bool strict;
   const char* base; // "omni" or "pol"
 };
+
+// Without this gtest prints the raw bytes, which include the base string's
+// address and so change from run to run, and ctest names each case after
+// the printed value.
+void PrintTo(const SpSweep& p, std::ostream* os) {
+  *os << p.base << "_seed" << p.seed << "_faults" << p.faults
+      << (p.strict ? "_strict" : "_relaxed");
+}
 
 class SurePathFaultSweep : public ::testing::TestWithParam<SpSweep> {};
 

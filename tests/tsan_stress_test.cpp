@@ -155,15 +155,13 @@ TEST(TsanStress, TinySimulationGridMatchesSerial) {
 TEST(TsanStress, StagedStepPipelineUnderEightWorkerPool) {
   // The intra-run parallel step under maximum churn: an 8x8 HyperX at
   // near-saturation load keeps hundreds of routers transmitting per
-  // cycle, so every phase of the pipeline engages — candidate precompute,
-  // the link-phase collect into per-worker staging buffers, and the
-  // sharded event application (slots far exceed the engagement
-  // threshold). Eight workers on few cores churn interleavings across
-  // the stage/commit boundary; under TSan any missing happens-before
-  // edge between a worker's staged writes and the serial commit becomes
-  // a failure. The auditor additionally proves the staging buffers are
-  // fully drained at every cycle boundary, and the result must still be
-  // bit-identical to serial stepping.
+  // cycle, so both pooled phases engage — candidate precompute and the
+  // link-phase collect into per-worker staging buffers. Eight workers on
+  // few cores churn interleavings across the stage/commit boundary; under
+  // TSan any missing happens-before edge between a worker's staged writes
+  // and the serial commit becomes a failure. The auditor additionally
+  // proves the staging buffers are fully drained at every cycle boundary,
+  // and the result must still be bit-identical to serial stepping.
   ExperimentSpec s;
   s.sides = {8, 8};
   s.mechanism = "polsp";

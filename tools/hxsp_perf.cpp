@@ -43,9 +43,9 @@
 ///             still 1,048,576 servers, 8x fewer switches.
 ///
 ///   --step-threads=N  attach an N-worker pool to the deterministic
-///             parallel step (candidate precompute, link-phase collect and
-///             sharded event application fan out; alloc, commits and
-///             Consume stay serial). Output is bit-identical at any N;
+///             parallel step (candidate precompute and link-phase
+///             collect fan out; events, generation, alloc and the link
+///             commit stay serial). Output is bit-identical at any N;
 ///             only wall time may change.
 ///
 ///   --phase-times  per-phase wall-time breakdown (events / generation /
