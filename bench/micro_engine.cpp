@@ -105,8 +105,8 @@ BENCHMARK(BM_NetworkStep)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 void BM_Step(benchmark::State& state) {
   // Per-cycle engine cost across the load regimes the hot-path overhaul
   // targets: arg = offered load in percent (10 = active-set regime, 55 =
-  // uncongested flow, 80 = congestion knee, 95 = saturation). Mirrors the
-  // hxsp_perf grid at microbenchmark granularity.
+  // uncongested flow, 80 = congestion knee, 95 = saturation). Whole runs
+  // are timed by benchmark/hxsp_bench (see benchmark/README.md).
   ExperimentSpec s;
   s.sides = {8, 8};
   s.servers_per_switch = 8;
@@ -213,15 +213,16 @@ void BM_SweepFanout(benchmark::State& state) {
   s.sim.num_vcs = 4;
   s.warmup = 500;
   s.measure = 1000;
-  const auto points =
-      ParallelSweep::expand_loads(s, {0.2, 0.4, 0.6, 0.8, 1.0});
+  std::vector<TaskSpec> tasks;
+  for (double load : {0.2, 0.4, 0.6, 0.8, 1.0})
+    tasks.push_back(TaskSpec::rate(s, load));
   ParallelSweep sweep(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    const auto rows = sweep.run(points);
-    benchmark::DoNotOptimize(rows.data());
+    const auto results = sweep.run_tasks(tasks);
+    benchmark::DoNotOptimize(results.data());
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(points.size()));
+                          static_cast<std::int64_t>(tasks.size()));
 }
 BENCHMARK(BM_SweepFanout)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 

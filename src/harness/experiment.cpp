@@ -1,6 +1,9 @@
 #include "harness/experiment.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <limits>
+#include <optional>
 
 #include "telemetry/capture.hpp"
 #include "topology/computed_distance.hpp"
@@ -185,78 +188,130 @@ void Experiment::set_step_threads(int threads) {
     step_pool_ = std::make_unique<ThreadPool>(threads);
 }
 
-std::pair<ResultRow, std::vector<LinkStats::Entry>>
-Experiment::run_load_hotspots(double offered, int top_n) {
-  const int sps = hx_->servers_per_switch();
-  Network net(ctx_, *mech_, *traffic_, spec_.sim, sps,
-              rng_.fork(0x10AD).next_u64());
-  net.set_step_pool(step_pool_.get());
-  net.set_offered_load(offered);
-  net.run_cycles(spec_.warmup);
-  net.begin_window();
-  net.run_cycles(spec_.measure);
-  net.end_window();
-  if (telemetry_capture_) net.export_telemetry(*telemetry_capture_);
+namespace {
+constexpr Cycle kNoAction = std::numeric_limits<Cycle>::max();
+} // namespace
 
+/// What simulate() does with one fresh Network beyond building it.
+struct Experiment::RunPlan {
+  std::uint64_t seed = 0;               ///< the Network's stream seed
+  std::function<void(Network&)> start;  ///< the traffic source
+  /// Unset: warmup, then the metrics window over spec_.measure cycles.
+  /// Set: run until drained or this (absolute) cycle.
+  std::optional<Cycle> drain_by;
+  /// Timed actions (fault events, tenant arrivals): next_action() is the
+  /// cycle of the next one (kNoAction when none is left), act() applies
+  /// it. Actions due by the run's end fire at their cycle.
+  std::function<Cycle()> next_action = [] { return kNoAction; };
+  std::function<void(Network&)> act;
+  TimeSeries* series = nullptr;  ///< consumed-phits series, or none
+  bool observed = true;  ///< exports telemetry; false for reference runs
+  bool drained = false;  ///< out: the drain run finished in time
+};
+
+std::unique_ptr<Network> Experiment::simulate(RunPlan& plan) {
+  auto net = std::make_unique<Network>(ctx_, *mech_, *traffic_, spec_.sim,
+                                       hx_->servers_per_switch(), plan.seed);
+  net->set_step_pool(step_pool_.get());
+  net->attach_timeseries(plan.series);
+  plan.start(*net);
+
+  // Fires every timed action due by cycle `until`, each at its cycle.
+  auto fire_until = [&](Cycle until) {
+    for (Cycle at = plan.next_action(); at != kNoAction && at <= until;
+         at = plan.next_action()) {
+      if (at > net->now()) net->run_cycles(at - net->now());
+      plan.act(*net);
+    }
+  };
+  if (plan.drain_by) {
+    fire_until(*plan.drain_by);
+    plan.drained = net->run_until_drained(*plan.drain_by - net->now());
+  } else {
+    fire_until(spec_.warmup);
+    net->run_cycles(spec_.warmup - net->now());  // n <= 0 runs nothing
+    net->begin_window();
+    const Cycle end = net->now() + spec_.measure;
+    fire_until(end);
+    net->run_cycles(end - net->now());
+    net->end_window();
+  }
+  if (plan.observed && telemetry_capture_)
+    net->export_telemetry(*telemetry_capture_);
+  return net;
+}
+
+ResultRow Experiment::rate_row(double offered, const Network& net) const {
   ResultRow row;
   row.mechanism = mech_->name();
   row.pattern = spec_.pattern;
   row.offered = offered;
   row.from_metrics(net.metrics());
+  return row;
+}
+
+std::pair<ResultRow, std::vector<LinkStats::Entry>>
+Experiment::run_load_hotspots(double offered, int top_n) {
+  RunPlan plan;
+  plan.seed = rng_.fork(0x10AD).next_u64();
+  plan.start = [offered](Network& net) { net.set_offered_load(offered); };
+  const std::unique_ptr<Network> net = simulate(plan);
   std::vector<LinkStats::Entry> hot;
-  if (top_n > 0) hot = net.link_stats().hottest(top_n, spec_.measure);
-  return {row, hot};
+  if (top_n > 0) hot = net->link_stats().hottest(top_n, spec_.measure);
+  return {rate_row(offered, *net), hot};
 }
 
 CompletionResult Experiment::run_completion(long packets_per_server,
                                             Cycle bucket_width,
                                             Cycle max_cycles) {
-  const int sps = hx_->servers_per_switch();
-  Network net(ctx_, *mech_, *traffic_, spec_.sim, sps,
-              rng_.fork(0xC0).next_u64());
-  net.set_step_pool(step_pool_.get());
   CompletionResult res;
   res.mechanism = mech_->name();
   res.pattern = spec_.pattern;
   res.series = TimeSeries(bucket_width);
-  res.num_servers = net.num_servers();
-  net.attach_timeseries(&res.series);
-  net.set_completion_load(packets_per_server);
-  res.drained = net.run_until_drained(max_cycles);
-  res.completion_time = net.now();
-  if (telemetry_capture_) net.export_telemetry(*telemetry_capture_);
+  RunPlan plan;
+  plan.seed = rng_.fork(0xC0).next_u64();
+  plan.start = [packets_per_server](Network& net) {
+    net.set_completion_load(packets_per_server);
+  };
+  plan.drain_by = max_cycles;
+  plan.series = &res.series;
+  const std::unique_ptr<Network> net = simulate(plan);
+  res.num_servers = net->num_servers();
+  res.drained = plan.drained;
+  res.completion_time = net->now();
   return res;
 }
 
 WorkloadResult Experiment::run_workload(const WorkloadParams& params,
                                         Cycle bucket_width, Cycle max_cycles) {
-  const int sps = hx_->servers_per_switch();
-  Network net(ctx_, *mech_, *traffic_, spec_.sim, sps,
-              rng_.fork(0xE0).next_u64());
-  net.set_step_pool(step_pool_.get());
+  const std::uint64_t net_seed = rng_.fork(0xE0).next_u64();
   // The workload's own stream: independent of the network stream so a
   // randomized workload (shuffle, random) does not perturb allocator
   // tie-breaks, and forked per call so repeated runs are identical.
   Rng wl_rng = rng_.fork(0xE1);
+  const ServerId num_servers = hx_->num_servers();
   const std::unique_ptr<Workload> wl = make_workload(params);
-  std::vector<Message> msgs = wl->build(net.num_servers(), wl_rng);
-  validate_workload(msgs, net.num_servers());
+  std::vector<Message> msgs = wl->build(num_servers, wl_rng);
+  validate_workload(msgs, num_servers);
   WorkloadRun run(std::move(msgs));
 
   WorkloadResult res;
   res.mechanism = mech_->name();
   res.workload = wl->name();
   res.series = TimeSeries(bucket_width);
-  res.num_servers = net.num_servers();
+  res.num_servers = num_servers;
   res.num_messages = static_cast<long>(run.num_messages());
   res.total_packets = run.total_packets();
-  net.attach_timeseries(&res.series);
-  run.start(net);
-  res.drained = net.run_until_drained(max_cycles);
+  RunPlan plan;
+  plan.seed = net_seed;
+  plan.start = [&run](Network& net) { run.start(net); };
+  plan.drain_by = max_cycles;
+  plan.series = &res.series;
+  const std::unique_ptr<Network> net = simulate(plan);
+  res.completion_time = net->now();
+  res.drained = plan.drained;
   HXSP_DCHECK(res.drained == run.complete());
-  res.completion_time = net.now();
   res.phase_cycles = run.phase_done();
-  if (telemetry_capture_) net.export_telemetry(*telemetry_capture_);
 
   // Message-latency tail: release-to-consumed, over completed messages.
   std::vector<Cycle> lat = run.completed_latencies();
@@ -275,10 +330,7 @@ WorkloadResult Experiment::run_workload(const WorkloadParams& params,
 MultitenantResult Experiment::run_multitenant(const MultitenantParams& params,
                                               Cycle bucket_width,
                                               Cycle max_cycles) {
-  const int sps = hx_->servers_per_switch();
-  Network net(ctx_, *mech_, *traffic_, spec_.sim, sps,
-              rng_.fork(0xE0).next_u64());
-  net.set_step_pool(step_pool_.get());
+  const std::uint64_t net_seed = rng_.fork(0xE0).next_u64();
   // One build stream, consumed in job order, and the same network-seed
   // fork as run_workload: a single job spanning the whole fabric gets
   // byte-identical messages and a byte-identical engine stream to the
@@ -291,50 +343,51 @@ MultitenantResult Experiment::run_multitenant(const MultitenantParams& params,
   std::vector<std::vector<Message>> baseline_msgs;
   if (params.isolated_baseline) baseline_msgs = job_msgs;
 
-  TenantScheduler sched(params, std::move(job_msgs), net.num_servers(), sps,
-                        rng_.fork(0xE3));
+  TenantScheduler sched(params, std::move(job_msgs), hx_->num_servers(),
+                        hx_->servers_per_switch(), rng_.fork(0xE3));
 
   MultitenantResult res;
   res.mechanism = mech_->name();
   res.placement = params.placement;
   res.series = TimeSeries(bucket_width);
-  res.num_servers = net.num_servers();
+  res.num_servers = hx_->num_servers();
   res.num_jobs = static_cast<long>(params.jobs.size());
-  net.attach_timeseries(&res.series);
-  sched.start(net);
-  for (Cycle a = sched.next_arrival(); a >= 0 && a <= max_cycles;
-       a = sched.next_arrival()) {
-    if (a > net.now()) net.run_cycles(a - net.now());
-    sched.process_arrivals(net);
-  }
-  const bool net_drained = net.run_until_drained(
-      max_cycles > net.now() ? max_cycles - net.now() : 0);
-  res.drained = net_drained && sched.all_done();
-  res.completion_time = net.now();
+  RunPlan plan;
+  plan.seed = net_seed;
+  plan.start = [&sched](Network& net) { sched.start(net); };
+  plan.drain_by = max_cycles;
+  plan.next_action = [&sched] {
+    const Cycle at = sched.next_arrival();
+    return at < 0 ? kNoAction : at;
+  };
+  plan.act = [&sched](Network& net) { sched.process_arrivals(net); };
+  plan.series = &res.series;
+  const std::unique_ptr<Network> net = simulate(plan);
+  res.completion_time = net->now();
+  res.drained = plan.drained && sched.all_done();
   res.jobs = sched.stats();
   for (const TenantJobStats& st : res.jobs)
     res.total_packets += st.total_packets;
-  // Export from the shared fabric only; the isolated baseline networks
-  // below are reference runs, not part of the observed system.
-  if (telemetry_capture_) net.export_telemetry(*telemetry_capture_);
 
   if (params.isolated_baseline) {
     // Per-job isolated reference: same messages, same concrete placement,
     // an otherwise empty fabric — the slowdown column is pure
-    // interference, not placement quality.
+    // interference, not placement quality. These are reference runs, not
+    // part of the observed system: no series, no telemetry.
     const Rng base_rng = rng_.fork(0xE4);
     for (std::size_t j = 0; j < res.jobs.size(); ++j) {
       TenantJobStats& st = res.jobs[j];
       if (st.admitted < 0) continue;
-      Network alone(ctx_, *mech_, *traffic_, spec_.sim, sps,
-                    base_rng.fork(static_cast<std::uint64_t>(j)).next_u64());
-      alone.set_step_pool(step_pool_.get());
       WorkloadRun run(baseline_msgs[j]);
       run.bind(sched.placement_of(static_cast<int>(j)));
-      run.start(alone);
-      alone.run_until_drained(max_cycles);
+      RunPlan alone;
+      alone.seed = base_rng.fork(static_cast<std::uint64_t>(j)).next_u64();
+      alone.start = [&run](Network& net) { run.start(net); };
+      alone.drain_by = max_cycles;
+      alone.observed = false;
+      const Cycle span = simulate(alone)->now();
       if (!run.complete()) continue;
-      st.isolated_span = alone.now();
+      st.isolated_span = span;
       if (st.completed >= 0 && st.isolated_span > 0)
         st.slowdown = static_cast<double>(st.completed - st.admitted) /
                       static_cast<double>(st.isolated_span);
@@ -348,17 +401,8 @@ DynamicResult Experiment::run_load_dynamic(double offered,
   std::sort(events.begin(), events.end(),
             [](const FaultEvent& a, const FaultEvent& b) { return a.at < b.at; });
 
-  const int sps = hx_->servers_per_switch();
-  Network net(ctx_, *mech_, *traffic_, spec_.sim, sps,
-              rng_.fork(0xD1).next_u64());
-  net.set_step_pool(step_pool_.get());
-  DynamicResult res;
-  res.num_servers = net.num_servers();
-  net.attach_timeseries(&res.series);
-  net.set_offered_load(offered);
-
   auto rebuild_tables = [&] {
-    // run_to checks connectivity per fault before rebuilding, but guard
+    // The fault action checks connectivity before rebuilding, but guard
     // here too: this lambda is also the restore path, and a rebuild on a
     // disconnected graph would poison diameter()-derived TTL bounds.
     HXSP_CHECK_MSG(hx_->graph().connected(),
@@ -370,36 +414,31 @@ DynamicResult Experiment::run_load_dynamic(double offered,
     }
   };
 
+  DynamicResult res;
   std::size_t next = 0;
   std::vector<LinkId> applied;
-  auto run_to = [&](Cycle target) {
-    while (next < events.size() && events[next].at <= target) {
-      net.run_cycles(std::max<Cycle>(0, events[next].at - net.now()));
-      const LinkId link = events[next].link;
-      if (hx_->graph().link_alive(link)) { // skip already-dead links
-        hx_->graph().fail_link(link);
-        HXSP_CHECK_MSG(hx_->graph().connected(),
-                       "dynamic fault would disconnect the network");
-        rebuild_tables();
-        net.on_link_failed(link);
-        applied.push_back(link);
-      }
-      ++next;
-    }
-    net.run_cycles(std::max<Cycle>(0, target - net.now()));
+  RunPlan plan;
+  plan.seed = rng_.fork(0xD1).next_u64();
+  plan.start = [offered](Network& net) { net.set_offered_load(offered); };
+  plan.next_action = [&] {
+    return next < events.size() ? events[next].at : kNoAction;
   };
+  plan.act = [&](Network& net) {
+    const LinkId link = events[next++].link;
+    if (!hx_->graph().link_alive(link)) return;  // skip already-dead links
+    hx_->graph().fail_link(link);
+    HXSP_CHECK_MSG(hx_->graph().connected(),
+                   "dynamic fault would disconnect the network");
+    rebuild_tables();
+    net.on_link_failed(link);
+    applied.push_back(link);
+  };
+  plan.series = &res.series;
+  const std::unique_ptr<Network> net = simulate(plan);
 
-  run_to(spec_.warmup);
-  net.begin_window();
-  run_to(spec_.warmup + spec_.measure);
-  net.end_window();
-
-  res.row.mechanism = mech_->name();
-  res.row.pattern = spec_.pattern;
-  res.row.offered = offered;
-  res.row.from_metrics(net.metrics());
-  res.dropped = net.dropped_packets();
-  if (telemetry_capture_) net.export_telemetry(*telemetry_capture_);
+  res.num_servers = net->num_servers();
+  res.row = rate_row(offered, *net);
+  res.dropped = net->dropped_packets();
 
   // Restore the injected faults and the tables so later runs see the
   // spec's static configuration again.
@@ -443,13 +482,6 @@ int Experiment::walk_route(SwitchId src, SwitchId dst, int max_hops) {
     ++hops;
   }
   return hops;
-}
-
-std::vector<ResultRow> sweep_loads(Experiment& e, const std::vector<double>& loads) {
-  std::vector<ResultRow> rows;
-  rows.reserve(loads.size());
-  for (double l : loads) rows.push_back(e.run_load(l));
-  return rows;
 }
 
 } // namespace hxsp

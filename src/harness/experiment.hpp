@@ -147,7 +147,7 @@ struct MultitenantResult {
 };
 
 /// Builds and runs simulations for one spec. The topology/table/escape
-/// construction happens once in the constructor; each run_load() spins up
+/// construction happens once in the constructor; each run_* call spins up
 /// a fresh Network (fresh buffers/rng) over the shared structures.
 class Experiment {
  public:
@@ -222,6 +222,18 @@ class Experiment {
   const ExperimentSpec& spec() const { return spec_; }
 
  private:
+  struct RunPlan;  ///< what simulate() does with one Network (see .cpp)
+
+  /// The one run loop behind every run_* method: builds a Network from
+  /// plan.seed over the shared structures, attaches the step pool and the
+  /// series, starts the traffic source, drives the network through the
+  /// measurement window or to drain (firing timed actions on the way) and
+  /// exports telemetry. Returns the finished network for the caller to map.
+  std::unique_ptr<Network> simulate(RunPlan& plan);
+
+  /// The rate-mode row of a finished windowed run at \p offered.
+  ResultRow rate_row(double offered, const Network& net) const;
+
   ExperimentSpec spec_;
   std::unique_ptr<HyperX> hx_;
   std::unique_ptr<DistanceProvider> dist_;
@@ -233,8 +245,5 @@ class Experiment {
   std::unique_ptr<ThreadPool> step_pool_; ///< null = serial stepping
   TelemetryCapture* telemetry_capture_ = nullptr; ///< borrowed; may be null
 };
-
-/// Runs run_load() for every load in \p loads (convenience for sweeps).
-std::vector<ResultRow> sweep_loads(Experiment& e, const std::vector<double>& loads);
 
 } // namespace hxsp

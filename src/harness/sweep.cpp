@@ -4,21 +4,7 @@
 
 namespace hxsp {
 
-ResultRow run_sweep_point(const SweepPoint& point) {
-  Experiment e(point.spec);
-  return e.run_load(point.offered);
-}
-
 ParallelSweep::ParallelSweep(int workers) : pool_(workers) {}
-
-std::vector<ResultRow> ParallelSweep::run(
-    const std::vector<SweepPoint>& points,
-    const std::function<void(std::size_t, const ResultRow&)>& on_result) {
-  return map<ResultRow>(
-      points.size(),
-      [&points](std::size_t i) { return run_sweep_point(points[i]); },
-      on_result);
-}
 
 std::vector<TaskResult> ParallelSweep::run_tasks(
     const std::vector<TaskSpec>& tasks,
@@ -32,28 +18,6 @@ std::vector<TaskResult> ParallelSweep::run_tasks(
                         captures ? &(*captures)[i] : nullptr);
       },
       on_result);
-}
-
-std::vector<SweepPoint> ParallelSweep::expand_loads(
-    const ExperimentSpec& spec, const std::vector<double>& loads) {
-  std::vector<SweepPoint> points;
-  points.reserve(loads.size());
-  for (double load : loads) points.push_back({spec, load});
-  return points;
-}
-
-std::vector<SweepPoint> ParallelSweep::expand_seeds(const ExperimentSpec& spec,
-                                                    double offered,
-                                                    std::uint64_t first_seed,
-                                                    int trials) {
-  std::vector<SweepPoint> points;
-  points.reserve(static_cast<std::size_t>(trials));
-  for (int t = 0; t < trials; ++t) {
-    SweepPoint p{spec, offered};
-    p.spec.seed = first_seed + static_cast<std::uint64_t>(t);
-    points.push_back(std::move(p));
-  }
-  return points;
 }
 
 std::vector<TaskSpec> ParallelSweep::expand_task_seeds(const TaskSpec& proto,

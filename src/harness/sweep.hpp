@@ -11,7 +11,7 @@
 /// loop — results are always delivered in submission order, whatever
 /// order the workers finish in.
 ///
-/// Three layers, outermost first:
+/// Two layers:
 ///  - map(): a deterministic ordered parallel map over any index range —
 ///    the engine's core. Exception-safe (a throw from the function or the
 ///    delivery callback drains the pool before unwinding) and ordered
@@ -19,9 +19,8 @@
 ///  - run_tasks(): executes TaskSpecs (see harness/taskspec.hpp) — the
 ///    serializable task model shared by the in-process fast path, the
 ///    --shard/--emit-tasks grid API and the hxsp_runner tool. Results
-///    come back as TaskResult variants matching each task's kind.
-///  - run(): the original rate-only convenience (SweepPoint -> ResultRow),
-///    kept because most grids are pure rate sweeps.
+///    come back as TaskResult variants matching each task's kind; a rate
+///    sweep is a list of TaskSpec::rate tasks.
 
 #include <atomic>
 #include <condition_variable>
@@ -36,15 +35,8 @@
 
 namespace hxsp {
 
-/// One independent rate-mode simulation: a full spec plus the offered
-/// load to run.
-struct SweepPoint {
-  ExperimentSpec spec;
-  double offered = 1.0;
-};
-
 /// Fans independent work across worker threads and merges results in
-/// submission order. The pool persists across run() calls, so one
+/// submission order. The pool persists across calls, so one
 /// ParallelSweep can serve a whole bench driver.
 class ParallelSweep {
  public:
@@ -53,20 +45,14 @@ class ParallelSweep {
 
   int workers() const { return pool_.size(); }
 
-  /// Runs every rate point; result i is points[i]'s ResultRow. When
-  /// \p on_result is provided it is invoked on the calling thread in
-  /// submission order (point 0 first) as soon as each result and all its
-  /// predecessors are ready — incremental output stays deterministic.
-  /// An exception from a point or from \p on_result propagates to the
-  /// caller only after every in-flight worker job has finished, so no
-  /// worker can outlive the run's state; still-queued points are skipped
-  /// rather than simulated during that drain.
-  std::vector<ResultRow> run(
-      const std::vector<SweepPoint>& points,
-      const std::function<void(std::size_t, const ResultRow&)>& on_result = {});
-
   /// Runs every task (any mix of kinds); result i holds tasks[i]'s
-  /// TaskResult. Ordering and exception semantics are exactly run()'s.
+  /// TaskResult. When \p on_result is provided it is invoked on the
+  /// calling thread in submission order (task 0 first) as soon as each
+  /// result and all its predecessors are ready — incremental output stays
+  /// deterministic. An exception from a task or from \p on_result
+  /// propagates to the caller only after every in-flight worker job has
+  /// finished, so no worker can outlive the run's state; still-queued
+  /// tasks are skipped rather than simulated during that drain.
   /// \p step_threads > 0 gives every task's Network its own deterministic
   /// intra-run step pool of that many workers (see run_task) — sweep
   /// parallelism across tasks and step parallelism within one compose
@@ -82,7 +68,7 @@ class ParallelSweep {
   /// Deterministic ordered parallel map: evaluates fn(0) .. fn(n-1) on
   /// the pool and returns the results indexed by input. \p on_result is
   /// called on this thread strictly in index order. R must be default-
-  /// constructible. This is the primitive run()/run_tasks() are built on;
+  /// constructible. This is the primitive run_tasks() is built on;
   /// drivers whose unit of work is not a simulation (pure graph studies)
   /// use it directly and inherit the same determinism and exception-drain
   /// guarantees: fn must be self-contained (no shared mutable state).
@@ -142,17 +128,6 @@ class ParallelSweep {
     return results;
   }
 
-  /// One spec swept over \p loads (the throughput/latency curves).
-  static std::vector<SweepPoint> expand_loads(const ExperimentSpec& spec,
-                                              const std::vector<double>& loads);
-
-  /// One configuration repeated over \p trials seeds (fault-trial
-  /// averaging): point t runs with seed first_seed + t at \p offered.
-  static std::vector<SweepPoint> expand_seeds(const ExperimentSpec& spec,
-                                              double offered,
-                                              std::uint64_t first_seed,
-                                              int trials);
-
   /// \p proto repeated over \p trials seeds, keeping its kind/parameters.
   /// Task ids are NOT adjusted; route the result through a TaskGrid when
   /// stable ids are needed.
@@ -163,9 +138,5 @@ class ParallelSweep {
  private:
   ThreadPool pool_;
 };
-
-/// Runs one rate point to completion (what each worker executes); exposed
-/// so tests can compare the serial and parallel paths directly.
-ResultRow run_sweep_point(const SweepPoint& point);
 
 } // namespace hxsp

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "telemetry/capture.hpp"
 #include "util/fileio.hpp"
@@ -147,161 +146,34 @@ std::vector<std::vector<std::string>> csv_rows(const std::string& text) {
   return rows;
 }
 
-// ---------------------------------------------------------------------------
-// A minimal parser for the subset json() emits: an array of flat objects
-// whose values are strings, numbers, booleans or arrays of integers.
-// (Escaping on the write side is the shared json_escape_string from
-// util/jsonio.)
-// ---------------------------------------------------------------------------
+/// Copies a run's consumed-phits series into the record's series columns.
+void copy_series(ResultRecord& rec, const TimeSeries& ts) {
+  rec.series_width = static_cast<std::int64_t>(ts.width());
+  for (std::size_t b = 0; b < ts.num_buckets(); ++b)
+    rec.series.push_back(ts.bucket(b));
+}
 
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
-
-  /// Parses the whole input as an array of flat objects; every value is
-  /// returned in its string form (numbers/booleans unquoted, arrays
-  /// re-joined with '|' to match the CSV series encoding).
-  std::vector<std::vector<std::pair<std::string, std::string>>> parse() {
-    std::vector<std::vector<std::pair<std::string, std::string>>> objects;
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return objects;
-    }
-    while (true) {
-      objects.push_back(parse_object());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
+/// A JSON record value in its CSV field form: numbers as their raw
+/// tokens (so parse_json(json(x)) == x bit-exactly), booleans as
+/// true/false, integer arrays '|'-joined like the CSV series encoding.
+std::string json_field(const JsonValue& v) {
+  switch (v.kind()) {
+    case JsonValue::Kind::kString: return v.as_string();
+    case JsonValue::Kind::kNumber: return v.number_token();
+    case JsonValue::Kind::kBool: return v.as_bool() ? "true" : "false";
+    case JsonValue::Kind::kArray: {
+      std::string out;
+      for (const JsonValue& b : v.array()) {
+        if (!out.empty()) out += '|';
+        out += b.number_token();
       }
-      expect(']');
-      return objects;
-    }
-  }
-
- private:
-  char peek() {
-    HXSP_CHECK_MSG(pos_ < s_.size(), "JSON input truncated");
-    return s_[pos_];
-  }
-
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\n' || s_[pos_] == '\t' ||
-            s_[pos_] == '\r'))
-      ++pos_;
-  }
-
-  void expect(char c) {
-    skip_ws();
-    HXSP_CHECK_MSG(peek() == c, "unexpected character in JSON input");
-    ++pos_;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      char c = peek();
-      ++pos_;
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      c = peek();
-      ++pos_;
-      switch (c) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          HXSP_CHECK_MSG(pos_ + 4 <= s_.size(), "JSON \\u escape truncated");
-          const unsigned long code =
-              std::strtoul(s_.substr(pos_, 4).c_str(), nullptr, 16);
-          HXSP_CHECK_MSG(code < 0x80, "non-ASCII \\u escape unsupported");
-          out += static_cast<char>(code);
-          pos_ += 4;
-          break;
-        }
-        default:
-          HXSP_CHECK_MSG(false, "unsupported JSON escape");
-      }
-    }
-  }
-
-  std::string parse_scalar() {
-    skip_ws();
-    if (peek() == '"') return parse_string();
-    std::string out;
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_];
-      if (c == ',' || c == '}' || c == ']' || c == ' ' || c == '\n' ||
-          c == '\r' || c == '\t')
-        break;
-      out += c;
-      ++pos_;
-    }
-    HXSP_CHECK_MSG(!out.empty(), "empty JSON scalar");
-    return out;
-  }
-
-  std::string parse_value() {
-    skip_ws();
-    if (peek() != '[') return parse_scalar();
-    ++pos_;  // the only array values are integer series
-    std::string out;
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
       return out;
     }
-    while (true) {
-      if (!out.empty()) out += '|';
-      out += parse_scalar();
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return out;
-    }
+    default: break;
   }
-
-  std::vector<std::pair<std::string, std::string>> parse_object() {
-    std::vector<std::pair<std::string, std::string>> kv;
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return kv;
-    }
-    while (true) {
-      skip_ws();
-      std::string key = parse_string();
-      expect(':');
-      kv.emplace_back(std::move(key), parse_value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return kv;
-    }
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
+  HXSP_CHECK_MSG(false, "unexpected value in JSON record");
+  return {};
+}
 
 /// Column order must match columns(); the single source of the mapping
 /// between a record and its serialized fields.
@@ -439,16 +311,12 @@ ResultRecord make_record(const TaskSpec& task, const TaskResult& result) {
     rec.drained = c->drained;
     rec.completion_time = static_cast<std::int64_t>(c->completion_time);
     rec.num_servers = static_cast<std::int64_t>(c->num_servers);
-    rec.series_width = static_cast<std::int64_t>(c->series.width());
-    for (std::size_t b = 0; b < c->series.num_buckets(); ++b)
-      rec.series.push_back(c->series.bucket(b));
+    copy_series(rec, c->series);
   }
   if (const DynamicResult* d = std::get_if<DynamicResult>(&result)) {
     rec.dropped = d->dropped;
     rec.num_servers = static_cast<std::int64_t>(d->num_servers);
-    rec.series_width = static_cast<std::int64_t>(d->series.width());
-    for (std::size_t b = 0; b < d->series.num_buckets(); ++b)
-      rec.series.push_back(d->series.bucket(b));
+    copy_series(rec, d->series);
   }
   if (const WorkloadResult* w = std::get_if<WorkloadResult>(&result)) {
     rec.mechanism = w->mechanism;
@@ -459,9 +327,7 @@ ResultRecord make_record(const TaskSpec& task, const TaskResult& result) {
     rec.packets = w->total_packets;
     rec.avg_latency = w->avg_msg_latency;  // message latency, not packet
     rec.p99_latency = static_cast<std::int64_t>(w->p99_msg_latency);
-    rec.series_width = static_cast<std::int64_t>(w->series.width());
-    for (std::size_t b = 0; b < w->series.num_buckets(); ++b)
-      rec.series.push_back(w->series.bucket(b));
+    copy_series(rec, w->series);
     // The shared column set stays fixed (existing CSVs must not change
     // shape), so the workload-only scalars ride in `extra` as key=value
     // pairs behind the task's own payload — still a pure function of
@@ -482,9 +348,7 @@ ResultRecord make_record(const TaskSpec& task, const TaskResult& result) {
     rec.completion_time = static_cast<std::int64_t>(m->completion_time);
     rec.num_servers = static_cast<std::int64_t>(m->num_servers);
     rec.packets = m->total_packets;
-    rec.series_width = static_cast<std::int64_t>(m->series.width());
-    for (std::size_t b = 0; b < m->series.num_buckets(); ++b)
-      rec.series.push_back(m->series.bucket(b));
+    copy_series(rec, m->series);
     const std::string add =
         "placement=" + m->placement + ";jobs=" + std::to_string(m->num_jobs);
     rec.extra = rec.extra.empty() ? add : rec.extra + ";" + add;
@@ -653,15 +517,6 @@ std::vector<ResultRecord> make_telemetry_records(const TaskSpec& task,
   return rows;
 }
 
-void ResultSink::add_row(const ResultRow& row, std::uint64_t seed,
-                         std::string label, std::string extra) {
-  TaskSpec task;  // rate-mode wrapper so the mapping lives in one place
-  task.spec.seed = seed;
-  task.label = std::move(label);
-  task.extra = std::move(extra);
-  add(task, TaskResult(row));
-}
-
 std::string ResultSink::csv_header() {
   std::string out;
   const auto& cols = columns();
@@ -795,23 +650,26 @@ std::vector<ResultRecord> ResultSink::merge(
 }
 
 std::vector<ResultRecord> ResultSink::parse_json(const std::string& text) {
-  JsonParser parser(text);
-  const auto objects = parser.parse();
+  const JsonValue doc = JsonValue::parse(text);
   const auto& cols = columns();
   std::vector<ResultRecord> records;
-  records.reserve(objects.size());
-  for (const auto& obj : objects) {
+  records.reserve(doc.array().size());
+  for (const JsonValue& obj : doc.array()) {
     std::vector<std::string> fields(cols.size());
-    HXSP_CHECK_MSG(obj.size() == cols.size(),
-                   "JSON record does not match the shared result schema");
-    for (const auto& [key, value] : obj) {
-      std::size_t col = cols.size();
-      for (std::size_t i = 0; i < cols.size(); ++i)
-        if (cols[i] == key) { col = i; break; }
-      HXSP_CHECK_MSG(col < cols.size(), "unknown key in JSON record");
-      fields[col] = value;
+    std::vector<char> seen(cols.size(), 0);
+    for (const auto& [key, value] : obj.object()) {
+      const std::size_t col = static_cast<std::size_t>(
+          std::find(cols.begin(), cols.end(), key) - cols.begin());
+      HXSP_CHECK_MSG(col < cols.size(),
+                     ("unknown key in JSON record: " + key).c_str());
+      HXSP_CHECK_MSG(!seen[col],
+                     ("repeated key in JSON record: " + key).c_str());
+      seen[col] = 1;
+      fields[col] = json_field(value);
     }
-    // JSON booleans arrive as true/false; record_from_fields handles both.
+    for (std::size_t col = 0; col < cols.size(); ++col)
+      HXSP_CHECK_MSG(seen[col],
+                     ("missing key in JSON record: " + cols[col]).c_str());
     records.push_back(record_from_fields(fields));
   }
   return records;

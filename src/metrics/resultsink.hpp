@@ -130,10 +130,6 @@ class ResultSink {
   /// (driver names still this sink's).
   void add(const TaskSpec& task, const TaskResult& result);
 
-  /// Appends a bare rate row (for drivers with a ResultRow but no task).
-  void add_row(const ResultRow& row, std::uint64_t seed,
-               std::string label = "", std::string extra = "");
-
   std::size_t size() const { return records_.size(); }
   const std::vector<ResultRecord>& records() const { return records_; }
   const std::string& driver() const { return driver_; }
@@ -171,8 +167,8 @@ class ResultSink {
   static std::vector<ResultRecord> parse_csv_checkpoint(
       const std::string& text, std::string* clean_prefix);
 
-  /// Inverse of json(). Handles the subset of JSON json() emits (flat
-  /// objects of strings / numbers / booleans / integer arrays).
+  /// Inverse of json(). Aborts (HXSP_CHECK) on malformed JSON and on a
+  /// record with an unknown, repeated or missing key.
   static std::vector<ResultRecord> parse_json(const std::string& text);
 
   /// Concatenates \p parts and stable-sorts by task_id: shard outputs

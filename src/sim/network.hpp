@@ -99,10 +99,10 @@ struct Event {
 
 /// Per-phase wall-time accumulator for Network::step (see
 /// Network::attach_phase_times). The clock is injected as a plain
-/// function pointer by the profiling caller (tools/hxsp_perf) so no
-/// wall-clock read lives inside src/sim — the determinism lint stays
-/// clean and the engine's behaviour cannot depend on time. Seconds
-/// accumulate across every step while attached.
+/// function pointer by the profiling caller (the traced rep in
+/// benchmark/hxsp_bench.cpp) so no wall-clock read lives inside src/sim —
+/// the determinism lint stays clean and the engine's behaviour cannot
+/// depend on time. Seconds accumulate across every step while attached.
 struct StepPhaseTimes {
   using ClockFn = double (*)();
 

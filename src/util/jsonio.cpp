@@ -337,12 +337,6 @@ JsonWriter& JsonWriter::value(double d) {
   return *this;
 }
 
-JsonWriter& JsonWriter::raw_number(const std::string& token) {
-  separate();
-  out_ += token;
-  return *this;
-}
-
 JsonWriter& JsonWriter::value(std::int64_t v) {
   separate();
   char buf[32];

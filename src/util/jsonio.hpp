@@ -3,12 +3,11 @@
 /// Minimal JSON tree reader/writer for the harness serialization layer.
 ///
 /// The distributed sweep API ships ExperimentSpecs and TaskSpecs between
-/// processes as JSON, which needs nested objects and arrays — more than
-/// the flat-record parser inside ResultSink. This utility provides the
-/// smallest tree model that round-trips those payloads losslessly:
-/// numbers are kept as their raw tokens (written with 17 significant
-/// digits for doubles), so parse(write(x)) == x bit-exactly, the same
-/// contract ResultSink established for persisted results.
+/// processes as JSON, and ResultSink reads its JSON result records back
+/// through the same reader. This utility provides the smallest tree model
+/// that round-trips those payloads losslessly: numbers are kept as their
+/// raw tokens (written with 17 significant digits for doubles), so
+/// parse(write(x)) == x bit-exactly.
 
 #include <cstdint>
 #include <string>
@@ -35,7 +34,7 @@ class JsonValue {
   int as_int() const;
   const std::string& as_string() const;
   /// Raw textual token of a number value, exactly as parsed — lets a
-  /// caller re-emit a number without any reformatting loss.
+  /// caller keep a number without any reformatting loss.
   const std::string& number_token() const;
   const std::vector<JsonValue>& array() const;
   const std::vector<std::pair<std::string, JsonValue>>& object() const;
@@ -75,9 +74,6 @@ class JsonWriter {
   JsonWriter& value(std::int64_t v);
   JsonWriter& value(int v) { return value(static_cast<std::int64_t>(v)); }
   JsonWriter& value(std::uint64_t v);
-  /// Emits \p token verbatim as a number value (pairs with
-  /// JsonValue::number_token() for lossless re-emission).
-  JsonWriter& raw_number(const std::string& token);
 
   const std::string& str() const { return out_; }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/presets.hpp"
+#include "harness/sweep.hpp"
 
 namespace hxsp {
 namespace {
@@ -110,19 +111,20 @@ TEST(Experiment, RejectsDisconnectingFaults) {
   EXPECT_DEATH(Experiment{s}, "disconnect");
 }
 
-TEST(Experiment, SweepLoadsReturnsRowPerLoad) {
+TEST(Experiment, RateSweepReturnsRowPerLoad) {
   ExperimentSpec s;
   s.sides = {2, 2};
   s.servers_per_switch = 2;
   s.mechanism = "minimal";
   s.warmup = 500;
   s.measure = 1000;
-  Experiment e(s);
-  const auto rows = sweep_loads(e, {0.2, 0.4});
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_DOUBLE_EQ(rows[0].offered, 0.2);
-  EXPECT_DOUBLE_EQ(rows[1].offered, 0.4);
-  EXPECT_EQ(rows[0].mechanism, "Minimal");
+  ParallelSweep sweep(1);
+  const auto results =
+      sweep.run_tasks({TaskSpec::rate(s, 0.2), TaskSpec::rate(s, 0.4)});
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_DOUBLE_EQ(std::get<ResultRow>(results[0]).offered, 0.2);
+  EXPECT_DOUBLE_EQ(std::get<ResultRow>(results[1]).offered, 0.4);
+  EXPECT_EQ(std::get<ResultRow>(results[0]).mechanism, "Minimal");
 }
 
 TEST(Experiment, WalkRouteHandlesUnreachable) {

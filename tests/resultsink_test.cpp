@@ -278,18 +278,44 @@ TEST(ResultSink, TypedAddMapsDynamicFields) {
 }
 
 TEST(ResultSink, AddRowIsRateKind) {
+  // A bare rate row: a default TaskSpec (rate kind, no id) carries only
+  // the seed and label; the sink supplies the driver.
   ResultRow row;
   row.mechanism = "Minimal";
   row.pattern = "dcr";
   row.offered = 1.0;
   row.accepted = 0.3;
+  TaskSpec task;
+  task.spec.seed = 13;
+  task.label = "lbl";
   ResultSink sink("d");
-  sink.add_row(row, 13, "lbl");
+  sink.add(task, TaskResult(row));
   const ResultRecord& rec = sink.records()[0];
   EXPECT_EQ(rec.kind, "rate");
+  EXPECT_EQ(rec.driver, "d");
+  EXPECT_EQ(rec.task_id, "");
+  EXPECT_EQ(rec.label, "lbl");
   EXPECT_EQ(rec.seed, 13u);
   EXPECT_EQ(rec.mechanism, "Minimal");
   EXPECT_EQ(rec.accepted, 0.3);
+}
+
+TEST(ResultSink, JsonRecordWithRepeatedOrMissingKeyIsRejected) {
+  ResultSink sink("d");
+  sink.add(sample_rate_record());
+  const std::string json = sink.json();
+  const std::string extra = ",\"extra\":\"scale=1.00\"";
+  const std::size_t at = json.find(extra);
+  ASSERT_NE(at, std::string::npos);
+  // Same member count as a good record: "driver" twice, "extra" absent.
+  std::string repeated = json;
+  repeated.replace(at, extra.size(), ",\"driver\":\"other\"");
+  EXPECT_DEATH(ResultSink::parse_json(repeated),
+               "repeated key in JSON record: driver");
+  std::string missing = json;
+  missing.erase(at, extra.size());
+  EXPECT_DEATH(ResultSink::parse_json(missing),
+               "missing key in JSON record: extra");
 }
 
 // ---------------------------------------------------------------------------

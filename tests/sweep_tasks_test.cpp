@@ -211,13 +211,15 @@ TEST(TaskSpecs, RateTasksMatchRunExactly) {
   std::vector<TaskSpec> tasks;
   for (double l : loads) tasks.push_back(TaskSpec::rate(spec, l));
 
+  // The serial reference: one Experiment per load, as every worker builds.
+  std::vector<ResultRow> rows;
+  for (double l : loads) rows.push_back(Experiment(spec).run_load(l));
   ParallelSweep sweep(2);
-  const auto rows = sweep.run(ParallelSweep::expand_loads(spec, loads));
   const auto results = sweep.run_tasks(tasks);
   ASSERT_EQ(results.size(), rows.size());
   for (std::size_t i = 0; i < rows.size(); ++i)
     expect_identical(rows[i], std::get<ResultRow>(results[i]),
-                     "run vs run_tasks");
+                     "run_load vs run_tasks");
 }
 
 TEST(TaskSpecs, NearSaturationMatchesSerialBitIdentically) {

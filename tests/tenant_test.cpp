@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <set>
 
 #include "harness/runner.hpp"
@@ -184,6 +185,20 @@ TEST(TenantScheduler, FifoWithSkipAdmission) {
   // The fabric-level completion covers the last tenant.
   for (const TenantJobStats& s : st)
     EXPECT_LE(s.completed, res.completion_time);
+}
+
+TEST(TenantScheduler, UnboundedDeadlineStillEndsAfterLastArrival) {
+  // The largest Cycle as "no deadline": once every arrival is processed
+  // the run must fall through to the drain, not wait for one more.
+  MultitenantParams p;
+  p.isolated_baseline = true;
+  p.jobs = {job("alltoall", 8, 0), job("ring_allreduce", 4, 40)};
+  Experiment e(small_spec());
+  const MultitenantResult res =
+      e.run_multitenant(p, 500, std::numeric_limits<Cycle>::max());
+  EXPECT_TRUE(res.drained);
+  ASSERT_EQ(res.jobs.size(), 2u);
+  for (const TenantJobStats& st : res.jobs) EXPECT_GT(st.isolated_span, 0);
 }
 
 void expect_stats_eq(const TenantJobStats& a, const TenantJobStats& b) {

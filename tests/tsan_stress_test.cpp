@@ -139,16 +139,18 @@ TEST(TsanStress, TinySimulationGridMatchesSerial) {
   s.warmup = 100;
   s.measure = 200;
   s.seed = 3;
-  const std::vector<SweepPoint> points =
-      ParallelSweep::expand_loads(s, {0.1, 0.2, 0.3, 0.4, 0.5, 0.6});
+  std::vector<TaskSpec> tasks;
+  for (double load : {0.1, 0.2, 0.3, 0.4, 0.5, 0.6})
+    tasks.push_back(TaskSpec::rate(s, load));
   ParallelSweep sweep(4);
-  const std::vector<ResultRow> par = sweep.run(points);
-  ASSERT_EQ(par.size(), points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const ResultRow serial = run_sweep_point(points[i]);
-    EXPECT_EQ(par[i].packets, serial.packets) << "point " << i;
-    EXPECT_DOUBLE_EQ(par[i].accepted, serial.accepted) << "point " << i;
-    EXPECT_DOUBLE_EQ(par[i].avg_latency, serial.avg_latency) << "point " << i;
+  const std::vector<TaskResult> par = sweep.run_tasks(tasks);
+  ASSERT_EQ(par.size(), tasks.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const ResultRow& row = std::get<ResultRow>(par[i]);
+    const ResultRow serial = std::get<ResultRow>(run_task(tasks[i]));
+    EXPECT_EQ(row.packets, serial.packets) << "point " << i;
+    EXPECT_DOUBLE_EQ(row.accepted, serial.accepted) << "point " << i;
+    EXPECT_DOUBLE_EQ(row.avg_latency, serial.avg_latency) << "point " << i;
   }
 }
 
