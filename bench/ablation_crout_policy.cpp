@@ -3,7 +3,7 @@
 /// routing's own VC convention; this bench measures why: Omnidimensional's
 /// short bounded routes thrive on free VC choice, while Polarized's long
 /// exploratory routes need the hop-ladder rung to avoid cyclic buffer
-/// waits that drain only at escape speed (see DESIGN.md).
+/// waits that drain only at escape speed. The grid below is the evidence.
 ///
 /// Every (base, policy) combination is an ordinary spec mechanism thanks
 /// to the factory's "@policy" suffix ("omnisp@rung", "polsp@free", ...),

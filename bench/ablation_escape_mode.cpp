@@ -1,10 +1,10 @@
 /// \file ablation_escape_mode.cpp
 /// Ablation: memoryless vs strict-phase escape. The paper describes the
 /// escape as a memoryless per-destination table of Up/Down-distance
-/// reductions; our reproduction found that rule can deadlock the escape
-/// layer at saturation in a packet-granular VCT router (red-link cycles;
-/// see DESIGN.md), so the repository defaults to a strict up*/down* phase
-/// variant with id-oriented shortcuts that is provably acyclic. This bench
+/// reductions. Red-link cycles could let that rule deadlock the escape
+/// layer in a packet-granular VCT router, so the repository defaults to a
+/// strict up*/down* phase variant with id-oriented shortcuts that is
+/// provably acyclic. This bench
 /// quantifies the difference — it is the reproduction's most significant
 /// deviation note.
 ///

@@ -135,7 +135,8 @@ void EscapeUpDown::candidates(SwitchId current, SwitchId target, bool gone_down,
 
     // Strict phase mode: a legal escape route is
     //   (black Up | red towards lower id)*  (black Down | red towards higher id)*
-    // which yields an acyclic channel dependency graph (see DESIGN.md).
+    // which yields an acyclic channel dependency graph: links are ordered
+    // Up before Down, as in classical up*/down* routing.
     if (!gone_down) {
       if (black && lvl_n < lvl_c && ud_n == ud_c - 1) {
         out.push_back({p, pen.up, false});

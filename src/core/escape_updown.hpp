@@ -23,15 +23,16 @@
 /// reduction is legal); with strict_phase = true it additionally carries
 /// the classical up*/down* phase bit and orients red links by switch id,
 /// which yields a provably acyclic channel dependency graph. The harness
-/// defaults to strict mode because the memoryless rule measurably wedges
-/// at saturation in this router; see DESIGN.md ("Escape deadlock
-/// freedom"). Every simulation also runs a stall watchdog.
+/// defaults to strict mode for that guarantee; bench/ablation_escape_mode.cpp
+/// compares both rules (paper §3.2). Every simulation also runs a stall
+/// watchdog.
 
 #include <cstdint>
 #include <vector>
 
 #include "routing/mechanism.hpp" // EscapeCand
 #include "topology/graph.hpp"
+#include "util/fields.hpp"
 #include "util/types.hpp"
 
 namespace hxsp {
@@ -46,10 +47,18 @@ struct EscapePenalties {
   int red3 = 48;   ///< shortcut reducing udist by >= 3
 };
 
-/// Field-wise equality (spec serialization round-trip checks).
+/// Field table: JSON keys, equality (util/fields.hpp).
+inline const auto& field_table(const EscapePenalties*) {
+  using S = EscapePenalties;
+  static const auto table =
+      std::make_tuple(field("up", &S::up), field("down", &S::down),
+                      field("red1", &S::red1), field("red2", &S::red2),
+                      field("red3", &S::red3));
+  return table;
+}
+
 inline bool operator==(const EscapePenalties& a, const EscapePenalties& b) {
-  return a.up == b.up && a.down == b.down && a.red1 == b.red1 &&
-         a.red2 == b.red2 && a.red3 == b.red3;
+  return fields_equal(a, b);
 }
 inline bool operator!=(const EscapePenalties& a, const EscapePenalties& b) {
   return !(a == b);

@@ -14,7 +14,7 @@ CRoutVcPolicy SurePathMechanism::resolved_policy(const NetworkContext& ctx) cons
   if (vc_policy_ != CRoutVcPolicy::Auto) return vc_policy_;
   // Rung needs enough rungs to ladder a typical maximal route
   // (2*diameter); with fewer VCs the rung concentration costs more than
-  // the ordering buys, and Free wins (see DESIGN.md measurements).
+  // the ordering buys, and Free wins (bench/ablation_crout_policy.cpp).
   const int route_rungs =
       ctx.hyperx ? 2 * ctx.hyperx->dims() - 1 : 2 * ctx.dist->diameter() - 1;
   return (ctx.num_vcs - 1) >= route_rungs ? CRoutVcPolicy::Rung

@@ -41,7 +41,7 @@ namespace hxsp {
 ///  * Auto     — Rung when the CRout VCs can ladder a 2*diameter route
 ///               (i.e. num_vcs-1 >= 2n-1 on an n-dim HyperX), Free
 ///               otherwise. Matches the measured best cell at every VC
-///               budget (see DESIGN.md).
+///               budget (bench/ablation_crout_policy.cpp).
 enum class CRoutVcPolicy { Free, Monotone, Rung, Auto };
 
 /// The SurePath routing mechanism: base RouteAlgorithm + Up/Down escape.

@@ -14,129 +14,21 @@
 namespace hxsp {
 
 // ---------------------------------------------------------------------------
-// Spec equality and JSON codec. Every field is serialized; the codec is
-// the lossless transport the distributed sweep layer (TaskSpec manifests,
-// hxsp_runner) rides on, so adding a spec field means extending BOTH
-// spec_write_json and spec_from_json, plus operator== below — the
-// round-trip tests fail otherwise.
+// Spec JSON codec, derived from the field tables (util/fields.hpp): adding
+// a spec field is one line in its struct's table, and the reader rejects
+// unknown keys, so a misspelled knob fails instead of reading as off.
 // ---------------------------------------------------------------------------
-
-bool operator==(const ExperimentSpec& a, const ExperimentSpec& b) {
-  return a.sides == b.sides && a.servers_per_switch == b.servers_per_switch &&
-         a.mechanism == b.mechanism && a.pattern == b.pattern &&
-         a.traffic_params == b.traffic_params &&
-         a.sim == b.sim && a.fault_links == b.fault_links &&
-         a.escape_root == b.escape_root &&
-         a.escape_strict_phase == b.escape_strict_phase &&
-         a.escape_shortcuts == b.escape_shortcuts &&
-         a.escape_penalties == b.escape_penalties && a.warmup == b.warmup &&
-         a.measure == b.measure && a.seed == b.seed;
-}
-
-void spec_write_json(JsonWriter& w, const ExperimentSpec& s) {
-  w.begin_object();
-  w.key("sides").begin_array();
-  for (int side : s.sides) w.value(side);
-  w.end_array();
-  w.key("servers_per_switch").value(s.servers_per_switch);
-  w.key("mechanism").value(s.mechanism);
-  w.key("pattern").value(s.pattern);
-  w.key("traffic_params").begin_object();
-  w.key("hotspot_fraction").value(s.traffic_params.hotspot_fraction);
-  w.key("hotspot_count").value(s.traffic_params.hotspot_count);
-  w.end_object();
-  w.key("sim").begin_object();
-  w.key("packet_length").value(s.sim.packet_length);
-  w.key("input_buffer_packets").value(s.sim.input_buffer_packets);
-  w.key("output_buffer_packets").value(s.sim.output_buffer_packets);
-  w.key("link_latency").value(s.sim.link_latency);
-  w.key("xbar_latency").value(s.sim.xbar_latency);
-  w.key("xbar_speedup").value(s.sim.xbar_speedup);
-  w.key("num_vcs").value(s.sim.num_vcs);
-  w.key("server_queue_packets").value(s.sim.server_queue_packets);
-  w.key("watchdog_cycles").value(static_cast<std::int64_t>(s.sim.watchdog_cycles));
-  w.key("audit_interval").value(static_cast<std::int64_t>(s.sim.audit_interval));
-  w.key("telemetry_window").value(static_cast<std::int64_t>(s.sim.telemetry_window));
-  w.key("trace_sample").value(s.sim.trace_sample);
-  w.key("flight_recorder").value(s.sim.flight_recorder);
-  w.end_object();
-  w.key("fault_links").begin_array();
-  for (LinkId l : s.fault_links) w.value(static_cast<std::int64_t>(l));
-  w.end_array();
-  w.key("escape_root").value(static_cast<std::int64_t>(s.escape_root));
-  w.key("escape_strict_phase").value(s.escape_strict_phase);
-  w.key("escape_shortcuts").value(s.escape_shortcuts);
-  w.key("escape_penalties").begin_object();
-  w.key("up").value(s.escape_penalties.up);
-  w.key("down").value(s.escape_penalties.down);
-  w.key("red1").value(s.escape_penalties.red1);
-  w.key("red2").value(s.escape_penalties.red2);
-  w.key("red3").value(s.escape_penalties.red3);
-  w.end_object();
-  w.key("warmup").value(static_cast<std::int64_t>(s.warmup));
-  w.key("measure").value(static_cast<std::int64_t>(s.measure));
-  w.key("seed").value(static_cast<std::uint64_t>(s.seed));
-  w.end_object();
-}
 
 std::string spec_to_json(const ExperimentSpec& spec) {
   JsonWriter w;
-  spec_write_json(w, spec);
+  write_json(w, spec);
   return w.str();
 }
 
-ExperimentSpec spec_from_json(const JsonValue& v) {
-  ExperimentSpec s;
-  s.sides.clear();
-  for (const JsonValue& side : v.at("sides").array())
-    s.sides.push_back(side.as_int());
-  s.servers_per_switch = v.at("servers_per_switch").as_int();
-  s.mechanism = v.at("mechanism").as_string();
-  s.pattern = v.at("pattern").as_string();
-  const JsonValue& tp = v.at("traffic_params");
-  s.traffic_params.hotspot_fraction = tp.at("hotspot_fraction").as_double();
-  s.traffic_params.hotspot_count = tp.at("hotspot_count").as_int();
-  const JsonValue& sim = v.at("sim");
-  s.sim.packet_length = sim.at("packet_length").as_int();
-  s.sim.input_buffer_packets = sim.at("input_buffer_packets").as_int();
-  s.sim.output_buffer_packets = sim.at("output_buffer_packets").as_int();
-  s.sim.link_latency = sim.at("link_latency").as_int();
-  s.sim.xbar_latency = sim.at("xbar_latency").as_int();
-  s.sim.xbar_speedup = sim.at("xbar_speedup").as_int();
-  s.sim.num_vcs = sim.at("num_vcs").as_int();
-  s.sim.server_queue_packets = sim.at("server_queue_packets").as_int();
-  s.sim.watchdog_cycles = sim.at("watchdog_cycles").as_i64();
-  // Tolerant read: manifests written before the auditor existed lack the
-  // key; they mean "audit off", whatever the build default.
-  const JsonValue* audit = sim.find("audit_interval");
-  s.sim.audit_interval = audit ? audit->as_i64() : 0;
-  // Same tolerance for the telemetry knobs (PR 10): absent means off.
-  const JsonValue* telemetry = sim.find("telemetry_window");
-  s.sim.telemetry_window = telemetry ? telemetry->as_i64() : 0;
-  const JsonValue* trace = sim.find("trace_sample");
-  s.sim.trace_sample = trace ? trace->as_int() : 0;
-  const JsonValue* flight = sim.find("flight_recorder");
-  s.sim.flight_recorder = flight ? flight->as_int() : 0;
-  s.fault_links.clear();
-  for (const JsonValue& l : v.at("fault_links").array())
-    s.fault_links.push_back(static_cast<LinkId>(l.as_i64()));
-  s.escape_root = static_cast<SwitchId>(v.at("escape_root").as_i64());
-  s.escape_strict_phase = v.at("escape_strict_phase").as_bool();
-  s.escape_shortcuts = v.at("escape_shortcuts").as_bool();
-  const JsonValue& pen = v.at("escape_penalties");
-  s.escape_penalties.up = pen.at("up").as_int();
-  s.escape_penalties.down = pen.at("down").as_int();
-  s.escape_penalties.red1 = pen.at("red1").as_int();
-  s.escape_penalties.red2 = pen.at("red2").as_int();
-  s.escape_penalties.red3 = pen.at("red3").as_int();
-  s.warmup = v.at("warmup").as_i64();
-  s.measure = v.at("measure").as_i64();
-  s.seed = v.at("seed").as_u64();
-  return s;
-}
-
 ExperimentSpec spec_from_json_text(const std::string& text) {
-  return spec_from_json(JsonValue::parse(text));
+  ExperimentSpec spec;
+  read_json(JsonValue::parse(text), spec, "");
+  return spec;
 }
 
 Experiment::Experiment(const ExperimentSpec& spec)

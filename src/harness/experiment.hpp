@@ -18,6 +18,7 @@
 #include "sim/network.hpp"
 #include "tenant/scheduler.hpp"
 #include "topology/faults.hpp"
+#include "util/fields.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/workload.hpp"
 
@@ -38,9 +39,9 @@ struct ExperimentSpec {
   // Faults (applied before any table is computed).
   std::vector<LinkId> fault_links;
 
-  // Escape subnetwork (used by omnisp/polsp). Strict phase is the default:
-  // it is provably deadlock-free and measurably outperforms the memoryless
-  // table rule at saturation in this simulator (see DESIGN.md).
+  // Escape subnetwork (used by omnisp/polsp). Strict phase is the default
+  // because it is provably deadlock-free; bench/ablation_escape_mode.cpp
+  // compares it with the paper's memoryless table rule (paper §3.2).
   SwitchId escape_root = 0;
   bool escape_strict_phase = true;
   bool escape_shortcuts = true;
@@ -60,26 +61,40 @@ struct ExperimentSpec {
   }
 };
 
-/// Field-wise equality (serialization round-trip checks).
-bool operator==(const ExperimentSpec& a, const ExperimentSpec& b);
+/// Field table: JSON keys, equality (util/fields.hpp). Every field is
+/// serialized; the codec is the lossless transport TaskSpec manifests and
+/// hxsp_runner ride on.
+inline const auto& field_table(const ExperimentSpec*) {
+  using S = ExperimentSpec;
+  static const auto table = std::make_tuple(
+      field("sides", &S::sides),
+      field("servers_per_switch", &S::servers_per_switch),
+      field("mechanism", &S::mechanism), field("pattern", &S::pattern),
+      field("traffic_params", &S::traffic_params), field("sim", &S::sim),
+      field("fault_links", &S::fault_links),
+      field("escape_root", &S::escape_root),
+      field("escape_strict_phase", &S::escape_strict_phase),
+      field("escape_shortcuts", &S::escape_shortcuts),
+      field("escape_penalties", &S::escape_penalties),
+      field("warmup", &S::warmup), field("measure", &S::measure),
+      field("seed", &S::seed));
+  return table;
+}
+
+inline bool operator==(const ExperimentSpec& a, const ExperimentSpec& b) {
+  return fields_equal(a, b);
+}
 inline bool operator!=(const ExperimentSpec& a, const ExperimentSpec& b) {
   return !(a == b);
 }
 
-class JsonValue;
-class JsonWriter;
-
 /// Serializes every field of \p spec as one JSON object. Doubles use 17
-/// significant digits, so spec_from_json(spec_to_json(s)) == s exactly;
-/// this codec is what lets a sweep grid leave the process (TaskSpec
-/// manifests, the hxsp_runner tool).
+/// significant digits, so spec_from_json_text(spec_to_json(s)) == s
+/// exactly.
 std::string spec_to_json(const ExperimentSpec& spec);
 
-/// Appends the spec object to an in-progress \p w (after w.key(...)).
-void spec_write_json(JsonWriter& w, const ExperimentSpec& spec);
-
-/// Inverse of spec_to_json; aborts (HXSP_CHECK) on missing keys.
-ExperimentSpec spec_from_json(const JsonValue& v);
+/// Inverse of spec_to_json; aborts (HXSP_CHECK) on a key that is unknown,
+/// repeated or missing, naming its path.
 ExperimentSpec spec_from_json_text(const std::string& text);
 
 /// A link failure injected while the simulation runs (extension of the
@@ -90,8 +105,15 @@ struct FaultEvent {
   LinkId link = kInvalid;
 };
 
+/// Field table: JSON keys, equality (util/fields.hpp).
+inline const auto& field_table(const FaultEvent*) {
+  static const auto table = std::make_tuple(field("at", &FaultEvent::at),
+                                            field("link", &FaultEvent::link));
+  return table;
+}
+
 inline bool operator==(const FaultEvent& a, const FaultEvent& b) {
-  return a.at == b.at && a.link == b.link;
+  return fields_equal(a, b);
 }
 inline bool operator!=(const FaultEvent& a, const FaultEvent& b) {
   return !(a == b);

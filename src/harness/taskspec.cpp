@@ -84,121 +84,15 @@ std::string TaskSpec::driver() const {
   return slash == std::string::npos ? std::string() : id.substr(0, slash);
 }
 
-bool operator==(const TaskSpec& a, const TaskSpec& b) {
-  return a.id == b.id && a.kind == b.kind && a.spec == b.spec &&
-         a.offered == b.offered &&
-         a.packets_per_server == b.packets_per_server &&
-         a.bucket_width == b.bucket_width && a.max_cycles == b.max_cycles &&
-         a.events == b.events && a.workload_params == b.workload_params &&
-         a.multitenant_params == b.multitenant_params && a.label == b.label &&
-         a.extra == b.extra;
-}
-
-namespace {
-
-void workload_params_write_json(JsonWriter& w, const WorkloadParams& p) {
-  w.begin_object();
-  w.key("name").value(p.name);
-  w.key("msg_packets").value(p.msg_packets);
-  w.key("rounds").value(p.rounds);
-  w.key("fanout").value(p.fanout);
-  w.key("trace").value(p.trace);
-  w.end_object();
-}
-
-WorkloadParams workload_params_from_json(const JsonValue& v) {
-  WorkloadParams p;
-  p.name = v.at("name").as_string();
-  p.msg_packets = v.at("msg_packets").as_int();
-  p.rounds = v.at("rounds").as_int();
-  p.fanout = v.at("fanout").as_int();
-  p.trace = v.at("trace").as_string();
-  return p;
-}
-
-void task_write_json(JsonWriter& w, const TaskSpec& t) {
-  w.begin_object();
-  w.key("id").value(t.id);
-  w.key("kind").value(task_kind_name(t.kind));
-  w.key("label").value(t.label);
-  w.key("extra").value(t.extra);
-  w.key("offered").value(t.offered);
-  w.key("packets_per_server")
-      .value(static_cast<std::int64_t>(t.packets_per_server));
-  w.key("bucket_width").value(static_cast<std::int64_t>(t.bucket_width));
-  w.key("max_cycles").value(static_cast<std::int64_t>(t.max_cycles));
-  w.key("events").begin_array();
-  for (const FaultEvent& e : t.events) {
-    w.begin_object();
-    w.key("at").value(static_cast<std::int64_t>(e.at));
-    w.key("link").value(static_cast<std::int64_t>(e.link));
-    w.end_object();
-  }
-  w.end_array();
-  w.key("workload");
-  workload_params_write_json(w, t.workload_params);
-  w.key("multitenant").begin_object();
-  w.key("placement").value(t.multitenant_params.placement);
-  w.key("isolated_baseline").value(t.multitenant_params.isolated_baseline);
-  w.key("jobs").begin_array();
-  for (const JobSpec& j : t.multitenant_params.jobs) {
-    w.begin_object();
-    w.key("demand").value(static_cast<std::int64_t>(j.demand));
-    w.key("arrival").value(static_cast<std::int64_t>(j.arrival));
-    w.key("deadline").value(static_cast<std::int64_t>(j.deadline));
-    w.key("workload");
-    workload_params_write_json(w, j.workload);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  w.key("spec");
-  spec_write_json(w, t.spec);
-  w.end_object();
-}
-
-} // namespace
-
 std::string TaskSpec::to_json() const {
   JsonWriter w;
-  task_write_json(w, *this);
+  write_json(w, *this);
   return w.str();
 }
 
 TaskSpec TaskSpec::from_json(const JsonValue& v) {
   TaskSpec t;
-  t.id = v.at("id").as_string();
-  t.kind = task_kind_from_name(v.at("kind").as_string());
-  t.label = v.at("label").as_string();
-  t.extra = v.at("extra").as_string();
-  t.offered = v.at("offered").as_double();
-  t.packets_per_server = static_cast<long>(v.at("packets_per_server").as_i64());
-  t.bucket_width = v.at("bucket_width").as_i64();
-  t.max_cycles = v.at("max_cycles").as_i64();
-  t.events.clear();
-  for (const JsonValue& e : v.at("events").array()) {
-    FaultEvent ev;
-    ev.at = e.at("at").as_i64();
-    ev.link = static_cast<LinkId>(e.at("link").as_i64());
-    t.events.push_back(ev);
-  }
-  t.workload_params = workload_params_from_json(v.at("workload"));
-  // Tolerant read: manifests written before the multitenant kind carry no
-  // "multitenant" key and keep the default-constructed params.
-  if (const JsonValue* mt = v.find("multitenant")) {
-    t.multitenant_params.placement = mt->at("placement").as_string();
-    t.multitenant_params.isolated_baseline =
-        mt->at("isolated_baseline").as_bool();
-    for (const JsonValue& jv : mt->at("jobs").array()) {
-      JobSpec j;
-      j.demand = static_cast<ServerId>(jv.at("demand").as_i64());
-      j.arrival = jv.at("arrival").as_i64();
-      j.deadline = jv.at("deadline").as_i64();
-      j.workload = workload_params_from_json(jv.at("workload"));
-      t.multitenant_params.jobs.push_back(std::move(j));
-    }
-  }
-  t.spec = spec_from_json(v.at("spec"));
+  read_json(v, t, "");
   return t;
 }
 
@@ -208,9 +102,7 @@ TaskSpec TaskSpec::from_json_text(const std::string& text) {
 
 std::string manifest_to_json(const std::vector<TaskSpec>& tasks) {
   JsonWriter w;
-  w.begin_array();
-  for (const TaskSpec& t : tasks) task_write_json(w, t);
-  w.end_array();
+  write_json(w, tasks);
   return w.str() + "\n";
 }
 

@@ -36,6 +36,12 @@ const char* task_kind_name(TaskKind kind);
 /// Inverse of task_kind_name; aborts (HXSP_CHECK) on an unknown name.
 TaskKind task_kind_from_name(const std::string& name);
 
+/// The kind's JSON codec (util/fields.hpp): written as its name.
+inline const char* enum_name(TaskKind kind) { return task_kind_name(kind); }
+inline void enum_from_name(const std::string& name, TaskKind& kind) {
+  kind = task_kind_from_name(name);
+}
+
 /// One independent simulation of any kind. Build with the factories
 /// below; unused kind parameters are ignored but still serialized, so
 /// the JSON form is self-describing and fixed-shape.
@@ -92,7 +98,25 @@ struct TaskSpec {
   static TaskSpec from_json_text(const std::string& text);
 };
 
-bool operator==(const TaskSpec& a, const TaskSpec& b);
+/// Field table: JSON keys, equality (util/fields.hpp).
+inline const auto& field_table(const TaskSpec*) {
+  using S = TaskSpec;
+  static const auto table = std::make_tuple(
+      field("id", &S::id), field("kind", &S::kind), field("label", &S::label),
+      field("extra", &S::extra), field("offered", &S::offered),
+      field("packets_per_server", &S::packets_per_server),
+      field("bucket_width", &S::bucket_width),
+      field("max_cycles", &S::max_cycles), field("events", &S::events),
+      field("workload", &S::workload_params),
+      // Manifests written before the multitenant kind lack the key.
+      field_or("multitenant", &S::multitenant_params, MultitenantParams{}),
+      field("spec", &S::spec));
+  return table;
+}
+
+inline bool operator==(const TaskSpec& a, const TaskSpec& b) {
+  return fields_equal(a, b);
+}
 inline bool operator!=(const TaskSpec& a, const TaskSpec& b) {
   return !(a == b);
 }

@@ -31,13 +31,14 @@ std::string fmt_i64(std::int64_t v) {
   return buf;
 }
 
-std::string fmt_u64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::string join_series(const std::vector<std::int64_t>& series) {
+// One CSV field per value type; ResultRecord's field table decides the
+// columns. The series is '|'-joined; booleans read back from "1" or "true".
+std::string csv_field(const std::string& s) { return s; }
+std::string csv_field(double v) { return fmt_double(v); }
+std::string csv_field(std::int64_t v) { return fmt_i64(v); }
+std::string csv_field(std::uint64_t v) { return std::to_string(v); }
+std::string csv_field(bool b) { return b ? "1" : "0"; }
+std::string csv_field(const std::vector<std::int64_t>& series) {
   std::string out;
   for (std::size_t i = 0; i < series.size(); ++i) {
     if (i) out += '|';
@@ -46,30 +47,31 @@ std::string join_series(const std::vector<std::int64_t>& series) {
   return out;
 }
 
-std::vector<std::int64_t> split_series(const std::string& s) {
-  std::vector<std::int64_t> out;
-  if (s.empty()) return out;
+void parse_csv_field(const std::string& f, std::string& out) { out = f; }
+void parse_csv_field(const std::string& f, double& out) {
+  out = std::strtod(f.c_str(), nullptr);
+}
+void parse_csv_field(const std::string& f, std::int64_t& out) {
+  out = static_cast<std::int64_t>(std::strtoll(f.c_str(), nullptr, 10));
+}
+void parse_csv_field(const std::string& f, std::uint64_t& out) {
+  out = std::strtoull(f.c_str(), nullptr, 10);
+}
+void parse_csv_field(const std::string& f, bool& out) {
+  out = f == "1" || f == "true";
+}
+void parse_csv_field(const std::string& f, std::vector<std::int64_t>& out) {
+  out.clear();
+  if (f.empty()) return;
   std::size_t start = 0;
   while (true) {
-    const std::size_t pos = s.find('|', start);
-    const std::string field = s.substr(start, pos - start);
-    out.push_back(static_cast<std::int64_t>(
-        std::strtoll(field.c_str(), nullptr, 10)));
-    if (pos == std::string::npos) return out;
+    const std::size_t pos = f.find('|', start);
+    std::int64_t v = 0;
+    parse_csv_field(f.substr(start, pos - start), v);
+    out.push_back(v);
+    if (pos == std::string::npos) return;
     start = pos + 1;
   }
-}
-
-double parse_double(const std::string& s) {
-  return std::strtod(s.c_str(), nullptr);
-}
-
-std::int64_t parse_i64(const std::string& s) {
-  return static_cast<std::int64_t>(std::strtoll(s.c_str(), nullptr, 10));
-}
-
-std::uint64_t parse_u64(const std::string& s) {
-  return std::strtoull(s.c_str(), nullptr, 10);
 }
 
 // ---------------------------------------------------------------------------
@@ -153,123 +155,28 @@ void copy_series(ResultRecord& rec, const TimeSeries& ts) {
     rec.series.push_back(ts.bucket(b));
 }
 
-/// A JSON record value in its CSV field form: numbers as their raw
-/// tokens (so parse_json(json(x)) == x bit-exactly), booleans as
-/// true/false, integer arrays '|'-joined like the CSV series encoding.
-std::string json_field(const JsonValue& v) {
-  switch (v.kind()) {
-    case JsonValue::Kind::kString: return v.as_string();
-    case JsonValue::Kind::kNumber: return v.number_token();
-    case JsonValue::Kind::kBool: return v.as_bool() ? "true" : "false";
-    case JsonValue::Kind::kArray: {
-      std::string out;
-      for (const JsonValue& b : v.array()) {
-        if (!out.empty()) out += '|';
-        out += b.number_token();
-      }
-      return out;
-    }
-    default: break;
-  }
-  HXSP_CHECK_MSG(false, "unexpected value in JSON record");
-  return {};
-}
-
-/// Column order must match columns(); the single source of the mapping
-/// between a record and its serialized fields.
-std::vector<std::string> record_fields(const ResultRecord& r) {
-  return {r.driver,
-          r.task_id,
-          r.kind,
-          r.label,
-          r.mechanism,
-          r.pattern,
-          fmt_double(r.offered),
-          fmt_u64(r.seed),
-          fmt_double(r.generated),
-          fmt_double(r.accepted),
-          fmt_double(r.avg_latency),
-          fmt_double(r.jain),
-          fmt_double(r.escape_frac),
-          fmt_double(r.forced_frac),
-          fmt_i64(r.p99_latency),
-          fmt_i64(r.cycles),
-          fmt_i64(r.packets),
-          fmt_i64(r.num_servers),
-          fmt_i64(r.dropped),
-          r.drained ? "1" : "0",
-          fmt_i64(r.completion_time),
-          fmt_i64(r.series_width),
-          join_series(r.series),
-          r.extra};
-}
-
-/// Inverse of record_fields().
+/// Inverse of csv_line() without the escaping: one field per column.
 ResultRecord record_from_fields(const std::vector<std::string>& f) {
   HXSP_CHECK_MSG(f.size() == ResultSink::columns().size(),
                  "result record has wrong column count");
   ResultRecord r;
-  r.driver = f[0];
-  r.task_id = f[1];
-  r.kind = f[2];
-  r.label = f[3];
-  r.mechanism = f[4];
-  r.pattern = f[5];
-  r.offered = parse_double(f[6]);
-  r.seed = parse_u64(f[7]);
-  r.generated = parse_double(f[8]);
-  r.accepted = parse_double(f[9]);
-  r.avg_latency = parse_double(f[10]);
-  r.jain = parse_double(f[11]);
-  r.escape_frac = parse_double(f[12]);
-  r.forced_frac = parse_double(f[13]);
-  r.p99_latency = parse_i64(f[14]);
-  r.cycles = parse_i64(f[15]);
-  r.packets = parse_i64(f[16]);
-  r.num_servers = parse_i64(f[17]);
-  r.dropped = parse_i64(f[18]);
-  r.drained = f[19] == "1" || f[19] == "true";
-  r.completion_time = parse_i64(f[20]);
-  r.series_width = parse_i64(f[21]);
-  r.series = split_series(f[22]);
-  r.extra = f[23];
+  std::size_t i = 0;
+  for_each_field<ResultRecord>(
+      [&](const auto& col) { parse_csv_field(f[i++], r.*col.member); });
   return r;
-}
-
-/// True for the columns serialized as JSON strings (everything else is a
-/// number, boolean or array).
-bool is_string_column(std::size_t col) {
-  return col <= 5 || col == ResultSink::columns().size() - 1;
 }
 
 } // namespace
 
-bool operator==(const ResultRecord& a, const ResultRecord& b) {
-  return a.driver == b.driver && a.task_id == b.task_id && a.kind == b.kind &&
-         a.label == b.label &&
-         a.mechanism == b.mechanism && a.pattern == b.pattern &&
-         a.offered == b.offered && a.seed == b.seed &&
-         a.generated == b.generated && a.accepted == b.accepted &&
-         a.avg_latency == b.avg_latency && a.jain == b.jain &&
-         a.escape_frac == b.escape_frac && a.forced_frac == b.forced_frac &&
-         a.p99_latency == b.p99_latency && a.cycles == b.cycles &&
-         a.packets == b.packets && a.num_servers == b.num_servers &&
-         a.dropped == b.dropped && a.drained == b.drained &&
-         a.completion_time == b.completion_time &&
-         a.series_width == b.series_width && a.series == b.series &&
-         a.extra == b.extra;
-}
-
 ResultSink::ResultSink(std::string driver) : driver_(std::move(driver)) {}
 
 const std::vector<std::string>& ResultSink::columns() {
-  static const std::vector<std::string> cols = {
-      "driver",      "task_id",     "kind",        "label",
-      "mechanism",   "pattern",     "offered",     "seed",
-      "generated",   "accepted",    "avg_latency", "jain",
-      "escape_frac", "forced_frac", "p99_latency", "cycles",
-      "packets",     "num_servers", "dropped",     "drained",
-      "completion_time", "series_width", "series", "extra"};
+  static const std::vector<std::string> cols = [] {
+    std::vector<std::string> names;
+    for_each_field<ResultRecord>(
+        [&](const auto& col) { names.emplace_back(col.name); });
+    return names;
+  }();
   return cols;
 }
 
@@ -530,11 +437,12 @@ std::string ResultSink::csv_header() {
 
 std::string ResultSink::csv_line(const ResultRecord& rec) {
   std::string out;
-  const auto fields = record_fields(rec);
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    if (i) out += ',';
-    out += csv_escape(fields[i]);
-  }
+  bool first = true;
+  for_each_field<ResultRecord>([&](const auto& col) {
+    if (!first) out += ',';
+    first = false;
+    out += csv_escape(csv_field(rec.*col.member));
+  });
   out += '\n';
   return out;
 }
@@ -546,36 +454,12 @@ std::string ResultSink::csv(const std::vector<ResultRecord>& records) {
 }
 
 std::string ResultSink::json(const std::vector<ResultRecord>& records) {
-  const auto& cols = columns();
   std::string out = "[";
   for (std::size_t r = 0; r < records.size(); ++r) {
     out += r ? ",\n " : "\n ";
-    const auto fields = record_fields(records[r]);
-    out += '{';
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-      if (i) out += ',';
-      out += '"';
-      out += cols[i];
-      out += "\":";
-      if (cols[i] == "series") {
-        out += '[';
-        const auto& series = records[r].series;
-        for (std::size_t b = 0; b < series.size(); ++b) {
-          if (b) out += ',';
-          out += fmt_i64(series[b]);
-        }
-        out += ']';
-      } else if (cols[i] == "drained") {
-        out += records[r].drained ? "true" : "false";
-      } else if (is_string_column(i)) {
-        out += '"';
-        out += json_escape_string(fields[i]);
-        out += '"';
-      } else {
-        out += fields[i];
-      }
-    }
-    out += '}';
+    JsonWriter w;
+    hxsp::write_json(w, records[r]);  // not the file-writing member
+    out += w.str();
   }
   out += "\n]\n";
   return out;
@@ -651,27 +535,9 @@ std::vector<ResultRecord> ResultSink::merge(
 
 std::vector<ResultRecord> ResultSink::parse_json(const std::string& text) {
   const JsonValue doc = JsonValue::parse(text);
-  const auto& cols = columns();
-  std::vector<ResultRecord> records;
-  records.reserve(doc.array().size());
-  for (const JsonValue& obj : doc.array()) {
-    std::vector<std::string> fields(cols.size());
-    std::vector<char> seen(cols.size(), 0);
-    for (const auto& [key, value] : obj.object()) {
-      const std::size_t col = static_cast<std::size_t>(
-          std::find(cols.begin(), cols.end(), key) - cols.begin());
-      HXSP_CHECK_MSG(col < cols.size(),
-                     ("unknown key in JSON record: " + key).c_str());
-      HXSP_CHECK_MSG(!seen[col],
-                     ("repeated key in JSON record: " + key).c_str());
-      seen[col] = 1;
-      fields[col] = json_field(value);
-    }
-    for (std::size_t col = 0; col < cols.size(); ++col)
-      HXSP_CHECK_MSG(seen[col],
-                     ("missing key in JSON record: " + cols[col]).c_str());
-    records.push_back(record_from_fields(fields));
-  }
+  std::vector<ResultRecord> records(doc.array().size());
+  for (std::size_t i = 0; i < records.size(); ++i)
+    read_json(doc.array()[i], records[i], "");
   return records;
 }
 

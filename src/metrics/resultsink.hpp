@@ -71,7 +71,31 @@ struct ResultRecord {
   std::string extra; ///< free-form "key=value;key=value" driver payload
 };
 
-bool operator==(const ResultRecord& a, const ResultRecord& b);
+/// Field table: the CSV columns and JSON keys in serialization order, and
+/// equality (util/fields.hpp).
+inline const auto& field_table(const ResultRecord*) {
+  using S = ResultRecord;
+  static const auto table = std::make_tuple(
+      field("driver", &S::driver), field("task_id", &S::task_id),
+      field("kind", &S::kind), field("label", &S::label),
+      field("mechanism", &S::mechanism), field("pattern", &S::pattern),
+      field("offered", &S::offered), field("seed", &S::seed),
+      field("generated", &S::generated), field("accepted", &S::accepted),
+      field("avg_latency", &S::avg_latency), field("jain", &S::jain),
+      field("escape_frac", &S::escape_frac),
+      field("forced_frac", &S::forced_frac),
+      field("p99_latency", &S::p99_latency), field("cycles", &S::cycles),
+      field("packets", &S::packets), field("num_servers", &S::num_servers),
+      field("dropped", &S::dropped), field("drained", &S::drained),
+      field("completion_time", &S::completion_time),
+      field("series_width", &S::series_width), field("series", &S::series),
+      field("extra", &S::extra));
+  return table;
+}
+
+inline bool operator==(const ResultRecord& a, const ResultRecord& b) {
+  return fields_equal(a, b);
+}
 inline bool operator!=(const ResultRecord& a, const ResultRecord& b) {
   return !(a == b);
 }

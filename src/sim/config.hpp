@@ -2,6 +2,7 @@
 /// \file config.hpp
 /// Simulation parameters (paper Table 2) plus engine knobs.
 
+#include "util/fields.hpp"
 #include "util/types.hpp"
 
 namespace hxsp {
@@ -69,19 +70,30 @@ struct SimConfig {
   }
 };
 
-/// Field-wise equality (spec serialization round-trip checks).
+/// Field table: JSON keys, equality (util/fields.hpp).
+inline const auto& field_table(const SimConfig*) {
+  using S = SimConfig;
+  static const auto table = std::make_tuple(
+      field("packet_length", &S::packet_length),
+      field("input_buffer_packets", &S::input_buffer_packets),
+      field("output_buffer_packets", &S::output_buffer_packets),
+      field("link_latency", &S::link_latency),
+      field("xbar_latency", &S::xbar_latency),
+      field("xbar_speedup", &S::xbar_speedup),
+      field("num_vcs", &S::num_vcs),
+      field("server_queue_packets", &S::server_queue_packets),
+      field("watchdog_cycles", &S::watchdog_cycles),
+      // Manifests written before the auditor and telemetry existed lack
+      // these keys; they mean "off", whatever the build default.
+      field_or("audit_interval", &S::audit_interval, 0),
+      field_or("telemetry_window", &S::telemetry_window, 0),
+      field_or("trace_sample", &S::trace_sample, 0),
+      field_or("flight_recorder", &S::flight_recorder, 0));
+  return table;
+}
+
 inline bool operator==(const SimConfig& a, const SimConfig& b) {
-  return a.packet_length == b.packet_length &&
-         a.input_buffer_packets == b.input_buffer_packets &&
-         a.output_buffer_packets == b.output_buffer_packets &&
-         a.link_latency == b.link_latency && a.xbar_latency == b.xbar_latency &&
-         a.xbar_speedup == b.xbar_speedup && a.num_vcs == b.num_vcs &&
-         a.server_queue_packets == b.server_queue_packets &&
-         a.watchdog_cycles == b.watchdog_cycles &&
-         a.audit_interval == b.audit_interval &&
-         a.telemetry_window == b.telemetry_window &&
-         a.trace_sample == b.trace_sample &&
-         a.flight_recorder == b.flight_recorder;
+  return fields_equal(a, b);
 }
 inline bool operator!=(const SimConfig& a, const SimConfig& b) {
   return !(a == b);

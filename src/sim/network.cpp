@@ -379,7 +379,7 @@ void Network::step() {
 
 #ifndef NDEBUG
   if ((now_ & 0x3FF) == 0)
-    for (const auto& r : routers_) r.check_invariants(cfg_);
+    for (const auto& r : routers_) r.audit_local(cfg_);
 #endif
   ++now_;
 }

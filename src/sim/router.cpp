@@ -419,38 +419,4 @@ int Router::buffered_packets() const {
   return n;
 }
 
-void Router::check_invariants(const SimConfig& cfg) const {
-  for (const auto& iv : inputs_) {
-    HXSP_CHECK(iv.occupancy >= 0 && iv.occupancy <= cfg.input_buffer_phits());
-    HXSP_CHECK(iv.q.size * cfg.packet_length <=
-               iv.occupancy + (iv.draining ? cfg.packet_length : 0));
-  }
-  int waiting = 0;
-  for (Port p = 0; p < static_cast<Port>(outputs_.size()); ++p) {
-    const OutputPort& op = outputs_[static_cast<std::size_t>(p)];
-    int score_sum = 0;
-    for (Vc v = 0; v < num_vcs_; ++v) {
-      const OutputVc& ov = output_vc(p, v);
-      HXSP_CHECK(ov.occupancy >= 0 && ov.occupancy <= cfg.output_buffer_phits());
-      HXSP_CHECK(ov.credits >= 0);
-      const int qs = ov.occupancy + (base_credits_ - ov.credits);
-      HXSP_CHECK(out_qs_[vc_index(p, v)] == qs);
-      HXSP_CHECK(out_head_[vc_index(p, v)] ==
-                 (ov.q.empty() ? kNeverReady
-                               : out_front(vc_index(p, v)).buf_head));
-      const bool feasible = ov.credits >= len_ &&
-                            ov.occupancy + len_ <= outbuf_cap_;
-      HXSP_CHECK(((op.feasible_mask >> static_cast<unsigned>(v)) & 1u) ==
-                 (feasible ? 1u : 0u));
-      score_sum += qs;
-    }
-    HXSP_CHECK(op.score_sum == score_sum);
-    waiting += op.waiting;
-    const bool listed = std::binary_search(link_ports_.begin(),
-                                           link_ports_.end(), p);
-    HXSP_CHECK(listed == (op.waiting > 0));
-  }
-  HXSP_CHECK(waiting_total_ == waiting);
-}
-
 } // namespace hxsp

@@ -243,15 +243,12 @@ class Router {
   /// Total packets buffered in this router (inputs + outputs).
   int buffered_packets() const;
 
-  /// Debug invariant sweep: occupancies within bounds, credits sane.
-  void check_invariants(const SimConfig& cfg) const;
-
   /// Auditor (sim/audit.cpp): recomputes every incrementally maintained
   /// router structure from first principles — per-VC qs and per-port score
   /// sums, feasibility masks, out-head caches, waiting counts, the active
   /// input list and its back-pointers, head gates — and aborts on drift.
-  /// Strictly stronger than check_invariants (exact equalities, not
-  /// bounds). Wheel-dependent ledgers (in-flight credits, pending tail
+  /// Debug builds also run it every 1024 cycles (Network::step).
+  /// Wheel-dependent ledgers (in-flight credits, pending tail
   /// departures) are cross-checked by Network::run_audit.
   void audit_local(const SimConfig& cfg) const;
 

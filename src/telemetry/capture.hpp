@@ -16,6 +16,7 @@
 
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
+#include "util/fields.hpp"
 #include "util/types.hpp"
 
 namespace hxsp {
@@ -44,18 +45,26 @@ struct TelemetryCapture {
   bool active() const { return window > 0 || trace_sample > 0; }
 };
 
+/// Field table: equality (util/fields.hpp).
+inline const auto& field_table(const TelemetryCapture*) {
+  using S = TelemetryCapture;
+  static const auto table = std::make_tuple(
+      field("window", &S::window), field("packet_length", &S::packet_length),
+      field("num_servers", &S::num_servers),
+      field("trace_sample", &S::trace_sample),
+      field("trace_dropped", &S::trace_dropped), field("frames", &S::frames),
+      field("links", &S::links), field("vc_grants", &S::vc_grants),
+      field("router_injections", &S::router_injections),
+      field("router_ejections", &S::router_ejections),
+      field("router_escape_entries", &S::router_escape_entries),
+      field("router_credit_stalls", &S::router_credit_stalls),
+      field("router_occupancy_hwm", &S::router_occupancy_hwm),
+      field("hops", &S::hops));
+  return table;
+}
+
 inline bool operator==(const TelemetryCapture& a, const TelemetryCapture& b) {
-  return a.window == b.window && a.packet_length == b.packet_length &&
-         a.num_servers == b.num_servers &&
-         a.trace_sample == b.trace_sample &&
-         a.trace_dropped == b.trace_dropped && a.frames == b.frames &&
-         a.links == b.links && a.vc_grants == b.vc_grants &&
-         a.router_injections == b.router_injections &&
-         a.router_ejections == b.router_ejections &&
-         a.router_escape_entries == b.router_escape_entries &&
-         a.router_credit_stalls == b.router_credit_stalls &&
-         a.router_occupancy_hwm == b.router_occupancy_hwm &&
-         a.hops == b.hops;
+  return fields_equal(a, b);
 }
 
 inline bool operator!=(const TelemetryCapture& a, const TelemetryCapture& b) {

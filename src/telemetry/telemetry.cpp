@@ -11,24 +11,6 @@
 
 namespace hxsp {
 
-bool operator==(const TelemetryFrame& a, const TelemetryFrame& b) {
-  return a.window == b.window && a.start == b.start && a.end == b.end &&
-         a.injected == b.injected && a.consumed == b.consumed &&
-         a.consumed_phits == b.consumed_phits &&
-         a.p50_latency == b.p50_latency && a.p99_latency == b.p99_latency &&
-         a.hops_routing == b.hops_routing && a.hops_escape == b.hops_escape &&
-         a.hops_forced == b.hops_forced &&
-         a.escape_entries == b.escape_entries &&
-         a.credit_stalls == b.credit_stalls && a.link_phits == b.link_phits &&
-         a.link_max_phits == b.link_max_phits &&
-         a.occupancy_hwm == b.occupancy_hwm;
-}
-
-bool operator==(const LinkWindowSeries& a, const LinkWindowSeries& b) {
-  return a.sw == b.sw && a.port == b.port && a.to == b.to &&
-         a.phits == b.phits && a.total == b.total;
-}
-
 TelemetryRegistry::TelemetryRegistry(const Graph& g, Cycle window,
                                      int num_vcs)
     : graph_(&g), window_(window), link_window_(g) {

@@ -24,6 +24,7 @@
 #include "metrics/linkstats.hpp"
 #include "metrics/stats.hpp"
 #include "topology/graph.hpp"
+#include "util/fields.hpp"
 #include "util/types.hpp"
 
 namespace hxsp {
@@ -50,7 +51,30 @@ struct TelemetryFrame {
   std::int64_t occupancy_hwm = 0;   ///< input-VC occupancy high-water mark
 };
 
-bool operator==(const TelemetryFrame& a, const TelemetryFrame& b);
+/// Field table: equality (util/fields.hpp).
+inline const auto& field_table(const TelemetryFrame*) {
+  using S = TelemetryFrame;
+  static const auto table = std::make_tuple(
+      field("window", &S::window), field("start", &S::start),
+      field("end", &S::end), field("injected", &S::injected),
+      field("consumed", &S::consumed),
+      field("consumed_phits", &S::consumed_phits),
+      field("p50_latency", &S::p50_latency),
+      field("p99_latency", &S::p99_latency),
+      field("hops_routing", &S::hops_routing),
+      field("hops_escape", &S::hops_escape),
+      field("hops_forced", &S::hops_forced),
+      field("escape_entries", &S::escape_entries),
+      field("credit_stalls", &S::credit_stalls),
+      field("link_phits", &S::link_phits),
+      field("link_max_phits", &S::link_max_phits),
+      field("occupancy_hwm", &S::occupancy_hwm));
+  return table;
+}
+
+inline bool operator==(const TelemetryFrame& a, const TelemetryFrame& b) {
+  return fields_equal(a, b);
+}
 
 /// Per-window phit series of one directed switch-to-switch link, the
 /// rows behind the `--preset=telemetry` heatmap. Only populated when the
@@ -63,7 +87,18 @@ struct LinkWindowSeries {
   std::int64_t total = 0;          ///< cumulative over the run
 };
 
-bool operator==(const LinkWindowSeries& a, const LinkWindowSeries& b);
+/// Field table: equality (util/fields.hpp).
+inline const auto& field_table(const LinkWindowSeries*) {
+  using S = LinkWindowSeries;
+  static const auto table = std::make_tuple(
+      field("sw", &S::sw), field("port", &S::port), field("to", &S::to),
+      field("phits", &S::phits), field("total", &S::total));
+  return table;
+}
+
+inline bool operator==(const LinkWindowSeries& a, const LinkWindowSeries& b) {
+  return fields_equal(a, b);
+}
 
 /// Cumulative per-router instruments (whole run, not windowed).
 struct RouterCounters {

@@ -9,11 +9,6 @@
 
 namespace hxsp {
 
-bool operator==(const TraceHop& a, const TraceHop& b) {
-  return a.cycle == b.cycle && a.packet == b.packet && a.node == b.node &&
-         a.port == b.port && a.vc == b.vc && a.event == b.event;
-}
-
 const char* trace_event_name(TraceEvent e) {
   switch (e) {
     case TraceEvent::kInject: return "inject";

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "util/check.hpp"
+#include "util/fields.hpp"
 #include "util/types.hpp"
 
 namespace hxsp {
@@ -41,7 +42,18 @@ struct TraceHop {
   TraceEvent event = TraceEvent::kInject;
 };
 
-bool operator==(const TraceHop& a, const TraceHop& b);
+/// Field table: equality (util/fields.hpp).
+inline const auto& field_table(const TraceHop*) {
+  static const auto table = std::make_tuple(
+      field("cycle", &TraceHop::cycle), field("packet", &TraceHop::packet),
+      field("node", &TraceHop::node), field("port", &TraceHop::port),
+      field("vc", &TraceHop::vc), field("event", &TraceHop::event));
+  return table;
+}
+
+inline bool operator==(const TraceHop& a, const TraceHop& b) {
+  return fields_equal(a, b);
+}
 
 /// Per-Network hop recorder. Constructed only when
 /// `SimConfig::trace_sample > 0`; record() is called behind the owner's

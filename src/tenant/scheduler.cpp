@@ -7,16 +7,6 @@
 
 namespace hxsp {
 
-bool operator==(const JobSpec& a, const JobSpec& b) {
-  return a.workload == b.workload && a.demand == b.demand &&
-         a.arrival == b.arrival && a.deadline == b.deadline;
-}
-
-bool operator==(const MultitenantParams& a, const MultitenantParams& b) {
-  return a.placement == b.placement &&
-         a.isolated_baseline == b.isolated_baseline && a.jobs == b.jobs;
-}
-
 TenantScheduler::TenantScheduler(const MultitenantParams& params,
                                  std::vector<std::vector<Message>> job_msgs,
                                  ServerId num_servers, int servers_per_switch,

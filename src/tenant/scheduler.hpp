@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "tenant/placement.hpp"
+#include "util/fields.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
 #include "workload/run.hpp"
@@ -47,7 +48,18 @@ struct JobSpec {
   Cycle deadline = 0;
 };
 
-bool operator==(const JobSpec& a, const JobSpec& b);
+/// Field table: JSON keys, equality (util/fields.hpp).
+inline const auto& field_table(const JobSpec*) {
+  static const auto table = std::make_tuple(
+      field("demand", &JobSpec::demand), field("arrival", &JobSpec::arrival),
+      field("deadline", &JobSpec::deadline),
+      field("workload", &JobSpec::workload));
+  return table;
+}
+
+inline bool operator==(const JobSpec& a, const JobSpec& b) {
+  return fields_equal(a, b);
+}
 inline bool operator!=(const JobSpec& a, const JobSpec& b) { return !(a == b); }
 
 /// Parameters of one multi-tenant simulation. Pure data (TaskSpec kind
@@ -58,7 +70,19 @@ struct MultitenantParams {
   std::vector<JobSpec> jobs;
 };
 
-bool operator==(const MultitenantParams& a, const MultitenantParams& b);
+/// Field table: JSON keys, equality (util/fields.hpp).
+inline const auto& field_table(const MultitenantParams*) {
+  using S = MultitenantParams;
+  static const auto table = std::make_tuple(
+      field("placement", &S::placement),
+      field("isolated_baseline", &S::isolated_baseline),
+      field("jobs", &S::jobs));
+  return table;
+}
+
+inline bool operator==(const MultitenantParams& a, const MultitenantParams& b) {
+  return fields_equal(a, b);
+}
 inline bool operator!=(const MultitenantParams& a, const MultitenantParams& b) {
   return !(a == b);
 }

@@ -115,9 +115,6 @@ class DistanceTable final : public DistanceProvider {
     return &d_[static_cast<std::size_t>(a) * n_];
   }
 
-  /// Legacy name for row_ptr (direct users of the dense table).
-  const std::uint8_t* row(SwitchId a) const { return row_ptr(a); }
-
   SwitchId num_switches() const override { return static_cast<SwitchId>(n_); }
 
   bool connected() const override { return connected_; }

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "topology/hyperx.hpp"
+#include "util/fields.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
 
@@ -46,9 +47,16 @@ struct TrafficParams {
   int hotspot_count = 1;         ///< number of hot servers (spread evenly)
 };
 
+/// Field table: JSON keys, equality (util/fields.hpp).
+inline const auto& field_table(const TrafficParams*) {
+  static const auto table = std::make_tuple(
+      field("hotspot_fraction", &TrafficParams::hotspot_fraction),
+      field("hotspot_count", &TrafficParams::hotspot_count));
+  return table;
+}
+
 inline bool operator==(const TrafficParams& a, const TrafficParams& b) {
-  return a.hotspot_fraction == b.hotspot_fraction &&
-         a.hotspot_count == b.hotspot_count;
+  return fields_equal(a, b);
 }
 inline bool operator!=(const TrafficParams& a, const TrafficParams& b) {
   return !(a == b);

@@ -48,11 +48,6 @@ const std::string& JsonValue::as_string() const {
   return scalar_;
 }
 
-const std::string& JsonValue::number_token() const {
-  HXSP_CHECK_MSG(kind_ == Kind::kNumber, "JSON value is not a number");
-  return scalar_;
-}
-
 const std::vector<JsonValue>& JsonValue::array() const {
   HXSP_CHECK_MSG(kind_ == Kind::kArray, "JSON value is not an array");
   return array_;

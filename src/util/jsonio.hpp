@@ -33,9 +33,6 @@ class JsonValue {
   std::uint64_t as_u64() const;
   int as_int() const;
   const std::string& as_string() const;
-  /// Raw textual token of a number value, exactly as parsed — lets a
-  /// caller keep a number without any reformatting loss.
-  const std::string& number_token() const;
   const std::vector<JsonValue>& array() const;
   const std::vector<std::pair<std::string, JsonValue>>& object() const;
 

@@ -1,7 +1,6 @@
 #include "util/table.hpp"
 
 #include <cstdio>
-#include <fstream>
 
 #include "util/check.hpp"
 
@@ -54,31 +53,6 @@ std::string Table::str() const {
   out += '\n';
   for (const auto& r : rows_) emit_row(r, out);
   return out;
-}
-
-namespace {
-std::string csv_escape(const std::string& v) {
-  if (v.find_first_of(",\"\n") == std::string::npos) return v;
-  std::string out = "\"";
-  for (char ch : v) {
-    if (ch == '"') out += "\"\"";
-    else out += ch;
-  }
-  out += '"';
-  return out;
-}
-} // namespace
-
-bool Table::write_csv(const std::string& path) const {
-  std::ofstream f(path);
-  if (!f) return false;
-  for (std::size_t c = 0; c < headers_.size(); ++c)
-    f << csv_escape(headers_[c]) << (c + 1 < headers_.size() ? "," : "\n");
-  for (const auto& r : rows_) {
-    for (std::size_t c = 0; c < r.size(); ++c)
-      f << csv_escape(r[c]) << (c + 1 < r.size() ? "," : "\n");
-  }
-  return static_cast<bool>(f);
 }
 
 } // namespace hxsp

@@ -1,9 +1,9 @@
 #pragma once
 /// \file table.hpp
-/// Console table and CSV emitters used by the benchmark harness.
+/// Console table emitter used by the benchmark harness.
 ///
-/// Every bench prints (a) an aligned human-readable table mirroring the
-/// paper's figures/tables and (b) optionally a CSV file for plotting.
+/// Every bench prints an aligned human-readable table mirroring the
+/// paper's figures/tables; CSV files go through ResultSink.
 
 #include <string>
 #include <vector>
@@ -31,9 +31,6 @@ class Table {
 
   /// Renders the aligned table to a string (header + separator + rows).
   std::string str() const;
-
-  /// Writes the table as CSV to \p path. Returns false on I/O error.
-  bool write_csv(const std::string& path) const;
 
   /// Number of data rows so far.
   std::size_t num_rows() const { return rows_.size(); }

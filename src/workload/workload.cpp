@@ -10,16 +10,6 @@
 
 namespace hxsp {
 
-bool operator==(const Message& a, const Message& b) {
-  return a.src == b.src && a.dst == b.dst && a.packets == b.packets &&
-         a.phase == b.phase && a.deps == b.deps;
-}
-
-bool operator==(const WorkloadParams& a, const WorkloadParams& b) {
-  return a.name == b.name && a.msg_packets == b.msg_packets &&
-         a.rounds == b.rounds && a.fanout == b.fanout && a.trace == b.trace;
-}
-
 int workload_num_phases(const std::vector<Message>& msgs) {
   int top = -1;
   for (const Message& m : msgs) top = std::max(top, m.phase);

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "util/fields.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
 
@@ -40,7 +41,18 @@ struct Message {
   std::vector<std::int32_t> deps;  ///< indices into the message list
 };
 
-bool operator==(const Message& a, const Message& b);
+/// Field table: equality (util/fields.hpp).
+inline const auto& field_table(const Message*) {
+  static const auto table = std::make_tuple(
+      field("src", &Message::src), field("dst", &Message::dst),
+      field("packets", &Message::packets), field("phase", &Message::phase),
+      field("deps", &Message::deps));
+  return table;
+}
+
+inline bool operator==(const Message& a, const Message& b) {
+  return fields_equal(a, b);
+}
 inline bool operator!=(const Message& a, const Message& b) { return !(a == b); }
 
 /// Parameters selecting and shaping a workload. Pure data: rides inside
@@ -54,7 +66,19 @@ struct WorkloadParams {
   std::string trace;              ///< JSONL path (name == "trace")
 };
 
-bool operator==(const WorkloadParams& a, const WorkloadParams& b);
+/// Field table: JSON keys, equality (util/fields.hpp).
+inline const auto& field_table(const WorkloadParams*) {
+  using S = WorkloadParams;
+  static const auto table = std::make_tuple(
+      field("name", &S::name), field("msg_packets", &S::msg_packets),
+      field("rounds", &S::rounds), field("fanout", &S::fanout),
+      field("trace", &S::trace));
+  return table;
+}
+
+inline bool operator==(const WorkloadParams& a, const WorkloadParams& b) {
+  return fields_equal(a, b);
+}
 inline bool operator!=(const WorkloadParams& a, const WorkloadParams& b) {
   return !(a == b);
 }

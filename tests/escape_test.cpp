@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/escape_updown.hpp"
 #include "test_util.hpp"
 #include "topology/builders.hpp"
@@ -187,6 +189,13 @@ struct EscapeSweepParam {
   int faults;
   bool strict;
 };
+
+// Without this gtest prints the raw bytes, padding after `strict`
+// included, and ctest names each case after the printed value.
+void PrintTo(const EscapeSweepParam& p, std::ostream* os) {
+  *os << "seed" << p.seed << "_faults" << p.faults
+      << (p.strict ? "_strict" : "_memoryless");
+}
 
 class EscapeLivenessSweep : public ::testing::TestWithParam<EscapeSweepParam> {};
 

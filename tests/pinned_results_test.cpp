@@ -63,6 +63,52 @@ std::vector<TaskSpec> pinned_tasks() {
   return tasks;
 }
 
+/// \p t with every field moved off its default (only a rate task keeps its
+/// default kind), so a dropped, renamed or reordered key changes the
+/// pinned manifest below.
+TaskSpec with_every_field_set(TaskSpec t) {
+  ExperimentSpec& s = t.spec;
+  s.sides = {4, 3, 2};
+  s.servers_per_switch = 3;
+  s.mechanism = "omnisp";
+  s.pattern = "hotspot";
+  s.traffic_params.hotspot_fraction = 0.25;
+  s.traffic_params.hotspot_count = 3;
+  s.sim.packet_length = 8;
+  s.sim.input_buffer_packets = 6;
+  s.sim.output_buffer_packets = 3;
+  s.sim.link_latency = 2;
+  s.sim.xbar_latency = 3;
+  s.sim.xbar_speedup = 4;
+  s.sim.num_vcs = 5;
+  s.sim.server_queue_packets = 7;
+  s.sim.watchdog_cycles = 12345;
+  s.sim.audit_interval = 256;
+  s.sim.telemetry_window = 64;
+  s.sim.trace_sample = 3;
+  s.sim.flight_recorder = 32;
+  s.fault_links = {2, 9};
+  s.escape_root = 5;
+  s.escape_strict_phase = false;
+  s.escape_shortcuts = false;
+  s.escape_penalties = {101, 91, 71, 61, 41};
+  s.warmup = 111;
+  s.measure = 222;
+  s.seed = 0xFEEDFACECAFEBEEFull;  // above INT64_MAX: pins unsigned output
+  t.offered = 0.3;
+  t.packets_per_server = 17;
+  t.bucket_width = 250;
+  t.max_cycles = 9999;
+  t.events = {{400, 5}, {700, 20}};
+  t.workload_params = {"random", 3, 2, 5, "w.jsonl"};
+  JobSpec first{{"alltoall", 5, 3, 4, "a.jsonl"}, 16, 7, 900};
+  JobSpec second{{"shuffle", 6, 4, 3, "b.jsonl"}, 8, 60, 1200};
+  t.multitenant_params = {"random", false, {first, second}};
+  t.label = "lbl \"q\", x";
+  t.extra = "k=v;n=2";
+  return t;
+}
+
 TEST(PinnedResults, EveryKindReproducesItsRecordedRows) {
   const std::vector<std::vector<std::string>> expected = {
       {"pinned,pinned/000000,rate,,PolSP,uniform,0.80000000000000004,7,"
@@ -132,6 +178,254 @@ TEST(PinnedResults, HotspotsReproduceTheirRecordedLinks) {
                   hot[i].port, hot[i].to, hot[i].load);
     EXPECT_EQ(buf, expected[i]) << "entry " << i;
   }
+}
+
+TEST(PinnedResults, ManifestWithEveryFieldSetIsRecorded) {
+  std::vector<TaskSpec> tasks = pinned_tasks();
+  for (TaskSpec& t : tasks) t = with_every_field_set(t);
+  const std::string expected =
+      "[{\"id\":\"pinned/000000\",\"kind\":\"rate\",\"label\":\"lbl \\\"q\\\","
+      " x\",\"extra\":\"k=v;n=2\",\"offered\":0.29999999999999999,"
+      "\"packets_per_server\":17,\"bucket_width\":250,\"max_cycles\":9999,"
+      "\"events\":[{\"at\":400,\"link\":5},{\"at\":700,\"link\":20}],"
+      "\"workload\":{\"name\":\"random\",\"msg_packets\":3,\"rounds\":2,"
+      "\"fanout\":5,\"trace\":\"w.jsonl\"},"
+      "\"multitenant\":{\"placement\":\"random\",\"isolated_baseline\":false,"
+      "\"jobs\":[{\"demand\":16,\"arrival\":7,\"deadline\":900,"
+      "\"workload\":{\"name\":\"alltoall\",\"msg_packets\":5,\"rounds\":3,"
+      "\"fanout\":4,\"trace\":\"a.jsonl\"}},{\"demand\":8,\"arrival\":60,"
+      "\"deadline\":1200,\"workload\":{\"name\":\"shuffle\",\"msg_packets\":6,"
+      "\"rounds\":4,\"fanout\":3,\"trace\":\"b.jsonl\"}}]},"
+      "\"spec\":{\"sides\":[4,3,2],\"servers_per_switch\":3,"
+      "\"mechanism\":\"omnisp\",\"pattern\":\"hotspot\","
+      "\"traffic_params\":{\"hotspot_fraction\":0.25,\"hotspot_count\":3},"
+      "\"sim\":{\"packet_length\":8,\"input_buffer_packets\":6,"
+      "\"output_buffer_packets\":3,\"link_latency\":2,\"xbar_latency\":3,"
+      "\"xbar_speedup\":4,\"num_vcs\":5,\"server_queue_packets\":7,"
+      "\"watchdog_cycles\":12345,\"audit_interval\":256,"
+      "\"telemetry_window\":64,\"trace_sample\":3,\"flight_recorder\":32},"
+      "\"fault_links\":[2,9],\"escape_root\":5,\"escape_strict_phase\":false,"
+      "\"escape_shortcuts\":false,\"escape_penalties\":{\"up\":101,\"down\":91,"
+      "\"red1\":71,\"red2\":61,\"red3\":41},\"warmup\":111,\"measure\":222,"
+      "\"seed\":18369614221190020847}},{\"id\":\"pinned/000001\","
+      "\"kind\":\"completion\",\"label\":\"lbl \\\"q\\\", x\","
+      "\"extra\":\"k=v;n=2\",\"offered\":0.29999999999999999,"
+      "\"packets_per_server\":17,\"bucket_width\":250,\"max_cycles\":9999,"
+      "\"events\":[{\"at\":400,\"link\":5},{\"at\":700,\"link\":20}],"
+      "\"workload\":{\"name\":\"random\",\"msg_packets\":3,\"rounds\":2,"
+      "\"fanout\":5,\"trace\":\"w.jsonl\"},"
+      "\"multitenant\":{\"placement\":\"random\",\"isolated_baseline\":false,"
+      "\"jobs\":[{\"demand\":16,\"arrival\":7,\"deadline\":900,"
+      "\"workload\":{\"name\":\"alltoall\",\"msg_packets\":5,\"rounds\":3,"
+      "\"fanout\":4,\"trace\":\"a.jsonl\"}},{\"demand\":8,\"arrival\":60,"
+      "\"deadline\":1200,\"workload\":{\"name\":\"shuffle\",\"msg_packets\":6,"
+      "\"rounds\":4,\"fanout\":3,\"trace\":\"b.jsonl\"}}]},"
+      "\"spec\":{\"sides\":[4,3,2],\"servers_per_switch\":3,"
+      "\"mechanism\":\"omnisp\",\"pattern\":\"hotspot\","
+      "\"traffic_params\":{\"hotspot_fraction\":0.25,\"hotspot_count\":3},"
+      "\"sim\":{\"packet_length\":8,\"input_buffer_packets\":6,"
+      "\"output_buffer_packets\":3,\"link_latency\":2,\"xbar_latency\":3,"
+      "\"xbar_speedup\":4,\"num_vcs\":5,\"server_queue_packets\":7,"
+      "\"watchdog_cycles\":12345,\"audit_interval\":256,"
+      "\"telemetry_window\":64,\"trace_sample\":3,\"flight_recorder\":32},"
+      "\"fault_links\":[2,9],\"escape_root\":5,\"escape_strict_phase\":false,"
+      "\"escape_shortcuts\":false,\"escape_penalties\":{\"up\":101,\"down\":91,"
+      "\"red1\":71,\"red2\":61,\"red3\":41},\"warmup\":111,\"measure\":222,"
+      "\"seed\":18369614221190020847}},{\"id\":\"pinned/000002\","
+      "\"kind\":\"dynamic\",\"label\":\"lbl \\\"q\\\", x\","
+      "\"extra\":\"k=v;n=2\",\"offered\":0.29999999999999999,"
+      "\"packets_per_server\":17,\"bucket_width\":250,\"max_cycles\":9999,"
+      "\"events\":[{\"at\":400,\"link\":5},{\"at\":700,\"link\":20}],"
+      "\"workload\":{\"name\":\"random\",\"msg_packets\":3,\"rounds\":2,"
+      "\"fanout\":5,\"trace\":\"w.jsonl\"},"
+      "\"multitenant\":{\"placement\":\"random\",\"isolated_baseline\":false,"
+      "\"jobs\":[{\"demand\":16,\"arrival\":7,\"deadline\":900,"
+      "\"workload\":{\"name\":\"alltoall\",\"msg_packets\":5,\"rounds\":3,"
+      "\"fanout\":4,\"trace\":\"a.jsonl\"}},{\"demand\":8,\"arrival\":60,"
+      "\"deadline\":1200,\"workload\":{\"name\":\"shuffle\",\"msg_packets\":6,"
+      "\"rounds\":4,\"fanout\":3,\"trace\":\"b.jsonl\"}}]},"
+      "\"spec\":{\"sides\":[4,3,2],\"servers_per_switch\":3,"
+      "\"mechanism\":\"omnisp\",\"pattern\":\"hotspot\","
+      "\"traffic_params\":{\"hotspot_fraction\":0.25,\"hotspot_count\":3},"
+      "\"sim\":{\"packet_length\":8,\"input_buffer_packets\":6,"
+      "\"output_buffer_packets\":3,\"link_latency\":2,\"xbar_latency\":3,"
+      "\"xbar_speedup\":4,\"num_vcs\":5,\"server_queue_packets\":7,"
+      "\"watchdog_cycles\":12345,\"audit_interval\":256,"
+      "\"telemetry_window\":64,\"trace_sample\":3,\"flight_recorder\":32},"
+      "\"fault_links\":[2,9],\"escape_root\":5,\"escape_strict_phase\":false,"
+      "\"escape_shortcuts\":false,\"escape_penalties\":{\"up\":101,\"down\":91,"
+      "\"red1\":71,\"red2\":61,\"red3\":41},\"warmup\":111,\"measure\":222,"
+      "\"seed\":18369614221190020847}},{\"id\":\"pinned/000003\","
+      "\"kind\":\"workload\",\"label\":\"lbl \\\"q\\\", x\","
+      "\"extra\":\"k=v;n=2\",\"offered\":0.29999999999999999,"
+      "\"packets_per_server\":17,\"bucket_width\":250,\"max_cycles\":9999,"
+      "\"events\":[{\"at\":400,\"link\":5},{\"at\":700,\"link\":20}],"
+      "\"workload\":{\"name\":\"random\",\"msg_packets\":3,\"rounds\":2,"
+      "\"fanout\":5,\"trace\":\"w.jsonl\"},"
+      "\"multitenant\":{\"placement\":\"random\",\"isolated_baseline\":false,"
+      "\"jobs\":[{\"demand\":16,\"arrival\":7,\"deadline\":900,"
+      "\"workload\":{\"name\":\"alltoall\",\"msg_packets\":5,\"rounds\":3,"
+      "\"fanout\":4,\"trace\":\"a.jsonl\"}},{\"demand\":8,\"arrival\":60,"
+      "\"deadline\":1200,\"workload\":{\"name\":\"shuffle\",\"msg_packets\":6,"
+      "\"rounds\":4,\"fanout\":3,\"trace\":\"b.jsonl\"}}]},"
+      "\"spec\":{\"sides\":[4,3,2],\"servers_per_switch\":3,"
+      "\"mechanism\":\"omnisp\",\"pattern\":\"hotspot\","
+      "\"traffic_params\":{\"hotspot_fraction\":0.25,\"hotspot_count\":3},"
+      "\"sim\":{\"packet_length\":8,\"input_buffer_packets\":6,"
+      "\"output_buffer_packets\":3,\"link_latency\":2,\"xbar_latency\":3,"
+      "\"xbar_speedup\":4,\"num_vcs\":5,\"server_queue_packets\":7,"
+      "\"watchdog_cycles\":12345,\"audit_interval\":256,"
+      "\"telemetry_window\":64,\"trace_sample\":3,\"flight_recorder\":32},"
+      "\"fault_links\":[2,9],\"escape_root\":5,\"escape_strict_phase\":false,"
+      "\"escape_shortcuts\":false,\"escape_penalties\":{\"up\":101,\"down\":91,"
+      "\"red1\":71,\"red2\":61,\"red3\":41},\"warmup\":111,\"measure\":222,"
+      "\"seed\":18369614221190020847}},{\"id\":\"pinned/000004\","
+      "\"kind\":\"multitenant\",\"label\":\"lbl \\\"q\\\", x\","
+      "\"extra\":\"k=v;n=2\",\"offered\":0.29999999999999999,"
+      "\"packets_per_server\":17,\"bucket_width\":250,\"max_cycles\":9999,"
+      "\"events\":[{\"at\":400,\"link\":5},{\"at\":700,\"link\":20}],"
+      "\"workload\":{\"name\":\"random\",\"msg_packets\":3,\"rounds\":2,"
+      "\"fanout\":5,\"trace\":\"w.jsonl\"},"
+      "\"multitenant\":{\"placement\":\"random\",\"isolated_baseline\":false,"
+      "\"jobs\":[{\"demand\":16,\"arrival\":7,\"deadline\":900,"
+      "\"workload\":{\"name\":\"alltoall\",\"msg_packets\":5,\"rounds\":3,"
+      "\"fanout\":4,\"trace\":\"a.jsonl\"}},{\"demand\":8,\"arrival\":60,"
+      "\"deadline\":1200,\"workload\":{\"name\":\"shuffle\",\"msg_packets\":6,"
+      "\"rounds\":4,\"fanout\":3,\"trace\":\"b.jsonl\"}}]},"
+      "\"spec\":{\"sides\":[4,3,2],\"servers_per_switch\":3,"
+      "\"mechanism\":\"omnisp\",\"pattern\":\"hotspot\","
+      "\"traffic_params\":{\"hotspot_fraction\":0.25,\"hotspot_count\":3},"
+      "\"sim\":{\"packet_length\":8,\"input_buffer_packets\":6,"
+      "\"output_buffer_packets\":3,\"link_latency\":2,\"xbar_latency\":3,"
+      "\"xbar_speedup\":4,\"num_vcs\":5,\"server_queue_packets\":7,"
+      "\"watchdog_cycles\":12345,\"audit_interval\":256,"
+      "\"telemetry_window\":64,\"trace_sample\":3,\"flight_recorder\":32},"
+      "\"fault_links\":[2,9],\"escape_root\":5,\"escape_strict_phase\":false,"
+      "\"escape_shortcuts\":false,\"escape_penalties\":{\"up\":101,\"down\":91,"
+      "\"red1\":71,\"red2\":61,\"red3\":41},\"warmup\":111,\"measure\":222,"
+      "\"seed\":18369614221190020847}}]\n";
+  const std::string manifest = manifest_to_json(tasks);
+  EXPECT_EQ(manifest, expected);
+  EXPECT_EQ(manifest_from_json(manifest), tasks);
+}
+
+TEST(PinnedResults, JsonOfEveryKindIsRecorded) {
+  const std::string expected =
+      "[\n {\"driver\":\"pinned\",\"task_id\":\"pinned/000000\","
+      "\"kind\":\"rate\",\"label\":\"\",\"mechanism\":\"PolSP\","
+      "\"pattern\":\"uniform\",\"offered\":0.80000000000000004,\"seed\":7,"
+      "\"generated\":0.80500000000000005,\"accepted\":0.79666666666666663,"
+      "\"avg_latency\":77.10251046025104,\"jain\":0.97003276561772334,"
+      "\"escape_frac\":0.064955474070193822,\"forced_frac\":0,"
+      "\"p99_latency\":200,\"cycles\":600,\"packets\":956,\"num_servers\":0,"
+      "\"dropped\":0,\"drained\":false,\"completion_time\":0,"
+      "\"series_width\":0,\"series\":[],\"extra\":\"\"},"
+      "\n {\"driver\":\"pinned\",\"task_id\":\"pinned/000001\","
+      "\"kind\":\"completion\",\"label\":\"\",\"mechanism\":\"PolSP\","
+      "\"pattern\":\"uniform\",\"offered\":0,\"seed\":7,\"generated\":0,"
+      "\"accepted\":0,\"avg_latency\":0,\"jain\":0,\"escape_frac\":0,"
+      "\"forced_frac\":0,\"p99_latency\":0,\"cycles\":0,\"packets\":0,"
+      "\"num_servers\":32,\"dropped\":0,\"drained\":true,"
+      "\"completion_time\":457,\"series_width\":200,\"series\":[4928,4976,336],"
+      "\"extra\":\"\"},\n {\"driver\":\"pinned\",\"task_id\":\"pinned/000002\","
+      "\"kind\":\"dynamic\",\"label\":\"\",\"mechanism\":\"PolSP\","
+      "\"pattern\":\"uniform\",\"offered\":0.59999999999999998,\"seed\":7,"
+      "\"generated\":0.56499999999999995,\"accepted\":0.57583333333333331,"
+      "\"avg_latency\":42.726483357452963,\"jain\":0.95665456846030905,"
+      "\"escape_frac\":0.040832049306625574,\"forced_frac\":0,"
+      "\"p99_latency\":120,\"cycles\":600,\"packets\":691,\"num_servers\":32,"
+      "\"dropped\":0,\"drained\":false,\"completion_time\":0,"
+      "\"series_width\":500,\"series\":[8704,7408],\"extra\":\"\"},"
+      "\n {\"driver\":\"pinned\",\"task_id\":\"pinned/000003\","
+      "\"kind\":\"workload\",\"label\":\"\",\"mechanism\":\"PolSP\","
+      "\"pattern\":\"ring_allreduce\",\"offered\":0,\"seed\":7,\"generated\":0,"
+      "\"accepted\":0,\"avg_latency\":38.33064516129032,\"jain\":0,"
+      "\"escape_frac\":0,\"forced_frac\":0,\"p99_latency\":56,\"cycles\":0,"
+      "\"packets\":3968,\"num_servers\":32,\"dropped\":0,\"drained\":true,"
+      "\"completion_time\":2426,\"series_width\":500,\"series\":[13168,13328,"
+      "13456,13328,10208],"
+      "\"extra\":\"messages=1984;p50_msg=36;phase_cycles=52|86|128|172|206|242|"
+      "282|316|352|418|452|500|550|596|630|666|700|744|778|816|850|890|924|972|"
+      "1006|1052|1086|1124|1158|1196|1230|1266|1300|1351|1385|1423|1457|1498|15"
+      "32|1570|1604|1640|1684|1718|1786|1820|1858|1892|1930|1964|2002|2036|2074"
+      "|2114|2148|2190|2224|2270|2304|2355|2389|2425\"},"
+      "\n {\"driver\":\"pinned\",\"task_id\":\"pinned/000004\","
+      "\"kind\":\"tenant\",\"label\":\"\",\"mechanism\":\"PolSP\","
+      "\"pattern\":\"alltoall\",\"offered\":0,\"seed\":7,\"generated\":0,"
+      "\"accepted\":0,\"avg_latency\":47.487499999999997,\"jain\":0,"
+      "\"escape_frac\":0,\"forced_frac\":0,\"p99_latency\":73,\"cycles\":801,"
+      "\"packets\":480,\"num_servers\":16,\"dropped\":0,\"drained\":true,"
+      "\"completion_time\":801,\"series_width\":0,\"series\":[],"
+      "\"extra\":\"placement=random;job=0;demand=16;arrival=0;admitted=0;queue_"
+      "wait=0;span=801;isolated=733;slowdown=1.0927694406548432;p50_msg=44;mess"
+      "ages=240;deadline=none\"},\n {\"driver\":\"pinned\","
+      "\"task_id\":\"pinned/000004\",\"kind\":\"tenant\",\"label\":\"\","
+      "\"mechanism\":\"PolSP\",\"pattern\":\"ring_allreduce\",\"offered\":0,"
+      "\"seed\":7,\"generated\":0,\"accepted\":0,"
+      "\"avg_latency\":41.053571428571431,\"jain\":0,\"escape_frac\":0,"
+      "\"forced_frac\":0,\"p99_latency\":57,\"cycles\":583,\"packets\":224,"
+      "\"num_servers\":8,\"dropped\":0,\"drained\":true,"
+      "\"completion_time\":633,\"series_width\":0,\"series\":[],"
+      "\"extra\":\"placement=random;job=1;demand=8;arrival=50;admitted=50;queue"
+      "_wait=0;span=583;isolated=559;slowdown=1.0429338103756709;p50_msg=38;mes"
+      "sages=112;deadline=none\"},\n {\"driver\":\"pinned\","
+      "\"task_id\":\"pinned/000004\",\"kind\":\"tenant\",\"label\":\"\","
+      "\"mechanism\":\"PolSP\",\"pattern\":\"shuffle\",\"offered\":0,"
+      "\"seed\":7,\"generated\":0,\"accepted\":0,"
+      "\"avg_latency\":39.727272727272727,\"jain\":0,\"escape_frac\":0,"
+      "\"forced_frac\":0,\"p99_latency\":51,\"cycles\":53,\"packets\":22,"
+      "\"num_servers\":12,\"dropped\":0,\"drained\":true,"
+      "\"completion_time\":685,\"series_width\":0,\"series\":[],"
+      "\"extra\":\"placement=random;job=2;demand=12;arrival=100;admitted=632;qu"
+      "eue_wait=532;span=53;isolated=41;slowdown=1.2926829268292683;p50_msg=38;"
+      "messages=11;deadline=none\"},\n {\"driver\":\"pinned\","
+      "\"task_id\":\"pinned/000004\",\"kind\":\"multitenant\",\"label\":\"\","
+      "\"mechanism\":\"PolSP\",\"pattern\":\"random\",\"offered\":0,\"seed\":7,"
+      "\"generated\":0,\"accepted\":0,\"avg_latency\":0,\"jain\":0,"
+      "\"escape_frac\":0,\"forced_frac\":0,\"p99_latency\":0,\"cycles\":0,"
+      "\"packets\":726,\"num_servers\":32,\"dropped\":0,\"drained\":true,"
+      "\"completion_time\":801,\"series_width\":500,\"series\":[8144,3472],"
+      "\"extra\":\"placement=random;jobs=3\"}\n]\n";
+  ResultSink sink("pinned");
+  for (const TaskSpec& t : pinned_tasks()) sink.add(t, run_task(t));
+  EXPECT_EQ(sink.json(), expected);
+  EXPECT_EQ(ResultSink::parse_json(sink.json()), sink.records());
+}
+
+TEST(PinnedResults, ManifestWithoutLaterKeysReadsThemAsOff) {
+  // The rate task as manifests wrote it before the auditor, telemetry and
+  // the multitenant kind: no audit_interval, telemetry_window,
+  // trace_sample, flight_recorder or multitenant key.
+  const std::string old =
+      "[{\"id\":\"pinned/000000\",\"kind\":\"rate\",\"label\":\"\","
+      "\"extra\":\"\",\"offered\":0.80000000000000004,\"packets_per_server\":0,"
+      "\"bucket_width\":1000,\"max_cycles\":0,\"events\":[],"
+      "\"workload\":{\"name\":\"alltoall\",\"msg_packets\":4,\"rounds\":1,"
+      "\"fanout\":2,\"trace\":\"\"},\"spec\":{\"sides\":[4,4],"
+      "\"servers_per_switch\":2,\"mechanism\":\"polsp\","
+      "\"pattern\":\"uniform\","
+      "\"traffic_params\":{\"hotspot_fraction\":0.10000000000000001,"
+      "\"hotspot_count\":1},\"sim\":{\"packet_length\":16,"
+      "\"input_buffer_packets\":8,\"output_buffer_packets\":4,"
+      "\"link_latency\":1,\"xbar_latency\":1,\"xbar_speedup\":2,\"num_vcs\":4,"
+      "\"server_queue_packets\":8,\"watchdog_cycles\":50000},"
+      "\"fault_links\":[0,3,11],\"escape_root\":0,\"escape_strict_phase\":true,"
+      "\"escape_shortcuts\":true,\"escape_penalties\":{\"up\":112,\"down\":96,"
+      "\"red1\":80,\"red2\":64,\"red3\":48},\"warmup\":300,\"measure\":600,"
+      "\"seed\":7}}]\n";
+  const std::vector<TaskSpec> tasks = manifest_from_json(old);
+  ASSERT_EQ(tasks.size(), 1u);
+  const TaskSpec& t = tasks[0];
+  // Absent means off, whatever the build default (HXSP_AUDIT builds
+  // default audit_interval to 1024).
+  EXPECT_EQ(t.spec.sim.audit_interval, 0);
+  EXPECT_EQ(t.spec.sim.telemetry_window, 0);
+  EXPECT_EQ(t.spec.sim.trace_sample, 0);
+  EXPECT_EQ(t.spec.sim.flight_recorder, 0);
+  EXPECT_EQ(t.multitenant_params, MultitenantParams{});
+  TaskSpec expected = pinned_tasks()[0];
+  expected.spec.sim.audit_interval = 0;
+  EXPECT_EQ(t, expected);
 }
 
 } // namespace

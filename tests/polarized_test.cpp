@@ -73,7 +73,7 @@ TEST(Polarized, Table1ExhaustiveOn2D) {
 
 TEST(Polarized, MinimalHopAlwaysOfferedFaultFree) {
   // In a fault-free Hamming graph some candidate always exists while
-  // c != t (see DESIGN.md); in particular a hop decreasing d(c,t).
+  // c != t (paper §3.1.2); in particular a hop decreasing d(c,t).
   auto t = make_net(3, 3);
   PolarizedAlgorithm algo;
   std::vector<PortCand> out;

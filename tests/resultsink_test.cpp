@@ -318,6 +318,17 @@ TEST(ResultSink, JsonRecordWithRepeatedOrMissingKeyIsRejected) {
                "missing key in JSON record: extra");
 }
 
+TEST(ResultSink, JsonRecordWithUnknownKeyIsRejected) {
+  ResultSink sink("d");
+  sink.add(sample_rate_record());
+  std::string json = sink.json();
+  const std::size_t at = json.find("\"extra\":");
+  ASSERT_NE(at, std::string::npos);
+  json.insert(at, "\"extra2\":\"x\",");
+  EXPECT_DEATH(ResultSink::parse_json(json),
+               "unknown key in JSON record: extra2");
+}
+
 // ---------------------------------------------------------------------------
 // The distributed-layer primitives: per-line serialization, the lenient
 // checkpoint parser, and the shard merge.

@@ -79,6 +79,11 @@ struct ShapeParam {
   int side;
 };
 
+// Readable ctest names instead of gtest's raw-byte print.
+void PrintTo(const ShapeParam& p, std::ostream* os) {
+  *os << p.dims << "d_side" << p.side;
+}
+
 class HyperXShapes : public ::testing::TestWithParam<ShapeParam> {};
 
 TEST_P(HyperXShapes, StructuralInvariants) {
@@ -184,6 +189,11 @@ struct RegularParam {
   int degree;
   int seed;
 };
+
+// Readable ctest names instead of gtest's raw-byte print.
+void PrintTo(const RegularParam& p, std::ostream* os) {
+  *os << "n" << p.n << "_degree" << p.degree << "_seed" << p.seed;
+}
 
 class RandomRegularSweep : public ::testing::TestWithParam<RegularParam> {};
 

@@ -179,6 +179,38 @@ TEST(TaskSpecCodec, ManifestRoundTrips) {
   EXPECT_EQ(manifest_to_json(back), manifest);
 }
 
+/// \p json with the first \p from replaced by \p to.
+std::string edited(std::string json, const std::string& from,
+                   const std::string& to) {
+  const std::size_t at = json.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return at == std::string::npos ? json : json.replace(at, from.size(), to);
+}
+
+TEST(TaskSpecCodec, MalformedManifestFailsNamingTheKeyPath) {
+  TaskSpec task = TaskSpec::rate(small_spec(), 0.5);
+  task.events = {{400, 2}};
+  const std::string good = manifest_to_json({task});
+  ASSERT_EQ(manifest_from_json(good).size(), 1u);
+  // A misspelled knob must not read as "telemetry off".
+  EXPECT_DEATH(manifest_from_json(edited(good, "\"telemetry_window\"",
+                                         "\"telemetry_windw\"")),
+               "unknown key in JSON record: spec\\.sim\\.telemetry_windw");
+  EXPECT_DEATH(manifest_from_json(edited(good, "\"label\":",
+                                         "\"bogus\":1,\"label\":")),
+               "unknown key in JSON record: bogus");
+  EXPECT_DEATH(manifest_from_json(edited(good, "\"seed\":7",
+                                         "\"seed\":7,\"seed\":8")),
+               "repeated key in JSON record: spec\\.seed");
+  EXPECT_DEATH(manifest_from_json(edited(good, "\"num_vcs\":4,", "")),
+               "missing key in JSON record: spec\\.sim\\.num_vcs");
+  EXPECT_DEATH(manifest_from_json(edited(good, "\"link\":2", "\"lnk\":2")),
+               "unknown key in JSON record: events\\[0\\]\\.lnk");
+  EXPECT_DEATH(manifest_from_json(edited(good, "\"num_vcs\":4",
+                                         "\"num_vcs\":\"4\"")),
+               "wrong JSON type for key: spec\\.sim\\.num_vcs");
+}
+
 // ---------------------------------------------------------------------------
 // spec -> JSON -> spec -> identical results: the acceptance criterion.
 // ---------------------------------------------------------------------------

@@ -200,19 +200,5 @@ TEST(Table, FormatsDoubles) {
   EXPECT_EQ(format_double(1.0 / 3.0, 2), "0.33");
 }
 
-TEST(Table, WritesCsvWithEscaping) {
-  Table t({"a", "b"});
-  t.row().cell("plain").cell("has,comma");
-  const std::string path = testing::TempDir() + "/hxsp_table_test.csv";
-  ASSERT_TRUE(t.write_csv(path));
-  FILE* f = fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  char buf[256];
-  ASSERT_NE(fgets(buf, sizeof buf, f), nullptr); // header
-  ASSERT_NE(fgets(buf, sizeof buf, f), nullptr); // row
-  EXPECT_NE(std::string(buf).find("\"has,comma\""), std::string::npos);
-  fclose(f);
-}
-
 } // namespace
 } // namespace hxsp
