@@ -50,7 +50,6 @@ int main(int argc, char** argv) {
                 "(saturation, uniform)",
                 base);
 
-  Table t({"base", "policy", "accepted", "generated", "escape_frac"});
   ResultSink sink("ablation_crout_policy");
   bench::run_grid(grid, common, sink,
                   [&](std::size_t gi, const TaskSpec&, const TaskResult& result) {
@@ -58,8 +57,6 @@ int main(int argc, char** argv) {
     const ResultRow& r = *task_result_row(result);
     std::printf("base=%-7s policy=%-9s acc=%.3f gen=%.3f esc=%.3f\n", c.base,
                 c.policy, r.accepted, r.generated, r.escape_frac);
-    t.row().cell(c.base).cell(c.policy).cell(r.accepted, 4)
-        .cell(r.generated, 4).cell(r.escape_frac, 4);
     std::fflush(stdout);
   });
   std::printf("\nShipped defaults: OmniSP = free, PolSP = rung (the best cell\n"

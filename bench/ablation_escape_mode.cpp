@@ -49,7 +49,6 @@ int main(int argc, char** argv) {
                 "vs strict up*/down* phases (default)",
                 base);
 
-  Table t({"mode", "mechanism", "offered", "accepted", "escape_frac"});
   ResultSink sink("ablation_escape_mode");
   bench::run_grid(grid, common, sink,
                   [&](std::size_t gi, const TaskSpec&, const TaskResult& result) {
@@ -57,8 +56,6 @@ int main(int argc, char** argv) {
     const ResultRow& r = *task_result_row(result);
     std::printf("%-10s %-8s offered=%.1f acc=%.3f esc=%.3f\n", mode,
                 r.mechanism.c_str(), r.offered, r.accepted, r.escape_frac);
-    t.row().cell(mode).cell(r.mechanism).cell(r.offered, 2)
-        .cell(r.accepted, 4).cell(r.escape_frac, 4);
     std::fflush(stdout);
   });
   std::printf("\nExpectation: identical below saturation; at saturation the\n"

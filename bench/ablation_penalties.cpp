@@ -68,7 +68,6 @@ int main(int argc, char** argv) {
                 "similar performance')",
                 base);
 
-  Table t({"scale", "mechanism", "scenario", "accepted", "escape_frac"});
   ResultSink sink("ablation_penalties");
   bench::run_grid(grid, common, sink,
                   [&](std::size_t gi, const TaskSpec&, const TaskResult& result) {
@@ -77,8 +76,6 @@ int main(int argc, char** argv) {
     const char* scenario = c.faulty ? "cross-fault" : "fault-free";
     std::printf("scale=%.2f %-8s %-11s acc=%.3f esc=%.3f\n", c.scale,
                 r.mechanism.c_str(), scenario, r.accepted, r.escape_frac);
-    t.row().cell(format_double(c.scale, 2)).cell(r.mechanism).cell(scenario)
-        .cell(r.accepted, 4).cell(r.escape_frac, 4);
     std::fflush(stdout);
   });
   bench::persist(opt, sink, "ablation_penalties");

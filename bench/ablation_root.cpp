@@ -69,7 +69,6 @@ int main(int argc, char** argv) {
 
   bench::banner("Ablation — escape root placement under Star faults", base);
 
-  Table t({"root", "mechanism", "pattern", "accepted", "escape_frac"});
   ResultSink sink("ablation_root");
   bench::run_grid(grid, common, sink,
                   [&](std::size_t gi, const TaskSpec&, const TaskResult& result) {
@@ -79,8 +78,6 @@ int main(int argc, char** argv) {
     std::printf("root=%-12s %-8s %-8s acc=%.3f esc=%.3f\n", rc.name,
                 r.mechanism.c_str(), c.pattern.c_str(), r.accepted,
                 r.escape_frac);
-    t.row().cell(rc.name).cell(r.mechanism).cell(c.pattern)
-        .cell(r.accepted, 4).cell(r.escape_frac, 4);
     std::fflush(stdout);
   });
   std::printf("\nExpectation: moving the root away from the heavily faulted\n"

@@ -61,8 +61,6 @@ int main(int argc, char** argv) {
   bench::banner("Ablation — escape with vs without opportunistic shortcuts",
                 base);
 
-  Table t({"shortcuts", "mechanism", "scenario", "accepted", "escape_frac",
-           "forced_frac"});
   ResultSink sink("ablation_shortcuts");
   bench::run_grid(grid, common, sink,
                   [&](std::size_t gi, const TaskSpec&, const TaskResult& result) {
@@ -72,8 +70,6 @@ int main(int argc, char** argv) {
     std::printf("shortcuts=%d %-8s %-11s acc=%.3f esc=%.3f forced=%.4f\n",
                 static_cast<int>(c.shortcuts), r.mechanism.c_str(), scenario,
                 r.accepted, r.escape_frac, r.forced_frac);
-    t.row().cell(c.shortcuts ? "on" : "off").cell(r.mechanism).cell(scenario)
-        .cell(r.accepted, 4).cell(r.escape_frac, 4).cell(r.forced_frac, 4);
     std::fflush(stdout);
   });
   std::printf("\nExpectation: disabling shortcuts hurts most under faults,\n"

@@ -55,7 +55,6 @@ int main(int argc, char** argv) {
                 "need 2n",
                 base);
 
-  Table t({"vcs", "mechanism", "pattern", "accepted", "escape_frac"});
   ResultSink sink("ablation_vcs");
   bench::run_grid(grid, common, sink,
                   [&](std::size_t gi, const TaskSpec&, const TaskResult& result) {
@@ -64,8 +63,6 @@ int main(int argc, char** argv) {
     std::printf("vcs=%d %-10s %-8s acc=%.3f esc=%.3f\n", c.vcs,
                 r.mechanism.c_str(), c.pattern.c_str(), r.accepted,
                 r.escape_frac);
-    t.row().cell(static_cast<long>(c.vcs)).cell(r.mechanism).cell(c.pattern)
-        .cell(r.accepted, 4).cell(r.escape_frac, 4);
     std::fflush(stdout);
   });
   std::printf("\nExpectation: OmniSP/PolSP at 4 VCs match or beat the 6-VC\n"

@@ -37,6 +37,11 @@ namespace hxsp::bench {
 /// --emit-tasks[=file] manifest emission, plus registration of the
 /// --csv/--json/--seed keys so warn_unknown() (called here, last) knows
 /// them. Construct AFTER all driver-specific option reads.
+///
+/// In-process runs (run_grid) keep no telemetry capture, so
+/// --telemetry-window/--trace-sample there only cost stepping time; a
+/// note on stderr points to the --emit-tasks | hxsp_runner workflow,
+/// which writes the telemetry and trace artefacts.
 struct CommonOptions {
   int jobs = 0;
   int step_threads = 0;
@@ -54,6 +59,14 @@ struct CommonOptions {
     emit_tasks = opt.has("emit-tasks");
     emit_path = opt.get("emit-tasks", "");
     if (emit_path == "1") emit_path.clear();  // bare flag / --emit-tasks=1
+    const bool observed = opt.get_int("telemetry-window", 0) > 0 ||
+                          opt.get_int("trace-sample", 0) > 0;
+    if (observed && !emit_tasks)
+      std::fprintf(stderr,
+                   "note: --telemetry-window/--trace-sample record nothing "
+                   "in an in-process run; write the grid with --emit-tasks "
+                   "and run it with hxsp_runner --telemetry-csv, --trace-out "
+                   "or --trace-jsonl\n");
     opt.warn_unknown();
   }
 };
@@ -313,12 +326,12 @@ inline ShapeGrid build_shape_grid(const std::string& driver,
 
 /// Runs a ShapeGrid, printing one row per shape run (shape name padded to
 /// \p name_width) with its degradation against the most recent healthy
-/// reference, and appending every run to \p t and \p sink. The healthy /
-/// degradation comparison is console-and-table context only — persisted
-/// records carry task-local fields, so shard outputs merge cleanly; the
-/// plotting pipeline recomputes degradation from the healthy rows.
+/// reference, and appending every run to \p sink. The healthy /
+/// degradation comparison is console context only — persisted records
+/// carry task-local fields, so shard outputs merge cleanly; the plotting
+/// pipeline recomputes degradation from the healthy rows.
 inline void run_shape_grid(const ShapeGrid& sg, const CommonOptions& common,
-                           int name_width, Table& t, ResultSink& sink) {
+                           int name_width, ResultSink& sink) {
   double healthy = 0.0;  // most recent healthy reference
   run_grid(sg.grid, common, sink,
            [&](std::size_t gi, const TaskSpec&, const TaskResult& result) {
@@ -335,9 +348,6 @@ inline void run_shape_grid(const ShapeGrid& sg, const CommonOptions& common,
                 name_width, shape.name, c.pattern.c_str(), r.mechanism.c_str(),
                 shape.fault.links.size(), r.accepted, healthy, 100 * deg,
                 r.escape_frac);
-    t.row().cell(shape.name).cell(static_cast<long>(shape.fault.links.size()))
-        .cell(r.mechanism).cell(c.pattern).cell(r.accepted, 4)
-        .cell(healthy, 4).cell(deg, 4).cell(r.escape_frac, 4);
     std::fflush(stdout);
   });
 }

@@ -69,7 +69,6 @@ int main(int argc, char** argv) {
   bench::banner("Extension — online link failures with live BFS recovery",
                 base);
 
-  Table t({"mechanism", "mode", "accepted", "dropped", "escape_frac"});
   ResultSink sink("ext_dynamic_faults");
   bench::run_grid(grid, common, sink,
                   [&](std::size_t, const TaskSpec&, const TaskResult& result) {
@@ -82,15 +81,10 @@ int main(int argc, char** argv) {
       for (std::size_t b = 0; b < dyn->series.num_buckets(); ++b)
         std::printf("%.2f ", dyn->series.rate(b, dyn->num_servers));
       std::printf("\n");
-      t.row().cell(dyn->row.mechanism).cell("dynamic")
-          .cell(dyn->row.accepted, 4).cell(dyn->dropped)
-          .cell(dyn->row.escape_frac, 4);
     } else {
       const ResultRow& ref = std::get<ResultRow>(result);
       std::printf("%s static reference: accepted=%.3f esc=%.3f\n\n",
                   ref.mechanism.c_str(), ref.accepted, ref.escape_frac);
-      t.row().cell(ref.mechanism).cell("static").cell(ref.accepted, 4)
-          .cell(0L).cell(ref.escape_frac, 4);
     }
     std::fflush(stdout);
   });

@@ -203,19 +203,16 @@ int main(int argc, char** argv) {
   for (const auto& m : mixes) std::printf("%s ", m.c_str());
   std::printf("| servers=%d\n\n", num_servers);
 
-  Table t({"placement", "mix", "fault_frac", "fault_mode", "drained",
-           "makespan", "max_wait", "max_p99", "max_slowdown"});
   ResultSink sink("ext_multitenant");
   bench::run_grid(grid, common, sink,
                   [&](std::size_t gi, const TaskSpec& task,
                       const TaskResult& result) {
     const Cell& c = cells[gi];
     const MultitenantResult& res = std::get<MultitenantResult>(result);
-    Cycle max_wait = 0, max_p99 = 0;
+    Cycle max_wait = 0;
     double max_slow = 0;
     for (const TenantJobStats& st : res.jobs) {
       max_wait = std::max(max_wait, st.queue_wait());
-      max_p99 = std::max(max_p99, st.p99_msg_latency);
       max_slow = std::max(max_slow, st.slowdown);
     }
     std::printf("%-11s %-6s frac=%-5g %-9s %s makespan=%8ld  wait=%6ld  "
@@ -224,13 +221,6 @@ int main(int argc, char** argv) {
                 modes[c.mode].c_str(), res.drained ? "drained " : "DEADLINE",
                 static_cast<long>(res.completion_time),
                 static_cast<long>(max_wait), max_slow);
-    t.row().cell(res.placement).cell(task.label).cell(fracs[c.frac], 3)
-        .cell(modes[c.mode])
-        .cell(res.drained ? 1L : 0L)
-        .cell(static_cast<long>(res.completion_time))
-        .cell(static_cast<long>(max_wait))
-        .cell(static_cast<long>(max_p99))
-        .cell(max_slow, 3);
     std::fflush(stdout);
   });
   std::printf("\nExpectation: contiguous placement contains a targeted fault\n"

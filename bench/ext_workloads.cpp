@@ -102,14 +102,12 @@ int main(int argc, char** argv) {
   std::printf("| msg=%d pkts | servers=%d\n\n", wparams.msg_packets,
               scratch.num_servers());
 
-  Table t({"workload", "mechanism", "fault_frac", "faults", "drained",
-           "completion", "p99_msg", "phases"});
   ResultSink sink("ext_workloads");
   // Healthy (first-fraction) completion per (workload, mech): console
   // degradation context, recomputable from the CSV by the plot preset.
   std::map<std::pair<std::size_t, std::size_t>, Cycle> healthy;
   bench::run_grid(grid, common, sink,
-                  [&](std::size_t gi, const TaskSpec& task,
+                  [&](std::size_t gi, const TaskSpec&,
                       const TaskResult& result) {
     const Cell& c = cells[gi];
     const WorkloadResult& res = std::get<WorkloadResult>(result);
@@ -125,12 +123,6 @@ int main(int argc, char** argv) {
                 res.drained ? "drained " : "DEADLINE",
                 static_cast<long>(res.completion_time),
                 static_cast<long>(res.p99_msg_latency), slowdown);
-    t.row().cell(res.workload).cell(res.mechanism).cell(fracs[c.frac], 3)
-        .cell(static_cast<long>(task.spec.fault_links.size()))
-        .cell(res.drained ? 1L : 0L)
-        .cell(static_cast<long>(res.completion_time))
-        .cell(static_cast<long>(res.p99_msg_latency))
-        .cell(static_cast<long>(res.phase_cycles.size()));
     std::fflush(stdout);
   });
   std::printf("\nExpectation: completion time degrades gracefully with the\n"

@@ -109,8 +109,6 @@ int main(int argc, char** argv) {
   std::printf("Paper shape: smooth degradation; Uniform drops roughly 0.9 to "
               "0.8 over the sweep, other patterns barely move.\n");
 
-  Table t({"dims", "faults", "mechanism", "pattern", "accepted", "escape_frac",
-           "forced_frac"});
   ResultSink sink("fig06_random_faults");
   bench::run_grid(grid, common, sink,
                   [&](std::size_t gi, const TaskSpec&, const TaskResult& result) {
@@ -125,9 +123,6 @@ int main(int argc, char** argv) {
     std::printf("%-8d %-10s %-14s acc=%.3f esc=%.3f forced=%.4f\n", c.faults,
                 r.mechanism.c_str(), c.pattern.c_str(), r.accepted,
                 r.escape_frac, r.forced_frac);
-    t.row().cell(static_cast<long>(c.dims)).cell(static_cast<long>(c.faults))
-        .cell(r.mechanism).cell(c.pattern).cell(r.accepted, 4)
-        .cell(r.escape_frac, 4).cell(r.forced_frac, 4);
     std::fflush(stdout);
   });
   bench::persist(opt, sink, "fig06_random_faults");

@@ -54,11 +54,8 @@ int main(int argc, char** argv) {
                 "(root inside the fault set)",
                 base);
 
-  Table t({"shape", "faulty_links", "mechanism", "pattern", "accepted",
-           "healthy", "degradation", "escape_frac"});
-
   ResultSink sink("fig08_2d_shapes");
-  bench::run_shape_grid(sg, common, 9, t, sink);
+  bench::run_shape_grid(sg, common, 9, sink);
   std::printf("\nPaper shape check: Row and Subplane cost ~11%%; Cross is the\n"
               "stressful one (root loses 2/3 of its links), with the largest\n"
               "drop under Uniform (~37%% in the paper).\n");

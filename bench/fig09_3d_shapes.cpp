@@ -54,11 +54,9 @@ int main(int argc, char** argv) {
                 g.alive_degree(center));
   }
 
-  Table t({"shape", "faulty_links", "mechanism", "pattern", "accepted",
-           "healthy", "degradation", "escape_frac"});
 
   ResultSink sink("fig09_3d_shapes");
-  bench::run_shape_grid(sg, common, 8, t, sink);
+  bench::run_shape_grid(sg, common, 8, sink);
   std::printf("\nPaper shape check: Row/Subcube behave like the 2D case; the\n"
               "RPN pattern keeps PolSP ahead except under Star faults, where\n"
               "in-cast at the 3-link root changes the picture (see Fig 10).\n");

@@ -53,7 +53,6 @@ int main(int argc, char** argv) {
                 "(every server sends " + std::to_string(phits) + " phits)",
                 base);
 
-  Table t({"mechanism", "bucket_start", "throughput"});
   ResultSink sink("fig10_completion");
   std::vector<std::pair<std::string, Cycle>> completions;
   bench::run_grid(grid, common, sink,
@@ -70,8 +69,6 @@ int main(int argc, char** argv) {
           res.series.rate(b, static_cast<double>(res.num_servers));
       std::printf("  %8ld  %.4f\n",
                   static_cast<long>(res.series.bucket_start(b)), rate);
-      t.row().cell(res.mechanism)
-          .cell(static_cast<long>(res.series.bucket_start(b))).cell(rate, 4);
     }
     std::fflush(stdout);
   });

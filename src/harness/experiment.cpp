@@ -142,14 +142,41 @@ ResultRow Experiment::rate_row(double offered, const Network& net) const {
   return row;
 }
 
-std::pair<ResultRow, std::vector<LinkStats::Entry>>
+namespace {
+
+/// The \p n links of \p net that sent the most phits since the window
+/// opened, hottest first, each normalised by the window's \p cycles.
+std::vector<LinkLoad> hottest_links(const Network& net, int n, Cycle cycles) {
+  HXSP_CHECK(cycles > 0);
+  const Graph& g = *net.ctx().graph;
+  std::vector<LinkLoad> all;
+  for (SwitchId s = 0; s < g.num_switches(); ++s) {
+    for (Port p = 0; p < g.degree(s); ++p) {
+      const std::int64_t v = net.router(s).link_phits(p);
+      if (v == 0) continue;
+      all.push_back({s, p, g.port(s, p).neighbor,
+                     static_cast<double>(v) / static_cast<double>(cycles)});
+    }
+  }
+  const std::size_t keep =
+      std::min<std::size_t>(all.size(), static_cast<std::size_t>(n));
+  std::partial_sort(
+      all.begin(), all.begin() + static_cast<std::ptrdiff_t>(keep), all.end(),
+      [](const LinkLoad& a, const LinkLoad& b) { return a.load > b.load; });
+  all.resize(keep);
+  return all;
+}
+
+} // namespace
+
+std::pair<ResultRow, std::vector<LinkLoad>>
 Experiment::run_load_hotspots(double offered, int top_n) {
   RunPlan plan;
   plan.seed = rng_.fork(0x10AD).next_u64();
   plan.start = [offered](Network& net) { net.set_offered_load(offered); };
   const std::unique_ptr<Network> net = simulate(plan);
-  std::vector<LinkStats::Entry> hot;
-  if (top_n > 0) hot = net->link_stats().hottest(top_n, spec_.measure);
+  std::vector<LinkLoad> hot;
+  if (top_n > 0) hot = hottest_links(*net, top_n, spec_.measure);
   return {rate_row(offered, *net), hot};
 }
 

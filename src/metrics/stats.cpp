@@ -41,9 +41,20 @@ Cycle LatencyHistogram::percentile(double p) const {
   return static_cast<Cycle>(buckets_.size() * static_cast<std::size_t>(width_));
 }
 
-void LatencyHistogram::reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  count_ = 0;
+void LatencyHistogram::subtract(const LatencyHistogram& base) {
+  HXSP_CHECK(base.width_ == width_ && base.buckets_.size() == buckets_.size());
+  for (std::size_t b = 0; b < buckets_.size(); ++b)
+    buckets_[b] -= base.buckets_[b];
+  count_ -= base.count_;
+}
+
+MetricTally MetricTally::since(const MetricTally& base) const {
+  MetricTally d = *this;
+  d.consumed -= base.consumed;
+  d.latency_sum -= base.latency_sum;
+  for (std::size_t k = 0; k < hops.size(); ++k) d.hops[k] -= base.hops[k];
+  d.latency.subtract(base.latency);
+  return d;
 }
 
 void SimMetrics::configure(ServerId num_servers, int packet_length) {
@@ -56,17 +67,13 @@ void SimMetrics::begin_window(Cycle now) {
   window_start_ = now;
   window_end_ = -1;
   std::fill(generated_phits_.begin(), generated_phits_.end(), 0);
-  window_consumed_phits_ = 0;
-  window_consumed_packets_ = 0;
-  latency_sum_ = 0;
-  latency_count_ = 0;
-  hops_routing_ = hops_escape_ = hops_forced_ = 0;
-  hist_.reset();
+  window_begin_ = tally_;
 }
 
 void SimMetrics::end_window(Cycle now) {
   HXSP_CHECK(window_start_ >= 0 && now > window_start_);
   window_end_ = now;
+  window_ = tally_.since(window_begin_);
 }
 
 void SimMetrics::on_generated(ServerId src, Cycle /*now*/) {
@@ -76,14 +83,9 @@ void SimMetrics::on_generated(ServerId src, Cycle /*now*/) {
 }
 
 void SimMetrics::on_consumed(ServerId /*dst*/, Cycle created, Cycle now) {
-  ++total_consumed_packets_;
-  if (in_window()) {
-    window_consumed_phits_ += packet_length_;
-    ++window_consumed_packets_;
-    latency_sum_ += now - created;
-    ++latency_count_;
-    hist_.add(now - created);
-  }
+  ++tally_.consumed;
+  tally_.latency_sum += now - created;
+  tally_.latency.add(now - created);
 }
 
 Cycle SimMetrics::window_cycles() const {
@@ -93,7 +95,7 @@ Cycle SimMetrics::window_cycles() const {
 double SimMetrics::accepted_load() const {
   const Cycle c = window_cycles();
   if (c <= 0 || num_servers_ == 0) return 0.0;
-  return static_cast<double>(window_consumed_phits_) /
+  return static_cast<double>(window_.consumed * packet_length_) /
          (static_cast<double>(c) * static_cast<double>(num_servers_));
 }
 
@@ -107,22 +109,25 @@ double SimMetrics::generated_load() const {
 }
 
 double SimMetrics::avg_latency() const {
-  if (latency_count_ == 0) return 0.0;
-  return static_cast<double>(latency_sum_) / static_cast<double>(latency_count_);
+  if (window_.consumed == 0) return 0.0;
+  return static_cast<double>(window_.latency_sum) /
+         static_cast<double>(window_.consumed);
 }
 
 double SimMetrics::jain() const { return jain_index(generated_phits_); }
 
 double SimMetrics::escape_hop_fraction() const {
-  const std::int64_t total = hops_routing_ + hops_escape_ + hops_forced_;
+  const auto& [routing, escape, forced] = window_.hops;
+  const std::int64_t total = routing + escape + forced;
   if (total == 0) return 0.0;
-  return static_cast<double>(hops_escape_ + hops_forced_) / static_cast<double>(total);
+  return static_cast<double>(escape + forced) / static_cast<double>(total);
 }
 
 double SimMetrics::forced_hop_fraction() const {
-  const std::int64_t total = hops_routing_ + hops_escape_ + hops_forced_;
+  const auto& [routing, escape, forced] = window_.hops;
+  const std::int64_t total = routing + escape + forced;
   if (total == 0) return 0.0;
-  return static_cast<double>(hops_forced_) / static_cast<double>(total);
+  return static_cast<double>(forced) / static_cast<double>(total);
 }
 
 } // namespace hxsp

@@ -3,7 +3,15 @@
 /// Performance metrics collected during a simulation (paper §4):
 /// average accepted throughput, average message latency and the Jain
 /// fairness index of per-server *generated* load.
+///
+/// Where each instrument quantity is counted, once: consumed packets,
+/// packet latency (sum and histogram) and hop kinds in SimMetrics'
+/// cumulative MetricTally (consume events and allocator grants, both
+/// serial); per-link phits by the sending Router in its link phase
+/// (sim/router.hpp). The measurement window and every telemetry frame
+/// are differences between snapshots of these counts.
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -33,8 +41,9 @@ class LatencyHistogram {
   /// containing it; returns -1 when empty.
   Cycle percentile(double p) const;
 
-  /// Clears all samples.
-  void reset();
+  /// Removes the samples of \p base, an earlier snapshot of this
+  /// histogram (same bucket layout).
+  void subtract(const LatencyHistogram& base);
 
  private:
   int width_;
@@ -49,8 +58,23 @@ enum class HopKind {
   Forced   ///< escape chosen because no routing candidate existed (§3)
 };
 
+/// Cumulative counts behind both the measurement window (ResultRow) and
+/// the telemetry frames. They are counted once, from the start of the
+/// run, and never reset: any window is since() between two snapshots.
+struct MetricTally {
+  std::int64_t consumed = 0;    ///< packets consumed (packet_length phits each)
+  std::int64_t latency_sum = 0; ///< their creation-to-consumption cycles
+  std::array<std::int64_t, 3> hops{}; ///< switch hops, indexed by HopKind
+  LatencyHistogram latency;     ///< the same latencies, bucketed
+
+  /// What was counted after \p base, an earlier snapshot of this tally.
+  MetricTally since(const MetricTally& base) const;
+};
+
 /// Aggregated counters for one simulation. A measurement window restricts
-/// throughput/latency/Jain to the steady-state portion of the run.
+/// the results to the steady-state portion of the run: the tally's
+/// difference between begin_window and end_window, plus the per-server
+/// generated phits (generated_load, Jain), which are counted in-window.
 class SimMetrics {
  public:
   SimMetrics() = default;
@@ -58,7 +82,7 @@ class SimMetrics {
   /// Must be called before the simulation starts.
   void configure(ServerId num_servers, int packet_length);
 
-  /// Opens the measurement window at cycle \p now (resets window counters).
+  /// Opens the measurement window at cycle \p now (snapshots the tally).
   void begin_window(Cycle now);
 
   /// Closes the measurement window at cycle \p now.
@@ -73,14 +97,10 @@ class SimMetrics {
 
   /// A switch-to-switch hop of the given kind was granted. Inline: this
   /// fires once per grant, deep in the engine's per-cycle hot path.
-  void on_hop(HopKind kind) {
-    if (!in_window()) return;
-    switch (kind) {
-      case HopKind::Routing: ++hops_routing_; break;
-      case HopKind::Escape: ++hops_escape_; break;
-      case HopKind::Forced: ++hops_forced_; break;
-    }
-  }
+  void on_hop(HopKind kind) { ++tally_.hops[static_cast<std::size_t>(kind)]; }
+
+  /// Everything counted since the start of the simulation.
+  const MetricTally& tally() const { return tally_; }
 
   // --- results (valid after end_window) ----------------------------------
 
@@ -98,10 +118,10 @@ class SimMetrics {
   double jain() const;
 
   /// Packets consumed inside the window.
-  std::int64_t consumed_packets() const { return window_consumed_packets_; }
+  std::int64_t consumed_packets() const { return window_.consumed; }
 
   /// Packets consumed since the start of the simulation.
-  std::int64_t total_consumed_packets() const { return total_consumed_packets_; }
+  std::int64_t total_consumed_packets() const { return tally_.consumed; }
 
   /// Packets generated since the start of the simulation.
   std::int64_t total_generated_packets() const { return total_generated_packets_; }
@@ -113,7 +133,7 @@ class SimMetrics {
   double forced_hop_fraction() const;
 
   /// The latency histogram for in-window consumptions.
-  const LatencyHistogram& latency_histogram() const { return hist_; }
+  const LatencyHistogram& latency_histogram() const { return window_.latency; }
 
   /// Window length in cycles (0 while the window is open).
   Cycle window_cycles() const;
@@ -127,16 +147,10 @@ class SimMetrics {
   Cycle window_end_ = -1;
 
   std::vector<std::int64_t> generated_phits_; ///< per server, in-window
-  std::int64_t window_consumed_phits_ = 0;
-  std::int64_t window_consumed_packets_ = 0;
-  std::int64_t total_consumed_packets_ = 0;
   std::int64_t total_generated_packets_ = 0;
-  std::int64_t latency_sum_ = 0;
-  std::int64_t latency_count_ = 0;
-  std::int64_t hops_routing_ = 0;
-  std::int64_t hops_escape_ = 0;
-  std::int64_t hops_forced_ = 0;
-  LatencyHistogram hist_;
+  MetricTally tally_;        ///< cumulative
+  MetricTally window_begin_; ///< tally_ at begin_window
+  MetricTally window_;       ///< tally_ since window_begin_, at end_window
 };
 
 } // namespace hxsp

@@ -69,7 +69,6 @@ Network::Network(const NetworkContext& ctx, RoutingMechanism& mech,
   }
 
   metrics_.configure(total, cfg_.packet_length);
-  link_stats_ = LinkStats(*ctx_.graph);
 
   HXSP_CHECK(cfg_.audit_interval >= 0);
   next_audit_ = cfg_.audit_interval > 0 ? cfg_.audit_interval
@@ -112,13 +111,19 @@ void Network::enter_workload_mode(MessageSource* source, long outstanding) {
   completion_outstanding_ = outstanding;
 }
 
+void Network::begin_window() {
+  metrics_.begin_window(now_);
+  // Re-base telemetry's per-link snapshot before the counters restart, so
+  // its open frame keeps the phits sent earlier in that frame.
+  if (telemetry_) telemetry_->rebase_links(*this);
+  for (Router& r : routers_) r.clear_link_phits();
+}
+
 void Network::handle_consume(const Event& ev, PooledRing<Event>& next) {
   const ServerId dst = ev.a;
   metrics_.on_consumed(dst, ev.aux, now_);
   if (timeseries_) timeseries_->add(now_, cfg_.packet_length);
-  if (telemetry_)
-    telemetry_->on_eject(dst / servers_per_switch_, now_ - ev.aux,
-                         cfg_.packet_length);
+  if (telemetry_) telemetry_->on_eject(dst / servers_per_switch_);
   on_packet_destroyed();
   note_progress();
   // Workload mode: attribute the consumption to its message, which
@@ -262,8 +267,6 @@ void Network::commit_link_stages() {
           routers_[static_cast<std::size_t>(t.src)].first_server_port()) {
         const PortInfo& pi = ctx_.graph->port(t.src, t.port);
         HXSP_DCHECK(ctx_.graph->link_alive(pi.link));
-        link_stats_.on_transmit(t.src, t.port, len);
-        if (telemetry_) telemetry_->on_transmit(t.src, t.port, len);
         deliver(std::move(t.pkt), pi.neighbor, pi.remote_port, t.vc, head,
                 tail);
       } else {
@@ -288,7 +291,7 @@ void Network::step() {
   // Telemetry window rollover: the same one-compare gate as the auditor
   // (next_telemetry_ is max() when telemetry is off).
   if (now_ == next_telemetry_) {
-    telemetry_->roll(now_);
+    telemetry_->roll(*this);
     next_telemetry_ += cfg_.telemetry_window;
   }
   // Phase profiling (attach_phase_times): one predictable branch per
@@ -347,11 +350,10 @@ void Network::step() {
   }
   // Link phase: every link-active router performs its router-local link
   // work (RNG-free) into a LinkStage — one stage serially, one per worker
-  // with a pool — and commit_link_stages replays deliveries, wheel events
-  // and link stats in (source router id, ordinal) order. Deferring
-  // deliveries to the commit is exact even within the cycle: a delivery
-  // mutates only the destination router's input side, which no link
-  // phase reads.
+  // with a pool — and commit_link_stages replays deliveries and wheel
+  // events in (source router id, ordinal) order. Deferring deliveries to
+  // the commit is exact even within the cycle: a delivery mutates only the
+  // destination router's input side, which no link phase reads.
   phase_scratch_.assign(link_active_.begin(), link_active_.end());
   const auto collect = [this](std::size_t w, std::size_t lo, std::size_t hi) {
     LinkStage& stage = link_stages_[w];
@@ -411,7 +413,7 @@ void Network::export_telemetry(TelemetryCapture& out) {
   out.packet_length = cfg_.packet_length;
   out.num_servers = num_servers();
   if (telemetry_) {
-    telemetry_->flush(now_); // close the partial tail window (idempotent)
+    telemetry_->flush(*this); // close the partial tail window (idempotent)
     telemetry_->export_to(out);
   }
   if (tracer_) {

@@ -15,6 +15,12 @@
 /// 64-slot calendar wheel suffices. A watchdog aborts the run if packets
 /// are in flight but nothing has moved for SimConfig::watchdog_cycles —
 /// the tripwire behind our deadlock-freedom claims.
+///
+/// Instruments: consumptions, packet latency and hop kinds are counted
+/// once, cumulatively, in metrics(); per-link phits by the sending Router
+/// in its link phase, which may run on the step pool (Router::link_phits
+/// is router-local). The measurement window and every telemetry frame
+/// are differences between snapshots of those counts.
 
 #include <algorithm>
 #include <cstdint>
@@ -22,7 +28,6 @@
 #include <memory>
 #include <vector>
 
-#include "metrics/linkstats.hpp"
 #include "metrics/stats.hpp"
 #include "metrics/timeseries.hpp"
 #include "routing/mechanism.hpp"
@@ -168,18 +173,12 @@ class Network {
   /// \p max_cycles elapse; returns true when fully drained.
   bool run_until_drained(Cycle max_cycles);
 
-  /// Opens the metrics measurement window at the current cycle.
-  void begin_window() {
-    metrics_.begin_window(now_);
-    link_stats_.reset();
-  }
+  /// Opens the metrics measurement window at the current cycle and
+  /// restarts every router's link_phits() counters.
+  void begin_window();
 
   /// Closes the metrics measurement window at the current cycle.
   void end_window() { metrics_.end_window(now_); }
-
-  /// Per-link utilization over the current/last measurement window.
-  const LinkStats& link_stats() const { return link_stats_; }
-  LinkStats& link_stats() { return link_stats_; }
 
   /// Optional sink for a consumed-phits time series (Fig 10). May be null.
   void attach_timeseries(TimeSeries* ts) { timeseries_ = ts; }
@@ -218,6 +217,9 @@ class Network {
   const RoutingMechanism& mechanism() const { return mech_; }
   TrafficPattern& traffic() { return traffic_; }
   Router& router(SwitchId s) { return routers_[static_cast<std::size_t>(s)]; }
+  const Router& router(SwitchId s) const {
+    return routers_[static_cast<std::size_t>(s)];
+  }
   Server& server(ServerId v) { return servers_[static_cast<std::size_t>(v)]; }
 
   /// Every server's injection queue: server v's queue is ring v.
@@ -304,11 +306,12 @@ class Network {
   ///     then replays them in ascending router id, so every request, grant
   ///     and RNG draw keeps its serial order.
   ///  2. Link phase — each worker pops its routers' transmissions into its
-  ///     own LinkStage (router-local mutations only), and the serial
-  ///     commit applies deliveries, wheel events and link stats in
-  ///     concatenation order, which equals (source router id, ordinal)
-  ///     order. Serial stepping is the one-stage case of the same
-  ///     collect/commit, so the two cannot drift apart.
+  ///     own LinkStage (router-local mutations only, including each
+  ///     router's link_phits() counters), and the serial commit applies
+  ///     deliveries and wheel events in concatenation order, which equals
+  ///     (source router id, ordinal) order. Serial stepping is the
+  ///     one-stage case of the same collect/commit, so the two cannot
+  ///     drift apart.
   ///
   /// Event application, generation and allocation stay serial. Pass
   /// nullptr to return to fully serial stepping. The pool is borrowed,
@@ -353,7 +356,7 @@ class Network {
   void fan_out(const Fn& fn);
 
   /// Serial commit of the link phase: replays every staged transmission
-  /// (wheel events, link stats, delivery/consumption, watchdog progress)
+  /// (wheel events, delivery/consumption, watchdog progress)
   /// in (source router id, ordinal) order, then retires routers whose
   /// output work drained. The only place a transmission leaves a router.
   void commit_link_stages();
@@ -395,7 +398,6 @@ class Network {
   std::vector<PooledRing<Event>> wheel_;
 
   SimMetrics metrics_;
-  LinkStats link_stats_;
   /// Telemetry instruments (telemetry/): allocated in the constructor only
   /// when the matching SimConfig knob is non-zero, so every hook site in
   /// the step paths costs a single null compare when observability is off.

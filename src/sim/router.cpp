@@ -30,6 +30,7 @@ Router::Router(SwitchId id, int num_switch_ports, int num_server_ports,
   for (Port p = 0; p < static_cast<Port>(total_ports); ++p)
     for (Vc v = 0; v < num_vcs_; ++v) update_feasible(p, v);
   in_xbar_free_.assign(static_cast<std::size_t>(total_ports), 0);
+  link_phits_.assign(static_cast<std::size_t>(num_switch_ports), 0);
   req_chains_.assign(static_cast<std::size_t>(total_ports), RequestChain{});
 }
 
@@ -300,8 +301,7 @@ void Router::alloc_phase(Network& net, Cycle now) {
       // switch-port branch below mirrors the metrics hook).
       if (TelemetryRegistry* const t = net.telemetry()) {
         if (out_port < num_switch_ports_)
-          t->on_grant(id_, req.out_vc, req.escape, req.forced,
-                      req.escape && !pkt->in_escape);
+          t->on_grant(id_, req.out_vc, req.escape && !pkt->in_escape);
       }
       if (PacketTracer* const tr = net.tracer())
         tr->record(TraceEvent::kGrant, now, pkt->id, id_, out_port,
@@ -342,6 +342,7 @@ void Router::link_phase(const SimConfig& cfg, Cycle now, LinkStage& out) {
       if (--waiting_total_ == 0) out.deactivated.push_back(id_);
       op.link_free_at = now + len;
       op.rr_next = (v + 1) % num_vcs_;
+      if (p < num_switch_ports_) link_phits_[static_cast<std::size_t>(p)] += len;
       out.txs.push_back({std::move(pkt), id_, p, static_cast<Vc>(v)});
       break;
     }

@@ -38,6 +38,7 @@
 /// buffer, so a router's state is a dozen flat arrays however many ports
 /// and VCs it has — no heap block per (port, VC).
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -110,8 +111,8 @@ struct OutputPort {
 };
 
 /// One transmission popped by the link phase, awaiting its serial commit
-/// (wheel events, link stats, delivery/consumption). The packet is owned
-/// by the stage between collect and commit.
+/// (wheel events, delivery/consumption). The packet is owned by the stage
+/// between collect and commit.
 struct StagedTx {
   PacketPtr pkt;
   SwitchId src = kInvalid;
@@ -173,12 +174,13 @@ class Router {
 
   /// Link phase: starts output-port transmissions. Performs the
   /// router-local half (pop the granted head, refresh out-head caches and
-  /// waiting counts, stamp link_free_at, advance round-robin) and stages
-  /// each popped packet into \p out, recording this router in
-  /// out.deactivated when its last waiting packet leaves; the network-
-  /// visible half (wheel events, link stats, delivery or consumption) is
-  /// Network::commit_link_stages. RNG-free and confined to this router, so
-  /// it is safe to run concurrently for disjoint routers.
+  /// waiting counts, stamp link_free_at, advance round-robin, count the
+  /// phits sent on switch ports) and stages each popped packet into
+  /// \p out, recording this router in out.deactivated when its last
+  /// waiting packet leaves; the network-visible half (wheel events,
+  /// delivery or consumption) is Network::commit_link_stages. RNG-free
+  /// and confined to this router, so it is safe to run concurrently for
+  /// disjoint routers.
   void link_phase(const SimConfig& cfg, Cycle now, LinkStage& out);
 
   // --- event handlers -----------------------------------------------------
@@ -205,6 +207,18 @@ class Router {
     outputs_[static_cast<std::size_t>(port)].score_sum -= phits; // consumed shrank
     out_qs_[vc_index(port, vc)] -= phits;
     update_feasible(port, vc);
+  }
+
+  /// Phits sent on switch port \p p since the last clear_link_phits():
+  /// the one per-link load counter. It is written only by this router's
+  /// link_phase, so pooled link phases stay race-free.
+  std::int64_t link_phits(Port p) const {
+    return link_phits_[static_cast<std::size_t>(p)];
+  }
+
+  /// Zeroes the link_phits() counters (Network::begin_window).
+  void clear_link_phits() {
+    std::fill(link_phits_.begin(), link_phits_.end(), 0);
   }
 
   /// True while this router has any buffered input packet (mirrors
@@ -337,6 +351,7 @@ class Router {
   std::vector<Cycle> out_head_;
   static constexpr Cycle kNeverReady = std::numeric_limits<Cycle>::max();
   std::vector<Cycle> in_xbar_free_; ///< per input port
+  std::vector<std::int64_t> link_phits_; ///< per switch port, see link_phits()
   std::vector<std::int32_t> active_; ///< encoded (port*V+vc) of non-empty inputs
   /// cand_slots_[i] caches the candidates of active_[i]'s head. Slots
   /// travel with their entry when a swap-remove moves it; slots past

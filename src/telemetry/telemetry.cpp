@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstddef>
 
+#include "sim/network.hpp"
 #include "telemetry/capture.hpp"
 #include "util/check.hpp"
 
@@ -13,7 +14,7 @@ namespace hxsp {
 
 TelemetryRegistry::TelemetryRegistry(const Graph& g, Cycle window,
                                      int num_vcs)
-    : graph_(&g), window_(window), link_window_(g) {
+    : graph_(&g), window_(window) {
   HXSP_CHECK(window > 0 && num_vcs > 0);
   router_.resize(static_cast<std::size_t>(g.num_switches()));
   vc_grants_.resize(static_cast<std::size_t>(num_vcs), 0);
@@ -21,6 +22,7 @@ TelemetryRegistry::TelemetryRegistry(const Graph& g, Cycle window,
   for (SwitchId s = 0; s < g.num_switches(); ++s) {
     directed_links += static_cast<std::size_t>(g.degree(s));
   }
+  link_phits_at_start_.assign(directed_links, 0);
   if (directed_links <= kMaxLinkSeriesLinks) {
     links_.reserve(directed_links);
     for (SwitchId s = 0; s < g.num_switches(); ++s) {
@@ -35,41 +37,56 @@ TelemetryRegistry::TelemetryRegistry(const Graph& g, Cycle window,
   }
 }
 
-void TelemetryRegistry::roll(Cycle now) {
+void TelemetryRegistry::roll(const Network& net) {
+  const Cycle now = net.now();
   HXSP_CHECK(now > cur_.start);
   cur_.end = now;
-  if (hist_.count() > 0) {
-    cur_.p50_latency = hist_.percentile(0.50);
-    cur_.p99_latency = hist_.percentile(0.99);
+  const MetricTally& tally = net.metrics().tally();
+  const MetricTally d = tally.since(tally_at_start_);
+  tally_at_start_ = tally;
+  cur_.consumed = d.consumed;
+  cur_.consumed_phits = d.consumed * net.cfg().packet_length;
+  if (d.latency.count() > 0) {
+    cur_.p50_latency = d.latency.percentile(0.50);
+    cur_.p99_latency = d.latency.percentile(0.99);
   }
-  std::int64_t link_max = 0;
-  for (LinkWindowSeries& series : links_) {
-    const std::int64_t phits = link_window_.phits(series.sw, series.port);
-    series.phits.push_back(phits);
-    series.total += phits;
-    link_max = std::max(link_max, phits);
-  }
-  if (links_.empty()) {
-    // Above the series cap: still report the busiest link per window.
-    for (SwitchId s = 0; s < graph_->num_switches(); ++s) {
-      for (Port p = 0; p < graph_->degree(s); ++p) {
-        link_max = std::max(link_max, link_window_.phits(s, p));
+  const auto& [routing, escape, forced] = d.hops;
+  cur_.hops_routing = routing;
+  cur_.hops_escape = escape;
+  cur_.hops_forced = forced;
+  // The per-link series, when kept, is in the same (switch, port) order.
+  std::size_t i = 0;
+  for (SwitchId s = 0; s < graph_->num_switches(); ++s) {
+    const Router& r = net.router(s);
+    for (Port p = 0; p < graph_->degree(s); ++p, ++i) {
+      const std::int64_t sent = r.link_phits(p);
+      const std::int64_t phits = sent - link_phits_at_start_[i];
+      link_phits_at_start_[i] = sent;
+      cur_.link_phits += phits;
+      cur_.link_max_phits = std::max(cur_.link_max_phits, phits);
+      if (!links_.empty()) {
+        links_[i].phits.push_back(phits);
+        links_[i].total += phits;
       }
     }
   }
-  cur_.link_max_phits = link_max;
   frames_.push_back(cur_);
 
   const std::int64_t next_window = cur_.window + 1;
   cur_ = TelemetryFrame{};
   cur_.window = next_window;
   cur_.start = now;
-  hist_.reset();
-  link_window_.reset();
 }
 
-void TelemetryRegistry::flush(Cycle now) {
-  if (now > cur_.start) roll(now);
+void TelemetryRegistry::flush(const Network& net) {
+  if (net.now() > cur_.start) roll(net);
+}
+
+void TelemetryRegistry::rebase_links(const Network& net) {
+  std::size_t i = 0;
+  for (SwitchId s = 0; s < graph_->num_switches(); ++s)
+    for (Port p = 0; p < graph_->degree(s); ++p, ++i)
+      link_phits_at_start_[i] -= net.router(s).link_phits(p);
 }
 
 void TelemetryRegistry::export_to(TelemetryCapture& out) const {

@@ -5,23 +5,27 @@
 /// The engine's ResultSink rows are end-of-run aggregates; this registry
 /// answers the *where and when* questions behind them — which routers
 /// saturated, which links carried the escape traffic, how the latency
-/// percentiles moved as faults landed. It keeps cheap per-router,
-/// per-link and per-VC instruments (injections, ejections, hop kinds,
-/// escape-path entries a.k.a. SurePath activations, credit stalls,
-/// buffer-occupancy high-water marks) and closes a TelemetryFrame every
-/// `SimConfig::telemetry_window` cycles with the window's throughput,
-/// latency percentiles and link utilization.
+/// percentiles moved as faults landed. It closes a TelemetryFrame every
+/// `SimConfig::telemetry_window` cycles.
 ///
-/// Determinism contract: every instrument is fed from serial step phases
-/// only (injection loop, alloc commit, link commit, consume events), the
-/// registry never influences any simulation decision, and a Network built
-/// with `telemetry_window == 0` allocates nothing — the fast path pays a
-/// single null-pointer compare per hook site.
+/// Where each quantity is counted: consumptions, latency and hop kinds
+/// are not counted here but in SimMetrics' cumulative MetricTally, and
+/// per-link phits by each sending Router in its link phase (which may run
+/// on the step pool; the counter is router-local). A frame is the
+/// difference between the snapshots of those counts at its two ends.
+/// The registry itself counts only what nothing else does: per-router
+/// injections, ejections, escape-path entries (SurePath activations) and
+/// credit stalls, per-VC grants and buffer-occupancy high-water marks.
+///
+/// Determinism contract: every registry hook is called from serial step
+/// phases only (injection loop, alloc commit, link commit, consume
+/// events), the registry never influences any simulation decision, and a
+/// Network built with `telemetry_window == 0` allocates nothing — the
+/// fast path pays a single null-pointer compare per hook site.
 
 #include <cstdint>
 #include <vector>
 
-#include "metrics/linkstats.hpp"
 #include "metrics/stats.hpp"
 #include "topology/graph.hpp"
 #include "util/fields.hpp"
@@ -38,7 +42,7 @@ struct TelemetryFrame {
   Cycle end = 0;
   std::int64_t injected = 0;        ///< packets that left a server
   std::int64_t consumed = 0;        ///< packets delivered to a server
-  std::int64_t consumed_phits = 0;  ///< delivered payload (throughput)
+  std::int64_t consumed_phits = 0;  ///< consumed * packet_length
   Cycle p50_latency = -1;           ///< generation-to-delivery, this window
   Cycle p99_latency = -1;
   std::int64_t hops_routing = 0;    ///< adaptive/minimal grants
@@ -109,6 +113,7 @@ struct RouterCounters {
   std::int64_t occupancy_hwm = 0;
 };
 
+class Network; // sim/network.hpp
 struct TelemetryCapture;
 
 /// The per-Network instrument registry. Constructed only when
@@ -131,27 +136,16 @@ class TelemetryRegistry {
     ++router_[static_cast<std::size_t>(sw)].injections;
   }
 
-  /// A packet was consumed at a server of \p sw after \p latency cycles.
-  void on_eject(SwitchId sw, Cycle latency, int phits) {
-    ++cur_.consumed;
-    cur_.consumed_phits += phits;
-    hist_.add(latency);
+  /// A packet was consumed at a server of \p sw.
+  void on_eject(SwitchId sw) {
     ++router_[static_cast<std::size_t>(sw)].ejections;
   }
 
   /// The allocator at \p sw granted a switch-port output.
   /// \p entered_escape marks a SurePath activation: the grant moved a
   /// packet that was *not* yet on an escape VC onto one.
-  void on_grant(SwitchId sw, Vc out_vc, bool escape, bool forced,
-                bool entered_escape) {
+  void on_grant(SwitchId sw, Vc out_vc, bool entered_escape) {
     ++vc_grants_[static_cast<std::size_t>(out_vc)];
-    if (forced) {
-      ++cur_.hops_forced;
-    } else if (escape) {
-      ++cur_.hops_escape;
-    } else {
-      ++cur_.hops_routing;
-    }
     if (entered_escape) {
       ++cur_.escape_entries;
       ++router_[static_cast<std::size_t>(sw)].escape_entries;
@@ -173,21 +167,21 @@ class TelemetryRegistry {
     if (occupancy > cur_.occupancy_hwm) cur_.occupancy_hwm = occupancy;
   }
 
-  /// \p phits left (sw, port) towards the neighbouring switch.
-  void on_transmit(SwitchId sw, Port port, int phits) {
-    cur_.link_phits += phits;
-    link_window_.on_transmit(sw, port, phits);
-  }
-
   // --- window management ---
 
-  /// Closes the current window at cycle \p now (called by Network::step
-  /// when the window boundary is reached).
-  void roll(Cycle now);
+  /// Closes the current window at net.now() (called by Network::step when
+  /// the window boundary is reached), taking its consumption, latency,
+  /// hop-kind and link-phit entries from \p net's counters.
+  void roll(const Network& net);
 
   /// Closes a partial tail window if any cycles elapsed since the last
-  /// roll; safe to call repeatedly (idempotent at a given \p now).
-  void flush(Cycle now);
+  /// roll; safe to call repeatedly (idempotent at a given net.now()).
+  void flush(const Network& net);
+
+  /// Called just before \p net zeroes its routers' link_phits() counters
+  /// (Network::begin_window): shifts the per-link snapshot by the counts
+  /// about to be cleared, so the open frame loses none of them.
+  void rebase_links(const Network& net);
 
   Cycle window() const { return window_; }
 
@@ -199,8 +193,10 @@ class TelemetryRegistry {
   const Graph* graph_;
   Cycle window_;
   TelemetryFrame cur_;
-  LatencyHistogram hist_;          ///< latencies of the current window
-  LinkStats link_window_;          ///< per-link phits, current window
+  MetricTally tally_at_start_; ///< SimMetrics::tally() when cur_ opened
+  /// Router::link_phits() per directed link, (switch, port) order, when
+  /// cur_ opened (shifted by rebase_links).
+  std::vector<std::int64_t> link_phits_at_start_;
   std::vector<TelemetryFrame> frames_;
   std::vector<LinkWindowSeries> links_; ///< empty above the series cap
   std::vector<RouterCounters> router_;

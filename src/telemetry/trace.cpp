@@ -7,6 +7,8 @@
 #include <cstdarg>
 #include <cstdio>
 
+#include "util/jsonio.hpp"
+
 namespace hxsp {
 
 const char* trace_event_name(TraceEvent e) {
@@ -42,8 +44,10 @@ std::string trace_chrome_json(const std::vector<TaskTrace>& tasks) {
     first = false;
     append_fmt(out,
                "\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%zu,"
-               "\"args\":{\"name\":\"%s\"}}",
-               pid, task.task_id.c_str());
+               "\"args\":{\"name\":\"",
+               pid);
+    out += json_escape_string(task.task_id);
+    out += "\"}}";
     for (const TraceHop& h : *task.hops) {
       append_fmt(out,
                  ",\n{\"name\":\"%s n%d p%d v%d\",\"ph\":\"X\","
@@ -63,13 +67,14 @@ std::string trace_jsonl(const std::vector<TaskTrace>& tasks) {
   std::string out;
   for (const TaskTrace& task : tasks) {
     if (task.hops == nullptr) continue;
+    const std::string prefix =
+        "{\"task\":\"" + json_escape_string(task.task_id) + "\"";
     for (const TraceHop& h : *task.hops) {
+      out += prefix;
       append_fmt(out,
-                 "{\"task\":\"%s\",\"packet\":%" PRId64
-                 ",\"cycle\":%" PRId64
+                 ",\"packet\":%" PRId64 ",\"cycle\":%" PRId64
                  ",\"event\":\"%s\",\"node\":%d,\"port\":%d,\"vc\":%d}\n",
-                 task.task_id.c_str(), h.packet,
-                 static_cast<std::int64_t>(h.cycle),
+                 h.packet, static_cast<std::int64_t>(h.cycle),
                  trace_event_name(h.event), h.node, h.port, h.vc);
     }
   }

@@ -1,10 +1,13 @@
 /// \file linkstats_test.cpp
-/// Tests for the per-link utilization collector, including the physical
-/// invariants it must respect (loads bounded by link bandwidth) and the
+/// Tests for the per-link phit counters (Router::link_phits) and the hot
+/// links run_load_hotspots ranks from them, including the physical
+/// invariants they must respect (loads bounded by link bandwidth) and the
 /// root-hotspot signature under Star faults that the paper's §6 analysis
 /// relies on.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "harness/experiment.hpp"
 
@@ -102,12 +105,23 @@ TEST(LinkStats, MeanBelowMax) {
   net.begin_window();
   net.run_cycles(1000);
   net.end_window();
-  const double mean = net.link_stats().mean_load(1000);
-  const double mx = net.link_stats().max_load(1000);
+  // Per-link loads over the 1000-cycle window, from the routers' counters.
+  std::int64_t sum = 0, mx = 0, around_switch0 = 0;
+  int links = 0;
+  for (SwitchId sw = 0; sw < hx.graph().num_switches(); ++sw) {
+    for (Port p = 0; p < hx.graph().degree(sw); ++p) {
+      const std::int64_t v = net.router(sw).link_phits(p);
+      sum += v;
+      mx = std::max(mx, v);
+      ++links;
+      if (sw == 0 || hx.graph().port(sw, p).neighbor == 0) around_switch0 += v;
+    }
+  }
+  const double mean = static_cast<double>(sum) / (1000.0 * links);
   EXPECT_GT(mean, 0.0);
-  EXPECT_GE(mx, mean);
-  EXPECT_LE(mx, 1.0 + 1e-9);
-  EXPECT_GT(net.link_stats().switch_load(0, 1000), 0.0);
+  EXPECT_GE(static_cast<double>(mx) / 1000.0, mean);
+  EXPECT_LE(mx, 1000);
+  EXPECT_GT(around_switch0, 0);
 }
 
 TEST(LinkStats, WindowResetDropsWarmupTraffic) {
@@ -128,10 +142,10 @@ TEST(LinkStats, WindowResetDropsWarmupTraffic) {
   Network net(ctx, *mech, *traffic, cfg, 1, 5);
   net.set_offered_load(1.0);
   net.run_cycles(1000);
-  const std::int64_t before_reset = net.link_stats().phits(0, 0);
+  const std::int64_t before_reset = net.router(0).link_phits(0);
   EXPECT_GT(before_reset, 0);
   net.begin_window();
-  EXPECT_EQ(net.link_stats().phits(0, 0), 0);
+  EXPECT_EQ(net.router(0).link_phits(0), 0);
 }
 
 } // namespace

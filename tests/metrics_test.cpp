@@ -51,18 +51,25 @@ TEST(Histogram, OverflowBucketCatchesLargeValues) {
   EXPECT_GE(h.percentile(0.5), 8);
 }
 
-TEST(Histogram, ResetClears) {
+TEST(Histogram, SubtractRemovesSnapshotSamples) {
   LatencyHistogram h;
   h.add(5);
-  h.reset();
-  EXPECT_EQ(h.count(), 0);
-  EXPECT_EQ(h.percentile(0.5), -1);
+  const LatencyHistogram snapshot = h;
+  h.add(100);
+  LatencyHistogram since = h;
+  since.subtract(snapshot);
+  EXPECT_EQ(since.count(), 1);
+  EXPECT_EQ(since.percentile(0.5), 104);  // bucket [96, 104)
+  since.subtract(since);
+  EXPECT_EQ(since.count(), 0);
+  EXPECT_EQ(since.percentile(0.5), -1);
 }
 
 TEST(SimMetrics, WindowAccounting) {
   SimMetrics m;
   m.configure(2, 16);
   m.on_generated(0, 10);  // before window: not counted in jain/generated
+  m.on_consumed(1, 0, 90); // before window: not counted in window results
   m.begin_window(100);
   m.on_generated(0, 150);
   m.on_generated(0, 160);
@@ -80,12 +87,15 @@ TEST(SimMetrics, WindowAccounting) {
   // Generated per server: (32, 16) -> jain = 48^2/(2*(1024+256)).
   EXPECT_NEAR(m.jain(), 2304.0 / 2560.0, 1e-12);
   EXPECT_EQ(m.consumed_packets(), 2);
+  EXPECT_EQ(m.total_consumed_packets(), 3);
   EXPECT_EQ(m.total_generated_packets(), 4);
+  EXPECT_EQ(m.latency_histogram().count(), 2);
 }
 
 TEST(SimMetrics, HopKindFractions) {
   SimMetrics m;
   m.configure(1, 16);
+  m.on_hop(HopKind::Forced); // before the window: counted, not reported
   m.begin_window(0);
   m.on_hop(HopKind::Routing);
   m.on_hop(HopKind::Routing);

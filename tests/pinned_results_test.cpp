@@ -9,9 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 
 #include "metrics/resultsink.hpp"
+#include "telemetry/capture.hpp"
 
 namespace hxsp {
 namespace {
@@ -177,6 +179,88 @@ TEST(PinnedResults, HotspotsReproduceTheirRecordedLinks) {
     std::snprintf(buf, sizeof buf, "%d:%d->%d %.17g", hot[i].from,
                   hot[i].port, hot[i].to, hot[i].load);
     EXPECT_EQ(buf, expected[i]) << "entry " << i;
+  }
+}
+
+/// 64-bit FNV-1a of \p text: a short, stable pin for long artefacts.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(PinnedResults, TelemetryAndTraceBytesAreRecorded) {
+  // The telemetry tests compare captures with each other (thread counts,
+  // on vs off); these pins hold the absolute bytes of the telemetry CSV
+  // and the trace JSONL, plus the rows of the four instrument quantities
+  // (consumption, latency, hop kinds, link phits).
+  struct Pin {
+    std::size_t task;  ///< index into pinned_tasks()
+    std::uint64_t csv_fnv;
+    std::uint64_t jsonl_fnv;
+    std::vector<std::string> rows;  ///< consumed_phits, p99_latency,
+                                    ///< hops_escape, link_max_phits
+  };
+  const std::vector<Pin> pins = {
+      {0,
+       0x73e9401fd45894edull,
+       0xdb41c8e1ee7e6f9aull,
+       {"pinned,pinned/000000,telemetry,consumed_phits,polsp,uniform,"
+        "0.80000000000000004,7,0,0,0,0,0,0,0,900,0,32,0,0,0,64,736|1312|"
+        "1456|1552|1584|1632|1664|1680|1568|1600|1696|1568|1664|1616|96,"
+        "axis=window\n",
+        "pinned,pinned/000000,telemetry,p99_latency,polsp,uniform,"
+        "0.80000000000000004,7,0,0,0,0,0,0,0,900,0,32,0,0,0,64,56|104|"
+        "120|184|160|184|232|224|192|264|160|192|192|184|160,"
+        "axis=window\n",
+        "pinned,pinned/000000,telemetry,hops_escape,polsp,uniform,"
+        "0.80000000000000004,7,0,0,0,0,0,0,0,900,0,32,0,0,0,64,8|14|16|"
+        "12|17|22|10|15|12|6|14|14|9|14|0,axis=window\n",
+        "pinned,pinned/000000,telemetry,link_max_phits,polsp,uniform,"
+        "0.80000000000000004,7,0,0,0,0,0,0,0,900,0,32,0,0,0,64,48|64|64|"
+        "64|64|64|64|64|64|64|64|64|64|64|16,axis=window\n"}},
+      {3,
+       0xa44a3cf345818763ull,
+       0x0aa3938f0f25d5f6ull,
+       {"pinned,pinned/000003,telemetry,consumed_phits,polsp,uniform,1,7,"
+        "0,0,0,0,0,0,0,2426,0,32,0,0,0,64,1504|1648|1712|1712|1744|1760|"
+        "1744|1632|1696|1696|1744|1648|1744|1728|1648|1776|1776|1760|"
+        "1728|1792|1712|1632|1664|1776|1744|1696|1680|1760|1632|1696|"
+        "1728|1664|1680|1680|1584|1648|1744|576,axis=window\n",
+        "pinned,pinned/000003,telemetry,p99_latency,polsp,uniform,1,7,0,"
+        "0,0,0,0,0,0,2426,0,32,0,0,0,64,56|56|56|56|56|48|56|56|56|56|56|"
+        "56|56|64|64|56|56|48|48|56|56|56|64|64|56|56|56|56|56|56|56|56|"
+        "56|56|80|64|56|56,axis=window\n",
+        "pinned,pinned/000003,telemetry,hops_escape,polsp,uniform,1,7,0,"
+        "0,0,0,0,0,0,2426,0,32,0,0,0,64,3|4|5|4|2|5|4|6|6|1|8|5|8|2|3|4|"
+        "4|0|2|3|6|4|4|2|1|4|0|5|2|2|6|9|4|3|6|6|3|0,axis=window\n",
+        "pinned,pinned/000003,telemetry,link_max_phits,polsp,uniform,1,7,"
+        "0,0,0,0,0,0,0,2426,0,32,0,0,0,64,64|64|48|64|64|64|64|64|64|64|"
+        "64|64|64|64|48|64|64|64|64|64|48|64|64|64|64|64|64|64|64|64|64|"
+        "64|64|64|64|64|64|32,axis=window\n"}},
+  };
+  const std::vector<TaskSpec> tasks = pinned_tasks();
+  for (const Pin& pin : pins) {
+    TaskSpec task = tasks[pin.task];
+    task.spec.sim.telemetry_window = 64;
+    task.spec.sim.trace_sample = 3;
+    SCOPED_TRACE(task.id);
+    TelemetryCapture cap;
+    run_task(task, 0, &cap);
+    const std::vector<ResultRecord> rows = make_telemetry_records(task, cap);
+    const std::string csv = ResultSink::csv(rows);
+    const std::string jsonl = trace_jsonl({{task.id, &cap.hops}});
+    std::vector<std::string> picked;
+    for (const ResultRecord& rec : rows)
+      if (rec.label == "consumed_phits" || rec.label == "p99_latency" ||
+          rec.label == "hops_escape" || rec.label == "link_max_phits")
+        picked.push_back(ResultSink::csv_line(rec));
+    EXPECT_EQ(fnv1a(csv), pin.csv_fnv);
+    EXPECT_EQ(fnv1a(jsonl), pin.jsonl_fnv);
+    EXPECT_EQ(picked, pin.rows);
   }
 }
 

@@ -240,25 +240,32 @@ TEST(Telemetry, SamplingKeysOnPacketIds) {
 // Exporters.
 // ---------------------------------------------------------------------------
 
+/// A task id as a hand-written manifest may carry one: the exporters
+/// must escape it to stay valid JSON.
+const char* const kHostileId = "fig\"06\\x/000000";
+
 TEST(Telemetry, ChromeTraceJsonIsWellFormed) {
   TelemetryCapture cap;
   TaskSpec task = rate_task(true);
   run_task(task, 0, &cap);
-  const std::vector<TaskTrace> traces = {{task.id, &cap.hops}};
-  const std::string json = trace_chrome_json(traces);
-  const JsonValue doc = JsonValue::parse(json);
-  const auto& events = doc.at("traceEvents").array();
-  // One metadata record naming the task's process plus one "X" slice per
-  // hop.
-  ASSERT_EQ(events.size(), cap.hops.size() + 1);
-  EXPECT_EQ(events[0].at("ph").as_string(), "M");
-  EXPECT_EQ(events[0].at("name").as_string(), "process_name");
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    const JsonValue& e = events[i];
-    EXPECT_EQ(e.at("ph").as_string(), "X");
-    EXPECT_EQ(e.at("ts").as_i64(), static_cast<std::int64_t>(
-                                       cap.hops[i - 1].cycle));
-    EXPECT_EQ(e.at("tid").as_i64(), cap.hops[i - 1].packet);
+  for (const std::string& id : {task.id, std::string(kHostileId)}) {
+    SCOPED_TRACE(id);
+    const std::vector<TaskTrace> traces = {{id, &cap.hops}};
+    const JsonValue doc = JsonValue::parse(trace_chrome_json(traces));
+    const auto& events = doc.at("traceEvents").array();
+    // One metadata record naming the task's process plus one "X" slice
+    // per hop.
+    ASSERT_EQ(events.size(), cap.hops.size() + 1);
+    EXPECT_EQ(events[0].at("ph").as_string(), "M");
+    EXPECT_EQ(events[0].at("name").as_string(), "process_name");
+    EXPECT_EQ(events[0].at("args").at("name").as_string(), id);
+    for (std::size_t i = 1; i < events.size(); ++i) {
+      const JsonValue& e = events[i];
+      EXPECT_EQ(e.at("ph").as_string(), "X");
+      EXPECT_EQ(e.at("ts").as_i64(), static_cast<std::int64_t>(
+                                         cap.hops[i - 1].cycle));
+      EXPECT_EQ(e.at("tid").as_i64(), cap.hops[i - 1].packet);
+    }
   }
 }
 
@@ -266,19 +273,22 @@ TEST(Telemetry, JsonlHasOneObjectPerHop) {
   TelemetryCapture cap;
   TaskSpec task = rate_task(true);
   run_task(task, 0, &cap);
-  const std::vector<TaskTrace> traces = {{task.id, &cap.hops}};
-  const std::string jsonl = trace_jsonl(traces);
-  std::size_t lines = 0;
-  for (char c : jsonl)
-    if (c == '\n') ++lines;
-  EXPECT_EQ(lines, cap.hops.size());
-  // Each line parses as a standalone JSON object.
-  std::size_t start = 0;
-  for (std::size_t i = 0; i < jsonl.size(); ++i) {
-    if (jsonl[i] != '\n') continue;
-    const JsonValue v = JsonValue::parse(jsonl.substr(start, i - start));
-    EXPECT_EQ(v.at("task").as_string(), task.id);
-    start = i + 1;
+  for (const std::string& id : {task.id, std::string(kHostileId)}) {
+    SCOPED_TRACE(id);
+    const std::vector<TaskTrace> traces = {{id, &cap.hops}};
+    const std::string jsonl = trace_jsonl(traces);
+    std::size_t lines = 0;
+    for (char c : jsonl)
+      if (c == '\n') ++lines;
+    EXPECT_EQ(lines, cap.hops.size());
+    // Each line parses as a standalone JSON object.
+    std::size_t start = 0;
+    for (std::size_t i = 0; i < jsonl.size(); ++i) {
+      if (jsonl[i] != '\n') continue;
+      const JsonValue v = JsonValue::parse(jsonl.substr(start, i - start));
+      EXPECT_EQ(v.at("task").as_string(), id);
+      start = i + 1;
+    }
   }
 }
 
