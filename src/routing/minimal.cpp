@@ -2,16 +2,38 @@
 
 namespace hxsp {
 
-void MinimalAlgorithm::ports(const NetworkContext& ctx, const Packet& p,
-                             SwitchId sw, std::vector<PortCand>& out) const {
+void minimal_next_hops(const NetworkContext& ctx, SwitchId target, SwitchId sw,
+                       std::vector<PortCand>& out) {
   const Graph& g = *ctx.graph;
   // One anchored row serves the switch probe and every neighbour probe
   // (distances are symmetric); works for dense and computed providers.
-  const DistRow row(*ctx.dist, p.dst_switch);
+  const DistRow row(*ctx.dist, target);
   const int d = row[sw];
   if (d == kUnreachable || d == 0) return;
+  const HyperX* hx = ctx.hyperx;
+  if (hx != nullptr && d == hx->hamming_distance(sw, target)) {
+    HXSP_DCHECK(&hx->graph() == &g);  // port_towards numbers g's ports
+    // No switch is nearer than its Hamming distance, and a hop changes one
+    // coordinate, so a neighbour at d-1 sets a differing coordinate to the
+    // target's. Ascending dimension is ascending port order.
+    const std::vector<int>& from = hx->coords(sw);
+    const std::vector<int>& to = hx->coords(target);
+    for (int dim = 0; dim < hx->dims(); ++dim) {
+      const int c = to[static_cast<std::size_t>(dim)];
+      if (c == from[static_cast<std::size_t>(dim)]) continue;
+      const Port port = hx->port_towards(sw, dim, c);
+      if (g.port_alive(sw, port) && row[g.port(sw, port).neighbor] == d - 1)
+        out.push_back({port, 0, false});
+    }
+    return;
+  }
   for (const AlivePort& ap : g.alive_ports(sw))
     if (row[ap.neighbor] == d - 1) out.push_back({ap.port, 0, false});
+}
+
+void MinimalAlgorithm::ports(const NetworkContext& ctx, const Packet& p,
+                             SwitchId sw, std::vector<PortCand>& out) const {
+  minimal_next_hops(ctx, p.dst_switch, sw, out);
 }
 
 int MinimalAlgorithm::max_hops(const NetworkContext& ctx) const {

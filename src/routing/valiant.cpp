@@ -1,5 +1,7 @@
 #include "routing/valiant.hpp"
 
+#include "routing/minimal.hpp"
+
 namespace hxsp {
 
 void ValiantAlgorithm::on_inject(const NetworkContext& ctx, Packet& p,
@@ -16,15 +18,8 @@ void ValiantAlgorithm::on_arrival(const NetworkContext&, Packet& p,
 
 void ValiantAlgorithm::ports(const NetworkContext& ctx, const Packet& p,
                              SwitchId sw, std::vector<PortCand>& out) const {
-  const Graph& g = *ctx.graph;
-  const SwitchId target = p.valiant_phase2 ? p.dst_switch : p.valiant_mid;
-  // One anchored row serves the switch probe and every neighbour probe
-  // (distances are symmetric); works for dense and computed providers.
-  const DistRow row(*ctx.dist, target);
-  const int d = row[sw];
-  if (d == kUnreachable || d == 0) return;
-  for (const AlivePort& ap : g.alive_ports(sw))
-    if (row[ap.neighbor] == d - 1) out.push_back({ap.port, 0, false});
+  minimal_next_hops(ctx, p.valiant_phase2 ? p.dst_switch : p.valiant_mid, sw,
+                    out);
 }
 
 int ValiantAlgorithm::max_hops(const NetworkContext& ctx) const {

@@ -6,7 +6,9 @@
 /// and routes minimally source -> intermediate -> destination. This
 /// sacrifices locality to spread any admissible pattern into two uniform
 /// phases, achieving the optimal 0.5 throughput on the paper's adversarial
-/// Dimension Complement Reverse pattern.
+/// Dimension Complement Reverse pattern. Each phase takes the next hops of
+/// minimal_next_hops (minimal.hpp), O(dims) per hop on an undetoured
+/// HyperX pair.
 
 #include "routing/mechanism.hpp"
 

@@ -330,8 +330,8 @@ void Network::step() {
   // the same cycle (as it would under the full scan).
   phase_scratch_.assign(alloc_active_.begin(), alloc_active_.end());
   if (step_pool_ != nullptr && phase_scratch_.size() > 1) {
-    // Candidate precompute — the expensive, RNG-free, read-mostly prefix
-    // of the alloc phase — fanned out across the pool; each job writes
+    // Candidate precompute — the RNG-free, read-mostly prefix of the
+    // alloc phase — fanned out across the pool; each job writes
     // only its own routers' caches, so it is race-free by partition. The
     // serial alloc loop below then finds every candidate set cached and
     // performs requests, grants and RNG draws in exactly the serial order.

@@ -1,11 +1,12 @@
 /// \file pinned_results_test.cpp
-/// Absolute results, one small faulted 4x4 task per kind. Every other
-/// harness test compares the engine with itself (serial vs parallel,
-/// fresh vs reused, CSV vs JSON), so a swapped stream tag or a reordered
-/// call in the run loop would pass them all; these rows would not. The
-/// expected lines are recorded output: a change that keeps results may
-/// not alter them, and a deliberate re-seed re-records them in the same
-/// change.
+/// Absolute results: one small faulted 4x4 task per kind, plus rate rows
+/// for Minimal and Valiant, one of them on the computed distance provider.
+/// Every other harness test compares the engine with itself (serial vs
+/// parallel, fresh vs reused, CSV vs JSON), so a swapped stream tag or a
+/// reordered call in the run loop would pass them all; these rows would
+/// not. The expected lines are recorded output: a change that keeps
+/// results may not alter them, and a deliberate re-seed re-records them in
+/// the same change.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 
 #include "metrics/resultsink.hpp"
 #include "telemetry/capture.hpp"
+#include "topology/computed_distance.hpp"
 
 namespace hxsp {
 namespace {
@@ -163,6 +165,48 @@ TEST(PinnedResults, EveryKindReproducesItsRecordedRows) {
         EXPECT_EQ(ResultSink::csv_line(rows[r]), expected[i][r])
             << "row " << r;
     }
+  }
+}
+
+TEST(PinnedResults, MinimalAndValiantReproduceTheirRecordedRows) {
+  // The rows above route with PolSP; these pin the table-minimal next hops
+  // of Minimal and both Valiant phases on the faulted 4x4 (dense distance
+  // table), and Minimal on a faulted 17x16x16, which is above
+  // kDenseDistanceSwitchLimit and so routes on the computed provider.
+  ExperimentSpec minimal = pinned_spec();
+  minimal.mechanism = "minimal";
+  ExperimentSpec valiant = pinned_spec();
+  valiant.mechanism = "valiant";
+  ExperimentSpec large = pinned_spec();
+  large.sides = {17, 16, 16};
+  large.servers_per_switch = 1;
+  large.mechanism = "minimal";
+  ASSERT_GT(17 * 16 * 16, kDenseDistanceSwitchLimit);
+  large.fault_links.clear();  // 65 faults spread over its 100,096 links
+  for (LinkId l = 0; l < 100096; l += 1543) large.fault_links.push_back(l);
+  large.warmup = 100;
+  large.measure = 200;
+  const std::vector<std::pair<TaskSpec, std::string>> pins = {
+      {TaskSpec::rate(minimal, 0.8),
+       "pinned,pinned/000000,rate,,Minimal,uniform,0.80000000000000004,7,"
+       "0.81166666666666665,0.79749999999999999,87.241379310344826,"
+       "0.96825805081977923,0,0,208,600,957,0,0,0,0,0,,\n"},
+      {TaskSpec::rate(valiant, 0.4),
+       "pinned,pinned/000001,rate,,Valiant,uniform,0.40000000000000002,7,"
+       "0.41499999999999998,0.41833333333333333,46.693227091633467,"
+       "0.9493048750612445,0,0,128,600,502,0,0,0,0,0,,\n"},
+      {TaskSpec::rate(large, 0.3),
+       "pinned,pinned/000002,rate,,Minimal,uniform,0.29999999999999999,7,"
+       "0.29952205882352939,0.29700367647058823,30.22968372841493,"
+       "0.78499569358008026,0,0,72,200,16157,0,0,0,0,0,,\n"},
+  };
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    TaskSpec task = pins[i].first;
+    task.id = make_task_id("pinned", i);
+    SCOPED_TRACE(task.id);
+    const std::vector<ResultRecord> rows = make_records(task, run_task(task));
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(ResultSink::csv_line(rows[0]), pins[i].second);
   }
 }
 

@@ -1,6 +1,6 @@
 /// \file routing_test.cpp
-/// Tests for the base route sets (Minimal, DOR, Valiant, Omnidimensional)
-/// and the Ladder VC mechanism.
+/// Tests for the base route sets (Minimal and its shared next-hop helper,
+/// DOR, Valiant, Omnidimensional) and the Ladder VC mechanism.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include "routing/omnidimensional.hpp"
 #include "routing/valiant.hpp"
 #include "test_util.hpp"
+#include "topology/computed_distance.hpp"
 #include "topology/faults.hpp"
 
 namespace hxsp {
@@ -63,6 +64,78 @@ TEST(Minimal, MaxHopsIsDiameter) {
   auto t = make_net(3, 4);
   MinimalAlgorithm algo;
   EXPECT_EQ(algo.max_hops(t.ctx), 3);
+}
+
+/// Minimal next hops by definition: every alive port of \p sw, in port
+/// order, whose neighbour is one hop closer to \p target. Reads the port
+/// table and point distances only, not the alive-port view or HyperX
+/// coordinates the helper under test uses.
+std::vector<PortCand> next_hops_by_full_scan(const Graph& g,
+                                             const DistanceProvider& dist,
+                                             SwitchId target, SwitchId sw) {
+  std::vector<PortCand> out;
+  const int d = dist.at(sw, target);
+  if (d == kUnreachable || d == 0) return out;
+  for (Port p = 0; p < g.degree(sw); ++p)
+    if (g.port_alive(sw, p) && dist.at(g.port(sw, p).neighbor, target) == d - 1)
+      out.push_back({p, 0, false});
+  return out;
+}
+
+TEST(MinimalNextHops, MatchFullPortScanOnEveryPair) {
+  struct Case {
+    std::vector<int> sides;
+    int faults;
+  };
+  const std::vector<Case> cases = {
+      {{4, 4, 4}, 0}, {{4, 4, 4}, 20}, {{3, 5, 4}, 16}, {{6, 3}, 12}};
+  long undetoured = 0;  // pairs at distance == Hamming > 0
+  long detoured = 0;    // pairs at distance > Hamming > 0, with ctx.hyperx set
+  for (const Case& c : cases) {
+    HyperX hx(c.sides, 1);
+    Rng rng(41 + static_cast<std::uint64_t>(c.faults));
+    for (LinkId l : random_fault_links(hx.graph(), c.faults, rng))
+      hx.graph().fail_link(l);
+    const DistanceTable dense(hx.graph());
+    const ComputedHyperXDistance computed(hx);
+    const DistanceProvider* const providers[] = {&dense, &computed};
+    const HyperX* const views[] = {&hx, nullptr};
+    for (const DistanceProvider* dist : providers) {
+      for (const HyperX* view : views) {
+        SCOPED_TRACE(testing::Message()
+                     << hx.describe() << " faults=" << c.faults
+                     << (dist == &dense ? " dense" : " computed")
+                     << (view ? " hyperx" : " no-hyperx"));
+        NetworkContext ctx;
+        ctx.graph = &hx.graph();
+        ctx.hyperx = view;
+        ctx.dist = dist;
+        std::vector<PortCand> got;
+        for (SwitchId target = 0; target < hx.num_switches(); ++target) {
+          for (SwitchId sw = 0; sw < hx.num_switches(); ++sw) {
+            got.clear();
+            minimal_next_hops(ctx, target, sw, got);
+            const std::vector<PortCand> want =
+                next_hops_by_full_scan(hx.graph(), *dist, target, sw);
+            ASSERT_EQ(got.size(), want.size()) << sw << "->" << target;
+            for (std::size_t i = 0; i < got.size(); ++i) {
+              EXPECT_EQ(got[i].port, want[i].port) << sw << "->" << target;
+              EXPECT_EQ(got[i].penalty, 0);
+              EXPECT_FALSE(got[i].deroute);
+            }
+            const int h = hx.hamming_distance(sw, target);
+            const int d = dist->at(sw, target);
+            if (view == nullptr || h == 0 || d == kUnreachable) continue;
+            ++(d == h ? undetoured : detoured);
+          }
+        }
+      }
+    }
+  }
+  // Both branches of the helper ran: the O(dims) Hamming path and the full
+  // scan of detoured pairs.
+  EXPECT_GT(undetoured, 0);
+  EXPECT_GT(detoured, 0);
 }
 
 TEST(Dor, SingleCandidateLowestDimensionFirst) {
