@@ -102,64 +102,8 @@ void BM_NetworkStep(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkStep)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
-void BM_Step(benchmark::State& state) {
-  // Per-cycle engine cost across the load regimes the hot-path overhaul
-  // targets: arg = offered load in percent (10 = active-set regime, 55 =
-  // uncongested flow, 80 = congestion knee, 95 = saturation). Whole runs
-  // are timed by benchmark/hxsp_bench (see benchmark/README.md).
-  ExperimentSpec s;
-  s.sides = {8, 8};
-  s.servers_per_switch = 8;
-  s.mechanism = "polsp";
-  s.pattern = "uniform";
-  s.sim.num_vcs = 4;
-  Experiment e(s);
-  Network net(e.context(), e.mechanism(), e.traffic(), s.sim,
-              s.resolved_servers_per_switch(), 42);
-  const double load = static_cast<double>(state.range(0)) / 100.0;
-  net.set_offered_load(load);
-  net.run_cycles(2000); // reach steady state before measuring
-
-  for (auto _ : state) net.run_cycles(1);
-  state.SetItemsProcessed(state.iterations());
-  state.SetLabel("load=" + std::to_string(state.range(0)) + "%");
-}
-BENCHMARK(BM_Step)->Arg(10)->Arg(55)->Arg(80)->Arg(95)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_PacketPool(benchmark::State& state) {
-  // Pool churn at engine burst size versus the heap round-trip it
-  // replaced (see BM_PacketHeap): acquire/release of `burst` packets.
-  const int burst = static_cast<int>(state.range(0));
-  ObjectPool<Packet> pool;
-  std::vector<PacketPtr> held;
-  held.reserve(static_cast<std::size_t>(burst));
-  for (auto _ : state) {
-    for (int i = 0; i < burst; ++i) held.push_back(pool.make());
-    benchmark::DoNotOptimize(held.data());
-    held.clear(); // releases back to the freelist
-  }
-  state.SetItemsProcessed(state.iterations() * burst);
-}
-BENCHMARK(BM_PacketPool)->Arg(1)->Arg(64);
-
-void BM_PacketHeap(benchmark::State& state) {
-  // Baseline for BM_PacketPool: the make_unique/delete round-trip the
-  // seed engine performed per message.
-  const int burst = static_cast<int>(state.range(0));
-  std::vector<std::unique_ptr<Packet>> held;
-  held.reserve(static_cast<std::size_t>(burst));
-  for (auto _ : state) {
-    for (int i = 0; i < burst; ++i) held.push_back(std::make_unique<Packet>());
-    benchmark::DoNotOptimize(held.data());
-    held.clear();
-  }
-  state.SetItemsProcessed(state.iterations() * burst);
-}
-BENCHMARK(BM_PacketHeap)->Arg(1)->Arg(64);
-
 void BM_Workload(benchmark::State& state) {
-  // Workload-mode stepping cost, tracked next to BM_Step: one full
+  // Workload-mode stepping cost, tracked next to BM_NetworkStep: one full
   // message-level collective per iteration — dependency release cascade,
   // message-queue injection, per-packet consume attribution. Arg 0 is the
   // latency-bound ring all-reduce (long dependency chain, few packets in

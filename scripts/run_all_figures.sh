@@ -11,8 +11,12 @@
 #
 # Environment:
 #   SCALE=quick|paper  quick (default) uses CI-sized grids that finish in
-#                      minutes; paper uses each driver's full defaults —
-#                      the sizes of the source paper's evaluation.
+#                      seconds; paper passes --paper to the seven drivers
+#                      that read it (fig04, fig05, fig06, fig08, fig09,
+#                      fig10, ext_dynamic_faults) for the source paper's
+#                      shapes, loads and windows (hours of CPU), and runs
+#                      the rest at their defaults (table03, table04 and
+#                      fig01 are paper-scale already).
 #   JOBS=N             worker processes per driver (default: nproc).
 set -u
 
@@ -24,8 +28,7 @@ SCRIPT_DIR="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
 mkdir -p "$OUT_DIR"
 FAILED=0
 
-# Tiny-grid arguments per driver at quick scale; at paper scale every
-# driver runs its built-in defaults (the paper's shapes and windows).
+# Tiny-grid arguments per driver at quick scale.
 quick_args() {
   case "$1" in
     fig01_diameter_faults) echo "--side=4 --dims=2 --seeds=2 --step=8" ;;
@@ -38,6 +41,16 @@ quick_args() {
     ext_dynamic_faults) echo "--side=4 --warmup=500 --measure=2000 --faults=3" ;;
     ext_workloads) echo "--side=4 --sps=1 --msg-packets=2 --fault-fracs=0,0.05 --bucket=500" ;;
     ext_multitenant) echo "--side=4 --msg-packets=2 --fault-fracs=0,0.04,0.08 --bucket=500" ;;
+    *) echo "" ;;
+  esac
+}
+
+# Paper-scale arguments: only these drivers have a --paper mode.
+paper_args() {
+  case "$1" in
+    fig04_2d_faultfree | fig05_3d_faultfree | fig06_random_faults | \
+      fig08_2d_shapes | fig09_3d_shapes | fig10_completion | \
+      ext_dynamic_faults) echo "--paper" ;;
     *) echo "" ;;
   esac
 }
@@ -64,8 +77,14 @@ for driver in "${DRIVERS[@]}"; do
     FAILED=1
     continue
   fi
-  args=""
-  [[ "$SCALE" == "quick" ]] && args="$(quick_args "$driver")"
+  case "$SCALE" in
+    quick) args="$(quick_args "$driver")" ;;
+    paper) args="$(paper_args "$driver")" ;;
+    *)
+      echo "unknown SCALE=$SCALE (want quick or paper)"
+      exit 2
+      ;;
+  esac
   # shellcheck disable=SC2086  # word-splitting of $args is intended
   if "$bin" $args --jobs="$JOBS" --csv="$OUT_DIR/$driver.csv" \
        --json="$OUT_DIR/$driver.json" > "$OUT_DIR/$driver.log" 2>&1; then

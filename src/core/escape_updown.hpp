@@ -100,17 +100,6 @@ class EscapeUpDown {
   void candidates(SwitchId current, SwitchId target, bool gone_down,
                   std::vector<EscapeCand>& out) const;
 
-  /// Hints the CPU to start fetching the table rows candidates() will
-  /// read for \p target, so a caller can overlap them with other work.
-  void prefetch_rows(SwitchId target) const {
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(&ud_[static_cast<std::size_t>(target) * n_]);
-    __builtin_prefetch(&u_[static_cast<std::size_t>(target) * n_]);
-#else
-    (void)target;
-#endif
-  }
-
   /// The configured root.
   SwitchId root() const { return cfg_.root; }
 

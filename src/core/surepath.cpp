@@ -26,15 +26,6 @@ void SurePathMechanism::candidates(const NetworkContext& ctx, const Packet& p,
                                    std::vector<Candidate>& out) const {
   HXSP_CHECK_MSG(ctx.escape, "SurePath requires an escape subnetwork");
   HXSP_CHECK_MSG(ctx.num_vcs >= 2, "SurePath needs at least 2 VCs");
-#if defined(__GNUC__) || defined(__clang__)
-  // This is the engine's dominant cache-miss site: each call walks a few
-  // table rows (distance rows, escape rows, the alive-port view) that the
-  // per-cycle engine state has usually pushed out of cache by the time
-  // the next head recomputes. Request the escape rows early so their
-  // fetch overlaps the base algorithm's own table walk.
-  ctx.escape->prefetch_rows(p.dst_switch);
-  __builtin_prefetch(ctx.graph->alive_ports(sw).data());
-#endif
   const Vc esc_vc = static_cast<Vc>(ctx.num_vcs - 1);
   const Vc top = static_cast<Vc>(ctx.num_vcs - 2);
 

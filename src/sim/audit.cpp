@@ -1,14 +1,13 @@
 /// \file audit.cpp
 /// The engine invariant auditor.
 ///
-/// The PR 4 hot-path overhaul replaced full per-cycle scans with
-/// incrementally maintained state: per-output-VC qs and per-port score
-/// sums (allocator scoring), feasibility masks, out-head caches, waiting
-/// counts, per-router active input lists, network-level active router
-/// sets, a packet pool, and O(1) drain detection. Each of those is updated
-/// at a handful of mutation sites; a future edit that misses one site
-/// produces no crash — just a silently different (and wrong) simulation
-/// three PRs later. The auditor recomputes every one of those structures
+/// The engine keeps incrementally maintained state instead of full
+/// per-cycle scans: per-output-VC qs and per-port score sums (allocator
+/// scoring), feasibility masks, out-head caches, waiting counts,
+/// per-router active input lists, and O(1) packet and drain counters.
+/// Each of those is updated at a handful of mutation sites; a future edit
+/// that misses one site produces no crash — just a silently different (and
+/// wrong) simulation three PRs later. The auditor recomputes every one of those structures
 /// from first principles and aborts on the first mismatch, so drift fails
 /// loudly at the cycle it appears.
 ///
@@ -20,8 +19,8 @@
 ///
 ///   credits:  base == held upstream + reserved by queued packets
 ///                  + occupied downstream + in flight on the wheel
-///   packets:  pool.live() == buffered in routers + queued in servers,
-///             packets_in_system == pool.live() + pending consumptions
+///   packets:  packets_in_system == buffered in routers + queued in
+///             servers + pending consumptions
 
 #include <algorithm>
 #include <vector>
@@ -138,18 +137,6 @@ void Network::run_audit() const {
 
   // --- per-router recomputation -------------------------------------------
   for (const Router& r : routers_) r.audit_local(cfg_);
-
-  // --- network-level active sets ------------------------------------------
-  std::vector<SwitchId> alloc_expect;
-  std::vector<SwitchId> link_expect;
-  for (const Router& r : routers_) {
-    if (!r.active_.empty()) alloc_expect.push_back(r.id_);
-    if (r.waiting_total_ > 0) link_expect.push_back(r.id_);
-  }
-  HXSP_CHECK_MSG(alloc_expect == alloc_active_,
-                 "audit: alloc active set drifted from router states");
-  HXSP_CHECK_MSG(link_expect == link_active_,
-                 "audit: link active set drifted from router states");
 
   // --- wheel scan: the in-flight side of every conservation ledger --------
   // credit_inflight[r][port*V+vc]: credit phits on their way back to that
@@ -278,13 +265,11 @@ void Network::run_audit() const {
     }
   }
 
-  // --- pool and packet conservation ---------------------------------------
+  // --- packet conservation ------------------------------------------------
   long buffered = 0;
   for (const Router& r : routers_) buffered += r.buffered_packets();
   long queued = 0;
   for (const Server& s : servers_) queued += s.queued();
-  HXSP_CHECK_MSG(static_cast<long>(pool_.live()) == buffered + queued,
-                 "audit: pool live count drifted from buffered packets");
   HXSP_CHECK_MSG(packets_in_system_ == buffered + queued + pending_consume,
                  "audit: packet conservation violated");
 

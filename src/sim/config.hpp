@@ -25,8 +25,8 @@ struct SimConfig {
 
   /// Every this many cycles the engine invariant auditor recomputes the
   /// incrementally maintained hot-path structures (allocator score sums,
-  /// feasibility masks, active sets, ring-buffer occupancies, pool live
-  /// counts, per-link credit/packet conservation) from scratch and aborts
+  /// feasibility masks, active input lists, ring-buffer occupancies,
+  /// per-link credit/packet conservation) from scratch and aborts
   /// on any drift (see sim/audit.cpp). 0 disables (the default unless the
   /// build sets -DHXSP_AUDIT=ON). The audit mutates nothing: enabling it
   /// can only turn a silent byte-diff into a loud failure, never change

@@ -198,8 +198,8 @@ void Network::deliver(PacketPtr pkt, SwitchId sw, Port port, Vc vc, Cycle head,
                       Cycle tail) {
   mech_.on_arrival(ctx_, *pkt, sw);
   if (tracer_) tracer_->record(TraceEvent::kArrive, head, pkt->id, sw, port, vc);
-  routers_[static_cast<std::size_t>(sw)].push_input(*this, std::move(pkt), port,
-                                                    vc, head, tail);
+  routers_[static_cast<std::size_t>(sw)].push_input(std::move(pkt), port, vc,
+                                                    head, tail);
   if (telemetry_)
     telemetry_->on_occupancy(
         sw, routers_[static_cast<std::size_t>(sw)].input(port, vc).occupancy);
@@ -254,7 +254,7 @@ void Network::commit_link_stages() {
   SwitchId prev_src = -1;
 #endif
   for (LinkStage& stage : link_stages_) {
-    for (StagedTx& t : stage.txs) {
+    for (StagedTx& t : stage) {
 #ifndef NDEBUG
       // Contiguous ascending partitions + in-order emission: the
       // concatenation is sorted by source router id, i.e. the order a
@@ -274,7 +274,6 @@ void Network::commit_link_stages() {
       }
       note_progress();
     }
-    for (const SwitchId s : stage.deactivated) sorted_id_erase(link_active_, s);
     stage.clear();
   }
 }
@@ -324,11 +323,12 @@ void Network::step() {
   }
   // Routers without buffered input (resp. waiting output) packets would
   // run their alloc (resp. link) phase as a pure no-op — no RNG draws, no
-  // events — so stepping only the active ids, in the same ascending id
-  // order as the full scan, is cycle-exact. The link snapshot is taken
-  // after alloc so a zero-latency crossbar grant can still transmit in
-  // the same cycle (as it would under the full scan).
-  phase_scratch_.assign(alloc_active_.begin(), alloc_active_.end());
+  // events — so stepping only the busy ids, in ascending id order, is
+  // cycle-exact. The link list is built after alloc so a zero-latency
+  // crossbar grant can still transmit in the same cycle.
+  phase_scratch_.clear();
+  for (const Router& r : routers_)
+    if (r.has_input_work()) phase_scratch_.push_back(r.id());
   if (step_pool_ != nullptr && phase_scratch_.size() > 1) {
     // Candidate precompute — the RNG-free, read-mostly prefix of the
     // alloc phase — fanned out across the pool; each job writes
@@ -354,7 +354,9 @@ void Network::step() {
   // events in (source router id, ordinal) order. Deferring deliveries to
   // the commit is exact even within the cycle: a delivery mutates only the
   // destination router's input side, which no link phase reads.
-  phase_scratch_.assign(link_active_.begin(), link_active_.end());
+  phase_scratch_.clear();
+  for (const Router& r : routers_)
+    if (r.has_link_work()) phase_scratch_.push_back(r.id());
   const auto collect = [this](std::size_t w, std::size_t lo, std::size_t hi) {
     LinkStage& stage = link_stages_[w];
     for (std::size_t i = lo; i < hi; ++i)

@@ -5,16 +5,15 @@
 ///
 /// One step() = process due events, run server generation/injection, run
 /// the allocation phase of every router with buffered input packets, then
-/// the link phase of every router with waiting output packets. The two
-/// router phases walk sorted active-id lists maintained at the few points
-/// where a router gains or loses work, so idle routers cost nothing per
-/// cycle — and because skipped routers would have drawn no randomness and
-/// scheduled no events, the cycle-by-cycle behaviour (RNG stream, event
-/// order, every output byte) is identical to stepping everything. All
-/// event delays are small constants (crossbar/link/credit latencies), so a
-/// 64-slot calendar wheel suffices. A watchdog aborts the run if packets
-/// are in flight but nothing has moved for SimConfig::watchdog_cycles —
-/// the tripwire behind our deadlock-freedom claims.
+/// the link phase of every router with waiting output packets. Each router
+/// phase scans the routers in id order and skips the idle ones; a skipped
+/// router would have drawn no randomness and scheduled no events, so the
+/// cycle-by-cycle behaviour (RNG stream, event order, every output byte)
+/// is identical to stepping everything. All event delays are small
+/// constants (crossbar/link/credit latencies), so a 64-slot calendar wheel
+/// suffices. A watchdog aborts the run if packets are in flight but
+/// nothing has moved for SimConfig::watchdog_cycles — the tripwire behind
+/// our deadlock-freedom claims.
 ///
 /// Instruments: consumptions, packet latency and hop kinds are counted
 /// once, cumulatively, in metrics(); per-link phits by the sending Router
@@ -22,7 +21,6 @@
 /// is router-local). The measurement window and every telemetry frame
 /// are differences between snapshots of those counts.
 
-#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -47,25 +45,6 @@ namespace hxsp {
 class ThreadPool;    // util/thread_pool.hpp
 class MessageSource; // workload/run.hpp
 struct TelemetryCapture; // telemetry/capture.hpp
-
-/// Inserts \p x into sorted \p v (no duplicates expected). Shared by the
-/// engine's active-set lists: network-level router ids and router-level
-/// waiting ports both need ascending-order iteration to mirror a full
-/// scan exactly.
-template <typename T>
-inline void sorted_id_insert(std::vector<T>& v, T x) {
-  const auto it = std::lower_bound(v.begin(), v.end(), x);
-  HXSP_DCHECK(it == v.end() || *it != x);
-  v.insert(it, x);
-}
-
-/// Erases \p x from sorted \p v (must be present).
-template <typename T>
-inline void sorted_id_erase(std::vector<T>& v, T x) {
-  const auto it = std::lower_bound(v.begin(), v.end(), x);
-  HXSP_DCHECK(it != v.end() && *it == x);
-  v.erase(it);
-}
 
 /// A deferred simulator action (buffer release, credit return, delivery).
 ///
@@ -257,11 +236,8 @@ class Network {
   /// Unique id source for packets.
   std::int64_t next_packet_id() { return ++packet_ids_; }
 
-  /// A fresh (value-reset, recycled) packet from this network's pool.
-  PacketPtr alloc_packet() { return pool_.make(); }
-
-  /// The packet recycling arena (exposed for tests and benchmarks).
-  const PacketPool& packet_pool() const { return pool_; }
+  /// A fresh packet.
+  PacketPtr alloc_packet() { return std::make_unique<Packet>(); }
 
   /// Bookkeeping: a packet entered / left the system.
   void on_packet_created() { ++packets_in_system_; }
@@ -271,16 +247,6 @@ class Network {
   /// (drains the aggregate outstanding-work counter, see
   /// run_until_drained).
   void on_completion_packet_generated() { --completion_outstanding_; }
-
-  // --- active-set maintenance (called by Router on state transitions) -----
-
-  /// Router \p s gained its first buffered input packet / lost its last.
-  void router_alloc_activated(SwitchId s) { sorted_id_insert(alloc_active_, s); }
-  void router_alloc_deactivated(SwitchId s) { sorted_id_erase(alloc_active_, s); }
-
-  /// Router \p s gained its first waiting output packet / lost its last.
-  void router_link_activated(SwitchId s) { sorted_id_insert(link_active_, s); }
-  void router_link_deactivated(SwitchId s) { sorted_id_erase(link_active_, s); }
 
   // --- dynamic fault support ----------------------------------------------
 
@@ -298,7 +264,7 @@ class Network {
 
   /// Attaches a worker pool for the parallel phases of step(). Two
   /// phases fan out across the pool, over the same contiguous ascending
-  /// partition of their active-router snapshot, and both are bit-identical
+  /// partition of their busy-router list, and both are bit-identical
   /// to serial stepping:
   ///
   ///  1. Candidate precompute — each worker precomputes its routers'
@@ -332,14 +298,17 @@ class Network {
 
   /// Recomputes every incrementally maintained engine structure from
   /// scratch — per-router allocator score sums, per-VC qs, feasibility
-  /// masks, out-head caches, active lists, the network-level active sets,
-  /// pool live counts, packet conservation, and per-link credit
-  /// conservation (wheel events included) — and HXSP_CHECKs each against
-  /// the maintained copy. Runs every SimConfig::audit_interval cycles when
+  /// masks, out-head caches, active input lists, packet conservation, and
+  /// per-link credit conservation (wheel events included) — and
+  /// HXSP_CHECKs each against the maintained copy. Runs every SimConfig::audit_interval cycles when
   /// that is > 0; callable directly any time (tests, tools). Mutates
   /// nothing: turning auditing on cannot change simulation output, only
   /// convert silent incremental-state drift into a loud abort.
   void run_audit() const;
+
+  /// Test-only mutable access to the packet counter, for injecting the
+  /// conservation drift the auditor must catch. Never used by the engine.
+  long& corrupt_packets_in_system_for_test() { return packets_in_system_; }
 
  private:
   void step();
@@ -356,9 +325,9 @@ class Network {
   void fan_out(const Fn& fn);
 
   /// Serial commit of the link phase: replays every staged transmission
-  /// (wheel events, delivery/consumption, watchdog progress)
-  /// in (source router id, ordinal) order, then retires routers whose
-  /// output work drained. The only place a transmission leaves a router.
+  /// (wheel events, delivery/consumption, watchdog progress) in (source
+  /// router id, ordinal) order. The only place a transmission leaves a
+  /// router.
   void commit_link_stages();
 
   NetworkContext ctx_;
@@ -368,25 +337,16 @@ class Network {
   int servers_per_switch_;
   Rng rng_;
 
-  // Declared before the routers/servers whose buffers hold PacketPtrs, so
-  // it is destroyed after every outstanding packet returned to it.
-  PacketPool pool_;
-
   // deque: built one element at a time without relocating earlier ones.
   std::deque<Router> routers_;
   std::deque<Server> servers_;
-  // Server-side storage kept outside the Server objects (see server.hpp);
-  // the slab is declared after pool_ for the same reason as the routers.
+  // Server-side storage kept outside the Server objects (see server.hpp).
   RingSlab<PacketPtr> server_queues_;
   std::vector<int> server_credits_; ///< [server][vc]
   std::vector<Vc> vc_scratch_;
 
-  // Sorted ids of routers with per-cycle phase work (see step()). The
-  // scratch vector snapshots a list before iterating it, because phase
-  // work mutates the lists (grants empty input queues, transmissions
-  // drain output queues).
-  std::vector<SwitchId> alloc_active_;
-  std::vector<SwitchId> link_active_;
+  // Ids of the routers with work in the current phase, ascending (filled
+  // by a scan in step(); the step pool partitions it).
   std::vector<SwitchId> phase_scratch_;
 
   static constexpr int kWheelBits = 6;

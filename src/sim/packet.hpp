@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "util/pool.hpp"
 #include "util/types.hpp"
 
 namespace hxsp {
@@ -44,12 +43,7 @@ struct Packet {
   bool escape_gone_down = false;   ///< strict-phase escape: took a Down hop
 };
 
-/// Per-Network recycling arena for packets: the engine's steady state
-/// allocates nothing (see util/pool.hpp).
-using PacketPool = ObjectPool<Packet>;
-
-/// Owning pointer used when moving packets between buffers. Destruction
-/// returns the packet to its Network's pool.
-using PacketPtr = PacketPool::UniquePtr;
+/// Owning pointer used when moving packets between buffers.
+using PacketPtr = std::unique_ptr<Packet>;
 
 } // namespace hxsp

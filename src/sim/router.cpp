@@ -7,6 +7,24 @@
 #include "sim/network.hpp"
 
 namespace hxsp {
+namespace {
+
+/// Inserts \p x into sorted \p v (no duplicates expected): link_ports_
+/// is iterated in ascending order to mirror a full port scan exactly.
+void sorted_id_insert(std::vector<Port>& v, Port x) {
+  const auto it = std::lower_bound(v.begin(), v.end(), x);
+  HXSP_DCHECK(it == v.end() || *it != x);
+  v.insert(it, x);
+}
+
+/// Erases \p x from sorted \p v (must be present).
+void sorted_id_erase(std::vector<Port>& v, Port x) {
+  const auto it = std::lower_bound(v.begin(), v.end(), x);
+  HXSP_DCHECK(it != v.end() && *it == x);
+  v.erase(it);
+}
+
+} // namespace
 
 Router::Router(SwitchId id, int num_switch_ports, int num_server_ports,
                const SimConfig& cfg)
@@ -34,10 +52,9 @@ Router::Router(SwitchId id, int num_switch_ports, int num_server_ports,
   req_chains_.assign(static_cast<std::size_t>(total_ports), RequestChain{});
 }
 
-void Router::mark_active(Network& net, Port p, Vc v) {
+void Router::mark_active(Port p, Vc v) {
   InputVc& iv = input_mut(p, v);
   if (iv.active_pos >= 0) return;
-  if (active_.empty()) net.router_alloc_activated(id_);
   iv.active_pos = static_cast<int>(active_.size());
   active_.push_back(static_cast<std::int32_t>(vc_index(p, v)));
   // The slot at the new position is a spare, hence invalid: the fresh
@@ -45,7 +62,7 @@ void Router::mark_active(Network& net, Port p, Vc v) {
   if (cand_slots_.size() < active_.size()) cand_slots_.emplace_back();
 }
 
-void Router::unmark_active(Network& net, Port p, Vc v) {
+void Router::unmark_active(Port p, Vc v) {
   InputVc& iv = input_mut(p, v);
   if (iv.active_pos < 0) return;
   const std::size_t pos = static_cast<std::size_t>(iv.active_pos);
@@ -60,16 +77,15 @@ void Router::unmark_active(Network& net, Port p, Vc v) {
   HXSP_DCHECK(!cand_slots_[last_pos].valid);
   active_.pop_back();
   iv.active_pos = -1;
-  if (active_.empty()) net.router_alloc_deactivated(id_);
 }
 
-void Router::push_input(Network& net, PacketPtr pkt, Port port, Vc vc,
-                        Cycle head, Cycle tail) {
+void Router::push_input(PacketPtr pkt, Port port, Vc vc, Cycle head,
+                        Cycle tail) {
   InputVc& iv = input_mut(port, vc);
   pkt->buf_head = head;
   pkt->buf_tail = tail;
   iv.occupancy += pkt->length;
-  HXSP_DCHECK(iv.occupancy <= net.cfg().input_buffer_phits());
+  HXSP_DCHECK(iv.occupancy <= base_credits_);
   if (iv.q.empty()) {
     // Fresh head: it can first request once its head phit is here, any
     // in-progress drain of this VC finished, and the input port's
@@ -81,7 +97,7 @@ void Router::push_input(Network& net, PacketPtr pkt, Port port, Vc vc,
     in_gate_[vc_index(port, vc)] = gate;
   }
   in_q_.push_back(vc_index(port, vc), iv.q, std::move(pkt));
-  mark_active(net, port, vc);
+  mark_active(port, vc);
 }
 
 int Router::queue_score(Port port, Vc vc) const {
@@ -250,7 +266,7 @@ void Router::alloc_phase(Network& net, Cycle now) {
       cand_slots_[static_cast<std::size_t>(iv.active_pos)].valid = false;
       PacketPtr pkt =
           in_q_.pop_front(static_cast<std::size_t>(req.in_enc), iv.q);
-      if (iv.q.empty()) unmark_active(net, in_port, in_vc);
+      if (iv.q.empty()) unmark_active(in_port, in_vc);
       iv.draining = true;
 
       // Cut-through: the tail leaves the input when the crossbar is done
@@ -289,7 +305,7 @@ void Router::alloc_phase(Network& net, Cycle now) {
       out_qs_[out_idx] += 2 * len;
       update_feasible(out_port, req.out_vc);
       if (op.waiting++ == 0) sorted_id_insert(link_ports_, out_port);
-      if (waiting_total_++ == 0) net.router_link_activated(id_);
+      ++waiting_total_;
 
       pkt->buf_head = now + cfg.xbar_latency;
       pkt->buf_tail = drain_done + cfg.xbar_latency;
@@ -339,11 +355,11 @@ void Router::link_phase(const SimConfig& cfg, Cycle now, LinkStage& out) {
       PacketPtr pkt = out_q_.pop_front(idx, ov.q);
       out_head_[idx] = ov.q.empty() ? kNeverReady : out_front(idx).buf_head;
       if (--op.waiting == 0) sorted_id_erase(link_ports_, p);
-      if (--waiting_total_ == 0) out.deactivated.push_back(id_);
+      --waiting_total_;
       op.link_free_at = now + len;
       op.rr_next = (v + 1) % num_vcs_;
       if (p < num_switch_ports_) link_phits_[static_cast<std::size_t>(p)] += len;
-      out.txs.push_back({std::move(pkt), id_, p, static_cast<Vc>(v)});
+      out.push_back({std::move(pkt), id_, p, static_cast<Vc>(v)});
       break;
     }
   }
@@ -394,7 +410,7 @@ int Router::drop_output_queue(Network& net, Port port) {
     const std::size_t idx = vc_index(port, v);
     OutputVc& ov = out_vcs_[idx];
     while (!ov.q.empty()) {
-      (void)out_q_.pop_front(idx, ov.q); // destroys the packet (to the pool)
+      (void)out_q_.pop_front(idx, ov.q); // destroys the packet
       ov.occupancy -= len;    // no OutTailGone will fire
       ov.credits += len;      // reserved downstream space unused
       op.score_sum -= 2 * len;
@@ -406,10 +422,7 @@ int Router::drop_output_queue(Network& net, Port port) {
     out_head_[idx] = kNeverReady;
     update_feasible(port, v);
   }
-  if (dropped > 0) {
-    if (op.waiting == 0) sorted_id_erase(link_ports_, port);
-    if (waiting_total_ == 0) net.router_link_deactivated(id_);
-  }
+  if (dropped > 0 && op.waiting == 0) sorted_id_erase(link_ports_, port);
   return dropped;
 }
 

@@ -82,6 +82,10 @@ struct OutputVc {
 // of megabytes there.
 static_assert(sizeof(InputVc) <= 24, "InputVc grew past its per-VC budget");
 static_assert(sizeof(OutputVc) <= 12, "OutputVc grew past its per-VC budget");
+static_assert(sizeof(PacketPtr) == sizeof(Packet*),
+              "PacketPtr must stay one pointer: every slab slot holds one, "
+              "~27M slots on million_min, so a stateful deleter costs "
+              "~200 MB there");
 
 /// Cached candidate set of one buffered input head. A router keeps one
 /// slot per entry of its active input list, at the same position, so
@@ -122,21 +126,10 @@ struct StagedTx {
 
 /// Staging buffer of the link phase: one for a serial step, one per worker
 /// with a step pool. Each stage covers a contiguous ascending range of the
-/// link-active snapshot and is appended in iteration order, so
-/// concatenating the stages in order reproduces the (source router id,
-/// ordinal) order of a router-by-router loop exactly — no sort, no
-/// timestamps. `deactivated` defers the link-active-set erasures to the
-/// commit.
-struct LinkStage {
-  std::vector<StagedTx> txs;
-  std::vector<SwitchId> deactivated;
-
-  bool empty() const { return txs.empty() && deactivated.empty(); }
-  void clear() {
-    txs.clear();
-    deactivated.clear();
-  }
-};
+/// link-busy routers and is appended in iteration order, so concatenating
+/// the stages in order reproduces the (source router id, ordinal) order of
+/// a router-by-router loop exactly — no sort, no timestamps.
+using LinkStage = std::vector<StagedTx>;
 
 /// One switch of the network.
 class Router {
@@ -157,8 +150,7 @@ class Router {
 
   /// Enqueues a packet into input (port, vc); \p head/\p tail are the
   /// arrival cycles of its first and last phit.
-  void push_input(Network& net, PacketPtr pkt, Port port, Vc vc, Cycle head,
-                  Cycle tail);
+  void push_input(PacketPtr pkt, Port port, Vc vc, Cycle head, Cycle tail);
 
   /// Computes (and caches) the candidate set of every eligible head that
   /// does not have one, without posting requests or drawing RNG — the
@@ -176,11 +168,10 @@ class Router {
   /// router-local half (pop the granted head, refresh out-head caches and
   /// waiting counts, stamp link_free_at, advance round-robin, count the
   /// phits sent on switch ports) and stages each popped packet into
-  /// \p out, recording this router in out.deactivated when its last
-  /// waiting packet leaves; the network-visible half (wheel events,
-  /// delivery or consumption) is Network::commit_link_stages. RNG-free
-  /// and confined to this router, so it is safe to run concurrently for
-  /// disjoint routers.
+  /// \p out; the network-visible half (wheel events, delivery or
+  /// consumption) is Network::commit_link_stages. RNG-free and confined
+  /// to this router, so it is safe to run concurrently for disjoint
+  /// routers.
   void link_phase(const SimConfig& cfg, Cycle now, LinkStage& out);
 
   // --- event handlers -----------------------------------------------------
@@ -221,12 +212,12 @@ class Router {
     std::fill(link_phits_.begin(), link_phits_.end(), 0);
   }
 
-  /// True while this router has any buffered input packet (mirrors
-  /// membership in the network's alloc active set).
+  /// True while this router has any buffered input packet (the routers
+  /// Network::step runs the alloc phase of).
   bool has_input_work() const { return !active_.empty(); }
 
-  /// True while any output VC holds a packet awaiting its link (mirrors
-  /// membership in the network's link active set).
+  /// True while any output VC holds a packet awaiting its link (the
+  /// routers Network::step runs the link phase of).
   bool has_link_work() const { return waiting_total_ > 0; }
 
   // --- dynamic fault support ----------------------------------------------
@@ -311,13 +302,11 @@ class Router {
       op.feasible_mask &= ~bit;
   }
 
-  /// Adds (port,vc) to the active list if absent (notifying the network
-  /// when the router as a whole gains its first buffered packet).
-  void mark_active(Network& net, Port p, Vc v);
+  /// Adds (port,vc) to the active list if absent.
+  void mark_active(Port p, Vc v);
 
-  /// Removes (port,vc) from the active list (notifying the network when
-  /// the router runs out of buffered packets).
-  void unmark_active(Network& net, Port p, Vc v);
+  /// Removes (port,vc) from the active list.
+  void unmark_active(Port p, Vc v);
 
   /// Q term of the paper's allocation rule for output (port,vc).
   int queue_score(Port port, Vc vc) const;

@@ -16,7 +16,7 @@ namespace hxsp {
 namespace {
 
 /// 4x4 HyperX, 2 servers/switch, adaptive routing so every incremental
-/// structure (scores, masks, active sets) sees real churn.
+/// structure (scores, masks, active lists) sees real churn.
 ExperimentSpec audit_spec(Cycle audit_interval) {
   ExperimentSpec s;
   s.sides = {4, 4};
@@ -139,6 +139,15 @@ TEST(AuditDeath, CatchesStaleCandidateSlot) {
   slot.valid = true;
   slot.head_id = -2;
   EXPECT_DEATH(l.net.run_audit(), "audit: candidate slot outlived its head");
+}
+
+TEST(AuditDeath, CatchesLostPacket) {
+  LoadedNet l(0);
+  ASSERT_GT(l.net.packets_in_system(), 0);
+  // One packet leaves the count without leaving a buffer, queue or the
+  // wheel: the packet ledger is the engine's only packet check.
+  l.net.corrupt_packets_in_system_for_test() -= 1;
+  EXPECT_DEATH(l.net.run_audit(), "audit: packet conservation violated");
 }
 
 TEST(AuditDeath, CorruptionCaughtByPeriodicAuditDuringRun) {

@@ -2,8 +2,9 @@
 /// RingSlab (util/ringbuf.hpp): FIFO semantics, wrap-around, capacity
 /// rounding, move-only element support and indexed sweeps — the contract
 /// behind every packet queue in the engine — plus the slab layout itself:
-/// rings sharing one slab never touch each other's slices, and packets
-/// queued in a slab go back to their pool. The RingBuf suite keeps the
+/// rings sharing one slab never touch each other's slices, and owning
+/// elements are destroyed on pop, clear and slab destruction. The RingBuf
+/// suite keeps the
 /// single-ring cases of the per-queue ring buffer the slab replaced. Also
 /// ChunkPool/PooledRing, the pooled append-only FIFOs behind the event
 /// wheel's slots.
@@ -15,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/packet.hpp"
 #include "util/ringbuf.hpp"
 
 namespace hxsp {
@@ -185,26 +185,32 @@ TEST(RingSlab, AdjacentRingsWrapWithoutTouchingNeighbours) {
   for (int i = 0; i < 3; ++i) EXPECT_EQ(slab.pop_front(1, mid), -1 - i);
 }
 
-TEST(RingSlab, PacketPtrElementsReturnToPool) {
-  PacketPool pool;
+/// Counts live instances, so a test can see exactly when the slab
+/// destroys its elements.
+struct Counted {
+  static int live;
+  int id;
+  explicit Counted(int i) : id(i) { ++live; }
+  ~Counted() { --live; }
+};
+int Counted::live = 0;
+
+TEST(RingSlab, OwningElementsAreDestroyed) {
   {
-    RingSlab<PacketPtr> slab;
+    RingSlab<std::unique_ptr<Counted>> slab;
     slab.reset(2, 3);
-    RingSlab<PacketPtr>::Ring a, b;
-    for (int i = 0; i < 3; ++i) {
-      PacketPtr p = pool.make();
-      p->id = i;
-      slab.push_back(0, a, std::move(p));
-    }
-    slab.push_back(1, b, pool.make());
-    EXPECT_EQ(pool.live(), 4u);
+    RingSlab<std::unique_ptr<Counted>>::Ring a, b;
+    for (int i = 0; i < 3; ++i)
+      slab.push_back(0, a, std::make_unique<Counted>(i));
+    slab.push_back(1, b, std::make_unique<Counted>(9));
+    EXPECT_EQ(Counted::live, 4);
     EXPECT_EQ(slab.pop_front(0, a)->id, 0); // destroyed at end of statement
-    EXPECT_EQ(pool.live(), 3u);
+    EXPECT_EQ(Counted::live, 3);
     slab.clear(0, a);
-    EXPECT_EQ(pool.live(), 1u);
-    // Ring 1 still holds a packet: destroying the slab returns it.
+    EXPECT_EQ(Counted::live, 1);
+    // Ring 1 still holds an element: destroying the slab destroys it.
   }
-  EXPECT_EQ(pool.live(), 0u);
+  EXPECT_EQ(Counted::live, 0);
 }
 
 TEST(RingSlabDeathTest, PushOnFullRingHitsDcheck) {

@@ -87,6 +87,24 @@ TEST(Sim, PacketsConserveAfterDrain) {
   EXPECT_EQ(consumed, 20L * 16 * res.num_servers);
 }
 
+TEST(Sim, DrainedNetworkHoldsNoPackets) {
+  // Every packet the servers generated was consumed and destroyed: a
+  // drained network's packet counter is back to zero.
+  ExperimentSpec spec;
+  spec.sides = {4, 4};
+  spec.servers_per_switch = 2;
+  spec.mechanism = "polsp";
+  spec.pattern = "uniform";
+  spec.sim.num_vcs = 4;
+  Experiment e(spec);
+  Network net(e.context(), e.mechanism(), e.traffic(), spec.sim,
+              spec.resolved_servers_per_switch(), spec.seed);
+  net.set_completion_load(64);
+  ASSERT_TRUE(net.run_until_drained(400000));
+  EXPECT_EQ(net.packets_in_system(), 0);
+  EXPECT_EQ(net.metrics().total_consumed_packets(), 32 * 64);
+}
+
 TEST(Sim, CompletionTimeBoundedBelowBySerialisation) {
   Experiment e(tiny_2d("polsp", "uniform"));
   const CompletionResult res = e.run_completion(10, 500, 100000);

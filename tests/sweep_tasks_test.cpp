@@ -224,11 +224,11 @@ TEST(TaskSpecs, RateTasksMatchRunExactly) {
 
 TEST(TaskSpecs, NearSaturationMatchesSerialBitIdentically) {
   // Near/at saturation every engine structure is under pressure: ring
-  // buffers run full, the packet pool recycles at the maximum rate, heads
-  // park and wake constantly, and the escape subnetwork carries forced
+  // buffers run full, packets are created and destroyed at the maximum
+  // rate, heads park and wake constantly, and the escape subnetwork carries forced
   // hops. A faulted spec on both SurePath mechanisms at loads up to 1.0
   // must still be bit-identical to the serial loop at any worker count —
-  // the regression tripwire for the pooled/ring/active-set engine.
+  // the regression tripwire for the slab/ring/active-list engine.
   for (const std::string& mech : {std::string("polsp"), std::string("omnisp")}) {
     ExperimentSpec spec = small_spec(mech);
     HyperX scratch(spec.sides, spec.servers_per_switch);
