@@ -186,10 +186,11 @@ else
 fi
 
 # micro_engine is a Google Benchmark binary (present only when the library
-# is installed); one tiny repetition proves it still runs.
+# is installed); every microbenchmark runs once at a tiny minimum time, so
+# none of them can rot unnoticed.
 if [[ -x "$BUILD_DIR/micro_engine" ]]; then
-  if "$BUILD_DIR/micro_engine" --benchmark_filter=BM_SweepFanout/1 \
-       --benchmark_min_time=0.01 > "$WORK_DIR/micro_engine.out" 2>&1; then
+  if "$BUILD_DIR/micro_engine" --benchmark_min_time=0.01 \
+       > "$WORK_DIR/micro_engine.out" 2>&1; then
     echo "OK      micro_engine"
   else
     echo "FAIL    micro_engine"

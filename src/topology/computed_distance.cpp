@@ -6,10 +6,7 @@
 
 namespace hxsp {
 
-ComputedHyperXDistance::ComputedHyperXDistance(const HyperX& hx,
-                                               int row_cache_rows)
-    : hx_(&hx), cache_rows_(row_cache_rows) {
-  HXSP_CHECK(row_cache_rows > 0);
+ComputedHyperXDistance::ComputedHyperXDistance(const HyperX& hx) : hx_(&hx) {
   stride_.resize(static_cast<std::size_t>(hx.dims()));
   std::int64_t s = 1;
   for (int d = 0; d < hx.dims(); ++d) {
@@ -23,7 +20,6 @@ void ComputedHyperXDistance::rebuild() {
   const Graph& g = hx_->graph();
   num_dead_ = 0;
   dirty_.assign(static_cast<std::size_t>(g.num_switches()), 0);
-  dirty_list_.clear();
   for (LinkId l = 0; l < g.num_links(); ++l) {
     if (g.link_alive(l)) continue;
     ++num_dead_;
@@ -31,71 +27,18 @@ void ComputedHyperXDistance::rebuild() {
     dirty_[static_cast<std::size_t>(ends.a)] = 1;
     dirty_[static_cast<std::size_t>(ends.b)] = 1;
   }
-  for (SwitchId s = 0; s < g.num_switches(); ++s)
-    if (dirty_[static_cast<std::size_t>(s)]) dirty_list_.push_back(s);
   // A healthy HyperX is connected by construction; only scan when faulted.
   connected_ = num_dead_ == 0 || g.connected();
   std::lock_guard<std::mutex> lock(mu_);
-  cache_.clear();
-  tick_ = 0;
   faulted_diameter_ = -1;
 }
 
 int ComputedHyperXDistance::at(SwitchId a, SwitchId b) const {
   if (a == b) return 0;
-  if (num_dead_ == 0 || subcube_clean(a, b))
+  if (num_dead_ == 0 || minimal_path_intact(a, b))
     return hx_->hamming_distance(a, b);
-  if (minimal_path_intact(a, b)) {
-    dp_resolved_.fetch_add(1, std::memory_order_relaxed);
-    return hx_->hamming_distance(a, b);
-  }
-  return fallback_at(a, b);
-}
-
-bool ComputedHyperXDistance::subcube_clean(SwitchId a, SwitchId b) const {
-  const int dims = hx_->dims();
-  // Differing coordinates, as id deltas for subcube enumeration.
-  std::int64_t delta[kMaxSubcubeDims];
-  int h = 0;
-  for (int d = 0; d < dims; ++d) {
-    const int ca = hx_->coord(a, d);
-    const int cb = hx_->coord(b, d);
-    if (ca == cb) continue;
-    if (h < kMaxSubcubeDims)
-      delta[h] = static_cast<std::int64_t>(cb - ca) *
-                 stride_[static_cast<std::size_t>(d)];
-    ++h;
-  }
-  // Two exact formulations of "no dirty switch inside the 2^h subcube":
-  // enumerate the subcube and probe the dirty bitset (2^h * h), or scan
-  // the dirty list testing subcube membership (#dirty * dims). Pick the
-  // cheaper; both give the same answer, so the choice cannot perturb
-  // results.
-  const std::size_t list_cost =
-      dirty_list_.size() * static_cast<std::size_t>(dims);
-  const bool enumerable = h <= kMaxSubcubeDims;
-  if (enumerable &&
-      (std::size_t{1} << h) * static_cast<std::size_t>(h) <= list_cost) {
-    for (std::uint32_t m = 0; m < (std::uint32_t{1} << h); ++m) {
-      std::int64_t id = a;
-      for (int i = 0; i < h; ++i)
-        if (m & (std::uint32_t{1} << i)) id += delta[i];
-      if (dirty_[static_cast<std::size_t>(id)]) return false;
-    }
-    return true;
-  }
-  for (const SwitchId s : dirty_list_) {
-    bool inside = true;
-    for (int d = 0; d < dims; ++d) {
-      const int cs = hx_->coord(s, d);
-      if (cs != hx_->coord(a, d) && cs != hx_->coord(b, d)) {
-        inside = false;
-        break;
-      }
-    }
-    if (inside) return false;
-  }
-  return true;
+  rows_built_.fetch_add(1, std::memory_order_relaxed);
+  return hx_->graph().bfs(a)[static_cast<std::size_t>(b)];
 }
 
 bool ComputedHyperXDistance::minimal_path_intact(SwitchId a, SwitchId b) const {
@@ -121,58 +64,30 @@ bool ComputedHyperXDistance::minimal_path_intact(SwitchId a, SwitchId b) const {
   // one differing dimension per hop; a corner is the set of dimensions
   // already fixed. reach[mask] = "corner `mask` reachable from a over
   // alive links". Masks ascend, so every predecessor (one bit fewer) is
-  // final before it is read.
-  char reach[std::size_t{1} << kMaxDpDims];
-  reach[0] = 1;
+  // final before it is read. A dead link dirties both of its ends, so a
+  // hop with a clean end is alive and only dirty-to-dirty hops are probed.
+  bool reach[std::size_t{1} << kMaxDpDims];
+  bool dirty[std::size_t{1} << kMaxDpDims]; ///< corner `mask` is dirty
+  reach[0] = true;
+  dirty[0] = dirty_[static_cast<std::size_t>(a)] != 0;
   const std::uint32_t full = (std::uint32_t{1} << h) - 1;
   const Graph& g = hx_->graph();
   for (std::uint32_t mask = 1; mask <= full; ++mask) {
     std::int64_t id = a;
     for (int i = 0; i < h; ++i)
       if (mask & (std::uint32_t{1} << i)) id += delta[i];
-    char r = 0;
+    dirty[mask] = dirty_[static_cast<std::size_t>(id)] != 0;
+    bool r = false;
     for (int i = 0; i < h && !r; ++i) {
-      if (!(mask & (std::uint32_t{1} << i))) continue;
-      if (!reach[mask ^ (std::uint32_t{1} << i)]) continue;
+      const std::uint32_t bit = std::uint32_t{1} << i;
+      if (!(mask & bit) || !reach[mask ^ bit]) continue;
       const SwitchId prev = static_cast<SwitchId>(id - delta[i]);
-      const Port p = hx_->port_towards(prev, dim_of[i], target[i]);
-      r = g.port_alive(prev, p) ? 1 : 0;
+      r = !dirty[mask] || !dirty[mask ^ bit] ||
+          g.port_alive(prev, hx_->port_towards(prev, dim_of[i], target[i]));
     }
     reach[mask] = r;
   }
-  return reach[full] != 0;
-}
-
-int ComputedHyperXDistance::fallback_at(SwitchId a, SwitchId b) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Distances are symmetric, so a row anchored at either endpoint serves
-  // the query; DistRow keeps the anchor in slot a, so misses build for a.
-  for (CacheRow& r : cache_) {
-    if (r.anchor == a) {
-      r.tick = ++tick_;
-      return r.d[static_cast<std::size_t>(b)];
-    }
-    if (r.anchor == b) {
-      r.tick = ++tick_;
-      return r.d[static_cast<std::size_t>(a)];
-    }
-  }
-  CacheRow* slot;
-  if (static_cast<int>(cache_.size()) < cache_rows_) {
-    cache_.emplace_back();
-    slot = &cache_.back();
-  } else {
-    // Evict the least-recently-used row; ticks are unique, so the minimum
-    // (hence the eviction order) is deterministic.
-    slot = &*std::min_element(
-        cache_.begin(), cache_.end(),
-        [](const CacheRow& x, const CacheRow& y) { return x.tick < y.tick; });
-  }
-  slot->anchor = a;
-  slot->tick = ++tick_;
-  slot->d = hx_->graph().bfs(a);
-  ++rows_built_;
-  return slot->d[static_cast<std::size_t>(b)];
+  return reach[full];
 }
 
 int ComputedHyperXDistance::diameter() const {
@@ -192,13 +107,8 @@ int ComputedHyperXDistance::diameter() const {
   return faulted_diameter_;
 }
 
-long ComputedHyperXDistance::fallback_rows_built() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return rows_built_;
-}
-
-long ComputedHyperXDistance::dp_resolved() const {
-  return dp_resolved_.load(std::memory_order_relaxed);
+int ComputedHyperXDistance::num_dirty_switches() const {
+  return static_cast<int>(std::count(dirty_.begin(), dirty_.end(), 1));
 }
 
 std::unique_ptr<DistanceProvider> make_distance_provider(

@@ -14,8 +14,9 @@
 ///    and is the small-N reference implementation every other provider is
 ///    tested against.
 ///  * ComputedHyperXDistance (topology/computed_distance.hpp) — evaluates
-///    HyperX hop counts algebraically in O(dims) with a cached-BFS
-///    fallback near faults; O(N) memory, which is what lets a
+///    HyperX hop counts algebraically in O(dims), checks near faults
+///    whether a minimal path survives, and runs one BFS only for pairs
+///    whose distance grew; O(N) memory, which is what lets a
 ///    million-server network exist at all.
 ///
 /// Distances are rebuilt (rebuild()) whenever the fault set changes.

@@ -49,10 +49,8 @@ TEST(ComputedDistance, HealthyIsAlgebraicEverywhere) {
   EXPECT_EQ(comp.num_dead_links(), 0);
   EXPECT_EQ(comp.diameter(), 3);
   for (SwitchId a = 0; a < hx.num_switches(); ++a)
-    for (SwitchId b = 0; b < hx.num_switches(); ++b) {
+    for (SwitchId b = 0; b < hx.num_switches(); ++b)
       ASSERT_EQ(comp.at(a, b), hx.hamming_distance(a, b));
-      ASSERT_TRUE(comp.algebraic(a, b));
-    }
   EXPECT_EQ(comp.fallback_rows_built(), 0);
   expect_parity(hx, comp);
 }
@@ -102,8 +100,8 @@ TEST(ComputedDistance, InteriorSubcubeFaultsDefeatEndpointChecks) {
   // subcube of a=(0,0,0), b=(1,1,1) on a 3x3x3. Both endpoints keep every
   // port, every 3-hop path is severed (all of them run through the dead
   // layer1-layer2 subcube links), and the true distance becomes 4 via a
-  // detour outside the subcube. The subcube-cleanliness criterion detects
-  // the dirty interior and falls back to exact BFS.
+  // detour outside the subcube. The minimal-path DP finds no surviving
+  // path and the query falls back to exact BFS.
   HyperX hx({3, 3, 3}, 1);
   Graph& g = hx.graph();
   const SwitchId a = hx.switch_at({0, 0, 0});
@@ -117,48 +115,63 @@ TEST(ComputedDistance, InteriorSubcubeFaultsDefeatEndpointChecks) {
   ASSERT_TRUE(g.connected());
 
   const ComputedHyperXDistance comp(hx);
-  // No dead link touches an endpoint, yet the pair is not algebraic.
+  // No dead link touches an endpoint, yet the pair needs the BFS.
   for (const auto& pi : g.ports(a)) EXPECT_TRUE(g.link_alive(pi.link));
   for (const auto& pi : g.ports(b)) EXPECT_TRUE(g.link_alive(pi.link));
-  EXPECT_FALSE(comp.algebraic(a, b));
   EXPECT_EQ(hx.hamming_distance(a, b), 3);
   EXPECT_EQ(comp.at(a, b), 4);
+  EXPECT_EQ(comp.fallback_rows_built(), 1);
   expect_parity(hx, comp);
-  EXPECT_GT(comp.fallback_rows_built(), 0);
 }
 
 TEST(ComputedDistance, DirtySubcubeWithIntactPathSkipsBfs) {
   // Kill one link incident to a subcube corner but not part of the
   // subcube itself: the (0,0,0)-(1,1,1) subcube contains the dirty switch
   // (1,1,0), yet every minimal-path link is alive. The intact-minimal-path
-  // DP must answer h without ever building a BFS row — this is the common
-  // case near faults, and the reason the provider stays cheap at scale.
+  // DP must answer h without running a BFS — this is the common case near
+  // faults, and the reason the provider stays cheap at scale.
   HyperX hx({3, 3, 3}, 1);
   Graph& g = hx.graph();
   const SwitchId a = hx.switch_at({0, 0, 0});
   const SwitchId b = hx.switch_at({1, 1, 1});
   g.fail_link(link_between(g, hx.switch_at({1, 1, 0}), hx.switch_at({1, 1, 2})));
   const ComputedHyperXDistance comp(hx);
-  EXPECT_FALSE(comp.algebraic(a, b)); // subcube is dirty...
-  EXPECT_EQ(comp.at(a, b), 3);        // ...but the distance did not grow
-  EXPECT_GT(comp.dp_resolved(), 0);
+  EXPECT_EQ(comp.at(a, b), 3); // the subcube is dirty, the distance did not grow
   EXPECT_EQ(comp.fallback_rows_built(), 0);
   expect_parity(hx, comp);
 }
 
-TEST(ComputedDistance, TinyRowCacheStaysExact) {
-  // A 2-row cache thrashed by many anchors: eviction is deterministic and
-  // every answer stays exact, so cache pressure cannot perturb results.
-  HyperX hx({3, 3, 3}, 1);
-  hx.graph().fail_link(0);
-  hx.graph().fail_link(5);
-  ASSERT_TRUE(hx.graph().connected());
-  const ComputedHyperXDistance comp(hx, /*row_cache_rows=*/2);
-  const DistanceTable dense(hx.graph());
-  for (int round = 0; round < 3; ++round)
-    for (SwitchId x = 0; x < hx.num_switches(); ++x)
-      for (SwitchId y = 0; y < hx.num_switches(); y += 5)
-        ASSERT_EQ(comp.at(x, y), dense.at(x, y));
+TEST(ComputedDistance, AllCornersDirtyProbesLinksBetweenThem) {
+  // Every corner of the (0,0)-(1,1) subcube on a 3x3 touches a dead link
+  // to coordinate 2, and the subcube link (0,0)-(1,0) is dead as well. A
+  // hop between two dirty corners may be dead, so the DP must probe each
+  // one: the (1,0) branch is severed, the (0,1) branch survives, and the
+  // distance stays h = 2 without a BFS.
+  HyperX hx({3, 3}, 1);
+  Graph& g = hx.graph();
+  const std::vector<std::pair<std::vector<int>, std::vector<int>>> dead = {
+      {{0, 0}, {2, 0}}, {{1, 0}, {1, 2}}, {{0, 1}, {0, 2}},
+      {{1, 1}, {2, 1}}, {{0, 0}, {1, 0}}};
+  for (const auto& [u, v] : dead)
+    g.fail_link(link_between(g, hx.switch_at(u), hx.switch_at(v)));
+  ASSERT_TRUE(g.connected());
+  const SwitchId a = hx.switch_at({0, 0});
+  const SwitchId b = hx.switch_at({1, 1});
+
+  const ComputedHyperXDistance comp(hx);
+  for (const auto& corner : std::vector<std::vector<int>>{
+           {0, 0}, {1, 0}, {0, 1}, {1, 1}}) {
+    bool dirty = false;
+    for (const auto& pi : g.ports(hx.switch_at(corner)))
+      dirty = dirty || !g.link_alive(pi.link);
+    EXPECT_TRUE(dirty);
+  }
+  const int h = hx.hamming_distance(a, b);
+  EXPECT_EQ(h, 2);
+  EXPECT_EQ(comp.at(a, b), h);
+  EXPECT_EQ(comp.at(b, a), h);
+  EXPECT_EQ(comp.fallback_rows_built(), 0);
+  expect_parity(hx, comp);
 }
 
 TEST(ComputedDistance, RebuildTracksFaultChurn) {
