@@ -79,24 +79,9 @@ StudyResult run_study(Graph graph, int sps, std::uint64_t seed) {
   cfg.num_vcs = 4;
   NetworkContext ctx{&graph, nullptr, &dist, &esc, cfg.num_vcs,
                      cfg.packet_length};
-  // Uniform traffic without a HyperX: tiny inline pattern.
-  class U final : public TrafficPattern {
-   public:
-    explicit U(ServerId n) : n_(n) {}
-    ServerId destination(ServerId src, Rng& rng) const override {
-      ServerId d = static_cast<ServerId>(
-          rng.next_below(static_cast<std::uint64_t>(n_ - 1)));
-      return d >= src ? d + 1 : d;
-    }
-    std::string name() const override { return "uniform"; }
-    std::string display_name() const override { return "Uniform"; }
-    bool is_permutation() const override { return false; }
-
-   private:
-    ServerId n_;
-  } traffic(static_cast<ServerId>(graph.num_switches()) * sps);
-
-  Network net(ctx, mech, traffic, cfg, sps, seed);
+  const std::unique_ptr<TrafficPattern> traffic =
+      make_uniform_traffic(static_cast<ServerId>(graph.num_switches()) * sps);
+  Network net(ctx, mech, *traffic, cfg, sps, seed);
   net.set_offered_load(1.0);
   net.run_cycles(1500);
   net.begin_window();

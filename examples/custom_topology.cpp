@@ -21,15 +21,15 @@ using namespace hxsp;
 
 namespace {
 
-/// A custom pattern: server i sends to server (i + stride) mod n.
+/// A custom pattern: server i sends to server (i + stride) mod n. A
+/// TrafficPattern implements one call, destination(); a randomized
+/// pattern draws from the Rng it is handed, a fixed one ignores it.
 class StridePattern final : public TrafficPattern {
  public:
   StridePattern(ServerId n, ServerId stride) : n_(n), stride_(stride) {}
   ServerId destination(ServerId src, Rng&) const override {
     return static_cast<ServerId>((src + stride_) % n_);
   }
-  std::string name() const override { return "stride"; }
-  std::string display_name() const override { return "Stride"; }
 
  private:
   ServerId n_;

@@ -187,11 +187,10 @@ CompletionResult Experiment::run_completion(long packets_per_server,
   res.mechanism = mech_->name();
   res.pattern = spec_.pattern;
   res.series = TimeSeries(bucket_width);
+  CompletionSource source(packets_per_server);
   RunPlan plan;
   plan.seed = rng_.fork(0xC0).next_u64();
-  plan.start = [packets_per_server](Network& net) {
-    net.set_completion_load(packets_per_server);
-  };
+  plan.start = [&source](Network& net) { source.start(net); };
   plan.drain_by = max_cycles;
   plan.series = &res.series;
   const std::unique_ptr<Network> net = simulate(plan);
@@ -233,16 +232,10 @@ WorkloadResult Experiment::run_workload(const WorkloadParams& params,
   res.phase_cycles = run.phase_done();
 
   // Message-latency tail: release-to-consumed, over completed messages.
-  std::vector<Cycle> lat = run.completed_latencies();
-  if (!lat.empty()) {
-    std::sort(lat.begin(), lat.end());
-    double sum = 0;
-    for (Cycle l : lat) sum += static_cast<double>(l);
-    res.avg_msg_latency = sum / static_cast<double>(lat.size());
-    res.p50_msg_latency = lat[lat.size() / 2];
-    res.p99_msg_latency =
-        lat[static_cast<std::size_t>(0.99 * static_cast<double>(lat.size() - 1))];
-  }
+  const LatencySummary lat = run.latency_summary();
+  res.avg_msg_latency = lat.mean;
+  res.p50_msg_latency = lat.p50;
+  res.p99_msg_latency = lat.p99;
   return res;
 }
 

@@ -21,12 +21,15 @@
 ///                  + occupied downstream + in flight on the wheel
 ///   packets:  packets_in_system == buffered in routers + queued in
 ///             servers + pending consumptions
+///   drain:    outstanding == packets left of started messages
+///             + the source's unstarted packets
 
 #include <algorithm>
 #include <vector>
 
 #include "sim/network.hpp"
 #include "sim/router.hpp"
+#include "workload/run.hpp"
 
 namespace hxsp {
 
@@ -273,18 +276,14 @@ void Network::run_audit() const {
   HXSP_CHECK_MSG(packets_in_system_ == buffered + queued + pending_consume,
                  "audit: packet conservation violated");
 
-  // --- completion accounting ----------------------------------------------
-  HXSP_CHECK_MSG(completion_outstanding_ >= 0,
-                 "audit: completion outstanding counter underflow");
-  bool all_completion = !servers_.empty();
-  long remaining = 0;
-  for (const Server& s : servers_) {
-    all_completion = all_completion && s.in_completion_mode();
-    remaining += s.remaining();
-  }
-  if (all_completion)
-    HXSP_CHECK_MSG(completion_outstanding_ == remaining,
-                   "audit: drain counter drifted from server budgets");
+  // --- drain accounting ---------------------------------------------------
+  // The O(1) drain counter against its parts: packets of started
+  // messages still to generate, plus the source's admitted packets of
+  // messages no server has started (both 0 in rate mode).
+  long left = source_ != nullptr ? source_->unstarted_packets() : 0;
+  for (const Server& s : servers_) left += s.packets_left();
+  HXSP_CHECK_MSG(outstanding_ == left,
+                 "audit: drain counter drifted from server budgets");
 }
 
 } // namespace hxsp

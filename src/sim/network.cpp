@@ -96,19 +96,13 @@ Network::Network(const NetworkContext& ctx, RoutingMechanism& mech,
 
 void Network::set_offered_load(double load) {
   for (auto& s : servers_) s.set_offered_load(load, cfg_.packet_length);
-  completion_outstanding_ = 0;
 }
 
-void Network::set_completion_load(long packets) {
-  for (auto& s : servers_) s.set_completion(packets);
-  completion_outstanding_ = packets * static_cast<long>(servers_.size());
-}
-
-void Network::enter_workload_mode(MessageSource* source, long outstanding) {
+void Network::enter_message_mode(MessageSource* source, long outstanding) {
   HXSP_CHECK(source != nullptr && outstanding >= 0);
-  for (auto& s : servers_) s.set_workload();
-  workload_ = source;
-  completion_outstanding_ = outstanding;
+  for (auto& s : servers_) s.set_message_mode();
+  source_ = source;
+  outstanding_ = outstanding;
 }
 
 void Network::begin_window() {
@@ -126,11 +120,10 @@ void Network::handle_consume(const Event& ev, PooledRing<Event>& next) {
   if (telemetry_) telemetry_->on_eject(dst / servers_per_switch_);
   on_packet_destroyed();
   note_progress();
-  // Workload mode: attribute the consumption to its message, which
-  // may complete it and release dependent messages (the completion
-  // callback chain feeding the next phase).
-  if (workload_ && ev.msg >= 0)
-    workload_->on_packet_consumed(ev.msg, now_, *this);
+  // Message mode: attribute the consumption to its message, which may
+  // complete it and release dependent messages (the completion callback
+  // chain feeding the next phase).
+  if (ev.msg >= 0) source_->on_packet_consumed(ev.msg, now_, *this);
   // Return the eject credit to the router's server port (the port was
   // resolved when the Consume event was scheduled, see consume_at).
   const SwitchId sw = dst / servers_per_switch_;
@@ -427,16 +420,15 @@ void Network::export_telemetry(TelemetryCapture& out) {
 
 bool Network::run_until_drained(Cycle max_cycles) {
   // packets_in_system_ counts every generated-but-unconsumed packet
-  // (server queues included), and completion_outstanding_ the budgeted
-  // packets not yet generated — together they are the total outstanding
-  // work, so the drained check is O(1) instead of a per-cycle scan of
-  // every server.
+  // (server queues included), and outstanding_ the budgeted packets not
+  // yet generated — together they are the total outstanding work, so the
+  // drained check is O(1) instead of a per-cycle scan of every server.
   const Cycle end = now_ + max_cycles;
   while (now_ < end) {
-    if (packets_in_system_ == 0 && completion_outstanding_ == 0) return true;
+    if (packets_in_system_ == 0 && outstanding_ == 0) return true;
     step();
   }
-  return packets_in_system_ == 0 && completion_outstanding_ == 0;
+  return packets_in_system_ == 0 && outstanding_ == 0;
 }
 
 } // namespace hxsp

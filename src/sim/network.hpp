@@ -123,32 +123,29 @@ class Network {
   /// Sets the offered load (phits/cycle/server) for every server.
   void set_offered_load(double load);
 
-  /// Completion mode: every server sends exactly \p packets packets.
-  void set_completion_load(long packets);
+  /// Message mode: every server injects only packets of messages
+  /// released by \p source, which stays attached for the rest of the
+  /// simulation; \p outstanding is the packet budget admitted so far
+  /// (drained as packets are generated, see run_until_drained). Called by
+  /// the sources' start (WorkloadRun, CompletionSource, TenantScheduler).
+  void enter_message_mode(MessageSource* source, long outstanding);
 
-  /// Workload (message-queue) mode: every server injects only packets of
-  /// Messages released by \p source, which stays attached for the rest of
-  /// the simulation; \p outstanding is the total packet budget (drained
-  /// when generated and consumed, exactly like completion mode). Called
-  /// by WorkloadRun::start and TenantScheduler::start.
-  void enter_workload_mode(MessageSource* source, long outstanding);
-
-  /// Extends the workload-mode packet budget: a message source admitted
-  /// more work (WorkloadRun::launch on a scheduler admission). Safe to
-  /// call from inside a Consume callback — the budget grows before
+  /// Extends the message-mode packet budget: the source admitted more
+  /// work (WorkloadRun::launch on a scheduler admission). Safe to call
+  /// from inside a Consume callback — the budget grows before
   /// run_until_drained's next drain check.
-  void add_workload_outstanding(long packets) {
-    HXSP_DCHECK(workload_ != nullptr && packets >= 0);
-    completion_outstanding_ += packets;
+  void add_outstanding(long packets) {
+    HXSP_DCHECK(source_ != nullptr && packets >= 0);
+    outstanding_ += packets;
   }
 
-  /// The attached message source (null in rate/completion modes).
-  MessageSource* workload() { return workload_; }
+  /// The attached message source (null in rate mode).
+  MessageSource* message_source() { return source_; }
 
   /// Advances the simulation \p n cycles.
   void run_cycles(Cycle n);
 
-  /// Runs until every packet has been consumed (completion mode) or
+  /// Runs until every packet has been consumed (message mode) or
   /// \p max_cycles elapse; returns true when fully drained.
   bool run_until_drained(Cycle max_cycles);
 
@@ -243,10 +240,9 @@ class Network {
   void on_packet_created() { ++packets_in_system_; }
   void on_packet_destroyed() { --packets_in_system_; }
 
-  /// A completion-mode server generated one of its budgeted packets
-  /// (drains the aggregate outstanding-work counter, see
-  /// run_until_drained).
-  void on_completion_packet_generated() { --completion_outstanding_; }
+  /// A message-mode server generated one of its budgeted packets (drains
+  /// the aggregate outstanding-work counter, see run_until_drained).
+  void on_budget_packet_generated() { --outstanding_; }
 
   // --- dynamic fault support ----------------------------------------------
 
@@ -365,7 +361,7 @@ class Network {
   std::unique_ptr<PacketTracer> tracer_;
   std::unique_ptr<FlightRecorder> flight_;
   TimeSeries* timeseries_ = nullptr;
-  MessageSource* workload_ = nullptr;
+  MessageSource* source_ = nullptr;
   ThreadPool* step_pool_ = nullptr; ///< borrowed; null = serial stepping
   StepPhaseTimes* phase_times_ = nullptr; ///< borrowed; null = no profiling
 
@@ -383,10 +379,11 @@ class Network {
   /// the same one-compare gate as the auditor.
   Cycle next_telemetry_ = 0;
   long packets_in_system_ = 0;
-  /// Completion-mode packets not yet generated, summed over all servers;
-  /// packets_in_system_ + completion_outstanding_ == 0 means fully
-  /// drained, so run_until_drained never rescans the servers.
-  long completion_outstanding_ = 0;
+  /// Admitted message-mode packets not yet generated, summed over all
+  /// servers and the source (audited); packets_in_system_ + outstanding_
+  /// == 0 means fully drained, so run_until_drained never rescans the
+  /// servers.
+  long outstanding_ = 0;
   long dropped_packets_ = 0;
   std::int64_t packet_ids_ = 0;
 };

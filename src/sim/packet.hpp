@@ -27,7 +27,7 @@ struct Packet {
 
   Cycle created = 0;            ///< generation time (enqueue at server)
   Cycle injected = -1;          ///< first phit left the server
-  std::int32_t msg = kInvalid;  ///< workload Message index (-1: rate modes)
+  std::int32_t msg = kInvalid;  ///< message id (-1: rate mode)
 
   // --- cut-through position in the current buffer -----------------------
   Cycle buf_head = 0;           ///< cycle the head phit arrived/arrives

@@ -13,33 +13,30 @@ void Server::set_offered_load(double load, int packet_length) {
   HXSP_CHECK(load >= 0.0);
   inject_prob_ = load / static_cast<double>(packet_length);
   HXSP_CHECK_MSG(inject_prob_ <= 1.0, "offered load exceeds 1 packet/cycle");
-  remaining_ = -1;
 }
 
-void Server::set_completion(long packets) {
-  HXSP_CHECK(packets >= 0);
-  remaining_ = packets;
+void Server::set_message_mode() {
   inject_prob_ = 0.0;
+  msg_ = kInvalid;
+  msg_left_ = 0;
+  ready_.clear();
 }
 
-void Server::set_workload() {
-  remaining_ = kWorkloadMode;
-  inject_prob_ = 0.0;
-  wl_msg_ = kInvalid;
-  wl_left_ = 0;
-  wl_ready_.clear();
-}
-
-void Server::make_packet(Network& net, Cycle now) {
+void Server::make_packet(Network& net, Cycle now, std::int32_t msg) {
   PacketPtr pkt = net.alloc_packet();
   pkt->id = net.next_packet_id();
   pkt->src_server = id_;
-  pkt->dst_server = net.traffic().destination(id_, net.rng());
+  pkt->dst_server = msg == kInvalid
+                        ? net.traffic().destination(id_, net.rng())
+                        : net.message_source()->msg_dst(msg, net.rng());
   pkt->src_switch = switch_;
   pkt->dst_switch = static_cast<SwitchId>(pkt->dst_server /
                                           net.servers_per_switch());
   pkt->length = net.cfg().packet_length;
   pkt->created = now;
+  // The message id rides the packet so its consumption can be attributed
+  // back to the message.
+  pkt->msg = msg;
   net.mechanism().on_inject(net.ctx(), *pkt, net.rng());
   net.metrics().on_generated(id_, now);
   net.on_packet_created();
@@ -51,43 +48,16 @@ void Server::enqueue(Network& net, PacketPtr pkt) {
                                 std::move(pkt));
 }
 
-void Server::completion_refill(Network& net, Cycle now) {
-  // Completion mode: refill the queue as fast as it drains.
-  while (remaining_ > 0 && queue_.size < queue_capacity_) {
-    make_packet(net, now);
-    --remaining_;
-    net.on_completion_packet_generated();
-  }
-}
-
-void Server::workload_refill(Network& net, Cycle now) {
-  MessageSource* wl = net.workload();
-  HXSP_DCHECK(wl != nullptr);
+void Server::message_refill(Network& net, Cycle now) {
   while (queue_.size < queue_capacity_) {
-    if (wl_left_ == 0) {
-      if (wl_ready_.empty()) return;
-      wl_msg_ = wl_ready_.pop_front();
-      wl_left_ = wl->msg_packets(wl_msg_);
+    while (msg_left_ == 0) {
+      if (ready_.empty()) return;
+      msg_ = ready_.pop_front();
+      msg_left_ = net.message_source()->start_message(msg_);
     }
-    // Like make_packet, but the destination comes from the message (no
-    // traffic-pattern RNG draw) and the packet carries its message id so
-    // consumption can be attributed back to it.
-    PacketPtr pkt = net.alloc_packet();
-    pkt->id = net.next_packet_id();
-    pkt->src_server = id_;
-    pkt->dst_server = wl->msg_dst(wl_msg_);
-    pkt->src_switch = switch_;
-    pkt->dst_switch = static_cast<SwitchId>(pkt->dst_server /
-                                            net.servers_per_switch());
-    pkt->length = net.cfg().packet_length;
-    pkt->created = now;
-    pkt->msg = wl_msg_;
-    net.mechanism().on_inject(net.ctx(), *pkt, net.rng());
-    net.metrics().on_generated(id_, now);
-    net.on_packet_created();
-    enqueue(net, std::move(pkt));
-    --wl_left_;
-    net.on_completion_packet_generated();
+    make_packet(net, now, msg_);
+    --msg_left_;
+    net.on_budget_packet_generated();
   }
 }
 

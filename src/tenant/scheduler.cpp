@@ -59,7 +59,7 @@ void TenantScheduler::start(Network& net) {
   HXSP_CHECK_MSG(!started_, "TenantScheduler::start called twice");
   HXSP_CHECK(net.num_servers() == map_.num_servers());
   started_ = true;
-  net.enter_workload_mode(this, 0);
+  net.enter_message_mode(this, 0);
 }
 
 Cycle TenantScheduler::next_arrival() const {
@@ -106,6 +106,12 @@ std::size_t TenantScheduler::owner_of(std::int32_t m) const {
   return static_cast<std::size_t>(it - msg_base_.begin()) - 1;
 }
 
+long TenantScheduler::unstarted_packets() const {
+  long packets = 0;
+  for (const auto& run : runs_) packets += run->unstarted_packets();
+  return packets;
+}
+
 void TenantScheduler::on_packet_consumed(std::int32_t m, Cycle now,
                                          Network& net) {
   const std::size_t j = owner_of(m);
@@ -122,16 +128,10 @@ void TenantScheduler::on_packet_consumed(std::int32_t m, Cycle now,
   // the isolated-run baseline and a sole full-fabric tenant's completed
   // equals the legacy workload kind's completion_time exactly.
   st.completed = now + 1;
-  std::vector<Cycle> lat = run.completed_latencies();
-  if (!lat.empty()) {
-    std::sort(lat.begin(), lat.end());
-    double sum = 0;
-    for (Cycle l : lat) sum += static_cast<double>(l);
-    st.avg_msg_latency = sum / static_cast<double>(lat.size());
-    st.p50_msg_latency = lat[lat.size() / 2];
-    st.p99_msg_latency =
-        lat[static_cast<std::size_t>(0.99 * static_cast<double>(lat.size() - 1))];
-  }
+  const LatencySummary lat = run.latency_summary();
+  st.avg_msg_latency = lat.mean;
+  st.p50_msg_latency = lat.p50;
+  st.p99_msg_latency = lat.p99;
   map_.release(static_cast<std::int32_t>(j), bindings_[j]);
   ++finished_;
   if (!waiting_.empty()) try_admit(net);

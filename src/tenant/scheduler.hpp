@@ -132,7 +132,7 @@ class TenantScheduler : public MessageSource {
                   ServerId num_servers, int servers_per_switch,
                   Rng placement_rng);
 
-  /// Enters workload mode on \p net with an empty budget; launches
+  /// Enters message mode on \p net with an empty budget; launches
   /// nothing (arrivals drive all work). Call once, before any arrival.
   void start(Network& net);
 
@@ -156,12 +156,13 @@ class TenantScheduler : public MessageSource {
 
   // --- MessageSource (engine hooks) ----------------------------------------
 
-  ServerId msg_dst(std::int32_t m) const override {
-    return runs_[owner_of(m)]->msg_dst(m);
+  ServerId msg_dst(std::int32_t m, Rng& rng) const override {
+    return runs_[owner_of(m)]->msg_dst(m, rng);
   }
-  int msg_packets(std::int32_t m) const override {
-    return runs_[owner_of(m)]->msg_packets(m);
+  int start_message(std::int32_t m) override {
+    return runs_[owner_of(m)]->start_message(m);
   }
+  long unstarted_packets() const override;
   void on_packet_consumed(std::int32_t m, Cycle now, Network& net) override;
 
  private:

@@ -2,11 +2,14 @@
 /// \file pattern.hpp
 /// Synthetic traffic patterns (paper §4).
 ///
-/// A pattern maps a generating server to a destination server, possibly
-/// randomly (Uniform) or through a fixed admissible permutation (all the
-/// others). "Admissible" means no endpoint contention: every server is the
-/// destination of at most one flow, so offered load 1.0 is feasible at the
-/// endpoints and any saturation measured is the network's fault.
+/// A pattern maps a generating server to a destination server, either
+/// randomly (uniform, hotspot) or through a fixed admissible permutation
+/// (rsp, dcr, rpn, transpose, complement, shift). "Admissible" means no
+/// endpoint contention: every server is the destination of exactly one
+/// flow, so offered load 1.0 is feasible at the endpoints and any
+/// saturation measured is the network's fault. make_traffic tabulates
+/// each fixed permutation once and aborts if the table is not a
+/// bijection, so a generated packet's destination is one load.
 
 #include <memory>
 #include <string>
@@ -24,17 +27,8 @@ class TrafficPattern {
   virtual ~TrafficPattern() = default;
 
   /// Destination for a message generated by \p src. \p rng is used only by
-  /// randomized patterns (Uniform, Hotspot); permutations ignore it.
+  /// randomized patterns (uniform, hotspot); permutations ignore it.
   virtual ServerId destination(ServerId src, Rng& rng) const = 0;
-
-  /// Short identifier, e.g. "uniform", "rsp", "dcr", "rpn".
-  virtual std::string name() const = 0;
-
-  /// Long name as used in the paper's figures.
-  virtual std::string display_name() const = 0;
-
-  /// True when the pattern is a fixed permutation (deterministic dst).
-  virtual bool is_permutation() const { return true; }
 };
 
 /// Tunable parameters of the randomized patterns. Pure data: lives in
@@ -75,5 +69,9 @@ std::unique_ptr<TrafficPattern> make_traffic(const std::string& name,
 
 /// Names accepted by make_traffic, for CLI help and sweeps.
 std::vector<std::string> traffic_names();
+
+/// Uniform traffic over \p num_servers servers with no topology behind
+/// them (the "uniform" of make_traffic, for hand-built graphs).
+std::unique_ptr<TrafficPattern> make_uniform_traffic(ServerId num_servers);
 
 } // namespace hxsp

@@ -1,5 +1,8 @@
 #include "workload/run.hpp"
 
+#include <algorithm>
+#include <limits>
+
 #include "sim/network.hpp"
 
 namespace hxsp {
@@ -42,7 +45,7 @@ void WorkloadRun::release(std::int32_t m, Cycle now, Network& net) {
   const ServerId src =
       binding_.empty() ? msgs_[mi].src
                        : binding_[static_cast<std::size_t>(msgs_[mi].src)];
-  net.server(src).workload_push(msg_base_ + m);
+  net.server(src).push_message(msg_base_ + m);
 }
 
 void WorkloadRun::release_roots(Network& net) {
@@ -61,14 +64,16 @@ void WorkloadRun::release_roots(Network& net) {
 void WorkloadRun::start(Network& net) {
   HXSP_CHECK_MSG(!started_, "WorkloadRun::start called twice");
   started_ = true;
-  net.enter_workload_mode(this, total_packets_);
+  unstarted_ = total_packets_;
+  net.enter_message_mode(this, total_packets_);
   release_roots(net);
 }
 
 void WorkloadRun::launch(Network& net) {
   HXSP_CHECK_MSG(!started_, "WorkloadRun::launch called twice");
   started_ = true;
-  net.add_workload_outstanding(total_packets_);
+  unstarted_ = total_packets_;
+  net.add_outstanding(total_packets_);
   release_roots(net);
 }
 
@@ -85,6 +90,40 @@ void WorkloadRun::on_packet_consumed(std::int32_t m, Cycle now, Network& net) {
   for (std::int32_t d : dependents_[mi])
     if (--pending_deps_[static_cast<std::size_t>(d)] == 0)
       release(d, now, net);
+}
+
+LatencySummary WorkloadRun::latency_summary() const {
+  LatencySummary sum;
+  if (latencies_.empty()) return sum;
+  std::vector<Cycle> lat = latencies_;
+  std::sort(lat.begin(), lat.end());
+  double total = 0;
+  for (const Cycle l : lat) total += static_cast<double>(l);
+  sum.mean = total / static_cast<double>(lat.size());
+  sum.p50 = lat[lat.size() / 2];
+  sum.p99 =
+      lat[static_cast<std::size_t>(0.99 * static_cast<double>(lat.size() - 1))];
+  return sum;
+}
+
+CompletionSource::CompletionSource(long packets_per_server)
+    : packets_(static_cast<int>(packets_per_server)) {
+  HXSP_CHECK_MSG(packets_per_server >= 0 &&
+                     packets_per_server <= std::numeric_limits<int>::max(),
+                 "completion packets per server outside [0, INT_MAX]");
+}
+
+void CompletionSource::start(Network& net) {
+  HXSP_CHECK_MSG(traffic_ == nullptr, "CompletionSource::start called twice");
+  traffic_ = &net.traffic();
+  unstarted_ = static_cast<long>(packets_) * net.num_servers();
+  net.enter_message_mode(this, unstarted_);
+  for (ServerId v = 0; v < net.num_servers(); ++v)
+    net.server(v).push_message(v);
+}
+
+ServerId CompletionSource::msg_dst(std::int32_t m, Rng& rng) const {
+  return traffic_->destination(m, rng);
 }
 
 } // namespace hxsp

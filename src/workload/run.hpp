@@ -1,17 +1,20 @@
 #pragma once
 /// \file run.hpp
-/// MessageSource — the engine's message-mode callback interface — and
-/// WorkloadRun, the per-job message state machine implementing it.
+/// MessageSource — the engine's message-mode callback interface — and its
+/// two single-fabric implementations: WorkloadRun, the per-job message
+/// state machine, and CompletionSource, the paper's completion
+/// experiment (Fig 10).
 ///
 /// A WorkloadRun binds one built Message list to one Network for one
 /// simulation: tracks per-message dependency counts and remaining
 /// packets, releases a message into its source server's ready queue the
 /// moment its last dependency completes (a completion callback chain
 /// riding the engine's Consume events), and records the completion cycle
-/// of every message and phase. Servers in workload mode
-/// (Server::set_workload) pull eligible messages FIFO and inject their
-/// packets as fast as the injection queue drains; every consumed packet
-/// is attributed back to its message through the `msg` id it carries.
+/// of every message and phase. Servers in message mode
+/// (Server::set_message_mode) pull released messages FIFO and inject
+/// their packets as fast as the injection queue drains; every consumed
+/// packet is attributed back to its message through the `msg` id it
+/// carries.
 ///
 /// Two extensions serve the multi-tenant scheduler (src/tenant/):
 ///  - bind(): restricts a run to a concrete subset of servers. The
@@ -25,37 +28,56 @@
 ///    owning run.
 ///
 /// All hooks run on the simulation thread at deterministic points
-/// (event processing, generation phase), so a workload run is exactly
-/// as reproducible as the rate/completion modes it sits beside.
+/// (event processing, generation phase), so a message-mode run is
+/// exactly as reproducible as a rate-mode run.
 
 #include <cstdint>
 #include <vector>
 
+#include "util/rng.hpp"
 #include "util/types.hpp"
 #include "workload/workload.hpp"
 
 namespace hxsp {
 
 class Network;
+class TrafficPattern;
 
-/// The engine's view of message-queue mode: destination/size lookups for
-/// the server refill path and the consumption callback. Implemented by
-/// WorkloadRun (one job spanning the fabric) and TenantScheduler (many
-/// placed jobs sharing it). Message ids are *global*: whatever id space
-/// the attached source hands out via server ready queues is what packets
-/// carry and what these hooks receive back.
+/// The engine's view of message mode. Implemented by WorkloadRun (one job
+/// spanning the fabric), CompletionSource (a fixed packet count per
+/// server) and TenantScheduler (many placed jobs sharing the fabric).
+/// Message ids are *global*: whatever id space the attached source hands
+/// out via server ready queues is what packets carry and what these hooks
+/// receive back.
 class MessageSource {
  public:
   virtual ~MessageSource() = default;
 
-  /// Destination server / packet count of message \p m (Server refill).
-  virtual ServerId msg_dst(std::int32_t m) const = 0;
-  virtual int msg_packets(std::int32_t m) const = 0;
+  /// Destination server of the next packet of message \p m, asked once
+  /// per packet as the server builds it. \p rng is the network's stream;
+  /// a source with fixed destinations draws nothing from it.
+  virtual ServerId msg_dst(std::int32_t m, Rng& rng) const = 0;
+
+  /// A server starts message \p m (called once per message); returns its
+  /// packet count.
+  virtual int start_message(std::int32_t m) = 0;
+
+  /// Packets the source added to the network's outstanding budget whose
+  /// messages no server has started yet. The auditor checks the budget
+  /// against this plus every server's packets left.
+  virtual long unstarted_packets() const = 0;
 
   /// One packet of message \p m was consumed at its destination at cycle
   /// \p now. May release further messages and extend the network's
   /// outstanding-packet budget (admissions).
   virtual void on_packet_consumed(std::int32_t m, Cycle now, Network& net) = 0;
+};
+
+/// Mean, median and 99th percentile of message latencies (0 when none).
+struct LatencySummary {
+  double mean = 0;
+  Cycle p50 = 0;  ///< sorted[n/2]
+  Cycle p99 = 0;  ///< sorted[floor(0.99 (n-1))]
 };
 
 class WorkloadRun : public MessageSource {
@@ -75,7 +97,7 @@ class WorkloadRun : public MessageSource {
   /// message m rides packets as base + m. Call before start()/launch().
   void set_msg_base(std::int32_t base) { msg_base_ = base; }
 
-  /// Puts every server of \p net into workload mode, attaches this run
+  /// Puts every server of \p net into message mode, attaches this run
   /// to the network, and releases all dependency-free messages (in
   /// message order) at the network's current cycle. Call once. The
   /// single-job entry point — a scheduler-managed run uses launch().
@@ -89,14 +111,17 @@ class WorkloadRun : public MessageSource {
 
   // --- engine hooks (MessageSource) ----------------------------------------
 
-  ServerId msg_dst(std::int32_t m) const override {
+  ServerId msg_dst(std::int32_t m, Rng&) const override {
     const Message& msg = msgs_[static_cast<std::size_t>(m - msg_base_)];
     return binding_.empty() ? msg.dst
                             : binding_[static_cast<std::size_t>(msg.dst)];
   }
-  int msg_packets(std::int32_t m) const override {
-    return msgs_[static_cast<std::size_t>(m - msg_base_)].packets;
+  int start_message(std::int32_t m) override {
+    const int packets = msgs_[static_cast<std::size_t>(m - msg_base_)].packets;
+    unstarted_ -= packets;
+    return packets;
   }
+  long unstarted_packets() const override { return unstarted_; }
 
   /// Completes the message when \p m's last packet is consumed, which may
   /// complete its phase and release dependent messages into their source
@@ -117,6 +142,9 @@ class WorkloadRun : public MessageSource {
   /// completed, in completion order.
   const std::vector<Cycle>& completed_latencies() const { return latencies_; }
 
+  /// Summary of completed_latencies().
+  LatencySummary latency_summary() const;
+
  private:
   void release(std::int32_t m, Cycle now, Network& net);
   void release_roots(Network& net);
@@ -132,8 +160,37 @@ class WorkloadRun : public MessageSource {
   std::vector<Cycle> latencies_;
   std::size_t completed_count_ = 0;
   long total_packets_ = 0;
+  long unstarted_ = 0;  ///< launched packets of messages not yet started
   std::int32_t msg_base_ = 0;
   bool started_ = false;
+};
+
+/// The paper's completion experiment (Fig 10) as a message source: every
+/// server sends the same number of packets, each to a destination drawn
+/// from the network's traffic pattern. Server v gets one message, with
+/// id v. Each destination is drawn from the network's stream as the
+/// server builds the packet, the same draw at the same point as a
+/// rate-mode packet.
+class CompletionSource final : public MessageSource {
+ public:
+  explicit CompletionSource(long packets_per_server);
+
+  /// Puts every server of \p net into message mode with this source
+  /// attached, and releases message v to server v. Call once.
+  void start(Network& net);
+
+  ServerId msg_dst(std::int32_t m, Rng& rng) const override;
+  int start_message(std::int32_t) override {
+    unstarted_ -= packets_;
+    return packets_;
+  }
+  long unstarted_packets() const override { return unstarted_; }
+  void on_packet_consumed(std::int32_t, Cycle, Network&) override {}
+
+ private:
+  int packets_;
+  long unstarted_ = 0;
+  const TrafficPattern* traffic_ = nullptr;  ///< the network's, from start()
 };
 
 } // namespace hxsp

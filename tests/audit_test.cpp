@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "harness/experiment.hpp"
+#include "workload/run.hpp"
 
 namespace hxsp {
 namespace {
@@ -43,7 +44,8 @@ TEST(Audit, CleanOnDrainedCompletionRun) {
   Experiment e(audit_spec(128));
   Network net(e.context(), e.mechanism(), e.traffic(), audit_spec(128).sim,
               2, 11);
-  net.set_completion_load(32);
+  CompletionSource source(32);
+  source.start(net);
   ASSERT_TRUE(net.run_until_drained(400000));
   net.run_audit(); // empty network must balance too
   EXPECT_EQ(net.packets_in_system(), 0);
@@ -148,6 +150,51 @@ TEST(AuditDeath, CatchesLostPacket) {
   // wheel: the packet ledger is the engine's only packet check.
   l.net.corrupt_packets_in_system_for_test() -= 1;
   EXPECT_DEATH(l.net.run_audit(), "audit: packet conservation violated");
+}
+
+/// Sends 4 packets from every server v to server v+1 (one message each,
+/// id v) and reports \p skew packets more unstarted work than it holds.
+class SkewedSource final : public MessageSource {
+ public:
+  explicit SkewedSource(long skew) : skew_(skew) {}
+  void start(Network& net) {
+    n_ = net.num_servers();
+    unstarted_ = 4L * n_;
+    net.enter_message_mode(this, unstarted_);
+    for (ServerId v = 0; v < n_; ++v) net.server(v).push_message(v);
+  }
+  ServerId msg_dst(std::int32_t m, Rng&) const override { return (m + 1) % n_; }
+  int start_message(std::int32_t) override {
+    unstarted_ -= 4;
+    return 4;
+  }
+  long unstarted_packets() const override { return unstarted_ + skew_; }
+  void on_packet_consumed(std::int32_t, Cycle, Network&) override {}
+
+ private:
+  long skew_;
+  ServerId n_ = 0;
+  long unstarted_ = 0;
+};
+
+TEST(AuditDeath, CatchesDrainCounterDriftInMessageMode) {
+  // The drain counter must equal the servers' packets left plus the
+  // source's unstarted packets, mid-run: an honest source audits clean,
+  // one that reads a packet high aborts.
+  auto mid_run = [](SkewedSource& src) {
+    Experiment e(audit_spec(0));
+    Network net(e.context(), e.mechanism(), e.traffic(), audit_spec(0).sim,
+                2, 11);
+    src.start(net);
+    net.run_cycles(20);
+    EXPECT_GT(net.packets_in_system(), 0);
+    net.run_audit();
+  };
+  SkewedSource honest(0);
+  mid_run(honest);
+  SkewedSource skewed(1);
+  EXPECT_DEATH(mid_run(skewed),
+               "audit: drain counter drifted from server budgets");
 }
 
 TEST(AuditDeath, CorruptionCaughtByPeriodicAuditDuringRun) {

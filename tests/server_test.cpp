@@ -1,8 +1,8 @@
 /// \file server_test.cpp
-/// The server's released-message FIFO (workload mode) and the VecFifo it
+/// The server's released-message FIFO (message mode) and the VecFifo it
 /// is built on: release order survives partial drains and compaction, a
 /// drained FIFO reuses its storage, and a server that never enters
-/// workload mode holds no FIFO storage at all.
+/// message mode holds no FIFO storage at all.
 
 #include <gtest/gtest.h>
 
@@ -43,23 +43,33 @@ TEST(VecFifo, OrderSurvivesCompactionAndStorageStaysBounded) {
 }
 
 /// Message source for a single sending server: every message goes to
-/// one destination, and msg_packets() — which a server calls exactly once,
-/// when it starts a message — records the order messages are started in.
+/// one destination, and start_message() — which a server calls exactly
+/// once, when it starts a message — records the order messages are
+/// started in.
 class RecordingSource : public MessageSource {
  public:
   RecordingSource(ServerId dst, int packets) : dst_(dst), packets_(packets) {}
-  ServerId msg_dst(std::int32_t) const override { return dst_; }
-  int msg_packets(std::int32_t m) const override {
+  ServerId msg_dst(std::int32_t, Rng&) const override { return dst_; }
+  int start_message(std::int32_t m) override {
     started.push_back(m);
+    unstarted_ -= packets_;
     return packets_;
   }
+  long unstarted_packets() const override { return unstarted_; }
   void on_packet_consumed(std::int32_t, Cycle, Network&) override {}
 
-  mutable std::vector<std::int32_t> started;
+  /// Adds \p messages messages' packets to \p net's budget.
+  void admit(Network& net, int messages) {
+    unstarted_ += static_cast<long>(messages) * packets_;
+    net.add_outstanding(static_cast<long>(messages) * packets_);
+  }
+
+  std::vector<std::int32_t> started;
 
  private:
   ServerId dst_;
   int packets_;
+  long unstarted_ = 0;
 };
 
 ExperimentSpec small_spec() {
@@ -86,16 +96,17 @@ TEST(ServerWorkloadFifo, ReleasesDuringPartialDrainKeepOrderAndReuseStorage) {
   Network net(e.context(), e.mechanism(), e.traffic(), spec.sim, 1, spec.seed);
   const int packets = 3;
   RecordingSource src(/*dst=*/15, packets);
-  net.enter_workload_mode(&src, 8L * packets);
+  net.enter_message_mode(&src, 0);
+  src.admit(net, 8);
   Server& s = net.server(0);
 
-  for (std::int32_t m = 0; m < 4; ++m) s.workload_push(m);
+  for (std::int32_t m = 0; m < 4; ++m) s.push_message(m);
   // Step until the server is into its second message: 0 and 1 have left
   // the FIFO, 2 and 3 still wait in it.
   while (src.started.size() < 2) net.run_cycles(1);
   ASSERT_EQ(s.released_messages().size(), 2u);
   EXPECT_EQ(s.released_messages().front(), 2);
-  for (std::int32_t m = 4; m < 8; ++m) s.workload_push(m);
+  for (std::int32_t m = 4; m < 8; ++m) s.push_message(m);
   ASSERT_TRUE(net.run_until_drained(100000));
   EXPECT_EQ(src.started, iota_ids(0, 8));
 
@@ -104,8 +115,8 @@ TEST(ServerWorkloadFifo, ReleasesDuringPartialDrainKeepOrderAndReuseStorage) {
   EXPECT_TRUE(s.released_messages().empty());
   const std::size_t cap = s.released_messages().capacity();
   EXPECT_GE(cap, 4u);
-  net.add_workload_outstanding(4L * packets);
-  for (std::int32_t m = 8; m < 12; ++m) s.workload_push(m);
+  src.admit(net, 4);
+  for (std::int32_t m = 8; m < 12; ++m) s.push_message(m);
   EXPECT_EQ(s.released_messages().capacity(), cap);
   ASSERT_TRUE(net.run_until_drained(100000));
   EXPECT_EQ(src.started, iota_ids(0, 12));

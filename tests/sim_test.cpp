@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hpp"
+#include "workload/run.hpp"
 
 namespace hxsp {
 namespace {
@@ -99,7 +100,8 @@ TEST(Sim, DrainedNetworkHoldsNoPackets) {
   Experiment e(spec);
   Network net(e.context(), e.mechanism(), e.traffic(), spec.sim,
               spec.resolved_servers_per_switch(), spec.seed);
-  net.set_completion_load(64);
+  CompletionSource source(64);
+  source.start(net);
   ASSERT_TRUE(net.run_until_drained(400000));
   EXPECT_EQ(net.packets_in_system(), 0);
   EXPECT_EQ(net.metrics().total_consumed_packets(), 32 * 64);

@@ -163,11 +163,9 @@ TEST_P(PatternAdmissibility, PermutationAndRange) {
     ASSERT_LT(d, hx.num_servers());
     ++indeg[static_cast<std::size_t>(d)];
   }
-  if (traffic->is_permutation()) {
-    for (ServerId s = 0; s < hx.num_servers(); ++s)
-      EXPECT_EQ(indeg[static_cast<std::size_t>(s)], 1)
-          << p.pattern << " server " << s;
-  }
+  for (ServerId s = 0; s < hx.num_servers(); ++s)
+    EXPECT_EQ(indeg[static_cast<std::size_t>(s)], 1)
+        << p.pattern << " server " << s;
 }
 
 INSTANTIATE_TEST_SUITE_P(
