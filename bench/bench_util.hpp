@@ -25,7 +25,6 @@
 #include "harness/sweep.hpp"
 #include "metrics/resultsink.hpp"
 #include "topology/faults.hpp"
-#include "util/log.hpp"
 #include "util/table.hpp"
 
 namespace hxsp::bench {

@@ -19,7 +19,7 @@
 ///                             [--jobs=N] [--shard=i/n]
 
 #include "bench_util.hpp"
-#include "core/surepath.hpp"
+#include "core/escape_updown.hpp"
 #include "routing/minimal.hpp"
 #include "topology/builders.hpp"
 
@@ -73,8 +73,8 @@ StudyResult run_study(Graph graph, int sps, std::uint64_t seed) {
   StudyResult r{};
   r.stretch = escape_stretch(graph, esc, dist);
 
-  SurePathMechanism mech(std::make_unique<MinimalAlgorithm>(), "MinSP",
-                         CRoutVcPolicy::Free);
+  RoutingMechanism mech = RoutingMechanism::surepath(
+      std::make_unique<MinimalAlgorithm>(), "MinSP", CRoutVcPolicy::Free);
   SimConfig cfg;
   cfg.num_vcs = 4;
   NetworkContext ctx{&graph, nullptr, &dist, &esc, cfg.num_vcs,

@@ -11,9 +11,7 @@
 ///                           [--json[=file]]
 
 #include "bench_util.hpp"
-#include "core/surepath.hpp"
 #include "routing/factory.hpp"
-#include "routing/ladder.hpp"
 
 using namespace hxsp;
 

@@ -10,7 +10,7 @@
 
 #include <cstdio>
 
-#include "core/surepath.hpp"
+#include "core/escape_updown.hpp"
 #include "metrics/report.hpp"
 #include "routing/minimal.hpp"
 #include "sim/network.hpp"
@@ -54,8 +54,8 @@ void run_on(const char* title, Graph graph, int servers_per_switch) {
 
   DistanceTable dist(graph);
   EscapeUpDown escape(graph, {.root = 0, .strict_phase = true, .penalties = {}, .use_shortcuts = true});
-  SurePathMechanism mech(std::make_unique<MinimalAlgorithm>(), "MinSP",
-                         CRoutVcPolicy::Free);
+  RoutingMechanism mech = RoutingMechanism::surepath(
+      std::make_unique<MinimalAlgorithm>(), "MinSP", CRoutVcPolicy::Free);
 
   SimConfig cfg;
   cfg.num_vcs = 3; // 2 routing + 1 escape: SurePath's minimum is 2

@@ -2,7 +2,8 @@
 # Bench-driver smoke test: runs every bench executable at tiny scale with
 # --jobs=2 and checks (a) it exits cleanly and (b) its persisted CSV and
 # JSON are byte-identical to a --jobs=1 run — the driver-level half of the
-# determinism contract the unit tests enforce at the engine level.
+# determinism contract the unit tests enforce at the engine level. It also
+# runs the example programs and fails if one exits non-zero.
 #
 # Usage: scripts/bench_smoke.sh [build-dir]   (default: build)
 set -u
@@ -184,6 +185,21 @@ if command -v python3 > /dev/null; then
 else
   echo "SKIP    trace replay (no python3)"
 fi
+
+# The example programs run end to end at their built-in scale (a few
+# seconds in total); each must exit cleanly.
+for example in quickstart custom_topology fault_drill completion_race; do
+  if [[ ! -x "$BUILD_DIR/$example" ]]; then
+    echo "MISSING $example (not built)"
+    FAILED=1
+  elif "$BUILD_DIR/$example" > "$WORK_DIR/$example.out" 2>&1; then
+    echo "OK      $example"
+  else
+    echo "FAIL    $example (non-zero exit)"
+    tail -5 "$WORK_DIR/$example.out"
+    FAILED=1
+  fi
+done
 
 # micro_engine is a Google Benchmark binary (present only when the library
 # is installed); every microbenchmark runs once at a tiny minimum time, so

@@ -8,7 +8,6 @@
 #include "telemetry/capture.hpp"
 #include "topology/computed_distance.hpp"
 #include "util/jsonio.hpp"
-#include "util/log.hpp"
 #include "workload/run.hpp"
 
 namespace hxsp {

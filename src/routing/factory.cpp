@@ -1,8 +1,6 @@
 #include "routing/factory.hpp"
 
-#include "core/surepath.hpp"
 #include "routing/dor.hpp"
-#include "routing/ladder.hpp"
 #include "routing/minimal.hpp"
 #include "routing/omnidimensional.hpp"
 #include "routing/polarized.hpp"
@@ -51,38 +49,39 @@ std::unique_ptr<RoutingMechanism> make_mechanism(const std::string& full_name) {
     HXSP_CHECK_MSG(name == "omnisp" || name == "polsp",
                    "@policy suffix only applies to SurePath mechanisms");
   }
+  auto ladder = [](std::unique_ptr<RouteAlgorithm> algo, int rung_vcs,
+                   const char* display) {
+    return std::make_unique<RoutingMechanism>(
+        RoutingMechanism::ladder(std::move(algo), rung_vcs, display));
+  };
+  auto surepath = [](std::unique_ptr<RouteAlgorithm> algo, const char* display,
+                     CRoutVcPolicy policy) {
+    return std::make_unique<RoutingMechanism>(
+        RoutingMechanism::surepath(std::move(algo), display, policy));
+  };
   if (name == "minimal")
-    return std::make_unique<LadderMechanism>(std::make_unique<MinimalAlgorithm>(),
-                                             2, "Minimal");
-  if (name == "dor")
-    return std::make_unique<LadderMechanism>(std::make_unique<DorAlgorithm>(), 1,
-                                             "DOR");
+    return ladder(std::make_unique<MinimalAlgorithm>(), 2, "Minimal");
+  if (name == "dor") return ladder(std::make_unique<DorAlgorithm>(), 1, "DOR");
   if (name == "valiant")
-    return std::make_unique<LadderMechanism>(std::make_unique<ValiantAlgorithm>(),
-                                             1, "Valiant");
+    return ladder(std::make_unique<ValiantAlgorithm>(), 1, "Valiant");
   if (name == "omniwar")
-    return std::make_unique<LadderMechanism>(
-        std::make_unique<OmnidimensionalAlgorithm>(), 1, "OmniWAR");
+    return ladder(std::make_unique<OmnidimensionalAlgorithm>(), 1, "OmniWAR");
   if (name == "polarized")
-    return std::make_unique<LadderMechanism>(std::make_unique<PolarizedAlgorithm>(),
-                                             1, "Polarized");
+    return ladder(std::make_unique<PolarizedAlgorithm>(), 1, "Polarized");
   // CRout VC disciplines follow each base routing's own convention
   // (paper Table 4): Omnidimensional splits its VCs freely between minimal
   // hops and deroutes, while Polarized keeps its 1-VC-per-step ladder.
   // bench/ablation_crout_policy.cpp measures every (base, policy) pair
   // behind these defaults.
   if (name == "omnisp")
-    return std::make_unique<SurePathMechanism>(
-        std::make_unique<OmnidimensionalAlgorithm>(), "OmniSP",
-        has_override ? policy_override : CRoutVcPolicy::Free);
+    return surepath(std::make_unique<OmnidimensionalAlgorithm>(), "OmniSP",
+                    has_override ? policy_override : CRoutVcPolicy::Free);
   if (name == "polsp")
-    return std::make_unique<SurePathMechanism>(
-        std::make_unique<PolarizedAlgorithm>(), "PolSP",
-        has_override ? policy_override : CRoutVcPolicy::Auto);
+    return surepath(std::make_unique<PolarizedAlgorithm>(), "PolSP",
+                    has_override ? policy_override : CRoutVcPolicy::Auto);
   if (name == "escape")
-    return std::make_unique<SurePathMechanism>(
-        std::make_unique<EscapeOnlyAlgorithm>(), "EscapeOnly",
-        CRoutVcPolicy::Free);
+    return surepath(std::make_unique<EscapeOnlyAlgorithm>(), "EscapeOnly",
+                    CRoutVcPolicy::Free);
   HXSP_CHECK_MSG(false, ("unknown routing mechanism: " + name).c_str());
   return nullptr;
 }

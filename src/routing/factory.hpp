@@ -11,19 +11,22 @@
 
 namespace hxsp {
 
-/// Builds a RoutingMechanism from its (case-sensitive) name:
+/// Builds a RoutingMechanism from its (case-sensitive) name. The ladders
+/// (RoutingMechanism::ladder) and their rung width:
 ///   minimal   — shortest path, 2-VC-per-step ladder
 ///   dor       — dimension ordered (baseline; single path, 1 VC rung)
 ///   valiant   — two-phase minimal, 1-VC-per-step ladder
 ///   omniwar   — Omnidimensional + ladder (the paper's OmniWAR stand-in)
 ///   polarized — Polarized + ladder
-///   omnisp    — SurePath over Omnidimensional routes
-///   polsp     — SurePath over Polarized routes
-///   escape    — SurePath with no base routes: every hop is a forced
+/// The SurePath mechanisms (RoutingMechanism::surepath) and their default
+/// CRout VC policy:
+///   omnisp    — SurePath over Omnidimensional routes, Free
+///   polsp     — SurePath over Polarized routes, Auto
+///   escape    — SurePath with no base routes, Free: every hop is a forced
 ///               escape hop (the escape-only lower bound of the
 ///               workload studies; not part of the paper's grid)
-/// The SurePath names accept an "@policy" suffix that overrides the CRout
-/// VC discipline (free | monotone | rung | auto), e.g. "polsp@free"; the
+/// omnisp and polsp accept an "@policy" suffix that overrides the CRout
+/// VC policy (free | monotone | rung | auto), e.g. "polsp@free"; the
 /// crout-policy ablation sweeps these as ordinary spec mechanisms.
 std::unique_ptr<RoutingMechanism> make_mechanism(const std::string& name);
 

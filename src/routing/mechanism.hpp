@@ -6,7 +6,7 @@
 ///  * RouteAlgorithm — *which neighbours* a packet may take next and at what
 ///    penalty (Minimal, DOR, Valiant, Omnidimensional, Polarized). Pure
 ///    port-level logic, independent of virtual-channel management.
-///  * RoutingMechanism — a RouteAlgorithm plus VC management: a Ladder
+///  * RoutingMechanism — a RouteAlgorithm plus a VC discipline: a Ladder
 ///    (hop-indexed VCs, the classic deadlock avoidance of OmniWAR and
 ///    Polarized) or SurePath (CRout/CEsc split with the Up/Down escape).
 ///
@@ -107,41 +107,124 @@ class RouteAlgorithm {
   virtual int max_hops(const NetworkContext& ctx) const = 0;
 };
 
-/// RouteAlgorithm + VC management = what the simulator actually runs.
+/// How a mechanism assigns routing VCs to a head packet. A ladder is always
+/// Rung; SurePath takes any of the four over its CRout VCs. The escape
+/// guarantees SurePath's deadlock freedom under every policy:
+///  * Free     — any CRout VC each hop (fully adaptive; best for the short,
+///               bounded Omnidimensional routes).
+///  * Monotone — any CRout VC >= the packet's current one (cheap partial
+///               order: acyclic until the top VC, adaptive within it).
+///  * Rung     — exactly the hop-indexed ladder rung, saturating at the
+///               top (the classic discipline Polarized ships with; tames
+///               its long exploratory routes under saturation).
+///  * Auto     — Rung when the CRout VCs can ladder a 2*diameter route
+///               (i.e. num_vcs-1 >= 2n-1 on an n-dim HyperX), Free
+///               otherwise. Matches the measured best cell at every VC
+///               budget (bench/ablation_crout_policy.cpp).
+enum class CRoutVcPolicy { Free, Monotone, Rung, Auto };
+
+/// An inclusive range of virtual channels [lo, hi].
+struct VcRange {
+  Vc lo = 0;
+  Vc hi = 0;
+};
+
+/// RouteAlgorithm + VC discipline = what the simulator actually runs.
+///
+/// Ladder (paper §3.1.2): "the i-th virtual channel is utilized when the
+/// packet has already passed through i switch-to-switch links"
+/// [Günther'81, Merlin-Schweitzer'80]. Rungs are `rung_vcs` wide: 2 VCs
+/// per step for Minimal ({2*hops, 2*hops+1}), 1 for the rest. Because the
+/// VC index increases monotonically along a route, the channel dependency
+/// graph is acyclic and the network is deadlock-free — provided routes
+/// never exceed the ladder, which is exactly what breaks under faults and
+/// motivates SurePath. The rung saturates at the top instead of
+/// overflowing num_vcs.
+///
+/// SurePath (paper §3): the VCs of every port are split into CRout =
+/// VCs [0, num_vcs-1), which carries the bulk of the load with the base
+/// routing under a CRoutVcPolicy, and CEsc = the last VC, the
+/// opportunistic Up/Down escape subnetwork. Transition rules:
+///  1. A packet on CRout requests the neighbours returned by the base
+///     routing, on its CRout VCs, at the base routing's penalties.
+///  2. Every packet — on CRout or CEsc — additionally requests its escape
+///     candidates on CEsc, at the (high) escape penalties.
+///  Moves from CEsc back to CRout are forbidden.
+/// A "forced hop" happens when rule 1 yields no candidate (e.g. all
+/// Omnidimensional next links are faulty): the packet can still advance
+/// through the escape, which is what makes SurePath fault-tolerant, and
+/// why it needs only 2 VCs to be correct and spends the rest on
+/// performance.
 class RoutingMechanism {
  public:
-  virtual ~RoutingMechanism() = default;
+  /// A hop-indexed ladder over every VC, \p rung_vcs (1 or 2) wide.
+  /// \p display is the paper's mechanism name (e.g. "OmniWAR" for
+  /// Omnidimensional + 1-step ladder).
+  static RoutingMechanism ladder(std::unique_ptr<RouteAlgorithm> algo,
+                                 int rung_vcs, std::string display);
+
+  /// SurePath over \p algo's routes with CRout discipline \p policy.
+  /// \p display is the paper's name ("OmniSP", "PolSP"). The escape
+  /// subnetwork is found through the NetworkContext.
+  static RoutingMechanism surepath(std::unique_ptr<RouteAlgorithm> algo,
+                                   std::string display, CRoutVcPolicy policy);
 
   /// Display name matching the paper ("Minimal", "OmniSP", ...).
-  virtual std::string name() const = 0;
+  std::string name() const { return display_; }
 
   /// Appends (port, vc, penalty) candidates for head packet \p p at switch
   /// \p sw, using \p scratch for intermediate buffers (cleared here; the
-  /// caller only provides the storage). Not called at the destination
-  /// switch (router ejects). Must be safe to call concurrently from
-  /// different threads as long as each call uses a distinct \p scratch —
-  /// the parallel stepping phase relies on this.
-  virtual void candidates(const NetworkContext& ctx, const Packet& p,
-                          SwitchId sw, RouteScratch& scratch,
-                          std::vector<Candidate>& out) const = 0;
+  /// caller only provides the storage): the base ports over the packet's
+  /// routing VCs, port-major and VC-ascending, then (SurePath) the escape
+  /// candidates on the last VC. Not called at the destination switch
+  /// (router ejects). Safe to call concurrently as long as each call uses
+  /// a distinct \p scratch.
+  void candidates(const NetworkContext& ctx, const Packet& p, SwitchId sw,
+                  RouteScratch& scratch, std::vector<Candidate>& out) const;
 
-  /// Legal injection VCs for a fresh packet (server side).
-  virtual void injection_vcs(const NetworkContext& ctx, const Packet& p,
-                             std::vector<Vc>& out) const = 0;
+  /// Legal injection VCs for a fresh packet (server side): the routing
+  /// VCs of a packet with no hops taken.
+  VcRange injection_vcs(const NetworkContext& ctx) const {
+    return routing_vcs(ctx, 0, 0);
+  }
 
   /// Forwards to the algorithm's on_inject.
-  virtual void on_inject(const NetworkContext&, Packet&, Rng&) const {}
+  void on_inject(const NetworkContext& ctx, Packet& p, Rng& rng) const {
+    algo_->on_inject(ctx, p, rng);
+  }
 
   /// Forwards to the algorithm's on_arrival.
-  virtual void on_arrival(const NetworkContext&, Packet&, SwitchId) const {}
+  void on_arrival(const NetworkContext& ctx, Packet& p, SwitchId sw) const {
+    algo_->on_arrival(ctx, p, sw);
+  }
 
-  /// Called at grant time for switch-to-switch hops: updates hop counters
-  /// and mechanism-specific state (escape flags, deroute budget).
-  virtual void commit_hop(const NetworkContext&, Packet&, SwitchId from,
-                          const Candidate& cand) const = 0;
+  /// Called at grant time for switch-to-switch hops: updates the hop
+  /// count, the current VC and the algorithm's or escape's header state.
+  void commit_hop(const NetworkContext& ctx, Packet& p, SwitchId from,
+                  const Candidate& cand) const;
 
   /// True when this mechanism needs the Up/Down escape subnetwork.
-  virtual bool needs_escape() const { return false; }
+  bool needs_escape() const { return escape_; }
+
+  /// Fewest VCs the mechanism runs on: one rung, plus the escape VC.
+  int min_vcs() const { return rung_vcs_ + (escape_ ? 1 : 0); }
+
+  /// The policy Auto resolves to for a given context.
+  CRoutVcPolicy resolved_policy(const NetworkContext& ctx) const;
+
+ private:
+  RoutingMechanism(std::unique_ptr<RouteAlgorithm> algo, std::string display,
+                   CRoutVcPolicy policy, int rung_vcs, bool escape);
+
+  /// Routing VCs for a packet with \p hops hops taken that occupies
+  /// \p cur_vc: the policy applied over every VC but the escape one.
+  VcRange routing_vcs(const NetworkContext& ctx, int hops, Vc cur_vc) const;
+
+  std::unique_ptr<RouteAlgorithm> algo_;
+  std::string display_;
+  CRoutVcPolicy policy_;
+  int rung_vcs_;
+  bool escape_;
 };
 
 } // namespace hxsp

@@ -4,9 +4,9 @@
 #include <cinttypes>
 #include <cstdio>
 #include <limits>
+#include <string>
 
 #include "telemetry/capture.hpp"
-#include "util/log.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/run.hpp"
 
@@ -30,6 +30,12 @@ Network::Network(const NetworkContext& ctx, RoutingMechanism& mech,
   HXSP_CHECK_MSG(cfg_.packet_length >= 1, "sim.packet_length must be >= 1");
   HXSP_CHECK_MSG(cfg_.xbar_speedup >= 1, "sim.xbar_speedup must be >= 1");
   HXSP_CHECK_MSG(cfg_.num_vcs >= 1, "sim.num_vcs must be >= 1");
+  // Fewer VCs than one rung (plus SurePath's escape VC) would clamp the
+  // rung below VC 0 or leave no legal injection VC.
+  HXSP_CHECK_MSG(cfg_.num_vcs >= mech_.min_vcs(),
+                 ("sim.num_vcs = " + std::to_string(cfg_.num_vcs) + " but " +
+                  mech_.name() + " needs >= " + std::to_string(mech_.min_vcs()))
+                     .c_str());
   HXSP_CHECK_MSG(cfg_.input_buffer_packets >= 1,
                  "sim.input_buffer_packets must be >= 1");
   HXSP_CHECK_MSG(cfg_.output_buffer_packets >= 1,

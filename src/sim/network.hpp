@@ -208,10 +208,6 @@ class Network {
                             static_cast<std::size_t>(cfg_.num_vcs)];
   }
 
-  /// Scratch VC list for Server::injection_phase (the injection loop is
-  /// serial, so one per Network suffices).
-  std::vector<Vc>& vc_scratch() { return vc_scratch_; }
-
   /// Schedules \p ev for cycle \p when (must be < 64 cycles ahead; the
   /// constructor rejects configs whose delays could exceed that).
   /// Inline: several events fire per packet transfer.
@@ -339,7 +335,6 @@ class Network {
   // Server-side storage kept outside the Server objects (see server.hpp).
   RingSlab<PacketPtr> server_queues_;
   std::vector<int> server_credits_; ///< [server][vc]
-  std::vector<Vc> vc_scratch_;
 
   // Ids of the routers with work in the current phase, ascending (filled
   // by a scan in step(); the step pool partitions it).

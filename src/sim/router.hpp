@@ -241,9 +241,6 @@ class Router {
   const OutputPort& output(Port p) const {
     return outputs_[static_cast<std::size_t>(p)];
   }
-  const OutputVc& output_vc(Port p, Vc v) const {
-    return out_vcs_[static_cast<std::size_t>(vc_index(p, v))];
-  }
 
   /// Total packets buffered in this router (inputs + outputs).
   int buffered_packets() const;

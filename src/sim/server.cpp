@@ -67,15 +67,12 @@ void Server::injection_phase(Network& net, Cycle now) {
   RingSlab<PacketPtr>& queues = net.server_queues();
   const std::size_t ring = static_cast<std::size_t>(id_);
 
-  std::vector<Vc>& legal = net.vc_scratch();
-  legal.clear();
-  net.mechanism().injection_vcs(net.ctx(), *queues.front(ring, queue_), legal);
-
   // Join the emptiest legal VC with room for the whole packet.
+  const VcRange legal = net.mechanism().injection_vcs(net.ctx());
   int* const credits = net.server_credits(id_);
   Vc best = kInvalid;
   int best_credits = len - 1;
-  for (Vc v : legal) {
+  for (Vc v = legal.lo; v <= legal.hi; ++v) {
     const int c = credits[v];
     if (c > best_credits) {
       best_credits = c;

@@ -111,12 +111,8 @@ int ComputedHyperXDistance::num_dirty_switches() const {
   return static_cast<int>(std::count(dirty_.begin(), dirty_.end(), 1));
 }
 
-std::unique_ptr<DistanceProvider> make_distance_provider(
-    const HyperX& hx, DistanceProviderKind kind) {
-  const bool dense = kind == DistanceProviderKind::Dense ||
-                     (kind == DistanceProviderKind::Auto &&
-                      hx.num_switches() <= kDenseDistanceSwitchLimit);
-  if (dense)
+std::unique_ptr<DistanceProvider> make_distance_provider(const HyperX& hx) {
+  if (hx.num_switches() <= kDenseDistanceSwitchLimit)
     return std::make_unique<DistanceTable>(hx.graph());
   return std::make_unique<ComputedHyperXDistance>(hx);
 }

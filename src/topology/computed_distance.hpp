@@ -105,23 +105,17 @@ class ComputedHyperXDistance final : public DistanceProvider {
   mutable int faulted_diameter_ = -1; ///< lazy (-1 = not yet computed)
 };
 
-/// Provider selection policy for the harness.
-enum class DistanceProviderKind {
-  Auto,     ///< dense up to kDenseDistanceSwitchLimit, computed beyond
-  Dense,    ///< force the O(N^2) reference table
-  Computed, ///< force the algebraic provider (HyperX only)
-};
-
 /// Dense tables above this switch count are both slow to build and heavy
-/// (16k switches = 256 MB); Auto switches to the computed provider there.
-/// Every paper-scale configuration (8x8x8 = 512 switches) stays dense, so
+/// (16k switches = 256 MB), so make_distance_provider switches to the
+/// computed provider there. Every paper-scale configuration (8x8x8 = 512
+/// switches) stays dense, so
 /// provider selection cannot perturb existing goldens even in principle —
 /// and the parity suite proves value-equality anyway.
 constexpr SwitchId kDenseDistanceSwitchLimit = 4096;
 
-/// Builds the distance provider for \p hx per \p kind (see above).
-/// The HyperX must outlive the provider.
-std::unique_ptr<DistanceProvider> make_distance_provider(
-    const HyperX& hx, DistanceProviderKind kind = DistanceProviderKind::Auto);
+/// Builds the distance provider for \p hx: the dense table up to
+/// kDenseDistanceSwitchLimit switches, the computed provider beyond. The
+/// HyperX must outlive the provider.
+std::unique_ptr<DistanceProvider> make_distance_provider(const HyperX& hx);
 
 } // namespace hxsp

@@ -32,9 +32,6 @@ class Table {
   /// Renders the aligned table to a string (header + separator + rows).
   std::string str() const;
 
-  /// Number of data rows so far.
-  std::size_t num_rows() const { return rows_.size(); }
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

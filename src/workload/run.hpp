@@ -132,7 +132,6 @@ class WorkloadRun : public MessageSource {
 
   std::size_t num_messages() const { return msgs_.size(); }
   long total_packets() const { return total_packets_; }
-  int num_phases() const { return static_cast<int>(phase_done_.size()); }
   bool complete() const { return completed_count_ == msgs_.size(); }
 
   /// Cycle the last message of each phase completed (-1: not finished).

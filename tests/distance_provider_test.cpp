@@ -213,11 +213,11 @@ TEST(ComputedDistance, FactorySelectsByScale) {
   const auto dense = make_distance_provider(small);
   EXPECT_NE(dense->row_ptr(0), nullptr);
 
-  const auto forced = make_distance_provider(small, DistanceProviderKind::Computed);
-  EXPECT_EQ(forced->row_ptr(0), nullptr);
+  const ComputedHyperXDistance forced(small);
+  EXPECT_EQ(forced.row_ptr(0), nullptr);
   for (SwitchId a = 0; a < small.num_switches(); ++a)
     for (SwitchId b = 0; b < small.num_switches(); ++b)
-      ASSERT_EQ(forced->at(a, b), dense->at(a, b));
+      ASSERT_EQ(forced.at(a, b), dense->at(a, b));
 
   // 18^3 = 5832 switches > kDenseDistanceSwitchLimit: Auto goes
   // computed, and construction is instant because nothing is O(N^2).

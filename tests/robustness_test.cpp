@@ -1,11 +1,10 @@
 /// \file robustness_test.cpp
 /// Edge-case and robustness coverage: mixed-side HyperX, every-root escape
-/// sweeps, Valiant under faults, degenerate completion runs, logging.
+/// sweeps, Valiant under faults, degenerate completion runs.
 
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hpp"
-#include "util/log.hpp"
 
 namespace hxsp {
 namespace {
@@ -114,16 +113,6 @@ TEST(Robustness, RepeatedRunsIndependent) {
   Experiment e(s);
   const double first = e.run_load(0.5).accepted;
   for (int i = 0; i < 3; ++i) EXPECT_DOUBLE_EQ(e.run_load(0.5).accepted, first);
-}
-
-TEST(Robustness, LogLevelRoundTrip) {
-  const LogLevel prev = log_level();
-  set_log_level(LogLevel::Debug);
-  EXPECT_EQ(log_level(), LogLevel::Debug);
-  logf(LogLevel::Debug, "debug message %d", 42); // must not crash
-  set_log_level(LogLevel::Error);
-  logf(LogLevel::Info, "suppressed");
-  set_log_level(prev);
 }
 
 TEST(Robustness, HotspotTrafficDoesNotStall) {

@@ -1,6 +1,6 @@
 /// \file routing_test.cpp
 /// Tests for the base route sets (Minimal and its shared next-hop helper,
-/// DOR, Valiant, Omnidimensional) and the Ladder VC mechanism.
+/// DOR, Valiant, Omnidimensional) and the Ladder VC discipline.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 
 #include "routing/dor.hpp"
 #include "routing/factory.hpp"
-#include "routing/ladder.hpp"
 #include "routing/minimal.hpp"
 #include "routing/omnidimensional.hpp"
 #include "routing/valiant.hpp"
@@ -308,7 +307,8 @@ TEST(Omni, MaxHopsIsNPlusM) {
 
 TEST(Ladder, OneStepVcFollowsHops) {
   auto t = make_net(2, 4);
-  LadderMechanism mech(std::make_unique<MinimalAlgorithm>(), 1, "test");
+  const RoutingMechanism mech =
+      RoutingMechanism::ladder(std::make_unique<MinimalAlgorithm>(), 1, "test");
   Packet p = make_packet(t, t.hx->switch_at({0, 0}), t.hx->switch_at({1, 1}));
   std::vector<Candidate> out;
   RouteScratch scratch;
@@ -323,7 +323,8 @@ TEST(Ladder, OneStepVcFollowsHops) {
 
 TEST(Ladder, TwoStepOffersPairOfVcs) {
   auto t = make_net(2, 4);
-  LadderMechanism mech(std::make_unique<MinimalAlgorithm>(), 2, "Minimal");
+  const RoutingMechanism mech =
+      RoutingMechanism::ladder(std::make_unique<MinimalAlgorithm>(), 2, "Minimal");
   Packet p = make_packet(t, t.hx->switch_at({0, 0}), t.hx->switch_at({1, 1}));
   std::vector<Candidate> out;
   RouteScratch scratch;
@@ -341,7 +342,8 @@ TEST(Ladder, TwoStepOffersPairOfVcs) {
 
 TEST(Ladder, SaturatesAtTopRung) {
   auto t = make_net(2, 4);
-  LadderMechanism mech(std::make_unique<MinimalAlgorithm>(), 1, "test");
+  const RoutingMechanism mech =
+      RoutingMechanism::ladder(std::make_unique<MinimalAlgorithm>(), 1, "test");
   Packet p = make_packet(t, t.hx->switch_at({0, 0}), t.hx->switch_at({1, 1}));
   p.hops = 9; // beyond the 4-VC ladder
   std::vector<Candidate> out;
@@ -352,7 +354,8 @@ TEST(Ladder, SaturatesAtTopRung) {
 
 TEST(Ladder, CommitIncrementsHops) {
   auto t = make_net(2, 4);
-  LadderMechanism mech(std::make_unique<MinimalAlgorithm>(), 1, "test");
+  const RoutingMechanism mech =
+      RoutingMechanism::ladder(std::make_unique<MinimalAlgorithm>(), 1, "test");
   Packet p = make_packet(t, 0, 5);
   mech.commit_hop(t.ctx, p, 0, {0, 0, 0, false, false});
   EXPECT_EQ(p.hops, 1);
@@ -360,15 +363,14 @@ TEST(Ladder, CommitIncrementsHops) {
 
 TEST(Ladder, InjectionVcs) {
   auto t = make_net(2, 4);
-  std::vector<Vc> vcs;
-  LadderMechanism one(std::make_unique<MinimalAlgorithm>(), 1, "a");
-  Packet p = make_packet(t, 0, 5);
-  one.injection_vcs(t.ctx, p, vcs);
-  EXPECT_EQ(vcs, (std::vector<Vc>{0}));
-  vcs.clear();
-  LadderMechanism two(std::make_unique<MinimalAlgorithm>(), 2, "b");
-  two.injection_vcs(t.ctx, p, vcs);
-  EXPECT_EQ(vcs, (std::vector<Vc>{0, 1}));
+  const RoutingMechanism one =
+      RoutingMechanism::ladder(std::make_unique<MinimalAlgorithm>(), 1, "a");
+  EXPECT_EQ(one.injection_vcs(t.ctx).lo, 0);
+  EXPECT_EQ(one.injection_vcs(t.ctx).hi, 0);
+  const RoutingMechanism two =
+      RoutingMechanism::ladder(std::make_unique<MinimalAlgorithm>(), 2, "b");
+  EXPECT_EQ(two.injection_vcs(t.ctx).lo, 0);
+  EXPECT_EQ(two.injection_vcs(t.ctx).hi, 1);
 }
 
 TEST(Factory, AllMechanismsConstructWithPaperNames) {

@@ -110,7 +110,7 @@ TEST(SimDetail, WindowExcludesWarmupTraffic) {
   EXPECT_EQ(r.cycles, 500);
 }
 
-TEST(SimDetail, EscapeVcUnusedByLadderMechanisms) {
+TEST(SimDetail, EscapeVcUnusedByLadders) {
   // Ladder mechanisms never produce escape candidates; their escape VC
   // stats must stay zero even at saturation.
   ExperimentSpec s = k2_spec();
@@ -178,6 +178,35 @@ TEST(SimDetailDeathTest, ZeroCrossbarSpeedupRejected) {
         e.run_load(0.05);
       },
       "sim\\.xbar_speedup");
+}
+
+// A VC budget below the mechanism's minimum (one rung, plus the escape VC
+// under SurePath) would clamp Minimal's 2-VC rung to VC -1 and inject past
+// the server's credit row, or leave SurePath no legal injection VC so no
+// packet ever leaves a server. The Network constructor rejects both.
+TEST(SimDetailDeathTest, MinimalRejectsOneVc) {
+  ExperimentSpec s = k2_spec();
+  s.mechanism = "minimal";
+  s.sim.num_vcs = 1;
+  EXPECT_DEATH(
+      {
+        Experiment e(s);
+        e.run_load(0.05);
+      },
+      "sim\\.num_vcs = 1 but Minimal needs >= 2");
+}
+
+TEST(SimDetailDeathTest, PolSpRejectsOneVc) {
+  ExperimentSpec s = k2_spec();
+  s.sides = {2, 2};
+  s.mechanism = "polsp";
+  s.sim.num_vcs = 1;
+  EXPECT_DEATH(
+      {
+        Experiment e(s);
+        e.run_load(0.05);
+      },
+      "sim\\.num_vcs = 1 but PolSP needs >= 2");
 }
 
 TEST(SimDetail, ServerQueueDepthLimitsBurstiness) {

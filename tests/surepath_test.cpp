@@ -8,7 +8,7 @@
 #include <ostream>
 #include <set>
 
-#include "core/surepath.hpp"
+#include "core/escape_updown.hpp"
 #include "routing/omnidimensional.hpp"
 #include "routing/polarized.hpp"
 #include "test_util.hpp"
@@ -22,15 +22,15 @@ using testutil::make_packet;
 using testutil::TestNet;
 
 // Match the factory's shipped configurations (see routing/factory.cpp).
-std::unique_ptr<SurePathMechanism> omnisp() {
-  return std::make_unique<SurePathMechanism>(
+std::unique_ptr<RoutingMechanism> omnisp() {
+  return std::make_unique<RoutingMechanism>(RoutingMechanism::surepath(
       std::make_unique<OmnidimensionalAlgorithm>(), "OmniSP",
-      CRoutVcPolicy::Free);
+      CRoutVcPolicy::Free));
 }
 
-std::unique_ptr<SurePathMechanism> polsp() {
-  return std::make_unique<SurePathMechanism>(
-      std::make_unique<PolarizedAlgorithm>(), "PolSP", CRoutVcPolicy::Rung);
+std::unique_ptr<RoutingMechanism> polsp() {
+  return std::make_unique<RoutingMechanism>(RoutingMechanism::surepath(
+      std::make_unique<PolarizedAlgorithm>(), "PolSP", CRoutVcPolicy::Rung));
 }
 
 TEST(SurePath, RoutingCandidatesOnAllCRoutVcs) {
@@ -112,15 +112,12 @@ TEST(SurePath, CommitRoutingHopCountsDeroutes) {
 
 TEST(SurePath, InjectionVcsFollowPolicy) {
   auto t = make_net(2, 4, 4);
-  Packet p = make_packet(t, 0, 5);
-  std::vector<Vc> vcs;
   // Free policy (OmniSP default): any CRout VC.
-  omnisp()->injection_vcs(t.ctx, p, vcs);
-  EXPECT_EQ(vcs, (std::vector<Vc>{0, 1, 2}));
+  EXPECT_EQ(omnisp()->injection_vcs(t.ctx).lo, 0);
+  EXPECT_EQ(omnisp()->injection_vcs(t.ctx).hi, 2);
   // Rung policy (PolSP default): the first ladder rung only.
-  vcs.clear();
-  polsp()->injection_vcs(t.ctx, p, vcs);
-  EXPECT_EQ(vcs, (std::vector<Vc>{0}));
+  EXPECT_EQ(polsp()->injection_vcs(t.ctx).lo, 0);
+  EXPECT_EQ(polsp()->injection_vcs(t.ctx).hi, 0);
 }
 
 TEST(SurePath, RungPolicyFollowsHopCount) {
@@ -144,8 +141,8 @@ TEST(SurePath, RungPolicyFollowsHopCount) {
 
 TEST(SurePath, AutoPolicyResolvesByLadderDepth) {
   // Auto = Rung when the CRout VCs can ladder a 2n-1 route, Free below.
-  SurePathMechanism mech(std::make_unique<PolarizedAlgorithm>(), "SP",
-                         CRoutVcPolicy::Auto);
+  const RoutingMechanism mech = RoutingMechanism::surepath(
+      std::make_unique<PolarizedAlgorithm>(), "SP", CRoutVcPolicy::Auto);
   // 2D, 4 VCs: 3 CRout VCs >= 2*2-1 -> Rung.
   auto t2 = make_net(2, 4, /*num_vcs=*/4);
   EXPECT_EQ(mech.resolved_policy(t2.ctx), CRoutVcPolicy::Rung);
@@ -156,15 +153,16 @@ TEST(SurePath, AutoPolicyResolvesByLadderDepth) {
   t3.ctx.num_vcs = 6;
   EXPECT_EQ(mech.resolved_policy(t3.ctx), CRoutVcPolicy::Rung);
   // Non-Auto policies resolve to themselves.
-  SurePathMechanism free_mech(std::make_unique<OmnidimensionalAlgorithm>(),
-                              "SP", CRoutVcPolicy::Free);
+  const RoutingMechanism free_mech = RoutingMechanism::surepath(
+      std::make_unique<OmnidimensionalAlgorithm>(), "SP", CRoutVcPolicy::Free);
   EXPECT_EQ(free_mech.resolved_policy(t3.ctx), CRoutVcPolicy::Free);
 }
 
 TEST(SurePath, MonotonePolicyRespectsCurrentVc) {
   auto t = make_net(2, 4, 4);
-  SurePathMechanism mech(std::make_unique<OmnidimensionalAlgorithm>(), "SP",
-                         CRoutVcPolicy::Monotone);
+  const RoutingMechanism mech = RoutingMechanism::surepath(
+      std::make_unique<OmnidimensionalAlgorithm>(), "SP",
+      CRoutVcPolicy::Monotone);
   Packet p = make_packet(t, t.hx->switch_at({0, 0}), t.hx->switch_at({2, 2}));
   p.cur_vc = 1;
   std::vector<Candidate> out;
@@ -264,7 +262,7 @@ TEST_P(SurePathFaultSweep, AllPairsDeliverableUnderFaults) {
   const SwitchId root = static_cast<SwitchId>(
       rng.next_below(static_cast<std::uint64_t>(t.hx->num_switches())));
   t.rebuild(root, param.strict);
-  std::unique_ptr<SurePathMechanism> mech =
+  std::unique_ptr<RoutingMechanism> mech =
       std::string(param.base) == "omni" ? omnisp() : polsp();
   const int bound = 4 * t.hx->num_switches();
   for (SwitchId a = 0; a < t.hx->num_switches(); ++a)

@@ -2,10 +2,10 @@
 /// Concurrency stress for ThreadPool and ParallelSweep, written for the
 /// TSan build (cmake --preset tsan): many tiny tasks so scheduling
 /// interleavings churn, workers that throw mid-run so the exception-drain
-/// path races against still-queued jobs, and concurrent logf() emission.
-/// The tests also pass (as plain functional tests) in regular builds, so
-/// they ride the default suite; under -fsanitize=thread any data race in
-/// the pool, the map() delivery path, or the logger becomes a failure.
+/// path races against still-queued jobs. The tests also pass (as plain
+/// functional tests) in regular builds, so they ride the default suite;
+/// under -fsanitize=thread any data race in the pool or the map() delivery
+/// path becomes a failure.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "harness/sweep.hpp"
-#include "util/log.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hxsp {
@@ -107,24 +106,6 @@ TEST(TsanStress, ThrowingWorkersDrainCleanly) {
     return static_cast<int>(i) + 1;
   });
   EXPECT_EQ(ok.back(), 50);
-}
-
-TEST(TsanStress, ConcurrentLogEmission) {
-  // Every worker logging at once: logf and set_log_level/log_level must
-  // be race-free (the sweep engine logs per-point progress from workers).
-  set_log_level(LogLevel::Error); // keep the suite's stderr quiet
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 500; ++i) {
-    pool.submit([&count, i] {
-      logf(LogLevel::Debug, "stress message %d", i); // dropped, still synced
-      if (log_level() == LogLevel::Debug) count.fetch_add(1000);
-      count.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 500);
-  set_log_level(LogLevel::Info);
 }
 
 TEST(TsanStress, TinySimulationGridMatchesSerial) {
