@@ -8,12 +8,11 @@
 /// Every (base, policy) combination is an ordinary spec mechanism thanks
 /// to the factory's "@policy" suffix ("omnisp@rung", "polsp@free", ...),
 /// so the grid is a plain TaskGrid: run in-process (--jobs=N,
-/// bit-identical at any worker count), emitted (--emit-tasks) or sliced
-/// (--shard=i/n).
+/// bit-identical at any worker count) or emitted (--emit-tasks) for
+/// hxsp_runner.
 ///
-/// Usage: ablation_crout_policy [--paper] [--csv[=file]] [--json[=file]]
-///                              [--seed=N] [--jobs=N] [--shard=i/n]
-///                              [--emit-tasks[=file]]
+/// Usage: ablation_crout_policy [--paper] [--csv[=file]] [--seed=N]
+///                              [--jobs=N] [--emit-tasks[=file]]
 
 #include "bench_util.hpp"
 

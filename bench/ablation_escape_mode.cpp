@@ -9,12 +9,11 @@
 /// deviation note.
 ///
 /// The (mode, mechanism, load) grid is a TaskGrid: run in-process
-/// (--jobs=N, bit-identical at any worker count), emitted (--emit-tasks)
-/// or sliced (--shard=i/n).
+/// (--jobs=N, bit-identical at any worker count) or emitted
+/// (--emit-tasks) for hxsp_runner.
 ///
-/// Usage: ablation_escape_mode [--paper] [--csv[=file]] [--json[=file]]
-///                             [--seed=N] [--jobs=N] [--shard=i/n]
-///                             [--emit-tasks[=file]]
+/// Usage: ablation_escape_mode [--paper] [--csv[=file]] [--seed=N]
+///                             [--jobs=N] [--emit-tasks[=file]]
 
 #include "bench_util.hpp"
 

@@ -7,12 +7,11 @@
 /// saturation throughput, fault-free and under a Cross fault.
 ///
 /// The (scale, mechanism, scenario) grid is a TaskGrid: run in-process
-/// (--jobs=N, bit-identical at any worker count), emitted (--emit-tasks)
-/// or sliced (--shard=i/n).
+/// (--jobs=N, bit-identical at any worker count) or emitted
+/// (--emit-tasks) for hxsp_runner.
 ///
-/// Usage: ablation_penalties [--paper] [--csv[=file]] [--json[=file]]
-///                           [--seed=N] [--jobs=N] [--shard=i/n]
-///                           [--emit-tasks[=file]]
+/// Usage: ablation_penalties [--paper] [--csv[=file]] [--seed=N]
+///                           [--jobs=N] [--emit-tasks[=file]]
 
 #include "bench_util.hpp"
 #include "topology/faults.hpp"

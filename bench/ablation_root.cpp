@@ -6,11 +6,10 @@
 /// the opposite corner of the network.
 ///
 /// The (root, mechanism, pattern) grid is a TaskGrid: run in-process
-/// (--jobs=N, bit-identical at any worker count), emitted (--emit-tasks)
-/// or sliced (--shard=i/n).
+/// (--jobs=N, bit-identical at any worker count) or emitted
+/// (--emit-tasks) for hxsp_runner.
 ///
-/// Usage: ablation_root [--paper] [--csv[=file]] [--json[=file]]
-///                      [--seed=N] [--jobs=N] [--shard=i/n]
+/// Usage: ablation_root [--paper] [--csv[=file]] [--seed=N] [--jobs=N]
 ///                      [--emit-tasks[=file]]
 
 #include "bench_util.hpp"

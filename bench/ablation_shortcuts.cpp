@@ -6,12 +6,11 @@
 /// the paper's original contributions). This bench compares both escapes.
 ///
 /// The (shortcuts, mechanism, scenario) grid is a TaskGrid: run
-/// in-process (--jobs=N, bit-identical at any worker count), emitted
-/// (--emit-tasks) or sliced (--shard=i/n).
+/// in-process (--jobs=N, bit-identical at any worker count) or emitted
+/// (--emit-tasks) for hxsp_runner.
 ///
-/// Usage: ablation_shortcuts [--paper] [--csv[=file]] [--json[=file]]
-///                           [--seed=N] [--jobs=N] [--shard=i/n]
-///                           [--emit-tasks[=file]]
+/// Usage: ablation_shortcuts [--paper] [--csv[=file]] [--seed=N]
+///                           [--jobs=N] [--emit-tasks[=file]]
 
 #include "bench_util.hpp"
 #include "topology/faults.hpp"

@@ -7,10 +7,10 @@
 ///
 /// The (vcs, mechanism, pattern) grid is a TaskGrid: run in-process
 /// (--jobs=N, default hardware concurrency, bit-identical at any worker
-/// count), emitted (--emit-tasks) or sliced (--shard=i/n).
+/// count) or emitted (--emit-tasks) for hxsp_runner.
 ///
-/// Usage: ablation_vcs [--paper] [--csv[=file]] [--json[=file]] [--seed=N]
-///                     [--jobs=N] [--shard=i/n] [--emit-tasks[=file]]
+/// Usage: ablation_vcs [--paper] [--csv[=file]] [--seed=N] [--jobs=N]
+///                     [--emit-tasks[=file]]
 
 #include "bench_util.hpp"
 

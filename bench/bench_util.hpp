@@ -2,9 +2,9 @@
 /// \file bench_util.hpp
 /// Shared plumbing for the figure/table reproduction benches: the common
 /// CLI option block (CommonOptions), standard header banner, uniform
-/// result persistence (--csv/--json through ResultSink), the TaskGrid
-/// emit/shard/run plumbing every simulation driver routes through, and
-/// the mechanism/pattern grids the paper's evaluation sweeps over.
+/// result persistence (--csv through ResultSink), the TaskGrid emit/run
+/// plumbing every simulation driver routes through, and the
+/// mechanism/pattern grids the paper's evaluation sweeps over.
 ///
 /// Option-handling contract every driver follows: read *all*
 /// driver-specific options first (spec_from_options, custom keys), then
@@ -13,6 +13,11 @@
 /// work. Build the TaskGrid next and check maybe_emit_tasks() BEFORE
 /// printing anything: --emit-tasks without a file writes the manifest to
 /// stdout, which must stay pure JSON for piping into hxsp_runner.
+///
+/// A driver runs its whole grid in process. Sharding, checkpoint/resume,
+/// intra-run step threads and the telemetry/trace artefacts are reached
+/// through `driver --emit-tasks | hxsp_runner`, whose CSV is
+/// byte-identical to the driver's own.
 
 #include <cstdio>
 #include <cstdlib>
@@ -29,13 +34,11 @@
 
 namespace hxsp::bench {
 
-/// The option block shared by every driver and example: --jobs=N worker
-/// count (0 = hardware concurrency, 1 = serial), --step-threads=N
-/// deterministic intra-run step-pool workers per simulation (0 = serial
-/// stepping; any value is bit-identical), --shard=i/n grid slice,
-/// --emit-tasks[=file] manifest emission, plus registration of the
-/// --csv/--json/--seed keys so warn_unknown() (called here, last) knows
-/// them. Construct AFTER all driver-specific option reads.
+/// The option block shared by every driver: --jobs=N worker count (0 =
+/// hardware concurrency, 1 = serial), --emit-tasks[=file] manifest
+/// emission, plus registration of the --csv/--seed keys so warn_unknown()
+/// (called here, last) knows them. Construct AFTER all driver-specific
+/// option reads.
 ///
 /// In-process runs (run_grid) keep no telemetry capture, so
 /// --telemetry-window/--trace-sample there only cost stepping time; a
@@ -43,18 +46,13 @@ namespace hxsp::bench {
 /// which writes the telemetry and trace artefacts.
 struct CommonOptions {
   int jobs = 0;
-  int step_threads = 0;
-  ShardSpec shard;
   bool emit_tasks = false;
   std::string emit_path;  ///< "" = stdout
 
   explicit CommonOptions(const Options& opt) {
     opt.has("csv");
-    opt.has("json");
     opt.has("seed");
     jobs = static_cast<int>(opt.get_int("jobs", 0));
-    step_threads = static_cast<int>(opt.get_int("step-threads", 0));
-    shard = ShardSpec::parse(opt.get("shard", "0/1"));
     emit_tasks = opt.has("emit-tasks");
     emit_path = opt.get("emit-tasks", "");
     if (emit_path == "1") emit_path.clear();  // bare flag / --emit-tasks=1
@@ -96,40 +94,17 @@ inline bool maybe_emit_tasks(const CommonOptions& common, const TaskGrid& grid) 
   return true;
 }
 
-/// Prints a notice when distribution flags were given to a program with
-/// no task grid to distribute (the examples): the flags parse everywhere
-/// for CLI uniformity, but silently ignoring them would hide a typo'd
-/// intent.
-inline void warn_unused_distribution(const CommonOptions& common,
-                                     const char* what) {
-  if (common.emit_tasks || !common.shard.is_full())
-    std::fprintf(stderr,
-                 "note: --emit-tasks/--shard have no effect in %s "
-                 "(single-run example)\n",
-                 what);
-}
-
-/// Runs the --shard slice of \p grid through a ParallelSweep, appending
-/// every (task, result) to \p sink and forwarding each to \p on_result
-/// with the task's ORIGINAL grid index, so per-cell console context keeps
-/// working. In an unsharded run this is exactly the old in-process fast
-/// path: submission-order delivery, bit-identical at any worker count.
-/// Under --shard the sink receives only this slice's rows (merge shard
-/// outputs with hxsp_runner --merge); console output that reads sibling
-/// cells (healthy references, grid headers) is best-effort then.
+/// Runs every task of \p grid through a ParallelSweep, appending each
+/// (task, result) to \p sink and forwarding it to \p on_result with its
+/// grid index, in grid order and bit-identical at any worker count.
 inline void run_grid(
     const TaskGrid& grid, const CommonOptions& common, ResultSink& sink,
     const std::function<void(std::size_t, const TaskSpec&, const TaskResult&)>&
         on_result = {}) {
-  const std::vector<std::size_t> picked =
-      shard_indices(grid.size(), common.shard);
-  ParallelSweep sweep(common.jobs);
-  sweep.map<TaskResult>(
-      picked.size(),
-      [&](std::size_t i) { return run_task(grid[picked[i]], common.step_threads); },
-      [&](std::size_t i, const TaskResult& result) {
-        sink.add(grid[picked[i]], result);
-        if (on_result) on_result(picked[i], grid[picked[i]], result);
+  ParallelSweep(common.jobs).run_tasks(
+      grid.tasks(), [&](std::size_t i, const TaskResult& result) {
+        sink.add(grid[i], result);
+        if (on_result) on_result(i, grid[i], result);
       });
 }
 
@@ -150,27 +125,20 @@ inline void banner(const std::string& what, const ExperimentSpec& spec) {
   std::printf("==============================================================\n");
 }
 
-/// Persists \p sink when --csv / --json were passed (bare flag or =1
-/// selects <stem>.csv / <stem>.json, any other value is the file name)
-/// and says so. Every driver emits the same ResultSink schema.
+/// Persists \p sink when --csv was passed (bare flag or =1 selects
+/// <stem>.csv, any other value is the file name) and says so. Every
+/// driver emits the same ResultSink schema. A failed write exits the
+/// process non-zero, so a script running the driver sees the failure.
 inline void persist(const Options& opt, const ResultSink& sink,
                     const std::string& stem) {
-  struct Format {
-    const char* key;
-    const char* ext;
-    bool (ResultSink::*write)(const std::string&) const;
-  };
-  const Format formats[] = {{"csv", ".csv", &ResultSink::write_csv},
-                            {"json", ".json", &ResultSink::write_json}};
-  for (const Format& f : formats) {
-    if (!opt.has(f.key)) continue;
-    const std::string v = opt.get(f.key, "");
-    const std::string file = (v.empty() || v == "1") ? stem + f.ext : v;
-    if ((sink.*f.write)(file))
-      std::printf("(wrote %s: %zu records)\n", file.c_str(), sink.size());
-    else
-      std::fprintf(stderr, "could not write %s\n", file.c_str());
+  if (!opt.has("csv")) return;
+  const std::string v = opt.get("csv", "");
+  const std::string file = (v.empty() || v == "1") ? stem + ".csv" : v;
+  if (!sink.write_csv(file)) {
+    std::fprintf(stderr, "could not write %s\n", file.c_str());
+    std::exit(1);
   }
+  std::printf("(wrote %s: %zu records)\n", file.c_str(), sink.size());
 }
 
 /// The six mechanisms of the paper's fault-free comparison (Table 4).
@@ -280,8 +248,8 @@ struct ShapeDef {
 /// The fig08/fig09 shape grid: for every (mechanism, pattern) pair a
 /// healthy reference plus every shape, in canonical order. Healthy tasks
 /// precede their pair's shape tasks, so the submission-order delivery of
-/// an unsharded run hands each shape row its healthy throughput ("top
-/// marks") just before it — do not reorder the expansion without also
+/// run_grid hands each shape row its healthy throughput ("top marks")
+/// just before it — do not reorder the expansion without also
 /// buffering the references.
 struct ShapeGrid {
   TaskGrid grid;
@@ -327,8 +295,9 @@ inline ShapeGrid build_shape_grid(const std::string& driver,
 /// \p name_width) with its degradation against the most recent healthy
 /// reference, and appending every run to \p sink. The healthy /
 /// degradation comparison is console context only — persisted records
-/// carry task-local fields, so shard outputs merge cleanly; the plotting
-/// pipeline recomputes degradation from the healthy rows.
+/// carry task-local fields, so the driver's CSV equals hxsp_runner's and
+/// shard outputs merge cleanly; the plotting pipeline recomputes
+/// degradation from the healthy rows.
 inline void run_shape_grid(const ShapeGrid& sg, const CommonOptions& common,
                            int name_width, ResultSink& sink) {
   double healthy = 0.0;  // most recent healthy reference

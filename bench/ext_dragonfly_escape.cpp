@@ -10,13 +10,11 @@
 /// The three per-topology studies are independent and fan across the
 /// sweep pool via ParallelSweep::map (--jobs=N); each study builds its
 /// own tables, network and RNG streams, so output is bit-identical at
-/// any worker count. --shard=i/n slices the study range with the shared
-/// round-robin rule; the studies run on hand-built graphs an
+/// any worker count. The studies run on hand-built graphs an
 /// ExperimentSpec cannot express, so --emit-tasks writes an empty
 /// manifest.
 ///
-/// Usage: ext_dragonfly_escape [--csv[=file]] [--json[=file]] [--seed=N]
-///                             [--jobs=N] [--shard=i/n]
+/// Usage: ext_dragonfly_escape [--csv[=file]] [--seed=N] [--jobs=N]
 
 #include "bench_util.hpp"
 #include "core/escape_updown.hpp"
@@ -118,13 +116,12 @@ int main(int argc, char** argv) {
   studies.push_back({"Dragonfly a=4 h=2", "Dragonfly(4,2):", make_dragonfly(4, 2)});
   studies.push_back({"Dragonfly a=6 h=1", "Dragonfly(6,1):", make_dragonfly(6, 1)});
 
-  const auto picked = shard_indices(studies.size(), common.shard);
   ParallelSweep sweep(common.jobs);
   sweep.map<StudyResult>(
-      picked.size(),
-      [&](std::size_t i) { return run_study(studies[picked[i]].graph, 4, seed); },
+      studies.size(),
+      [&](std::size_t i) { return run_study(studies[i].graph, 4, seed); },
       [&](std::size_t i, const StudyResult& r) {
-        const Study& st = studies[picked[i]];
+        const Study& st = studies[i];
         std::printf("%s stretch=%.3f acc=%.3f esc=%.3f\n", st.console,
                     r.stretch, r.accepted, r.escape_frac);
         t.row().cell(st.name).cell(static_cast<long>(st.graph.num_switches()))
@@ -132,7 +129,7 @@ int main(int argc, char** argv) {
             .cell(r.accepted, 4).cell(r.escape_frac, 4);
         ResultRecord rec;
         rec.kind = "rate";
-        rec.task_id = make_task_id("ext_dragonfly_escape", picked[i]);
+        rec.task_id = make_task_id("ext_dragonfly_escape", i);
         rec.label = st.name;
         rec.mechanism = "MinSP";
         rec.pattern = "uniform";

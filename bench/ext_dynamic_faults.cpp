@@ -12,12 +12,11 @@
 ///
 /// Each mechanism's dynamic run and its static reference are TaskSpecs on
 /// a TaskGrid: run in-process across a ParallelSweep pool (--jobs=N,
-/// bit-identical at any worker count), emitted as a manifest
-/// (--emit-tasks), or sliced with --shard=i/n.
+/// bit-identical at any worker count) or emitted as a manifest
+/// (--emit-tasks) for hxsp_runner.
 ///
 /// Usage: ext_dynamic_faults [--paper] [--faults=N] [--csv[=file]]
-///                           [--json[=file]] [--seed=N] [--jobs=N]
-///                           [--shard=i/n] [--emit-tasks[=file]]
+///                           [--seed=N] [--jobs=N] [--emit-tasks[=file]]
 
 #include "bench_util.hpp"
 #include "topology/faults.hpp"

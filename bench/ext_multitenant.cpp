@@ -14,16 +14,15 @@
 ///
 /// Each (placement, job mix, fault fraction, fault mode) cell is a
 /// `multitenant` TaskSpec on a TaskGrid: run in-process across a
-/// ParallelSweep pool (--jobs=N, bit-identical at any worker count),
-/// emitted as a manifest (--emit-tasks), or sliced with --shard=i/n.
+/// ParallelSweep pool (--jobs=N, bit-identical at any worker count) or
+/// emitted as a manifest (--emit-tasks) for hxsp_runner.
 ///
 /// Usage: ext_multitenant [--dims=2] [--side=8] [--sps=1] [--vcs=4]
 ///          [--placements=contiguous,striped,random] [--mixes=pair,quads]
 ///          [--fault-fracs=0,0.04,0.08] [--fault-modes=uniform,targeted]
 ///          [--mech=polsp] [--msg-packets=4] [--stagger=2000]
 ///          [--no-baseline] [--bucket=2000] [--deadline=N] [--seed=N]
-///          [--csv[=file]] [--json[=file]] [--jobs=N] [--shard=i/n]
-///          [--emit-tasks[=file]]
+///          [--csv[=file]] [--jobs=N] [--emit-tasks[=file]]
 
 #include <map>
 

@@ -12,15 +12,15 @@
 ///
 /// Each (workload, fault fraction, mechanism) cell is a `workload`
 /// TaskSpec on a TaskGrid: run in-process across a ParallelSweep pool
-/// (--jobs=N, bit-identical at any worker count), emitted as a manifest
-/// (--emit-tasks), or sliced with --shard=i/n.
+/// (--jobs=N, bit-identical at any worker count) or emitted as a
+/// manifest (--emit-tasks) for hxsp_runner.
 ///
 /// Usage: ext_workloads [--dims=2] [--side=8] [--sps=1] [--vcs=4]
 ///          [--workloads=alltoall,ring_allreduce,halo2d,shuffle]
 ///          [--mechs=polsp,omnisp] [--fault-fracs=0,0.04,0.08]
 ///          [--msg-packets=4] [--rounds=1] [--fanout=2] [--trace=FILE]
 ///          [--bucket=2000] [--deadline=N] [--seed=N] [--csv[=file]]
-///          [--json[=file]] [--jobs=N] [--shard=i/n] [--emit-tasks[=file]]
+///          [--jobs=N] [--emit-tasks[=file]]
 
 #include <map>
 

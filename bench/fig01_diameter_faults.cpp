@@ -7,14 +7,11 @@
 /// The per-seed sequences are independent, so they fan across the sweep
 /// pool via ParallelSweep::map (--jobs=N); each seed's walk is
 /// self-contained (own Graph copy and Rng), so output is bit-identical
-/// at any worker count. --shard=i/n slices the seed range with the shared
-/// round-robin rule (records carry per-seed task ids, so shard CSVs merge
-/// with hxsp_runner --merge). Graph walks are not simulations, so
-/// --emit-tasks writes an empty manifest.
+/// at any worker count. Graph walks are not simulations, so --emit-tasks
+/// writes an empty manifest.
 ///
 /// Usage: fig01_diameter_faults [--side=8] [--dims=3] [--seeds=5]
-///                              [--step=10] [--jobs=N] [--shard=i/n]
-///                              [--csv[=file]] [--json[=file]]
+///                              [--step=10] [--jobs=N] [--csv[=file]]
 
 #include "bench_util.hpp"
 #include "topology/distance.hpp"
@@ -85,23 +82,19 @@ int main(int argc, char** argv) {
 
   Table t({"seed", "faults", "fault_frac", "diameter"});
   ResultSink sink("fig01_diameter_faults");
-  const auto picked = shard_indices(static_cast<std::size_t>(seeds),
-                                    common.shard);
   ParallelSweep sweep(common.jobs);
   sweep.map<SeedTrace>(
-      picked.size(),
-      [&](std::size_t i) {
-        return walk_seed(hx, static_cast<int>(picked[i]) + 1, step);
-      },
+      static_cast<std::size_t>(seeds),
+      [&](std::size_t i) { return walk_seed(hx, static_cast<int>(i) + 1, step); },
       [&](std::size_t i, const SeedTrace& trace) {
-        const int seed = static_cast<int>(picked[i]) + 1;
+        const int seed = static_cast<int>(i) + 1;
         for (const Transition& tr : trace.transitions) {
           t.row().cell(static_cast<long>(seed))
               .cell(static_cast<long>(tr.faults)).cell(tr.fault_frac, 4)
               .cell(static_cast<long>(tr.diameter));
           ResultRecord rec;
           rec.kind = "graph";
-          rec.task_id = make_task_id("fig01_diameter_faults", picked[i]);
+          rec.task_id = make_task_id("fig01_diameter_faults", i);
           rec.seed = static_cast<std::uint64_t>(seed);
           rec.extra = "faults=" + std::to_string(tr.faults) +
                       ";diameter=" + std::to_string(tr.diameter);

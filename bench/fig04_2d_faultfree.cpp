@@ -7,13 +7,12 @@
 /// Default: reduced scale (8x8, shortened cycles). --paper: 16x16 with the
 /// paper's measurement windows. The (pattern, mechanism, load) grid is a
 /// TaskGrid: run in-process across a ParallelSweep pool (--jobs=N, output
-/// bit-identical at any worker count), emitted as a TaskSpec manifest
-/// (--emit-tasks) for hxsp_runner, or sliced with --shard=i/n.
+/// bit-identical at any worker count) or emitted as a TaskSpec manifest
+/// (--emit-tasks) for hxsp_runner.
 ///
 /// Usage: fig04_2d_faultfree [--paper] [--loads=..] [--mechs=..]
-///                           [--patterns=..] [--csv[=file]] [--json[=file]]
-///                           [--seed=N] [--jobs=N] [--shard=i/n]
-///                           [--emit-tasks[=file]]
+///                           [--patterns=..] [--csv[=file]] [--seed=N]
+///                           [--jobs=N] [--emit-tasks[=file]]
 
 #include "bench_util.hpp"
 

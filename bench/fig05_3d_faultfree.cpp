@@ -7,13 +7,12 @@
 ///
 /// Default: reduced scale (4x4x4). --paper: 8x8x8. The grid is a TaskGrid:
 /// run in-process across a ParallelSweep pool (--jobs=N, bit-identical at
-/// any worker count), emitted as a TaskSpec manifest (--emit-tasks) for
-/// hxsp_runner, or sliced with --shard=i/n.
+/// any worker count) or emitted as a TaskSpec manifest (--emit-tasks) for
+/// hxsp_runner.
 ///
 /// Usage: fig05_3d_faultfree [--paper] [--loads=..] [--mechs=..]
-///                           [--patterns=..] [--csv[=file]] [--json[=file]]
-///                           [--seed=N] [--jobs=N] [--shard=i/n]
-///                           [--emit-tasks[=file]]
+///                           [--patterns=..] [--csv[=file]] [--seed=N]
+///                           [--jobs=N] [--emit-tasks[=file]]
 
 #include "bench_util.hpp"
 

@@ -11,14 +11,14 @@
 ///
 /// The grid's cells are independent TaskSpecs: run in-process across a
 /// ParallelSweep pool (--jobs=N, default hardware concurrency, output
-/// bit-identical whatever the worker count), emitted as a manifest
-/// (--emit-tasks) for hxsp_runner, or sliced with --shard=i/n — this is
-/// the driver the CI shard job exercises end to end.
+/// bit-identical whatever the worker count) or emitted as a manifest
+/// (--emit-tasks) for hxsp_runner — this is the driver the CI shard job
+/// exercises end to end.
 ///
 /// Usage: fig06_random_faults [--paper] [--dims=2|3|0 (both)]
 ///                            [--max-faults=N] [--steps=N] [--seed=N]
-///                            [--jobs=N] [--shard=i/n] [--emit-tasks[=file]]
-///                            [--csv[=file]] [--json[=file]]
+///                            [--jobs=N] [--emit-tasks[=file]]
+///                            [--csv[=file]]
 
 #include "bench_util.hpp"
 #include "topology/faults.hpp"

@@ -10,11 +10,10 @@
 /// 1/3 of its links). Reduced scale mirrors the proportions.
 ///
 /// The grid is a TaskGrid: run in-process across a ParallelSweep pool
-/// (--jobs=N, bit-identical at any worker count), emitted as a manifest
-/// (--emit-tasks) for hxsp_runner, or sliced with --shard=i/n.
+/// (--jobs=N, bit-identical at any worker count) or emitted as a manifest
+/// (--emit-tasks) for hxsp_runner.
 ///
-/// Usage: fig08_2d_shapes [--paper] [--csv[=file]] [--json[=file]]
-///                        [--seed=N] [--jobs=N] [--shard=i/n]
+/// Usage: fig08_2d_shapes [--paper] [--csv[=file]] [--seed=N] [--jobs=N]
 ///                        [--emit-tasks[=file]]
 
 #include "bench_util.hpp"

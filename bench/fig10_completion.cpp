@@ -9,13 +9,12 @@
 ///
 /// The per-mechanism races are completion-mode TaskSpecs on a TaskGrid:
 /// run in-process across a ParallelSweep pool (--jobs=N, bit-identical at
-/// any worker count), emitted as a manifest (--emit-tasks), or sliced
-/// with --shard=i/n.
+/// any worker count) or emitted as a manifest (--emit-tasks) for
+/// hxsp_runner.
 ///
 /// Usage: fig10_completion [--paper] [--phits=4000] [--bucket=2000]
-///                         [--deadline=N] [--csv[=file]] [--json[=file]]
-///                         [--seed=N] [--jobs=N] [--shard=i/n]
-///                         [--emit-tasks[=file]]
+///                         [--deadline=N] [--csv[=file]] [--seed=N]
+///                         [--jobs=N] [--emit-tasks[=file]]
 
 #include "bench_util.hpp"
 #include "topology/faults.hpp"

@@ -5,13 +5,11 @@
 /// bench always runs at the paper's full scale.
 ///
 /// The two all-pairs BFS tables are the expensive part and independent,
-/// so they fan across the sweep pool via ParallelSweep::map (--jobs=N);
-/// --shard=i/n slices the map range with the shared round-robin rule.
+/// so they fan across the sweep pool via ParallelSweep::map (--jobs=N).
 /// Graph measurements are not simulations, so --emit-tasks writes an
 /// empty manifest (nothing for hxsp_runner to execute).
 ///
-/// Usage: table03_topology [--jobs=N] [--shard=i/n] [--csv[=file]]
-///                         [--json[=file]]
+/// Usage: table03_topology [--jobs=N] [--csv[=file]]
 
 #include "bench_util.hpp"
 #include "topology/distance.hpp"
@@ -53,43 +51,35 @@ int main(int argc, char** argv) {
   const HyperX h3 = HyperX::regular(3, 8);
   const HyperX* topos[] = {&h2, &h3};
 
-  // Shard the two summaries like any grid; the console table needs both,
-  // so it is only printed by the unsharded run.
-  const auto picked = shard_indices(2, common.shard);
   ParallelSweep sweep(common.jobs);
-  std::vector<TopoSummary> sums(2);
-  sweep.map<TopoSummary>(
-      picked.size(),
-      [&](std::size_t i) { return summarize(*topos[picked[i]]); },
-      [&](std::size_t i, const TopoSummary& s) { sums[picked[i]] = s; });
+  const std::vector<TopoSummary> sums = sweep.map<TopoSummary>(
+      2, [&](std::size_t i) { return summarize(*topos[i]); });
 
-  if (common.shard.is_full()) {
-    const TopoSummary& s2 = sums[0];
-    const TopoSummary& s3 = sums[1];
-    Table t({"Parameter", "2D HyperX", "3D HyperX", "paper 2D", "paper 3D"});
-    t.row().cell("Switches").cell(s2.switches).cell(s3.switches)
-        .cell("256").cell("512");
-    t.row().cell("Radix").cell(s2.radix).cell(s3.radix).cell("46").cell("29");
-    t.row().cell("Servers per switch").cell(s2.sps).cell(s3.sps)
-        .cell("16").cell("8");
-    t.row().cell("Total servers").cell(s2.servers).cell(s3.servers)
-        .cell("4096").cell("4096");
-    t.row().cell("Links").cell(s2.links).cell(s3.links)
-        .cell("3840").cell("5376");
-    t.row().cell("Diameter").cell(s2.diameter).cell(s3.diameter)
-        .cell("2").cell("3");
-    t.row().cell("Avg. distance").cell(s2.avg_distance, 3)
-        .cell(s3.avg_distance, 3).cell("1.8").cell("2.625");
+  const TopoSummary& s2 = sums[0];
+  const TopoSummary& s3 = sums[1];
+  Table t({"Parameter", "2D HyperX", "3D HyperX", "paper 2D", "paper 3D"});
+  t.row().cell("Switches").cell(s2.switches).cell(s3.switches)
+      .cell("256").cell("512");
+  t.row().cell("Radix").cell(s2.radix).cell(s3.radix).cell("46").cell("29");
+  t.row().cell("Servers per switch").cell(s2.sps).cell(s3.sps)
+      .cell("16").cell("8");
+  t.row().cell("Total servers").cell(s2.servers).cell(s3.servers)
+      .cell("4096").cell("4096");
+  t.row().cell("Links").cell(s2.links).cell(s3.links)
+      .cell("3840").cell("5376");
+  t.row().cell("Diameter").cell(s2.diameter).cell(s3.diameter)
+      .cell("2").cell("3");
+  t.row().cell("Avg. distance").cell(s2.avg_distance, 3)
+      .cell(s3.avg_distance, 3).cell("1.8").cell("2.625");
 
-    std::printf("%s\n", t.str().c_str());
-    std::printf("Note: average distance is over ordered pairs including self\n"
-                "(matches the paper's 2.625 for 3D; the paper prints 1.8 for\n"
-                "2D where this convention gives 1.875).\n");
-  }
+  std::printf("%s\n", t.str().c_str());
+  std::printf("Note: average distance is over ordered pairs including self\n"
+              "(matches the paper's 2.625 for 3D; the paper prints 1.8 for\n"
+              "2D where this convention gives 1.875).\n");
 
   ResultSink sink("table03_topology");
   const char* labels[] = {"2D HyperX 16x16", "3D HyperX 8x8x8"};
-  for (std::size_t i : picked) {
+  for (std::size_t i = 0; i < sums.size(); ++i) {
     const TopoSummary& s = sums[i];
     ResultRecord rec;
     rec.kind = "graph";

@@ -3,12 +3,10 @@
 /// algorithm, VC management and VC budget of every evaluated mechanism,
 /// as configured in this repository. The factory verification lines fan
 /// across the sweep pool via ParallelSweep::map (--jobs=N), delivered in
-/// submission order; --shard=i/n slices that verification range. The
-/// inventory is static text, not simulation work, so --emit-tasks writes
-/// an empty manifest.
+/// submission order. The inventory is static text, not simulation work,
+/// so --emit-tasks writes an empty manifest.
 ///
-/// Usage: table04_mechanisms [--jobs=N] [--shard=i/n] [--csv[=file]]
-///                           [--json[=file]]
+/// Usage: table04_mechanisms [--jobs=N] [--csv[=file]]
 
 #include "bench_util.hpp"
 #include "routing/factory.hpp"
@@ -42,10 +40,6 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     t.row().cell(r.mech).cell(r.algo).cell(r.vc_mgmt).cell(r.use_2n).cell(r.vcs);
-    // The console table always prints whole, but each shard persists
-    // only its slice of the info records — duplicates would otherwise
-    // survive an hxsp_runner --merge of shard outputs.
-    if (!common.shard.covers(i)) continue;
     ResultRecord rec;
     rec.kind = "info";
     rec.task_id = make_task_id("table04_mechanisms", i);
@@ -63,17 +57,16 @@ int main(int argc, char** argv) {
     std::string display;
     bool escape = false;
   };
-  const auto picked = shard_indices(names.size(), common.shard);
   ParallelSweep sweep(common.jobs);
   sweep.map<Built>(
-      picked.size(),
+      names.size(),
       [&](std::size_t i) {
-        auto m = make_mechanism(names[picked[i]]);
+        auto m = make_mechanism(names[i]);
         return Built{m->name(), m->needs_escape()};
       },
       [&](std::size_t i, const Built& b) {
         std::printf("factory: %-10s -> %-10s escape=%s\n",
-                    names[picked[i]].c_str(), b.display.c_str(),
+                    names[i].c_str(), b.display.c_str(),
                     b.escape ? "yes" : "no");
       });
   bench::persist(opt, sink, "table04_mechanisms");

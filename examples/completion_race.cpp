@@ -9,8 +9,8 @@
 
 #include <cstdio>
 
-#include "bench_util.hpp"
 #include "harness/experiment.hpp"
+#include "topology/faults.hpp"
 #include "util/options.hpp"
 
 using namespace hxsp;
@@ -19,8 +19,7 @@ int main(int argc, char** argv) {
   const Options opt(argc, argv);
   const int side = static_cast<int>(opt.get_int("side", 4));
   const long phits = opt.get_int("phits", 2000);
-  const bench::CommonOptions common(opt);  // shared flags + warn_unknown
-  bench::warn_unused_distribution(common, "completion_race");
+  opt.warn_unknown();
 
   ExperimentSpec base;
   base.sides = {side, side, side};

@@ -8,8 +8,8 @@
 
 #include <cstdio>
 
-#include "bench_util.hpp"
 #include "harness/experiment.hpp"
+#include "topology/faults.hpp"
 #include "util/options.hpp"
 
 using namespace hxsp;
@@ -28,8 +28,7 @@ void report(const char* title, const ResultRow& r) {
 int main(int argc, char** argv) {
   const Options opt(argc, argv);
   const int side = static_cast<int>(opt.get_int("side", 8));
-  const bench::CommonOptions common(opt);  // shared flags + warn_unknown
-  bench::warn_unused_distribution(common, "fault_drill");
+  opt.warn_unknown();
 
   ExperimentSpec base;
   base.sides = {side, side};

@@ -8,7 +8,6 @@
 
 #include <cstdio>
 
-#include "bench_util.hpp"
 #include "harness/experiment.hpp"
 #include "util/options.hpp"
 
@@ -20,8 +19,7 @@ int main(int argc, char** argv) {
   hxsp::ExperimentSpec spec;
   const int side = static_cast<int>(opt.get_int("side", 8));
   const double load = opt.get_double("load", 0.5);
-  const hxsp::bench::CommonOptions common(opt);  // shared flags + warn_unknown
-  hxsp::bench::warn_unused_distribution(common, "quickstart");
+  opt.warn_unknown();
   spec.sides = {side, side};
   spec.mechanism = "polsp";
   spec.pattern = "uniform";

@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Bench-driver smoke test: runs every bench executable at tiny scale with
-# --jobs=2 and checks (a) it exits cleanly and (b) its persisted CSV and
-# JSON are byte-identical to a --jobs=1 run — the driver-level half of the
-# determinism contract the unit tests enforce at the engine level. It also
+# --jobs=2 and checks (a) it exits cleanly, (b) its persisted CSV is
+# byte-identical to a --jobs=1 run — the driver-level half of the
+# determinism contract the unit tests enforce at the engine level — and
+# (c) for every driver that emits a task grid, the CSV equals what
+# hxsp_runner writes for the driver's --emit-tasks manifest. It also
+# checks that a driver whose CSV cannot be written exits non-zero, and
 # runs the example programs and fails if one exits non-zero.
 #
 # Usage: scripts/bench_smoke.sh [build-dir]   (default: build)
@@ -13,6 +16,12 @@ SCRIPT_DIR="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
 WORK_DIR="$(mktemp -d)"
 trap 'rm -rf "$WORK_DIR"' EXIT
 FAILED=0
+
+RUNNER="$BUILD_DIR/hxsp_runner"
+if [[ ! -x "$RUNNER" ]]; then
+  echo "MISSING hxsp_runner (not built)"
+  FAILED=1
+fi
 
 # driver + tiny arguments; every simulation driver gets short windows.
 DRIVERS=(
@@ -37,6 +46,10 @@ DRIVERS=(
   "ext_multitenant --side=4 --msg-packets=2 --fault-fracs=0,0.05 --mixes=pair --bucket=500"
 )
 
+# Pure-graph drivers: their measurements are not TaskSpecs, so their
+# --emit-tasks manifest is empty and there is no runner CSV to compare.
+GRAPH_DRIVERS=" table03_topology table04_mechanisms fig01_diameter_faults ext_dragonfly_escape "
+
 for entry in "${DRIVERS[@]}"; do
   read -r driver args <<< "$entry"
   bin="$BUILD_DIR/$driver"
@@ -46,8 +59,7 @@ for entry in "${DRIVERS[@]}"; do
     continue
   fi
   # shellcheck disable=SC2086  # word-splitting of $args is intended
-  if ! "$bin" $args --jobs=2 \
-        --csv="$WORK_DIR/$driver.csv" --json="$WORK_DIR/$driver.json" \
+  if ! "$bin" $args --jobs=2 --csv="$WORK_DIR/$driver.csv" \
         > "$WORK_DIR/$driver.out" 2>&1; then
     echo "FAIL    $driver (non-zero exit)"
     tail -5 "$WORK_DIR/$driver.out"
@@ -55,22 +67,44 @@ for entry in "${DRIVERS[@]}"; do
     continue
   fi
   # shellcheck disable=SC2086
-  "$bin" $args --jobs=1 \
-      --csv="$WORK_DIR/$driver.1.csv" --json="$WORK_DIR/$driver.1.json" \
-      > /dev/null 2>&1
-  if ! cmp -s "$WORK_DIR/$driver.csv" "$WORK_DIR/$driver.1.csv" ||
-     ! cmp -s "$WORK_DIR/$driver.json" "$WORK_DIR/$driver.1.json"; then
+  "$bin" $args --jobs=1 --csv="$WORK_DIR/$driver.1.csv" > /dev/null 2>&1
+  if ! cmp -s "$WORK_DIR/$driver.csv" "$WORK_DIR/$driver.1.csv"; then
     echo "FAIL    $driver (--jobs=1 vs --jobs=2 output differs)"
     FAILED=1
     continue
   fi
-  if [[ ! -s "$WORK_DIR/$driver.csv" || ! -s "$WORK_DIR/$driver.json" ]]; then
+  if [[ ! -s "$WORK_DIR/$driver.csv" ]]; then
     echo "FAIL    $driver (empty persisted output)"
     FAILED=1
     continue
   fi
-  echo "OK      $driver"
+  if [[ "$GRAPH_DRIVERS" != *" $driver "* ]]; then
+    # shellcheck disable=SC2086
+    if ! "$bin" $args --emit-tasks 2> /dev/null |
+         "$RUNNER" - --jobs=2 --csv="$WORK_DIR/$driver.runner.csv" --quiet \
+           > /dev/null 2>&1 ||
+       ! cmp -s "$WORK_DIR/$driver.csv" "$WORK_DIR/$driver.runner.csv"; then
+      echo "FAIL    $driver (driver CSV != hxsp_runner CSV of its manifest)"
+      FAILED=1
+      continue
+    fi
+    echo "OK      $driver (jobs=1 == jobs=2 == runner)"
+  else
+    echo "OK      $driver (jobs=1 == jobs=2)"
+  fi
 done
+
+# A result file that cannot be written must fail the driver, so a script
+# running it sees the failure instead of a missing artefact.
+if [[ -x "$BUILD_DIR/table03_topology" ]]; then
+  if "$BUILD_DIR/table03_topology" --csv="$WORK_DIR/no_such_dir/x.csv" \
+       > "$WORK_DIR/persist_fail.out" 2>&1; then
+    echo "FAIL    unwritable --csv (driver exited 0)"
+    FAILED=1
+  else
+    echo "OK      unwritable --csv (driver exits non-zero)"
+  fi
+fi
 
 # Invariant auditor smoke (see sim/audit.cpp): re-run the fig06 grid with
 # the audit enabled every 64 cycles — every incremental engine structure
@@ -92,26 +126,30 @@ else
   echo "SKIP    invariant audit (fig06 driver or baseline CSV missing)"
 fi
 
-# Intra-run step-pool smoke (see Network::set_step_pool): re-run the
-# workload grid with --step-threads=2 — candidate precompute and
-# link-phase collect fan out across the pool — and require the CSV
-# byte-identical to the serial-step run above. This is the driver-level
-# check of the "bit-identical at every thread count" engine contract, on
-# a task kind that exercises Consume callbacks.
-if [[ -x "$BUILD_DIR/ext_workloads" && -s "$WORK_DIR/ext_workloads.csv" ]]; then
+# Intra-run step-pool smoke (see Network::set_step_pool): run the
+# workload grid's manifest through hxsp_runner --step-threads=2 —
+# candidate precompute and link-phase collect fan out across the pool —
+# and require the CSV byte-identical to the serial-step driver run above.
+# This is the end-to-end check of the "bit-identical at every thread
+# count" engine contract, on a task kind that exercises Consume callbacks.
+if [[ -x "$BUILD_DIR/ext_workloads" && -x "$RUNNER" &&
+      -s "$WORK_DIR/ext_workloads.csv" ]]; then
   if "$BUILD_DIR/ext_workloads" --side=4 --sps=1 --msg-packets=2 \
-       --fault-fracs=0,0.05 --bucket=500 --jobs=2 --step-threads=2 \
-       --csv="$WORK_DIR/ext_workloads_sp.csv" \
+       --fault-fracs=0,0.05 --bucket=500 \
+       --emit-tasks="$WORK_DIR/ext_workloads_tasks.json" \
        > "$WORK_DIR/ext_workloads_sp.out" 2>&1 &&
+     "$RUNNER" "$WORK_DIR/ext_workloads_tasks.json" --jobs=2 \
+       --step-threads=2 --csv="$WORK_DIR/ext_workloads_sp.csv" --quiet \
+       >> "$WORK_DIR/ext_workloads_sp.out" 2>&1 &&
      cmp -s "$WORK_DIR/ext_workloads_sp.csv" "$WORK_DIR/ext_workloads.csv"; then
-    echo "OK      step pool (--step-threads=2, CSV identical to serial step)"
+    echo "OK      step pool (hxsp_runner --step-threads=2, CSV identical to serial step)"
   else
-    echo "FAIL    step pool (--step-threads=2)"
+    echo "FAIL    step pool (hxsp_runner --step-threads=2)"
     tail -5 "$WORK_DIR/ext_workloads_sp.out"
     FAILED=1
   fi
 else
-  echo "SKIP    step pool (ext_workloads driver or baseline CSV missing)"
+  echo "SKIP    step pool (ext_workloads, hxsp_runner or baseline CSV missing)"
 fi
 
 # Telemetry smoke (see src/telemetry/): re-run the fig06 grid with the

@@ -87,7 +87,7 @@ for driver in "${DRIVERS[@]}"; do
   esac
   # shellcheck disable=SC2086  # word-splitting of $args is intended
   if "$bin" $args --jobs="$JOBS" --csv="$OUT_DIR/$driver.csv" \
-       --json="$OUT_DIR/$driver.json" > "$OUT_DIR/$driver.log" 2>&1; then
+       > "$OUT_DIR/$driver.log" 2>&1; then
     echo "OK      $driver"
   else
     echo "FAIL    $driver (see $OUT_DIR/$driver.log)"

@@ -24,28 +24,12 @@ ShardSpec ShardSpec::parse(const std::string& text) {
   return s;
 }
 
-std::vector<std::size_t> shard_indices(std::size_t n, const ShardSpec& shard) {
-  std::vector<std::size_t> out;
-  out.reserve(n / static_cast<std::size_t>(shard.count) + 1);
-  for (std::size_t i = static_cast<std::size_t>(shard.index); i < n;
-       i += static_cast<std::size_t>(shard.count))
-    out.push_back(i);
-  return out;
-}
-
 TaskGrid::TaskGrid(std::string driver) : driver_(std::move(driver)) {}
 
 std::size_t TaskGrid::add(TaskSpec task) {
   task.id = make_task_id(driver_, tasks_.size());
   tasks_.push_back(std::move(task));
   return tasks_.size() - 1;
-}
-
-std::vector<TaskSpec> TaskGrid::shard(const ShardSpec& shard) const {
-  std::vector<TaskSpec> out;
-  for (std::size_t i : shard_indices(tasks_.size(), shard))
-    out.push_back(tasks_[i]);
-  return out;
 }
 
 } // namespace hxsp

@@ -19,7 +19,8 @@
 
 namespace hxsp {
 
-/// Which slice of a grid this process runs; parsed from --shard=i/n.
+/// Which slice of a manifest an hxsp_runner process runs; parsed from
+/// --shard=i/n.
 struct ShardSpec {
   int index = 0;  ///< in [0, count)
   int count = 1;
@@ -28,18 +29,11 @@ struct ShardSpec {
   /// input or index out of range.
   static ShardSpec parse(const std::string& text);
 
-  bool is_full() const { return count == 1; }
-
   /// True when grid index \p i belongs to this shard.
   bool covers(std::size_t i) const {
     return static_cast<int>(i % static_cast<std::size_t>(count)) == index;
   }
 };
-
-/// Grid indices belonging to \p shard, ascending — the shared sharding
-/// rule for TaskGrids and for drivers whose unit of work is a bare map()
-/// range (pure-graph studies).
-std::vector<std::size_t> shard_indices(std::size_t n, const ShardSpec& shard);
 
 /// An ordered TaskSpec list with stable ids. The expansion order IS the
 /// canonical result order; append tasks exactly in the order the serial
@@ -57,9 +51,6 @@ class TaskGrid {
   std::size_t size() const { return tasks_.size(); }
   const std::vector<TaskSpec>& tasks() const { return tasks_; }
   const TaskSpec& operator[](std::size_t i) const { return tasks_[i]; }
-
-  /// The subset of tasks belonging to \p shard, in grid order.
-  std::vector<TaskSpec> shard(const ShardSpec& shard) const;
 
   /// The grid as a --emit-tasks manifest (JSON array of TaskSpecs).
   std::string manifest_json() const { return manifest_to_json(tasks_); }

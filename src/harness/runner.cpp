@@ -45,8 +45,7 @@ RunnerReport run_manifest(const std::vector<TaskSpec>& tasks,
       // the task done — and the orphaned tenant rows of such a group are
       // purged here so the re-run cannot duplicate them.
       for (const ResultRecord& rec : report.records)
-        if (!rec.task_id.empty() && rec.kind != "tenant")
-          completed.insert(rec.task_id);
+        if (is_task_summary(rec)) completed.insert(rec.task_id);
       std::vector<ResultRecord> kept;
       kept.reserve(report.records.size());
       for (ResultRecord& rec : report.records) {
@@ -155,11 +154,6 @@ RunnerReport run_manifest(const std::vector<TaskSpec>& tasks,
     ++report.executed;
   }, opts.step_threads, want_telemetry ? &captures : nullptr);
   if (out) std::fclose(out);
-
-  if (!opts.json_path.empty())
-    HXSP_CHECK_MSG(write_whole_file(opts.json_path,
-                                    ResultSink::json(report.records)),
-                   "cannot write JSON output");
 
   if (want_telemetry) {
     // Rows and traces cover the tasks executed *now*, in submission

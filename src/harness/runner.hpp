@@ -30,7 +30,6 @@ struct RunnerOptions {
                               ///< bit-identical by the engine contract)
   ShardSpec shard;            ///< slice of the manifest to run
   std::string csv_path;       ///< checkpoint + CSV output ("" = in-memory)
-  std::string json_path;      ///< JSON output, written on completion ("")
   bool quiet = false;         ///< suppress per-task progress lines
 
   /// Telemetry/trace artefacts, written on completion ("" = none). These

@@ -17,8 +17,8 @@
 ///    delivery callback drains the pool before unwinding) and ordered
 ///    (delivery strictly in index order on the calling thread).
 ///  - run_tasks(): executes TaskSpecs (see harness/taskspec.hpp) — the
-///    serializable task model shared by the in-process fast path, the
-///    --shard/--emit-tasks grid API and the hxsp_runner tool. Results
+///    serializable task model shared by the drivers' in-process runs and
+///    the hxsp_runner tool (fed by --emit-tasks manifests). Results
 ///    come back as TaskResult variants matching each task's kind; a rate
 ///    sweep is a list of TaskSpec::rate tasks.
 

@@ -6,7 +6,6 @@
 
 #include "telemetry/capture.hpp"
 #include "util/fileio.hpp"
-#include "util/jsonio.hpp"
 #include "util/check.hpp"
 
 namespace hxsp {
@@ -263,6 +262,11 @@ ResultRecord make_record(const TaskSpec& task, const TaskResult& result) {
   return rec;
 }
 
+bool is_task_summary(const ResultRecord& rec) {
+  return !rec.task_id.empty() && rec.kind != "tenant" &&
+         rec.kind != "telemetry";
+}
+
 std::vector<ResultRecord> make_records(const TaskSpec& task,
                                        const TaskResult& result) {
   std::vector<ResultRecord> group;
@@ -453,24 +457,8 @@ std::string ResultSink::csv(const std::vector<ResultRecord>& records) {
   return out;
 }
 
-std::string ResultSink::json(const std::vector<ResultRecord>& records) {
-  std::string out = "[";
-  for (std::size_t r = 0; r < records.size(); ++r) {
-    out += r ? ",\n " : "\n ";
-    JsonWriter w;
-    hxsp::write_json(w, records[r]);  // not the file-writing member
-    out += w.str();
-  }
-  out += "\n]\n";
-  return out;
-}
-
 bool ResultSink::write_csv(const std::string& path) const {
   return write_whole_file(path, csv());
-}
-
-bool ResultSink::write_json(const std::string& path) const {
-  return write_whole_file(path, json());
 }
 
 std::vector<ResultRecord> ResultSink::parse_csv(const std::string& text) {
@@ -530,15 +518,18 @@ std::vector<ResultRecord> ResultSink::merge(
                    [](const ResultRecord& a, const ResultRecord& b) {
                      return a.task_id < b.task_id;
                    });
+  // Sorted by id, the summary rows of one task are adjacent among the
+  // summary rows.
+  const ResultRecord* prev = nullptr;
+  for (const ResultRecord& rec : all) {
+    if (!is_task_summary(rec)) continue;
+    HXSP_CHECK_MSG(prev == nullptr || prev->task_id != rec.task_id,
+                   ("merge input holds task " + rec.task_id +
+                    " twice (overlapping shards or a file given twice)")
+                       .c_str());
+    prev = &rec;
+  }
   return all;
-}
-
-std::vector<ResultRecord> ResultSink::parse_json(const std::string& text) {
-  const JsonValue doc = JsonValue::parse(text);
-  std::vector<ResultRecord> records(doc.array().size());
-  for (std::size_t i = 0; i < records.size(); ++i)
-    read_json(doc.array()[i], records[i], "");
-  return records;
 }
 
 } // namespace hxsp

@@ -6,8 +6,8 @@
 /// paper's figures (and trusting the fault-tolerance numbers) needs one
 /// schema shared by all of them. A ResultSink collects ResultRecords —
 /// one per simulation of any kind (rate, completion, dynamic) or per
-/// pure-graph measurement — and serializes them as CSV or JSON with a
-/// fixed column set: driver identity, the TaskSpec id the record came
+/// pure-graph measurement — and serializes them as CSV with a fixed
+/// column set: driver identity, the TaskSpec id the record came
 /// from, configuration (mechanism, pattern, offered load, seed), the
 /// scalar metrics of ResultRow, the mode specific scalars (dropped,
 /// drained, completion_time) and an optional time series of bucketed
@@ -15,10 +15,10 @@
 /// columns goes into the free-form `label` and `extra` columns, so the
 /// column set itself never varies by driver.
 ///
-/// Both formats parse back (parse_csv / parse_json) into bit-identical
-/// records: doubles are printed with 17 significant digits, so a
-/// write -> parse round trip is lossless and the persisted artefacts
-/// inherit the sweep engine's determinism guarantee.
+/// parse_csv reads the CSV back into bit-identical records: doubles are
+/// printed with 17 significant digits, so a write -> parse round trip is
+/// lossless and the persisted artefacts inherit the sweep engine's
+/// determinism guarantee.
 ///
 /// The task_id column is what the distributed layer keys on: a CSV file
 /// doubles as a checkpoint (completed task ids are exactly the ids on
@@ -71,8 +71,8 @@ struct ResultRecord {
   std::string extra; ///< free-form "key=value;key=value" driver payload
 };
 
-/// Field table: the CSV columns and JSON keys in serialization order, and
-/// equality (util/fields.hpp).
+/// Field table: the CSV columns in serialization order, and equality
+/// (util/fields.hpp).
 inline const auto& field_table(const ResultRecord*) {
   using S = ResultRecord;
   static const auto table = std::make_tuple(
@@ -115,8 +115,8 @@ ResultRecord make_record(const TaskSpec& task, const TaskResult& result);
 /// columns plus key=value extras) followed by the kind="multitenant"
 /// fabric summary row. Every row in a group shares the task's id — and
 /// the summary row is written *last*, which is what lets a checkpoint
-/// treat "a non-tenant row with this id exists" as the task-complete
-/// marker (see run_manifest).
+/// treat "a task-summary row with this id exists" (is_task_summary) as
+/// the task-complete marker (see run_manifest).
 std::vector<ResultRecord> make_records(const TaskSpec& task,
                                        const TaskResult& result);
 
@@ -135,9 +135,14 @@ struct TelemetryCapture; // telemetry/capture.hpp
 std::vector<ResultRecord> make_telemetry_records(const TaskSpec& task,
                                                  const TelemetryCapture& cap);
 
-/// Collects ResultRecords for one driver and serializes them. The CSV
-/// and JSON carry exactly the same records; parse_csv/parse_json invert
-/// csv()/json() losslessly.
+/// True for the row that marks its task complete: a record with a task id
+/// whose kind is neither "tenant" (the per-job rows written before their
+/// multitenant summary) nor "telemetry" (many rows per task, in a
+/// separate artefact). A result file holds at most one per task id.
+bool is_task_summary(const ResultRecord& rec);
+
+/// Collects ResultRecords for one driver and serializes them as CSV;
+/// parse_csv inverts csv() losslessly.
 class ResultSink {
  public:
   explicit ResultSink(std::string driver);
@@ -161,12 +166,8 @@ class ResultSink {
   /// Renders all records as CSV (header + one line per record).
   std::string csv() const { return csv(records_); }
 
-  /// Renders all records as a JSON array of flat objects.
-  std::string json() const { return json(records_); }
-
-  /// The same renderings for a caller-supplied record list (merge tools).
+  /// The same rendering for a caller-supplied record list (merge tools).
   static std::string csv(const std::vector<ResultRecord>& records);
-  static std::string json(const std::vector<ResultRecord>& records);
 
   /// The CSV header line and a single record's CSV line, each newline-
   /// terminated — the pieces an append-mode checkpoint writes one task
@@ -174,9 +175,8 @@ class ResultSink {
   static std::string csv_header();
   static std::string csv_line(const ResultRecord& rec);
 
-  /// Writes csv()/json() to \p path. Returns false on I/O error.
+  /// Writes csv() to \p path. Returns false on I/O error.
   bool write_csv(const std::string& path) const;
-  bool write_json(const std::string& path) const;
 
   /// Inverse of csv(): parses header + rows back into records. Aborts
   /// (HXSP_CHECK) on input that does not match the shared schema.
@@ -191,15 +191,14 @@ class ResultSink {
   static std::vector<ResultRecord> parse_csv_checkpoint(
       const std::string& text, std::string* clean_prefix);
 
-  /// Inverse of json(). Aborts (HXSP_CHECK) on malformed JSON and on a
-  /// record with an unknown, repeated or missing key.
-  static std::vector<ResultRecord> parse_json(const std::string& text);
-
   /// Concatenates \p parts and stable-sorts by task_id: shard outputs
   /// merge back into grid order (ids are fixed-width, so lexicographic
   /// order is grid order), id-less records keep their relative position
-  /// ahead of task records. The merged CSV/JSON of complete shards is
-  /// byte-identical to the uninterrupted single-process run.
+  /// ahead of task records. The merged CSV of complete shards is
+  /// byte-identical to the uninterrupted single-process run. Aborts
+  /// (HXSP_CHECK), naming the id, when two task-summary rows share a
+  /// task id: overlapping shards or a file passed twice would otherwise
+  /// duplicate rows silently.
   static std::vector<ResultRecord> merge(
       const std::vector<std::vector<ResultRecord>>& parts);
 

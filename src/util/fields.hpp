@@ -3,8 +3,8 @@
 /// One field table per serialized struct.
 ///
 /// A struct that is compared field by field or crosses a process boundary
-/// (TaskSpec manifests, result files) lists its members exactly once, in a
-/// table: an overload `field_table(const S*)`, found by argument-dependent
+/// (TaskSpec manifests as JSON, result records as CSV columns) lists its
+/// members exactly once, in a table: an overload `field_table(const S*)`, found by argument-dependent
 /// lookup, returns a tuple of Field entries, each a key name plus a member
 /// pointer. Equality and the JSON writer and reader below are derived from
 /// that table. Two rules follow:

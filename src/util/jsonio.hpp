@@ -3,8 +3,8 @@
 /// Minimal JSON tree reader/writer for the harness serialization layer.
 ///
 /// The distributed sweep API ships ExperimentSpecs and TaskSpecs between
-/// processes as JSON, and ResultSink reads its JSON result records back
-/// through the same reader. This utility provides the smallest tree model
+/// processes as JSON manifests (results travel as CSV, see
+/// metrics/resultsink.hpp). This utility provides the smallest tree model
 /// that round-trips those payloads losslessly: numbers are kept as their
 /// raw tokens (written with 17 significant digits for doubles), so
 /// parse(write(x)) == x bit-exactly.

@@ -2,7 +2,7 @@
 /// The distributed execution contract of run_manifest (the hxsp_runner
 /// core): an uninterrupted run, a run killed after k tasks (clean cut or
 /// mid-row) and resumed, and a pair of shards merged back together must
-/// all produce byte-identical CSV/JSON to the single-process --jobs=1
+/// all produce byte-identical CSV to the single-process --jobs=1
 /// reference. Also locks the runner's bookkeeping (skipped/executed
 /// counts) and its refusal to clobber non-checkpoint files.
 
@@ -69,32 +69,24 @@ TaskGrid small_grid() {
   return grid;
 }
 
-/// The uninterrupted --jobs=1 reference bytes for \p grid.
-struct Reference {
-  std::string csv;
-  std::string json;
-};
-
-Reference reference_run(const TaskGrid& grid) {
+/// The uninterrupted --jobs=1 reference CSV bytes for \p grid.
+std::string reference_csv(const TaskGrid& grid) {
   const std::string csv_path = temp_path("ref.csv");
-  const std::string json_path = temp_path("ref.json");
   std::remove(csv_path.c_str());
   RunnerOptions opts;
   opts.jobs = 1;
   opts.csv_path = csv_path;
-  opts.json_path = json_path;
   opts.quiet = true;
   const RunnerReport report = run_manifest(grid.tasks(), opts);
   EXPECT_EQ(report.executed, grid.size());
-  Reference ref{slurp(csv_path), slurp(json_path)};
+  std::string ref = slurp(csv_path);
   std::remove(csv_path.c_str());
-  std::remove(json_path.c_str());
   return ref;
 }
 
 TEST(Checkpoint, UninterruptedRunMatchesInProcessSink) {
   const TaskGrid grid = small_grid();
-  const Reference ref = reference_run(grid);
+  const std::string ref = reference_csv(grid);
 
   // The in-process fast path (what a driver with --csv produces): same
   // tasks through ParallelSweep + ResultSink. Must be byte-identical —
@@ -104,19 +96,17 @@ TEST(Checkpoint, UninterruptedRunMatchesInProcessSink) {
   sweep.run_tasks(grid.tasks(), [&](std::size_t i, const TaskResult& r) {
     sink.add(grid[i], r);
   });
-  EXPECT_EQ(sink.csv(), ref.csv);
-  EXPECT_EQ(sink.json(), ref.json);
+  EXPECT_EQ(sink.csv(), ref);
 }
 
 TEST(Checkpoint, ResumeAfterCleanKillIsByteIdentical) {
   const TaskGrid grid = small_grid();
-  const Reference ref = reference_run(grid);
+  const std::string ref = reference_csv(grid);
   const std::string path = temp_path("resume_clean.csv");
-  const std::string json_path = temp_path("resume_clean.json");
 
   // Simulate a kill after 3 completed tasks: the file holds the header
   // plus exactly three rows.
-  const auto full_records = ResultSink::parse_csv(ref.csv);
+  const auto full_records = ResultSink::parse_csv(ref);
   ASSERT_EQ(full_records.size(), 6u);
   std::string partial = ResultSink::csv_header();
   for (std::size_t i = 0; i < 3; ++i)
@@ -126,25 +116,22 @@ TEST(Checkpoint, ResumeAfterCleanKillIsByteIdentical) {
   RunnerOptions opts;
   opts.jobs = 1;
   opts.csv_path = path;
-  opts.json_path = json_path;
   opts.quiet = true;
   const RunnerReport report = run_manifest(grid.tasks(), opts);
   EXPECT_EQ(report.resumed, 3u);
   EXPECT_EQ(report.executed, 3u);
-  EXPECT_EQ(slurp(path), ref.csv);
-  EXPECT_EQ(slurp(json_path), ref.json);
+  EXPECT_EQ(slurp(path), ref);
   std::remove(path.c_str());
-  std::remove(json_path.c_str());
 }
 
 TEST(Checkpoint, ResumeAfterMidRowTruncationIsByteIdentical) {
   const TaskGrid grid = small_grid();
-  const Reference ref = reference_run(grid);
+  const std::string ref = reference_csv(grid);
   const std::string path = temp_path("resume_torn.csv");
 
   // Kill mid-write: cut the file inside the 5th row. The partial row
   // must be discarded (its task re-runs), not half-parsed.
-  const auto full_records = ResultSink::parse_csv(ref.csv);
+  const auto full_records = ResultSink::parse_csv(ref);
   std::string torn = ResultSink::csv_header();
   for (std::size_t i = 0; i < 4; ++i)
     torn += ResultSink::csv_line(full_records[i]);
@@ -159,13 +146,13 @@ TEST(Checkpoint, ResumeAfterMidRowTruncationIsByteIdentical) {
   const RunnerReport report = run_manifest(grid.tasks(), opts);
   EXPECT_EQ(report.resumed, 4u);
   EXPECT_EQ(report.executed, 2u);
-  EXPECT_EQ(slurp(path), ref.csv);
+  EXPECT_EQ(slurp(path), ref);
   std::remove(path.c_str());
 }
 
 TEST(Checkpoint, TornHeaderRestartsFromScratch) {
   const TaskGrid grid = small_grid();
-  const Reference ref = reference_run(grid);
+  const std::string ref = reference_csv(grid);
   const std::string path = temp_path("torn_header.csv");
 
   // Killed while writing the very header: the file is a strict prefix
@@ -179,7 +166,7 @@ TEST(Checkpoint, TornHeaderRestartsFromScratch) {
   const RunnerReport report = run_manifest(grid.tasks(), opts);
   EXPECT_EQ(report.resumed, 0u);
   EXPECT_EQ(report.executed, grid.size());
-  EXPECT_EQ(slurp(path), ref.csv);
+  EXPECT_EQ(slurp(path), ref);
   std::remove(path.c_str());
 }
 
@@ -199,9 +186,9 @@ TEST(Checkpoint, RefusesToClobberForeignFile) {
 
 TEST(Checkpoint, ResumeOfCompleteRunExecutesNothing) {
   const TaskGrid grid = small_grid();
-  const Reference ref = reference_run(grid);
+  const std::string ref = reference_csv(grid);
   const std::string path = temp_path("resume_done.csv");
-  spill(path, ref.csv);
+  spill(path, ref);
 
   RunnerOptions opts;
   opts.jobs = 1;
@@ -210,13 +197,13 @@ TEST(Checkpoint, ResumeOfCompleteRunExecutesNothing) {
   const RunnerReport report = run_manifest(grid.tasks(), opts);
   EXPECT_EQ(report.resumed, grid.size());
   EXPECT_EQ(report.executed, 0u);
-  EXPECT_EQ(slurp(path), ref.csv);
+  EXPECT_EQ(slurp(path), ref);
   std::remove(path.c_str());
 }
 
 TEST(Checkpoint, ShardUnionMergesToReference) {
   const TaskGrid grid = small_grid();
-  const Reference ref = reference_run(grid);
+  const std::string ref = reference_csv(grid);
 
   // Two shard runs (different jobs counts on purpose), then the merge.
   std::vector<std::vector<ResultRecord>> parts;
@@ -237,8 +224,7 @@ TEST(Checkpoint, ShardUnionMergesToReference) {
   }
   EXPECT_EQ(shard_total, grid.size());
   const auto merged = ResultSink::merge(parts);
-  EXPECT_EQ(ResultSink::csv(merged), ref.csv);
-  EXPECT_EQ(ResultSink::json(merged), ref.json);
+  EXPECT_EQ(ResultSink::csv(merged), ref);
 }
 
 TEST(Checkpoint, ShardedResumeStaysWithinItsSlice) {

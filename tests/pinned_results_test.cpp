@@ -2,7 +2,7 @@
 /// Absolute results: one small faulted 4x4 task per kind, plus rate rows
 /// for Minimal and Valiant, one of them on the computed distance provider.
 /// Every other harness test compares the engine with itself (serial vs
-/// parallel, fresh vs reused, CSV vs JSON), so a swapped stream tag or a
+/// parallel, fresh vs reused, driver vs runner), so a swapped stream tag or a
 /// reordered call in the run loop would pass them all; these rows would
 /// not. The expected lines are recorded output: a change that keeps
 /// results may not alter them, and a deliberate re-seed re-records them in
@@ -435,89 +435,6 @@ TEST(PinnedResults, ManifestWithEveryFieldSetIsRecorded) {
   const std::string manifest = manifest_to_json(tasks);
   EXPECT_EQ(manifest, expected);
   EXPECT_EQ(manifest_from_json(manifest), tasks);
-}
-
-TEST(PinnedResults, JsonOfEveryKindIsRecorded) {
-  const std::string expected =
-      "[\n {\"driver\":\"pinned\",\"task_id\":\"pinned/000000\","
-      "\"kind\":\"rate\",\"label\":\"\",\"mechanism\":\"PolSP\","
-      "\"pattern\":\"uniform\",\"offered\":0.80000000000000004,\"seed\":7,"
-      "\"generated\":0.80500000000000005,\"accepted\":0.79666666666666663,"
-      "\"avg_latency\":77.10251046025104,\"jain\":0.97003276561772334,"
-      "\"escape_frac\":0.064955474070193822,\"forced_frac\":0,"
-      "\"p99_latency\":200,\"cycles\":600,\"packets\":956,\"num_servers\":0,"
-      "\"dropped\":0,\"drained\":false,\"completion_time\":0,"
-      "\"series_width\":0,\"series\":[],\"extra\":\"\"},"
-      "\n {\"driver\":\"pinned\",\"task_id\":\"pinned/000001\","
-      "\"kind\":\"completion\",\"label\":\"\",\"mechanism\":\"PolSP\","
-      "\"pattern\":\"uniform\",\"offered\":0,\"seed\":7,\"generated\":0,"
-      "\"accepted\":0,\"avg_latency\":0,\"jain\":0,\"escape_frac\":0,"
-      "\"forced_frac\":0,\"p99_latency\":0,\"cycles\":0,\"packets\":0,"
-      "\"num_servers\":32,\"dropped\":0,\"drained\":true,"
-      "\"completion_time\":457,\"series_width\":200,\"series\":[4928,4976,336],"
-      "\"extra\":\"\"},\n {\"driver\":\"pinned\",\"task_id\":\"pinned/000002\","
-      "\"kind\":\"dynamic\",\"label\":\"\",\"mechanism\":\"PolSP\","
-      "\"pattern\":\"uniform\",\"offered\":0.59999999999999998,\"seed\":7,"
-      "\"generated\":0.56499999999999995,\"accepted\":0.57583333333333331,"
-      "\"avg_latency\":42.726483357452963,\"jain\":0.95665456846030905,"
-      "\"escape_frac\":0.040832049306625574,\"forced_frac\":0,"
-      "\"p99_latency\":120,\"cycles\":600,\"packets\":691,\"num_servers\":32,"
-      "\"dropped\":0,\"drained\":false,\"completion_time\":0,"
-      "\"series_width\":500,\"series\":[8704,7408],\"extra\":\"\"},"
-      "\n {\"driver\":\"pinned\",\"task_id\":\"pinned/000003\","
-      "\"kind\":\"workload\",\"label\":\"\",\"mechanism\":\"PolSP\","
-      "\"pattern\":\"ring_allreduce\",\"offered\":0,\"seed\":7,\"generated\":0,"
-      "\"accepted\":0,\"avg_latency\":38.33064516129032,\"jain\":0,"
-      "\"escape_frac\":0,\"forced_frac\":0,\"p99_latency\":56,\"cycles\":0,"
-      "\"packets\":3968,\"num_servers\":32,\"dropped\":0,\"drained\":true,"
-      "\"completion_time\":2426,\"series_width\":500,\"series\":[13168,13328,"
-      "13456,13328,10208],"
-      "\"extra\":\"messages=1984;p50_msg=36;phase_cycles=52|86|128|172|206|242|"
-      "282|316|352|418|452|500|550|596|630|666|700|744|778|816|850|890|924|972|"
-      "1006|1052|1086|1124|1158|1196|1230|1266|1300|1351|1385|1423|1457|1498|15"
-      "32|1570|1604|1640|1684|1718|1786|1820|1858|1892|1930|1964|2002|2036|2074"
-      "|2114|2148|2190|2224|2270|2304|2355|2389|2425\"},"
-      "\n {\"driver\":\"pinned\",\"task_id\":\"pinned/000004\","
-      "\"kind\":\"tenant\",\"label\":\"\",\"mechanism\":\"PolSP\","
-      "\"pattern\":\"alltoall\",\"offered\":0,\"seed\":7,\"generated\":0,"
-      "\"accepted\":0,\"avg_latency\":47.487499999999997,\"jain\":0,"
-      "\"escape_frac\":0,\"forced_frac\":0,\"p99_latency\":73,\"cycles\":801,"
-      "\"packets\":480,\"num_servers\":16,\"dropped\":0,\"drained\":true,"
-      "\"completion_time\":801,\"series_width\":0,\"series\":[],"
-      "\"extra\":\"placement=random;job=0;demand=16;arrival=0;admitted=0;queue_"
-      "wait=0;span=801;isolated=733;slowdown=1.0927694406548432;p50_msg=44;mess"
-      "ages=240;deadline=none\"},\n {\"driver\":\"pinned\","
-      "\"task_id\":\"pinned/000004\",\"kind\":\"tenant\",\"label\":\"\","
-      "\"mechanism\":\"PolSP\",\"pattern\":\"ring_allreduce\",\"offered\":0,"
-      "\"seed\":7,\"generated\":0,\"accepted\":0,"
-      "\"avg_latency\":41.053571428571431,\"jain\":0,\"escape_frac\":0,"
-      "\"forced_frac\":0,\"p99_latency\":57,\"cycles\":583,\"packets\":224,"
-      "\"num_servers\":8,\"dropped\":0,\"drained\":true,"
-      "\"completion_time\":633,\"series_width\":0,\"series\":[],"
-      "\"extra\":\"placement=random;job=1;demand=8;arrival=50;admitted=50;queue"
-      "_wait=0;span=583;isolated=559;slowdown=1.0429338103756709;p50_msg=38;mes"
-      "sages=112;deadline=none\"},\n {\"driver\":\"pinned\","
-      "\"task_id\":\"pinned/000004\",\"kind\":\"tenant\",\"label\":\"\","
-      "\"mechanism\":\"PolSP\",\"pattern\":\"shuffle\",\"offered\":0,"
-      "\"seed\":7,\"generated\":0,\"accepted\":0,"
-      "\"avg_latency\":39.727272727272727,\"jain\":0,\"escape_frac\":0,"
-      "\"forced_frac\":0,\"p99_latency\":51,\"cycles\":53,\"packets\":22,"
-      "\"num_servers\":12,\"dropped\":0,\"drained\":true,"
-      "\"completion_time\":685,\"series_width\":0,\"series\":[],"
-      "\"extra\":\"placement=random;job=2;demand=12;arrival=100;admitted=632;qu"
-      "eue_wait=532;span=53;isolated=41;slowdown=1.2926829268292683;p50_msg=38;"
-      "messages=11;deadline=none\"},\n {\"driver\":\"pinned\","
-      "\"task_id\":\"pinned/000004\",\"kind\":\"multitenant\",\"label\":\"\","
-      "\"mechanism\":\"PolSP\",\"pattern\":\"random\",\"offered\":0,\"seed\":7,"
-      "\"generated\":0,\"accepted\":0,\"avg_latency\":0,\"jain\":0,"
-      "\"escape_frac\":0,\"forced_frac\":0,\"p99_latency\":0,\"cycles\":0,"
-      "\"packets\":726,\"num_servers\":32,\"dropped\":0,\"drained\":true,"
-      "\"completion_time\":801,\"series_width\":500,\"series\":[8144,3472],"
-      "\"extra\":\"placement=random;jobs=3\"}\n]\n";
-  ResultSink sink("pinned");
-  for (const TaskSpec& t : pinned_tasks()) sink.add(t, run_task(t));
-  EXPECT_EQ(sink.json(), expected);
-  EXPECT_EQ(ResultSink::parse_json(sink.json()), sink.records());
 }
 
 TEST(PinnedResults, ManifestWithoutLaterKeysReadsThemAsOff) {

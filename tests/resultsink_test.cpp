@@ -1,8 +1,9 @@
 /// \file resultsink_test.cpp
 /// The shared persistence schema: every driver emits the same column set,
-/// CSV and JSON round-trip losslessly (including quoting/escaping of
-/// hostile names and empty time series), and the typed task/result add()
-/// maps every kind's fields onto the right columns.
+/// CSV round-trips losslessly (including quoting/escaping of hostile
+/// names and empty time series), the typed task/result add() maps every
+/// kind's fields onto the right columns, and merge restores grid order
+/// and refuses duplicated tasks.
 
 #include <gtest/gtest.h>
 
@@ -110,17 +111,7 @@ TEST(ResultSink, CsvRoundTripsAllKinds) {
   }
 }
 
-TEST(ResultSink, JsonRoundTripsAllKinds) {
-  const ResultSink sink = sink_with_all_kinds();
-  const auto parsed = ResultSink::parse_json(sink.json());
-  ASSERT_EQ(parsed.size(), sink.size());
-  for (std::size_t i = 0; i < parsed.size(); ++i) {
-    SCOPED_TRACE(testing::Message() << "record " << i);
-    EXPECT_EQ(parsed[i], sink.records()[i]);
-  }
-}
-
-TEST(ResultSink, HostileStringsSurviveBothFormats) {
+TEST(ResultSink, HostileStringsSurviveCsv) {
   ResultSink sink("quoting, \"driver\"");
   ResultRecord rec;
   rec.kind = "rate";
@@ -133,26 +124,18 @@ TEST(ResultSink, HostileStringsSurviveBothFormats) {
   const auto from_csv = ResultSink::parse_csv(sink.csv());
   ASSERT_EQ(from_csv.size(), 1u);
   EXPECT_EQ(from_csv[0], sink.records()[0]);
-
-  const auto from_json = ResultSink::parse_json(sink.json());
-  ASSERT_EQ(from_json.size(), 1u);
-  EXPECT_EQ(from_json[0], sink.records()[0]);
 }
 
 TEST(ResultSink, EmptySeriesAndEmptySinkRoundTrip) {
   ResultSink empty("empty_driver");
   EXPECT_EQ(ResultSink::parse_csv(empty.csv()).size(), 0u);
-  EXPECT_EQ(ResultSink::parse_json(empty.json()).size(), 0u);
 
   // A record whose series is empty must not come back as {0} or similar.
   ResultSink sink("d");
   sink.add(sample_rate_record());  // no series
   const auto csv = ResultSink::parse_csv(sink.csv());
-  const auto json = ResultSink::parse_json(sink.json());
   ASSERT_EQ(csv.size(), 1u);
-  ASSERT_EQ(json.size(), 1u);
   EXPECT_TRUE(csv[0].series.empty());
-  EXPECT_TRUE(json[0].series.empty());
 }
 
 TEST(ResultSink, SharedSchemaAcrossKindsAndDrivers) {
@@ -173,7 +156,6 @@ TEST(ResultSink, SharedSchemaAcrossKindsAndDrivers) {
     ResultSink echo(s->driver());
     for (const auto& rec : parsed) echo.add(rec);
     EXPECT_EQ(echo.csv(), s->csv());
-    EXPECT_EQ(echo.json(), s->json());
   }
 }
 
@@ -300,35 +282,6 @@ TEST(ResultSink, AddRowIsRateKind) {
   EXPECT_EQ(rec.accepted, 0.3);
 }
 
-TEST(ResultSink, JsonRecordWithRepeatedOrMissingKeyIsRejected) {
-  ResultSink sink("d");
-  sink.add(sample_rate_record());
-  const std::string json = sink.json();
-  const std::string extra = ",\"extra\":\"scale=1.00\"";
-  const std::size_t at = json.find(extra);
-  ASSERT_NE(at, std::string::npos);
-  // Same member count as a good record: "driver" twice, "extra" absent.
-  std::string repeated = json;
-  repeated.replace(at, extra.size(), ",\"driver\":\"other\"");
-  EXPECT_DEATH(ResultSink::parse_json(repeated),
-               "repeated key in JSON record: driver");
-  std::string missing = json;
-  missing.erase(at, extra.size());
-  EXPECT_DEATH(ResultSink::parse_json(missing),
-               "missing key in JSON record: extra");
-}
-
-TEST(ResultSink, JsonRecordWithUnknownKeyIsRejected) {
-  ResultSink sink("d");
-  sink.add(sample_rate_record());
-  std::string json = sink.json();
-  const std::size_t at = json.find("\"extra\":");
-  ASSERT_NE(at, std::string::npos);
-  json.insert(at, "\"extra2\":\"x\",");
-  EXPECT_DEATH(ResultSink::parse_json(json),
-               "unknown key in JSON record: extra2");
-}
-
 // ---------------------------------------------------------------------------
 // The distributed-layer primitives: per-line serialization, the lenient
 // checkpoint parser, and the shard merge.
@@ -389,7 +342,6 @@ TEST(ResultSink, MergeRestoresGridOrder) {
   for (std::size_t i = 0; i < merged.size(); ++i)
     EXPECT_EQ(merged[i], reference[i]);
   EXPECT_EQ(ResultSink::csv(merged), ResultSink::csv(reference));
-  EXPECT_EQ(ResultSink::json(merged), ResultSink::json(reference));
 }
 
 TEST(ResultSink, MergeKeepsIdlessRecordsStable) {
@@ -406,12 +358,40 @@ TEST(ResultSink, MergeKeepsIdlessRecordsStable) {
   EXPECT_EQ(merged[2].task_id, "d/000000");
 }
 
+TEST(ResultSinkDeathTest, MergeRejectsADuplicatedTask) {
+  // The same shard passed twice (or two overlapping shards): every task
+  // of it would be on record twice. The merge must refuse, naming a task.
+  std::vector<ResultRecord> shard;
+  for (std::size_t i = 0; i < 3; ++i) {
+    ResultRecord r;
+    r.task_id = make_task_id("d", i);
+    shard.push_back(r);
+  }
+  EXPECT_DEATH(ResultSink::merge({shard, shard}),
+               "merge input holds task d/000000 twice");
+  EXPECT_DEATH(ResultSink::merge({shard, {shard[2]}}),
+               "merge input holds task d/000002 twice");
+}
+
+TEST(ResultSink, MergeKeepsEveryRowOfOneTaskGroup) {
+  // A multitenant task writes its tenant rows, then its summary row, all
+  // under one id; telemetry files hold many rows per task. Neither is a
+  // duplicate.
+  ResultRecord tenant, summary, telemetry;
+  tenant.task_id = summary.task_id = make_task_id("d", 0);
+  tenant.kind = "tenant";
+  summary.kind = "multitenant";
+  telemetry.task_id = make_task_id("d", 1);
+  telemetry.kind = "telemetry";
+  const auto merged =
+      ResultSink::merge({{tenant, tenant, summary}, {telemetry, telemetry}});
+  EXPECT_EQ(merged.size(), 5u);
+}
+
 TEST(ResultSink, WriteReadFiles) {
   const ResultSink sink = sink_with_all_kinds();
   const std::string csv_path = testing::TempDir() + "/hxsp_sink_test.csv";
-  const std::string json_path = testing::TempDir() + "/hxsp_sink_test.json";
   ASSERT_TRUE(sink.write_csv(csv_path));
-  ASSERT_TRUE(sink.write_json(json_path));
 
   auto slurp = [](const std::string& path) {
     std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -424,9 +404,7 @@ TEST(ResultSink, WriteReadFiles) {
     return content;
   };
   EXPECT_EQ(slurp(csv_path), sink.csv());
-  EXPECT_EQ(slurp(json_path), sink.json());
   std::remove(csv_path.c_str());
-  std::remove(json_path.c_str());
 }
 
 } // namespace

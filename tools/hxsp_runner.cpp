@@ -5,7 +5,7 @@
 ///
 /// Run mode:
 ///   hxsp_runner MANIFEST.json [--shard=i/n] [--jobs=N] [--step-threads=N]
-///               [--csv=out.csv] [--json=out.json] [--quiet] [--progress]
+///               [--csv=out.csv] [--quiet] [--progress]
 ///               [--telemetry-csv=F] [--trace-out=F] [--trace-jsonl=F]
 ///   --step-threads attaches a deterministic intra-run step pool of N
 ///   workers to every task's Network (bit-identical at any N, so it
@@ -23,9 +23,11 @@
 ///   byte-identical to an uninterrupted run.
 ///
 /// Merge mode:
-///   hxsp_runner --merge=out.csv [--json=out.json] shard0.csv shard1.csv...
+///   hxsp_runner --merge=out.csv shard0.csv shard1.csv...
 ///   Concatenates the shard records and stable-sorts them by task id,
-///   recovering exactly the uninterrupted single-process output.
+///   recovering exactly the uninterrupted single-process output. A task
+///   id on record twice (overlapping shards, a file given twice) aborts
+///   the merge.
 
 #include <ctime>
 
@@ -62,18 +64,17 @@ std::string read_stdin() {
 int usage(const char* prog) {
   std::fprintf(stderr,
                "usage: %s MANIFEST.json|- [--shard=i/n] [--jobs=N] "
-               "[--step-threads=N] [--csv=F] [--json=F] [--quiet] "
+               "[--step-threads=N] [--csv=F] [--quiet] "
                "[--progress]\n"
                "          [--telemetry-csv=F] [--trace-out=F] "
                "[--trace-jsonl=F]\n"
-               "       %s --merge=out.csv [--json=out.json] shard.csv...\n",
+               "       %s --merge=out.csv shard.csv...\n",
                prog, prog);
   return 2;
 }
 
 int run_merge(const Options& opt) {
   const std::string out_csv = opt.get("merge", "");
-  const std::string out_json = opt.get("json", "");
   const auto& inputs = opt.positional();
   opt.warn_unknown();
   if (inputs.empty()) return usage(opt.program().c_str());
@@ -85,9 +86,6 @@ int run_merge(const Options& opt) {
 
   HXSP_CHECK_MSG(write_whole_file(out_csv, ResultSink::csv(merged)),
                  "cannot write merge output");
-  if (!out_json.empty())
-    HXSP_CHECK_MSG(write_whole_file(out_json, ResultSink::json(merged)),
-                   "cannot write merge JSON output");
   std::printf("merged %zu records from %zu shard files into %s\n",
               merged.size(), inputs.size(), out_csv.c_str());
   return 0;
@@ -104,7 +102,6 @@ int main(int argc, char** argv) {
   ropts.step_threads = static_cast<int>(opt.get_int("step-threads", 0));
   ropts.shard = ShardSpec::parse(opt.get("shard", "0/1"));
   ropts.csv_path = opt.get("csv", "");
-  ropts.json_path = opt.get("json", "");
   ropts.quiet = opt.get_bool("quiet", false);
   ropts.telemetry_csv_path = opt.get("telemetry-csv", "");
   ropts.trace_json_path = opt.get("trace-out", "");
