@@ -5,8 +5,10 @@
 # determinism contract the unit tests enforce at the engine level — and
 # (c) for every driver that emits a task grid, the CSV equals what
 # hxsp_runner writes for the driver's --emit-tasks manifest. It also
-# checks that a driver whose CSV cannot be written exits non-zero, and
-# runs the example programs and fails if one exits non-zero.
+# checks that a driver whose CSV cannot be written exits non-zero and that
+# hxsp_runner rejects an out-of-range fault link id, prints where the hot
+# step functions landed, and runs the example programs and fails if one
+# exits non-zero.
 #
 # Usage: scripts/bench_smoke.sh [build-dir]   (default: build)
 set -u
@@ -103,6 +105,52 @@ if [[ -x "$BUILD_DIR/table03_topology" ]]; then
     FAILED=1
   else
     echo "OK      unwritable --csv (driver exits non-zero)"
+  fi
+fi
+
+# A fault link id outside the fabric must fail at the input boundary with a
+# message naming the key path, not index past the link tables: one fig06
+# task whose first fault is set to the grid's link count (4x4: 48 links).
+if [[ -x "$BUILD_DIR/fig06_random_faults" && -x "$RUNNER" ]] &&
+   command -v python3 > /dev/null; then
+  "$BUILD_DIR/fig06_random_faults" --side=4 --warmup=200 --measure=400 \
+    --steps=2 --max-faults=4 --emit-tasks="$WORK_DIR/fig06_tasks.json" \
+    > /dev/null 2>&1
+  python3 - "$WORK_DIR/fig06_tasks.json" "$WORK_DIR/hostile_task.json" <<'PY'
+import json, sys
+task = next(t for t in json.load(open(sys.argv[1])) if t["spec"]["fault_links"])
+sides = task["spec"]["sides"]
+switches = 1
+for k in sides:
+    switches *= k
+task["spec"]["fault_links"][0] = sum(switches * (k - 1) // 2 for k in sides)
+json.dump([task], open(sys.argv[2], "w"))
+PY
+  # The runner aborts, so the shell prints an "Aborted" notice here.
+  if "$RUNNER" "$WORK_DIR/hostile_task.json" --jobs=1 \
+       --csv="$WORK_DIR/hostile.csv" --quiet > "$WORK_DIR/hostile.out" 2>&1; then
+    echo "FAIL    out-of-range fault link (hxsp_runner exited 0)"
+    FAILED=1
+  elif ! grep -q "spec.fault_links\[0\] = 48 is not a link id" \
+         "$WORK_DIR/hostile.out"; then
+    echo "FAIL    out-of-range fault link (no key-path message)"
+    tail -5 "$WORK_DIR/hostile.out"
+    FAILED=1
+  else
+    echo "OK      out-of-range fault link (hxsp_runner exits non-zero, names the key)"
+  fi
+else
+  echo "SKIP    out-of-range fault link (fig06, hxsp_runner or python3 missing)"
+fi
+
+# Where the step loop's hot functions landed (see scripts/hot_symbols.sh),
+# printed for the record: their offset mod 64 can move wall time.
+if [[ -x "$RUNNER" ]]; then
+  if "$SCRIPT_DIR/hot_symbols.sh" "$RUNNER"; then
+    echo "OK      hot_symbols.sh"
+  else
+    echo "FAIL    hot_symbols.sh"
+    FAILED=1
   fi
 fi
 

@@ -30,10 +30,25 @@ ExperimentSpec spec_from_json_text(const std::string& text) {
   return spec;
 }
 
+namespace {
+/// Aborts unless \p link names a link of \p g; \p key is its key path in
+/// the task record, for the message.
+void check_link_id(const Graph& g, LinkId link, const std::string& key) {
+  HXSP_CHECK_MSG(link >= 0 && link < g.num_links(),
+                 (key + " = " + std::to_string(link) +
+                  " is not a link id: the fabric has " +
+                  std::to_string(g.num_links()) + " links")
+                     .c_str());
+}
+} // namespace
+
 Experiment::Experiment(const ExperimentSpec& spec)
     : spec_(spec), rng_(spec.seed) {
   hx_ = std::make_unique<HyperX>(spec_.sides,
                                  spec_.resolved_servers_per_switch());
+  for (std::size_t i = 0; i < spec_.fault_links.size(); ++i)
+    check_link_id(hx_->graph(), spec_.fault_links[i],
+                  "spec.fault_links[" + std::to_string(i) + "]");
   apply_faults(hx_->graph(), spec_.fault_links);
   HXSP_CHECK_MSG(hx_->graph().connected(),
                  "fault set disconnects the network; experiment undefined");
@@ -309,6 +324,9 @@ MultitenantResult Experiment::run_multitenant(const MultitenantParams& params,
 
 DynamicResult Experiment::run_load_dynamic(double offered,
                                            std::vector<FaultEvent> events) {
+  for (std::size_t i = 0; i < events.size(); ++i)
+    check_link_id(hx_->graph(), events[i].link,
+                  "events[" + std::to_string(i) + "].link");
   std::sort(events.begin(), events.end(),
             [](const FaultEvent& a, const FaultEvent& b) { return a.at < b.at; });
 

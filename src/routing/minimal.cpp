@@ -16,11 +16,9 @@ void minimal_next_hops(const NetworkContext& ctx, SwitchId target, SwitchId sw,
     // No switch is nearer than its Hamming distance, and a hop changes one
     // coordinate, so a neighbour at d-1 sets a differing coordinate to the
     // target's. Ascending dimension is ascending port order.
-    const std::vector<int>& from = hx->coords(sw);
-    const std::vector<int>& to = hx->coords(target);
     for (int dim = 0; dim < hx->dims(); ++dim) {
-      const int c = to[static_cast<std::size_t>(dim)];
-      if (c == from[static_cast<std::size_t>(dim)]) continue;
+      const int c = hx->coord(target, dim);
+      if (c == hx->coord(sw, dim)) continue;
       const Port port = hx->port_towards(sw, dim, c);
       if (g.port_alive(sw, port) && row[g.port(sw, port).neighbor] == d - 1)
         out.push_back({port, 0, false});

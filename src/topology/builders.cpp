@@ -6,36 +6,36 @@
 namespace hxsp {
 
 Graph make_complete(SwitchId n) {
-  Graph g(n);
+  std::vector<Graph::Edge> edges;
   for (SwitchId a = 0; a < n; ++a)
-    for (SwitchId b = a + 1; b < n; ++b) g.add_link(a, b);
-  return g;
+    for (SwitchId b = a + 1; b < n; ++b) edges.push_back({a, b});
+  return Graph(n, edges);
 }
 
 Graph make_mesh(int rows, int cols) {
   HXSP_CHECK(rows >= 1 && cols >= 1 && rows * cols >= 2);
-  Graph g(static_cast<SwitchId>(rows * cols));
   auto id = [cols](int r, int c) { return static_cast<SwitchId>(r * cols + c); };
+  std::vector<Graph::Edge> edges;
   for (int r = 0; r < rows; ++r) {
     for (int c = 0; c < cols; ++c) {
-      if (c + 1 < cols) g.add_link(id(r, c), id(r, c + 1));
-      if (r + 1 < rows) g.add_link(id(r, c), id(r + 1, c));
+      if (c + 1 < cols) edges.push_back({id(r, c), id(r, c + 1)});
+      if (r + 1 < rows) edges.push_back({id(r, c), id(r + 1, c)});
     }
   }
-  return g;
+  return Graph(static_cast<SwitchId>(rows * cols), edges);
 }
 
 Graph make_torus(int rows, int cols) {
   HXSP_CHECK_MSG(rows >= 3 && cols >= 3, "torus sides must be >= 3");
-  Graph g(static_cast<SwitchId>(rows * cols));
   auto id = [cols](int r, int c) { return static_cast<SwitchId>(r * cols + c); };
+  std::vector<Graph::Edge> edges;
   for (int r = 0; r < rows; ++r) {
     for (int c = 0; c < cols; ++c) {
-      g.add_link(id(r, c), id(r, (c + 1) % cols));
-      g.add_link(id(r, c), id((r + 1) % rows, c));
+      edges.push_back({id(r, c), id(r, (c + 1) % cols)});
+      edges.push_back({id(r, c), id((r + 1) % rows, c)});
     }
   }
-  return g;
+  return Graph(static_cast<SwitchId>(rows * cols), edges);
 }
 
 Graph make_random_regular(SwitchId n, int degree, Rng& rng) {
@@ -71,33 +71,25 @@ Graph make_random_regular(SwitchId n, int degree, Rng& rng) {
     }
     if (!ok) continue;
 
-    Graph g(n);
-    for (const auto& [a, b] : edges) g.add_link(a, b);
+    Graph g(n, std::vector<Graph::Edge>(edges.begin(), edges.end()));
     if (g.connected()) return g;
   }
   HXSP_CHECK_MSG(false, "could not sample a connected random regular graph");
-  return Graph(1); // unreachable
-}
-
-Graph make_from_edges(SwitchId n,
-                      const std::vector<std::pair<SwitchId, SwitchId>>& edges) {
-  Graph g(n);
-  for (const auto& [a, b] : edges) g.add_link(a, b);
-  return g;
+  return Graph(1, {}); // unreachable
 }
 
 Graph make_dragonfly(int a, int h) {
   HXSP_CHECK(a >= 2 && h >= 1);
   const int groups = a * h + 1;
   const SwitchId n = static_cast<SwitchId>(groups) * a;
-  Graph g(n);
+  std::vector<Graph::Edge> edges;
   auto sw = [a](int group, int local) {
     return static_cast<SwitchId>(group * a + local);
   };
   // Local topology: each group is a complete graph K_a.
   for (int grp = 0; grp < groups; ++grp)
     for (int i = 0; i < a; ++i)
-      for (int j = i + 1; j < a; ++j) g.add_link(sw(grp, i), sw(grp, j));
+      for (int j = i + 1; j < a; ++j) edges.push_back({sw(grp, i), sw(grp, j)});
   // Global topology: palmtree arrangement — group G's k-th global link
   // (k in [0, a*h)) connects switch k/h of G to group (G + k + 1) mod
   // groups, landing on that group's switch (a*h - 1 - k)/h. Every ordered
@@ -110,10 +102,11 @@ Graph make_dragonfly(int a, int h) {
       const int back = (peer + (a * h - 1 - k) + 1) % groups;
       HXSP_CHECK(back == grp); // palmtree reciprocity
       if (grp < peer) {
-        g.add_link(sw(grp, k / h), sw(peer, (a * h - 1 - k) / h));
+        edges.push_back({sw(grp, k / h), sw(peer, (a * h - 1 - k) / h)});
       }
     }
   }
+  Graph g(n, edges);
   HXSP_CHECK(g.connected());
   return g;
 }

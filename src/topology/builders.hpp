@@ -5,7 +5,10 @@
 /// SurePath's escape subnetwork is defined without HyperX-specific
 /// knowledge (paper §7), so the simulator accepts any connected graph.
 /// These builders provide the comparison/extension topologies used in
-/// tests and the custom-topology example.
+/// tests and the custom-topology example. Each one lists its edges and
+/// calls the one Graph constructor, so its edge order fixes its port
+/// numbers and link ids; an explicit edge list needs no builder, it is
+/// Graph(n, edges).
 
 #include <vector>
 
@@ -28,10 +31,6 @@ Graph make_torus(int rows, int cols);
 /// pairing model with retries; aborts after too many failed attempts.
 /// n * degree must be even and degree < n.
 Graph make_random_regular(SwitchId n, int degree, Rng& rng);
-
-/// Builds a graph from an explicit edge list over \p n switches.
-Graph make_from_edges(SwitchId n,
-                      const std::vector<std::pair<SwitchId, SwitchId>>& edges);
 
 /// Canonical Dragonfly switch graph: g = a*h + 1 groups of `a` switches;
 /// groups are complete graphs; each switch owns `h` global links and the

@@ -1,85 +1,87 @@
 #include "topology/graph.hpp"
 
-#include <deque>
-
 namespace hxsp {
 
-Graph::Graph(SwitchId num_switches) {
+Graph::Graph(SwitchId num_switches, const std::vector<Edge>& edges) {
   HXSP_CHECK(num_switches > 0);
-  ports_.resize(static_cast<std::size_t>(num_switches));
-  alive_ports_.resize(static_cast<std::size_t>(num_switches));
+  const auto n = static_cast<std::size_t>(num_switches);
+  // Counting pass: degrees, then offsets by prefix sum.
+  offsets_.assign(n + 1, 0);
+  for (const auto& [a, b] : edges) {
+    HXSP_CHECK(a >= 0 && a < num_switches && b >= 0 && b < num_switches);
+    HXSP_CHECK_MSG(a != b, "self-loop links are not allowed");
+    ++offsets_[static_cast<std::size_t>(a) + 1];
+    ++offsets_[static_cast<std::size_t>(b) + 1];
+  }
+  for (std::size_t s = 0; s < n; ++s) offsets_[s + 1] += offsets_[s];
+
+  // Fill pass in edge order: each endpoint's next free slot is its next
+  // port number, so ports follow insertion order and link ids edge order.
+  // alive_degree_ counts the slots filled so far; compact_alive below
+  // leaves it at the full degree, since every link starts alive.
+  ports_.resize(offsets_[n]);
+  alive_degree_.assign(n, 0);
+  links_.resize(edges.size());
+  link_alive_.assign(edges.size(), 1);
+  alive_links_ = static_cast<LinkId>(edges.size());
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const auto [a, b] = edges[i];
+    const auto id = static_cast<LinkId>(i);
+    Port& pa = alive_degree_[static_cast<std::size_t>(a)];
+    Port& pb = alive_degree_[static_cast<std::size_t>(b)];
+    ports_[offset(a) + static_cast<std::size_t>(pa)] = {b, pb, id};
+    ports_[offset(b) + static_cast<std::size_t>(pb)] = {a, pa, id};
+    links_[i] = {a, b, pa, pb};
+    ++pa;
+    ++pb;
+  }
+  // The alive view, filled switch by switch in slot order rather than
+  // scattered by the edge pass above.
+  alive_.resize(ports_.size());
+  for (SwitchId s = 0; s < num_switches; ++s) compact_alive(s);
 }
 
-void Graph::rebuild_alive_ports(SwitchId s) {
-  auto& view = alive_ports_[static_cast<std::size_t>(s)];
-  view.clear();
-  const auto& table = ports_[static_cast<std::size_t>(s)];
-  for (Port p = 0; p < static_cast<Port>(table.size()); ++p) {
-    const PortInfo& pi = table[static_cast<std::size_t>(p)];
+void Graph::compact_alive(SwitchId s) {
+  const std::size_t first = offset(s);
+  const std::size_t last = offset(s + 1);
+  std::size_t out = first;
+  for (std::size_t i = first; i < last; ++i) {
+    const PortInfo& pi = ports_[i];
     if (link_alive_[static_cast<std::size_t>(pi.link)])
-      view.push_back({p, pi.neighbor, pi.link});
+      alive_[out++] = {static_cast<Port>(i - first), pi.neighbor, pi.link};
   }
+  alive_degree_[static_cast<std::size_t>(s)] = static_cast<Port>(out - first);
 }
 
-LinkId Graph::add_link(SwitchId a, SwitchId b) {
-  HXSP_CHECK(a >= 0 && a < num_switches() && b >= 0 && b < num_switches());
-  HXSP_CHECK_MSG(a != b, "self-loop links are not allowed");
-  const LinkId id = static_cast<LinkId>(links_.size());
-  const Port pa = degree(a);
-  const Port pb = degree(b);
-  ports_[static_cast<std::size_t>(a)].push_back({b, pb, id});
-  ports_[static_cast<std::size_t>(b)].push_back({a, pa, id});
-  links_.push_back({a, b, pa, pb});
-  link_alive_.push_back(1);
-  ++alive_links_;
-  alive_ports_[static_cast<std::size_t>(a)].push_back({pa, b, id});
-  alive_ports_[static_cast<std::size_t>(b)].push_back({pb, a, id});
-  return id;
+void Graph::set_link_alive(LinkId l, bool alive) {
+  char& state = link_alive_[static_cast<std::size_t>(l)];
+  if (static_cast<bool>(state) == alive) return;
+  state = alive ? 1 : 0;
+  alive_links_ += alive ? 1 : -1;
+  compact_alive(links_[static_cast<std::size_t>(l)].a);
+  compact_alive(links_[static_cast<std::size_t>(l)].b);
 }
 
-void Graph::fail_link(LinkId l) {
-  auto& alive = link_alive_[static_cast<std::size_t>(l)];
-  if (alive) {
-    alive = 0;
-    --alive_links_;
-    rebuild_alive_ports(links_[static_cast<std::size_t>(l)].a);
-    rebuild_alive_ports(links_[static_cast<std::size_t>(l)].b);
-  }
-}
+void Graph::fail_link(LinkId l) { set_link_alive(l, false); }
 
-void Graph::restore_link(LinkId l) {
-  auto& alive = link_alive_[static_cast<std::size_t>(l)];
-  if (!alive) {
-    alive = 1;
-    ++alive_links_;
-    rebuild_alive_ports(links_[static_cast<std::size_t>(l)].a);
-    rebuild_alive_ports(links_[static_cast<std::size_t>(l)].b);
-  }
-}
+void Graph::restore_link(LinkId l) { set_link_alive(l, true); }
 
 void Graph::restore_all() {
   for (LinkId l = 0; l < num_links(); ++l) restore_link(l);
 }
 
-Port Graph::alive_degree(SwitchId s) const {
-  Port n = 0;
-  for (const auto& pi : ports(s))
-    if (link_alive(pi.link)) ++n;
-  return n;
-}
-
 std::vector<std::uint8_t> Graph::bfs(SwitchId source) const {
   std::vector<std::uint8_t> dist(static_cast<std::size_t>(num_switches()), kUnreachable);
-  std::deque<SwitchId> q;
+  // Each switch is queued at most once, so a flat array is the queue.
+  std::vector<SwitchId> queue;
+  queue.reserve(dist.size());
   dist[static_cast<std::size_t>(source)] = 0;
-  q.push_back(source);
-  while (!q.empty()) {
-    const SwitchId u = q.front();
-    q.pop_front();
+  queue.push_back(source);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const SwitchId u = queue[head];
     const std::uint8_t du = dist[static_cast<std::size_t>(u)];
-    for (const auto& pi : ports(u)) {
-      if (!link_alive(pi.link)) continue;
-      auto& dv = dist[static_cast<std::size_t>(pi.neighbor)];
+    for (const AlivePort& ap : alive_ports(u)) {
+      auto& dv = dist[static_cast<std::size_t>(ap.neighbor)];
       if (dv == kUnreachable) {
         // Depths beyond kUnreachable-1 do not fit the uint8 storage.
         // Silently saturating would corrupt distance-based routing (a
@@ -89,7 +91,7 @@ std::vector<std::uint8_t> Graph::bfs(SwitchId source) const {
         HXSP_CHECK_MSG(du < kUnreachable - 1,
                        "BFS depth overflows uint8 distance storage");
         dv = static_cast<std::uint8_t>(du + 1);
-        q.push_back(pi.neighbor);
+        queue.push_back(ap.neighbor);
       }
     }
   }
@@ -100,21 +102,19 @@ bool Graph::connected() const { return num_components() == 1; }
 
 int Graph::num_components() const {
   std::vector<char> seen(static_cast<std::size_t>(num_switches()), 0);
+  std::vector<SwitchId> queue;
+  queue.reserve(seen.size());
   int comps = 0;
-  std::deque<SwitchId> q;
   for (SwitchId s = 0; s < num_switches(); ++s) {
     if (seen[static_cast<std::size_t>(s)]) continue;
     ++comps;
     seen[static_cast<std::size_t>(s)] = 1;
-    q.push_back(s);
-    while (!q.empty()) {
-      const SwitchId u = q.front();
-      q.pop_front();
-      for (const auto& pi : ports(u)) {
-        if (!link_alive(pi.link)) continue;
-        if (!seen[static_cast<std::size_t>(pi.neighbor)]) {
-          seen[static_cast<std::size_t>(pi.neighbor)] = 1;
-          q.push_back(pi.neighbor);
+    queue.assign(1, s);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      for (const AlivePort& ap : alive_ports(queue[head])) {
+        if (!seen[static_cast<std::size_t>(ap.neighbor)]) {
+          seen[static_cast<std::size_t>(ap.neighbor)] = 1;
+          queue.push_back(ap.neighbor);
         }
       }
     }

@@ -3,12 +3,20 @@
 /// Undirected switch-level graph with stable port numbering and per-link
 /// fault state.
 ///
-/// This is the substrate every routing algorithm operates on. Ports are
-/// assigned when links are added and never renumbered, so disabling a link
-/// (a fault) leaves the surviving port map intact — exactly how a physical
-/// switch behaves when a cable dies.
+/// This is the substrate every routing algorithm operates on. A graph is
+/// built once from an ordered edge list, and the order of that list
+/// defines its numbering: edge i is link i, and each switch numbers its
+/// ports in the order its edges appear. Ports are never renumbered, so
+/// disabling a link (a fault) leaves the surviving port map intact —
+/// exactly how a physical switch behaves when a cable dies.
+///
+/// Storage is flat (compressed sparse rows): switch s owns the slots
+/// [offset(s), offset(s+1)) of one port array, and the same slots of an
+/// alive-port array whose first alive_degree(s) entries are its live ports.
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -32,21 +40,39 @@ struct AlivePort {
   LinkId link;       ///< global link id (escape colouring lookups)
 };
 
+/// Read-only view of a contiguous run of \p T.
+template <typename T>
+class ConstSpan {
+ public:
+  ConstSpan(const T* first, const T* last) : first_(first), last_(last) {}
+  const T* begin() const { return first_; }
+  const T* end() const { return last_; }
+  std::size_t size() const { return static_cast<std::size_t>(last_ - first_); }
+  const T& operator[](std::size_t i) const { return first_[i]; }
+
+ private:
+  const T* first_;
+  const T* last_;
+};
+
 /// Undirected multigraph over switches, with O(1) port lookup and
 /// link-level fault toggling.
 class Graph {
  public:
-  /// Creates a graph with \p num_switches isolated switches.
-  explicit Graph(SwitchId num_switches);
+  /// An undirected edge (a, b); its position in the list is its LinkId.
+  using Edge = std::pair<SwitchId, SwitchId>;
 
-  /// Adds an undirected link between \p a and \p b; returns its LinkId.
-  /// Port numbers are assigned in insertion order at each endpoint.
-  LinkId add_link(SwitchId a, SwitchId b);
+  /// Builds the graph over \p num_switches switches with one link per
+  /// entry of \p edges, all alive. Link ids follow edge order, and each
+  /// switch numbers its ports in the order its edges appear.
+  Graph(SwitchId num_switches, const std::vector<Edge>& edges);
 
   /// Number of switches.
-  SwitchId num_switches() const { return static_cast<SwitchId>(ports_.size()); }
+  SwitchId num_switches() const {
+    return static_cast<SwitchId>(offsets_.size() - 1);
+  }
 
-  /// Number of links ever added (alive or faulty).
+  /// Number of links (alive or faulty).
   LinkId num_links() const { return static_cast<LinkId>(links_.size()); }
 
   /// Number of currently alive links.
@@ -54,25 +80,27 @@ class Graph {
 
   /// Degree of switch \p s = number of ports (including dead ones).
   Port degree(SwitchId s) const {
-    return static_cast<Port>(ports_[static_cast<std::size_t>(s)].size());
+    return static_cast<Port>(offset(s + 1) - offset(s));
   }
 
   /// Port table for switch \p s (indexed by local port number).
-  const std::vector<PortInfo>& ports(SwitchId s) const {
-    return ports_[static_cast<std::size_t>(s)];
+  ConstSpan<PortInfo> ports(SwitchId s) const {
+    return {ports_.data() + offset(s), ports_.data() + offset(s + 1)};
   }
 
   /// Alive ports of switch \p s in ascending port order — the candidate
   /// loops' view of the topology. Walking this instead of ports() skips
-  /// dead links without a per-port link_alive() indirection; it is kept
-  /// in sync by add_link / fail_link / restore_link.
-  const std::vector<AlivePort>& alive_ports(SwitchId s) const {
-    return alive_ports_[static_cast<std::size_t>(s)];
+  /// dead links without a per-port link_alive() indirection; fail_link and
+  /// restore_link keep it in sync.
+  ConstSpan<AlivePort> alive_ports(SwitchId s) const {
+    const AlivePort* first = alive_.data() + offset(s);
+    return {first, first + alive_degree(s)};
   }
 
   /// Endpoint info of the link behind (switch, port).
   const PortInfo& port(SwitchId s, Port p) const {
-    return ports_[static_cast<std::size_t>(s)][static_cast<std::size_t>(p)];
+    HXSP_DCHECK(p >= 0 && p < degree(s));
+    return ports_[offset(s) + static_cast<std::size_t>(p)];
   }
 
   /// True when the link behind (switch, port) is alive.
@@ -100,7 +128,9 @@ class Graph {
   void restore_all();
 
   /// Alive-degree of switch \p s (ports whose links are up).
-  Port alive_degree(SwitchId s) const;
+  Port alive_degree(SwitchId s) const {
+    return alive_degree_[static_cast<std::size_t>(s)];
+  }
 
   /// Single-source BFS over alive links; returns distances with
   /// kUnreachable for switches in other components.
@@ -113,11 +143,19 @@ class Graph {
   int num_components() const;
 
  private:
-  /// Rebuilds the alive-port view of switch \p s from ports_.
-  void rebuild_alive_ports(SwitchId s);
+  /// First slot of switch \p s in ports_ and alive_.
+  std::size_t offset(SwitchId s) const { return offsets_[static_cast<std::size_t>(s)]; }
 
-  std::vector<std::vector<PortInfo>> ports_;
-  std::vector<std::vector<AlivePort>> alive_ports_; ///< filtered ports_
+  /// Refills switch \p s's alive region from its ports, in port order.
+  void compact_alive(SwitchId s);
+
+  /// Flips link \p l's state and recompacts both endpoints.
+  void set_link_alive(LinkId l, bool alive);
+
+  std::vector<std::size_t> offsets_; ///< num_switches + 1 slot offsets
+  std::vector<PortInfo> ports_;      ///< every port, switch-major
+  std::vector<AlivePort> alive_;     ///< live ports first in each region
+  std::vector<Port> alive_degree_;   ///< live prefix length per switch
   std::vector<LinkEnds> links_;
   std::vector<char> link_alive_; ///< char (not bool) for data-race-free simplicity
   LinkId alive_links_ = 0;

@@ -1,6 +1,6 @@
 #include "topology/hyperx.hpp"
 
-#include <numeric>
+#include <cstddef>
 
 namespace hxsp {
 
@@ -14,69 +14,76 @@ SwitchId product(const std::vector<int>& sides) {
   }
   return static_cast<SwitchId>(p);
 }
+
+/// The switch graph of a HyperX with \p sides. Edges are listed slot by
+/// slot: dimension d, then neighbour index idx within d's port block, then
+/// switch id s, each link from its lower endpoint. Switch s (coordinate
+/// c = c_d(s)) reaches at index idx the switch whose d-coordinate is idx
+/// (idx < c) or idx + 1 (idx >= c), so s is the lower endpoint exactly
+/// when c <= idx, and the neighbour is t = s + (idx + 1 - c) * stride_d.
+/// Every switch meets its lower neighbours in ascending id order in the
+/// single slot base_d + c - 1, and its upper neighbours in later slots,
+/// so insertion order is canonical port order at both ends (the Debug
+/// sweep in the constructor re-checks it).
+Graph hyperx_graph(const std::vector<int>& sides) {
+  const SwitchId n = product(sides);
+  std::size_t num_links = 0;
+  for (int k : sides)
+    num_links += static_cast<std::size_t>(n) * static_cast<std::size_t>(k - 1) / 2;
+  std::vector<Graph::Edge> edges;
+  edges.reserve(num_links);
+  SwitchId stride = 1;
+  for (int k : sides) {
+    const SwitchId block = stride * k;
+    for (int idx = 0; idx + 1 < k; ++idx)
+      for (SwitchId hi = 0; hi < n; hi += block)  // coordinates above d
+        for (int c = 0; c <= idx; ++c) {
+          const SwitchId first = hi + c * stride;
+          const SwitchId step = (idx + 1 - c) * stride;
+          for (SwitchId s = first; s < first + stride; ++s)  // coordinates below d
+            edges.push_back({s, s + step});
+        }
+    stride = block;
+  }
+  return Graph(n, edges);
+}
 } // namespace
 
 HyperX::HyperX(std::vector<int> sides, int servers_per_switch)
     : sides_(std::move(sides)),
       servers_per_switch_(servers_per_switch),
-      graph_(product(sides_)) {
+      graph_(hyperx_graph(sides_)) {
   HXSP_CHECK(servers_per_switch_ >= 1);
   const SwitchId n = graph_.num_switches();
+  const std::size_t dims = sides_.size();
 
-  // Decode coordinates (dimension 0 is the fastest-varying digit).
-  coords_.resize(static_cast<std::size_t>(n));
+  // Decode coordinates by odometer (dimension 0 is the fastest digit).
+  coords_.reserve(static_cast<std::size_t>(n) * dims);
+  std::vector<int> c(dims, 0);
   for (SwitchId s = 0; s < n; ++s) {
-    auto& c = coords_[static_cast<std::size_t>(s)];
-    c.resize(sides_.size());
-    SwitchId rem = s;
-    for (std::size_t i = 0; i < sides_.size(); ++i) {
-      c[i] = static_cast<int>(rem % sides_[i]);
-      rem /= sides_[i];
+    coords_.insert(coords_.end(), c.begin(), c.end());
+    for (std::size_t i = 0; i < dims; ++i) {
+      if (++c[i] < sides_[i]) break;
+      c[i] = 0;
     }
   }
 
   // Port layout: dimension blocks in ascending order; within a block the
   // neighbours appear by ascending coordinate (own coordinate skipped).
-  dim_port_base_.resize(sides_.size() + 1);
+  dim_port_base_.resize(dims + 1);
   dim_port_base_[0] = 0;
-  for (std::size_t i = 0; i < sides_.size(); ++i)
+  for (std::size_t i = 0; i < dims; ++i)
     dim_port_base_[i + 1] = dim_port_base_[i] + (sides_[i] - 1);
-
-  // Add every link exactly once (from its lower-id endpoint), iterating
-  // port slots in rounds. Because Graph::add_link appends ports, we must
-  // create each switch's incident links in canonical slot order at *both*
-  // endpoints. Iterating "slot-major, then switch id" achieves this: all
-  // lower-id neighbours of a switch u in dimension d share the single slot
-  // base[d]+coord_u[d]-1 at their end and are visited in ascending id
-  // (= ascending coordinate) order, which is exactly u's canonical order
-  // for targets below its own coordinate; u's own slots for targets above
-  // its coordinate come in later rounds, ascending. The HXSP_DCHECK sweep
-  // below re-verifies the resulting numbering exhaustively.
-  const int slots = dim_port_base_.back();
-  for (int slot = 0; slot < slots; ++slot) {
-    int dim = 0;
-    while (slot >= dim_port_base_[static_cast<std::size_t>(dim) + 1]) ++dim;
-    const int idx = slot - dim_port_base_[static_cast<std::size_t>(dim)];
-    for (SwitchId s = 0; s < n; ++s) {
-      const auto& c = coords_[static_cast<std::size_t>(s)];
-      const int target =
-          idx < c[static_cast<std::size_t>(dim)] ? idx : idx + 1;
-      std::vector<int> nc = c;
-      nc[static_cast<std::size_t>(dim)] = target;
-      const SwitchId t = switch_at(nc);
-      if (s < t) graph_.add_link(s, t);
-    }
-  }
 
 #ifndef NDEBUG
   // Verify canonical port numbering end-to-end.
   for (SwitchId s = 0; s < n; ++s) {
-    const auto& c = coords_[static_cast<std::size_t>(s)];
-    for (std::size_t i = 0; i < sides_.size(); ++i) {
+    HXSP_DCHECK(switch_at(coords(s)) == s);
+    for (std::size_t i = 0; i < dims; ++i) {
       for (int a = 0; a < sides_[i]; ++a) {
-        if (a == c[i]) continue;
+        if (a == coord(s, static_cast<int>(i))) continue;
         Port p = port_towards(s, static_cast<int>(i), a);
-        std::vector<int> nc = c;
+        std::vector<int> nc = coords(s);
         nc[i] = a;
         HXSP_DCHECK(graph_.port(s, p).neighbor == switch_at(nc));
       }
@@ -123,10 +130,10 @@ int HyperX::port_dim(SwitchId /*s*/, Port p) const {
 }
 
 int HyperX::hamming_distance(SwitchId a, SwitchId b) const {
-  const auto& ca = coords(a);
-  const auto& cb = coords(b);
+  const int* ca = coord_row(a);
+  const int* cb = coord_row(b);
   int d = 0;
-  for (std::size_t i = 0; i < ca.size(); ++i) d += ca[i] != cb[i];
+  for (int i = 0; i < dims(); ++i) d += ca[i] != cb[i];
   return d;
 }
 

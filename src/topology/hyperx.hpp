@@ -9,6 +9,12 @@
 /// servers. Port numbering is canonical: for dimension i the ports appear
 /// in ascending order of the neighbour's coordinate in that dimension
 /// (skipping the switch's own coordinate), dimensions in ascending order.
+///
+/// The graph is built from one ordered edge list, and that order defines
+/// the port numbers and link ids (see graph.hpp): dimension, then
+/// neighbour index within the dimension's port block, then switch id, each
+/// link listed once from its lower endpoint. Link ids therefore name the
+/// same links in every build, and fault sets stay reproducible.
 
 #include <string>
 #include <vector>
@@ -58,17 +64,16 @@ class HyperX {
   int radix() const;
 
   /// Coordinates of switch \p s (row-major decoding, dimension 0 fastest).
-  const std::vector<int>& coords(SwitchId s) const {
-    return coords_[static_cast<std::size_t>(s)];
+  std::vector<int> coords(SwitchId s) const {
+    const int* c = coord_row(s);
+    return std::vector<int>(c, c + dims());
   }
 
   /// Switch id for a coordinate vector.
   SwitchId switch_at(const std::vector<int>& coords) const;
 
   /// Coordinate of switch \p s in dimension \p dim (O(1)).
-  int coord(SwitchId s, int dim) const {
-    return coords_[static_cast<std::size_t>(s)][static_cast<std::size_t>(dim)];
-  }
+  int coord(SwitchId s, int dim) const { return coord_row(s)[dim]; }
 
   /// Port on switch \p s leading to the neighbour whose coordinate in
   /// dimension \p dim equals \p target_coord (which must differ from s's).
@@ -99,10 +104,15 @@ class HyperX {
   std::string describe() const;
 
  private:
+  /// Switch \p s's dims() coordinates in coords_.
+  const int* coord_row(SwitchId s) const {
+    return coords_.data() + static_cast<std::size_t>(s) * sides_.size();
+  }
+
   std::vector<int> sides_;
   int servers_per_switch_;
   Graph graph_;
-  std::vector<std::vector<int>> coords_;
+  std::vector<int> coords_; ///< [switch][dim], flat
   std::vector<int> dim_port_base_; ///< first port of each dimension block
 };
 

@@ -320,19 +320,24 @@ TEST_F(RouteSetParity, FaultedFabric) {
   expect_route_parity(hx);
 }
 
+/// The edges of the path 0 - 1 - ... - (n-1).
+std::vector<Graph::Edge> path_edges(SwitchId n) {
+  std::vector<Graph::Edge> edges;
+  for (SwitchId s = 0; s + 1 < n; ++s) edges.push_back({s, s + 1});
+  return edges;
+}
+
 TEST(BfsOverflowDeathTest, DepthBeyondUint8Aborts) {
   // A 300-switch path has eccentricity 299 > 254 = the largest depth the
   // uint8 storage can hold; the old code silently saturated (a saturated
   // entry looks closer than it is — corrupting minimal routing), the
   // guard makes it abort.
-  Graph g(300);
-  for (SwitchId s = 0; s + 1 < 300; ++s) g.add_link(s, s + 1);
+  const Graph g(300, path_edges(300));
   EXPECT_DEATH((void)g.bfs(0), "overflow");
 }
 
 TEST(BfsOverflow, DepthsUpTo254Fit) {
-  Graph g(255);
-  for (SwitchId s = 0; s + 1 < 255; ++s) g.add_link(s, s + 1);
+  const Graph g(255, path_edges(255));
   const auto row = g.bfs(0);
   EXPECT_EQ(row[254], 254);
 }

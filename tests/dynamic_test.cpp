@@ -95,6 +95,24 @@ TEST(DynamicFaults, DeterministicGivenSeed) {
   EXPECT_EQ(a.dropped, b.dropped);
 }
 
+TEST(DynamicFaultsDeathTest, OutOfRangeFaultLinkIsRejected) {
+  // 4x4 has 48 links: 100 and -5 would index past the link tables.
+  ExperimentSpec s = dyn_spec("polsp");
+  s.fault_links = {29, 100};
+  EXPECT_DEATH(Experiment{s},
+               "spec.fault_links\\[1\\] = 100 is not a link id: the fabric has 48 links");
+  s.fault_links = {-5};
+  EXPECT_DEATH(Experiment{s}, "spec.fault_links\\[0\\] = -5 is not a link id");
+}
+
+TEST(DynamicFaultsDeathTest, OutOfRangeEventLinkIsRejected) {
+  ExperimentSpec s = dyn_spec("polsp");
+  s.warmup = 100;
+  s.measure = 100;
+  EXPECT_DEATH(Experiment(s).run_load_dynamic(0.5, {{50, 3}, {20, 48}}),
+               "events\\[1\\].link = 48 is not a link id: the fabric has 48 links");
+}
+
 TEST(Dragonfly, CanonicalSizes) {
   // a=4, h=2: g = 9 groups, 36 switches; links = 9*C(4,2) + 9*4*2/2 = 90.
   const Graph df = make_dragonfly(4, 2);

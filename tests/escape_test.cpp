@@ -271,7 +271,7 @@ TEST(Escape, StarFaultRootNearlyDisconnected) {
 }
 
 TEST(Escape, RequiresConnectedGraph) {
-  Graph g = make_from_edges(4, {{0, 1}, {2, 3}});
+  Graph g(4, {{0, 1}, {2, 3}});
   EscapeUpDown::Config cfg;
   EXPECT_DEATH(EscapeUpDown(g, cfg), "connected");
 }

@@ -4,19 +4,22 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "topology/builders.hpp"
 #include "topology/distance.hpp"
+#include "topology/faults.hpp"
 #include "topology/graph.hpp"
+#include "topology/hyperx.hpp"
+#include "util/rng.hpp"
 
 namespace hxsp {
 namespace {
 
-TEST(Graph, AddLinkAssignsPortsInOrder) {
-  Graph g(3);
-  const LinkId l01 = g.add_link(0, 1);
-  const LinkId l02 = g.add_link(0, 2);
-  EXPECT_EQ(l01, 0);
-  EXPECT_EQ(l02, 1);
+TEST(Graph, EdgeOrderAssignsPortsAndLinkIds) {
+  const Graph g(3, {{0, 1}, {0, 2}});
+  EXPECT_EQ(g.link(0).b, 1);
+  EXPECT_EQ(g.link(1).b, 2);
   EXPECT_EQ(g.degree(0), 2);
   EXPECT_EQ(g.degree(1), 1);
   EXPECT_EQ(g.port(0, 0).neighbor, 1);
@@ -27,8 +30,7 @@ TEST(Graph, AddLinkAssignsPortsInOrder) {
 }
 
 TEST(Graph, LinkEndsConsistentWithPorts) {
-  Graph g(4);
-  g.add_link(2, 3);
+  const Graph g(4, {{2, 3}});
   const auto& e = g.link(0);
   EXPECT_EQ(e.a, 2);
   EXPECT_EQ(e.b, 3);
@@ -37,8 +39,8 @@ TEST(Graph, LinkEndsConsistentWithPorts) {
 }
 
 TEST(Graph, FailAndRestoreLink) {
-  Graph g(2);
-  const LinkId l = g.add_link(0, 1);
+  Graph g(2, {{0, 1}});
+  const LinkId l = 0;
   EXPECT_TRUE(g.link_alive(l));
   EXPECT_EQ(g.num_alive_links(), 1);
   g.fail_link(l);
@@ -69,7 +71,7 @@ TEST(Graph, AliveDegree) {
 
 TEST(Graph, BfsDistancesOnPath) {
   // 0 - 1 - 2 - 3 path
-  Graph g = make_from_edges(4, {{0, 1}, {1, 2}, {2, 3}});
+  Graph g(4, {{0, 1}, {1, 2}, {2, 3}});
   const auto d = g.bfs(0);
   EXPECT_EQ(d[0], 0);
   EXPECT_EQ(d[1], 1);
@@ -78,7 +80,7 @@ TEST(Graph, BfsDistancesOnPath) {
 }
 
 TEST(Graph, BfsUnreachableAfterCut) {
-  Graph g = make_from_edges(4, {{0, 1}, {1, 2}, {2, 3}});
+  Graph g(4, {{0, 1}, {1, 2}, {2, 3}});
   g.fail_link(1); // cut 1-2
   const auto d = g.bfs(0);
   EXPECT_EQ(d[1], 1);
@@ -87,12 +89,69 @@ TEST(Graph, BfsUnreachableAfterCut) {
 }
 
 TEST(Graph, ConnectivityAndComponents) {
-  Graph g = make_from_edges(5, {{0, 1}, {1, 2}, {3, 4}});
+  // Link 3 joins the two components; it starts failed.
+  Graph g(5, {{0, 1}, {1, 2}, {3, 4}, {2, 3}});
+  g.fail_link(3);
   EXPECT_FALSE(g.connected());
   EXPECT_EQ(g.num_components(), 2);
-  g.add_link(2, 3);
+  g.restore_link(3);
   EXPECT_TRUE(g.connected());
   EXPECT_EQ(g.num_components(), 1);
+}
+
+/// The alive view must equal the port table filtered by link_alive, in
+/// ascending port order, with matching alive degrees and link count.
+void expect_alive_view(const Graph& g) {
+  LinkId live = 0;
+  for (LinkId l = 0; l < g.num_links(); ++l) live += g.link_alive(l) ? 1 : 0;
+  ASSERT_EQ(g.num_alive_links(), live);
+  for (SwitchId s = 0; s < g.num_switches(); ++s) {
+    std::vector<AlivePort> want;
+    for (Port p = 0; p < g.degree(s); ++p) {
+      const PortInfo& pi = g.port(s, p);
+      if (g.link_alive(pi.link)) want.push_back({p, pi.neighbor, pi.link});
+    }
+    const auto& got = g.alive_ports(s);
+    ASSERT_EQ(got.size(), want.size()) << "switch " << s;
+    ASSERT_EQ(g.alive_degree(s), static_cast<Port>(want.size())) << "switch " << s;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i].port, want[i].port) << "switch " << s;
+      ASSERT_EQ(got[i].neighbor, want[i].neighbor) << "switch " << s;
+      ASSERT_EQ(got[i].link, want[i].link) << "switch " << s;
+    }
+  }
+}
+
+/// A seeded random sequence of fail/restore calls (repeats included, so
+/// both idempotent paths run), checking the alive view after every step.
+void churn(Graph& g, std::uint64_t seed) {
+  Rng rng(seed);
+  expect_alive_view(g);
+  for (int step = 0; step < 300; ++step) {
+    const auto l = static_cast<LinkId>(
+        rng.next_below(static_cast<std::uint64_t>(g.num_links())));
+    if (rng.next_bool(0.6))
+      g.fail_link(l);
+    else
+      g.restore_link(l);
+    SCOPED_TRACE(step);
+    expect_alive_view(g);
+  }
+  g.restore_all();
+  expect_alive_view(g);
+  EXPECT_EQ(g.num_alive_links(), g.num_links());
+}
+
+TEST(Graph, AliveViewUnderChurnOnFaultedHyperX) {
+  HyperX hx({4, 4, 4}, 1);
+  Rng frng(21);
+  apply_faults(hx.graph(), random_fault_links(hx.graph(), 20, frng));
+  churn(hx.graph(), 0xC0FFEE);
+}
+
+TEST(Graph, AliveViewUnderChurnOnDragonfly) {
+  Graph g = make_dragonfly(4, 2);
+  churn(g, 0xBEEF);
 }
 
 TEST(Builders, CompleteGraph) {
@@ -159,7 +218,7 @@ TEST(Distance, CompleteGraphStats) {
 }
 
 TEST(Distance, DisconnectedReportsUnreachable) {
-  Graph g = make_from_edges(3, {{0, 1}});
+  Graph g(3, {{0, 1}});
   const DistanceTable t(g);
   EXPECT_FALSE(t.connected());
   EXPECT_EQ(t.diameter_if_connected(), std::nullopt);
@@ -174,7 +233,7 @@ TEST(DistanceDeathTest, DiameterAbortsOnDisconnectedGraph) {
   // The old behaviour returned the kUnreachable sentinel (255) as a plain
   // int, which callers multiplied into TTL bounds (4 * diameter()). The
   // sentinel is not a number; asking for it must be loud.
-  Graph g = make_from_edges(3, {{0, 1}});
+  Graph g(3, {{0, 1}});
   const DistanceTable t(g);
   EXPECT_DEATH((void)t.diameter(), "disconnected");
   EXPECT_DEATH((void)t.eccentricity(0), "disconnected");
