@@ -1,16 +1,17 @@
 /// \file micro_engine.cpp
 /// Google-benchmark microbenchmarks of single operations the repository
 /// benchmark does not isolate: BFS / all-pairs tables, escape
-/// construction, candidate generation for each routing algorithm, and the
-/// parallel sweep's fan-out. Whole runs are timed by benchmark/ alone.
-/// These are engineering benchmarks (simulator cost), not paper
-/// reproductions.
+/// construction, candidate generation for each routing algorithm and for
+/// the SurePath mechanisms, and the parallel sweep's fan-out. Whole runs
+/// are timed by benchmark/ alone. These are engineering benchmarks
+/// (simulator cost), not paper reproductions.
 
 #include <benchmark/benchmark.h>
 
 #include "core/escape_updown.hpp"
 #include "harness/experiment.hpp"
 #include "harness/sweep.hpp"
+#include "routing/factory.hpp"
 #include "routing/omnidimensional.hpp"
 #include "routing/polarized.hpp"
 
@@ -74,6 +75,34 @@ void BM_RouteCandidates(benchmark::State& state) {
 }
 BENCHMARK(BM_RouteCandidates<OmnidimensionalAlgorithm>);
 BENCHMARK(BM_RouteCandidates<PolarizedAlgorithm>);
+
+/// A SurePath mechanism's whole candidate list — base ports over the
+/// routing VCs, then the escape ports, one port-level entry each: the work
+/// a head does once when its candidate cache is filled.
+void BM_MechanismCandidates(benchmark::State& state, const char* name) {
+  const HyperX hx = HyperX::regular(3, 8, 1);
+  DistanceTable dist(hx.graph());
+  EscapeUpDown esc(hx.graph(), {.root = 0, .strict_phase = true, .penalties = {}, .use_shortcuts = true});
+  NetworkContext ctx{&hx.graph(), &hx, &dist, &esc, 4, 16};
+  const std::unique_ptr<RoutingMechanism> mech = make_mechanism(name);
+  Packet p;
+  p.src_switch = 0;
+  p.dst_switch = hx.num_switches() - 1;
+  p.src_server = 0;
+  p.dst_server = hx.num_servers() - 1;
+  RouteScratch scratch;
+  std::vector<Candidate> out;
+  SwitchId c = 0;
+  for (auto _ : state) {
+    out.clear();
+    if (c != p.dst_switch) mech->candidates(ctx, p, c, scratch, out);
+    benchmark::DoNotOptimize(out.data());
+    c = (c + 1) % hx.num_switches();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_MechanismCandidates, omnisp, "omnisp");
+BENCHMARK_CAPTURE(BM_MechanismCandidates, polsp, "polsp");
 
 void BM_SweepFanout(benchmark::State& state) {
   // Scaling of the parallel sweep engine: a small rate grid fanned across

@@ -6,9 +6,9 @@
 # (c) for every driver that emits a task grid, the CSV equals what
 # hxsp_runner writes for the driver's --emit-tasks manifest. It also
 # checks that a driver whose CSV cannot be written exits non-zero and that
-# hxsp_runner rejects an out-of-range fault link id, prints where the hot
-# step functions landed, and runs the example programs and fails if one
-# exits non-zero.
+# hxsp_runner rejects an out-of-range fault link id and escape penalty,
+# prints where the hot step functions landed, and runs the example
+# programs and fails if one exits non-zero.
 #
 # Usage: scripts/bench_smoke.sh [build-dir]   (default: build)
 set -u
@@ -139,8 +139,30 @@ PY
   else
     echo "OK      out-of-range fault link (hxsp_runner exits non-zero, names the key)"
   fi
+
+  # Likewise an escape penalty outside [0, 32767]: it is added to queue
+  # scores in int arithmetic, which INT_MAX overflows.
+  python3 - "$WORK_DIR/fig06_tasks.json" "$WORK_DIR/hostile_penalty.json" <<'PY'
+import json, sys
+task = json.load(open(sys.argv[1]))[0]
+task["spec"]["escape_penalties"]["up"] = 2147483647
+json.dump([task], open(sys.argv[2], "w"))
+PY
+  if "$RUNNER" "$WORK_DIR/hostile_penalty.json" --jobs=1 \
+       --csv="$WORK_DIR/hostile_penalty.csv" --quiet \
+       > "$WORK_DIR/hostile_penalty.out" 2>&1; then
+    echo "FAIL    out-of-range escape penalty (hxsp_runner exited 0)"
+    FAILED=1
+  elif ! grep -q "spec.escape_penalties.up = 2147483647 is outside \[0, 32767\]" \
+         "$WORK_DIR/hostile_penalty.out"; then
+    echo "FAIL    out-of-range escape penalty (no key-path message)"
+    tail -5 "$WORK_DIR/hostile_penalty.out"
+    FAILED=1
+  else
+    echo "OK      out-of-range escape penalty (hxsp_runner exits non-zero, names the key)"
+  fi
 else
-  echo "SKIP    out-of-range fault link (fig06, hxsp_runner or python3 missing)"
+  echo "SKIP    out-of-range fault link and escape penalty (fig06, hxsp_runner or python3 missing)"
 fi
 
 # Where the step loop's hot functions landed (see scripts/hot_symbols.sh),

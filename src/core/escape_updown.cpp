@@ -62,15 +62,16 @@ EscapeUpDown::EscapeUpDown(const Graph& g, const Config& cfg)
     }
   }
 
-  // Fused neighbour view for the candidates() hot loop.
-  nbrs_.resize(n_);
+  // Fused neighbour view for the candidates() hot loop: one flat array,
+  // each alive link seen from both ends.
+  nbr_offsets_.assign(n_ + 1, 0);
+  nbrs_.reserve(2 * static_cast<std::size_t>(num_black_ + num_red_));
   for (SwitchId s = 0; s < g.num_switches(); ++s) {
-    auto& row = nbrs_[static_cast<std::size_t>(s)];
-    row.clear();
     for (const AlivePort& ap : g.alive_ports(s))
-      row.push_back(
+      nbrs_.push_back(
           {ap.port, ap.neighbor, level_[static_cast<std::size_t>(ap.neighbor)],
            static_cast<std::uint8_t>(black_[static_cast<std::size_t>(ap.link)])});
+    nbr_offsets_[static_cast<std::size_t>(s) + 1] = nbrs_.size();
   }
 
   // Up/Down distances: meet-in-the-middle over the up-digraph. The meet
@@ -107,7 +108,8 @@ void EscapeUpDown::candidates(SwitchId current, SwitchId target, bool gone_down,
   const int lvl_c = level_[uc];
   const EscapePenalties& pen = cfg_.penalties;
 
-  for (const NeighborInfo& nb : nbrs_[static_cast<std::size_t>(current)]) {
+  for (std::size_t i = nbr_offsets_[uc]; i < nbr_offsets_[uc + 1]; ++i) {
+    const NeighborInfo& nb = nbrs_[i];
     const Port p = nb.port;
     const auto un = static_cast<std::size_t>(nb.neighbor);
     const int lvl_n = nb.level;

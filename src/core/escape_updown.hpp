@@ -129,7 +129,10 @@ class EscapeUpDown {
   std::vector<char> black_;
   std::vector<std::uint8_t> u_;  ///< up-digraph distances, n x n
   std::vector<std::uint8_t> ud_; ///< up/down distances, n x n
-  std::vector<std::vector<NeighborInfo>> nbrs_; ///< per switch, alive only
+  /// Alive neighbours in CSR form: switch s's are
+  /// nbrs_[nbr_offsets_[s], nbr_offsets_[s + 1]), in alive-port order.
+  std::vector<std::size_t> nbr_offsets_; ///< num_switches + 1 offsets
+  std::vector<NeighborInfo> nbrs_;
   int num_black_ = 0;
   int num_red_ = 0;
 };

@@ -1,6 +1,7 @@
 #include "harness/experiment.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <optional>
@@ -40,10 +41,26 @@ void check_link_id(const Graph& g, LinkId link, const std::string& key) {
                   std::to_string(g.num_links()) + " links")
                      .c_str());
 }
+
+/// Aborts unless every escape penalty lies in [0, 32767]: a penalty is
+/// added to a queue score in int arithmetic and stored in Candidate's
+/// int16 field, so a larger one overflows both.
+void check_escape_penalties(const EscapePenalties& pen) {
+  constexpr int kMax = std::numeric_limits<std::int16_t>::max();
+  for_each_field<EscapePenalties>([&](const auto& f) {
+    const int v = pen.*f.member;
+    HXSP_CHECK_MSG(v >= 0 && v <= kMax,
+                   ("spec.escape_penalties." + std::string(f.name) + " = " +
+                    std::to_string(v) + " is outside [0, " +
+                    std::to_string(kMax) + "]")
+                       .c_str());
+  });
+}
 } // namespace
 
 Experiment::Experiment(const ExperimentSpec& spec)
     : spec_(spec), rng_(spec.seed) {
+  check_escape_penalties(spec_.escape_penalties);
   hx_ = std::make_unique<HyperX>(spec_.sides,
                                  spec_.resolved_servers_per_switch());
   for (std::size_t i = 0; i < spec_.fault_links.size(); ++i)
@@ -397,15 +414,17 @@ int Experiment::walk_route(SwitchId src, SwitchId dst, int max_hops) {
     cand.clear();
     mech_->candidates(ctx_, pkt, cur, scratch, cand);
     if (cand.empty()) return -1;
-    // Deterministic greedy walk: lowest penalty, then lowest port/vc.
+    // Deterministic greedy walk: lowest penalty, then lowest port, then
+    // lowest VC (an entry's lowest is its vc_lo).
     const Candidate* best = &cand.front();
     for (const Candidate& c : cand) {
       if (c.penalty < best->penalty ||
           (c.penalty == best->penalty &&
-           (c.port < best->port || (c.port == best->port && c.vc < best->vc))))
+           (c.port < best->port ||
+            (c.port == best->port && c.vc_lo < best->vc_lo))))
         best = &c;
     }
-    mech_->commit_hop(ctx_, pkt, cur, *best);
+    mech_->commit_hop(ctx_, pkt, cur, *best, best->vc_lo);
     cur = ctx_.graph->port(cur, best->port).neighbor;
     mech_->on_arrival(ctx_, pkt, cur);
     ++hops;

@@ -72,23 +72,29 @@ void RoutingMechanism::candidates(const NetworkContext& ctx, const Packet& p,
     algo_->ports(ctx, p, sw, scratch.ports);
     const VcRange r = routing_vcs(ctx, p.hops, p.cur_vc);
     for (const PortCand& pc : scratch.ports)
-      for (Vc v = r.lo; v <= r.hi; ++v)
-        out.push_back({pc.port, v, pc.penalty, false, false});
+      out.push_back({static_cast<std::uint16_t>(pc.port),
+                     static_cast<std::uint8_t>(r.lo),
+                     static_cast<std::uint8_t>(r.hi),
+                     static_cast<std::int16_t>(pc.penalty), false, false});
   }
   if (!escape_) return;
 
   // Rule 2: escape candidates for every packet, on the escape VC. Once on
   // CEsc a packet never returns to CRout.
-  const Vc esc_vc = static_cast<Vc>(ctx.num_vcs - 1);
+  const auto esc_vc = static_cast<std::uint8_t>(ctx.num_vcs - 1);
   std::vector<EscapeCand>& esc = scratch.escape;
   esc.clear();
   ctx.escape->candidates(sw, p.dst_switch, p.escape_gone_down, esc);
   for (const EscapeCand& ec : esc)
-    out.push_back({ec.port, esc_vc, ec.penalty, true, ec.down_black});
+    out.push_back({static_cast<std::uint16_t>(ec.port), esc_vc, esc_vc,
+                   static_cast<std::int16_t>(ec.penalty), true,
+                   ec.down_black});
 }
 
 void RoutingMechanism::commit_hop(const NetworkContext& ctx, Packet& p,
-                                  SwitchId from, const Candidate& cand) const {
+                                  SwitchId from, const Candidate& cand,
+                                  Vc vc) const {
+  HXSP_DCHECK(vc >= cand.vc_lo && vc <= cand.vc_hi);
   if (cand.escape) {
     p.in_escape = true;
     if (cand.escape_down) p.escape_gone_down = true;
@@ -96,7 +102,7 @@ void RoutingMechanism::commit_hop(const NetworkContext& ctx, Packet& p,
     HXSP_DCHECK(!p.in_escape); // CEsc -> CRout is forbidden
     algo_->commit(ctx, p, from, {cand.port, cand.penalty, false});
   }
-  p.cur_vc = cand.vc;
+  p.cur_vc = vc;
   ++p.hops;
 }
 

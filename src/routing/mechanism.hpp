@@ -11,9 +11,10 @@
 ///    Polarized) or SurePath (CRout/CEsc split with the Up/Down escape).
 ///
 /// The router consults the mechanism once per eligible head packet and
-/// receives (port, vc, penalty) candidates; it then applies the paper's
-/// Q+P single-request allocation.
+/// receives (port, VC range, penalty) candidates; it then applies the
+/// paper's Q+P single-request allocation over every (port, VC) they cover.
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -48,14 +49,23 @@ struct PortCand {
   bool deroute = false;///< non-minimal hop (consumes Omni budget)
 };
 
-/// A full (port, vc) candidate handed to the allocator.
+/// A port-level candidate handed to the allocator: one output port over an
+/// inclusive VC range [vc_lo, vc_hi], every VC at the same penalty. This is
+/// the shape of SurePath's rule 1 (paper §3: any CRout VC of every port the
+/// base routing offers) and of BookSim 2's OutputSet::AddRange. Eight
+/// bytes, because each waiting head caches its list and the allocator
+/// rescans it every cycle the head stays eligible.
 struct Candidate {
-  Port port = kInvalid;
-  Vc vc = kInvalid;
-  int penalty = 0;      ///< P, in phits
-  bool escape = false;  ///< candidate lives on the escape subnetwork (CEsc)
+  std::uint16_t port = 0;
+  std::uint8_t vc_lo = 0;
+  std::uint8_t vc_hi = 0;
+  std::int16_t penalty = 0; ///< P, in phits
+  bool escape = false;      ///< candidate lives on the escape subnetwork (CEsc)
   bool escape_down = false; ///< escape hop that is a black Down step
 };
+static_assert(sizeof(Candidate) == 8,
+              "Candidate is one 8-byte entry per port: the per-head caches "
+              "and the allocator's scan are sized by it");
 
 /// An escape-subnetwork candidate produced by EscapeUpDown for SurePath.
 struct EscapeCand {
@@ -172,13 +182,15 @@ class RoutingMechanism {
   /// Display name matching the paper ("Minimal", "OmniSP", ...).
   std::string name() const { return display_; }
 
-  /// Appends (port, vc, penalty) candidates for head packet \p p at switch
-  /// \p sw, using \p scratch for intermediate buffers (cleared here; the
-  /// caller only provides the storage): the base ports over the packet's
-  /// routing VCs, port-major and VC-ascending, then (SurePath) the escape
-  /// candidates on the last VC. Not called at the destination switch
-  /// (router ejects). Safe to call concurrently as long as each call uses
-  /// a distinct \p scratch.
+  /// Appends the candidates for head packet \p p at switch \p sw, using
+  /// \p scratch for intermediate buffers (cleared here; the caller only
+  /// provides the storage): one entry per base-routing port over the
+  /// packet's routing VCs, in the algorithm's port order, then (SurePath)
+  /// one entry per escape port on the last VC. Expanding each entry over
+  /// [vc_lo, vc_hi] gives the allocator's visiting order: port-major,
+  /// VC-ascending. Not called at the destination switch (router ejects).
+  /// Safe to call concurrently as long as each call uses a distinct
+  /// \p scratch.
   void candidates(const NetworkContext& ctx, const Packet& p, SwitchId sw,
                   RouteScratch& scratch, std::vector<Candidate>& out) const;
 
@@ -198,10 +210,11 @@ class RoutingMechanism {
     algo_->on_arrival(ctx, p, sw);
   }
 
-  /// Called at grant time for switch-to-switch hops: updates the hop
+  /// Called at grant time for switch-to-switch hops over \p cand on the
+  /// granted VC \p vc (within [cand.vc_lo, cand.vc_hi]): updates the hop
   /// count, the current VC and the algorithm's or escape's header state.
   void commit_hop(const NetworkContext& ctx, Packet& p, SwitchId from,
-                  const Candidate& cand) const;
+                  const Candidate& cand, Vc vc) const;
 
   /// True when this mechanism needs the Up/Down escape subnetwork.
   bool needs_escape() const { return escape_; }

@@ -76,7 +76,9 @@ void Router::audit_local(const SimConfig& cfg) const {
   // A slot caches the candidates of the head at the same active_ position.
   // A grant must invalidate it (the next head routes differently), and a
   // swap-remove must carry it along with its entry; a miss at either site
-  // would route a packet on another packet's candidates.
+  // would route a packet on another packet's candidates. The entries
+  // themselves index outputs_ and out_qs_ unchecked in the request scan,
+  // so each must name a real port and a VC range inside num_vcs_.
   HXSP_CHECK_MSG(cand_slots_.size() >= active_.size(),
                  "audit: active input without a candidate slot");
   for (std::size_t i = 0; i < cand_slots_.size(); ++i) {
@@ -88,6 +90,19 @@ void Router::audit_local(const SimConfig& cfg) const {
         slot.head_id ==
             in_front(static_cast<std::size_t>(active_[i])).id,
         "audit: candidate slot outlived its head (granted since filled)");
+    int routing = 0;
+    for (const Candidate& c : slot.cand) {
+      HXSP_CHECK_MSG(c.port < num_ports(),
+                     "audit: candidate entry names a port past the router");
+      HXSP_CHECK_MSG(c.vc_lo <= c.vc_hi && c.vc_hi < num_vcs_,
+                     "audit: candidate entry has an invalid VC range");
+      HXSP_CHECK_MSG(!c.escape || (c.vc_lo == num_vcs_ - 1 &&
+                                   c.vc_hi == num_vcs_ - 1),
+                     "audit: escape candidate off the escape VC");
+      routing += c.escape ? 0 : 1;
+    }
+    HXSP_CHECK_MSG(slot.num_routing == routing,
+                   "audit: candidate slot's routing count drifted");
   }
 
   // --- outputs: qs, score sums, masks, head caches, waiting counts --------

@@ -33,6 +33,8 @@ Router::Router(SwitchId id, int num_switch_ports, int num_server_ports,
       base_credits_(cfg.input_buffer_phits()) {
   HXSP_CHECK_MSG(num_vcs_ <= 32, "feasible_mask holds at most 32 VCs");
   const int total_ports = num_switch_ports + num_server_ports;
+  HXSP_CHECK_MSG(total_ports <= std::numeric_limits<std::uint16_t>::max() + 1,
+                 "Candidate::port holds at most 65536 ports per router");
   const std::size_t total_vcs = static_cast<std::size_t>(total_ports) *
                                 static_cast<std::size_t>(num_vcs_);
   inputs_.assign(total_vcs, InputVc{});
@@ -100,16 +102,6 @@ void Router::push_input(PacketPtr pkt, Port port, Vc vc, Cycle head,
   mark_active(port, vc);
 }
 
-int Router::queue_score(Port port, Vc vc) const {
-  // Paper §3: qs = output buffer occupancy + consumed credits of the
-  // requested queue; Q = qs + sum over all queues of the same port
-  // (so the requested queue counts twice). Both the per-VC qs and the
-  // per-port sum are maintained incrementally at every mutation site, so
-  // this is O(1).
-  return out_qs_[vc_index(port, vc)] +
-         outputs_[static_cast<std::size_t>(port)].score_sum;
-}
-
 void Router::compute_candidates(const Network& net, const Packet& head,
                                 CandSlot& slot) {
   slot.cand.clear();
@@ -118,7 +110,8 @@ void Router::compute_candidates(const Network& net, const Packet& head,
     const Port eject = first_server_port() +
                        static_cast<Port>(head.dst_server %
                                          net.servers_per_switch());
-    slot.cand.push_back({eject, 0, 0, false, false});
+    slot.cand.push_back(
+        {static_cast<std::uint16_t>(eject), 0, 0, 0, false, false});
     slot.num_routing = 1;
   } else {
     net.mechanism().candidates(net.ctx(), head, id_, scratch_, slot.cand);
@@ -174,36 +167,50 @@ void Router::alloc_phase(Network& net, Cycle now) {
       continue;
     }
 
-    // Single request: the feasible candidate minimising Q + P. While
-    // scanning, accumulate the earliest cycle any blocked candidate could
-    // become grantable, so a fruitless scan parks the head until then.
+    // Single request: the feasible (port, VC) minimising Q + P, visited
+    // port-major and VC-ascending. While scanning, accumulate the earliest
+    // cycle any blocked candidate could become grantable, so a fruitless
+    // scan parks the head until then.
     int best_score = std::numeric_limits<int>::max();
     int best_idx = -1;
+    Vc best_vc = 0;
     int ties = 0;
     Cycle wake = std::numeric_limits<Cycle>::max();
     for (std::size_t i = 0; i < slot.cand.size(); ++i) {
       const Candidate& c = slot.cand[i];
-      const OutputPort& op = outputs_[static_cast<std::size_t>(c.port)];
+      const OutputPort& op = outputs_[c.port];
       if (op.xbar_free_at > now) {
-        // Release times only move forward: this candidate cannot be
+        // Release times only move forward: no VC of this port can be
         // granted before op.xbar_free_at, whatever else happens.
         if (op.xbar_free_at < wake) wake = op.xbar_free_at;
         continue;
       }
-      if ((op.feasible_mask & (1u << static_cast<unsigned>(c.vc))) == 0) {
-        // Credits or space missing; either could return next cycle.
-        wake = now + 1;
-        continue;
-      }
-      const int score = queue_score(c.port, c.vc) + c.penalty;
-      if (score < best_score) {
-        best_score = score;
-        best_idx = static_cast<int>(i);
-        ties = 1;
-      } else if (score == best_score) {
-        ++ties;
-        if (net.rng().next_below(static_cast<std::uint64_t>(ties)) == 0)
+      const std::uint32_t range = (2u << c.vc_hi) - (1u << c.vc_lo);
+      const std::uint32_t m = op.feasible_mask & range;
+      // Credits or space missing on some VC; either could return next cycle.
+      if (m != range) wake = now + 1;
+      if (m == 0) continue;
+      // Paper §3: qs = output buffer occupancy + consumed credits of the
+      // requested queue; Q = qs + sum over all queues of the same port (so
+      // the requested queue counts twice). Both the per-VC qs and the
+      // per-port sum are maintained incrementally at every mutation site.
+      const int port_score = op.score_sum + c.penalty;
+      const int* qs = &out_qs_[vc_index(c.port, 0)];
+      for (Vc v = c.vc_lo; v <= c.vc_hi; ++v) {
+        if (((m >> static_cast<unsigned>(v)) & 1u) == 0) continue;
+        const int score = qs[v] + port_score;
+        if (score < best_score) {
+          best_score = score;
           best_idx = static_cast<int>(i);
+          best_vc = v;
+          ties = 1;
+        } else if (score == best_score) {
+          ++ties;
+          if (net.rng().next_below(static_cast<std::uint64_t>(ties)) == 0) {
+            best_idx = static_cast<int>(i);
+            best_vc = v;
+          }
+        }
       }
     }
     if (best_idx < 0) {
@@ -220,8 +227,7 @@ void Router::alloc_phase(Network& net, Cycle now) {
     // Chain the request behind earlier ones to the same output, so each
     // output sees its requests in posting order.
     const std::int32_t ri = static_cast<std::int32_t>(requests_.size());
-    requests_.push_back(
-        {enc, -1, c.vc, best_score, c.escape, forced, c.escape_down});
+    requests_.push_back({enc, -1, best_score, c, best_vc, forced});
     RequestChain& chain = req_chains_[static_cast<std::size_t>(c.port)];
     if (chain.first < 0) {
       chain.first = ri;
@@ -317,19 +323,17 @@ void Router::alloc_phase(Network& net, Cycle now) {
       // switch-port branch below mirrors the metrics hook).
       if (TelemetryRegistry* const t = net.telemetry()) {
         if (out_port < num_switch_ports_)
-          t->on_grant(id_, req.out_vc, req.escape && !pkt->in_escape);
+          t->on_grant(id_, req.out_vc, req.cand.escape && !pkt->in_escape);
       }
       if (PacketTracer* const tr = net.tracer())
         tr->record(TraceEvent::kGrant, now, pkt->id, id_, out_port,
                    req.out_vc);
 
       if (out_port < num_switch_ports_) {
-        const Candidate cand{out_port, req.out_vc, 0, req.escape,
-                             req.escape_down};
-        net.mechanism().commit_hop(net.ctx(), *pkt, id_, cand);
-        net.metrics().on_hop(req.forced ? HopKind::Forced
-                             : req.escape ? HopKind::Escape
-                                          : HopKind::Routing);
+        net.mechanism().commit_hop(net.ctx(), *pkt, id_, req.cand, req.out_vc);
+        net.metrics().on_hop(req.forced       ? HopKind::Forced
+                             : req.cand.escape ? HopKind::Escape
+                                               : HopKind::Routing);
       }
       out_q_.push_back(out_idx, ov.q, std::move(pkt));
       net.note_progress();

@@ -18,12 +18,16 @@
 /// conservative VCT does.
 ///
 /// Allocation (paper §3): each eligible head packet computes its candidate
-/// set once (cached while it waits), scores every flow-control-feasible
-/// candidate with Q + P where
+/// set once (cached while it waits) — one 8-byte entry per output port with
+/// the VC range it may use there — and scores every flow-control-feasible
+/// (port, VC) pair the entries cover with Q + P where
 ///     qs = output occupancy + consumed credits of the requested queue,
 ///     Q  = qs + sum of qs' over all queues of the requested port,
-/// and makes a single request to the minimum; ties break randomly. Each
-/// output port then grants the best request it received this cycle. The
+/// and makes a single request to the minimum; ties break randomly. The scan
+/// tests each entry's crossbar once and ANDs the port's feasibility mask
+/// with the entry's VC range once, then scores the surviving VCs in
+/// ascending order. Each output port then grants the best request it
+/// received this cycle. The
 /// per-port sum of qs is maintained incrementally (OutputPort::score_sum,
 /// updated at the four mutation sites: grant commit, tail departure,
 /// credit return, dead-link drop), so scoring one candidate is O(1)
@@ -91,11 +95,14 @@ static_assert(sizeof(PacketPtr) == sizeof(Packet*),
 /// slot per entry of its active input list, at the same position, so
 /// only heads that are actually buffered hold candidate storage.
 struct CandSlot {
-  std::vector<Candidate> cand; ///< candidate set of the head
+  std::vector<Candidate> cand; ///< candidate set of the head, one per port
   std::int64_t head_id = -1;   ///< Packet::id of the head it was computed for
   int num_routing = 0;         ///< non-escape entries in `cand`
   bool valid = false;          ///< computed for the current head
 };
+// No inline candidate array: million_min keeps a slot per active input of
+// each of its 32,768 routers.
+static_assert(sizeof(CandSlot) <= 40, "CandSlot grew past its budget");
 
 /// Per-output-port state shared by its VCs (kept small: the link phase
 /// scans these sequentially every active cycle, and the allocator's
@@ -305,9 +312,6 @@ class Router {
   /// Removes (port,vc) from the active list.
   void unmark_active(Port p, Vc v);
 
-  /// Q term of the paper's allocation rule for output (port,vc).
-  int queue_score(Port port, Vc vc) const;
-
   /// Fills \p slot with the candidate set of \p head (the shared body of
   /// alloc_phase and precompute_candidates).
   void compute_candidates(const Network& net, const Packet& head,
@@ -365,11 +369,10 @@ class Router {
   struct Request {
     std::int32_t in_enc = -1; ///< encoded input (port*V+vc)
     std::int32_t next = -1;   ///< next request to the same output, -1 = last
-    Vc out_vc = -1;
     int score = 0;            ///< Q + P
-    bool escape = false;
-    bool forced = false;
-    bool escape_down = false; ///< strict-phase escape Down step
+    Candidate cand;           ///< the scanned entry (port, escape flags)
+    Vc out_vc = -1;           ///< the VC chosen within cand's range
+    bool forced = false;      ///< escape hop with no routing candidate
   };
   /// First and last request of one output port's chain in requests_.
   struct RequestChain {

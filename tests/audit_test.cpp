@@ -143,6 +143,31 @@ TEST(AuditDeath, CatchesStaleCandidateSlot) {
   EXPECT_DEATH(l.net.run_audit(), "audit: candidate slot outlived its head");
 }
 
+TEST(AuditDeath, CatchesCorruptedCandidateVcRange) {
+  LoadedNet l(0);
+  // A valid cached entry whose VC range runs past the router's VCs: the
+  // request scan would index out_qs_ past the port's queues. Saturating
+  // load leaves heads waiting on cached candidates.
+  l.net.set_offered_load(1.0);
+  l.net.run_cycles(500);
+  const int vcs = audit_spec(0).sim.num_vcs;
+  CandSlot* slot = nullptr;
+  for (SwitchId s = 0; s < 16 && slot == nullptr; ++s) {
+    Router& r = l.net.router(s);
+    for (Port p = 0; p < r.num_ports() && slot == nullptr; ++p)
+      for (Vc v = 0; v < vcs && slot == nullptr; ++v) {
+        const int pos = r.input(p, v).active_pos;
+        if (pos < 0) continue;
+        CandSlot& cs = r.corrupt_cand_slot_for_test(pos);
+        if (cs.valid && !cs.cand.empty()) slot = &cs;
+      }
+  }
+  ASSERT_NE(slot, nullptr);
+  slot->cand.front().vc_hi = static_cast<std::uint8_t>(vcs);
+  EXPECT_DEATH(l.net.run_audit(),
+               "audit: candidate entry has an invalid VC range");
+}
+
 TEST(AuditDeath, CatchesLostPacket) {
   LoadedNet l(0);
   ASSERT_GT(l.net.packets_in_system(), 0);

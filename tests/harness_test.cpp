@@ -111,6 +111,26 @@ TEST(Experiment, RejectsDisconnectingFaults) {
   EXPECT_DEATH(Experiment{s}, "disconnect");
 }
 
+TEST(Experiment, RejectsEscapePenaltyOutsideInt16) {
+  // A penalty is added to queue scores in int arithmetic and stored in an
+  // int16 candidate field: INT_MAX overflows the score sum, and a negative
+  // one would silently make the escape preferred over routing.
+  ExperimentSpec s;
+  s.sides = {4, 4};
+  s.servers_per_switch = 1;
+  s.mechanism = "polsp";
+  s.escape_penalties.up = 2147483647;
+  EXPECT_DEATH(Experiment{s},
+               "spec.escape_penalties.up = 2147483647 is outside \\[0, 32767\\]");
+  s.escape_penalties.up = 112;
+  s.escape_penalties.red3 = -5;
+  EXPECT_DEATH(Experiment{s},
+               "spec.escape_penalties.red3 = -5 is outside \\[0, 32767\\]");
+  s.escape_penalties.red3 = 32767; // the largest legal value builds
+  Experiment e(s);
+  EXPECT_NE(e.escape(), nullptr);
+}
+
 TEST(Experiment, RateSweepReturnsRowPerLoad) {
   ExperimentSpec s;
   s.sides = {2, 2};

@@ -314,11 +314,17 @@ TEST(Ladder, OneStepVcFollowsHops) {
   RouteScratch scratch;
   mech.candidates(t.ctx, p, p.src_switch, scratch, out);
   ASSERT_FALSE(out.empty());
-  for (const auto& c : out) EXPECT_EQ(c.vc, 0);
+  for (const auto& c : out) {
+    EXPECT_EQ(c.vc_lo, 0);
+    EXPECT_EQ(c.vc_hi, 0);
+  }
   p.hops = 1;
   out.clear();
   mech.candidates(t.ctx, p, t.hx->switch_at({1, 0}), scratch, out);
-  for (const auto& c : out) EXPECT_EQ(c.vc, 1);
+  for (const auto& c : out) {
+    EXPECT_EQ(c.vc_lo, 1);
+    EXPECT_EQ(c.vc_hi, 1);
+  }
 }
 
 TEST(Ladder, TwoStepOffersPairOfVcs) {
@@ -329,14 +335,17 @@ TEST(Ladder, TwoStepOffersPairOfVcs) {
   std::vector<Candidate> out;
   RouteScratch scratch;
   mech.candidates(t.ctx, p, p.src_switch, scratch, out);
+  // One entry per port, each spanning the rung's two VCs.
   std::set<Vc> vcs;
-  for (const auto& c : out) vcs.insert(c.vc);
+  for (const auto& c : out)
+    for (Vc v = c.vc_lo; v <= c.vc_hi; ++v) vcs.insert(v);
   EXPECT_EQ(vcs, (std::set<Vc>{0, 1}));
   p.hops = 1;
   out.clear();
   mech.candidates(t.ctx, p, t.hx->switch_at({1, 0}), scratch, out);
   vcs.clear();
-  for (const auto& c : out) vcs.insert(c.vc);
+  for (const auto& c : out)
+    for (Vc v = c.vc_lo; v <= c.vc_hi; ++v) vcs.insert(v);
   EXPECT_EQ(vcs, (std::set<Vc>{2, 3}));
 }
 
@@ -349,7 +358,10 @@ TEST(Ladder, SaturatesAtTopRung) {
   std::vector<Candidate> out;
   RouteScratch scratch;
   mech.candidates(t.ctx, p, p.src_switch, scratch, out);
-  for (const auto& c : out) EXPECT_EQ(c.vc, 3);
+  for (const auto& c : out) {
+    EXPECT_EQ(c.vc_lo, 3);
+    EXPECT_EQ(c.vc_hi, 3);
+  }
 }
 
 TEST(Ladder, CommitIncrementsHops) {
@@ -357,7 +369,7 @@ TEST(Ladder, CommitIncrementsHops) {
   const RoutingMechanism mech =
       RoutingMechanism::ladder(std::make_unique<MinimalAlgorithm>(), 1, "test");
   Packet p = make_packet(t, 0, 5);
-  mech.commit_hop(t.ctx, p, 0, {0, 0, 0, false, false});
+  mech.commit_hop(t.ctx, p, 0, {0, 0, 0, 0, false, false}, 0);
   EXPECT_EQ(p.hops, 1);
 }
 

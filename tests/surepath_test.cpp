@@ -41,12 +41,9 @@ TEST(SurePath, RoutingCandidatesOnAllCRoutVcs) {
   RouteScratch scratch;
   mech->candidates(t.ctx, p, p.src_switch, scratch, out);
   std::set<Vc> rout_vcs, esc_vcs;
-  for (const auto& c : out) {
-    if (c.escape)
-      esc_vcs.insert(c.vc);
-    else
-      rout_vcs.insert(c.vc);
-  }
+  for (const auto& c : out)
+    for (Vc v = c.vc_lo; v <= c.vc_hi; ++v)
+      (c.escape ? esc_vcs : rout_vcs).insert(v);
   // CRout = VCs 0..2, CEsc = VC 3 with 4 VCs.
   EXPECT_EQ(rout_vcs, (std::set<Vc>{0, 1, 2}));
   EXPECT_EQ(esc_vcs, (std::set<Vc>{3}));
@@ -80,7 +77,8 @@ TEST(SurePath, NoReturnFromEscape) {
   ASSERT_FALSE(out.empty());
   for (const auto& c : out) {
     EXPECT_TRUE(c.escape);
-    EXPECT_EQ(c.vc, t.ctx.num_vcs - 1);
+    EXPECT_EQ(c.vc_lo, t.ctx.num_vcs - 1);
+    EXPECT_EQ(c.vc_hi, t.ctx.num_vcs - 1);
   }
 }
 
@@ -88,13 +86,13 @@ TEST(SurePath, CommitEntersEscapeAndSetsPhase) {
   auto t = make_net(2, 4);
   auto mech = omnisp();
   Packet p = make_packet(t, 0, 5);
-  const Candidate esc{0, 3, 112, true, false};
-  mech->commit_hop(t.ctx, p, 0, esc);
+  const Candidate esc{0, 3, 3, 112, true, false};
+  mech->commit_hop(t.ctx, p, 0, esc, 3);
   EXPECT_TRUE(p.in_escape);
   EXPECT_FALSE(p.escape_gone_down);
   EXPECT_EQ(p.hops, 1);
-  const Candidate down{1, 3, 96, true, true};
-  mech->commit_hop(t.ctx, p, 1, down);
+  const Candidate down{1, 3, 3, 96, true, true};
+  mech->commit_hop(t.ctx, p, 1, down, 3);
   EXPECT_TRUE(p.escape_gone_down);
 }
 
@@ -105,7 +103,8 @@ TEST(SurePath, CommitRoutingHopCountsDeroutes) {
   Packet p = make_packet(t, src, t.hx->switch_at({2, 0}));
   // Deroute to (1,0) on a CRout vc.
   const Port q = t.hx->port_towards(src, 0, 1);
-  mech->commit_hop(t.ctx, p, src, {q, 0, 64, false, false});
+  mech->commit_hop(t.ctx, p, src,
+                   {static_cast<std::uint16_t>(q), 0, 0, 64, false, false}, 0);
   EXPECT_EQ(p.deroutes, 1);
   EXPECT_FALSE(p.in_escape);
 }
@@ -130,13 +129,19 @@ TEST(SurePath, RungPolicyFollowsHopCount) {
   mech->candidates(t.ctx, p, t.hx->switch_at({2, 0}), scratch, out);
   ASSERT_FALSE(out.empty());
   for (const auto& c : out)
-    if (!c.escape) { EXPECT_EQ(c.vc, 1); }
+    if (!c.escape) {
+      EXPECT_EQ(c.vc_lo, 1);
+      EXPECT_EQ(c.vc_hi, 1);
+    }
   // Rung saturates at the top CRout VC.
   p.hops = 9;
   out.clear();
   mech->candidates(t.ctx, p, t.hx->switch_at({2, 0}), scratch, out);
   for (const auto& c : out)
-    if (!c.escape) { EXPECT_EQ(c.vc, 2); }
+    if (!c.escape) {
+      EXPECT_EQ(c.vc_lo, 2);
+      EXPECT_EQ(c.vc_hi, 2);
+    }
 }
 
 TEST(SurePath, AutoPolicyResolvesByLadderDepth) {
@@ -170,7 +175,10 @@ TEST(SurePath, MonotonePolicyRespectsCurrentVc) {
   mech.candidates(t.ctx, p, p.src_switch, scratch, out);
   ASSERT_FALSE(out.empty());
   for (const auto& c : out)
-    if (!c.escape) { EXPECT_GE(c.vc, 1); }
+    if (!c.escape) {
+      EXPECT_EQ(c.vc_lo, 1);
+      EXPECT_EQ(c.vc_hi, 2);
+    }
 }
 
 TEST(SurePath, ForcedHopWhenBaseRoutingDead) {
@@ -194,8 +202,8 @@ TEST(SurePath, ForcedHopWhenBaseRoutingDead) {
   for (const auto& c : out) EXPECT_TRUE(c.escape);
 }
 
-/// Greedy SurePath walk mimicking the router: prefers the lowest penalty,
-/// updating escape state through commit_hop.
+/// Greedy SurePath walk mimicking the router: prefers the lowest penalty
+/// (on the entry's lowest VC), updating escape state through commit_hop.
 int surepath_walk(const TestNet& t, RoutingMechanism& mech, SwitchId src,
                   SwitchId dst, int max_hops) {
   Packet p = testutil::make_packet(t, src, dst);
@@ -214,7 +222,7 @@ int surepath_walk(const TestNet& t, RoutingMechanism& mech, SwitchId src,
     const Candidate* best = &out.front();
     for (const auto& cc : out)
       if (cc.penalty < best->penalty) best = &cc;
-    mech.commit_hop(t.ctx, p, c, *best);
+    mech.commit_hop(t.ctx, p, c, *best, best->vc_lo);
     c = t.ctx.graph->port(c, best->port).neighbor;
     mech.on_arrival(t.ctx, p, c);
     ++hops;

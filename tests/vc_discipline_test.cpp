@@ -2,8 +2,9 @@
 /// Table-driven check of every mechanism's VC discipline (paper Table 4 and
 /// §3): for each factory name and "@policy" variant, at 2..6 VCs and 0..8
 /// hops taken, the routing and injection VCs equal the rule written out
-/// below, SurePath's routing candidates stay off the escape VC, and a hop
-/// records the VC it was granted.
+/// below, every routing entry spans exactly those VCs, SurePath's escape
+/// entries sit on the escape VC alone, and a hop records the VC it was
+/// granted.
 
 #include <gtest/gtest.h>
 
@@ -102,31 +103,29 @@ TEST(VcDiscipline, EveryMechanismFollowsTable4) {
           RouteScratch scratch;
           mech->candidates(t.ctx, p, src, scratch, out);
 
-          // Routing candidates first, in blocks of one port each covering
-          // the expected VCs in ascending order; escape candidates after.
+          // Routing entries first, one per port, each spanning exactly
+          // the expected VCs; escape entries after, on the escape VC.
           const VcRange want = expected_vcs(d, vcs, kDims, hops, cur);
-          const int width = want.hi - want.lo + 1;
           std::size_t routing = 0;
           while (routing < out.size() && !out[routing].escape) ++routing;
           if (name != "escape") { EXPECT_GT(routing, 0u) << where; }
-          ASSERT_EQ(routing % static_cast<std::size_t>(width), 0u) << where;
           for (std::size_t k = 0; k < routing; ++k) {
-            const std::size_t block = k - k % static_cast<std::size_t>(width);
-            EXPECT_EQ(out[k].port, out[block].port) << where;
-            EXPECT_EQ(out[k].vc, want.lo + static_cast<Vc>(k - block)) << where;
-            if (d.escape) { EXPECT_LT(out[k].vc, vcs - 1) << where; }
+            EXPECT_EQ(out[k].vc_lo, want.lo) << where;
+            EXPECT_EQ(out[k].vc_hi, want.hi) << where;
+            if (d.escape) { EXPECT_LT(out[k].vc_hi, vcs - 1) << where; }
           }
           for (std::size_t k = routing; k < out.size(); ++k) {
             EXPECT_TRUE(out[k].escape) << where;
-            EXPECT_EQ(out[k].vc, vcs - 1) << where;
+            EXPECT_EQ(out[k].vc_lo, vcs - 1) << where;
+            EXPECT_EQ(out[k].vc_hi, vcs - 1) << where;
           }
           if (!d.escape) { EXPECT_EQ(routing, out.size()) << where; }
 
           // A granted hop records its VC and counts the hop.
           if (routing > 0) {
             const Candidate& c = out[routing - 1];
-            mech->commit_hop(t.ctx, p, src, c);
-            EXPECT_EQ(p.cur_vc, c.vc) << where;
+            mech->commit_hop(t.ctx, p, src, c, c.vc_hi);
+            EXPECT_EQ(p.cur_vc, c.vc_hi) << where;
             EXPECT_EQ(p.hops, hops + 1) << where;
           }
         }
