@@ -2,7 +2,8 @@
 /// Google-benchmark microbenchmarks of single operations the repository
 /// benchmark does not isolate: BFS / all-pairs tables, escape
 /// construction, candidate generation for each routing algorithm and for
-/// the SurePath mechanisms, and the parallel sweep's fan-out. Whole runs
+/// the SurePath mechanisms, workload set-up (build, validate and run
+/// construction) and the parallel sweep's fan-out. Whole runs
 /// are timed by benchmark/ alone. These are engineering benchmarks
 /// (simulator cost), not paper reproductions.
 
@@ -14,6 +15,8 @@
 #include "routing/factory.hpp"
 #include "routing/omnidimensional.hpp"
 #include "routing/polarized.hpp"
+#include "workload/run.hpp"
+#include "workload/workload.hpp"
 
 namespace hxsp {
 namespace {
@@ -103,6 +106,29 @@ void BM_MechanismCandidates(benchmark::State& state, const char* name) {
 }
 BENCHMARK_CAPTURE(BM_MechanismCandidates, omnisp, "omnisp");
 BENCHMARK_CAPTURE(BM_MechanismCandidates, polsp, "polsp");
+
+void BM_WorkloadBuild(benchmark::State& state, const char* name,
+                      ServerId servers) {
+  // What a workload task does before its first cycle: generate and wire
+  // the message list, validate it, and build the run's per-message state.
+  WorkloadParams p;
+  p.name = name;
+  std::size_t messages = 0;
+  for (auto _ : state) {
+    Rng rng(1);
+    MessageList msgs = make_workload(p)->build(servers, rng);
+    validate_workload(msgs, servers);
+    const WorkloadRun run(std::move(msgs));
+    messages = run.num_messages();
+    benchmark::DoNotOptimize(&run);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(messages));
+}
+BENCHMARK_CAPTURE(BM_WorkloadBuild, ring_allreduce_512, "ring_allreduce", 512)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_WorkloadBuild, alltoall_256, "alltoall", 256)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SweepFanout(benchmark::State& state) {
   // Scaling of the parallel sweep engine: a small rate grid fanned across

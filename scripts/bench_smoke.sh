@@ -6,7 +6,8 @@
 # (c) for every driver that emits a task grid, the CSV equals what
 # hxsp_runner writes for the driver's --emit-tasks manifest. It also
 # checks that a driver whose CSV cannot be written exits non-zero and that
-# hxsp_runner rejects an out-of-range fault link id and escape penalty,
+# hxsp_runner rejects an out-of-range fault link id and escape penalty and
+# an integer that does not fit its field (a trace src, a fault link),
 # prints where the hot step functions landed, and runs the example
 # programs and fails if one exits non-zero.
 #
@@ -161,6 +162,28 @@ PY
   else
     echo "OK      out-of-range escape penalty (hxsp_runner exits non-zero, names the key)"
   fi
+
+  # An integer that does not fit its field must not narrow to a valid
+  # value: the first fault link plus 2^32 used to run as that link.
+  python3 - "$WORK_DIR/fig06_tasks.json" "$WORK_DIR/hostile_alias.json" <<'PY'
+import json, sys
+task = next(t for t in json.load(open(sys.argv[1])) if t["spec"]["fault_links"])
+task["spec"]["fault_links"][0] += 2 ** 32
+json.dump([task], open(sys.argv[2], "w"))
+PY
+  if "$RUNNER" "$WORK_DIR/hostile_alias.json" --jobs=1 \
+       --csv="$WORK_DIR/hostile_alias.csv" --quiet \
+       > "$WORK_DIR/hostile_alias.out" 2>&1; then
+    echo "FAIL    2^32-aliased fault link (hxsp_runner exited 0)"
+    FAILED=1
+  elif ! grep -q "spec.fault_links\[0\] = [0-9]* is not an integer in \[-2147483648, 2147483647\]" \
+         "$WORK_DIR/hostile_alias.out"; then
+    echo "FAIL    2^32-aliased fault link (no key-path message)"
+    tail -5 "$WORK_DIR/hostile_alias.out"
+    FAILED=1
+  else
+    echo "OK      2^32-aliased fault link (hxsp_runner exits non-zero, names the key)"
+  fi
 else
   echo "SKIP    out-of-range fault link and escape penalty (fig06, hxsp_runner or python3 missing)"
 fi
@@ -292,6 +315,31 @@ if command -v python3 > /dev/null; then
   fi
 else
   echo "SKIP    trace replay (no python3)"
+fi
+
+# Likewise a trace whose src is 2^32 + 1 must fail naming the line and key,
+# not replay as server 1.
+if [[ -x "$BUILD_DIR/ext_workloads" && -x "$RUNNER" ]]; then
+  echo '{"src":4294967297,"dst":0,"packets":1,"phase":0}' \
+    > "$WORK_DIR/hostile_trace.jsonl"
+  "$BUILD_DIR/ext_workloads" --side=4 --sps=1 --workloads=trace \
+    --trace="$WORK_DIR/hostile_trace.jsonl" --fault-fracs=0 --bucket=500 \
+    --emit-tasks="$WORK_DIR/hostile_trace_tasks.json" > /dev/null 2>&1
+  if "$RUNNER" "$WORK_DIR/hostile_trace_tasks.json" --jobs=1 \
+       --csv="$WORK_DIR/hostile_trace.csv" --quiet \
+       > "$WORK_DIR/hostile_trace.out" 2>&1; then
+    echo "FAIL    2^32-aliased trace src (hxsp_runner exited 0)"
+    FAILED=1
+  elif ! grep -q "trace line 1: src = 4294967297 is not an integer" \
+         "$WORK_DIR/hostile_trace.out"; then
+    echo "FAIL    2^32-aliased trace src (no line and key in the message)"
+    tail -5 "$WORK_DIR/hostile_trace.out"
+    FAILED=1
+  else
+    echo "OK      2^32-aliased trace src (hxsp_runner exits non-zero, names line and key)"
+  fi
+else
+  echo "SKIP    2^32-aliased trace src (ext_workloads or hxsp_runner missing)"
 fi
 
 # The example programs run end to end at their built-in scale (a few

@@ -240,7 +240,7 @@ WorkloadResult Experiment::run_workload(const WorkloadParams& params,
   Rng wl_rng = rng_.fork(0xE1);
   const ServerId num_servers = hx_->num_servers();
   const std::unique_ptr<Workload> wl = make_workload(params);
-  std::vector<Message> msgs = wl->build(num_servers, wl_rng);
+  MessageList msgs = wl->build(num_servers, wl_rng);
   validate_workload(msgs, num_servers);
   WorkloadRun run(std::move(msgs));
 
@@ -279,11 +279,11 @@ MultitenantResult Experiment::run_multitenant(const MultitenantParams& params,
   // byte-identical messages and a byte-identical engine stream to the
   // legacy workload mode (the golden bridge tests lock this).
   Rng wl_rng = rng_.fork(0xE1);
-  std::vector<std::vector<Message>> job_msgs;
+  std::vector<MessageList> job_msgs;
   job_msgs.reserve(params.jobs.size());
   for (const JobSpec& job : params.jobs)
     job_msgs.push_back(make_workload(job.workload)->build(job.demand, wl_rng));
-  std::vector<std::vector<Message>> baseline_msgs;
+  std::vector<MessageList> baseline_msgs;
   if (params.isolated_baseline) baseline_msgs = job_msgs;
 
   TenantScheduler sched(params, std::move(job_msgs), hx_->num_servers(),

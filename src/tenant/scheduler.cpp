@@ -8,7 +8,7 @@
 namespace hxsp {
 
 TenantScheduler::TenantScheduler(const MultitenantParams& params,
-                                 std::vector<std::vector<Message>> job_msgs,
+                                 std::vector<MessageList> job_msgs,
                                  ServerId num_servers, int servers_per_switch,
                                  Rng placement_rng)
     : policy_(make_placement(params.placement)),

@@ -128,7 +128,7 @@ class TenantScheduler : public MessageSource {
   /// \p job_msgs[j] must validate against jobs[j].demand, and demands
   /// must fit the fabric (checked).
   TenantScheduler(const MultitenantParams& params,
-                  std::vector<std::vector<Message>> job_msgs,
+                  std::vector<MessageList> job_msgs,
                   ServerId num_servers, int servers_per_switch,
                   Rng placement_rng);
 

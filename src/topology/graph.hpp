@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "util/check.hpp"
+#include "util/span.hpp"
 #include "util/types.hpp"
 
 namespace hxsp {
@@ -38,21 +39,6 @@ struct AlivePort {
   Port port;         ///< local port number
   SwitchId neighbor; ///< switch at the other end
   LinkId link;       ///< global link id (escape colouring lookups)
-};
-
-/// Read-only view of a contiguous run of \p T.
-template <typename T>
-class ConstSpan {
- public:
-  ConstSpan(const T* first, const T* last) : first_(first), last_(last) {}
-  const T* begin() const { return first_; }
-  const T* end() const { return last_; }
-  std::size_t size() const { return static_cast<std::size_t>(last_ - first_); }
-  const T& operator[](std::size_t i) const { return first_[i]; }
-
- private:
-  const T* first_;
-  const T* last_;
 };
 
 /// Undirected multigraph over switches, with O(1) port lookup and

@@ -11,10 +11,11 @@
 ///
 ///   * adding a field is one line in its struct's table (the table order
 ///     is the written key order);
-///   * the reader rejects unknown, repeated and missing keys and values of
-///     the wrong JSON type, naming the full key path (e.g.
-///     "spec.sim.num_vcs"). Only field_or() entries may be absent: they
-///     carry the value a document written before the key existed means.
+///   * the reader rejects unknown, repeated and missing keys, values of
+///     the wrong JSON type and integers that are not integers of the
+///     member's type, naming the full key path (e.g. "spec.sim.num_vcs").
+///     Only field_or() entries may be absent: they carry the value a
+///     document written before the key existed means.
 
 #include <array>
 #include <cstddef>
@@ -127,12 +128,9 @@ void read_json(const JsonValue& v, T& out, const std::string& path) {
   } else if constexpr (std::is_same_v<T, std::string>) {
     detail::expect_kind(v, Kind::kString, path);
     out = v.as_string();
-  } else if constexpr (std::is_integral_v<T> && std::is_signed_v<T>) {
-    detail::expect_kind(v, Kind::kNumber, path);
-    out = static_cast<T>(v.as_i64());
   } else if constexpr (std::is_integral_v<T>) {
     detail::expect_kind(v, Kind::kNumber, path);
-    out = static_cast<T>(v.as_u64());
+    out = json_integer<T>(v, path);
   } else if constexpr (std::is_enum_v<T>) {
     detail::expect_kind(v, Kind::kString, path);
     enum_from_name(v.as_string(), out);

@@ -1,5 +1,6 @@
 #include "util/jsonio.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -32,16 +33,46 @@ double JsonValue::as_double() const {
 }
 
 std::int64_t JsonValue::as_i64() const {
-  HXSP_CHECK_MSG(kind_ == Kind::kNumber, "JSON value is not a number");
-  return static_cast<std::int64_t>(std::strtoll(scalar_.c_str(), nullptr, 10));
+  return json_integer<std::int64_t>(*this, "JSON value");
 }
 
 std::uint64_t JsonValue::as_u64() const {
-  HXSP_CHECK_MSG(kind_ == Kind::kNumber, "JSON value is not a number");
-  return std::strtoull(scalar_.c_str(), nullptr, 10);
+  return json_integer<std::uint64_t>(*this, "JSON value");
 }
 
-int JsonValue::as_int() const { return static_cast<int>(as_i64()); }
+int JsonValue::as_int() const { return json_integer<int>(*this, "JSON value"); }
+
+namespace {
+
+/// True when \p s is an optional '-' (when \p allow_minus) then one or
+/// more ASCII digits and nothing else.
+bool is_integer_token(const std::string& s, bool allow_minus) {
+  std::size_t i = allow_minus && !s.empty() && s[0] == '-' ? 1 : 0;
+  if (i == s.size()) return false;
+  for (; i < s.size(); ++i)
+    if (s[i] < '0' || s[i] > '9') return false;
+  return true;
+}
+
+} // namespace
+
+std::optional<std::int64_t> JsonValue::to_i64() const {
+  if (kind_ != Kind::kNumber || !is_integer_token(scalar_, true))
+    return std::nullopt;
+  errno = 0;
+  const long long v = std::strtoll(scalar_.c_str(), nullptr, 10);
+  if (errno == ERANGE) return std::nullopt;
+  return static_cast<std::int64_t>(v);
+}
+
+std::optional<std::uint64_t> JsonValue::to_u64() const {
+  if (kind_ != Kind::kNumber || !is_integer_token(scalar_, false))
+    return std::nullopt;
+  errno = 0;
+  const unsigned long long v = std::strtoull(scalar_.c_str(), nullptr, 10);
+  if (errno == ERANGE) return std::nullopt;
+  return static_cast<std::uint64_t>(v);
+}
 
 const std::string& JsonValue::as_string() const {
   HXSP_CHECK_MSG(kind_ == Kind::kString, "JSON value is not a string");

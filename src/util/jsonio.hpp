@@ -10,9 +10,14 @@
 /// parse(write(x)) == x bit-exactly.
 
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "util/check.hpp"
 
 namespace hxsp {
 
@@ -26,12 +31,24 @@ class JsonValue {
   bool is_object() const { return kind_ == Kind::kObject; }
   bool is_array() const { return kind_ == Kind::kArray; }
 
-  /// Typed accessors; each aborts (HXSP_CHECK) on a kind mismatch.
+  /// Typed accessors; each aborts (HXSP_CHECK) on a kind mismatch, and
+  /// the integer ones on a number that is not an integer of their type.
   bool as_bool() const;
   double as_double() const;
   std::int64_t as_i64() const;
   std::uint64_t as_u64() const;
   int as_int() const;
+
+  /// The number as an integer when its token is one (an optional minus
+  /// sign and digits, no fraction or exponent) inside the type's range;
+  /// std::nullopt otherwise, and for a value that is not a number.
+  std::optional<std::int64_t> to_i64() const;
+  std::optional<std::uint64_t> to_u64() const;
+
+  /// The source token of a number, the payload of a string ("" otherwise);
+  /// error messages quote it.
+  const std::string& text() const { return scalar_; }
+
   const std::string& as_string() const;
   const std::vector<JsonValue>& array() const;
   const std::vector<std::pair<std::string, JsonValue>>& object() const;
@@ -53,6 +70,40 @@ class JsonValue {
   std::vector<JsonValue> array_;
   std::vector<std::pair<std::string, JsonValue>> object_;
 };
+
+/// \p v as an integer of type T: std::nullopt unless \p v is an integer
+/// token (no fraction or exponent) inside T's range.
+template <class T>
+std::optional<T> json_integer_if(const JsonValue& v) {
+  static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool>,
+                "json_integer_if reads integer types");
+  using Lim = std::numeric_limits<T>;
+  if constexpr (std::is_signed_v<T>) {
+    const std::optional<std::int64_t> x = v.to_i64();
+    if (x && *x >= Lim::min() && *x <= Lim::max()) return static_cast<T>(*x);
+  } else {
+    const std::optional<std::uint64_t> x = v.to_u64();
+    if (x && *x <= Lim::max()) return static_cast<T>(*x);
+  }
+  return std::nullopt;
+}
+
+/// \p v as an integer of type T. Aborts with "<what> = <token> is not an
+/// integer in [min, max]" when \p v is not a number, is not an integer, or
+/// does not fit T: a narrowing cast would silently alias 2^32 + k to k.
+template <class T>
+T json_integer(const JsonValue& v, const std::string& what) {
+  using Lim = std::numeric_limits<T>;
+  const std::optional<T> out = json_integer_if<T>(v);
+  HXSP_CHECK_MSG(out.has_value(),
+                 (what + " = " +
+                  (v.kind() == JsonValue::Kind::kNumber ? v.text()
+                                                        : "(not a number)") +
+                  " is not an integer in [" + std::to_string(Lim::min()) +
+                  ", " + std::to_string(Lim::max()) + "]")
+                     .c_str());
+  return *out;
+}
 
 /// Streaming JSON writer with automatic comma placement. Keys/values must
 /// be emitted in a well-formed order (object -> key -> value); doubles are

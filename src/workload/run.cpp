@@ -7,11 +7,11 @@
 
 namespace hxsp {
 
-WorkloadRun::WorkloadRun(std::vector<Message> msgs) : msgs_(std::move(msgs)) {
+WorkloadRun::WorkloadRun(MessageList msgs)
+    : msgs_(std::move(msgs)), dependents_(workload_dependents(msgs_)) {
   const std::size_t n = msgs_.size();
-  pending_deps_.assign(n, 0);
-  dependents_.assign(n, {});
-  remaining_.assign(n, 0);
+  pending_deps_.resize(n);
+  remaining_.resize(n);
   released_.assign(n, -1);
   phase_done_.assign(static_cast<std::size_t>(workload_num_phases(msgs_)), -1);
   phase_outstanding_.assign(phase_done_.size(), 0);
@@ -20,10 +20,7 @@ WorkloadRun::WorkloadRun(std::vector<Message> msgs) : msgs_(std::move(msgs)) {
     remaining_[i] = m.packets;
     total_packets_ += m.packets;
     ++phase_outstanding_[static_cast<std::size_t>(m.phase)];
-    pending_deps_[i] = static_cast<std::int32_t>(m.deps.size());
-    for (std::int32_t d : m.deps)
-      dependents_[static_cast<std::size_t>(d)].push_back(
-          static_cast<std::int32_t>(i));
+    pending_deps_[i] = static_cast<std::uint32_t>(msgs_.deps(i).size());
   }
   latencies_.reserve(n);
 }
@@ -87,7 +84,7 @@ void WorkloadRun::on_packet_consumed(std::int32_t m, Cycle now, Network& net) {
   latencies_.push_back(now - released_[mi]);
   const std::size_t phase = static_cast<std::size_t>(msgs_[mi].phase);
   if (--phase_outstanding_[phase] == 0) phase_done_[phase] = now;
-  for (std::int32_t d : dependents_[mi])
+  for (const std::int32_t d : dependents_.of(mi))
     if (--pending_deps_[static_cast<std::size_t>(d)] == 0)
       release(d, now, net);
 }

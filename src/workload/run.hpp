@@ -5,12 +5,15 @@
 /// state machine, and CompletionSource, the paper's completion
 /// experiment (Fig 10).
 ///
-/// A WorkloadRun binds one built Message list to one Network for one
+/// A WorkloadRun binds one built MessageList to one Network for one
 /// simulation: tracks per-message dependency counts and remaining
 /// packets, releases a message into its source server's ready queue the
 /// moment its last dependency completes (a completion callback chain
 /// riding the engine's Consume events), and records the completion cycle
-/// of every message and phase. Servers in message mode
+/// of every message and phase. Its per-message state is flat: the list
+/// itself, the dependents table (workload_dependents) and four arrays of
+/// counters and cycles, 56 bytes per message in all when each message
+/// has one dependency (ring all-reduce). Servers in message mode
 /// (Server::set_message_mode) pull released messages FIFO and inject
 /// their packets as fast as the injection queue drains; every consumed
 /// packet is attributed back to its message through the `msg` id it
@@ -18,7 +21,7 @@
 ///
 /// Two extensions serve the multi-tenant scheduler (src/tenant/):
 ///  - bind(): restricts a run to a concrete subset of servers. The
-///    Message list stays *logical* (src/dst in [0, demand)); the binding
+///    message list stays *logical* (src/dst in [0, demand)); the binding
 ///    maps logical ids to fabric server ids at release/refill time, so a
 ///    job built for n servers runs unchanged on any n-server placement
 ///    and non-member servers see none of it (and draw zero RNG).
@@ -85,10 +88,10 @@ class WorkloadRun : public MessageSource {
   /// \p msgs must be validated (validate_workload) against the server
   /// count it will run on — the fabric size when unbound, the binding
   /// size otherwise.
-  explicit WorkloadRun(std::vector<Message> msgs);
+  explicit WorkloadRun(MessageList msgs);
 
   /// Restricts the run to concrete servers: logical server i of the
-  /// Message list becomes fabric server \p servers[i]. Call before
+  /// message list becomes fabric server \p servers[i]. Call before
   /// start()/launch(). An empty binding (the default) is the identity
   /// over the whole fabric.
   void bind(std::vector<ServerId> servers);
@@ -148,10 +151,10 @@ class WorkloadRun : public MessageSource {
   void release(std::int32_t m, Cycle now, Network& net);
   void release_roots(Network& net);
 
-  std::vector<Message> msgs_;
+  MessageList msgs_;
+  Dependents dependents_;
   std::vector<ServerId> binding_;            ///< logical -> fabric server ids
-  std::vector<std::int32_t> pending_deps_;   ///< unmet deps per message
-  std::vector<std::vector<std::int32_t>> dependents_;
+  std::vector<std::uint32_t> pending_deps_;  ///< unmet deps per message
   std::vector<std::int32_t> remaining_;      ///< packets to consume
   std::vector<Cycle> released_;              ///< -1 until released
   std::vector<std::int32_t> phase_outstanding_;

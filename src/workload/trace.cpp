@@ -6,18 +6,38 @@
 
 namespace hxsp {
 
-std::string trace_to_jsonl(const std::vector<Message>& msgs) {
+namespace {
+
+constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
+
+/// \p v, the value of \p key (element \p index of it, unless kNoIndex) on
+/// trace line \p line_no, as an int32. Aborts naming the line and key;
+/// the name is only built then.
+std::int32_t trace_int(const JsonValue& v, std::size_t line_no,
+                       const char* key, std::size_t index = kNoIndex) {
+  if (const std::optional<std::int32_t> x = json_integer_if<std::int32_t>(v))
+    return *x;
+  std::string what = "trace line " + std::to_string(line_no) + ": " + key;
+  if (index != kNoIndex) what += "[" + std::to_string(index) + "]";
+  return json_integer<std::int32_t>(v, what);
+}
+
+} // namespace
+
+std::string trace_to_jsonl(const MessageList& msgs) {
   std::string out;
-  for (const Message& m : msgs) {
+  for (std::size_t i = 0; i < msgs.size(); ++i) {
+    const Message& m = msgs[i];
     JsonWriter w;
     w.begin_object();
     w.key("src").value(static_cast<std::int64_t>(m.src));
     w.key("dst").value(static_cast<std::int64_t>(m.dst));
     w.key("packets").value(m.packets);
     w.key("phase").value(m.phase);
-    if (!m.deps.empty()) {
+    if (!msgs.deps(i).empty()) {
       w.key("deps").begin_array();
-      for (std::int32_t d : m.deps) w.value(static_cast<std::int64_t>(d));
+      for (const std::int32_t d : msgs.deps(i))
+        w.value(static_cast<std::int64_t>(d));
       w.end_array();
     }
     w.end_object();
@@ -27,10 +47,11 @@ std::string trace_to_jsonl(const std::vector<Message>& msgs) {
   return out;
 }
 
-std::vector<Message> trace_from_jsonl(const std::string& text) {
-  std::vector<Message> msgs;
+MessageList trace_from_jsonl(const std::string& text) {
+  MessageList msgs;
+  std::vector<std::int32_t> deps;
   std::size_t start = 0;
-  while (start < text.size()) {
+  for (std::size_t line_no = 1; start < text.size(); ++line_no) {
     std::size_t end = text.find('\n', start);
     if (end == std::string::npos) end = text.size();
     const std::string line = text.substr(start, end - start);
@@ -44,24 +65,26 @@ std::vector<Message> trace_from_jsonl(const std::string& text) {
     const JsonValue v = JsonValue::parse(line);
     HXSP_CHECK_MSG(v.is_object(), "trace line is not a JSON object");
     Message m;
-    m.src = static_cast<ServerId>(v.at("src").as_i64());
-    m.dst = static_cast<ServerId>(v.at("dst").as_i64());
-    m.packets = v.at("packets").as_int();
-    m.phase = v.at("phase").as_int();
-    if (const JsonValue* deps = v.find("deps"))
-      for (const JsonValue& d : deps->array())
-        m.deps.push_back(static_cast<std::int32_t>(d.as_i64()));
-    msgs.push_back(std::move(m));
+    m.src = trace_int(v.at("src"), line_no, "src");
+    m.dst = trace_int(v.at("dst"), line_no, "dst");
+    m.packets = trace_int(v.at("packets"), line_no, "packets");
+    m.phase = trace_int(v.at("phase"), line_no, "phase");
+    deps.clear();
+    if (const JsonValue* d = v.find("deps")) {
+      const std::vector<JsonValue>& items = d->array();
+      for (std::size_t k = 0; k < items.size(); ++k)
+        deps.push_back(trace_int(items[k], line_no, "deps", k));
+    }
+    msgs.push_back(m, deps);
   }
   return msgs;
 }
 
-std::vector<Message> load_trace_file(const std::string& path) {
+MessageList load_trace_file(const std::string& path) {
   return trace_from_jsonl(read_file_or_die(path));
 }
 
-bool save_trace_file(const std::string& path,
-                     const std::vector<Message>& msgs) {
+bool save_trace_file(const std::string& path, const MessageList& msgs) {
   return write_whole_file(path, trace_to_jsonl(msgs));
 }
 

@@ -13,12 +13,13 @@
 /// messages that must be fully consumed before this one may start.
 /// When *no* line in the file carries deps, the loader in
 /// workload/workload.cpp applies the default per-server phase wiring
-/// (wire_phase_deps). Blank lines are ignored. The codec round-trips
-/// losslessly: parse(write(msgs)) == msgs, and re-writing a parsed
-/// trace reproduces it byte for byte.
+/// (wire_phase_deps). Blank lines are ignored. Every number must be an
+/// integer that fits its field (32-bit signed), or the loader aborts
+/// naming the line and key: 2^32 + k must not read as k. The codec
+/// round-trips losslessly: parse(write(msgs)) == msgs, and re-writing a
+/// parsed trace reproduces it byte for byte.
 
 #include <string>
-#include <vector>
 
 #include "workload/workload.hpp"
 
@@ -26,17 +27,17 @@ namespace hxsp {
 
 /// Renders \p msgs as JSONL (one newline-terminated object per message;
 /// "deps" emitted only when non-empty).
-std::string trace_to_jsonl(const std::vector<Message>& msgs);
+std::string trace_to_jsonl(const MessageList& msgs);
 
 /// Inverse of trace_to_jsonl. Aborts (HXSP_CHECK) on malformed lines or
 /// missing required keys. No dependency wiring or validation happens
 /// here — see TraceReplay / validate_workload.
-std::vector<Message> trace_from_jsonl(const std::string& text);
+MessageList trace_from_jsonl(const std::string& text);
 
 /// Reads and parses \p path; aborts when the file cannot be read.
-std::vector<Message> load_trace_file(const std::string& path);
+MessageList load_trace_file(const std::string& path);
 
 /// Writes trace_to_jsonl(msgs) to \p path. Returns false on I/O error.
-bool save_trace_file(const std::string& path, const std::vector<Message>& msgs);
+bool save_trace_file(const std::string& path, const MessageList& msgs);
 
 } // namespace hxsp

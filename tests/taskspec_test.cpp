@@ -211,6 +211,47 @@ TEST(TaskSpecCodec, MalformedManifestFailsNamingTheKeyPath) {
                "wrong JSON type for key: spec\\.sim\\.num_vcs");
 }
 
+TEST(TaskSpecCodec, IntegerThatDoesNotFitItsFieldFailsNamingTheKeyPath) {
+  ExperimentSpec spec = small_spec();
+  spec.fault_links = {29};
+  TaskSpec task = TaskSpec::rate(spec, 0.5);
+  task.events = {{400, 2}};
+  const std::string good = manifest_to_json({task});
+  ASSERT_EQ(manifest_from_json(good)[0].spec.fault_links[0], 29);
+  // 29 + 2^32 used to narrow to link 29 and run as if it were.
+  EXPECT_DEATH(manifest_from_json(edited(good, "\"fault_links\":[29]",
+                                         "\"fault_links\":[4294967325]")),
+               "spec\\.fault_links\\[0\\] = 4294967325 is not an integer in "
+               "\\[-2147483648, 2147483647\\]");
+  EXPECT_DEATH(manifest_from_json(edited(good, "\"link\":2",
+                                         "\"link\":4294967298")),
+               "events\\[0\\]\\.link = 4294967298 is not an integer");
+  EXPECT_DEATH(manifest_from_json(edited(good, "\"at\":400",
+                                         "\"at\":9223372036854775808")),
+               "events\\[0\\]\\.at = 9223372036854775808 is not an integer");
+  EXPECT_DEATH(manifest_from_json(edited(good, "\"seed\":7", "\"seed\":-1")),
+               "spec\\.seed = -1 is not an integer in "
+               "\\[0, 18446744073709551615\\]");
+  EXPECT_DEATH(manifest_from_json(edited(good, "\"num_vcs\":4",
+                                         "\"num_vcs\":4.5")),
+               "spec\\.sim\\.num_vcs = 4\\.5 is not an integer");
+  EXPECT_DEATH(manifest_from_json(edited(good, "\"num_vcs\":4",
+                                         "\"num_vcs\":4e0")),
+               "spec\\.sim\\.num_vcs = 4e0 is not an integer");
+}
+
+TEST(JsonIo, IntegerAccessorsRejectWhatDoesNotFit) {
+  EXPECT_EQ(JsonValue::parse("-2147483648").as_int(), -2147483647 - 1);
+  EXPECT_EQ(JsonValue::parse("2.5").to_i64(), std::nullopt);
+  EXPECT_EQ(JsonValue::parse("9223372036854775808").to_i64(), std::nullopt);
+  EXPECT_EQ(JsonValue::parse("-1").to_u64(), std::nullopt);
+  EXPECT_EQ(JsonValue::parse("\"7\"").to_i64(), std::nullopt);
+  EXPECT_DEATH(JsonValue::parse("2147483648").as_int(),
+               "JSON value = 2147483648 is not an integer");
+  EXPECT_DEATH(JsonValue::parse("1.0").as_i64(),
+               "JSON value = 1\\.0 is not an integer");
+}
+
 // ---------------------------------------------------------------------------
 // spec -> JSON -> spec -> identical results: the acceptance criterion.
 // ---------------------------------------------------------------------------

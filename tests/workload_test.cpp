@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <set>
 
@@ -25,16 +26,27 @@
 namespace hxsp {
 namespace {
 
-std::vector<Message> build(const WorkloadParams& p, ServerId n,
-                           std::uint64_t seed = 7) {
+MessageList build(const WorkloadParams& p, ServerId n,
+                  std::uint64_t seed = 7) {
   Rng rng(seed);
-  std::vector<Message> msgs = make_workload(p)->build(n, rng);
+  MessageList msgs = make_workload(p)->build(n, rng);
   validate_workload(msgs, n);
   return msgs;
 }
 
+/// A list of \p records, record i depending on \p deps[i] (none when
+/// \p deps is shorter).
+MessageList make_list(const std::vector<Message>& records,
+                      const std::vector<std::vector<std::int32_t>>& deps = {}) {
+  MessageList msgs;
+  for (std::size_t i = 0; i < records.size(); ++i)
+    msgs.push_back(records[i], i < deps.size() ? deps[i]
+                                               : std::vector<std::int32_t>{});
+  return msgs;
+}
+
 /// Messages of one phase, in message order.
-std::vector<Message> phase_of(const std::vector<Message>& msgs, int phase) {
+std::vector<Message> phase_of(const MessageList& msgs, int phase) {
   std::vector<Message> out;
   for (const Message& m : msgs)
     if (m.phase == phase) out.push_back(m);
@@ -81,13 +93,14 @@ TEST(WorkloadGen, RingAllReduceChainsNeighbours) {
   for (const Message& m : msgs) EXPECT_EQ(m.dst, (m.src + 1) % n);
   // Step k's send by server i depends exactly on step k-1's chunk
   // received by i (sent by i-1): the receive-before-send chain.
-  for (const Message& m : msgs) {
+  for (std::size_t i = 0; i < msgs.size(); ++i) {
+    const Message& m = msgs[i];
     if (m.phase == 0) {
-      EXPECT_TRUE(m.deps.empty());
+      EXPECT_TRUE(msgs.deps(i).empty());
       continue;
     }
-    ASSERT_EQ(m.deps.size(), 1u);
-    const Message& dep = msgs[static_cast<std::size_t>(m.deps[0])];
+    ASSERT_EQ(msgs.deps(i).size(), 1u);
+    const Message& dep = msgs[static_cast<std::size_t>(msgs.deps(i)[0])];
     EXPECT_EQ(dep.phase, m.phase - 1);
     EXPECT_EQ(dep.dst, m.src);
   }
@@ -114,7 +127,11 @@ TEST(WorkloadGen, HaloExchangesDistinctTorusNeighbours) {
   // 4 distinct neighbours per server per round on a 4x4 torus.
   EXPECT_EQ(msgs.size(), 2u * 16 * 4);
   // Round 1 messages depend on the halos received in round 0.
-  for (const Message& m : phase_of(msgs, 1)) EXPECT_EQ(m.deps.size(), 4u);
+  for (std::size_t i = 0; i < msgs.size(); ++i) {
+    if (msgs[i].phase == 1) {
+      EXPECT_EQ(msgs.deps(i).size(), 4u);
+    }
+  }
 
   WorkloadParams p3;
   p3.name = "halo3d";
@@ -159,27 +176,71 @@ TEST(WorkloadGen, RandomGraphHonoursFanout) {
 TEST(WorkloadDeps, WiresInboundThenOwnSendsThenNothing) {
   // phase 0: 0->1, 2->1, 3->2; phase 1: 1->0 (inbound deps),
   // 3->0 (no inbound: falls back to own phase-0 send), 4->0 (idle: none).
-  std::vector<Message> msgs = {
-      {0, 1, 1, 0, {}}, {2, 1, 1, 0, {}}, {3, 2, 1, 0, {}},
-      {1, 0, 1, 1, {}}, {3, 0, 1, 1, {}}, {4, 0, 1, 1, {}},
-  };
+  MessageList msgs = make_list({
+      {0, 1, 1, 0}, {2, 1, 1, 0}, {3, 2, 1, 0},
+      {1, 0, 1, 1}, {3, 0, 1, 1}, {4, 0, 1, 1},
+  });
   wire_phase_deps(msgs);
-  EXPECT_EQ(msgs[3].deps, (std::vector<std::int32_t>{0, 1}));
-  EXPECT_EQ(msgs[4].deps, (std::vector<std::int32_t>{2}));
-  EXPECT_TRUE(msgs[5].deps.empty());
+  auto deps = [&](std::size_t i) {
+    return std::vector<std::int32_t>(msgs.deps(i).begin(), msgs.deps(i).end());
+  };
+  EXPECT_EQ(deps(3), (std::vector<std::int32_t>{0, 1}));
+  EXPECT_EQ(deps(4), (std::vector<std::int32_t>{2}));
+  EXPECT_TRUE(deps(5).empty());
   validate_workload(msgs, 5);
 }
 
 TEST(WorkloadDeps, ValidateRejectsBadInput) {
-  EXPECT_DEATH(validate_workload({{0, 9, 1, 0, {}}}, 4), "out of range");
-  EXPECT_DEATH(validate_workload({{1, 1, 1, 0, {}}}, 4), "to self");
-  EXPECT_DEATH(validate_workload({{0, 1, 0, 0, {}}}, 4), "without packets");
+  EXPECT_DEATH(validate_workload(make_list({{0, 9, 1, 0}}), 4), "out of range");
+  EXPECT_DEATH(validate_workload(make_list({{1, 1, 1, 0}}), 4), "to self");
+  EXPECT_DEATH(validate_workload(make_list({{0, 1, 0, 0}}), 4),
+               "without packets");
   // Phase numbers are bounded by the message count: an absurd phase in
   // a trace must abort cleanly, not OOM the per-phase bookkeeping.
-  EXPECT_DEATH(validate_workload({{0, 1, 1, 2000000000, {}}}, 4), "phase");
+  EXPECT_DEATH(validate_workload(make_list({{0, 1, 1, 2000000000}}), 4),
+               "phase");
   // A two-message dependency cycle can never be scheduled.
-  EXPECT_DEATH(
-      validate_workload({{0, 1, 1, 0, {1}}, {1, 0, 1, 0, {0}}}, 4), "cycle");
+  EXPECT_DEATH(validate_workload(
+                   make_list({{0, 1, 1, 0}, {1, 0, 1, 0}}, {{1}, {0}}), 4),
+               "cycle");
+}
+
+TEST(WorkloadDeps, WiresAPhasePerMessageTraceInLinearTime) {
+  // 100k messages, each in its own phase, over 100k servers: a table per
+  // (phase, server) would need 10^10 cells. Message i (i -> i+1, phase i)
+  // depends on message i-1, the one server i received in phase i-1.
+  constexpr ServerId kN = 100000;
+  MessageList msgs;
+  msgs.reserve(kN);
+  for (ServerId i = 0; i < kN; ++i) msgs.push_back({i, (i + 1) % kN, 1, i});
+  const auto t0 = std::chrono::steady_clock::now();
+  wire_phase_deps(msgs);
+  validate_workload(msgs, kN);
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(took.count(), 1.0);
+  ASSERT_EQ(msgs.num_deps(), static_cast<std::size_t>(kN - 1));
+  EXPECT_TRUE(msgs.deps(0).empty());
+  for (std::size_t i = 1; i < msgs.size(); ++i) {
+    ASSERT_EQ(msgs.deps(i).size(), 1u);
+    ASSERT_EQ(msgs.deps(i)[0], static_cast<std::int32_t>(i - 1));
+  }
+}
+
+TEST(WorkloadDeps, BareRecordsMeanTheDefaultWiring) {
+  // A std::vector<Message> converts to the phase-wired list and back.
+  const std::vector<Message> records = {
+      {0, 1, 1, 0}, {1, 2, 1, 1}, {2, 0, 1, 2}, {1, 0, 1, 2}};
+  MessageList wired = make_list(records);
+  wire_phase_deps(wired);
+  const MessageList converted = records;
+  EXPECT_EQ(converted, wired);
+  EXPECT_TRUE(converted.phase_wired());
+  EXPECT_EQ(std::vector<Message>(MessageList(records)), records);
+  // Explicit dependencies have no bare-record form.
+  EXPECT_FALSE(make_list(records).phase_wired());
+  EXPECT_DEATH(std::vector<Message>(make_list(records, {{}, {0}})),
+               "explicit dependencies");
 }
 
 // ---------------------------------------------------------------------------
@@ -187,10 +248,10 @@ TEST(WorkloadDeps, ValidateRejectsBadInput) {
 // ---------------------------------------------------------------------------
 
 TEST(WorkloadTrace, RoundTripsLosslesslyAndByteStably) {
-  std::vector<Message> msgs = {
-      {0, 5, 4, 0, {}}, {5, 0, 2, 1, {0}}, {3, 1, 1, 1, {0, 1}}};
+  const MessageList msgs =
+      make_list({{0, 5, 4, 0}, {5, 0, 2, 1}, {3, 1, 1, 1}}, {{}, {0}, {0, 1}});
   const std::string text = trace_to_jsonl(msgs);
-  const std::vector<Message> back = trace_from_jsonl(text);
+  const MessageList back = trace_from_jsonl(text);
   EXPECT_EQ(back, msgs);
   EXPECT_EQ(trace_to_jsonl(back), text);
 }
@@ -203,8 +264,32 @@ TEST(WorkloadTrace, ToleratesBlankLinesAndNoDeps) {
       "{\"src\":1,\"dst\":0,\"packets\":2,\"phase\":1}\n";
   const auto msgs = trace_from_jsonl(text);
   ASSERT_EQ(msgs.size(), 2u);
-  EXPECT_TRUE(msgs[0].deps.empty());
+  EXPECT_TRUE(msgs.deps(0).empty());
   EXPECT_EQ(msgs[1].phase, 1);
+}
+
+TEST(WorkloadTrace, RejectsNumbersThatDoNotFitTheirField) {
+  // 2^32 + k used to narrow to k: a different, valid-looking trace.
+  const std::string ok = "{\"src\":0,\"dst\":1,\"packets\":2,\"phase\":0}\n\n";
+  EXPECT_DEATH(trace_from_jsonl(ok + "{\"src\":4294967297,\"dst\":0,"
+                                     "\"packets\":2,\"phase\":1}\n"),
+               "trace line 3: src = 4294967297 is not an integer in "
+               "\\[-2147483648, 2147483647\\]");
+  EXPECT_DEATH(trace_from_jsonl(ok + "{\"src\":1,\"dst\":-4294967296,"
+                                     "\"packets\":2,\"phase\":1}\n"),
+               "trace line 3: dst = -4294967296 is not an integer");
+  EXPECT_DEATH(trace_from_jsonl(ok + "{\"src\":1,\"dst\":0,\"packets\":2,"
+                                     "\"phase\":1,\"deps\":[0,4294967296]}\n"),
+               "trace line 3: deps\\[1\\] = 4294967296 is not an integer");
+  EXPECT_DEATH(trace_from_jsonl(ok + "{\"src\":1,\"dst\":0,\"packets\":2.5,"
+                                     "\"phase\":1}\n"),
+               "trace line 3: packets = 2\\.5 is not an integer");
+  EXPECT_DEATH(trace_from_jsonl(ok + "{\"src\":1,\"dst\":0,\"packets\":2,"
+                                     "\"phase\":1e0}\n"),
+               "trace line 3: phase = 1e0 is not an integer");
+  EXPECT_DEATH(trace_from_jsonl(ok + "{\"src\":\"1\",\"dst\":0,"
+                                     "\"packets\":2,\"phase\":1}\n"),
+               "trace line 3: src = \\(not a number\\)");
 }
 
 // ---------------------------------------------------------------------------
@@ -293,9 +378,9 @@ TEST(WorkloadEngine, EmptyPhaseGapIsVacuouslyComplete) {
   // must not report it as "never finished" (-1).
   const std::string path = testing::TempDir() + "/hxsp_wl_gap_" +
                            std::to_string(::getpid()) + ".jsonl";
-  std::vector<Message> msgs;
-  for (ServerId i = 0; i < 16; ++i) msgs.push_back({i, (i + 1) % 16, 1, 0, {}});
-  for (ServerId i = 0; i < 16; ++i) msgs.push_back({i, (i + 1) % 16, 1, 2, {}});
+  MessageList msgs;
+  for (ServerId i = 0; i < 16; ++i) msgs.push_back({i, (i + 1) % 16, 1, 0});
+  for (ServerId i = 0; i < 16; ++i) msgs.push_back({i, (i + 1) % 16, 1, 2});
   ASSERT_TRUE(save_trace_file(path, msgs));
   WorkloadParams p;
   p.name = "trace";
