@@ -33,7 +33,7 @@ double escape_stretch(const Graph& g, const EscapeUpDown& esc,
                       const DistanceTable& dist) {
   double sum = 0;
   long count = 0;
-  std::vector<EscapeCand> cand;
+  std::vector<Candidate> cand;
   for (SwitchId a = 0; a < g.num_switches(); ++a) {
     for (SwitchId b = 0; b < g.num_switches(); ++b) {
       if (a == b) continue;
@@ -44,10 +44,10 @@ double escape_stretch(const Graph& g, const EscapeUpDown& esc,
         cand.clear();
         esc.candidates(c, b, gone_down, cand);
         HXSP_CHECK(!cand.empty());
-        const EscapeCand* best = &cand.front();
+        const Candidate* best = &cand.front();
         for (const auto& ec : cand)
           if (ec.penalty < best->penalty) best = &ec;
-        if (best->down_black) gone_down = true;
+        if (best->escape_down) gone_down = true;
         c = g.port(c, best->port).neighbor;
         ++hops;
       }

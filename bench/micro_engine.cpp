@@ -40,10 +40,10 @@ void BM_EscapeConstruction(benchmark::State& state) {
 }
 BENCHMARK(BM_EscapeConstruction)->Arg(8)->Arg(16);
 
-void BM_EscapeCandidates(benchmark::State& state) {
+void BM_EscapeUpDownCandidates(benchmark::State& state) {
   const HyperX hx = HyperX::regular(2, 8, 1);
   EscapeUpDown esc(hx.graph(), {.root = 0, .strict_phase = false, .penalties = {}, .use_shortcuts = true});
-  std::vector<EscapeCand> out;
+  std::vector<Candidate> out;
   SwitchId c = 1;
   for (auto _ : state) {
     out.clear();
@@ -53,7 +53,7 @@ void BM_EscapeCandidates(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_EscapeCandidates);
+BENCHMARK(BM_EscapeUpDownCandidates);
 
 template <typename Algo>
 void BM_RouteCandidates(benchmark::State& state) {
@@ -66,7 +66,7 @@ void BM_RouteCandidates(benchmark::State& state) {
   p.dst_switch = hx.num_switches() - 1;
   p.src_server = 0;
   p.dst_server = hx.num_servers() - 1;
-  std::vector<PortCand> out;
+  std::vector<Candidate> out;
   SwitchId c = 0;
   for (auto _ : state) {
     out.clear();
@@ -93,12 +93,11 @@ void BM_MechanismCandidates(benchmark::State& state, const char* name) {
   p.dst_switch = hx.num_switches() - 1;
   p.src_server = 0;
   p.dst_server = hx.num_servers() - 1;
-  RouteScratch scratch;
   std::vector<Candidate> out;
   SwitchId c = 0;
   for (auto _ : state) {
     out.clear();
-    if (c != p.dst_switch) mech->candidates(ctx, p, c, scratch, out);
+    if (c != p.dst_switch) mech->candidates(ctx, p, c, out);
     benchmark::DoNotOptimize(out.data());
     c = (c + 1) % hx.num_switches();
   }

@@ -6,9 +6,14 @@
 ///
 /// Run: ./examples/fault_drill [--side=8]
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "harness/experiment.hpp"
+#include "telemetry/capture.hpp"
 #include "topology/faults.hpp"
 #include "util/options.hpp"
 
@@ -58,26 +63,44 @@ int main(int argc, char** argv) {
   report("PolSP under Row fault:", e_row.run_load(0.9));
 
   // 3. Cross through the root: the stress case. Also show where the load
-  //    concentrates (the paper's root-congestion analysis).
+  //    concentrates (the paper's root-congestion analysis), from the
+  //    per-link series of a telemetry capture whose first window is the
+  //    warmup.
   ExperimentSpec s_cross = base;
   s_cross.fault_links = cross.links;
   s_cross.escape_root = center;
+  s_cross.sim.telemetry_window = base.warmup;
   Experiment e_cross(s_cross);
+  TelemetryCapture cap;
+  e_cross.attach_telemetry(&cap);
   std::printf("\n-- Cross fault: %zu links removed, root keeps %d links --\n",
               cross.links.size(), [&] {
                 Graph g = scratch.graph();
                 apply_faults(g, cross.links);
                 return g.alive_degree(center);
               }());
-  auto [cross_row, hot] = e_cross.run_load_hotspots(0.9, 5);
-  report("PolSP under Cross fault:", cross_row);
+  report("PolSP under Cross fault:", e_cross.run_load(0.9));
+  // Phits each directed link sent after the warmup window, busiest first.
+  std::vector<std::pair<std::int64_t, const LinkWindowSeries*>> hot;
+  for (const LinkWindowSeries& l : cap.links)
+    hot.push_back({l.total - l.phits.front(), &l});
+  const std::size_t top = std::min<std::size_t>(hot.size(), 5);
+  std::partial_sort(hot.begin(), hot.begin() + static_cast<std::ptrdiff_t>(top),
+                    hot.end(), [](const auto& a, const auto& b) {
+                      return a.first > b.first;
+                    });
   std::printf("hottest links (phits/cycle):\n");
-  for (const auto& h : hot) {
-    const auto& cf = e_cross.hyperx().coords(h.from);
-    const auto& ct = e_cross.hyperx().coords(h.to);
+  if (hot.empty())
+    std::printf("  (no per-link series above %zu directed links)\n",
+                TelemetryRegistry::kMaxLinkSeriesLinks);
+  for (std::size_t i = 0; i < top; ++i) {
+    const LinkWindowSeries& l = *hot[i].second;
+    const auto& cf = e_cross.hyperx().coords(l.sw);
+    const auto& ct = e_cross.hyperx().coords(l.to);
     std::printf("  (%d,%d)->(%d,%d)  %.2f%s\n", cf[0], cf[1], ct[0], ct[1],
-                h.load,
-                (h.from == center || h.to == center) ? "   <- escape root" : "");
+                static_cast<double>(hot[i].first) /
+                    static_cast<double>(base.measure),
+                (l.sw == center || l.to == center) ? "   <- escape root" : "");
   }
 
   // 4. Contrast: DOR loses routes with a single dead link.

@@ -342,6 +342,33 @@ else
   echo "SKIP    2^32-aliased trace src (ext_workloads or hxsp_runner missing)"
 fi
 
+# A result CSV whose numeric cell is garbled must fail the merge naming the
+# row and the column, not merge the cell as 0: fig06's CSV with the first
+# record's accepted cell set to "abc".
+if [[ -s "$WORK_DIR/fig06_random_faults.csv" && -x "$RUNNER" ]] &&
+   command -v python3 > /dev/null; then
+  python3 - "$WORK_DIR/fig06_random_faults.csv" "$WORK_DIR/garbled.csv" <<'PY'
+import csv, sys
+rows = list(csv.reader(open(sys.argv[1], newline="")))
+rows[1][rows[0].index("accepted")] = "abc"
+csv.writer(open(sys.argv[2], "w", newline=""), lineterminator="\n").writerows(rows)
+PY
+  if "$RUNNER" --merge="$WORK_DIR/garbled_merged.csv" "$WORK_DIR/garbled.csv" \
+       > "$WORK_DIR/garbled.out" 2>&1; then
+    echo "FAIL    garbled result cell (hxsp_runner --merge exited 0)"
+    FAILED=1
+  elif ! grep -q "result CSV row 2, column accepted: 'abc'" \
+         "$WORK_DIR/garbled.out"; then
+    echo "FAIL    garbled result cell (no row and column in the message)"
+    tail -5 "$WORK_DIR/garbled.out"
+    FAILED=1
+  else
+    echo "OK      garbled result cell (hxsp_runner --merge exits non-zero, names row and column)"
+  fi
+else
+  echo "SKIP    garbled result cell (fig06 CSV, hxsp_runner or python3 missing)"
+fi
+
 # The example programs run end to end at their built-in scale (a few
 # seconds in total); each must exit cleanly.
 for example in quickstart custom_topology fault_drill completion_race; do

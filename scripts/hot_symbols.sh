@@ -22,8 +22,9 @@ for bin in "$@"; do
   fi
 done
 
-SYMBOLS=(Router::alloc_phase Router::link_phase RoutingMechanism::candidates
-         Network::step)
+SYMBOLS=(Router::alloc_phase Router::link_phase Router::compute_candidates
+         RoutingMechanism::candidates PolarizedAlgorithm::ports
+         EscapeUpDown::candidates Network::step)
 
 # "<addr mod 64> <size>" of the first non-clone definition of hxsp::$2, or
 # "- -" when the binary does not define it.

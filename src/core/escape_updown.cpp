@@ -95,7 +95,7 @@ EscapeUpDown::EscapeUpDown(const Graph& g, const Config& cfg)
 }
 
 void EscapeUpDown::candidates(SwitchId current, SwitchId target, bool gone_down,
-                              std::vector<EscapeCand>& out) const {
+                              std::vector<Candidate>& out) const {
   const auto uc = static_cast<std::size_t>(current);
   // ud_ is symmetric and u_'s target row is contiguous, so both per-
   // neighbour probes below walk the same two rows of bytes.
@@ -123,14 +123,14 @@ void EscapeUpDown::candidates(SwitchId current, SwitchId target, bool gone_down,
       if (ud_n >= ud_c) continue;
       if (black) {
         if (lvl_n < lvl_c) {
-          out.push_back({p, pen.up, false});
+          out.push_back(Candidate::escape_hop(p, pen.up, false));
         } else {
-          out.push_back({p, pen.down, true});
+          out.push_back(Candidate::escape_hop(p, pen.down, true));
         }
       } else if (cfg_.use_shortcuts) {
         const int delta = ud_c - ud_n;
         const int pnl = delta >= 3 ? pen.red3 : (delta == 2 ? pen.red2 : pen.red1);
-        out.push_back({p, pnl, false});
+        out.push_back(Candidate::escape_hop(p, pnl, false));
       }
       continue;
     }
@@ -141,25 +141,25 @@ void EscapeUpDown::candidates(SwitchId current, SwitchId target, bool gone_down,
     // Up before Down, as in classical up*/down* routing.
     if (!gone_down) {
       if (black && lvl_n < lvl_c && ud_n == ud_c - 1) {
-        out.push_back({p, pen.up, false});
+        out.push_back(Candidate::escape_hop(p, pen.up, false));
       } else if (black && lvl_n > lvl_c && ut_n != kUnreachable &&
                  ut_c != kUnreachable && ut_n == ut_c - 1) {
-        out.push_back({p, pen.down, true});
+        out.push_back(Candidate::escape_hop(p, pen.down, true));
       } else if (!black && cfg_.use_shortcuts && nb.neighbor < current &&
                  ud_n < ud_c) {
         const int delta = ud_c - ud_n;
         const int pnl = delta >= 3 ? pen.red3 : (delta == 2 ? pen.red2 : pen.red1);
-        out.push_back({p, pnl, false});
+        out.push_back(Candidate::escape_hop(p, pnl, false));
       }
     } else {
       if (black && lvl_n > lvl_c && ut_n != kUnreachable &&
           ut_c != kUnreachable && ut_n == ut_c - 1) {
-        out.push_back({p, pen.down, true});
+        out.push_back(Candidate::escape_hop(p, pen.down, true));
       } else if (!black && cfg_.use_shortcuts && nb.neighbor > current &&
                  ut_n != kUnreachable && ut_c != kUnreachable && ut_n < ut_c) {
         const int delta = ut_c - ut_n;
         const int pnl = delta >= 3 ? pen.red3 : (delta == 2 ? pen.red2 : pen.red1);
-        out.push_back({p, pnl, false});
+        out.push_back(Candidate::escape_hop(p, pnl, false));
       }
     }
   }

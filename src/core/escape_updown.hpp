@@ -30,7 +30,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "routing/mechanism.hpp" // EscapeCand
+#include "routing/mechanism.hpp" // Candidate
 #include "topology/graph.hpp"
 #include "util/fields.hpp"
 #include "util/types.hpp"
@@ -94,11 +94,12 @@ class EscapeUpDown {
     return ud_[static_cast<std::size_t>(a) * n_ + static_cast<std::size_t>(b)];
   }
 
-  /// Appends the legal escape candidates for a packet at \p current headed
-  /// to \p target. \p gone_down is the packet's strict-phase bit (ignored
-  /// in the default memoryless mode).
+  /// Appends one Candidate::escape_hop entry per legal escape hop for a
+  /// packet at \p current headed to \p target, its VC range left to the
+  /// caller. \p gone_down is the packet's strict-phase bit (ignored in the
+  /// default memoryless mode).
   void candidates(SwitchId current, SwitchId target, bool gone_down,
-                  std::vector<EscapeCand>& out) const;
+                  std::vector<Candidate>& out) const;
 
   /// The configured root.
   SwitchId root() const { return cfg_.root; }

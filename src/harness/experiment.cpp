@@ -97,10 +97,6 @@ Experiment::Experiment(const ExperimentSpec& spec)
   ctx_.packet_length = spec_.sim.packet_length;
 }
 
-ResultRow Experiment::run_load(double offered) {
-  return run_load_hotspots(offered, 0).first;
-}
-
 void Experiment::set_step_threads(int threads) {
   HXSP_CHECK(threads >= 0);
   if (threads == 0) {
@@ -173,42 +169,11 @@ ResultRow Experiment::rate_row(double offered, const Network& net) const {
   return row;
 }
 
-namespace {
-
-/// The \p n links of \p net that sent the most phits since the window
-/// opened, hottest first, each normalised by the window's \p cycles.
-std::vector<LinkLoad> hottest_links(const Network& net, int n, Cycle cycles) {
-  HXSP_CHECK(cycles > 0);
-  const Graph& g = *net.ctx().graph;
-  std::vector<LinkLoad> all;
-  for (SwitchId s = 0; s < g.num_switches(); ++s) {
-    for (Port p = 0; p < g.degree(s); ++p) {
-      const std::int64_t v = net.router(s).link_phits(p);
-      if (v == 0) continue;
-      all.push_back({s, p, g.port(s, p).neighbor,
-                     static_cast<double>(v) / static_cast<double>(cycles)});
-    }
-  }
-  const std::size_t keep =
-      std::min<std::size_t>(all.size(), static_cast<std::size_t>(n));
-  std::partial_sort(
-      all.begin(), all.begin() + static_cast<std::ptrdiff_t>(keep), all.end(),
-      [](const LinkLoad& a, const LinkLoad& b) { return a.load > b.load; });
-  all.resize(keep);
-  return all;
-}
-
-} // namespace
-
-std::pair<ResultRow, std::vector<LinkLoad>>
-Experiment::run_load_hotspots(double offered, int top_n) {
+ResultRow Experiment::run_load(double offered) {
   RunPlan plan;
   plan.seed = rng_.fork(0x10AD).next_u64();
   plan.start = [offered](Network& net) { net.set_offered_load(offered); };
-  const std::unique_ptr<Network> net = simulate(plan);
-  std::vector<LinkLoad> hot;
-  if (top_n > 0) hot = hottest_links(*net, top_n, spec_.measure);
-  return {rate_row(offered, *net), hot};
+  return rate_row(offered, *simulate(plan));
 }
 
 CompletionResult Experiment::run_completion(long packets_per_server,
@@ -240,9 +205,7 @@ WorkloadResult Experiment::run_workload(const WorkloadParams& params,
   Rng wl_rng = rng_.fork(0xE1);
   const ServerId num_servers = hx_->num_servers();
   const std::unique_ptr<Workload> wl = make_workload(params);
-  MessageList msgs = wl->build(num_servers, wl_rng);
-  validate_workload(msgs, num_servers);
-  WorkloadRun run(std::move(msgs));
+  WorkloadRun run(wl->build(num_servers, wl_rng));
 
   WorkloadResult res;
   res.mechanism = mech_->name();
@@ -407,12 +370,11 @@ int Experiment::walk_route(SwitchId src, SwitchId dst, int max_hops) {
   SwitchId cur = src;
   mech_->on_arrival(ctx_, pkt, cur);
   int hops = 0;
-  RouteScratch scratch;
   std::vector<Candidate> cand;
   while (cur != dst) {
     if (hops >= max_hops) return -1;
     cand.clear();
-    mech_->candidates(ctx_, pkt, cur, scratch, cand);
+    mech_->candidates(ctx_, pkt, cur, cand);
     if (cand.empty()) return -1;
     // Deterministic greedy walk: lowest penalty, then lowest port, then
     // lowest VC (an entry's lowest is its vc_lo).

@@ -168,15 +168,6 @@ struct MultitenantResult {
   ServerId num_servers = 0;    ///< for normalising the series to a rate
 };
 
-/// One directed switch-to-switch link and its load over a measurement
-/// window (run_load_hotspots).
-struct LinkLoad {
-  SwitchId from = kInvalid;
-  Port port = kInvalid;
-  SwitchId to = kInvalid;
-  double load = 0; ///< phits per cycle, in [0, 1]
-};
-
 /// Builds and runs simulations for one spec. The topology/table/escape
 /// construction happens once in the constructor; each run_* call spins up
 /// a fresh Network (fresh buffers/rng) over the shared structures.
@@ -186,11 +177,6 @@ class Experiment {
 
   /// One rate-mode simulation point at \p offered phits/cycle/server.
   ResultRow run_load(double offered);
-
-  /// Like run_load, but also returns the \p top_n busiest directed links
-  /// over the measurement window (the paper's root-congestion analysis).
-  std::pair<ResultRow, std::vector<LinkLoad>> run_load_hotspots(
-      double offered, int top_n);
 
   /// A completion-mode run: every server sends \p packets_per_server
   /// packets as fast as it can; at most \p max_cycles are simulated.

@@ -7,7 +7,8 @@
 /// core, so every bench defaults to a *reduced* preset — same topology
 /// family, same VC budget, shorter warmup — that preserves all the
 /// qualitative results, and accepts --paper for the full-scale
-/// configuration. EXPERIMENTS.md records which scale produced each number.
+/// configuration. README's "Bench drivers → paper artefacts" table maps
+/// each driver to the paper artefact it regenerates.
 
 #include <string>
 #include <vector>

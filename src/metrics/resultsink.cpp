@@ -1,6 +1,8 @@
 #include "metrics/resultsink.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -46,29 +48,52 @@ std::string csv_field(const std::vector<std::int64_t>& series) {
   return out;
 }
 
-void parse_csv_field(const std::string& f, std::string& out) { out = f; }
-void parse_csv_field(const std::string& f, double& out) {
-  out = std::strtod(f.c_str(), nullptr);
+// Each reader returns false unless the whole cell is one token of its
+// type: no blanks, no trailing characters, integers in range.
+
+/// True when strto* stopped at the end of the non-empty \p f, and \p f
+/// does not start with a blank (which strto* would skip).
+bool whole_token(const std::string& f, const char* end) {
+  return !f.empty() && !std::isspace(static_cast<unsigned char>(f[0])) &&
+         end == f.c_str() + f.size();
 }
-void parse_csv_field(const std::string& f, std::int64_t& out) {
-  out = static_cast<std::int64_t>(std::strtoll(f.c_str(), nullptr, 10));
+
+bool parse_csv_field(const std::string& f, std::string& out) {
+  out = f;
+  return true;
 }
-void parse_csv_field(const std::string& f, std::uint64_t& out) {
-  out = std::strtoull(f.c_str(), nullptr, 10);
+bool parse_csv_field(const std::string& f, double& out) {
+  char* end = nullptr;
+  out = std::strtod(f.c_str(), &end);
+  return whole_token(f, end);
 }
-void parse_csv_field(const std::string& f, bool& out) {
+bool parse_csv_field(const std::string& f, std::int64_t& out) {
+  char* end = nullptr;
+  errno = 0;
+  out = static_cast<std::int64_t>(std::strtoll(f.c_str(), &end, 10));
+  return whole_token(f, end) && errno != ERANGE;
+}
+bool parse_csv_field(const std::string& f, std::uint64_t& out) {
+  char* end = nullptr;
+  errno = 0;
+  out = std::strtoull(f.c_str(), &end, 10);
+  // strtoull reads "-1" as its negation modulo 2^64.
+  return f[0] != '-' && whole_token(f, end) && errno != ERANGE;
+}
+bool parse_csv_field(const std::string& f, bool& out) {
   out = f == "1" || f == "true";
+  return out || f == "0" || f == "false";
 }
-void parse_csv_field(const std::string& f, std::vector<std::int64_t>& out) {
+bool parse_csv_field(const std::string& f, std::vector<std::int64_t>& out) {
   out.clear();
-  if (f.empty()) return;
+  if (f.empty()) return true;
   std::size_t start = 0;
   while (true) {
     const std::size_t pos = f.find('|', start);
     std::int64_t v = 0;
-    parse_csv_field(f.substr(start, pos - start), v);
+    if (!parse_csv_field(f.substr(start, pos - start), v)) return false;
     out.push_back(v);
-    if (pos == std::string::npos) return;
+    if (pos == std::string::npos) return true;
     start = pos + 1;
   }
 }
@@ -154,15 +179,22 @@ void copy_series(ResultRecord& rec, const TimeSeries& ts) {
     rec.series.push_back(ts.bucket(b));
 }
 
-/// Inverse of csv_line() without the escaping: one field per column.
-ResultRecord record_from_fields(const std::vector<std::string>& f) {
+/// Inverse of csv_line() without the escaping: reads one field per column
+/// into \p r. Returns "" or, for the first cell that is not a whole token
+/// of its column's type, what is wrong with it.
+std::string record_from_fields(const std::vector<std::string>& f,
+                               ResultRecord& r) {
   HXSP_CHECK_MSG(f.size() == ResultSink::columns().size(),
                  "result record has wrong column count");
-  ResultRecord r;
+  std::string error;
   std::size_t i = 0;
-  for_each_field<ResultRecord>(
-      [&](const auto& col) { parse_csv_field(f[i++], r.*col.member); });
-  return r;
+  for_each_field<ResultRecord>([&](const auto& col) {
+    const std::string& cell = f[i++];
+    if (!parse_csv_field(cell, r.*col.member) && error.empty())
+      error = std::string("column ") + col.name + ": '" + cell +
+              "' is not a value of the column's type";
+  });
+  return error;
 }
 
 } // namespace
@@ -468,8 +500,13 @@ std::vector<ResultRecord> ResultSink::parse_csv(const std::string& text) {
                  "CSV header does not match the shared result schema");
   std::vector<ResultRecord> records;
   records.reserve(rows.size() - 1);
-  for (std::size_t i = 1; i < rows.size(); ++i)
-    records.push_back(record_from_fields(rows[i]));
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    ResultRecord& rec = records.emplace_back();
+    const std::string error = record_from_fields(rows[i], rec);
+    HXSP_CHECK_MSG(error.empty(), ("result CSV row " + std::to_string(i + 1) +
+                                   ", " + error)
+                                      .c_str());
+  }
   return records;
 }
 
@@ -502,8 +539,10 @@ std::vector<ResultRecord> ResultSink::parse_csv_checkpoint(
   for (std::size_t i = 1; i < lines.size(); ++i) {
     const auto rows = csv_rows(lines[i]);
     if (rows.size() != 1 || rows.front().size() != columns().size())
-      break;  // a malformed row ends the clean prefix
-    records.push_back(record_from_fields(rows.front()));
+      break;  // a malformed row ends the clean prefix, as does a bad cell
+    ResultRecord rec;
+    if (!record_from_fields(rows.front(), rec).empty()) break;
+    records.push_back(std::move(rec));
     prefix += lines[i];
   }
   if (clean_prefix) *clean_prefix = std::move(prefix);

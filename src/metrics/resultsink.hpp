@@ -179,7 +179,9 @@ class ResultSink {
   bool write_csv(const std::string& path) const;
 
   /// Inverse of csv(): parses header + rows back into records. Aborts
-  /// (HXSP_CHECK) on input that does not match the shared schema.
+  /// (HXSP_CHECK) on input that does not match the shared schema, and,
+  /// naming the row and the column, on a numeric or boolean cell that is
+  /// not one whole token of its type.
   static std::vector<ResultRecord> parse_csv(const std::string& text);
 
   /// Lenient checkpoint parse: returns the records of the longest clean
@@ -187,7 +189,8 @@ class ResultSink {
   /// \p clean_prefix is non-null, the raw bytes of that prefix — what a
   /// resuming runner truncates the file back to before appending. An
   /// empty or headerless file yields no records and an empty prefix;
-  /// a row cut short by a crash is dropped, never half-parsed.
+  /// a row cut short by a crash, or one with a cell parse_csv rejects,
+  /// ends the prefix and is never half-parsed.
   static std::vector<ResultRecord> parse_csv_checkpoint(
       const std::string& text, std::string* clean_prefix);
 

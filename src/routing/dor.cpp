@@ -3,7 +3,7 @@
 namespace hxsp {
 
 void DorAlgorithm::ports(const NetworkContext& ctx, const Packet& p,
-                         SwitchId sw, std::vector<PortCand>& out) const {
+                         SwitchId sw, std::vector<Candidate>& out) const {
   HXSP_CHECK_MSG(ctx.hyperx, "DOR requires a HyperX topology");
   const HyperX& hx = *ctx.hyperx;
   for (int dim = 0; dim < hx.dims(); ++dim) {
@@ -13,14 +13,9 @@ void DorAlgorithm::ports(const NetworkContext& ctx, const Packet& p,
     const Port q = hx.port_towards(sw, dim, tgt);
     // The unique DOR next hop; if its link is dead, DOR is simply stuck —
     // that is the documented behaviour this baseline exists to exhibit.
-    if (ctx.graph->port_alive(sw, q)) out.push_back({q, 0, false});
+    if (ctx.graph->port_alive(sw, q)) out.push_back(Candidate::route(q, 0));
     return;
   }
-}
-
-int DorAlgorithm::max_hops(const NetworkContext& ctx) const {
-  HXSP_CHECK(ctx.hyperx);
-  return ctx.hyperx->dims();
 }
 
 } // namespace hxsp

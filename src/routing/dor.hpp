@@ -17,12 +17,8 @@ namespace hxsp {
 /// Deterministic dimension-ordered routing (HyperX only).
 class DorAlgorithm final : public RouteAlgorithm {
  public:
-  std::string name() const override { return "dor"; }
-
   void ports(const NetworkContext& ctx, const Packet& p, SwitchId sw,
-             std::vector<PortCand>& out) const override;
-
-  int max_hops(const NetworkContext& ctx) const override;
+             std::vector<Candidate>& out) const override;
 };
 
 } // namespace hxsp

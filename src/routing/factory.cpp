@@ -18,13 +18,8 @@ namespace {
 /// paper's mechanism grid and deliberately absent from mechanism_names().
 class EscapeOnlyAlgorithm final : public RouteAlgorithm {
  public:
-  std::string name() const override { return "none"; }
   void ports(const NetworkContext&, const Packet&, SwitchId,
-             std::vector<PortCand>&) const override {}
-  int max_hops(const NetworkContext& ctx) const override {
-    // Escape routes are bounded by one up-and-down traversal of the tree.
-    return 2 * ctx.dist->diameter();
-  }
+             std::vector<Candidate>&) const override {}
 };
 
 } // namespace

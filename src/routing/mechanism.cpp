@@ -4,6 +4,19 @@
 
 namespace hxsp {
 
+namespace {
+
+/// Sets the VC range [lo, hi] on the entries out[first..] a producer just
+/// appended.
+void set_vcs(std::vector<Candidate>& out, std::size_t first, Vc lo, Vc hi) {
+  for (std::size_t i = first; i < out.size(); ++i) {
+    out[i].vc_lo = static_cast<std::uint8_t>(lo);
+    out[i].vc_hi = static_cast<std::uint8_t>(hi);
+  }
+}
+
+} // namespace
+
 RoutingMechanism::RoutingMechanism(std::unique_ptr<RouteAlgorithm> algo,
                                    std::string display, CRoutVcPolicy policy,
                                    int rung_vcs, bool escape)
@@ -48,9 +61,8 @@ VcRange RoutingMechanism::routing_vcs(const NetworkContext& ctx, int hops,
       return {cur_vc <= top ? cur_vc : top, top};
     case CRoutVcPolicy::Rung: {
       // Saturate at the top rung: routes longer than the ladder keep using
-      // the last VC(s). In fault-free runs a ladder's max_hops() fits the
-      // configured VCs (the tests assert this); under faults its guarantee
-      // is void, which is precisely the paper's argument for SurePath.
+      // the last VC(s). Under faults the ladder's guarantee is void, which
+      // is precisely the paper's argument for SurePath.
       const int step = hops * rung_vcs_;
       const int top_rung = vcs - rung_vcs_;
       const Vc lo = static_cast<Vc>(step < top_rung ? step : top_rung);
@@ -61,34 +73,26 @@ VcRange RoutingMechanism::routing_vcs(const NetworkContext& ctx, int hops,
 }
 
 void RoutingMechanism::candidates(const NetworkContext& ctx, const Packet& p,
-                                  SwitchId sw, RouteScratch& scratch,
+                                  SwitchId sw,
                                   std::vector<Candidate>& out) const {
   HXSP_CHECK_MSG(!escape_ || ctx.escape,
                  "SurePath requires an escape subnetwork");
   // Rule 1: routing candidates, only for packets still on CRout (a ladder
   // packet always is).
   if (!p.in_escape) {
-    scratch.ports.clear();
-    algo_->ports(ctx, p, sw, scratch.ports);
+    const std::size_t first = out.size();
+    algo_->ports(ctx, p, sw, out);
     const VcRange r = routing_vcs(ctx, p.hops, p.cur_vc);
-    for (const PortCand& pc : scratch.ports)
-      out.push_back({static_cast<std::uint16_t>(pc.port),
-                     static_cast<std::uint8_t>(r.lo),
-                     static_cast<std::uint8_t>(r.hi),
-                     static_cast<std::int16_t>(pc.penalty), false, false});
+    set_vcs(out, first, r.lo, r.hi);
   }
   if (!escape_) return;
 
   // Rule 2: escape candidates for every packet, on the escape VC. Once on
   // CEsc a packet never returns to CRout.
-  const auto esc_vc = static_cast<std::uint8_t>(ctx.num_vcs - 1);
-  std::vector<EscapeCand>& esc = scratch.escape;
-  esc.clear();
-  ctx.escape->candidates(sw, p.dst_switch, p.escape_gone_down, esc);
-  for (const EscapeCand& ec : esc)
-    out.push_back({static_cast<std::uint16_t>(ec.port), esc_vc, esc_vc,
-                   static_cast<std::int16_t>(ec.penalty), true,
-                   ec.down_black});
+  const std::size_t first = out.size();
+  ctx.escape->candidates(sw, p.dst_switch, p.escape_gone_down, out);
+  const auto esc_vc = static_cast<Vc>(ctx.num_vcs - 1);
+  set_vcs(out, first, esc_vc, esc_vc);
 }
 
 void RoutingMechanism::commit_hop(const NetworkContext& ctx, Packet& p,
@@ -100,7 +104,7 @@ void RoutingMechanism::commit_hop(const NetworkContext& ctx, Packet& p,
     if (cand.escape_down) p.escape_gone_down = true;
   } else {
     HXSP_DCHECK(!p.in_escape); // CEsc -> CRout is forbidden
-    algo_->commit(ctx, p, from, {cand.port, cand.penalty, false});
+    algo_->commit(ctx, p, from, cand.port);
   }
   p.cur_vc = vc;
   ++p.hops;

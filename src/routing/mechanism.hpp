@@ -2,17 +2,21 @@
 /// \file mechanism.hpp
 /// Routing interfaces.
 ///
-/// Two layers, mirroring the paper's Table 4:
+/// One candidate shape, `Candidate`: an output port, the VC range a packet
+/// may use there and a penalty. Every producer appends it directly:
 ///  * RouteAlgorithm — *which neighbours* a packet may take next and at what
 ///    penalty (Minimal, DOR, Valiant, Omnidimensional, Polarized). Pure
-///    port-level logic, independent of virtual-channel management.
+///    port-level logic: it leaves the VC range to the mechanism.
+///  * EscapeUpDown (core/escape_updown.hpp) — the Up/Down escape hops of
+///    SurePath, flagged `escape`.
 ///  * RoutingMechanism — a RouteAlgorithm plus a VC discipline: a Ladder
 ///    (hop-indexed VCs, the classic deadlock avoidance of OmniWAR and
-///    Polarized) or SurePath (CRout/CEsc split with the Up/Down escape).
+///    Polarized) or SurePath (CRout/CEsc split with the Up/Down escape). It
+///    sets the VC range of the entries each producer appended.
 ///
 /// The router consults the mechanism once per eligible head packet and
-/// receives (port, VC range, penalty) candidates; it then applies the
-/// paper's Q+P single-request allocation over every (port, VC) they cover.
+/// applies the paper's Q+P single-request allocation over every (port, VC)
+/// the candidates cover.
 
 #include <cstdint>
 #include <memory>
@@ -42,13 +46,6 @@ struct NetworkContext {
   int packet_length = 0;
 };
 
-/// A port-level route candidate produced by a RouteAlgorithm.
-struct PortCand {
-  Port port = kInvalid;
-  int penalty = 0;     ///< P, in phits (paper §3)
-  bool deroute = false;///< non-minimal hop (consumes Omni budget)
-};
-
 /// A port-level candidate handed to the allocator: one output port over an
 /// inclusive VC range [vc_lo, vc_hi], every VC at the same penalty. This is
 /// the shape of SurePath's rule 1 (paper §3: any CRout VC of every port the
@@ -62,27 +59,24 @@ struct Candidate {
   std::int16_t penalty = 0; ///< P, in phits
   bool escape = false;      ///< candidate lives on the escape subnetwork (CEsc)
   bool escape_down = false; ///< escape hop that is a black Down step
+
+  /// A base-routing entry: \p port at \p penalty, VC range left to the
+  /// mechanism.
+  static Candidate route(Port port, int penalty) {
+    return {static_cast<std::uint16_t>(port), 0, 0,
+            static_cast<std::int16_t>(penalty), false, false};
+  }
+
+  /// An escape entry: \p port at \p penalty, \p down for a black Down
+  /// step; VC range left to the mechanism.
+  static Candidate escape_hop(Port port, int penalty, bool down) {
+    return {static_cast<std::uint16_t>(port), 0, 0,
+            static_cast<std::int16_t>(penalty), true, down};
+  }
 };
 static_assert(sizeof(Candidate) == 8,
               "Candidate is one 8-byte entry per port: the per-head caches "
               "and the allocator's scan are sized by it");
-
-/// An escape-subnetwork candidate produced by EscapeUpDown for SurePath.
-struct EscapeCand {
-  Port port = kInvalid;
-  int penalty = 0;
-  bool down_black = false; ///< black Down step (sets the strict-phase bit)
-};
-
-/// Caller-owned scratch buffers for RoutingMechanism::candidates(). Keeping
-/// them out of the (shared, const) mechanism object is what makes the
-/// candidate phase safe to run from several router partitions at once: each
-/// Router owns one RouteScratch, so concurrent candidates() calls never
-/// touch common mutable state.
-struct RouteScratch {
-  std::vector<PortCand> ports;    ///< RouteAlgorithm::ports output
-  std::vector<EscapeCand> escape; ///< EscapeUpDown::candidates output
-};
 
 /// Port-level routing logic. Stateless; per-packet state lives in the
 /// Packet header fields and is updated through the hooks below.
@@ -90,14 +84,11 @@ class RouteAlgorithm {
  public:
   virtual ~RouteAlgorithm() = default;
 
-  /// Short identifier ("minimal", "omni", "polarized", ...).
-  virtual std::string name() const = 0;
-
-  /// Appends the legal next-hop ports for \p p at switch \p sw. Never
-  /// called when sw == p.dst_switch (the router ejects directly). Faulty
-  /// ports must not be returned.
+  /// Appends one Candidate::route entry per legal next-hop port for \p p
+  /// at switch \p sw. Never called when sw == p.dst_switch (the router
+  /// ejects directly). Faulty ports must not be returned.
   virtual void ports(const NetworkContext& ctx, const Packet& p, SwitchId sw,
-                     std::vector<PortCand>& out) const = 0;
+                     std::vector<Candidate>& out) const = 0;
 
   /// Called once when the packet is generated (Valiant draws its
   /// intermediate here).
@@ -108,13 +99,9 @@ class RouteAlgorithm {
   virtual void on_arrival(const NetworkContext&, Packet&, SwitchId) const {}
 
   /// Called when a switch-to-switch hop is granted (Omnidimensional counts
-  /// deroutes here); arguments: context, packet, source switch, candidate.
-  virtual void commit(const NetworkContext&, Packet&, SwitchId,
-                      const PortCand&) const {}
-
-  /// Upper bound on route length in a fault-free network, used for ladder
-  /// sizing checks (e.g. 2n for Omnidimensional with m = n).
-  virtual int max_hops(const NetworkContext& ctx) const = 0;
+  /// deroutes here); arguments: context, packet, source switch, granted
+  /// output port.
+  virtual void commit(const NetworkContext&, Packet&, SwitchId, Port) const {}
 };
 
 /// How a mechanism assigns routing VCs to a head packet. A ladder is always
@@ -182,17 +169,15 @@ class RoutingMechanism {
   /// Display name matching the paper ("Minimal", "OmniSP", ...).
   std::string name() const { return display_; }
 
-  /// Appends the candidates for head packet \p p at switch \p sw, using
-  /// \p scratch for intermediate buffers (cleared here; the caller only
-  /// provides the storage): one entry per base-routing port over the
-  /// packet's routing VCs, in the algorithm's port order, then (SurePath)
-  /// one entry per escape port on the last VC. Expanding each entry over
-  /// [vc_lo, vc_hi] gives the allocator's visiting order: port-major,
-  /// VC-ascending. Not called at the destination switch (router ejects).
-  /// Safe to call concurrently as long as each call uses a distinct
-  /// \p scratch.
+  /// Appends the candidates for head packet \p p at switch \p sw: one
+  /// entry per base-routing port over the packet's routing VCs, in the
+  /// algorithm's port order, then (SurePath) one entry per escape port on
+  /// the last VC. Expanding each entry over [vc_lo, vc_hi] gives the
+  /// allocator's visiting order: port-major, VC-ascending. Not called at
+  /// the destination switch (router ejects). Touches nothing but \p out,
+  /// so concurrent calls with distinct lists are safe.
   void candidates(const NetworkContext& ctx, const Packet& p, SwitchId sw,
-                  RouteScratch& scratch, std::vector<Candidate>& out) const;
+                  std::vector<Candidate>& out) const;
 
   /// Legal injection VCs for a fresh packet (server side): the routing
   /// VCs of a packet with no hops taken.

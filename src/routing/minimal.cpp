@@ -3,7 +3,7 @@
 namespace hxsp {
 
 void minimal_next_hops(const NetworkContext& ctx, SwitchId target, SwitchId sw,
-                       std::vector<PortCand>& out) {
+                       std::vector<Candidate>& out) {
   const Graph& g = *ctx.graph;
   // One anchored row serves the switch probe and every neighbour probe
   // (distances are symmetric); works for dense and computed providers.
@@ -21,21 +21,17 @@ void minimal_next_hops(const NetworkContext& ctx, SwitchId target, SwitchId sw,
       if (c == hx->coord(sw, dim)) continue;
       const Port port = hx->port_towards(sw, dim, c);
       if (g.port_alive(sw, port) && row[g.port(sw, port).neighbor] == d - 1)
-        out.push_back({port, 0, false});
+        out.push_back(Candidate::route(port, 0));
     }
     return;
   }
   for (const AlivePort& ap : g.alive_ports(sw))
-    if (row[ap.neighbor] == d - 1) out.push_back({ap.port, 0, false});
+    if (row[ap.neighbor] == d - 1) out.push_back(Candidate::route(ap.port, 0));
 }
 
 void MinimalAlgorithm::ports(const NetworkContext& ctx, const Packet& p,
-                             SwitchId sw, std::vector<PortCand>& out) const {
+                             SwitchId sw, std::vector<Candidate>& out) const {
   minimal_next_hops(ctx, p.dst_switch, sw, out);
-}
-
-int MinimalAlgorithm::max_hops(const NetworkContext& ctx) const {
-  return ctx.dist->diameter();
 }
 
 } // namespace hxsp

@@ -18,23 +18,20 @@
 
 namespace hxsp {
 
-/// Appends, in ascending port order and with no penalty, every alive port
-/// of \p sw whose neighbour is one hop closer to \p target. The shared
-/// next-hop rule of Minimal and of both Valiant phases; appends nothing
-/// when \p sw is the target or cannot reach it.
+/// Appends, in ascending port order and with no penalty, a
+/// Candidate::route entry for every alive port of \p sw whose neighbour is
+/// one hop closer to \p target. The shared next-hop rule of Minimal and of
+/// both Valiant phases; appends nothing when \p sw is the target or cannot
+/// reach it.
 void minimal_next_hops(const NetworkContext& ctx, SwitchId target, SwitchId sw,
-                       std::vector<PortCand>& out);
+                       std::vector<Candidate>& out);
 
 /// Table-based minimal routing; works on any topology, with or without
 /// faults (distances already reflect the fault set).
 class MinimalAlgorithm final : public RouteAlgorithm {
  public:
-  std::string name() const override { return "minimal"; }
-
   void ports(const NetworkContext& ctx, const Packet& p, SwitchId sw,
-             std::vector<PortCand>& out) const override;
-
-  int max_hops(const NetworkContext& ctx) const override;
+             std::vector<Candidate>& out) const override;
 };
 
 } // namespace hxsp

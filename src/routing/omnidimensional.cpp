@@ -2,14 +2,19 @@
 
 namespace hxsp {
 
-int OmnidimensionalAlgorithm::budget(const NetworkContext& ctx) const {
+namespace {
+
+/// The deroute budget m: the paper's m = n, the number of dimensions.
+int budget(const NetworkContext& ctx) {
   HXSP_CHECK_MSG(ctx.hyperx, "Omnidimensional requires a HyperX topology");
-  return max_deroutes_ < 0 ? ctx.hyperx->dims() : max_deroutes_;
+  return ctx.hyperx->dims();
 }
+
+} // namespace
 
 void OmnidimensionalAlgorithm::ports(const NetworkContext& ctx, const Packet& p,
                                      SwitchId sw,
-                                     std::vector<PortCand>& out) const {
+                                     std::vector<Candidate>& out) const {
   const HyperX& hx = *ctx.hyperx;
   const Graph& g = *ctx.graph;
   const bool may_deroute = p.deroutes < budget(ctx);
@@ -23,24 +28,20 @@ void OmnidimensionalAlgorithm::ports(const NetworkContext& ctx, const Packet& p,
       if (!minimal && !may_deroute) continue;
       const Port q = hx.port_towards(sw, dim, a);
       if (!g.port_alive(sw, q)) continue;
-      out.push_back({q, minimal ? 0 : deroute_penalty_, !minimal});
+      out.push_back(Candidate::route(q, minimal ? 0 : kDeroutePenalty));
     }
   }
 }
 
 void OmnidimensionalAlgorithm::commit(const NetworkContext& ctx, Packet& p,
-                                      SwitchId from, const PortCand& cand) const {
+                                      SwitchId from, Port port) const {
   const HyperX& hx = *ctx.hyperx;
-  const int dim = hx.port_dim(from, cand.port);
-  const SwitchId next = ctx.graph->port(from, cand.port).neighbor;
+  const int dim = hx.port_dim(from, port);
+  const SwitchId next = ctx.graph->port(from, port).neighbor;
   if (hx.coord(next, dim) != hx.coord(p.dst_switch, dim)) {
     HXSP_DCHECK(p.deroutes < budget(ctx));
     ++p.deroutes;
   }
-}
-
-int OmnidimensionalAlgorithm::max_hops(const NetworkContext& ctx) const {
-  return ctx.hyperx->dims() + budget(ctx);
 }
 
 } // namespace hxsp

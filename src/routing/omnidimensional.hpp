@@ -14,32 +14,17 @@
 
 namespace hxsp {
 
-/// Omnidimensional route set (HyperX only).
+/// Omnidimensional route set (HyperX only) with the paper's budget m = n.
 class OmnidimensionalAlgorithm final : public RouteAlgorithm {
  public:
-  /// \p max_deroutes is the global non-minimal budget m; negative means
-  /// "use the number of dimensions" (the paper's m = n).
-  /// \p deroute_penalty is P for non-minimal candidates (paper: 64 phits).
-  explicit OmnidimensionalAlgorithm(int max_deroutes = -1,
-                                    int deroute_penalty = 64)
-      : max_deroutes_(max_deroutes), deroute_penalty_(deroute_penalty) {}
-
-  std::string name() const override { return "omni"; }
+  /// P for non-minimal candidates, in phits (paper §3.1.1).
+  static constexpr int kDeroutePenalty = 64;
 
   void ports(const NetworkContext& ctx, const Packet& p, SwitchId sw,
-             std::vector<PortCand>& out) const override;
+             std::vector<Candidate>& out) const override;
 
   void commit(const NetworkContext& ctx, Packet& p, SwitchId from,
-              const PortCand& cand) const override;
-
-  int max_hops(const NetworkContext& ctx) const override;
-
-  /// Effective deroute budget for a given topology.
-  int budget(const NetworkContext& ctx) const;
-
- private:
-  int max_deroutes_;
-  int deroute_penalty_;
+              Port port) const override;
 };
 
 } // namespace hxsp

@@ -3,7 +3,7 @@
 namespace hxsp {
 
 void PolarizedAlgorithm::ports(const NetworkContext& ctx, const Packet& p,
-                               SwitchId sw, std::vector<PortCand>& out) const {
+                               SwitchId sw, std::vector<Candidate>& out) const {
   const Graph& g = *ctx.graph;
   // Distances are symmetric, so d(neighbor, src/dst) reads from rows
   // anchored at src/dst — contiguous bytes (dense provider) or cached
@@ -30,19 +30,13 @@ void PolarizedAlgorithm::ports(const NetworkContext& ctx, const Packet& p,
       } else {
         continue;
       }
-      out.push_back({ap.port, pen_.dmu0, true});
+      out.push_back(Candidate::route(ap.port, kDmu0Penalty));
     } else if (dmu == 1) {
-      out.push_back({ap.port, pen_.dmu1, dt >= 0});
+      out.push_back(Candidate::route(ap.port, kDmu1Penalty));
     } else { // dmu == 2: approaches target, departs source
-      out.push_back({ap.port, pen_.dmu2, false});
+      out.push_back(Candidate::route(ap.port, kDmu2Penalty));
     }
   }
-}
-
-int PolarizedAlgorithm::max_hops(const NetworkContext& ctx) const {
-  // Polarized routes are at most twice the diameter on HyperX (paper
-  // §3.1.2); 4x is a safe bound on arbitrary faulty graphs.
-  return 4 * ctx.dist->diameter();
 }
 
 } // namespace hxsp

@@ -21,27 +21,16 @@
 
 namespace hxsp {
 
-/// Penalties per Dmu value (defaults are the paper's).
-struct PolarizedPenalties {
-  int dmu2 = 0;
-  int dmu1 = 64;
-  int dmu0 = 80;
-};
-
 /// The Polarized route set (topology-agnostic, table-based).
 class PolarizedAlgorithm final : public RouteAlgorithm {
  public:
-  explicit PolarizedAlgorithm(PolarizedPenalties pen = {}) : pen_(pen) {}
-
-  std::string name() const override { return "polarized"; }
+  /// The paper's penalty per Dmu value, in phits.
+  static constexpr int kDmu2Penalty = 0;
+  static constexpr int kDmu1Penalty = 64;
+  static constexpr int kDmu0Penalty = 80;
 
   void ports(const NetworkContext& ctx, const Packet& p, SwitchId sw,
-             std::vector<PortCand>& out) const override;
-
-  int max_hops(const NetworkContext& ctx) const override;
-
- private:
-  PolarizedPenalties pen_;
+             std::vector<Candidate>& out) const override;
 };
 
 } // namespace hxsp

@@ -17,13 +17,9 @@ void ValiantAlgorithm::on_arrival(const NetworkContext&, Packet& p,
 }
 
 void ValiantAlgorithm::ports(const NetworkContext& ctx, const Packet& p,
-                             SwitchId sw, std::vector<PortCand>& out) const {
+                             SwitchId sw, std::vector<Candidate>& out) const {
   minimal_next_hops(ctx, p.valiant_phase2 ? p.dst_switch : p.valiant_mid, sw,
                     out);
-}
-
-int ValiantAlgorithm::max_hops(const NetworkContext& ctx) const {
-  return 2 * ctx.dist->diameter();
 }
 
 } // namespace hxsp

@@ -18,16 +18,12 @@ namespace hxsp {
 /// table (each phase is table-minimal and therefore fault-aware).
 class ValiantAlgorithm final : public RouteAlgorithm {
  public:
-  std::string name() const override { return "valiant"; }
-
   void ports(const NetworkContext& ctx, const Packet& p, SwitchId sw,
-             std::vector<PortCand>& out) const override;
+             std::vector<Candidate>& out) const override;
 
   void on_inject(const NetworkContext& ctx, Packet& p, Rng& rng) const override;
 
   void on_arrival(const NetworkContext& ctx, Packet& p, SwitchId sw) const override;
-
-  int max_hops(const NetworkContext& ctx) const override;
 };
 
 } // namespace hxsp

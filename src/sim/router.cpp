@@ -110,11 +110,10 @@ void Router::compute_candidates(const Network& net, const Packet& head,
     const Port eject = first_server_port() +
                        static_cast<Port>(head.dst_server %
                                          net.servers_per_switch());
-    slot.cand.push_back(
-        {static_cast<std::uint16_t>(eject), 0, 0, 0, false, false});
+    slot.cand.push_back(Candidate::route(eject, 0));
     slot.num_routing = 1;
   } else {
-    net.mechanism().candidates(net.ctx(), head, id_, scratch_, slot.cand);
+    net.mechanism().candidates(net.ctx(), head, id_, slot.cand);
     int routing = 0;
     for (const Candidate& c : slot.cand) routing += c.escape ? 0 : 1;
     slot.num_routing = routing;

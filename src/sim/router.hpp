@@ -163,7 +163,9 @@ class Router {
   /// does not have one, without posting requests or drawing RNG — the
   /// parallelizable prefix of alloc_phase. Safe to run concurrently for
   /// different routers: it reads only shared-immutable state (topology,
-  /// distances, escape tables) and writes only this router's own buffers.
+  /// distances, escape tables) and writes only this router's own candidate
+  /// slots (the mechanism's candidates() touches nothing but the list it
+  /// appends to).
   /// alloc_phase finds the work already done and computes nothing; running
   /// this for any subset of routers therefore cannot change behaviour.
   void precompute_candidates(const Network& net, Cycle now);
@@ -383,8 +385,6 @@ class Router {
   std::vector<RequestChain> req_chains_; ///< per output port
   std::vector<Port> dirty_outputs_;      ///< outputs with requests, in
                                          ///< first-request order
-  RouteScratch scratch_; ///< per-router routing scratch (thread safety of
-                         ///< the parallel candidate phase rests on this)
 };
 
 } // namespace hxsp

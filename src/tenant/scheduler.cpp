@@ -28,7 +28,6 @@ TenantScheduler::TenantScheduler(const MultitenantParams& params,
                    "job demand outside [1, num_servers]");
     HXSP_CHECK_MSG(job.arrival >= 0 && job.deadline >= 0,
                    "negative job arrival/deadline");
-    validate_workload(job_msgs[j], job.demand);
     auto run = std::make_unique<WorkloadRun>(std::move(job_msgs[j]));
     run->set_msg_base(base);
     msg_base_.push_back(base);

@@ -125,7 +125,8 @@ class Network;
 /// Experiment::run_multitenant for the reference loop).
 class TenantScheduler : public MessageSource {
  public:
-  /// \p job_msgs[j] must validate against jobs[j].demand, and demands
+  /// \p job_msgs[j] must validate against jobs[j].demand (as
+  /// Workload::build's output does; not checked again here), and demands
   /// must fit the fabric (checked).
   TenantScheduler(const MultitenantParams& params,
                   std::vector<MessageList> job_msgs,

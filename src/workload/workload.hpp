@@ -180,9 +180,12 @@ class Workload {
   /// Short identifier, e.g. "alltoall", "ring_allreduce", "trace".
   virtual std::string name() const = 0;
 
-  /// Builds the full message list for \p n servers, dependencies wired.
-  /// \p rng is drawn from only by randomized workloads (shuffle, random);
-  /// the structured collectives are deterministic in n.
+  /// Builds the full message list for \p n servers, dependencies wired,
+  /// valid for validate_workload against \p n: the generators by
+  /// construction (tests/workload_pin_test.cpp validates each), the trace
+  /// replay by validating its input before wiring it, so callers do not
+  /// validate again. \p rng is drawn from only by randomized workloads
+  /// (shuffle, random); the structured collectives are deterministic in n.
   virtual MessageList build(ServerId n, Rng& rng) const = 0;
 };
 

@@ -69,7 +69,6 @@ std::uint64_t candidate_hash(const testutil::TestNet& t,
                              const std::string& name) {
   const std::unique_ptr<RoutingMechanism> mech = make_mechanism(name);
   Fnv1a f;
-  RouteScratch scratch;
   std::vector<Candidate> out;
   const SwitchId n = t.hx->num_switches();
   for (SwitchId sw = 0; sw < n; ++sw) {
@@ -89,7 +88,7 @@ std::uint64_t candidate_hash(const testutil::TestNet& t,
               p.in_escape = in_escape;
               p.escape_gone_down = gone_down;
               out.clear();
-              mech->candidates(t.ctx, p, sw, scratch, out);
+              mech->candidates(t.ctx, p, sw, out);
               hash_list(f, out);
             }
           }

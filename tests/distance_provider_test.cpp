@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <optional>
 #include <vector>
 
@@ -260,6 +261,7 @@ class RouteSetParity : public ::testing::Test {
     const ValiantAlgorithm valiant;
     const PolarizedAlgorithm polarized;
     const RouteAlgorithm* algos[] = {&minimal, &valiant, &polarized};
+    const char* names[] = {"minimal", "valiant", "polarized"};
 
     Rng rng(7);
     for (int trial = 0; trial < 200; ++trial) {
@@ -280,16 +282,16 @@ class RouteSetParity : public ::testing::Test {
       p.valiant_mid = static_cast<SwitchId>(
           rng.next_below(static_cast<std::uint64_t>(hx.num_switches())));
       p.valiant_phase2 = (trial % 2) == 0;
-      for (const RouteAlgorithm* algo : algos) {
-        std::vector<PortCand> want, got;
-        algo->ports(dctx, p, cur, want);
-        algo->ports(cctx, p, cur, got);
+      for (std::size_t a = 0; a < std::size(algos); ++a) {
+        std::vector<Candidate> want, got;
+        algos[a]->ports(dctx, p, cur, want);
+        algos[a]->ports(cctx, p, cur, got);
         ASSERT_EQ(got.size(), want.size())
-            << algo->name() << " cur=" << cur << " dst=" << dst;
+            << names[a] << " cur=" << cur << " dst=" << dst;
         for (std::size_t i = 0; i < want.size(); ++i) {
-          EXPECT_EQ(got[i].port, want[i].port) << algo->name();
-          EXPECT_EQ(got[i].penalty, want[i].penalty) << algo->name();
-          EXPECT_EQ(got[i].deroute, want[i].deroute) << algo->name();
+          EXPECT_EQ(got[i].port, want[i].port) << names[a];
+          EXPECT_EQ(got[i].penalty, want[i].penalty) << names[a];
+          EXPECT_EQ(got[i].escape, want[i].escape) << names[a];
         }
       }
     }

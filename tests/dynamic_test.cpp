@@ -155,7 +155,7 @@ double escape_walk_stretch(const Graph& g) {
                              .penalties = {}, .use_shortcuts = true});
   double sum = 0;
   long n = 0;
-  std::vector<EscapeCand> cand;
+  std::vector<Candidate> cand;
   for (SwitchId x = 0; x < g.num_switches(); ++x)
     for (SwitchId y = 0; y < g.num_switches(); ++y) {
       if (x == y) continue;
@@ -166,7 +166,7 @@ double escape_walk_stretch(const Graph& g) {
         cand.clear();
         esc.candidates(c, y, false, cand);
         if (cand.empty()) return -1;
-        const EscapeCand* best = &cand.front();
+        const Candidate* best = &cand.front();
         for (const auto& ec : cand)
           if (ec.penalty < best->penalty) best = &ec;
         c = g.port(c, best->port).neighbor;

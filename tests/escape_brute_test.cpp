@@ -140,7 +140,7 @@ TEST(EscapeBrute, PenaltyConfigRespected) {
   EscapePenalties pen{11, 7, 5, 3, 2};
   EscapeUpDown esc(hx.graph(), {.root = 0, .strict_phase = false,
                                 .penalties = pen, .use_shortcuts = true});
-  std::vector<EscapeCand> cand;
+  std::vector<Candidate> cand;
   bool saw_up = false, saw_down = false, saw_red = false;
   for (SwitchId c = 0; c < hx.num_switches(); ++c)
     for (SwitchId t = 0; t < hx.num_switches(); ++t) {

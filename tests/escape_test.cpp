@@ -92,7 +92,7 @@ TEST(Escape, CandidatePenaltiesMatchPaper) {
   // (1,0) reduce udist by 1 -> penalty 112.
   const SwitchId c = t.hx->switch_at({1, 1});
   const SwitchId dst = t.hx->switch_at({1, 3});
-  std::vector<EscapeCand> cand;
+  std::vector<Candidate> cand;
   t.escape->candidates(c, dst, false, cand);
   ASSERT_FALSE(cand.empty());
   bool saw_red2 = false, saw_up = false;
@@ -110,7 +110,7 @@ TEST(Escape, CandidatePenaltiesMatchPaper) {
 
 TEST(Escape, EveryCandidateStrictlyReducesUpDownDistance) {
   auto t = make_net(3, 3);
-  std::vector<EscapeCand> cand;
+  std::vector<Candidate> cand;
   for (SwitchId c = 0; c < t.hx->num_switches(); ++c) {
     for (SwitchId dst = 0; dst < t.hx->num_switches(); ++dst) {
       if (c == dst) continue;
@@ -128,7 +128,7 @@ TEST(Escape, EveryCandidateStrictlyReducesUpDownDistance) {
 TEST(Escape, NoShortcutsModeUsesOnlyBlackLinks) {
   auto t = make_net(2, 4);
   t.rebuild(/*root=*/0, /*strict=*/false, /*shortcuts=*/false);
-  std::vector<EscapeCand> cand;
+  std::vector<Candidate> cand;
   for (SwitchId c = 0; c < t.hx->num_switches(); ++c) {
     for (SwitchId dst = 0; dst < t.hx->num_switches(); ++dst) {
       if (c == dst) continue;
@@ -146,17 +146,17 @@ TEST(Escape, NoShortcutsModeUsesOnlyBlackLinks) {
 int escape_walk(const TestNet& t, SwitchId src, SwitchId dst, int max_hops) {
   SwitchId c = src;
   bool gone_down = false;
-  std::vector<EscapeCand> cand;
+  std::vector<Candidate> cand;
   int hops = 0;
   while (c != dst) {
     if (hops > max_hops) return -1;
     cand.clear();
     t.escape->candidates(c, dst, gone_down, cand);
     if (cand.empty()) return -1;
-    const EscapeCand* best = &cand.front();
+    const Candidate* best = &cand.front();
     for (const auto& ec : cand)
       if (ec.penalty < best->penalty) best = &ec;
-    if (best->down_black) gone_down = true;
+    if (best->escape_down) gone_down = true;
     c = t.hx->graph().port(c, best->port).neighbor;
     ++hops;
   }
@@ -233,7 +233,7 @@ TEST(Escape, WorksOnGenericTopologies) {
   EscapeUpDown::Config cfg;
   cfg.root = 5;
   EscapeUpDown esc(g, cfg);
-  std::vector<EscapeCand> cand;
+  std::vector<Candidate> cand;
   for (SwitchId a = 0; a < g.num_switches(); ++a) {
     for (SwitchId b = 0; b < g.num_switches(); ++b) {
       if (a == b) continue;
@@ -243,7 +243,7 @@ TEST(Escape, WorksOnGenericTopologies) {
         cand.clear();
         esc.candidates(c, b, false, cand);
         ASSERT_FALSE(cand.empty());
-        const EscapeCand* best = &cand.front();
+        const Candidate* best = &cand.front();
         for (const auto& ec : cand)
           if (ec.penalty < best->penalty) best = &ec;
         c = g.port(c, best->port).neighbor;

@@ -1,6 +1,6 @@
 /// \file linkstats_test.cpp
 /// Tests for the per-link phit counters (Router::link_phits) and the hot
-/// links run_load_hotspots ranks from them, including the physical
+/// links the telemetry capture ranks from them, including the physical
 /// invariants they must respect (loads bounded by link bandwidth) and the
 /// root-hotspot signature under Star faults that the paper's §6 analysis
 /// relies on.
@@ -10,9 +10,12 @@
 #include <algorithm>
 
 #include "harness/experiment.hpp"
+#include "hot_links.hpp"
 
 namespace hxsp {
 namespace {
+
+using testutil::run_load_hot_links;
 
 TEST(LinkStats, SingleFlowSaturatesItsLink) {
   // K2 with one server per switch under shift traffic: the duplex link
@@ -25,8 +28,7 @@ TEST(LinkStats, SingleFlowSaturatesItsLink) {
   s.sim.num_vcs = 2;
   s.warmup = 500;
   s.measure = 2000;
-  Experiment e(s);
-  auto [row, hot] = e.run_load_hotspots(1.0, 4);
+  auto [row, hot] = run_load_hot_links(s, 1.0, 4);
   ASSERT_EQ(hot.size(), 2u); // both directions of the single link
   for (const auto& h : hot) {
     EXPECT_GT(h.load, 0.9);
@@ -44,8 +46,7 @@ TEST(LinkStats, LoadsNeverExceedLinkBandwidth) {
   s.sim.num_vcs = 4;
   s.warmup = 1000;
   s.measure = 2000;
-  Experiment e(s);
-  auto [row, hot] = e.run_load_hotspots(1.0, 64);
+  auto [row, hot] = run_load_hot_links(s, 1.0, 64);
   (void)row;
   ASSERT_FALSE(hot.empty());
   for (const auto& h : hot) EXPECT_LE(h.load, 1.0 + 1e-9);
@@ -70,8 +71,7 @@ TEST(LinkStats, HotspotConcentratesAroundStarRoot) {
   const ShapeFault star = star_fault(scratch, center, 3);
   s.fault_links = star.links;
   s.escape_root = center;
-  Experiment e(s);
-  auto [row, hot] = e.run_load_hotspots(1.0, 1 << 20);
+  auto [row, hot] = run_load_hot_links(s, 1.0, 1 << 20);
   (void)row;
   ASSERT_FALSE(hot.empty());
   // The in-cast signature: at least two of the root's three surviving

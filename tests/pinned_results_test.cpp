@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 
+#include "hot_links.hpp"
 #include "metrics/resultsink.hpp"
 #include "telemetry/capture.hpp"
 #include "topology/computed_distance.hpp"
@@ -211,8 +212,7 @@ TEST(PinnedResults, MinimalAndValiantReproduceTheirRecordedRows) {
 }
 
 TEST(PinnedResults, HotspotsReproduceTheirRecordedLinks) {
-  Experiment e(pinned_spec());
-  const auto [row, hot] = e.run_load_hotspots(0.8, 4);
+  const auto [row, hot] = testutil::run_load_hot_links(pinned_spec(), 0.8, 4);
   EXPECT_EQ(row.packets, 956);  // the same run as the pinned rate row
   const std::vector<std::string> expected = {
       "15:1->13 0.77333333333333332", "15:0->12 0.77333333333333332",

@@ -18,8 +18,7 @@ using testutil::TestNet;
 
 /// Recomputes (Ds, Dt) for a candidate and checks Table 1 membership.
 void verify_candidate_against_table1(const TestNet& t, const Packet& p,
-                                     SwitchId c, const PortCand& pc,
-                                     const PolarizedPenalties& pen) {
+                                     SwitchId c, const Candidate& pc) {
   const SwitchId n = t.hx->graph().port(c, pc.port).neighbor;
   const int ds = t.dist->at(n, p.src_switch) - t.dist->at(c, p.src_switch);
   const int dt = t.dist->at(n, p.dst_switch) - t.dist->at(c, p.dst_switch);
@@ -29,17 +28,17 @@ void verify_candidate_against_table1(const TestNet& t, const Packet& p,
     case 2:
       EXPECT_EQ(ds, 1);
       EXPECT_EQ(dt, -1);
-      EXPECT_EQ(pc.penalty, pen.dmu2);
+      EXPECT_EQ(pc.penalty, PolarizedAlgorithm::kDmu2Penalty);
       break;
     case 1:
       EXPECT_TRUE((ds == 1 && dt == 0) || (ds == 0 && dt == -1))
           << "Dmu=1 must be (+1,0) or (0,-1)";
-      EXPECT_EQ(pc.penalty, pen.dmu1);
+      EXPECT_EQ(pc.penalty, PolarizedAlgorithm::kDmu1Penalty);
       break;
     case 0: {
       EXPECT_TRUE((ds == 1 && dt == 1) || (ds == -1 && dt == -1))
           << "Dmu=0 must be (+1,+1) or (-1,-1); (0,0) is excluded";
-      EXPECT_EQ(pc.penalty, pen.dmu0);
+      EXPECT_EQ(pc.penalty, PolarizedAlgorithm::kDmu0Penalty);
       const bool first_half =
           t.dist->at(c, p.src_switch) < t.dist->at(c, p.dst_switch);
       if (ds == 1) { EXPECT_TRUE(first_half); }
@@ -54,8 +53,7 @@ void verify_candidate_against_table1(const TestNet& t, const Packet& p,
 TEST(Polarized, Table1ExhaustiveOn2D) {
   auto t = make_net(2, 4);
   PolarizedAlgorithm algo;
-  PolarizedPenalties pen;
-  std::vector<PortCand> out;
+  std::vector<Candidate> out;
   for (SwitchId s = 0; s < t.hx->num_switches(); ++s) {
     for (SwitchId d = 0; d < t.hx->num_switches(); ++d) {
       if (s == d) continue;
@@ -65,7 +63,7 @@ TEST(Polarized, Table1ExhaustiveOn2D) {
         out.clear();
         algo.ports(t.ctx, p, c, out);
         for (const auto& pc : out)
-          verify_candidate_against_table1(t, p, c, pc, pen);
+          verify_candidate_against_table1(t, p, c, pc);
       }
     }
   }
@@ -76,7 +74,7 @@ TEST(Polarized, MinimalHopAlwaysOfferedFaultFree) {
   // c != t (paper §3.1.2); in particular a hop decreasing d(c,t).
   auto t = make_net(3, 3);
   PolarizedAlgorithm algo;
-  std::vector<PortCand> out;
+  std::vector<Candidate> out;
   for (SwitchId s = 0; s < t.hx->num_switches(); ++s) {
     for (SwitchId d = 0; d < t.hx->num_switches(); ++d) {
       if (s == d) continue;
@@ -97,14 +95,14 @@ int polarized_walk(const TestNet& t, SwitchId src, SwitchId dst, int max_hops) {
   PolarizedAlgorithm algo;
   Packet p = testutil::make_packet(t, src, dst);
   SwitchId c = src;
-  std::vector<PortCand> out;
+  std::vector<Candidate> out;
   int hops = 0;
   while (c != dst) {
     if (hops > max_hops) return -1;
     out.clear();
     algo.ports(t.ctx, p, c, out);
     if (out.empty()) return -1;
-    const PortCand* best = &out.front();
+    const Candidate* best = &out.front();
     for (const auto& pc : out)
       if (pc.penalty < best->penalty ||
           (pc.penalty == best->penalty && pc.port < best->port))
@@ -151,7 +149,7 @@ TEST(Polarized, WeightNeverDecreasesAlongWalk) {
     Packet p = make_packet(t, s, d);
     SwitchId c = s;
     int mu = -t.dist->at(s, d); // d(c,s) - d(c,t) at c = s
-    std::vector<PortCand> out;
+    std::vector<Candidate> out;
     int guard = 0;
     while (c != d && guard++ < 32) {
       out.clear();
@@ -174,7 +172,7 @@ TEST(Polarized, UsesDistanceTablesUnderFaults) {
                random_fault_links(t.hx->graph(), 10, rng, true));
   t.rebuild();
   PolarizedAlgorithm algo;
-  std::vector<PortCand> out;
+  std::vector<Candidate> out;
   int pairs = 0, with_candidates = 0;
   for (SwitchId a = 0; a < t.hx->num_switches(); ++a)
     for (SwitchId b = 0; b < t.hx->num_switches(); ++b) {
@@ -192,16 +190,19 @@ TEST(Polarized, UsesDistanceTablesUnderFaults) {
 }
 
 TEST(Polarized, CustomPenaltiesRespected) {
+  // Every candidate carries one of the paper's three Dmu penalties.
   auto t = make_net(2, 4);
-  PolarizedAlgorithm algo({.dmu2 = 5, .dmu1 = 7, .dmu0 = 11});
+  PolarizedAlgorithm algo;
   const SwitchId s = t.hx->switch_at({0, 0});
   const SwitchId d = t.hx->switch_at({1, 1});
   Packet p = make_packet(t, s, d);
-  std::vector<PortCand> out;
+  std::vector<Candidate> out;
   algo.ports(t.ctx, p, s, out);
   ASSERT_FALSE(out.empty());
   for (const auto& pc : out)
-    EXPECT_TRUE(pc.penalty == 5 || pc.penalty == 7 || pc.penalty == 11);
+    EXPECT_TRUE(pc.penalty == PolarizedAlgorithm::kDmu2Penalty ||
+                pc.penalty == PolarizedAlgorithm::kDmu1Penalty ||
+                pc.penalty == PolarizedAlgorithm::kDmu0Penalty);
 }
 
 TEST(Polarized, WorksOnGenericGraphs) {

@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "metrics/resultsink.hpp"
 
 namespace hxsp {
@@ -323,6 +328,63 @@ TEST(ResultSink, CheckpointParseRecoversCleanPrefix) {
   records = ResultSink::parse_csv_checkpoint("", &clean);
   EXPECT_TRUE(records.empty());
   EXPECT_TRUE(clean.empty());
+}
+
+/// The CSV line of sample_rate_record() with column \p column's cell
+/// replaced by \p cell (the record has no quoted fields).
+std::string rate_line_with_cell(const std::string& column,
+                                const std::string& cell) {
+  ResultRecord rec = sample_rate_record();
+  rec.driver = "test_driver";
+  const std::string line = ResultSink::csv_line(rec);
+  const std::vector<std::string>& cols = ResultSink::columns();
+  const auto at = static_cast<std::size_t>(
+      std::find(cols.begin(), cols.end(), column) - cols.begin());
+  std::string out;
+  std::size_t start = 0;
+  for (std::size_t i = 0; i < cols.size(); ++i) {
+    const std::size_t end = std::min(line.find(',', start), line.size() - 1);
+    if (i) out += ',';
+    out += i == at ? cell : line.substr(start, end - start);
+    start = end + 1;
+  }
+  return out + '\n';
+}
+
+TEST(ResultSinkDeathTest, ParseRejectsACellThatIsNotAWholeToken) {
+  // An intact line parses; each garbled cell aborts naming the row (the
+  // header is row 1) and the column instead of reading as 0.
+  const std::string head =
+      ResultSink::csv_header() + rate_line_with_cell("label", "x");
+  EXPECT_EQ(ResultSink::parse_csv(head).size(), 1u);
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"accepted", "abc"},   {"accepted", "0.5x"},
+      {"accepted", " 0.5"},  {"accepted", ""},
+      {"seed", "-1"},        {"seed", "18446744073709551616"},
+      {"packets", "1e3"},    {"packets", "9223372036854775808"},
+      {"drained", "2"},      {"series", "1|x"},
+  };
+  for (const auto& [column, cell] : bad) {
+    SCOPED_TRACE(column + "=" + cell);
+    EXPECT_DEATH(
+        ResultSink::parse_csv(head + rate_line_with_cell(column, cell)),
+        "result CSV row 3, column " + column + ":");
+  }
+}
+
+TEST(ResultSink, CheckpointParseStopsAtAGarbledCell) {
+  // A row whose cell parse_csv would reject ends the clean prefix, like a
+  // row cut short by a crash.
+  const std::string head =
+      ResultSink::csv_header() + rate_line_with_cell("label", "a");
+  std::string clean;
+  const auto records = ResultSink::parse_csv_checkpoint(
+      head + rate_line_with_cell("accepted", "abc") +
+          rate_line_with_cell("label", "c"),
+      &clean);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].label, "a");
+  EXPECT_EQ(clean, head);
 }
 
 TEST(ResultSink, MergeRestoresGridOrder) {

@@ -20,6 +20,7 @@ namespace {
 
 using testutil::make_net;
 using testutil::make_packet;
+using testutil::TestNet;
 
 TEST(Minimal, AllMinimalNeighboursOffered) {
   auto t = make_net(2, 4);
@@ -27,7 +28,7 @@ TEST(Minimal, AllMinimalNeighboursOffered) {
   const SwitchId src = t.hx->switch_at({0, 0});
   const SwitchId dst = t.hx->switch_at({2, 3});
   Packet p = make_packet(t, src, dst);
-  std::vector<PortCand> out;
+  std::vector<Candidate> out;
   algo.ports(t.ctx, p, src, out);
   // Distance 2: exactly the two aligning neighbours (2,0) and (0,3).
   ASSERT_EQ(out.size(), 2u);
@@ -50,7 +51,7 @@ TEST(Minimal, ReroutesAroundFaults) {
   EXPECT_EQ(t.dist->at(src, dst), 2);
   MinimalAlgorithm algo;
   Packet p = make_packet(t, src, dst);
-  std::vector<PortCand> out;
+  std::vector<Candidate> out;
   algo.ports(t.ctx, p, src, out);
   EXPECT_FALSE(out.empty());
   for (const auto& pc : out) {
@@ -59,25 +60,19 @@ TEST(Minimal, ReroutesAroundFaults) {
   }
 }
 
-TEST(Minimal, MaxHopsIsDiameter) {
-  auto t = make_net(3, 4);
-  MinimalAlgorithm algo;
-  EXPECT_EQ(algo.max_hops(t.ctx), 3);
-}
-
 /// Minimal next hops by definition: every alive port of \p sw, in port
 /// order, whose neighbour is one hop closer to \p target. Reads the port
 /// table and point distances only, not the alive-port view or HyperX
 /// coordinates the helper under test uses.
-std::vector<PortCand> next_hops_by_full_scan(const Graph& g,
+std::vector<Candidate> next_hops_by_full_scan(const Graph& g,
                                              const DistanceProvider& dist,
                                              SwitchId target, SwitchId sw) {
-  std::vector<PortCand> out;
+  std::vector<Candidate> out;
   const int d = dist.at(sw, target);
   if (d == kUnreachable || d == 0) return out;
   for (Port p = 0; p < g.degree(sw); ++p)
     if (g.port_alive(sw, p) && dist.at(g.port(sw, p).neighbor, target) == d - 1)
-      out.push_back({p, 0, false});
+      out.push_back(Candidate::route(p, 0));
   return out;
 }
 
@@ -109,18 +104,18 @@ TEST(MinimalNextHops, MatchFullPortScanOnEveryPair) {
         ctx.graph = &hx.graph();
         ctx.hyperx = view;
         ctx.dist = dist;
-        std::vector<PortCand> got;
+        std::vector<Candidate> got;
         for (SwitchId target = 0; target < hx.num_switches(); ++target) {
           for (SwitchId sw = 0; sw < hx.num_switches(); ++sw) {
             got.clear();
             minimal_next_hops(ctx, target, sw, got);
-            const std::vector<PortCand> want =
+            const std::vector<Candidate> want =
                 next_hops_by_full_scan(hx.graph(), *dist, target, sw);
             ASSERT_EQ(got.size(), want.size()) << sw << "->" << target;
             for (std::size_t i = 0; i < got.size(); ++i) {
               EXPECT_EQ(got[i].port, want[i].port) << sw << "->" << target;
               EXPECT_EQ(got[i].penalty, 0);
-              EXPECT_FALSE(got[i].deroute);
+              EXPECT_FALSE(got[i].escape);
             }
             const int h = hx.hamming_distance(sw, target);
             const int d = dist->at(sw, target);
@@ -143,7 +138,7 @@ TEST(Dor, SingleCandidateLowestDimensionFirst) {
   const SwitchId src = t.hx->switch_at({0, 1, 2});
   const SwitchId dst = t.hx->switch_at({3, 3, 2});
   Packet p = make_packet(t, src, dst);
-  std::vector<PortCand> out;
+  std::vector<Candidate> out;
   algo.ports(t.ctx, p, src, out);
   ASSERT_EQ(out.size(), 1u);
   // Dimension 0 corrected first: neighbour (3,1,2).
@@ -162,7 +157,7 @@ TEST(Dor, StuckWhenUniqueLinkDies) {
   t.rebuild();
   DorAlgorithm algo;
   Packet p = make_packet(t, src, dst);
-  std::vector<PortCand> out;
+  std::vector<Candidate> out;
   algo.ports(t.ctx, p, src, out);
   EXPECT_TRUE(out.empty()); // no candidate at all: undeliverable
 }
@@ -178,7 +173,7 @@ TEST(Valiant, TwoPhasesThroughIntermediate) {
 
   // Phase 1 candidates approach the intermediate.
   if (!p.valiant_phase2 && p.src_switch != p.valiant_mid) {
-    std::vector<PortCand> out;
+    std::vector<Candidate> out;
     algo.ports(t.ctx, p, p.src_switch, out);
     ASSERT_FALSE(out.empty());
     for (const auto& pc : out)
@@ -190,7 +185,7 @@ TEST(Valiant, TwoPhasesThroughIntermediate) {
   // Arrival at the intermediate flips to phase 2.
   algo.on_arrival(t.ctx, p, p.valiant_mid);
   EXPECT_TRUE(p.valiant_phase2);
-  std::vector<PortCand> out;
+  std::vector<Candidate> out;
   if (p.valiant_mid != p.dst_switch) {
     algo.ports(t.ctx, p, p.valiant_mid, out);
     ASSERT_FALSE(out.empty());
@@ -218,13 +213,22 @@ TEST(Valiant, MidEqualSourceStartsInPhase2) {
   EXPECT_TRUE(saw);
 }
 
+/// True when the hop over \p c from \p sw leaves the destination's
+/// coordinate in the dimension it moves in: an Omnidimensional deroute.
+bool is_deroute(const TestNet& t, SwitchId sw, SwitchId dst,
+                const Candidate& c) {
+  const int dim = t.hx->port_dim(sw, c.port);
+  const SwitchId nbr = t.hx->graph().port(sw, c.port).neighbor;
+  return t.hx->coord(nbr, dim) != t.hx->coord(dst, dim);
+}
+
 TEST(Omni, MinimalAndDerouteCandidates) {
   auto t = make_net(2, 4);
   OmnidimensionalAlgorithm algo; // m = n = 2
   const SwitchId src = t.hx->switch_at({0, 0});
   const SwitchId dst = t.hx->switch_at({2, 0}); // aligned in dim 1
   Packet p = make_packet(t, src, dst);
-  std::vector<PortCand> out;
+  std::vector<Candidate> out;
   algo.ports(t.ctx, p, src, out);
   // Only dimension 0 is unaligned: 1 minimal + 2 deroutes (coords 1,3).
   ASSERT_EQ(out.size(), 3u);
@@ -232,7 +236,7 @@ TEST(Omni, MinimalAndDerouteCandidates) {
   for (const auto& pc : out) {
     const SwitchId nbr = t.hx->graph().port(src, pc.port).neighbor;
     EXPECT_EQ(t.hx->coord(nbr, 1), 0) << "left an aligned dimension";
-    if (pc.deroute) {
+    if (is_deroute(t, src, dst, pc)) {
       EXPECT_EQ(pc.penalty, 64);
       ++deroutes;
     } else {
@@ -250,10 +254,11 @@ TEST(Omni, BudgetExhaustedLeavesOnlyMinimal) {
   OmnidimensionalAlgorithm algo;
   Packet p = make_packet(t, t.hx->switch_at({0, 0}), t.hx->switch_at({2, 3}));
   p.deroutes = 2; // m = n = 2 spent
-  std::vector<PortCand> out;
+  std::vector<Candidate> out;
   algo.ports(t.ctx, p, p.src_switch, out);
   ASSERT_EQ(out.size(), 2u); // one aligning hop per unaligned dimension
-  for (const auto& pc : out) EXPECT_FALSE(pc.deroute);
+  for (const auto& pc : out)
+    EXPECT_FALSE(is_deroute(t, p.src_switch, p.dst_switch, pc));
 }
 
 TEST(Omni, CommitCountsDeroutes) {
@@ -263,11 +268,11 @@ TEST(Omni, CommitCountsDeroutes) {
   Packet p = make_packet(t, src, t.hx->switch_at({2, 0}));
   // Hop to (1,0): a deroute (target coord is 2).
   const Port q = t.hx->port_towards(src, 0, 1);
-  algo.commit(t.ctx, p, src, {q, 64, true});
+  algo.commit(t.ctx, p, src, q);
   EXPECT_EQ(p.deroutes, 1);
   // Hop to (2,0) from (1,0): minimal, count unchanged.
   const SwitchId mid = t.hx->switch_at({1, 0});
-  algo.commit(t.ctx, p, mid, {t.hx->port_towards(mid, 0, 2), 0, false});
+  algo.commit(t.ctx, p, mid, t.hx->port_towards(mid, 0, 2));
   EXPECT_EQ(p.deroutes, 1);
 }
 
@@ -277,7 +282,7 @@ TEST(Omni, NeverLeavesAlignedDimensions) {
   const SwitchId src = t.hx->switch_at({1, 2, 3});
   const SwitchId dst = t.hx->switch_at({3, 2, 3}); // dims 1,2 aligned
   Packet p = make_packet(t, src, dst);
-  std::vector<PortCand> out;
+  std::vector<Candidate> out;
   algo.ports(t.ctx, p, src, out);
   for (const auto& pc : out)
     EXPECT_EQ(t.hx->port_dim(src, pc.port), 0);
@@ -292,17 +297,11 @@ TEST(Omni, SkipsFaultyPorts) {
   t.rebuild();
   OmnidimensionalAlgorithm algo;
   Packet p = make_packet(t, src, dst);
-  std::vector<PortCand> out;
+  std::vector<Candidate> out;
   algo.ports(t.ctx, p, src, out);
   // Minimal candidate gone; the two deroutes remain.
   ASSERT_EQ(out.size(), 2u);
-  for (const auto& pc : out) EXPECT_TRUE(pc.deroute);
-}
-
-TEST(Omni, MaxHopsIsNPlusM) {
-  auto t = make_net(3, 4);
-  EXPECT_EQ(OmnidimensionalAlgorithm().max_hops(t.ctx), 6);
-  EXPECT_EQ(OmnidimensionalAlgorithm(1).max_hops(t.ctx), 4);
+  for (const auto& pc : out) EXPECT_TRUE(is_deroute(t, src, dst, pc));
 }
 
 TEST(Ladder, OneStepVcFollowsHops) {
@@ -311,8 +310,7 @@ TEST(Ladder, OneStepVcFollowsHops) {
       RoutingMechanism::ladder(std::make_unique<MinimalAlgorithm>(), 1, "test");
   Packet p = make_packet(t, t.hx->switch_at({0, 0}), t.hx->switch_at({1, 1}));
   std::vector<Candidate> out;
-  RouteScratch scratch;
-  mech.candidates(t.ctx, p, p.src_switch, scratch, out);
+  mech.candidates(t.ctx, p, p.src_switch, out);
   ASSERT_FALSE(out.empty());
   for (const auto& c : out) {
     EXPECT_EQ(c.vc_lo, 0);
@@ -320,7 +318,7 @@ TEST(Ladder, OneStepVcFollowsHops) {
   }
   p.hops = 1;
   out.clear();
-  mech.candidates(t.ctx, p, t.hx->switch_at({1, 0}), scratch, out);
+  mech.candidates(t.ctx, p, t.hx->switch_at({1, 0}), out);
   for (const auto& c : out) {
     EXPECT_EQ(c.vc_lo, 1);
     EXPECT_EQ(c.vc_hi, 1);
@@ -333,8 +331,7 @@ TEST(Ladder, TwoStepOffersPairOfVcs) {
       RoutingMechanism::ladder(std::make_unique<MinimalAlgorithm>(), 2, "Minimal");
   Packet p = make_packet(t, t.hx->switch_at({0, 0}), t.hx->switch_at({1, 1}));
   std::vector<Candidate> out;
-  RouteScratch scratch;
-  mech.candidates(t.ctx, p, p.src_switch, scratch, out);
+  mech.candidates(t.ctx, p, p.src_switch, out);
   // One entry per port, each spanning the rung's two VCs.
   std::set<Vc> vcs;
   for (const auto& c : out)
@@ -342,7 +339,7 @@ TEST(Ladder, TwoStepOffersPairOfVcs) {
   EXPECT_EQ(vcs, (std::set<Vc>{0, 1}));
   p.hops = 1;
   out.clear();
-  mech.candidates(t.ctx, p, t.hx->switch_at({1, 0}), scratch, out);
+  mech.candidates(t.ctx, p, t.hx->switch_at({1, 0}), out);
   vcs.clear();
   for (const auto& c : out)
     for (Vc v = c.vc_lo; v <= c.vc_hi; ++v) vcs.insert(v);
@@ -356,8 +353,7 @@ TEST(Ladder, SaturatesAtTopRung) {
   Packet p = make_packet(t, t.hx->switch_at({0, 0}), t.hx->switch_at({1, 1}));
   p.hops = 9; // beyond the 4-VC ladder
   std::vector<Candidate> out;
-  RouteScratch scratch;
-  mech.candidates(t.ctx, p, p.src_switch, scratch, out);
+  mech.candidates(t.ctx, p, p.src_switch, out);
   for (const auto& c : out) {
     EXPECT_EQ(c.vc_lo, 3);
     EXPECT_EQ(c.vc_hi, 3);

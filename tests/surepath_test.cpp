@@ -38,8 +38,7 @@ TEST(SurePath, RoutingCandidatesOnAllCRoutVcs) {
   auto mech = omnisp();
   Packet p = make_packet(t, t.hx->switch_at({0, 0}), t.hx->switch_at({2, 0}));
   std::vector<Candidate> out;
-  RouteScratch scratch;
-  mech->candidates(t.ctx, p, p.src_switch, scratch, out);
+  mech->candidates(t.ctx, p, p.src_switch, out);
   std::set<Vc> rout_vcs, esc_vcs;
   for (const auto& c : out)
     for (Vc v = c.vc_lo; v <= c.vc_hi; ++v)
@@ -53,13 +52,12 @@ TEST(SurePath, EscapeCandidatesAlwaysPresent) {
   auto t = make_net(2, 4);
   auto mech = polsp();
   std::vector<Candidate> out;
-  RouteScratch scratch;
   for (SwitchId a = 0; a < t.hx->num_switches(); ++a)
     for (SwitchId b = 0; b < t.hx->num_switches(); ++b) {
       if (a == b) continue;
       Packet p = make_packet(t, a, b);
       out.clear();
-      mech->candidates(t.ctx, p, a, scratch, out);
+      mech->candidates(t.ctx, p, a, out);
       bool has_escape = false;
       for (const auto& c : out) has_escape |= c.escape;
       EXPECT_TRUE(has_escape) << a << "->" << b;
@@ -72,8 +70,7 @@ TEST(SurePath, NoReturnFromEscape) {
   Packet p = make_packet(t, t.hx->switch_at({0, 0}), t.hx->switch_at({2, 2}));
   p.in_escape = true;
   std::vector<Candidate> out;
-  RouteScratch scratch;
-  mech->candidates(t.ctx, p, p.src_switch, scratch, out);
+  mech->candidates(t.ctx, p, p.src_switch, out);
   ASSERT_FALSE(out.empty());
   for (const auto& c : out) {
     EXPECT_TRUE(c.escape);
@@ -125,8 +122,7 @@ TEST(SurePath, RungPolicyFollowsHopCount) {
   Packet p = make_packet(t, t.hx->switch_at({0, 0}), t.hx->switch_at({2, 2}));
   p.hops = 1;
   std::vector<Candidate> out;
-  RouteScratch scratch;
-  mech->candidates(t.ctx, p, t.hx->switch_at({2, 0}), scratch, out);
+  mech->candidates(t.ctx, p, t.hx->switch_at({2, 0}), out);
   ASSERT_FALSE(out.empty());
   for (const auto& c : out)
     if (!c.escape) {
@@ -136,7 +132,7 @@ TEST(SurePath, RungPolicyFollowsHopCount) {
   // Rung saturates at the top CRout VC.
   p.hops = 9;
   out.clear();
-  mech->candidates(t.ctx, p, t.hx->switch_at({2, 0}), scratch, out);
+  mech->candidates(t.ctx, p, t.hx->switch_at({2, 0}), out);
   for (const auto& c : out)
     if (!c.escape) {
       EXPECT_EQ(c.vc_lo, 2);
@@ -171,8 +167,7 @@ TEST(SurePath, MonotonePolicyRespectsCurrentVc) {
   Packet p = make_packet(t, t.hx->switch_at({0, 0}), t.hx->switch_at({2, 2}));
   p.cur_vc = 1;
   std::vector<Candidate> out;
-  RouteScratch scratch;
-  mech.candidates(t.ctx, p, p.src_switch, scratch, out);
+  mech.candidates(t.ctx, p, p.src_switch, out);
   ASSERT_FALSE(out.empty());
   for (const auto& c : out)
     if (!c.escape) {
@@ -196,8 +191,7 @@ TEST(SurePath, ForcedHopWhenBaseRoutingDead) {
   auto mech = omnisp();
   Packet p = make_packet(t, src, dst);
   std::vector<Candidate> out;
-  RouteScratch scratch;
-  mech->candidates(t.ctx, p, src, scratch, out);
+  mech->candidates(t.ctx, p, src, out);
   ASSERT_FALSE(out.empty());
   for (const auto& c : out) EXPECT_TRUE(c.escape);
 }
@@ -212,12 +206,11 @@ int surepath_walk(const TestNet& t, RoutingMechanism& mech, SwitchId src,
   SwitchId c = src;
   mech.on_arrival(t.ctx, p, c);
   std::vector<Candidate> out;
-  RouteScratch scratch;
   int hops = 0;
   while (c != dst) {
     if (hops > max_hops) return -1;
     out.clear();
-    mech.candidates(t.ctx, p, c, scratch, out);
+    mech.candidates(t.ctx, p, c, out);
     if (out.empty()) return -1;
     const Candidate* best = &out.front();
     for (const auto& cc : out)
@@ -305,8 +298,7 @@ TEST(SurePath, RequiresEscapeInContext) {
   auto mech = omnisp();
   Packet p = make_packet(t, 0, 5);
   std::vector<Candidate> out;
-  RouteScratch scratch;
-  EXPECT_DEATH(mech->candidates(t.ctx, p, 0, scratch, out), "escape");
+  EXPECT_DEATH(mech->candidates(t.ctx, p, 0, out), "escape");
 }
 
 } // namespace

@@ -107,7 +107,7 @@ TEST_P(HyperXShapes, EscapeLivenessFaultFree) {
   const EscapeUpDown esc(hx.graph(),
                          {.root = hx.num_switches() / 2, .strict_phase = false,
                           .penalties = {}, .use_shortcuts = true});
-  std::vector<EscapeCand> cand;
+  std::vector<Candidate> cand;
   // Spot-check a diagonal of pairs (full all-pairs is covered elsewhere).
   for (SwitchId a = 0; a < hx.num_switches(); a += 3) {
     for (SwitchId b = 1; b < hx.num_switches(); b += 5) {
@@ -221,7 +221,7 @@ TEST(SweepGeneric, SurePathWalksOnDragonfly) {
   DistanceTable dist(df);
   EscapeUpDown esc(df, {.root = 0, .strict_phase = true, .penalties = {},
                         .use_shortcuts = true});
-  std::vector<EscapeCand> cand;
+  std::vector<Candidate> cand;
   for (SwitchId a = 0; a < df.num_switches(); ++a)
     for (SwitchId b = 0; b < df.num_switches(); ++b) {
       if (a == b) continue;
@@ -232,10 +232,10 @@ TEST(SweepGeneric, SurePathWalksOnDragonfly) {
         cand.clear();
         esc.candidates(c, b, down, cand);
         ASSERT_FALSE(cand.empty());
-        const EscapeCand* best = &cand.front();
+        const Candidate* best = &cand.front();
         for (const auto& ec : cand)
           if (ec.penalty < best->penalty) best = &ec;
-        if (best->down_black) down = true;
+        if (best->escape_down) down = true;
         c = df.port(c, best->port).neighbor;
       }
       EXPECT_EQ(c, b);

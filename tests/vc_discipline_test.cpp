@@ -100,8 +100,7 @@ TEST(VcDiscipline, EveryMechanismFollowsTable4) {
           p.hops = static_cast<std::uint16_t>(hops);
           p.cur_vc = cur;
           std::vector<Candidate> out;
-          RouteScratch scratch;
-          mech->candidates(t.ctx, p, src, scratch, out);
+          mech->candidates(t.ctx, p, src, out);
 
           // Routing entries first, one per port, each spanning exactly
           // the expected VCs; escape entries after, on the escape VC.
