@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   const bool paper = opt.get_bool("paper", false);
   ExperimentSpec base = spec_from_options(opt, 3);
   bench::quick_cycles(opt, paper, base);
-  base.sim.num_vcs = static_cast<int>(opt.get_int("vcs", 4));
+  base.sim.num_vcs = opt.get_int_as<int>("vcs", 4);
   const bench::CommonOptions common(opt);
 
   const int side = base.sides[0];

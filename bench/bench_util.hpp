@@ -52,7 +52,7 @@ struct CommonOptions {
   explicit CommonOptions(const Options& opt) {
     opt.has("csv");
     opt.has("seed");
-    jobs = static_cast<int>(opt.get_int("jobs", 0));
+    jobs = opt.get_int_as<int>("jobs", 0);
     emit_tasks = opt.has("emit-tasks");
     emit_path = opt.get("emit-tasks", "");
     if (emit_path == "1") emit_path.clear();  // bare flag / --emit-tasks=1

@@ -94,7 +94,7 @@ StudyResult run_study(Graph graph, int sps, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   const Options opt(argc, argv);
-  const std::uint64_t seed = static_cast<std::uint64_t>(opt.get_int("seed", 1));
+  const std::uint64_t seed = opt.get_int_as<std::uint64_t>("seed", 1);
   const bench::CommonOptions common(opt);
   if (bench::maybe_emit_tasks(common, TaskGrid("ext_dragonfly_escape")))
     return 0;

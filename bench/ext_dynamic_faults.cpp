@@ -31,8 +31,8 @@ int main(int argc, char** argv) {
     base.warmup = opt.get_int("warmup", 2000);
     base.measure = opt.get_int("measure", 12000);
   }
-  base.sim.num_vcs = static_cast<int>(opt.get_int("vcs", 4));
-  const int nfaults = static_cast<int>(opt.get_int("faults", 6));
+  base.sim.num_vcs = opt.get_int_as<int>("vcs", 4);
+  const int nfaults = opt.get_int_as<int>("faults", 6);
   const bench::CommonOptions common(opt);
 
   HyperX scratch(base.sides, base.resolved_servers_per_switch());

@@ -89,13 +89,13 @@ std::vector<LinkId> targeted_fault_links(const Graph& g, SwitchId region,
 
 int main(int argc, char** argv) {
   const Options opt(argc, argv);
-  const int dims = static_cast<int>(opt.get_int("dims", 2));
+  const int dims = opt.get_int_as<int>("dims", 2);
   ExperimentSpec base = spec_from_options(opt, dims);
   // One server per switch by default, like ext_workloads: jobs address
   // servers, and the paper convention (sps = side) would square the
   // message count.
   if (!opt.has("sps")) base.servers_per_switch = 1;
-  base.sim.num_vcs = static_cast<int>(opt.get_int("vcs", base.sim.num_vcs));
+  base.sim.num_vcs = opt.get_int_as<int>("vcs", base.sim.num_vcs);
   base.mechanism = opt.get("mech", "polsp");
 
   const std::vector<std::string> placements =
@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
       opt.get_double_list("fault-fracs", {0.0, 0.04, 0.08});
   const std::vector<std::string> modes =
       opt.get_list("fault-modes", {"uniform", "targeted"});
-  const int msg_packets = static_cast<int>(opt.get_int("msg-packets", 4));
+  const int msg_packets = opt.get_int_as<int>("msg-packets", 4);
   const Cycle stagger = opt.get_int("stagger", 2000);
   const Cycle bucket = opt.get_int("bucket", 2000);
   const Cycle deadline = opt.get_int("deadline", 4000000);

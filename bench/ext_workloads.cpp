@@ -32,17 +32,17 @@ using namespace hxsp;
 
 int main(int argc, char** argv) {
   const Options opt(argc, argv);
-  const int dims = static_cast<int>(opt.get_int("dims", 2));
+  const int dims = opt.get_int_as<int>("dims", 2);
   ExperimentSpec base = spec_from_options(opt, dims);
   // One server per switch by default: workloads address servers, and the
   // paper convention (sps = side) would square the message count.
   if (!opt.has("sps")) base.servers_per_switch = 1;
-  base.sim.num_vcs = static_cast<int>(opt.get_int("vcs", base.sim.num_vcs));
+  base.sim.num_vcs = opt.get_int_as<int>("vcs", base.sim.num_vcs);
 
   WorkloadParams wparams;
-  wparams.msg_packets = static_cast<int>(opt.get_int("msg-packets", 4));
-  wparams.rounds = static_cast<int>(opt.get_int("rounds", 1));
-  wparams.fanout = static_cast<int>(opt.get_int("fanout", 2));
+  wparams.msg_packets = opt.get_int_as<int>("msg-packets", 4);
+  wparams.rounds = opt.get_int_as<int>("rounds", 1);
+  wparams.fanout = opt.get_int_as<int>("fanout", 2);
   wparams.trace = opt.get("trace", "");
   const std::vector<std::string> workloads = opt.get_list(
       "workloads", {"alltoall", "ring_allreduce", "halo2d", "shuffle"});

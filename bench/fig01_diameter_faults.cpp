@@ -63,13 +63,13 @@ SeedTrace walk_seed(const HyperX& hx, int seed, int step) {
 
 int main(int argc, char** argv) {
   const Options opt(argc, argv);
-  const int side = static_cast<int>(opt.get_int("side", 8));
-  const int dims = static_cast<int>(opt.get_int("dims", 3));
+  const int side = opt.get_int_as<int>("side", 8);
+  const int dims = opt.get_int_as<int>("dims", 3);
   // Paper plots several sequences at single-fault granularity; default to
   // 3 seeds sampled every 20 faults so the bench stays ~20 s on one core
   // (--seeds / --step restore any resolution).
-  const int seeds = static_cast<int>(opt.get_int("seeds", 3));
-  const int step = static_cast<int>(opt.get_int("step", 20));
+  const int seeds = opt.get_int_as<int>("seeds", 3);
+  const int step = opt.get_int_as<int>("step", 20);
   const bench::CommonOptions common(opt);
   if (bench::maybe_emit_tasks(common, TaskGrid("fig01_diameter_faults")))
     return 0;

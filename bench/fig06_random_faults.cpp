@@ -85,10 +85,10 @@ void build_dim(int dims, ExperimentSpec base, bool paper, long max_faults_opt,
 int main(int argc, char** argv) {
   const Options opt(argc, argv);
   const bool paper = opt.get_bool("paper", false);
-  const int dims = static_cast<int>(opt.get_int("dims", 0));
+  const int dims = opt.get_int_as<int>("dims", 0);
   const long max_faults_opt = opt.get_int("max-faults", -1);
-  const int steps = static_cast<int>(opt.get_int("steps", 10));
-  const int vcs = static_cast<int>(opt.get_int("vcs", 4)); // paper §6: 4 VCs
+  const int steps = opt.get_int_as<int>("steps", 10);
+  const int vcs = opt.get_int_as<int>("vcs", 4); // paper §6: 4 VCs
   ExperimentSpec base2 = spec_from_options(opt, 2);
   ExperimentSpec base3 = spec_from_options(opt, 3);
   bench::quick_cycles(opt, paper, base2);

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   const Options opt(argc, argv);
   const bool paper = opt.get_bool("paper", false);
   ExperimentSpec base = spec_from_options(opt, 3);
-  base.sim.num_vcs = static_cast<int>(opt.get_int("vcs", 4));
+  base.sim.num_vcs = opt.get_int_as<int>("vcs", 4);
   const long phits = opt.get_int("phits", paper ? 8000 : 4000);
   const long packets = phits / base.sim.packet_length;
   const Cycle bucket = opt.get_int("bucket", paper ? 5000 : 2000);

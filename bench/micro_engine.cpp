@@ -64,7 +64,6 @@ void BM_RouteCandidates(benchmark::State& state) {
   Packet p;
   p.src_switch = 0;
   p.dst_switch = hx.num_switches() - 1;
-  p.src_server = 0;
   p.dst_server = hx.num_servers() - 1;
   std::vector<Candidate> out;
   SwitchId c = 0;
@@ -91,7 +90,6 @@ void BM_MechanismCandidates(benchmark::State& state, const char* name) {
   Packet p;
   p.src_switch = 0;
   p.dst_switch = hx.num_switches() - 1;
-  p.src_server = 0;
   p.dst_server = hx.num_servers() - 1;
   std::vector<Candidate> out;
   SwitchId c = 0;

@@ -17,7 +17,7 @@ using namespace hxsp;
 
 int main(int argc, char** argv) {
   const Options opt(argc, argv);
-  const int side = static_cast<int>(opt.get_int("side", 4));
+  const int side = opt.get_int_as<int>("side", 4);
   const long phits = opt.get_int("phits", 2000);
   opt.warn_unknown();
 

@@ -32,7 +32,7 @@ void report(const char* title, const ResultRow& r) {
 
 int main(int argc, char** argv) {
   const Options opt(argc, argv);
-  const int side = static_cast<int>(opt.get_int("side", 8));
+  const int side = opt.get_int_as<int>("side", 8);
   opt.warn_unknown();
 
   ExperimentSpec base;

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   // A 2D HyperX of side 8 (64 switches, 8 servers each), routed with
   // SurePath over Polarized routes — the paper's PolSP configuration.
   hxsp::ExperimentSpec spec;
-  const int side = static_cast<int>(opt.get_int("side", 8));
+  const int side = opt.get_int_as<int>("side", 8);
   const double load = opt.get_double("load", 0.5);
   opt.warn_unknown();
   spec.sides = {side, side};

@@ -5,11 +5,12 @@
 # determinism contract the unit tests enforce at the engine level — and
 # (c) for every driver that emits a task grid, the CSV equals what
 # hxsp_runner writes for the driver's --emit-tasks manifest. It also
-# checks that a driver whose CSV cannot be written exits non-zero and that
-# hxsp_runner rejects an out-of-range fault link id and escape penalty and
-# an integer that does not fit its field (a trace src, a fault link),
-# prints where the hot step functions landed, and runs the example
-# programs and fails if one exits non-zero.
+# checks that a driver whose CSV cannot be written or whose integer flag
+# does not fit its field exits non-zero, that hxsp_runner rejects an
+# out-of-range fault link id and escape penalty and an integer that does
+# not fit its field (a trace src, a fault link), prints where the hot
+# step functions landed, and runs the example programs and fails if one
+# exits non-zero.
 #
 # Usage: scripts/bench_smoke.sh [build-dir]   (default: build)
 set -u
@@ -106,6 +107,24 @@ if [[ -x "$BUILD_DIR/table03_topology" ]]; then
     FAILED=1
   else
     echo "OK      unwritable --csv (driver exits non-zero)"
+  fi
+fi
+
+# An integer flag that does not fit its field must fail naming the flag:
+# --side=4294967298 (2^32 + 2) used to emit a 2x2 HyperX.
+if [[ -x "$BUILD_DIR/fig04_2d_faultfree" ]]; then
+  if "$BUILD_DIR/fig04_2d_faultfree" --side=4294967298 \
+       --emit-tasks="$WORK_DIR/side_alias.json" \
+       > "$WORK_DIR/side_alias.out" 2>&1; then
+    echo "FAIL    2^32-aliased --side (driver exited 0)"
+    FAILED=1
+  elif ! grep -q -- "--side = 4294967298 is not an integer in" \
+         "$WORK_DIR/side_alias.out"; then
+    echo "FAIL    2^32-aliased --side (no flag name in the message)"
+    tail -5 "$WORK_DIR/side_alias.out"
+    FAILED=1
+  else
+    echo "OK      2^32-aliased --side (driver exits non-zero, names the flag)"
   fi
 fi
 

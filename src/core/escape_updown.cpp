@@ -4,6 +4,14 @@
 #include <deque>
 
 namespace hxsp {
+namespace {
+
+/// Penalty of a red shortcut that cuts the escape distance by \p reduction.
+int shortcut_penalty(const EscapePenalties& pen, int reduction) {
+  return reduction >= 3 ? pen.red3 : (reduction == 2 ? pen.red2 : pen.red1);
+}
+
+} // namespace
 
 EscapeUpDown::EscapeUpDown(const Graph& g, const Config& cfg)
     : g_(&g), cfg_(cfg), n_(static_cast<std::size_t>(g.num_switches())) {
@@ -128,8 +136,7 @@ void EscapeUpDown::candidates(SwitchId current, SwitchId target, bool gone_down,
           out.push_back(Candidate::escape_hop(p, pen.down, true));
         }
       } else if (cfg_.use_shortcuts) {
-        const int delta = ud_c - ud_n;
-        const int pnl = delta >= 3 ? pen.red3 : (delta == 2 ? pen.red2 : pen.red1);
+        const int pnl = shortcut_penalty(pen, ud_c - ud_n);
         out.push_back(Candidate::escape_hop(p, pnl, false));
       }
       continue;
@@ -147,8 +154,7 @@ void EscapeUpDown::candidates(SwitchId current, SwitchId target, bool gone_down,
         out.push_back(Candidate::escape_hop(p, pen.down, true));
       } else if (!black && cfg_.use_shortcuts && nb.neighbor < current &&
                  ud_n < ud_c) {
-        const int delta = ud_c - ud_n;
-        const int pnl = delta >= 3 ? pen.red3 : (delta == 2 ? pen.red2 : pen.red1);
+        const int pnl = shortcut_penalty(pen, ud_c - ud_n);
         out.push_back(Candidate::escape_hop(p, pnl, false));
       }
     } else {
@@ -157,8 +163,7 @@ void EscapeUpDown::candidates(SwitchId current, SwitchId target, bool gone_down,
         out.push_back(Candidate::escape_hop(p, pen.down, true));
       } else if (!black && cfg_.use_shortcuts && nb.neighbor > current &&
                  ut_n != kUnreachable && ut_c != kUnreachable && ut_n < ut_c) {
-        const int delta = ut_c - ut_n;
-        const int pnl = delta >= 3 ? pen.red3 : (delta == 2 ? pen.red2 : pen.red1);
+        const int pnl = shortcut_penalty(pen, ut_c - ut_n);
         out.push_back(Candidate::escape_hop(p, pnl, false));
       }
     }

@@ -359,11 +359,9 @@ DynamicResult Experiment::run_load_dynamic(double offered,
 int Experiment::walk_route(SwitchId src, SwitchId dst, int max_hops) {
   Packet pkt;
   pkt.id = -1;
-  pkt.src_server = hx_->server_at(src, 0);
   pkt.dst_server = hx_->server_at(dst, 0);
   pkt.src_switch = src;
   pkt.dst_switch = dst;
-  pkt.length = spec_.sim.packet_length;
   Rng walk_rng = rng_.fork(0x3A1C);
   mech_->on_inject(ctx_, pkt, walk_rng);
 

@@ -45,21 +45,21 @@ std::vector<double> default_loads(bool paper) {
 ExperimentSpec spec_from_options(const Options& opt, int dims) {
   const bool paper = opt.get_bool("paper", false);
   ExperimentSpec s = dims == 3 ? preset_3d(paper) : preset_2d(paper);
-  const int side = static_cast<int>(opt.get_int("side", s.sides[0]));
+  const int side = opt.get_int_as<int>("side", s.sides[0]);
   s.sides.assign(static_cast<std::size_t>(dims), side);
-  s.servers_per_switch = static_cast<int>(opt.get_int("sps", -1));
-  s.sim.num_vcs = static_cast<int>(opt.get_int("vcs", s.sim.num_vcs));
+  s.servers_per_switch = opt.get_int_as<int>("sps", -1);
+  s.sim.num_vcs = opt.get_int_as<int>("vcs", s.sim.num_vcs);
   s.warmup = opt.get_int("warmup", s.warmup);
   s.measure = opt.get_int("measure", s.measure);
-  s.seed = static_cast<std::uint64_t>(opt.get_int("seed", 1));
+  s.seed = opt.get_int_as<std::uint64_t>("seed", 1);
   s.escape_strict_phase =
       opt.get_bool("strict-escape", !opt.get_bool("memoryless-escape", false));
   s.escape_shortcuts = !opt.get_bool("no-shortcuts", false);
-  s.escape_root = static_cast<SwitchId>(opt.get_int("root", 0));
+  s.escape_root = opt.get_int_as<SwitchId>("root", 0);
   s.traffic_params.hotspot_fraction =
       opt.get_double("hotspot-fraction", s.traffic_params.hotspot_fraction);
-  s.traffic_params.hotspot_count = static_cast<int>(
-      opt.get_int("hotspot-count", s.traffic_params.hotspot_count));
+  s.traffic_params.hotspot_count =
+      opt.get_int_as<int>("hotspot-count", s.traffic_params.hotspot_count);
   // --audit=K: run the engine invariant auditor every K cycles (0 = off;
   // HXSP_AUDIT builds default it on). Pure checking — never changes output.
   s.sim.audit_interval = opt.get_int("audit", s.sim.audit_interval);
@@ -68,9 +68,9 @@ ExperimentSpec spec_from_options(const Options& opt, int dims) {
   s.sim.telemetry_window =
       opt.get_int("telemetry-window", s.sim.telemetry_window);
   s.sim.trace_sample =
-      static_cast<int>(opt.get_int("trace-sample", s.sim.trace_sample));
+      opt.get_int_as<int>("trace-sample", s.sim.trace_sample);
   s.sim.flight_recorder =
-      static_cast<int>(opt.get_int("flight-recorder", s.sim.flight_recorder));
+      opt.get_int_as<int>("flight-recorder", s.sim.flight_recorder);
   return s;
 }
 

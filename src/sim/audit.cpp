@@ -4,7 +4,7 @@
 /// The engine keeps incrementally maintained state instead of full
 /// per-cycle scans: per-output-VC qs and per-port score sums (allocator
 /// scoring), feasibility masks, out-head caches, waiting counts,
-/// per-router active input lists, and O(1) packet and drain counters.
+/// per-router active input lists, and the O(1) packet counter.
 /// Each of those is updated at a handful of mutation sites; a future edit
 /// that misses one site produces no crash — just a silently different (and
 /// wrong) simulation three PRs later. The auditor recomputes every one of those structures
@@ -21,15 +21,12 @@
 ///                  + occupied downstream + in flight on the wheel
 ///   packets:  packets_in_system == buffered in routers + queued in
 ///             servers + pending consumptions
-///   drain:    outstanding == packets left of started messages
-///             + the source's unstarted packets
 
 #include <algorithm>
 #include <vector>
 
 #include "sim/network.hpp"
 #include "sim/router.hpp"
-#include "workload/run.hpp"
 
 namespace hxsp {
 
@@ -78,7 +75,9 @@ void Router::audit_local(const SimConfig& cfg) const {
   // swap-remove must carry it along with its entry; a miss at either site
   // would route a packet on another packet's candidates. The entries
   // themselves index outputs_ and out_qs_ unchecked in the request scan,
-  // so each must name a real port and a VC range inside num_vcs_.
+  // so each must name a real port and a VC range inside num_vcs_. The
+  // routing entries must come first: the allocator calls an escape grant
+  // forced when the list starts with an escape entry.
   HXSP_CHECK_MSG(cand_slots_.size() >= active_.size(),
                  "audit: active input without a candidate slot");
   for (std::size_t i = 0; i < cand_slots_.size(); ++i) {
@@ -90,7 +89,7 @@ void Router::audit_local(const SimConfig& cfg) const {
         slot.head_id ==
             in_front(static_cast<std::size_t>(active_[i])).id,
         "audit: candidate slot outlived its head (granted since filled)");
-    int routing = 0;
+    bool escape_seen = false;
     for (const Candidate& c : slot.cand) {
       HXSP_CHECK_MSG(c.port < num_ports(),
                      "audit: candidate entry names a port past the router");
@@ -99,14 +98,14 @@ void Router::audit_local(const SimConfig& cfg) const {
       HXSP_CHECK_MSG(!c.escape || (c.vc_lo == num_vcs_ - 1 &&
                                    c.vc_hi == num_vcs_ - 1),
                      "audit: escape candidate off the escape VC");
-      routing += c.escape ? 0 : 1;
+      HXSP_CHECK_MSG(c.escape || !escape_seen,
+                     "audit: candidate slot lists a routing entry after an "
+                     "escape entry");
+      escape_seen = escape_seen || c.escape;
     }
-    HXSP_CHECK_MSG(slot.num_routing == routing,
-                   "audit: candidate slot's routing count drifted");
   }
 
   // --- outputs: qs, score sums, masks, head caches, waiting counts --------
-  int waiting_sum = 0;
   for (Port p = 0; p < static_cast<Port>(outputs_.size()); ++p) {
     const OutputPort& op = outputs_[static_cast<std::size_t>(p)];
     int score_sum = 0;
@@ -141,10 +140,7 @@ void Router::audit_local(const SimConfig& cfg) const {
         std::binary_search(link_ports_.begin(), link_ports_.end(), p);
     HXSP_CHECK_MSG(listed == (op.waiting > 0),
                    "audit: link port list out of sync with waiting counts");
-    waiting_sum += op.waiting;
   }
-  HXSP_CHECK_MSG(waiting_total_ == waiting_sum,
-                 "audit: router waiting total drifted");
   HXSP_CHECK_MSG(std::is_sorted(link_ports_.begin(), link_ports_.end()),
                  "audit: link port list not sorted");
 }
@@ -290,15 +286,6 @@ void Network::run_audit() const {
   for (const Server& s : servers_) queued += s.queued();
   HXSP_CHECK_MSG(packets_in_system_ == buffered + queued + pending_consume,
                  "audit: packet conservation violated");
-
-  // --- drain accounting ---------------------------------------------------
-  // The O(1) drain counter against its parts: packets of started
-  // messages still to generate, plus the source's admitted packets of
-  // messages no server has started (both 0 in rate mode).
-  long left = source_ != nullptr ? source_->unstarted_packets() : 0;
-  for (const Server& s : servers_) left += s.packets_left();
-  HXSP_CHECK_MSG(outstanding_ == left,
-                 "audit: drain counter drifted from server budgets");
 }
 
 } // namespace hxsp

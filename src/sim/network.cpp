@@ -104,11 +104,10 @@ void Network::set_offered_load(double load) {
   for (auto& s : servers_) s.set_offered_load(load, cfg_.packet_length);
 }
 
-void Network::enter_message_mode(MessageSource* source, long outstanding) {
-  HXSP_CHECK(source != nullptr && outstanding >= 0);
+void Network::enter_message_mode(MessageSource* source) {
+  HXSP_CHECK(source != nullptr);
   for (auto& s : servers_) s.set_message_mode();
   source_ = source;
-  outstanding_ = outstanding;
 }
 
 void Network::begin_window() {
@@ -426,15 +425,25 @@ void Network::export_telemetry(TelemetryCapture& out) {
 
 bool Network::run_until_drained(Cycle max_cycles) {
   // packets_in_system_ counts every generated-but-unconsumed packet
-  // (server queues included), and outstanding_ the budgeted packets not
-  // yet generated — together they are the total outstanding work, so the
-  // drained check is O(1) instead of a per-cycle scan of every server.
+  // (server queues included), so the servers are scanned only once it is
+  // 0. Work released inside a step (a Consume callback) is generated in
+  // that step's generation phase, so an empty fabric at a step boundary
+  // with work left means work released outside a step (a source's start,
+  // a tenant arrival), which some server holds. A message not yet
+  // released waits on one not yet consumed, so with every server idle
+  // none is left (validated dependency lists are acyclic).
+  const auto drained = [this] {
+    return packets_in_system_ == 0 &&
+           std::none_of(servers_.begin(), servers_.end(), [](const Server& s) {
+             return s.holds_message_work();
+           });
+  };
   const Cycle end = now_ + max_cycles;
   while (now_ < end) {
-    if (packets_in_system_ == 0 && outstanding_ == 0) return true;
+    if (drained()) return true;
     step();
   }
-  return packets_in_system_ == 0 && outstanding_ == 0;
+  return drained();
 }
 
 } // namespace hxsp

@@ -125,19 +125,9 @@ class Network {
 
   /// Message mode: every server injects only packets of messages
   /// released by \p source, which stays attached for the rest of the
-  /// simulation; \p outstanding is the packet budget admitted so far
-  /// (drained as packets are generated, see run_until_drained). Called by
-  /// the sources' start (WorkloadRun, CompletionSource, TenantScheduler).
-  void enter_message_mode(MessageSource* source, long outstanding);
-
-  /// Extends the message-mode packet budget: the source admitted more
-  /// work (WorkloadRun::launch on a scheduler admission). Safe to call
-  /// from inside a Consume callback — the budget grows before
-  /// run_until_drained's next drain check.
-  void add_outstanding(long packets) {
-    HXSP_DCHECK(source_ != nullptr && packets >= 0);
-    outstanding_ += packets;
-  }
+  /// simulation. Called by the sources' start (WorkloadRun,
+  /// CompletionSource, TenantScheduler).
+  void enter_message_mode(MessageSource* source);
 
   /// The attached message source (null in rate mode).
   MessageSource* message_source() { return source_; }
@@ -145,8 +135,9 @@ class Network {
   /// Advances the simulation \p n cycles.
   void run_cycles(Cycle n);
 
-  /// Runs until every packet has been consumed (message mode) or
-  /// \p max_cycles elapse; returns true when fully drained.
+  /// Runs until no packet is left in the fabric or the server queues and
+  /// no server holds released message work, or \p max_cycles elapse;
+  /// returns true when fully drained.
   bool run_until_drained(Cycle max_cycles);
 
   /// Opens the metrics measurement window at the current cycle and
@@ -235,10 +226,6 @@ class Network {
   /// Bookkeeping: a packet entered / left the system.
   void on_packet_created() { ++packets_in_system_; }
   void on_packet_destroyed() { --packets_in_system_; }
-
-  /// A message-mode server generated one of its budgeted packets (drains
-  /// the aggregate outstanding-work counter, see run_until_drained).
-  void on_budget_packet_generated() { --outstanding_; }
 
   // --- dynamic fault support ----------------------------------------------
 
@@ -374,11 +361,6 @@ class Network {
   /// the same one-compare gate as the auditor.
   Cycle next_telemetry_ = 0;
   long packets_in_system_ = 0;
-  /// Admitted message-mode packets not yet generated, summed over all
-  /// servers and the source (audited); packets_in_system_ + outstanding_
-  /// == 0 means fully drained, so run_until_drained never rescans the
-  /// servers.
-  long outstanding_ = 0;
   long dropped_packets_ = 0;
   std::int64_t packet_ids_ = 0;
 };

@@ -19,14 +19,11 @@ namespace hxsp {
 /// A packet in flight. Owned by exactly one buffer (or link) at a time.
 struct Packet {
   std::int64_t id = 0;          ///< unique per simulation
-  ServerId src_server = kInvalid;
   ServerId dst_server = kInvalid;
   SwitchId src_switch = kInvalid;
   SwitchId dst_switch = kInvalid;
-  int length = 0;               ///< phits
 
   Cycle created = 0;            ///< generation time (enqueue at server)
-  Cycle injected = -1;          ///< first phit left the server
   std::int32_t msg = kInvalid;  ///< message id (-1: rate mode)
 
   // --- cut-through position in the current buffer -----------------------
@@ -42,6 +39,9 @@ struct Packet {
   bool in_escape = false;          ///< currently on a CEsc virtual channel
   bool escape_gone_down = false;   ///< strict-phase escape: took a Down hop
 };
+// Byte budget: every packet in flight is one heap block of this size, and
+// a saturated fabric holds one per occupied buffer slot.
+static_assert(sizeof(Packet) <= 80, "Packet grew past its budget");
 
 /// Owning pointer used when moving packets between buffers.
 using PacketPtr = std::unique_ptr<Packet>;

@@ -86,18 +86,10 @@ void Router::push_input(PacketPtr pkt, Port port, Vc vc, Cycle head,
   InputVc& iv = input_mut(port, vc);
   pkt->buf_head = head;
   pkt->buf_tail = tail;
-  iv.occupancy += pkt->length;
+  iv.occupancy += len_;
   HXSP_DCHECK(iv.occupancy <= base_credits_);
-  if (iv.q.empty()) {
-    // Fresh head: it can first request once its head phit is here, any
-    // in-progress drain of this VC finished, and the input port's
-    // crossbar is free again.
-    Cycle gate = head;
-    if (iv.drain_until > gate) gate = iv.drain_until;
-    const Cycle xbar = in_xbar_free_[static_cast<std::size_t>(port)];
-    if (xbar > gate) gate = xbar;
-    in_gate_[vc_index(port, vc)] = gate;
-  }
+  if (iv.q.empty())
+    in_gate_[vc_index(port, vc)] = head_gate_floor(port, iv, head);
   in_q_.push_back(vc_index(port, vc), iv.q, std::move(pkt));
   mark_active(port, vc);
 }
@@ -111,12 +103,8 @@ void Router::compute_candidates(const Network& net, const Packet& head,
                        static_cast<Port>(head.dst_server %
                                          net.servers_per_switch());
     slot.cand.push_back(Candidate::route(eject, 0));
-    slot.num_routing = 1;
   } else {
     net.mechanism().candidates(net.ctx(), head, id_, slot.cand);
-    int routing = 0;
-    for (const Candidate& c : slot.cand) routing += c.escape ? 0 : 1;
-    slot.num_routing = routing;
   }
   slot.head_id = head.id;
   slot.valid = true;
@@ -221,8 +209,10 @@ void Router::alloc_phase(Network& net, Cycle now) {
     const Candidate& c = slot.cand[static_cast<std::size_t>(best_idx)];
     // A forced hop (paper §3) is a CRout packet pushed into the escape
     // because the base routing offered nothing; hops of packets already
-    // living on the escape are ordinary escape hops.
-    const bool forced = c.escape && !pkt.in_escape && slot.num_routing == 0;
+    // living on the escape are ordinary escape hops. Routing entries come
+    // before escape entries (audited), so an escape front means none.
+    const bool forced =
+        c.escape && !pkt.in_escape && slot.cand.front().escape;
     // Chain the request behind earlier ones to the same output, so each
     // output sees its requests in posting order.
     const std::int32_t ri = static_cast<std::int32_t>(requests_.size());
@@ -310,7 +300,6 @@ void Router::alloc_phase(Network& net, Cycle now) {
       out_qs_[out_idx] += 2 * len;
       update_feasible(out_port, req.out_vc);
       if (op.waiting++ == 0) sorted_id_insert(link_ports_, out_port);
-      ++waiting_total_;
 
       pkt->buf_head = now + cfg.xbar_latency;
       pkt->buf_tail = drain_done + cfg.xbar_latency;
@@ -358,7 +347,6 @@ void Router::link_phase(const SimConfig& cfg, Cycle now, LinkStage& out) {
       PacketPtr pkt = out_q_.pop_front(idx, ov.q);
       out_head_[idx] = ov.q.empty() ? kNeverReady : out_front(idx).buf_head;
       if (--op.waiting == 0) sorted_id_erase(link_ports_, p);
-      --waiting_total_;
       op.link_free_at = now + len;
       op.rr_next = (v + 1) % num_vcs_;
       if (p < num_switch_ports_) link_phits_[static_cast<std::size_t>(p)] += len;
@@ -385,14 +373,8 @@ void Router::on_tables_rebuilt() {
       // Drop the (stale-candidate-based) output park bound from the gate
       // but keep the exact input-side bounds, so every head rescans as
       // soon as it legally can on the new tables.
-      Cycle gate = 0;
-      if (!iv.q.empty()) {
-        gate = in_front(idx).buf_head;
-        if (iv.drain_until > gate) gate = iv.drain_until;
-        const Cycle xbar = in_xbar_free_[static_cast<std::size_t>(p)];
-        if (xbar > gate) gate = xbar;
-      }
-      in_gate_[idx] = gate;
+      in_gate_[idx] =
+          iv.q.empty() ? 0 : head_gate_floor(p, iv, in_front(idx).buf_head);
       // Strict-phase escape liveness is proven per table build; restart
       // the phase so every packet re-derives a valid route on the new
       // tables.
@@ -419,7 +401,6 @@ int Router::drop_output_queue(Network& net, Port port) {
       op.score_sum -= 2 * len;
       out_qs_[idx] -= 2 * len;
       --op.waiting;
-      --waiting_total_;
       ++dropped;
     }
     out_head_[idx] = kNeverReady;

@@ -97,7 +97,6 @@ static_assert(sizeof(PacketPtr) == sizeof(Packet*),
 struct CandSlot {
   std::vector<Candidate> cand; ///< candidate set of the head, one per port
   std::int64_t head_id = -1;   ///< Packet::id of the head it was computed for
-  int num_routing = 0;         ///< non-escape entries in `cand`
   bool valid = false;          ///< computed for the current head
 };
 // No inline candidate array: million_min keeps a slot per active input of
@@ -227,7 +226,7 @@ class Router {
 
   /// True while any output VC holds a packet awaiting its link (the
   /// routers Network::step runs the link phase of).
-  bool has_link_work() const { return waiting_total_ > 0; }
+  bool has_link_work() const { return !link_ports_.empty(); }
 
   // --- dynamic fault support ----------------------------------------------
 
@@ -308,6 +307,13 @@ class Router {
       op.feasible_mask &= ~bit;
   }
 
+  /// The input-side floor of a head's gate: its head phit at \p head,
+  /// any in-progress drain of \p iv done, and input \p p's crossbar free.
+  Cycle head_gate_floor(Port p, const InputVc& iv, Cycle head) const {
+    return std::max({head, iv.drain_until,
+                     in_xbar_free_[static_cast<std::size_t>(p)]});
+  }
+
   /// Adds (port,vc) to the active list if absent.
   void mark_active(Port p, Vc v);
 
@@ -326,7 +332,6 @@ class Router {
   int outbuf_cap_ = 0;              ///< SimConfig::output_buffer_phits()
   int base_credits_ = 0;            ///< downstream input capacity, phits
                                     ///< (for the consumed-credit Q term)
-  int waiting_total_ = 0;           ///< sum of OutputPort::waiting
   std::vector<InputVc> inputs_;     ///< [port][vc] flattened
   std::vector<OutputVc> out_vcs_;   ///< [port][vc] flattened
   RingSlab<PacketPtr> in_q_;        ///< input queues, ring = [port][vc]

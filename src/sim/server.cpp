@@ -25,14 +25,12 @@ void Server::set_message_mode() {
 void Server::make_packet(Network& net, Cycle now, std::int32_t msg) {
   PacketPtr pkt = net.alloc_packet();
   pkt->id = net.next_packet_id();
-  pkt->src_server = id_;
   pkt->dst_server = msg == kInvalid
                         ? net.traffic().destination(id_, net.rng())
                         : net.message_source()->msg_dst(msg, net.rng());
   pkt->src_switch = switch_;
   pkt->dst_switch = static_cast<SwitchId>(pkt->dst_server /
                                           net.servers_per_switch());
-  pkt->length = net.cfg().packet_length;
   pkt->created = now;
   // The message id rides the packet so its consumption can be attributed
   // back to the message.
@@ -57,7 +55,6 @@ void Server::message_refill(Network& net, Cycle now) {
     }
     make_packet(net, now, msg_);
     --msg_left_;
-    net.on_budget_packet_generated();
   }
 }
 
@@ -88,7 +85,6 @@ void Server::injection_phase(Network& net, Cycle now) {
   }
 
   PacketPtr pkt = queues.pop_front(ring, queue_);
-  pkt->injected = now;
   pkt->cur_vc = best;
   credits[best] -= len;
   link_free_at_ = now + len;

@@ -57,7 +57,7 @@ class Server {
     // Message mode (inject_prob_ is 0): refill only when a message is in
     // progress or released work is waiting, so idle servers stay O(1)
     // per cycle.
-    if (msg_left_ != 0 || !ready_.empty()) message_refill(net, now);
+    if (holds_message_work()) message_refill(net, now);
   }
 
   /// Moves the queue head onto the injection link when possible.
@@ -90,8 +90,9 @@ class Server {
   /// Packets still waiting in the injection queue.
   int queued() const { return queue_.size; }
 
-  /// Packets of the current message not yet generated (message mode).
-  int packets_left() const { return msg_left_; }
+  /// True while this server holds a released message or packets of its
+  /// current message it has not generated yet (message mode).
+  bool holds_message_work() const { return msg_left_ != 0 || !ready_.empty(); }
 
   /// Released messages not yet started (message mode), front = next.
   const VecFifo<std::int32_t>& released_messages() const { return ready_; }

@@ -58,7 +58,7 @@ void TenantScheduler::start(Network& net) {
   HXSP_CHECK_MSG(!started_, "TenantScheduler::start called twice");
   HXSP_CHECK(net.num_servers() == map_.num_servers());
   started_ = true;
-  net.enter_message_mode(this, 0);
+  net.enter_message_mode(this);
 }
 
 Cycle TenantScheduler::next_arrival() const {
@@ -93,8 +93,8 @@ void TenantScheduler::try_admit(Network& net) {
     runs_[j]->bind(std::move(servers));
     stats_[j].admitted = net.now();
     waiting_.erase(waiting_.begin() + static_cast<std::ptrdiff_t>(i));
-    // launch() releases the job's root messages and extends the
-    // outstanding budget — from here the engine carries it.
+    // launch() releases the job's root messages into their servers —
+    // from here the engine carries it.
     runs_[j]->launch(net);
   }
 }
@@ -105,12 +105,6 @@ std::size_t TenantScheduler::owner_of(std::int32_t m) const {
   return static_cast<std::size_t>(it - msg_base_.begin()) - 1;
 }
 
-long TenantScheduler::unstarted_packets() const {
-  long packets = 0;
-  for (const auto& run : runs_) packets += run->unstarted_packets();
-  return packets;
-}
-
 void TenantScheduler::on_packet_consumed(std::int32_t m, Cycle now,
                                          Network& net) {
   const std::size_t j = owner_of(m);
@@ -119,8 +113,8 @@ void TenantScheduler::on_packet_consumed(std::int32_t m, Cycle now,
   if (!run.complete() || stats_[j].completed >= 0) return;
 
   // Job complete: record its SLO numbers, free its servers, and give the
-  // queue a chance — all inside the Consume callback, so any admission
-  // extends the outstanding budget before the next drain check.
+  // queue a chance — all inside the Consume callback, so an admitted
+  // job's roots are generated before the next drain check.
   TenantJobStats& st = stats_[j];
   // One past the consume cycle: the convention every completion_time in
   // the repo uses (net.now() after a drain), so spans divide cleanly by

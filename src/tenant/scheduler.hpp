@@ -16,8 +16,8 @@
 /// share one global id space (per-job bases), so consumed packets route
 /// back to the owning run by a binary search over the base table.
 /// Completion-triggered admissions happen inside the Consume callback,
-/// which extends the outstanding-packet budget before run_until_drained
-/// checks it — the simulation cannot drain away under a pending queue.
+/// so the admitted job's roots are generated in that same step, before
+/// run_until_drained checks for a drained fabric again.
 ///
 /// Everything here runs on the simulation thread at deterministic
 /// points; the only RNG is the placement stream (random policy), drawn
@@ -133,8 +133,8 @@ class TenantScheduler : public MessageSource {
                   ServerId num_servers, int servers_per_switch,
                   Rng placement_rng);
 
-  /// Enters message mode on \p net with an empty budget; launches
-  /// nothing (arrivals drive all work). Call once, before any arrival.
+  /// Enters message mode on \p net; launches nothing (arrivals drive
+  /// all work). Call once, before any arrival.
   void start(Network& net);
 
   /// Earliest arrival cycle not yet processed, or -1 when exhausted.
@@ -163,7 +163,6 @@ class TenantScheduler : public MessageSource {
   int start_message(std::int32_t m) override {
     return runs_[owner_of(m)]->start_message(m);
   }
-  long unstarted_packets() const override;
   void on_packet_consumed(std::int32_t m, Cycle now, Network& net) override;
 
  private:

@@ -1,6 +1,7 @@
 #include "util/options.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -60,10 +61,23 @@ long Options::get_int(const std::string& key, long def) const {
   auto it = kv_.find(key);
   if (it == kv_.end()) return def;
   char* end = nullptr;
-  long v = std::strtol(it->second.c_str(), &end, 10);
+  errno = 0;
+  const long v = std::strtol(it->second.c_str(), &end, 10);
   HXSP_CHECK_MSG(end && *end == '\0' && !it->second.empty(),
                  ("--" + key + " expects an integer").c_str());
+  HXSP_CHECK_MSG(errno != ERANGE,
+                 range_error(key, it->second,
+                             std::to_string(std::numeric_limits<long>::min()),
+                             std::to_string(std::numeric_limits<long>::max()))
+                     .c_str());
   return v;
+}
+
+std::string Options::range_error(const std::string& key,
+                                 const std::string& value,
+                                 const std::string& lo, const std::string& hi) {
+  return "--" + key + " = " + value + " is not an integer in [" + lo + ", " +
+         hi + "]";
 }
 
 double Options::get_double(const std::string& key, double def) const {

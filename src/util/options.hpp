@@ -8,9 +8,13 @@
 /// on malformed values, so every bench gets consistent CLI behaviour
 /// without pulling in an external dependency.
 
+#include <limits>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
+
+#include "util/check.hpp"
 
 namespace hxsp {
 
@@ -28,8 +32,30 @@ class Options {
   /// String value of --key, or \p def when absent.
   std::string get(const std::string& key, const std::string& def) const;
 
-  /// Integer value of --key, or \p def when absent.
+  /// Integer value of --key, or \p def when absent. Aborts naming the
+  /// flag when the value is not an integer or does not fit a long.
   long get_int(const std::string& key, long def) const;
+
+  /// get_int for a field of type \p T: aborts naming the flag when the
+  /// value does not fit \p T, instead of narrowing it (--side=4294967298
+  /// would otherwise set a side of 2).
+  template <typename T>
+  T get_int_as(const std::string& key, T def) const {
+    static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool>,
+                  "get_int_as reads integer types");
+    using Lim = std::numeric_limits<T>;
+    const long v = get_int(key, static_cast<long>(def));
+    bool fits = false;
+    if constexpr (std::is_signed_v<T>)
+      fits = v >= Lim::min() && v <= Lim::max();
+    else
+      fits = v >= 0 && static_cast<unsigned long>(v) <= Lim::max();
+    HXSP_CHECK_MSG(fits, range_error(key, std::to_string(v),
+                                     std::to_string(Lim::min()),
+                                     std::to_string(Lim::max()))
+                             .c_str());
+    return static_cast<T>(v);
+  }
 
   /// Floating-point value of --key, or \p def when absent.
   double get_double(const std::string& key, double def) const;
@@ -56,6 +82,11 @@ class Options {
   void warn_unknown() const;
 
  private:
+  /// "--key = value is not an integer in [lo, hi]".
+  static std::string range_error(const std::string& key,
+                                 const std::string& value,
+                                 const std::string& lo, const std::string& hi);
+
   std::string program_;
   std::map<std::string, std::string> kv_;
   std::vector<std::string> positional_;

@@ -45,7 +45,15 @@ void WorkloadRun::release(std::int32_t m, Cycle now, Network& net) {
   net.server(src).push_message(msg_base_ + m);
 }
 
-void WorkloadRun::release_roots(Network& net) {
+void WorkloadRun::start(Network& net) {
+  HXSP_CHECK_MSG(!started_, "WorkloadRun::start called twice");
+  net.enter_message_mode(this);
+  launch(net);
+}
+
+void WorkloadRun::launch(Network& net) {
+  HXSP_CHECK_MSG(!started_, "WorkloadRun::launch called twice");
+  started_ = true;
   // A phase with no messages (a numbering gap in a trace) is vacuously
   // complete at the start cycle — it must not read as "never finished"
   // (-1) in the results of a fully drained run.
@@ -56,22 +64,6 @@ void WorkloadRun::release_roots(Network& net) {
   for (std::size_t i = 0; i < msgs_.size(); ++i)
     if (pending_deps_[i] == 0)
       release(static_cast<std::int32_t>(i), net.now(), net);
-}
-
-void WorkloadRun::start(Network& net) {
-  HXSP_CHECK_MSG(!started_, "WorkloadRun::start called twice");
-  started_ = true;
-  unstarted_ = total_packets_;
-  net.enter_message_mode(this, total_packets_);
-  release_roots(net);
-}
-
-void WorkloadRun::launch(Network& net) {
-  HXSP_CHECK_MSG(!started_, "WorkloadRun::launch called twice");
-  started_ = true;
-  unstarted_ = total_packets_;
-  net.add_outstanding(total_packets_);
-  release_roots(net);
 }
 
 void WorkloadRun::on_packet_consumed(std::int32_t m, Cycle now, Network& net) {
@@ -113,8 +105,8 @@ CompletionSource::CompletionSource(long packets_per_server)
 void CompletionSource::start(Network& net) {
   HXSP_CHECK_MSG(traffic_ == nullptr, "CompletionSource::start called twice");
   traffic_ = &net.traffic();
-  unstarted_ = static_cast<long>(packets_) * net.num_servers();
-  net.enter_message_mode(this, unstarted_);
+  net.enter_message_mode(this);
+  if (packets_ == 0) return;
   for (ServerId v = 0; v < net.num_servers(); ++v)
     net.server(v).push_message(v);
 }

@@ -65,14 +65,9 @@ class MessageSource {
   /// packet count.
   virtual int start_message(std::int32_t m) = 0;
 
-  /// Packets the source added to the network's outstanding budget whose
-  /// messages no server has started yet. The auditor checks the budget
-  /// against this plus every server's packets left.
-  virtual long unstarted_packets() const = 0;
-
   /// One packet of message \p m was consumed at its destination at cycle
-  /// \p now. May release further messages and extend the network's
-  /// outstanding-packet budget (admissions).
+  /// \p now. May release further messages, its own or those of a job it
+  /// admits.
   virtual void on_packet_consumed(std::int32_t m, Cycle now, Network& net) = 0;
 };
 
@@ -106,8 +101,7 @@ class WorkloadRun : public MessageSource {
   /// single-job entry point — a scheduler-managed run uses launch().
   void start(Network& net);
 
-  /// Scheduler-managed start: releases the dependency-free messages and
-  /// adds this run's packet budget to the network's outstanding count,
+  /// Scheduler-managed start: releases the dependency-free messages
   /// without touching server modes or the network's source attachment
   /// (the TenantScheduler owns both). Call once, at the admission cycle.
   void launch(Network& net);
@@ -120,11 +114,8 @@ class WorkloadRun : public MessageSource {
                             : binding_[static_cast<std::size_t>(msg.dst)];
   }
   int start_message(std::int32_t m) override {
-    const int packets = msgs_[static_cast<std::size_t>(m - msg_base_)].packets;
-    unstarted_ -= packets;
-    return packets;
+    return msgs_[static_cast<std::size_t>(m - msg_base_)].packets;
   }
-  long unstarted_packets() const override { return unstarted_; }
 
   /// Completes the message when \p m's last packet is consumed, which may
   /// complete its phase and release dependent messages into their source
@@ -149,7 +140,6 @@ class WorkloadRun : public MessageSource {
 
  private:
   void release(std::int32_t m, Cycle now, Network& net);
-  void release_roots(Network& net);
 
   MessageList msgs_;
   Dependents dependents_;
@@ -162,7 +152,6 @@ class WorkloadRun : public MessageSource {
   std::vector<Cycle> latencies_;
   std::size_t completed_count_ = 0;
   long total_packets_ = 0;
-  long unstarted_ = 0;  ///< launched packets of messages not yet started
   std::int32_t msg_base_ = 0;
   bool started_ = false;
 };
@@ -178,20 +167,16 @@ class CompletionSource final : public MessageSource {
   explicit CompletionSource(long packets_per_server);
 
   /// Puts every server of \p net into message mode with this source
-  /// attached, and releases message v to server v. Call once.
+  /// attached, and releases message v to server v (none when each server
+  /// sends 0 packets, so such a run drains at once). Call once.
   void start(Network& net);
 
   ServerId msg_dst(std::int32_t m, Rng& rng) const override;
-  int start_message(std::int32_t) override {
-    unstarted_ -= packets_;
-    return packets_;
-  }
-  long unstarted_packets() const override { return unstarted_; }
+  int start_message(std::int32_t) override { return packets_; }
   void on_packet_consumed(std::int32_t, Cycle, Network&) override {}
 
  private:
   int packets_;
-  long unstarted_ = 0;
   const TrafficPattern* traffic_ = nullptr;  ///< the network's, from start()
 };
 

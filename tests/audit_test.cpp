@@ -168,6 +168,34 @@ TEST(AuditDeath, CatchesCorruptedCandidateVcRange) {
                "audit: candidate entry has an invalid VC range");
 }
 
+TEST(AuditDeath, CatchesRoutingEntryAfterEscapeEntry) {
+  LoadedNet l(0);
+  // A valid cached list whose routing entry follows an escape entry: the
+  // allocator reads an escape front as "no routing candidate" and would
+  // count an escape grant from it as forced. A PolSP head off the escape
+  // lists its routing entries, then its escape entries.
+  l.net.set_offered_load(1.0);
+  l.net.run_cycles(500);
+  const int vcs = audit_spec(0).sim.num_vcs;
+  CandSlot* slot = nullptr;
+  for (SwitchId s = 0; s < 16 && slot == nullptr; ++s) {
+    Router& r = l.net.router(s);
+    for (Port p = 0; p < r.num_ports() && slot == nullptr; ++p)
+      for (Vc v = 0; v < vcs && slot == nullptr; ++v) {
+        const int pos = r.input(p, v).active_pos;
+        if (pos < 0) continue;
+        CandSlot& cs = r.corrupt_cand_slot_for_test(pos);
+        if (cs.valid && !cs.cand.front().escape && cs.cand.back().escape)
+          slot = &cs;
+      }
+  }
+  ASSERT_NE(slot, nullptr);
+  std::swap(slot->cand.front(), slot->cand.back());
+  EXPECT_DEATH(l.net.run_audit(),
+               "audit: candidate slot lists a routing entry after an escape "
+               "entry");
+}
+
 TEST(AuditDeath, CatchesLostPacket) {
   LoadedNet l(0);
   ASSERT_GT(l.net.packets_in_system(), 0);
@@ -175,51 +203,6 @@ TEST(AuditDeath, CatchesLostPacket) {
   // wheel: the packet ledger is the engine's only packet check.
   l.net.corrupt_packets_in_system_for_test() -= 1;
   EXPECT_DEATH(l.net.run_audit(), "audit: packet conservation violated");
-}
-
-/// Sends 4 packets from every server v to server v+1 (one message each,
-/// id v) and reports \p skew packets more unstarted work than it holds.
-class SkewedSource final : public MessageSource {
- public:
-  explicit SkewedSource(long skew) : skew_(skew) {}
-  void start(Network& net) {
-    n_ = net.num_servers();
-    unstarted_ = 4L * n_;
-    net.enter_message_mode(this, unstarted_);
-    for (ServerId v = 0; v < n_; ++v) net.server(v).push_message(v);
-  }
-  ServerId msg_dst(std::int32_t m, Rng&) const override { return (m + 1) % n_; }
-  int start_message(std::int32_t) override {
-    unstarted_ -= 4;
-    return 4;
-  }
-  long unstarted_packets() const override { return unstarted_ + skew_; }
-  void on_packet_consumed(std::int32_t, Cycle, Network&) override {}
-
- private:
-  long skew_;
-  ServerId n_ = 0;
-  long unstarted_ = 0;
-};
-
-TEST(AuditDeath, CatchesDrainCounterDriftInMessageMode) {
-  // The drain counter must equal the servers' packets left plus the
-  // source's unstarted packets, mid-run: an honest source audits clean,
-  // one that reads a packet high aborts.
-  auto mid_run = [](SkewedSource& src) {
-    Experiment e(audit_spec(0));
-    Network net(e.context(), e.mechanism(), e.traffic(), audit_spec(0).sim,
-                2, 11);
-    src.start(net);
-    net.run_cycles(20);
-    EXPECT_GT(net.packets_in_system(), 0);
-    net.run_audit();
-  };
-  SkewedSource honest(0);
-  mid_run(honest);
-  SkewedSource skewed(1);
-  EXPECT_DEATH(mid_run(skewed),
-               "audit: drain counter drifted from server budgets");
 }
 
 TEST(AuditDeath, CorruptionCaughtByPeriodicAuditDuringRun) {

@@ -276,9 +276,7 @@ class RouteSetParity : public ::testing::Test {
       p.id = 1;
       p.src_switch = src;
       p.dst_switch = dst;
-      p.src_server = src;
       p.dst_server = dst;
-      p.length = 16;
       p.valiant_mid = static_cast<SwitchId>(
           rng.next_below(static_cast<std::uint64_t>(hx.num_switches())));
       p.valiant_phase2 = (trial % 2) == 0;

@@ -62,6 +62,8 @@ TEST(Polarized, Table1ExhaustiveOn2D) {
         Packet p = make_packet(t, s, d);
         out.clear();
         algo.ports(t.ctx, p, c, out);
+        EXPECT_FALSE(out.empty())
+            << "no polarized candidate at c=" << c << " for " << s << "->" << d;
         for (const auto& pc : out)
           verify_candidate_against_table1(t, p, c, pc);
       }
@@ -187,22 +189,6 @@ TEST(Polarized, UsesDistanceTablesUnderFaults) {
     }
   // Most pairs keep candidates; SurePath's escape covers the rest.
   EXPECT_GT(with_candidates, pairs * 9 / 10);
-}
-
-TEST(Polarized, CustomPenaltiesRespected) {
-  // Every candidate carries one of the paper's three Dmu penalties.
-  auto t = make_net(2, 4);
-  PolarizedAlgorithm algo;
-  const SwitchId s = t.hx->switch_at({0, 0});
-  const SwitchId d = t.hx->switch_at({1, 1});
-  Packet p = make_packet(t, s, d);
-  std::vector<Candidate> out;
-  algo.ports(t.ctx, p, s, out);
-  ASSERT_FALSE(out.empty());
-  for (const auto& pc : out)
-    EXPECT_TRUE(pc.penalty == PolarizedAlgorithm::kDmu2Penalty ||
-                pc.penalty == PolarizedAlgorithm::kDmu1Penalty ||
-                pc.penalty == PolarizedAlgorithm::kDmu0Penalty);
 }
 
 TEST(Polarized, WorksOnGenericGraphs) {

@@ -98,7 +98,7 @@ TEST(Robustness, CompletionWithZeroPackets) {
   Experiment e(s);
   const CompletionResult res = e.run_completion(0, 100, 1000);
   EXPECT_TRUE(res.drained);
-  EXPECT_LE(res.completion_time, 1);
+  EXPECT_EQ(res.completion_time, 0);
 }
 
 TEST(Robustness, RepeatedRunsIndependent) {

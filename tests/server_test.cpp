@@ -52,24 +52,15 @@ class RecordingSource : public MessageSource {
   ServerId msg_dst(std::int32_t, Rng&) const override { return dst_; }
   int start_message(std::int32_t m) override {
     started.push_back(m);
-    unstarted_ -= packets_;
     return packets_;
   }
-  long unstarted_packets() const override { return unstarted_; }
   void on_packet_consumed(std::int32_t, Cycle, Network&) override {}
-
-  /// Adds \p messages messages' packets to \p net's budget.
-  void admit(Network& net, int messages) {
-    unstarted_ += static_cast<long>(messages) * packets_;
-    net.add_outstanding(static_cast<long>(messages) * packets_);
-  }
 
   std::vector<std::int32_t> started;
 
  private:
   ServerId dst_;
   int packets_;
-  long unstarted_ = 0;
 };
 
 ExperimentSpec small_spec() {
@@ -96,8 +87,7 @@ TEST(ServerWorkloadFifo, ReleasesDuringPartialDrainKeepOrderAndReuseStorage) {
   Network net(e.context(), e.mechanism(), e.traffic(), spec.sim, 1, spec.seed);
   const int packets = 3;
   RecordingSource src(/*dst=*/15, packets);
-  net.enter_message_mode(&src, 0);
-  src.admit(net, 8);
+  net.enter_message_mode(&src);
   Server& s = net.server(0);
 
   for (std::int32_t m = 0; m < 4; ++m) s.push_message(m);
@@ -115,7 +105,6 @@ TEST(ServerWorkloadFifo, ReleasesDuringPartialDrainKeepOrderAndReuseStorage) {
   EXPECT_TRUE(s.released_messages().empty());
   const std::size_t cap = s.released_messages().capacity();
   EXPECT_GE(cap, 4u);
-  src.admit(net, 4);
   for (std::int32_t m = 8; m < 12; ++m) s.push_message(m);
   EXPECT_EQ(s.released_messages().capacity(), cap);
   ASSERT_TRUE(net.run_until_drained(100000));

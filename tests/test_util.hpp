@@ -54,9 +54,7 @@ inline Packet make_packet(const TestNet& t, SwitchId src, SwitchId dst) {
   p.id = 1;
   p.src_switch = src;
   p.dst_switch = dst;
-  p.src_server = src * t.hx->servers_per_switch();
   p.dst_server = dst * t.hx->servers_per_switch();
-  p.length = t.ctx.packet_length;
   return p;
 }
 

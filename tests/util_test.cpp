@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 
 #include "util/options.hpp"
@@ -158,6 +159,35 @@ TEST(Options, StringList) {
   ASSERT_EQ(v.size(), 2u);
   EXPECT_EQ(v[0], "omnisp");
   EXPECT_EQ(v[1], "polsp");
+}
+
+TEST(Options, IntegerThatFitsItsFieldIsReturned) {
+  const char* argv[] = {"prog", "--side=2147483647", "--root=-2147483648",
+                        "--seed=18", "--warmup=4294967298"};
+  Options opt(5, argv);
+  EXPECT_EQ(opt.get_int_as<int>("side", 0), 2147483647);
+  EXPECT_EQ(opt.get_int_as<int>("root", 0), -2147483647 - 1);
+  EXPECT_EQ(opt.get_int_as<std::uint64_t>("seed", 1), 18u);
+  EXPECT_EQ(opt.get_int("warmup", 0), 4294967298L);
+  EXPECT_EQ(opt.get_int_as<int>("absent", -7), -7);
+}
+
+TEST(OptionsDeathTest, IntegerPastItsFieldAbortsNamingTheFlag) {
+  // 2^32 + 2 used to narrow to a side of 2, and a value past a long used
+  // to saturate silently.
+  const char* argv[] = {"prog", "--side=4294967298", "--seed=-1",
+                        "--vcs=99999999999999999999"};
+  Options opt(4, argv);
+  EXPECT_DEATH(opt.get_int_as<int>("side", 4),
+               "--side = 4294967298 is not an integer in "
+               "\\[-2147483648, 2147483647\\]");
+  EXPECT_DEATH(opt.get_int_as<std::uint64_t>("seed", 1),
+               "--seed = -1 is not an integer in "
+               "\\[0, 18446744073709551615\\]");
+  EXPECT_DEATH(opt.get_int("vcs", 4),
+               "--vcs = 99999999999999999999 is not an integer in "
+               "\\[-9223372036854775808, 9223372036854775807\\]");
+  EXPECT_DEATH(opt.get_int_as<int>("vcs", 4), "--vcs = 99999999999999999999");
 }
 
 TEST(Options, DefaultsWhenAbsent) {

@@ -98,8 +98,8 @@ int main(int argc, char** argv) {
   if (opt.has("merge")) return run_merge(opt);
 
   RunnerOptions ropts;
-  ropts.jobs = static_cast<int>(opt.get_int("jobs", 0));
-  ropts.step_threads = static_cast<int>(opt.get_int("step-threads", 0));
+  ropts.jobs = opt.get_int_as<int>("jobs", 0);
+  ropts.step_threads = opt.get_int_as<int>("step-threads", 0);
   ropts.shard = ShardSpec::parse(opt.get("shard", "0/1"));
   ropts.csv_path = opt.get("csv", "");
   ropts.quiet = opt.get_bool("quiet", false);
