@@ -7,10 +7,10 @@
 # hxsp_runner writes for the driver's --emit-tasks manifest. It also
 # checks that a driver whose CSV cannot be written or whose integer flag
 # does not fit its field exits non-zero, that hxsp_runner rejects an
-# out-of-range fault link id and escape penalty and an integer that does
-# not fit its field (a trace src, a fault link), prints where the hot
-# step functions landed, and runs the example programs and fails if one
-# exits non-zero.
+# out-of-range fault link id and escape penalty, a negative warmup and an
+# integer that does not fit its field (a trace src, a fault link), prints
+# where the hot step functions landed, and runs the example programs and
+# fails if one exits non-zero.
 #
 # Usage: scripts/bench_smoke.sh [build-dir]   (default: build)
 set -u
@@ -203,8 +203,29 @@ PY
   else
     echo "OK      2^32-aliased fault link (hxsp_runner exits non-zero, names the key)"
   fi
+
+  # A negative warmup must fail at the spec boundary, naming the key,
+  # instead of running as 0.
+  python3 - "$WORK_DIR/fig06_tasks.json" "$WORK_DIR/hostile_warmup.json" <<'PY'
+import json, sys
+task = json.load(open(sys.argv[1]))[0]
+task["spec"]["warmup"] = -10
+json.dump([task], open(sys.argv[2], "w"))
+PY
+  if "$RUNNER" "$WORK_DIR/hostile_warmup.json" --jobs=1 \
+       --csv="$WORK_DIR/hostile_warmup.csv" --quiet \
+       > "$WORK_DIR/hostile_warmup.out" 2>&1; then
+    echo "FAIL    negative warmup (hxsp_runner exited 0)"
+    FAILED=1
+  elif ! grep -q "spec.warmup = -10 is below 0" "$WORK_DIR/hostile_warmup.out"; then
+    echo "FAIL    negative warmup (no key-path message)"
+    tail -5 "$WORK_DIR/hostile_warmup.out"
+    FAILED=1
+  else
+    echo "OK      negative warmup (hxsp_runner exits non-zero, names the key)"
+  fi
 else
-  echo "SKIP    out-of-range fault link and escape penalty (fig06, hxsp_runner or python3 missing)"
+  echo "SKIP    out-of-range fault link, escape penalty and warmup (fig06, hxsp_runner or python3 missing)"
 fi
 
 # Where the step loop's hot functions landed (see scripts/hot_symbols.sh),

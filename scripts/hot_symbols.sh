@@ -23,8 +23,10 @@ for bin in "$@"; do
 done
 
 SYMBOLS=(Router::alloc_phase Router::link_phase Router::compute_candidates
-         RoutingMechanism::candidates PolarizedAlgorithm::ports
-         EscapeUpDown::candidates Network::step)
+         Router::push_input RoutingMechanism::candidates
+         PolarizedAlgorithm::ports EscapeUpDown::candidates
+         Server::injection_phase Network::process_events
+         Network::handle_consume Network::step)
 
 # "<addr mod 64> <size>" of the first non-clone definition of hxsp::$2, or
 # "- -" when the binary does not define it.

@@ -70,18 +70,6 @@ EscapeUpDown::EscapeUpDown(const Graph& g, const Config& cfg)
     }
   }
 
-  // Fused neighbour view for the candidates() hot loop: one flat array,
-  // each alive link seen from both ends.
-  nbr_offsets_.assign(n_ + 1, 0);
-  nbrs_.reserve(2 * static_cast<std::size_t>(num_black_ + num_red_));
-  for (SwitchId s = 0; s < g.num_switches(); ++s) {
-    for (const AlivePort& ap : g.alive_ports(s))
-      nbrs_.push_back(
-          {ap.port, ap.neighbor, level_[static_cast<std::size_t>(ap.neighbor)],
-           static_cast<std::uint8_t>(black_[static_cast<std::size_t>(ap.link)])});
-    nbr_offsets_[static_cast<std::size_t>(s) + 1] = nbrs_.size();
-  }
-
   // Up/Down distances: meet-in-the-middle over the up-digraph. The meet
   // point z is an up-ancestor of both endpoints; the down half is the
   // reverse of the target's up-subpath. O(n^3) with a tiny inner loop;
@@ -116,12 +104,11 @@ void EscapeUpDown::candidates(SwitchId current, SwitchId target, bool gone_down,
   const int lvl_c = level_[uc];
   const EscapePenalties& pen = cfg_.penalties;
 
-  for (std::size_t i = nbr_offsets_[uc]; i < nbr_offsets_[uc + 1]; ++i) {
-    const NeighborInfo& nb = nbrs_[i];
+  for (const AlivePort& nb : g_->alive_ports(current)) {
     const Port p = nb.port;
     const auto un = static_cast<std::size_t>(nb.neighbor);
-    const int lvl_n = nb.level;
-    const bool black = nb.black != 0;
+    const int lvl_n = level_[un];
+    const bool black = black_[static_cast<std::size_t>(nb.link)] != 0;
     const std::uint8_t ud_n = ud_row[un];
     const std::uint8_t ut_n = ut_row[un];
 

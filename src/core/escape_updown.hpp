@@ -112,16 +112,6 @@ class EscapeUpDown {
   int num_red_links() const { return num_red_; }
 
  private:
-  /// One alive neighbour of a switch with the colouring facts
-  /// candidates() needs, fused into one sequentially-scanned record so
-  /// the hot loop touches one short array instead of four.
-  struct NeighborInfo {
-    Port port;
-    SwitchId neighbor;
-    std::int32_t level;  ///< level_[neighbor]
-    std::uint8_t black;  ///< black_[link]
-  };
-
   const Graph* g_; ///< pointer (not reference) so tables can be rebuilt
                    ///< in place when the fault set changes at runtime
   Config cfg_;
@@ -130,10 +120,6 @@ class EscapeUpDown {
   std::vector<char> black_;
   std::vector<std::uint8_t> u_;  ///< up-digraph distances, n x n
   std::vector<std::uint8_t> ud_; ///< up/down distances, n x n
-  /// Alive neighbours in CSR form: switch s's are
-  /// nbrs_[nbr_offsets_[s], nbr_offsets_[s + 1]), in alive-port order.
-  std::vector<std::size_t> nbr_offsets_; ///< num_switches + 1 offsets
-  std::vector<NeighborInfo> nbrs_;
   int num_black_ = 0;
   int num_red_ = 0;
 };

@@ -56,10 +56,37 @@ void check_escape_penalties(const EscapePenalties& pen) {
                        .c_str());
   });
 }
+
+/// Aborts unless the spec's topology and run-control fields describe a
+/// fabric that can be built and a window that can be measured. Runs before
+/// anything is built, so a bad value fails with its key instead of deep
+/// inside a constructor.
+void check_spec_shape(const ExperimentSpec& spec) {
+  HXSP_CHECK_MSG(!spec.sides.empty(), "spec.sides = [] lists no dimension");
+  for (std::size_t i = 0; i < spec.sides.size(); ++i)
+    HXSP_CHECK_MSG(spec.sides[i] >= 2,
+                   ("spec.sides[" + std::to_string(i) +
+                    "] = " + std::to_string(spec.sides[i]) + " is below 2")
+                       .c_str());
+  HXSP_CHECK_MSG(spec.servers_per_switch == -1 || spec.servers_per_switch >= 1,
+                 ("spec.servers_per_switch = " +
+                  std::to_string(spec.servers_per_switch) +
+                  " is neither -1 (one per side) nor >= 1")
+                     .c_str());
+  HXSP_CHECK_MSG(spec.warmup >= 0, ("spec.warmup = " +
+                                    std::to_string(spec.warmup) +
+                                    " is below 0")
+                                       .c_str());
+  HXSP_CHECK_MSG(spec.measure >= 1, ("spec.measure = " +
+                                     std::to_string(spec.measure) +
+                                     " is below 1")
+                                        .c_str());
+}
 } // namespace
 
 Experiment::Experiment(const ExperimentSpec& spec)
     : spec_(spec), rng_(spec.seed) {
+  check_spec_shape(spec_);
   check_escape_penalties(spec_.escape_penalties);
   hx_ = std::make_unique<HyperX>(spec_.sides,
                                  spec_.resolved_servers_per_switch());
@@ -77,6 +104,12 @@ Experiment::Experiment(const ExperimentSpec& spec)
   mech_ = make_mechanism(spec_.mechanism);
 
   if (mech_->needs_escape()) {
+    const SwitchId switches = hx_->graph().num_switches();
+    HXSP_CHECK_MSG(spec_.escape_root >= 0 && spec_.escape_root < switches,
+                   ("spec.escape_root = " + std::to_string(spec_.escape_root) +
+                    " is not a switch id: the fabric has " +
+                    std::to_string(switches) + " switches")
+                       .c_str());
     EscapeUpDown::Config ecfg;
     ecfg.root = spec_.escape_root;
     ecfg.strict_phase = spec_.escape_strict_phase;

@@ -3,13 +3,16 @@
 ///
 /// The engine keeps incrementally maintained state instead of full
 /// per-cycle scans: per-output-VC qs and per-port score sums (allocator
-/// scoring), feasibility masks, out-head caches, waiting counts,
-/// per-router active input lists, and the O(1) packet counter.
+/// scoring), feasibility masks, waiting counts, per-router active input
+/// lists, head gates, candidate slots, and the O(1) packet counter.
 /// Each of those is updated at a handful of mutation sites; a future edit
 /// that misses one site produces no crash — just a silently different (and
 /// wrong) simulation three PRs later. The auditor recomputes every one of those structures
 /// from first principles and aborts on the first mismatch, so drift fails
-/// loudly at the cycle it appears.
+/// loudly at the cycle it appears. What the engine can read from primary
+/// state (both VC occupancies, a queue's head cycle, a server's or an
+/// eject event's port) it derives instead of storing, so no copy of it
+/// can drift.
 ///
 /// Everything here is read-only: enabling the audit (SimConfig::
 /// audit_interval > 0, or an HXSP_AUDIT build) can never change simulation
@@ -40,10 +43,7 @@ void Router::audit_local(const SimConfig& cfg) const {
   for (Port p = 0; p < static_cast<Port>(outputs_.size()); ++p) {
     for (Vc v = 0; v < num_vcs_; ++v) {
       const InputVc& iv = inputs_[vc_index(p, v)];
-      const int occ = len * iv.q.size + (iv.draining ? len : 0);
-      HXSP_CHECK_MSG(iv.occupancy == occ,
-                     "audit: input occupancy drifted from queue contents");
-      HXSP_CHECK_MSG(iv.occupancy <= cfg.input_buffer_phits(),
+      HXSP_CHECK_MSG(input_occupancy(p, v) <= cfg.input_buffer_phits(),
                      "audit: input buffer overflow");
       const bool listed = iv.active_pos >= 0;
       HXSP_CHECK_MSG(listed == !iv.q.empty(),
@@ -105,31 +105,24 @@ void Router::audit_local(const SimConfig& cfg) const {
     }
   }
 
-  // --- outputs: qs, score sums, masks, head caches, waiting counts --------
+  // --- outputs: occupancy, score sums, masks, waiting counts --------------
   for (Port p = 0; p < static_cast<Port>(outputs_.size()); ++p) {
     const OutputPort& op = outputs_[static_cast<std::size_t>(p)];
     int score_sum = 0;
     int port_waiting = 0;
     for (Vc v = 0; v < num_vcs_; ++v) {
       const OutputVc& ov = out_vcs_[vc_index(p, v)];
-      HXSP_CHECK_MSG(ov.occupancy >= 0 &&
-                         ov.occupancy <= cfg.output_buffer_phits(),
+      const int occupancy = out_occupancy(vc_index(p, v));
+      HXSP_CHECK_MSG(occupancy >= 0 && occupancy <= cfg.output_buffer_phits(),
                      "audit: output occupancy out of range");
       HXSP_CHECK_MSG(ov.credits >= 0 && ov.credits <= base_credits_,
                      "audit: credit counter out of range");
-      const int qs = ov.occupancy + (base_credits_ - ov.credits);
-      HXSP_CHECK_MSG(out_qs_[vc_index(p, v)] == qs,
-                     "audit: incremental qs drifted from recomputation");
-      HXSP_CHECK_MSG(out_head_[vc_index(p, v)] ==
-                         (ov.q.empty() ? kNeverReady
-                                       : out_front(vc_index(p, v)).buf_head),
-                     "audit: out-head cache drifted from queue front");
       const bool feasible =
-          ov.credits >= len_ && ov.occupancy + len_ <= outbuf_cap_;
+          ov.credits >= len_ && occupancy + len_ <= outbuf_cap_;
       HXSP_CHECK_MSG(((op.feasible_mask >> static_cast<unsigned>(v)) & 1u) ==
                          (feasible ? 1u : 0u),
                      "audit: feasibility mask drifted from recomputation");
-      score_sum += qs;
+      score_sum += out_qs_[vc_index(p, v)];
       port_waiting += ov.q.size;
     }
     HXSP_CHECK_MSG(op.score_sum == score_sum,
@@ -197,9 +190,6 @@ void Network::run_audit() const {
           const Router& r = routers_[static_cast<std::size_t>(sw)];
           const Port port = r.first_server_port() +
                             static_cast<Port>(ev.a % servers_per_switch_);
-          HXSP_CHECK_MSG(ev.port == port,
-                         "audit: consume event's cached eject port drifted "
-                         "from its destination server");
           credit_inflight[static_cast<std::size_t>(sw)]
                          [r.vc_index(port, ev.vc)] += len;
           break;
@@ -232,8 +222,9 @@ void Network::run_audit() const {
         const OutputVc& ov = r.out_vcs_[idx];
         // Occupancy is reserved from grant until the tail leaves over the
         // link: queued packets plus transmissions awaiting OutTailGone.
+        // It is derived from qs, so this checks the maintained qs.
         HXSP_CHECK_MSG(
-            ov.occupancy ==
+            r.out_occupancy(idx) ==
                 len * (ov.q.size +
                        tail_pending[static_cast<std::size_t>(r.id_)][idx]),
             "audit: output occupancy drifted from queue + pending tails");
@@ -250,10 +241,8 @@ void Network::run_audit() const {
             credit_inflight[static_cast<std::size_t>(r.id_)][idx];
         if (p < r.num_switch_ports_) {
           const PortInfo& pi = ctx_.graph->port(r.id_, p);
-          accounted +=
-              routers_[static_cast<std::size_t>(pi.neighbor)]
-                  .input(pi.remote_port, v)
-                  .occupancy;
+          accounted += routers_[static_cast<std::size_t>(pi.neighbor)]
+                           .input_occupancy(pi.remote_port, v);
         }
         HXSP_CHECK_MSG(accounted == r.base_credits_,
                        "audit: credit conservation violated");
@@ -273,7 +262,7 @@ void Network::run_audit() const {
                           static_cast<std::size_t>(v)] +
           server_credit_inflight[static_cast<std::size_t>(s.id())]
                                 [static_cast<std::size_t>(v)] +
-          r.input(port, v).occupancy;
+          r.input_occupancy(port, v);
       HXSP_CHECK_MSG(accounted == cfg_.input_buffer_phits(),
                      "audit: server injection credit conservation violated");
     }

@@ -65,14 +65,9 @@ Network::Network(const NetworkContext& ctx, RoutingMechanism& mech,
   server_credits_.assign(static_cast<std::size_t>(total) *
                              static_cast<std::size_t>(cfg_.num_vcs),
                          cfg_.input_buffer_phits());
-  for (ServerId v = 0; v < total; ++v) {
-    const SwitchId sw = static_cast<SwitchId>(v / servers_per_switch_);
-    const int local = static_cast<int>(v % servers_per_switch_);
-    servers_.emplace_back(v, sw, local, cfg_);
-    servers_.back().set_inject_port(
-        routers_[static_cast<std::size_t>(sw)].first_server_port() +
-        static_cast<Port>(local));
-  }
+  for (ServerId v = 0; v < total; ++v)
+    servers_.emplace_back(v, static_cast<SwitchId>(v / servers_per_switch_),
+                          static_cast<int>(v % servers_per_switch_), cfg_);
 
   metrics_.configure(total, cfg_.packet_length);
 
@@ -110,30 +105,22 @@ void Network::enter_message_mode(MessageSource* source) {
   source_ = source;
 }
 
-void Network::begin_window() {
-  metrics_.begin_window(now_);
-  // Re-base telemetry's per-link snapshot before the counters restart, so
-  // its open frame keeps the phits sent earlier in that frame.
-  if (telemetry_) telemetry_->rebase_links(*this);
-  for (Router& r : routers_) r.clear_link_phits();
-}
-
 void Network::handle_consume(const Event& ev, PooledRing<Event>& next) {
   const ServerId dst = ev.a;
+  const SwitchId sw = dst / servers_per_switch_;
   metrics_.on_consumed(dst, ev.aux, now_);
   if (timeseries_) timeseries_->add(now_, cfg_.packet_length);
-  if (telemetry_) telemetry_->on_eject(dst / servers_per_switch_);
+  if (telemetry_) telemetry_->on_eject(sw);
   on_packet_destroyed();
   note_progress();
   // Message mode: attribute the consumption to its message, which may
   // complete it and release dependent messages (the completion callback
   // chain feeding the next phase).
   if (ev.msg >= 0) source_->on_packet_consumed(ev.msg, now_, *this);
-  // Return the eject credit to the router's server port (the port was
-  // resolved when the Consume event was scheduled, see consume_at).
-  const SwitchId sw = dst / servers_per_switch_;
-  next.push_back({Event::Kind::CreditRouter, ev.vc, ev.port, sw,
-                  cfg_.packet_length});
+  // Return the eject credit to the router's server port.
+  next.push_back({Event::Kind::CreditRouter, ev.vc,
+                  router(sw).first_server_port() + dst % servers_per_switch_,
+                  sw, cfg_.packet_length});
 }
 
 void Network::process_events() {
@@ -158,7 +145,7 @@ void Network::process_events() {
     switch (ev.kind) {
       case Event::Kind::InDrainDone: {
         Router& r = routers_[static_cast<std::size_t>(ev.a)];
-        r.input_drain_done(*this, ev.port, ev.vc);
+        r.input_drain_done(ev.port, ev.vc);
         // Return the freed space upstream, one cycle of credit latency.
         if (ev.port < r.first_server_port()) {
           const PortInfo& pi = ctx_.graph->port(ev.a, ev.port);
@@ -199,26 +186,21 @@ void Network::deliver(PacketPtr pkt, SwitchId sw, Port port, Vc vc, Cycle head,
   routers_[static_cast<std::size_t>(sw)].push_input(std::move(pkt), port, vc,
                                                     head, tail);
   if (telemetry_)
-    telemetry_->on_occupancy(
-        sw, routers_[static_cast<std::size_t>(sw)].input(port, vc).occupancy);
+    telemetry_->on_occupancy(sw, router(sw).input_occupancy(port, vc));
 }
 
 void Network::consume_at(PacketPtr pkt, Cycle when, Vc vc) {
   HXSP_DCHECK(pkt->dst_switch ==
               static_cast<SwitchId>(pkt->dst_server / servers_per_switch_));
-  // The eject-credit port is resolved here, where the destination switch
-  // is already at hand, instead of re-deriving it (modulo + router
-  // lookup) when the Consume event fires.
-  const Port eject =
-      routers_[static_cast<std::size_t>(pkt->dst_switch)].first_server_port() +
-      static_cast<Port>(pkt->dst_server % servers_per_switch_);
   // Trace here rather than in handle_consume: the Consume event does not
   // carry the packet id. `when` is the cycle the tail phit is consumed.
   if (tracer_)
-    tracer_->record(TraceEvent::kEject, when, pkt->id, pkt->dst_switch, eject,
+    tracer_->record(TraceEvent::kEject, when, pkt->id, pkt->dst_switch,
+                    router(pkt->dst_switch).first_server_port() +
+                        pkt->dst_server % servers_per_switch_,
                     vc);
-  schedule(when, {Event::Kind::Consume, vc, eject, pkt->dst_server,
-                  pkt->created, pkt->msg});
+  schedule(when, {Event::Kind::Consume, vc, 0, pkt->dst_server, pkt->created,
+                  pkt->msg});
   // The packet object dies here; the Consume event carries what remains.
 }
 

@@ -16,10 +16,11 @@
 /// our deadlock-freedom claims.
 ///
 /// Instruments: consumptions, packet latency and hop kinds are counted
-/// once, cumulatively, in metrics(); per-link phits by the sending Router
-/// in its link phase, which may run on the step pool (Router::link_phits
-/// is router-local). The measurement window and every telemetry frame
-/// are differences between snapshots of those counts.
+/// once, cumulatively from cycle 0, in metrics(); per-link phits, also
+/// from cycle 0, by the sending Router in its link phase, which may run
+/// on the step pool (Router::link_phits is router-local). Nothing resets
+/// them: the measurement window and every telemetry frame are differences
+/// between snapshots of those counts.
 
 #include <cstdint>
 #include <deque>
@@ -62,7 +63,8 @@ struct Event {
     CreditRouter, ///< a = router, port/vc: credit for an output VC
     CreditServer, ///< a = server, vc: credit for the injection buffer
     OutTailGone,  ///< a = router, port/vc: tail left the output buffer
-    Consume       ///< a = server, vc/port = eject vc/port, aux = creation
+    Consume       ///< a = server, vc = eject vc, aux = creation (port
+                  ///< unused: the server's switch and index name it)
   };
   Cycle aux = 0;
   std::int32_t a = 0;
@@ -140,9 +142,10 @@ class Network {
   /// returns true when fully drained.
   bool run_until_drained(Cycle max_cycles);
 
-  /// Opens the metrics measurement window at the current cycle and
-  /// restarts every router's link_phits() counters.
-  void begin_window();
+  /// Opens the metrics measurement window at the current cycle. Every
+  /// counter keeps counting from cycle 0 (SimMetrics' tally, each
+  /// Router::link_phits()); a window is the difference of two readings.
+  void begin_window() { metrics_.begin_window(now_); }
 
   /// Closes the metrics measurement window at the current cycle.
   void end_window() { metrics_.end_window(now_); }
@@ -276,13 +279,14 @@ class Network {
   // --- invariant auditor (sim/audit.cpp) ----------------------------------
 
   /// Recomputes every incrementally maintained engine structure from
-  /// scratch — per-router allocator score sums, per-VC qs, feasibility
-  /// masks, out-head caches, active input lists, packet conservation, and
-  /// per-link credit conservation (wheel events included) — and
-  /// HXSP_CHECKs each against the maintained copy. Runs every SimConfig::audit_interval cycles when
-  /// that is > 0; callable directly any time (tests, tools). Mutates
-  /// nothing: turning auditing on cannot change simulation output, only
-  /// convert silent incremental-state drift into a loud abort.
+  /// scratch — per-router allocator score sums, feasibility masks, active
+  /// input lists, per-VC qs against queues and pending tails, packet
+  /// conservation, and per-link credit conservation (wheel events
+  /// included) — and HXSP_CHECKs each against the maintained copy. Runs
+  /// every SimConfig::audit_interval cycles when that is > 0; callable
+  /// directly any time (tests, tools). Mutates nothing: turning auditing
+  /// on cannot change simulation output, only convert silent
+  /// incremental-state drift into a loud abort.
   void run_audit() const;
 
   /// Test-only mutable access to the packet counter, for injecting the

@@ -44,7 +44,6 @@ Router::Router(SwitchId id, int num_switch_ports, int num_server_ports,
   out_vcs_.assign(total_vcs, fresh);
   out_q_.reset(total_vcs, cfg.output_buffer_packets);
   out_qs_.assign(total_vcs, 0);
-  out_head_.assign(total_vcs, kNeverReady);
   in_gate_.assign(total_vcs, 0);
   outputs_ = std::vector<OutputPort>(static_cast<std::size_t>(total_ports));
   for (Port p = 0; p < static_cast<Port>(total_ports); ++p)
@@ -86,8 +85,7 @@ void Router::push_input(PacketPtr pkt, Port port, Vc vc, Cycle head,
   InputVc& iv = input_mut(port, vc);
   pkt->buf_head = head;
   pkt->buf_tail = tail;
-  iv.occupancy += len_;
-  HXSP_DCHECK(iv.occupancy <= base_credits_);
+  HXSP_DCHECK(input_occupancy(port, vc) + len_ <= base_credits_);
   if (iv.q.empty())
     in_gate_[vc_index(port, vc)] = head_gate_floor(port, iv, head);
   in_q_.push_back(vc_index(port, vc), iv.q, std::move(pkt));
@@ -295,7 +293,6 @@ void Router::alloc_phase(Network& net, Cycle now) {
       const std::size_t out_idx = vc_index(out_port, req.out_vc);
       OutputVc& ov = out_vcs_[out_idx];
       ov.credits -= len;
-      ov.occupancy += len;
       op.score_sum += 2 * len; // +len occupancy, +len consumed credits
       out_qs_[out_idx] += 2 * len;
       update_feasible(out_port, req.out_vc);
@@ -303,7 +300,6 @@ void Router::alloc_phase(Network& net, Cycle now) {
 
       pkt->buf_head = now + cfg.xbar_latency;
       pkt->buf_tail = drain_done + cfg.xbar_latency;
-      if (ov.q.empty()) out_head_[out_idx] = pkt->buf_head;
 
       // Telemetry: before commit_hop mutates pkt->in_escape, so an escape
       // grant of a packet not yet on the escape counts as a SurePath
@@ -341,11 +337,10 @@ void Router::link_phase(const SimConfig& cfg, Cycle now, LinkStage& out) {
     const std::size_t vbase = vc_index(p, 0);
     for (int k = 0; k < num_vcs_; ++k) {
       const int v = (op.rr_next + k) % num_vcs_;
-      if (out_head_[vbase + static_cast<std::size_t>(v)] > now) continue;
       const std::size_t idx = vbase + static_cast<std::size_t>(v);
       OutputVc& ov = out_vcs_[idx];
+      if (ov.q.empty() || out_front(idx).buf_head > now) continue;
       PacketPtr pkt = out_q_.pop_front(idx, ov.q);
-      out_head_[idx] = ov.q.empty() ? kNeverReady : out_front(idx).buf_head;
       if (--op.waiting == 0) sorted_id_erase(link_ports_, p);
       op.link_free_at = now + len;
       op.rr_next = (v + 1) % num_vcs_;
@@ -354,14 +349,6 @@ void Router::link_phase(const SimConfig& cfg, Cycle now, LinkStage& out) {
       break;
     }
   }
-}
-
-void Router::input_drain_done(Network& net, Port port, Vc vc) {
-  InputVc& iv = input_mut(port, vc);
-  HXSP_DCHECK(iv.draining);
-  iv.draining = false;
-  iv.occupancy -= net.cfg().packet_length;
-  HXSP_DCHECK(iv.occupancy >= 0);
 }
 
 void Router::on_tables_rebuilt() {
@@ -396,14 +383,13 @@ int Router::drop_output_queue(Network& net, Port port) {
     OutputVc& ov = out_vcs_[idx];
     while (!ov.q.empty()) {
       (void)out_q_.pop_front(idx, ov.q); // destroys the packet
-      ov.occupancy -= len;    // no OutTailGone will fire
-      ov.credits += len;      // reserved downstream space unused
+      ov.credits += len; // reserved downstream space unused
+      // -len occupancy (no OutTailGone will fire), -len consumed credits
       op.score_sum -= 2 * len;
       out_qs_[idx] -= 2 * len;
       --op.waiting;
       ++dropped;
     }
-    out_head_[idx] = kNeverReady;
     update_feasible(port, v);
   }
   if (dropped > 0 && op.waiting == 0) sorted_id_erase(link_ports_, port);

@@ -34,6 +34,10 @@
 /// instead of O(num_vcs) — it is the innermost arithmetic of the engine,
 /// evaluated per candidate per active head per cycle.
 ///
+/// Each fact is stored once. A VC's occupancy is derived, not counted: an
+/// output VC's is its qs less its consumed credits, an input VC's one
+/// packet per queued or draining packet.
+///
 /// All packet queues are bounded by flow control, so each router carves
 /// its queues out of two fixed slabs (util/ringbuf.hpp): one RingSlab for
 /// every input VC and one for every output VC, each queue a 4-byte Ring
@@ -44,7 +48,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "routing/mechanism.hpp"
@@ -58,10 +61,10 @@ namespace hxsp {
 class Network;
 
 /// Per-(input port, VC) buffer state. The queued packets live in the
-/// router's input slab, in the ring with this VC's [port][vc] index.
+/// router's input slab, in the ring with this VC's [port][vc] index. Its
+/// reserved space is derived, not stored: see Router::input_occupancy.
 struct InputVc {
   RingSlab<PacketPtr>::Ring q;   ///< waiting packets; front = head
-  int occupancy = 0;             ///< phits of reserved space
   Cycle drain_until = 0;         ///< when the in-progress drain completes
                                  ///< (valid whenever draining; kept for
                                  ///< exact gate reconstruction)
@@ -73,10 +76,11 @@ struct InputVc {
 /// downstream input buffer this queue feeds. Stored flattened
 /// ([port][vc], like InputVc) so the allocator's per-candidate probe is
 /// one computed address instead of a pointer chase through a per-port
-/// vector. The queued packets live in the router's output slab.
+/// vector. The queued packets live in the router's output slab. Its
+/// occupancy (phits reserved from grant until the tail departs) is
+/// derived, not stored: qs minus consumed credits (Router::out_occupancy).
 struct OutputVc {
   RingSlab<PacketPtr>::Ring q; ///< packets heading for the link; front = next
-  int occupancy = 0;        ///< phits reserved (grant) until tail departs
   int credits = 0;          ///< free phits in the downstream input buffer
 };
 
@@ -85,7 +89,7 @@ struct OutputVc {
 // (32,768 routers x 125 ports x 2 VCs) — so a stray field here costs tens
 // of megabytes there.
 static_assert(sizeof(InputVc) <= 24, "InputVc grew past its per-VC budget");
-static_assert(sizeof(OutputVc) <= 12, "OutputVc grew past its per-VC budget");
+static_assert(sizeof(OutputVc) <= 8, "OutputVc grew past its per-VC budget");
 static_assert(sizeof(PacketPtr) == sizeof(Packet*),
               "PacketPtr must stay one pointer: every slab slot holds one, "
               "~27M slots on million_min, so a stateful deleter costs "
@@ -173,9 +177,9 @@ class Router {
   void alloc_phase(Network& net, Cycle now);
 
   /// Link phase: starts output-port transmissions. Performs the
-  /// router-local half (pop the granted head, refresh out-head caches and
-  /// waiting counts, stamp link_free_at, advance round-robin, count the
-  /// phits sent on switch ports) and stages each popped packet into
+  /// router-local half (pop the granted head, update waiting counts,
+  /// stamp link_free_at, advance round-robin, count the phits sent on
+  /// switch ports) and stages each popped packet into
   /// \p out; the network-visible half (wheel events, delivery or
   /// consumption) is Network::commit_link_stages. RNG-free and confined
   /// to this router, so it is safe to run concurrently for disjoint
@@ -186,17 +190,20 @@ class Router {
 
   /// The head packet of input (port,vc) finished leaving through the
   /// crossbar: free its space and stop blocking the next packet.
-  void input_drain_done(Network& net, Port port, Vc vc);
+  /// Inline: fires once per forwarded packet via the event wheel.
+  void input_drain_done(Port port, Vc vc) {
+    InputVc& iv = input_mut(port, vc);
+    HXSP_DCHECK(iv.draining);
+    iv.draining = false;
+  }
 
   /// A packet's tail (\p phits long) left output (port,vc) over the link.
   /// Inline: fires once per transmitted packet via the event wheel.
   void output_tail_gone(Port port, Vc vc, int phits) {
-    OutputVc& ov = output_vc_mut(port, vc);
-    ov.occupancy -= phits;
     outputs_[static_cast<std::size_t>(port)].score_sum -= phits;
     out_qs_[vc_index(port, vc)] -= phits;
     update_feasible(port, vc);
-    HXSP_DCHECK(ov.occupancy >= 0);
+    HXSP_DCHECK(out_occupancy(vc_index(port, vc)) >= 0);
   }
 
   /// Credit arrived from the downstream buffer of output (port,vc).
@@ -208,16 +215,12 @@ class Router {
     update_feasible(port, vc);
   }
 
-  /// Phits sent on switch port \p p since the last clear_link_phits():
-  /// the one per-link load counter. It is written only by this router's
+  /// Phits sent on switch port \p p since cycle 0: the one per-link load
+  /// counter, cumulative like SimMetrics' tally (a window's load is the
+  /// difference of two readings). It is written only by this router's
   /// link_phase, so pooled link phases stay race-free.
   std::int64_t link_phits(Port p) const {
     return link_phits_[static_cast<std::size_t>(p)];
-  }
-
-  /// Zeroes the link_phits() counters (Network::begin_window).
-  void clear_link_phits() {
-    std::fill(link_phits_.begin(), link_phits_.end(), 0);
   }
 
   /// True while this router has any buffered input packet (the routers
@@ -246,6 +249,12 @@ class Router {
   const InputVc& input(Port p, Vc v) const {
     return inputs_[static_cast<std::size_t>(vc_index(p, v))];
   }
+  /// Phits of input (p,v)'s buffer reserved by its queued packets and by
+  /// the packet still draining out of it.
+  int input_occupancy(Port p, Vc v) const {
+    const InputVc& iv = input(p, v);
+    return len_ * (iv.q.size + (iv.draining ? 1 : 0));
+  }
   const OutputPort& output(Port p) const {
     return outputs_[static_cast<std::size_t>(p)];
   }
@@ -254,9 +263,9 @@ class Router {
   int buffered_packets() const;
 
   /// Auditor (sim/audit.cpp): recomputes every incrementally maintained
-  /// router structure from first principles — per-VC qs and per-port score
-  /// sums, feasibility masks, out-head caches, waiting counts, the active
-  /// input list and its back-pointers, head gates — and aborts on drift.
+  /// router structure from first principles — per-port score sums,
+  /// feasibility masks, waiting counts, the active input list and its
+  /// back-pointers, head gates, candidate slots — and aborts on drift.
   /// Debug builds also run it every 1024 cycles (Network::step).
   /// Wheel-dependent ledgers (in-flight credits, pending tail
   /// departures) are cross-checked by Network::run_audit.
@@ -268,9 +277,6 @@ class Router {
     return outputs_[static_cast<std::size_t>(p)];
   }
   int& corrupt_out_qs_for_test(Port p, Vc v) { return out_qs_[vc_index(p, v)]; }
-  Cycle& corrupt_out_head_for_test(Port p, Vc v) {
-    return out_head_[vc_index(p, v)];
-  }
   /// Candidate slot of the \p pos-th active input (needs has_input_work()).
   CandSlot& corrupt_cand_slot_for_test(int pos) {
     return cand_slots_[static_cast<std::size_t>(pos)];
@@ -295,13 +301,20 @@ class Router {
     return *out_q_.front(idx, out_vcs_[idx].q);
   }
 
+  /// Phits of output queue \p idx reserved from grant until the tail
+  /// departs: its qs less the credits it has consumed.
+  int out_occupancy(std::size_t idx) const {
+    return out_qs_[idx] - (base_credits_ - out_vcs_[idx].credits);
+  }
+
   /// Recomputes output (p,v)'s bit of OutputPort::feasible_mask from its
   /// credit and occupancy state. Called at every mutation site.
   void update_feasible(Port p, Vc v) {
-    const OutputVc& ov = out_vcs_[vc_index(p, v)];
+    const std::size_t idx = vc_index(p, v);
     const std::uint32_t bit = 1u << static_cast<unsigned>(v);
     OutputPort& op = outputs_[static_cast<std::size_t>(p)];
-    if (ov.credits >= len_ && ov.occupancy + len_ <= outbuf_cap_)
+    if (out_vcs_[idx].credits >= len_ &&
+        out_occupancy(idx) + len_ <= outbuf_cap_)
       op.feasible_mask |= bit;
     else
       op.feasible_mask &= ~bit;
@@ -341,12 +354,6 @@ class Router {
   /// output (port,vc), flattened like out_vcs_. The request loop reads
   /// only this and OutputPort, never the (colder) OutputVc structs.
   std::vector<int> out_qs_;
-  /// buf_head of each output queue's front packet, or kNeverReady when
-  /// the queue is empty — flattened like out_vcs_, so the link phase's
-  /// round-robin scan reads one compact line per port and never touches
-  /// packets or ring buffers until it actually transmits.
-  std::vector<Cycle> out_head_;
-  static constexpr Cycle kNeverReady = std::numeric_limits<Cycle>::max();
   std::vector<Cycle> in_xbar_free_; ///< per input port
   std::vector<std::int64_t> link_phits_; ///< per switch port, see link_phits()
   std::vector<std::int32_t> active_; ///< encoded (port*V+vc) of non-empty inputs

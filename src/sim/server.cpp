@@ -89,13 +89,14 @@ void Server::injection_phase(Network& net, Cycle now) {
   credits[best] -= len;
   link_free_at_ = now + len;
 
-  HXSP_DCHECK(inject_port_ != kInvalid);
+  // The switch's server ports follow its switch ports, in local order.
+  const Port port = net.router(switch_).first_server_port() + local_;
   const Cycle head = now + net.cfg().link_latency;
   const Cycle tail = head + len - 1;
   if (TelemetryRegistry* const t = net.telemetry()) t->on_inject(switch_);
   if (PacketTracer* const tr = net.tracer())
-    tr->record(TraceEvent::kInject, now, pkt->id, switch_, inject_port_, best);
-  net.deliver(std::move(pkt), switch_, inject_port_, best, head, tail);
+    tr->record(TraceEvent::kInject, now, pkt->id, switch_, port, best);
+  net.deliver(std::move(pkt), switch_, port, best, head, tail);
   net.note_progress();
 }
 

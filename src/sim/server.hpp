@@ -80,13 +80,6 @@ class Server {
   /// its source); it joins the injection FIFO behind earlier releases.
   void push_message(std::int32_t m) { ready_.push_back(m); }
 
-  /// Fixes the router input port this server injects into (first server
-  /// port of its switch + local index). Called once by the Network
-  /// constructor, because the port base depends on the switch's topology
-  /// degree, which the Server constructor cannot see; caching it saves a
-  /// router lookup per injected packet.
-  void set_inject_port(Port p) { inject_port_ = p; }
-
   /// Packets still waiting in the injection queue.
   int queued() const { return queue_.size; }
 
@@ -119,7 +112,6 @@ class Server {
   // this leading cache line.
   double inject_prob_ = 0.0; ///< packets per cycle (0 in message mode)
   Cycle link_free_at_ = 0;
-  Port inject_port_ = kInvalid; ///< router input port (set_inject_port)
   int queue_capacity_;
   RingSlab<PacketPtr>::Ring queue_; ///< ring id_ of Network::server_queues()
   ServerId id_;

@@ -82,13 +82,6 @@ void TelemetryRegistry::flush(const Network& net) {
   if (net.now() > cur_.start) roll(net);
 }
 
-void TelemetryRegistry::rebase_links(const Network& net) {
-  std::size_t i = 0;
-  for (SwitchId s = 0; s < graph_->num_switches(); ++s)
-    for (Port p = 0; p < graph_->degree(s); ++p, ++i)
-      link_phits_at_start_[i] -= net.router(s).link_phits(p);
-}
-
 void TelemetryRegistry::export_to(TelemetryCapture& out) const {
   out.window = window_;
   out.frames = frames_;

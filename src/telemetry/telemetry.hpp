@@ -178,11 +178,6 @@ class TelemetryRegistry {
   /// roll; safe to call repeatedly (idempotent at a given net.now()).
   void flush(const Network& net);
 
-  /// Called just before \p net zeroes its routers' link_phits() counters
-  /// (Network::begin_window): shifts the per-link snapshot by the counts
-  /// about to be cleared, so the open frame loses none of them.
-  void rebase_links(const Network& net);
-
   Cycle window() const { return window_; }
 
   /// Copies frames, link series and per-router/per-VC counters into
@@ -195,7 +190,8 @@ class TelemetryRegistry {
   TelemetryFrame cur_;
   MetricTally tally_at_start_; ///< SimMetrics::tally() when cur_ opened
   /// Router::link_phits() per directed link, (switch, port) order, when
-  /// cur_ opened (shifted by rebase_links).
+  /// cur_ opened. The counters run from cycle 0 and are never reset, so
+  /// a frame's per-link load is the difference of two readings.
   std::vector<std::int64_t> link_phits_at_start_;
   std::vector<TelemetryFrame> frames_;
   std::vector<LinkWindowSeries> links_; ///< empty above the series cap

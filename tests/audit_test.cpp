@@ -119,14 +119,6 @@ TEST(AuditDeath, CatchesCorruptedScoreTerm) {
   EXPECT_DEATH(l.net.run_audit(), "audit");
 }
 
-TEST(AuditDeath, CatchesCorruptedHeadCache) {
-  LoadedNet l(0);
-  // Point the head-ready cache at a bogus cycle; the recomputation from
-  // the actual queue front must disagree.
-  l.net.router(0).corrupt_out_head_for_test(0, 0) = 123456789;
-  EXPECT_DEATH(l.net.run_audit(), "audit");
-}
-
 TEST(AuditDeath, CatchesStaleCandidateSlot) {
   LoadedNet l(0);
   // A valid slot whose head id is not the current head's: the state a

@@ -131,6 +131,51 @@ TEST(Experiment, RejectsEscapePenaltyOutsideInt16) {
   EXPECT_NE(e.escape(), nullptr);
 }
 
+TEST(Experiment, RejectsBadShapeAndRunControlNamingTheKey) {
+  // Each bad value is rejected at the spec boundary, naming the key,
+  // before the structure it would break is built.
+  const auto base = [] {
+    ExperimentSpec s;
+    s.sides = {4, 4};
+    s.servers_per_switch = 1;
+    s.mechanism = "polsp";
+    return s;
+  };
+  ExperimentSpec s = base();
+  s.sides = {};
+  EXPECT_DEATH(Experiment{s}, "spec.sides = \\[\\] lists no dimension");
+  s = base();
+  s.sides = {4, 1};
+  EXPECT_DEATH(Experiment{s}, "spec.sides\\[1\\] = 1 is below 2");
+  s = base();
+  s.servers_per_switch = 0;
+  EXPECT_DEATH(Experiment{s},
+               "spec.servers_per_switch = 0 is neither -1 \\(one per side\\) "
+               "nor >= 1");
+  s = base();
+  s.escape_root = 16;
+  EXPECT_DEATH(Experiment{s},
+               "spec.escape_root = 16 is not a switch id: the fabric has 16 "
+               "switches");
+  s = base();
+  s.warmup = -10;
+  EXPECT_DEATH(Experiment{s}, "spec.warmup = -10 is below 0");
+  s = base();
+  s.measure = 0;
+  EXPECT_DEATH(Experiment{s}, "spec.measure = 0 is below 1");
+  // The boundary values build, and a root past the fabric is harmless
+  // when the mechanism builds no escape.
+  s = base();
+  s.servers_per_switch = -1;
+  s.warmup = 0;
+  s.measure = 1;
+  s.escape_root = 15;
+  EXPECT_NE(Experiment(s).escape(), nullptr);
+  s.mechanism = "minimal";
+  s.escape_root = 99;
+  EXPECT_EQ(Experiment(s).escape(), nullptr);
+}
+
 TEST(Experiment, RateSweepReturnsRowPerLoad) {
   ExperimentSpec s;
   s.sides = {2, 2};
