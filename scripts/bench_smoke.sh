@@ -7,8 +7,9 @@
 # hxsp_runner writes for the driver's --emit-tasks manifest. It also
 # checks that a driver whose CSV cannot be written or whose integer flag
 # does not fit its field exits non-zero, that hxsp_runner rejects an
-# out-of-range fault link id and escape penalty, a negative warmup and an
-# integer that does not fit its field (a trace src, a fault link), prints
+# out-of-range fault link id and escape penalty, a negative warmup, a
+# dynamic fault due before cycle 0 and an integer that does not fit its
+# field (a trace src, a fault link), prints
 # where the hot step functions landed, and runs the example programs and
 # fails if one exits non-zero.
 #
@@ -224,8 +225,30 @@ PY
   else
     echo "OK      negative warmup (hxsp_runner exits non-zero, names the key)"
   fi
+
+  # A dynamic fault due before cycle 0 must fail naming the key instead of
+  # firing at cycle 0.
+  python3 - "$WORK_DIR/fig06_tasks.json" "$WORK_DIR/hostile_at.json" <<'PY'
+import json, sys
+task = json.load(open(sys.argv[1]))[0]
+task["kind"] = "dynamic"
+task["events"] = [{"at": -5, "link": 0}]
+json.dump([task], open(sys.argv[2], "w"))
+PY
+  if "$RUNNER" "$WORK_DIR/hostile_at.json" --jobs=1 \
+       --csv="$WORK_DIR/hostile_at.csv" --quiet \
+       > "$WORK_DIR/hostile_at.out" 2>&1; then
+    echo "FAIL    negative fault cycle (hxsp_runner exited 0)"
+    FAILED=1
+  elif ! grep -q "events\[0\].at = -5 is below 0" "$WORK_DIR/hostile_at.out"; then
+    echo "FAIL    negative fault cycle (no key-path message)"
+    tail -5 "$WORK_DIR/hostile_at.out"
+    FAILED=1
+  else
+    echo "OK      negative fault cycle (hxsp_runner exits non-zero, names the key)"
+  fi
 else
-  echo "SKIP    out-of-range fault link, escape penalty and warmup (fig06, hxsp_runner or python3 missing)"
+  echo "SKIP    out-of-range fault link, escape penalty, warmup and fault cycle (fig06, hxsp_runner or python3 missing)"
 fi
 
 # Where the step loop's hot functions landed (see scripts/hot_symbols.sh),

@@ -26,7 +26,8 @@ SYMBOLS=(Router::alloc_phase Router::link_phase Router::compute_candidates
          Router::push_input RoutingMechanism::candidates
          PolarizedAlgorithm::ports EscapeUpDown::candidates
          Server::injection_phase Network::process_events
-         Network::handle_consume Network::step)
+         Network::handle_consume Network::deliver Network::consume_at
+         Network::commit_link_stages Network::step)
 
 # "<addr mod 64> <size>" of the first non-clone definition of hxsp::$2, or
 # "- -" when the binary does not define it.

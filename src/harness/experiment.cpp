@@ -64,23 +64,14 @@ void check_escape_penalties(const EscapePenalties& pen) {
 void check_spec_shape(const ExperimentSpec& spec) {
   HXSP_CHECK_MSG(!spec.sides.empty(), "spec.sides = [] lists no dimension");
   for (std::size_t i = 0; i < spec.sides.size(); ++i)
-    HXSP_CHECK_MSG(spec.sides[i] >= 2,
-                   ("spec.sides[" + std::to_string(i) +
-                    "] = " + std::to_string(spec.sides[i]) + " is below 2")
-                       .c_str());
+    check_at_least(spec.sides[i], 2, "spec.sides[" + std::to_string(i) + "]");
   HXSP_CHECK_MSG(spec.servers_per_switch == -1 || spec.servers_per_switch >= 1,
                  ("spec.servers_per_switch = " +
                   std::to_string(spec.servers_per_switch) +
                   " is neither -1 (one per side) nor >= 1")
                      .c_str());
-  HXSP_CHECK_MSG(spec.warmup >= 0, ("spec.warmup = " +
-                                    std::to_string(spec.warmup) +
-                                    " is below 0")
-                                       .c_str());
-  HXSP_CHECK_MSG(spec.measure >= 1, ("spec.measure = " +
-                                     std::to_string(spec.measure) +
-                                     " is below 1")
-                                        .c_str());
+  check_at_least(spec.warmup, 0, "spec.warmup");
+  check_at_least(spec.measure, 1, "spec.measure");
 }
 } // namespace
 
@@ -177,6 +168,7 @@ std::unique_ptr<Network> Experiment::simulate(RunPlan& plan) {
     }
   };
   if (plan.drain_by) {
+    check_at_least(*plan.drain_by, 0, "max_cycles");
     fire_until(*plan.drain_by);
     plan.drained = net->run_until_drained(*plan.drain_by - net->now());
   } else {
@@ -337,9 +329,11 @@ MultitenantResult Experiment::run_multitenant(const MultitenantParams& params,
 
 DynamicResult Experiment::run_load_dynamic(double offered,
                                            std::vector<FaultEvent> events) {
-  for (std::size_t i = 0; i < events.size(); ++i)
-    check_link_id(hx_->graph(), events[i].link,
-                  "events[" + std::to_string(i) + "].link");
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const std::string key = "events[" + std::to_string(i) + "]";
+    check_link_id(hx_->graph(), events[i].link, key + ".link");
+    check_at_least(events[i].at, 0, key + ".at");
+  }
   std::sort(events.begin(), events.end(),
             [](const FaultEvent& a, const FaultEvent& b) { return a.at < b.at; });
 

@@ -21,9 +21,13 @@
 /// boundary, not only in a drained network:
 ///
 ///   credits:  base == held upstream + reserved by queued packets
-///                  + occupied downstream + in flight on the wheel
+///                  + queued downstream + in flight on the wheel
 ///   packets:  packets_in_system == buffered in routers + queued in
 ///             servers + pending consumptions
+///
+/// A packet granted out of an input buffer no longer counts downstream:
+/// its grant scheduled the credit for its space, which rides the wheel
+/// until the cycle after its drain.
 
 #include <algorithm>
 #include <vector>
@@ -33,7 +37,7 @@
 
 namespace hxsp {
 
-void Router::audit_local(const SimConfig& cfg) const {
+void Router::audit_local(const SimConfig& cfg, Cycle now) const {
   const int len = cfg.packet_length;
   HXSP_CHECK_MSG(len == len_ && outbuf_cap_ == cfg.output_buffer_phits(),
                  "audit: router config drifted from construction");
@@ -43,7 +47,7 @@ void Router::audit_local(const SimConfig& cfg) const {
   for (Port p = 0; p < static_cast<Port>(outputs_.size()); ++p) {
     for (Vc v = 0; v < num_vcs_; ++v) {
       const InputVc& iv = inputs_[vc_index(p, v)];
-      HXSP_CHECK_MSG(input_occupancy(p, v) <= cfg.input_buffer_phits(),
+      HXSP_CHECK_MSG(input_occupancy(p, v, now) <= cfg.input_buffer_phits(),
                      "audit: input buffer overflow");
       const bool listed = iv.active_pos >= 0;
       HXSP_CHECK_MSG(listed == !iv.q.empty(),
@@ -58,11 +62,8 @@ void Router::audit_local(const SimConfig& cfg) const {
       // The head gate is a max of known lower bounds; each bound must
       // still hold (a gate below one would let a head request early —
       // an RNG draw the full rescan would not make).
-      Cycle bound = in_front(vc_index(p, v)).buf_head;
-      if (iv.draining && iv.drain_until > bound) bound = iv.drain_until;
-      const Cycle xbar = in_xbar_free_[static_cast<std::size_t>(p)];
-      if (xbar > bound) bound = xbar;
-      HXSP_CHECK_MSG(in_gate_[vc_index(p, v)] >= bound,
+      const Cycle head = in_front(vc_index(p, v)).buf_head;
+      HXSP_CHECK_MSG(in_gate_[vc_index(p, v)] >= head_gate_floor(p, iv, head),
                      "audit: head gate below a known lower bound");
     }
   }
@@ -143,13 +144,14 @@ void Network::run_audit() const {
   const int num_vcs = cfg_.num_vcs;
 
   // --- per-router recomputation -------------------------------------------
-  for (const Router& r : routers_) r.audit_local(cfg_);
+  for (const Router& r : routers_) r.audit_local(cfg_, now_);
 
   // --- wheel scan: the in-flight side of every conservation ledger --------
   // credit_inflight[r][port*V+vc]: credit phits on their way back to that
   // output VC (CreditRouter events, plus pending Consume events whose
-  // eject credit has not been scheduled yet). tail_pending: OutTailGone
-  // events that will release output-buffer occupancy.
+  // eject credit has not been scheduled yet), one packet each.
+  // tail_pending: OutTailGone events that will release output-buffer
+  // occupancy.
   std::vector<std::vector<long>> credit_inflight(routers_.size());
   std::vector<std::vector<int>> tail_pending(routers_.size());
   for (std::size_t i = 0; i < routers_.size(); ++i) {
@@ -171,11 +173,11 @@ void Network::run_audit() const {
         case Event::Kind::CreditRouter:
           credit_inflight[static_cast<std::size_t>(ev.a)]
                          [routers_[static_cast<std::size_t>(ev.a)].vc_index(
-                             ev.port, ev.vc)] += ev.aux;
+                             ev.port, ev.vc)] += len;
           break;
         case Event::Kind::CreditServer:
           server_credit_inflight[static_cast<std::size_t>(ev.a)]
-                                [static_cast<std::size_t>(ev.vc)] += ev.aux;
+                                [static_cast<std::size_t>(ev.vc)] += len;
           break;
         case Event::Kind::OutTailGone:
           ++tail_pending[static_cast<std::size_t>(ev.a)]
@@ -194,10 +196,6 @@ void Network::run_audit() const {
                          [r.vc_index(port, ev.vc)] += len;
           break;
         }
-        case Event::Kind::InDrainDone:
-          // The drained space is still counted in the input occupancy
-          // until this fires; the ledger moves only at fire time.
-          break;
       }
     });
   }
@@ -235,14 +233,16 @@ void Network::run_audit() const {
         }
         // Credit conservation: every phit of the downstream input buffer
         // is exactly one of — still free (credits), reserved by a packet
-        // queued here, occupied downstream, or riding the wheel home.
+        // queued here, queued downstream, or riding the wheel home.
         long accounted =
             ov.credits + static_cast<long>(len) * ov.q.size +
             credit_inflight[static_cast<std::size_t>(r.id_)][idx];
         if (p < r.num_switch_ports_) {
           const PortInfo& pi = ctx_.graph->port(r.id_, p);
-          accounted += routers_[static_cast<std::size_t>(pi.neighbor)]
-                           .input_occupancy(pi.remote_port, v);
+          accounted += static_cast<long>(len) *
+                       routers_[static_cast<std::size_t>(pi.neighbor)]
+                           .input(pi.remote_port, v)
+                           .q.size;
         }
         HXSP_CHECK_MSG(accounted == r.base_credits_,
                        "audit: credit conservation violated");
@@ -262,7 +262,7 @@ void Network::run_audit() const {
                           static_cast<std::size_t>(v)] +
           server_credit_inflight[static_cast<std::size_t>(s.id())]
                                 [static_cast<std::size_t>(v)] +
-          r.input_occupancy(port, v);
+          static_cast<long>(len) * r.input(port, v).q.size;
       HXSP_CHECK_MSG(accounted == cfg_.input_buffer_phits(),
                      "audit: server injection credit conservation violated");
     }

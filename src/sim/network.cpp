@@ -27,31 +27,38 @@ Network::Network(const NetworkContext& ctx, RoutingMechanism& mech,
   // Config validation. Manifests may set any sim field, and a delay the
   // 64-slot wheel cannot hold would wrap into an earlier slot and corrupt
   // the run silently, so each field is named in its own check.
-  HXSP_CHECK_MSG(cfg_.packet_length >= 1, "sim.packet_length must be >= 1");
-  HXSP_CHECK_MSG(cfg_.xbar_speedup >= 1, "sim.xbar_speedup must be >= 1");
-  HXSP_CHECK_MSG(cfg_.num_vcs >= 1, "sim.num_vcs must be >= 1");
+  check_at_least(cfg_.packet_length, 1, "sim.packet_length");
+  check_at_least(cfg_.xbar_speedup, 1, "sim.xbar_speedup");
+  check_at_least(cfg_.num_vcs, 1, "sim.num_vcs");
   // Fewer VCs than one rung (plus SurePath's escape VC) would clamp the
   // rung below VC 0 or leave no legal injection VC.
   HXSP_CHECK_MSG(cfg_.num_vcs >= mech_.min_vcs(),
                  ("sim.num_vcs = " + std::to_string(cfg_.num_vcs) + " but " +
                   mech_.name() + " needs >= " + std::to_string(mech_.min_vcs()))
                      .c_str());
-  HXSP_CHECK_MSG(cfg_.input_buffer_packets >= 1,
-                 "sim.input_buffer_packets must be >= 1");
-  HXSP_CHECK_MSG(cfg_.output_buffer_packets >= 1,
-                 "sim.output_buffer_packets must be >= 1");
-  HXSP_CHECK_MSG(cfg_.server_queue_packets >= 1,
-                 "sim.server_queue_packets must be >= 1");
-  // The scheduled delays: OutTailGone after packet_length cycles (which
-  // also bounds InDrainDone), Consume after link_latency + packet_length
-  // - 1. Credits are always one cycle ahead.
+  check_at_least(cfg_.input_buffer_packets, 1, "sim.input_buffer_packets");
+  check_at_least(cfg_.output_buffer_packets, 1, "sim.output_buffer_packets");
+  check_at_least(cfg_.server_queue_packets, 1, "sim.server_queue_packets");
+  // The scheduled delays: OutTailGone after packet_length cycles, Consume
+  // after link_latency + packet_length - 1, a grant's upstream credit at
+  // most max(xbar_cycles + 1, packet_length) ahead (one cycle after a drain
+  // that waits for the tail) and a Consume's eject credit one ahead.
   HXSP_CHECK_MSG(cfg_.packet_length < kWheelSize,
                  "sim.packet_length must be < 64 (event wheel horizon)");
-  HXSP_CHECK_MSG(cfg_.link_latency >= 0, "sim.link_latency must be >= 0");
+  HXSP_CHECK_MSG(cfg_.xbar_cycles() + 1 < kWheelSize,
+                 "sim.packet_length / sim.xbar_speedup, rounded up, must be "
+                 "< 63 (event wheel horizon)");
+  check_at_least(cfg_.link_latency, 0, "sim.link_latency");
   const int consume_delay = cfg_.link_latency + cfg_.packet_length - 1;
   HXSP_CHECK_MSG(consume_delay >= 1 && consume_delay < kWheelSize,
                  "sim.link_latency + sim.packet_length - 1 must lie in 1..63 "
                  "(event wheel horizon)");
+  check_at_least(cfg_.xbar_latency, 0, "sim.xbar_latency");
+  check_at_least(cfg_.watchdog_cycles, 0, "sim.watchdog_cycles");
+  check_at_least(cfg_.audit_interval, 0, "sim.audit_interval");
+  check_at_least(cfg_.telemetry_window, 0, "sim.telemetry_window");
+  check_at_least(cfg_.trace_sample, 0, "sim.trace_sample");
+  check_at_least(cfg_.flight_recorder, 0, "sim.flight_recorder");
 
   for (auto& slot : wheel_) slot.attach(&event_chunks_);
 
@@ -71,15 +78,12 @@ Network::Network(const NetworkContext& ctx, RoutingMechanism& mech,
 
   metrics_.configure(total, cfg_.packet_length);
 
-  HXSP_CHECK(cfg_.audit_interval >= 0);
   next_audit_ = cfg_.audit_interval > 0 ? cfg_.audit_interval
                                         : std::numeric_limits<Cycle>::max();
 
   // Observability (src/telemetry/): each instrument exists only when its
   // knob is on, so the hook sites in the step paths cost one null compare
   // in the default configuration.
-  HXSP_CHECK(cfg_.telemetry_window >= 0 && cfg_.trace_sample >= 0 &&
-             cfg_.flight_recorder >= 0);
   if (cfg_.telemetry_window > 0)
     telemetry_ = std::make_unique<TelemetryRegistry>(
         *ctx_.graph, cfg_.telemetry_window, cfg_.num_vcs);
@@ -91,8 +95,8 @@ Network::Network(const NetworkContext& ctx, RoutingMechanism& mech,
   if (cfg_.flight_recorder > 0)
     flight_ = std::make_unique<FlightRecorder>(
         cfg_.flight_recorder, seed,
-        std::vector<std::string>{"InDrainDone", "CreditRouter",
-                                 "CreditServer", "OutTailGone", "Consume"});
+        std::vector<std::string>{"CreditRouter", "CreditServer",
+                                 "OutTailGone", "Consume"});
 }
 
 void Network::set_offered_load(double load) {
@@ -105,7 +109,7 @@ void Network::enter_message_mode(MessageSource* source) {
   source_ = source;
 }
 
-void Network::handle_consume(const Event& ev, PooledRing<Event>& next) {
+void Network::handle_consume(const Event& ev) {
   const ServerId dst = ev.a;
   const SwitchId sw = dst / servers_per_switch_;
   metrics_.on_consumed(dst, ev.aux, now_);
@@ -118,22 +122,17 @@ void Network::handle_consume(const Event& ev, PooledRing<Event>& next) {
   // chain feeding the next phase).
   if (ev.msg >= 0) source_->on_packet_consumed(ev.msg, now_, *this);
   // Return the eject credit to the router's server port.
-  next.push_back({Event::Kind::CreditRouter, ev.vc,
-                  router(sw).first_server_port() + dst % servers_per_switch_,
-                  sw, cfg_.packet_length});
+  schedule(now_ + 1,
+           {Event::Kind::CreditRouter, ev.vc,
+            router(sw).first_server_port() + dst % servers_per_switch_, sw});
 }
 
 void Network::process_events() {
   PooledRing<Event>& slot =
       wheel_[static_cast<std::size_t>(now_ & (kWheelSize - 1))];
   if (slot.empty()) return;
-  // Every credit this slot emits lands exactly one cycle ahead, so the
-  // destination slot is resolved once and pushed into directly — the
-  // coalesced form of the per-event schedule(now_ + 1, ...) calls. The
-  // next slot is distinct from the current one (wheel size > 1), so
-  // pushing while scanning is safe.
-  PooledRing<Event>& next =
-      wheel_[static_cast<std::size_t>((now_ + 1) & (kWheelSize - 1))];
+  // Every event scheduled while the slot is applied lands in a later slot
+  // (at most 63 cycles ahead), so scheduling while scanning is safe.
   slot.for_each([&](const Event& ev) {
     // Flight recorder: remember the event just before applying it, so the
     // ring order is the application order.
@@ -143,36 +142,18 @@ void Network::process_events() {
                       ev.kind != Event::Kind::CreditServer &&
                           ev.kind != Event::Kind::Consume);
     switch (ev.kind) {
-      case Event::Kind::InDrainDone: {
-        Router& r = routers_[static_cast<std::size_t>(ev.a)];
-        r.input_drain_done(ev.port, ev.vc);
-        // Return the freed space upstream, one cycle of credit latency.
-        if (ev.port < r.first_server_port()) {
-          const PortInfo& pi = ctx_.graph->port(ev.a, ev.port);
-          next.push_back({Event::Kind::CreditRouter, ev.vc, pi.remote_port,
-                          pi.neighbor, cfg_.packet_length});
-        } else {
-          const ServerId srv =
-              static_cast<ServerId>(ev.a) * servers_per_switch_ +
-              (ev.port - r.first_server_port());
-          next.push_back({Event::Kind::CreditServer, ev.vc, 0, srv,
-                          cfg_.packet_length});
-        }
-        break;
-      }
       case Event::Kind::CreditRouter:
-        routers_[static_cast<std::size_t>(ev.a)].credit_return(
-            ev.port, ev.vc, static_cast<int>(ev.aux));
+        routers_[static_cast<std::size_t>(ev.a)].credit_return(ev.port, ev.vc);
         break;
       case Event::Kind::CreditServer:
-        server_credits(ev.a)[ev.vc] += static_cast<int>(ev.aux);
+        server_credits(ev.a)[ev.vc] += cfg_.packet_length;
         break;
       case Event::Kind::OutTailGone:
-        routers_[static_cast<std::size_t>(ev.a)].output_tail_gone(
-            ev.port, ev.vc, cfg_.packet_length);
+        routers_[static_cast<std::size_t>(ev.a)].output_tail_gone(ev.port,
+                                                                  ev.vc);
         break;
       case Event::Kind::Consume:
-        handle_consume(ev, next);
+        handle_consume(ev);
         break;
     }
   });
@@ -183,10 +164,11 @@ void Network::deliver(PacketPtr pkt, SwitchId sw, Port port, Vc vc, Cycle head,
                       Cycle tail) {
   mech_.on_arrival(ctx_, *pkt, sw);
   if (tracer_) tracer_->record(TraceEvent::kArrive, head, pkt->id, sw, port, vc);
-  routers_[static_cast<std::size_t>(sw)].push_input(std::move(pkt), port, vc,
-                                                    head, tail);
+  Router& r = routers_[static_cast<std::size_t>(sw)];
+  r.push_input(std::move(pkt), port, vc, head, tail);
+  HXSP_DCHECK(r.input_occupancy(port, vc, now_) <= cfg_.input_buffer_phits());
   if (telemetry_)
-    telemetry_->on_occupancy(sw, router(sw).input_occupancy(port, vc));
+    telemetry_->on_occupancy(sw, r.input_occupancy(port, vc, now_));
 }
 
 void Network::consume_at(PacketPtr pkt, Cycle when, Vc vc) {
@@ -242,7 +224,7 @@ void Network::commit_link_stages() {
       HXSP_CHECK(t.src >= prev_src);
       prev_src = t.src;
 #endif
-      schedule(now_ + len, {Event::Kind::OutTailGone, t.vc, t.port, t.src, 0});
+      schedule(now_ + len, {Event::Kind::OutTailGone, t.vc, t.port, t.src});
       if (t.port <
           routers_[static_cast<std::size_t>(t.src)].first_server_port()) {
         const PortInfo& pi = ctx_.graph->port(t.src, t.port);
@@ -363,7 +345,7 @@ void Network::step() {
 
 #ifndef NDEBUG
   if ((now_ & 0x3FF) == 0)
-    for (const auto& r : routers_) r.audit_local(cfg_);
+    for (const auto& r : routers_) r.audit_local(cfg_, now_);
 #endif
   ++now_;
 }

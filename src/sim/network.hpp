@@ -9,11 +9,12 @@
 /// phase scans the routers in id order and skips the idle ones; a skipped
 /// router would have drawn no randomness and scheduled no events, so the
 /// cycle-by-cycle behaviour (RNG stream, event order, every output byte)
-/// is identical to stepping everything. All event delays are small
-/// constants (crossbar/link/credit latencies), so a 64-slot calendar wheel
-/// suffices. A watchdog aborts the run if packets are in flight but
-/// nothing has moved for SimConfig::watchdog_cycles — the tripwire behind
-/// our deadlock-freedom claims.
+/// is identical to stepping everything. Every event delay is bounded by
+/// the packet, crossbar and link latencies, so a 64-slot calendar wheel
+/// suffices (the constructor rejects configs that would exceed it). A
+/// watchdog aborts the run if packets are in flight but nothing has moved
+/// for SimConfig::watchdog_cycles — the tripwire behind our
+/// deadlock-freedom claims.
 ///
 /// Instruments: consumptions, packet latency and hop kinds are counted
 /// once, cumulatively from cycle 0, in metrics(); per-link phits, also
@@ -47,7 +48,7 @@ class ThreadPool;    // util/thread_pool.hpp
 class MessageSource; // workload/run.hpp
 struct TelemetryCapture; // telemetry/capture.hpp
 
-/// A deferred simulator action (buffer release, credit return, delivery).
+/// A deferred simulator action (credit return, tail departure, delivery).
 ///
 /// Laid out widest-first so one event is 24 bytes (vs 32 with natural
 /// field order): a 64-item wheel-slot chunk then spans 6 cache lines
@@ -55,13 +56,14 @@ struct TelemetryCapture; // telemetry/capture.hpp
 /// every cycle. port/vc are stored narrow — ports are bounded by
 /// switch degree + servers per switch (hundreds), VCs by the allocator's
 /// 32-VC feasibility mask — and widen back to Port/Vc implicitly at use
-/// sites. The constructor keeps the historical (kind, vc, port, a, aux
-/// [, msg]) argument order so scheduling sites read unchanged.
+/// sites. The constructor keeps the historical (kind, vc, port, a [, aux
+/// [, msg]]) argument order so scheduling sites read unchanged.
 struct Event {
   enum class Kind : std::uint8_t {
-    InDrainDone,  ///< a = router, port/vc: head left the input buffer
-    CreditRouter, ///< a = router, port/vc: credit for an output VC
-    CreditServer, ///< a = server, vc: credit for the injection buffer
+    CreditRouter, ///< a = router, port/vc: one packet's credit
+                  ///< (packet_length phits) for an output VC
+    CreditServer, ///< a = server, vc: one packet's credit for the
+                  ///< injection buffer
     OutTailGone,  ///< a = router, port/vc: tail left the output buffer
     Consume       ///< a = server, vc = eject vc, aux = creation (port
                   ///< unused: the server's switch and index name it)
@@ -71,10 +73,10 @@ struct Event {
   std::int32_t msg = kInvalid; ///< Consume: workload Message index (-1: none)
   std::int16_t port = 0;
   std::int8_t vc = 0;
-  Kind kind = Kind::InDrainDone;
+  Kind kind = Kind::CreditRouter;
 
   Event() = default;
-  Event(Kind k, Vc v, Port p, std::int32_t a_, Cycle aux_,
+  Event(Kind k, Vc v, Port p, std::int32_t a_, Cycle aux_ = 0,
         std::int32_t msg_ = kInvalid)
       : aux(aux_), a(a_), msg(msg_), port(static_cast<std::int16_t>(p)),
         vc(static_cast<std::int8_t>(v)), kind(k) {
@@ -298,8 +300,8 @@ class Network {
   void process_events();
 
   /// Applies one Consume event (metrics, time series, workload callback,
-  /// eject credit into \p next).
-  void handle_consume(const Event& ev, PooledRing<Event>& next);
+  /// eject credit one cycle ahead).
+  void handle_consume(const Event& ev);
 
   /// Runs \p fn(w, lo, hi) on the step pool for each worker w's
   /// contiguous ascending range [lo, hi) of phase_scratch_, then waits

@@ -85,7 +85,6 @@ void Router::push_input(PacketPtr pkt, Port port, Vc vc, Cycle head,
   InputVc& iv = input_mut(port, vc);
   pkt->buf_head = head;
   pkt->buf_tail = tail;
-  HXSP_DCHECK(input_occupancy(port, vc) + len_ <= base_credits_);
   if (iv.q.empty())
     in_gate_[vc_index(port, vc)] = head_gate_floor(port, iv, head);
   in_q_.push_back(vc_index(port, vc), iv.q, std::move(pkt));
@@ -137,7 +136,7 @@ void Router::alloc_phase(Network& net, Cycle now) {
     // possible request (arrival, drain, input crossbar, output parking),
     // so one compare replaces the whole eligibility chain.
     if (now < in_gate_[static_cast<std::size_t>(enc)]) { continue; }
-    HXSP_DCHECK(!inputs_[static_cast<std::size_t>(enc)].draining);
+    HXSP_DCHECK(inputs_[static_cast<std::size_t>(enc)].drain_until <= now);
     const Packet& pkt = in_front(static_cast<std::size_t>(enc));
     HXSP_DCHECK(pkt.buf_head <= now);
     HXSP_DCHECK(in_xbar_free_[static_cast<std::size_t>(enc / num_vcs_)] <= now);
@@ -260,15 +259,24 @@ void Router::alloc_phase(Network& net, Cycle now) {
       PacketPtr pkt =
           in_q_.pop_front(static_cast<std::size_t>(req.in_enc), iv.q);
       if (iv.q.empty()) unmark_active(in_port, in_vc);
-      iv.draining = true;
 
       // Cut-through: the tail leaves the input when the crossbar is done
-      // or when it has fully arrived, whichever is later.
+      // or when it has fully arrived, whichever is later. The freed space
+      // returns upstream one cycle later, as a credit to the neighbour's
+      // output VC or to the server.
       const Cycle drain_done =
           std::max(now + cfg.xbar_cycles(), pkt->buf_tail);
       iv.drain_until = drain_done;
-      net.schedule(drain_done,
-                   {Event::Kind::InDrainDone, in_vc, in_port, id_, 0});
+      if (in_port < num_switch_ports_) {
+        const PortInfo& pi = net.ctx().graph->port(id_, in_port);
+        net.schedule(drain_done + 1, {Event::Kind::CreditRouter, in_vc,
+                                      pi.remote_port, pi.neighbor});
+      } else {
+        net.schedule(drain_done + 1,
+                     {Event::Kind::CreditServer, in_vc, 0,
+                      id_ * net.servers_per_switch() + in_port -
+                          num_switch_ports_});
+      }
       const Cycle xbar_free = now + cfg.xbar_cycles();
       in_xbar_free_[static_cast<std::size_t>(in_port)] = xbar_free;
       // Gate every VC of the claimed input port behind its crossbar; the

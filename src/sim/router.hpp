@@ -36,7 +36,9 @@
 ///
 /// Each fact is stored once. A VC's occupancy is derived, not counted: an
 /// output VC's is its qs less its consumed credits, an input VC's one
-/// packet per queued or draining packet.
+/// packet per queued packet plus one while the last grant's drain runs
+/// (InputVc::drain_until past now). That grant also schedules the drained
+/// space's credit upstream, so nothing fires when the drain ends.
 ///
 /// All packet queues are bounded by flow control, so each router carves
 /// its queues out of two fixed slabs (util/ringbuf.hpp): one RingSlab for
@@ -63,13 +65,13 @@ class Network;
 /// Per-(input port, VC) buffer state. The queued packets live in the
 /// router's input slab, in the ring with this VC's [port][vc] index. Its
 /// reserved space is derived, not stored: see Router::input_occupancy.
+/// Widest field first, so the struct packs into 16 B.
 struct InputVc {
+  Cycle drain_until = 0;         ///< cycle the last granted packet's tail
+                                 ///< has left the buffer; a drain is in
+                                 ///< progress while it lies past now
   RingSlab<PacketPtr>::Ring q;   ///< waiting packets; front = head
-  Cycle drain_until = 0;         ///< when the in-progress drain completes
-                                 ///< (valid whenever draining; kept for
-                                 ///< exact gate reconstruction)
   int active_pos = -1;           ///< index in Router::active_, -1 = not listed
-  bool draining = false;         ///< head transfer in progress
 };
 
 /// Per-(output port, VC) buffer state plus the credit counter for the
@@ -88,7 +90,7 @@ struct OutputVc {
 // (port, VC) — 8.2 million of each in the million-server configuration
 // (32,768 routers x 125 ports x 2 VCs) — so a stray field here costs tens
 // of megabytes there.
-static_assert(sizeof(InputVc) <= 24, "InputVc grew past its per-VC budget");
+static_assert(sizeof(InputVc) <= 16, "InputVc grew past its per-VC budget");
 static_assert(sizeof(OutputVc) <= 8, "OutputVc grew past its per-VC budget");
 static_assert(sizeof(PacketPtr) == sizeof(Packet*),
               "PacketPtr must stay one pointer: every slab slot holds one, "
@@ -188,30 +190,21 @@ class Router {
 
   // --- event handlers -----------------------------------------------------
 
-  /// The head packet of input (port,vc) finished leaving through the
-  /// crossbar: free its space and stop blocking the next packet.
-  /// Inline: fires once per forwarded packet via the event wheel.
-  void input_drain_done(Port port, Vc vc) {
-    InputVc& iv = input_mut(port, vc);
-    HXSP_DCHECK(iv.draining);
-    iv.draining = false;
-  }
-
-  /// A packet's tail (\p phits long) left output (port,vc) over the link.
+  /// A packet's tail left output (port,vc) over the link.
   /// Inline: fires once per transmitted packet via the event wheel.
-  void output_tail_gone(Port port, Vc vc, int phits) {
-    outputs_[static_cast<std::size_t>(port)].score_sum -= phits;
-    out_qs_[vc_index(port, vc)] -= phits;
+  void output_tail_gone(Port port, Vc vc) {
+    outputs_[static_cast<std::size_t>(port)].score_sum -= len_;
+    out_qs_[vc_index(port, vc)] -= len_;
     update_feasible(port, vc);
     HXSP_DCHECK(out_occupancy(vc_index(port, vc)) >= 0);
   }
 
-  /// Credit arrived from the downstream buffer of output (port,vc).
-  /// Inline: fires once per forwarded packet via the event wheel.
-  void credit_return(Port port, Vc vc, int phits) {
-    output_vc_mut(port, vc).credits += phits;
-    outputs_[static_cast<std::size_t>(port)].score_sum -= phits; // consumed shrank
-    out_qs_[vc_index(port, vc)] -= phits;
+  /// One packet's credit arrived from the downstream buffer of output
+  /// (port,vc). Inline: fires once per forwarded packet via the event wheel.
+  void credit_return(Port port, Vc vc) {
+    output_vc_mut(port, vc).credits += len_;
+    outputs_[static_cast<std::size_t>(port)].score_sum -= len_; // consumed shrank
+    out_qs_[vc_index(port, vc)] -= len_;
     update_feasible(port, vc);
   }
 
@@ -249,11 +242,11 @@ class Router {
   const InputVc& input(Port p, Vc v) const {
     return inputs_[static_cast<std::size_t>(vc_index(p, v))];
   }
-  /// Phits of input (p,v)'s buffer reserved by its queued packets and by
-  /// the packet still draining out of it.
-  int input_occupancy(Port p, Vc v) const {
+  /// Phits of input (p,v)'s buffer reserved at cycle \p now by its queued
+  /// packets and by a packet still draining out of it.
+  int input_occupancy(Port p, Vc v, Cycle now) const {
     const InputVc& iv = input(p, v);
-    return len_ * (iv.q.size + (iv.draining ? 1 : 0));
+    return len_ * (iv.q.size + (iv.drain_until > now ? 1 : 0));
   }
   const OutputPort& output(Port p) const {
     return outputs_[static_cast<std::size_t>(p)];
@@ -266,10 +259,11 @@ class Router {
   /// router structure from first principles — per-port score sums,
   /// feasibility masks, waiting counts, the active input list and its
   /// back-pointers, head gates, candidate slots — and aborts on drift.
-  /// Debug builds also run it every 1024 cycles (Network::step).
+  /// \p now is the current cycle (for the input buffer bounds). Debug
+  /// builds also run it every 1024 cycles (Network::step).
   /// Wheel-dependent ledgers (in-flight credits, pending tail
   /// departures) are cross-checked by Network::run_audit.
-  void audit_local(const SimConfig& cfg) const;
+  void audit_local(const SimConfig& cfg, Cycle now) const;
 
   /// Test-only mutable state access, for injecting incremental-state
   /// corruption that the auditor must catch. Never used by the engine.

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 namespace hxsp::detail {
 /// Defined in telemetry/flight_recorder.cpp (every target links the hxsp
@@ -40,3 +41,15 @@ void dump_flight_recorders_on_abort();
 #else
 #define HXSP_DCHECK(expr) HXSP_CHECK(expr)
 #endif
+
+namespace hxsp {
+/// Aborts unless \p value >= \p min, naming \p key and the value
+/// ("spec.warmup = -10 is below 0"): the range check of a field read from
+/// a manifest or a command line.
+inline void check_at_least(long long value, long long min,
+                           const std::string& key) {
+  HXSP_CHECK_MSG(value >= min, (key + " = " + std::to_string(value) +
+                                " is below " + std::to_string(min))
+                                   .c_str());
+}
+} // namespace hxsp

@@ -113,8 +113,9 @@ TEST(AuditDeath, CatchesCorruptedWaitingCount) {
 
 TEST(AuditDeath, CatchesCorruptedScoreTerm) {
   LoadedNet l(0);
-  // A phantom occupancy/credit unit in one VC's Q term breaks both the
-  // per-VC recomputation and the port score sum.
+  // A phantom occupancy/credit unit in one VC's Q term breaks the port
+  // score sum and the output-occupancy ledger (occupancy is qs less
+  // consumed credits).
   l.net.router(0).corrupt_out_qs_for_test(0, 0) += 1;
   EXPECT_DEATH(l.net.run_audit(), "audit");
 }
@@ -186,6 +187,21 @@ TEST(AuditDeath, CatchesRoutingEntryAfterEscapeEntry) {
   EXPECT_DEATH(l.net.run_audit(),
                "audit: candidate slot lists a routing entry after an escape "
                "entry");
+}
+
+// A credit the engine never owed: every credit event stands for one
+// packet's space that a grant or a consumption freed, so an extra one must
+// break the ledger of the buffer it claims to free.
+TEST(AuditDeath, CatchesPhantomRouterCredit) {
+  LoadedNet l(0);
+  l.net.schedule(l.net.now() + 1, {Event::Kind::CreditRouter, 0, 0, 0});
+  EXPECT_DEATH(l.net.run_audit(), "credit conservation");
+}
+
+TEST(AuditDeath, CatchesPhantomServerCredit) {
+  LoadedNet l(0);
+  l.net.schedule(l.net.now() + 1, {Event::Kind::CreditServer, 0, 0, 0});
+  EXPECT_DEATH(l.net.run_audit(), "credit conservation");
 }
 
 TEST(AuditDeath, CatchesLostPacket) {

@@ -171,10 +171,13 @@ TEST(ParallelStep, BitIdenticalMultitenantKind) {
 
 TEST(ParallelStep, BitIdenticalAtLongestLegalDelay) {
   // The longest delays the 64-slot event wheel holds: OutTailGone after
-  // packet_length = 63 cycles and Consume after link_latency +
-  // packet_length - 1 = 63 cycles, so both land in the slot just behind
-  // the current one. 3 threads give uneven link-stage partitions; the
-  // auditor cross-checks the wheel's in-flight credits every pass.
+  // packet_length = 63 cycles, Consume after link_latency +
+  // packet_length - 1 = 63 cycles, and a grant's upstream credit, at most
+  // packet_length = 63 cycles ahead (one cycle after a drain that waits
+  // for a tail up to 62 cycles behind the head), so all three can land in
+  // the slot just behind the current one. 3 threads give uneven link-stage
+  // partitions; the auditor cross-checks the wheel's in-flight credits
+  // every pass.
   ExperimentSpec spec = small_spec("polsp");
   spec.sim.packet_length = 63;
   spec.sim.link_latency = 1;

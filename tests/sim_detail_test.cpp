@@ -169,6 +169,52 @@ TEST(SimDetailDeathTest, PacketLongerThanEventWheelRejected) {
       "sim\\.packet_length");
 }
 
+TEST(SimDetailDeathTest, CrossbarLongerThanEventWheelRejected) {
+  // A grant schedules its upstream credit one cycle after the crossbar
+  // transfer ends: 63 phits at speedup 1 would put it 64 cycles ahead.
+  ExperimentSpec s = k2_spec();
+  s.sim.packet_length = 63;
+  s.sim.xbar_speedup = 1;
+  EXPECT_DEATH(
+      {
+        Experiment e(s);
+        e.run_load(0.05);
+      },
+      "sim\\.xbar_speedup");
+}
+
+// A run-control value below its floor aborts naming the key and the
+// value, instead of running with another meaning: a negative watchdog
+// switched it off, a negative deadline ended the run at once, and a
+// negative fault cycle fired the fault at cycle 0.
+TEST(SimDetailDeathTest, NegativeRunControlValuesRejected) {
+  const auto load = [](void (*edit)(SimConfig&)) {
+    ExperimentSpec s = k2_spec();
+    edit(s.sim);
+    Experiment(s).run_load(0.05);
+  };
+  EXPECT_DEATH(load([](SimConfig& c) { c.xbar_latency = -1; }),
+               "sim\\.xbar_latency = -1 is below 0");
+  EXPECT_DEATH(load([](SimConfig& c) { c.watchdog_cycles = -1; }),
+               "sim\\.watchdog_cycles = -1 is below 0");
+  EXPECT_DEATH(load([](SimConfig& c) { c.audit_interval = -1; }),
+               "sim\\.audit_interval = -1 is below 0");
+  EXPECT_DEATH(load([](SimConfig& c) { c.telemetry_window = -1; }),
+               "sim\\.telemetry_window = -1 is below 0");
+  EXPECT_DEATH(load([](SimConfig& c) { c.trace_sample = -1; }),
+               "sim\\.trace_sample = -1 is below 0");
+  EXPECT_DEATH(load([](SimConfig& c) { c.flight_recorder = -1; }),
+               "sim\\.flight_recorder = -1 is below 0");
+  EXPECT_DEATH(Experiment(k2_spec()).run_completion(1, 10, -5),
+               "max_cycles = -5 is below 0");
+  // A zero deadline stays legal: the run ends before its first cycle.
+  EXPECT_FALSE(Experiment(k2_spec()).run_completion(1, 10, 0).drained);
+  ExperimentSpec triangle = k2_spec();
+  triangle.sides = {3}; // failing one link leaves it connected
+  EXPECT_DEATH(Experiment(triangle).run_load_dynamic(0.05, {{-5, 0}}),
+               "events\\[0\\]\\.at = -5 is below 0");
+}
+
 TEST(SimDetailDeathTest, ZeroCrossbarSpeedupRejected) {
   ExperimentSpec s = k2_spec();
   s.sim.xbar_speedup = 0;
