@@ -75,8 +75,7 @@ StudyResult run_study(Graph graph, int sps, std::uint64_t seed) {
       std::make_unique<MinimalAlgorithm>(), "MinSP", CRoutVcPolicy::Free);
   SimConfig cfg;
   cfg.num_vcs = 4;
-  NetworkContext ctx{&graph, nullptr, &dist, &esc, cfg.num_vcs,
-                     cfg.packet_length};
+  NetworkContext ctx{&graph, nullptr, &dist, &esc, cfg.num_vcs};
   const std::unique_ptr<TrafficPattern> traffic =
       make_uniform_traffic(static_cast<ServerId>(graph.num_switches()) * sps);
   Network net(ctx, mech, *traffic, cfg, sps, seed);

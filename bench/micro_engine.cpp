@@ -59,7 +59,7 @@ template <typename Algo>
 void BM_RouteCandidates(benchmark::State& state) {
   const HyperX hx = HyperX::regular(3, 8, 1);
   DistanceTable dist(hx.graph());
-  NetworkContext ctx{&hx.graph(), &hx, &dist, nullptr, 6, 16};
+  NetworkContext ctx{&hx.graph(), &hx, &dist, nullptr, 6};
   Algo algo;
   Packet p;
   p.src_switch = 0;
@@ -85,7 +85,7 @@ void BM_MechanismCandidates(benchmark::State& state, const char* name) {
   const HyperX hx = HyperX::regular(3, 8, 1);
   DistanceTable dist(hx.graph());
   EscapeUpDown esc(hx.graph(), {.root = 0, .strict_phase = true, .penalties = {}, .use_shortcuts = true});
-  NetworkContext ctx{&hx.graph(), &hx, &dist, &esc, 4, 16};
+  NetworkContext ctx{&hx.graph(), &hx, &dist, &esc, 4};
   const std::unique_ptr<RoutingMechanism> mech = make_mechanism(name);
   Packet p;
   p.src_switch = 0;

@@ -59,8 +59,8 @@ void run_on(const char* title, Graph graph, int servers_per_switch) {
 
   SimConfig cfg;
   cfg.num_vcs = 3; // 2 routing + 1 escape: SurePath's minimum is 2
-  NetworkContext ctx{&graph, /*hyperx=*/nullptr, &dist, &escape, cfg.num_vcs,
-                     cfg.packet_length};
+  NetworkContext ctx{&graph, /*hyperx=*/nullptr, &dist, &escape,
+                     cfg.num_vcs};
 
   const ServerId n_servers =
       static_cast<ServerId>(graph.num_switches()) * servers_per_switch;

@@ -8,8 +8,9 @@
 # checks that a driver whose CSV cannot be written or whose integer flag
 # does not fit its field exits non-zero, that hxsp_runner rejects an
 # out-of-range fault link id and escape penalty, a negative warmup, a
-# dynamic fault due before cycle 0 and an integer that does not fit its
-# field (a trace src, a fault link), prints
+# dynamic fault due before cycle 0, a negative offered load, a zero series
+# bucket width and an integer that does not fit its field (a trace src, a
+# fault link), prints
 # where the hot step functions landed, and runs the example programs and
 # fails if one exits non-zero.
 #
@@ -247,8 +248,52 @@ PY
   else
     echo "OK      negative fault cycle (hxsp_runner exits non-zero, names the key)"
   fi
+
+  # A negative offered load and a zero-cycle series bucket must fail at
+  # the task's entry point naming the key, not deep inside the server or
+  # the time series.
+  python3 - "$WORK_DIR/fig06_tasks.json" "$WORK_DIR/hostile_offered.json" <<'PY'
+import json, sys
+task = json.load(open(sys.argv[1]))[0]
+task["offered"] = -0.5
+json.dump([task], open(sys.argv[2], "w"))
+PY
+  if "$RUNNER" "$WORK_DIR/hostile_offered.json" --jobs=1 \
+       --csv="$WORK_DIR/hostile_offered.csv" --quiet \
+       > "$WORK_DIR/hostile_offered.out" 2>&1; then
+    echo "FAIL    negative offered load (hxsp_runner exited 0)"
+    FAILED=1
+  elif ! grep -q "offered = -0.5 is below 0" "$WORK_DIR/hostile_offered.out"; then
+    echo "FAIL    negative offered load (no key-path message)"
+    tail -5 "$WORK_DIR/hostile_offered.out"
+    FAILED=1
+  else
+    echo "OK      negative offered load (hxsp_runner exits non-zero, names the key)"
+  fi
+
+  python3 - "$WORK_DIR/fig06_tasks.json" "$WORK_DIR/hostile_bucket.json" <<'PY'
+import json, sys
+task = json.load(open(sys.argv[1]))[0]
+task["kind"] = "completion"
+task["packets_per_server"] = 1
+task["max_cycles"] = 1000
+task["bucket_width"] = 0
+json.dump([task], open(sys.argv[2], "w"))
+PY
+  if "$RUNNER" "$WORK_DIR/hostile_bucket.json" --jobs=1 \
+       --csv="$WORK_DIR/hostile_bucket.csv" --quiet \
+       > "$WORK_DIR/hostile_bucket.out" 2>&1; then
+    echo "FAIL    zero bucket width (hxsp_runner exited 0)"
+    FAILED=1
+  elif ! grep -q "bucket_width = 0 is below 1" "$WORK_DIR/hostile_bucket.out"; then
+    echo "FAIL    zero bucket width (no key-path message)"
+    tail -5 "$WORK_DIR/hostile_bucket.out"
+    FAILED=1
+  else
+    echo "OK      zero bucket width (hxsp_runner exits non-zero, names the key)"
+  fi
 else
-  echo "SKIP    out-of-range fault link, escape penalty, warmup and fault cycle (fig06, hxsp_runner or python3 missing)"
+  echo "SKIP    out-of-range fault link, escape penalty, warmup, fault cycle, offered load and bucket width (fig06, hxsp_runner or python3 missing)"
 fi
 
 # Where the step loop's hot functions landed (see scripts/hot_symbols.sh),

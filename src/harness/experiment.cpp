@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <limits>
 #include <optional>
@@ -40,6 +41,16 @@ void check_link_id(const Graph& g, LinkId link, const std::string& key) {
                   " is not a link id: the fabric has " +
                   std::to_string(g.num_links()) + " links")
                      .c_str());
+}
+
+/// Aborts unless \p offered, a task's offered load in phits/cycle/server,
+/// is >= 0 (0 is legal: no server injects), naming the key and the value.
+void check_offered(double offered) {
+  if (offered >= 0.0) return;
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%g", offered);
+  detail::check_failed("offered >= 0", __FILE__, __LINE__,
+                       ("offered = " + std::string(buf) + " is below 0").c_str());
 }
 
 /// Aborts unless every escape penalty lies in [0, 32767]: a penalty is
@@ -118,7 +129,6 @@ Experiment::Experiment(const ExperimentSpec& spec)
   ctx_.dist = dist_.get();
   ctx_.escape = escape_.get();
   ctx_.num_vcs = spec_.sim.num_vcs;
-  ctx_.packet_length = spec_.sim.packet_length;
 }
 
 void Experiment::set_step_threads(int threads) {
@@ -195,6 +205,7 @@ ResultRow Experiment::rate_row(double offered, const Network& net) const {
 }
 
 ResultRow Experiment::run_load(double offered) {
+  check_offered(offered);
   RunPlan plan;
   plan.seed = rng_.fork(0x10AD).next_u64();
   plan.start = [offered](Network& net) { net.set_offered_load(offered); };
@@ -204,6 +215,7 @@ ResultRow Experiment::run_load(double offered) {
 CompletionResult Experiment::run_completion(long packets_per_server,
                                             Cycle bucket_width,
                                             Cycle max_cycles) {
+  check_at_least(bucket_width, 1, "bucket_width");
   CompletionResult res;
   res.mechanism = mech_->name();
   res.pattern = spec_.pattern;
@@ -223,6 +235,7 @@ CompletionResult Experiment::run_completion(long packets_per_server,
 
 WorkloadResult Experiment::run_workload(const WorkloadParams& params,
                                         Cycle bucket_width, Cycle max_cycles) {
+  check_at_least(bucket_width, 1, "bucket_width");
   const std::uint64_t net_seed = rng_.fork(0xE0).next_u64();
   // The workload's own stream: independent of the network stream so a
   // randomized workload (shuffle, random) does not perturb allocator
@@ -261,6 +274,7 @@ WorkloadResult Experiment::run_workload(const WorkloadParams& params,
 MultitenantResult Experiment::run_multitenant(const MultitenantParams& params,
                                               Cycle bucket_width,
                                               Cycle max_cycles) {
+  check_at_least(bucket_width, 1, "bucket_width");
   const std::uint64_t net_seed = rng_.fork(0xE0).next_u64();
   // One build stream, consumed in job order, and the same network-seed
   // fork as run_workload: a single job spanning the whole fabric gets
@@ -329,6 +343,7 @@ MultitenantResult Experiment::run_multitenant(const MultitenantParams& params,
 
 DynamicResult Experiment::run_load_dynamic(double offered,
                                            std::vector<FaultEvent> events) {
+  check_offered(offered);
   for (std::size_t i = 0; i < events.size(); ++i) {
     const std::string key = "events[" + std::to_string(i) + "]";
     check_link_id(hx_->graph(), events[i].link, key + ".link");

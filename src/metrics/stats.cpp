@@ -17,15 +17,14 @@ double jain_index(const std::vector<std::int64_t>& x) {
 }
 
 LatencyHistogram::LatencyHistogram(int bucket_width, int num_buckets)
-    : width_(bucket_width),
-      buckets_(static_cast<std::size_t>(num_buckets) + 1, 0) {
+    : width_(bucket_width), buckets_(static_cast<std::size_t>(num_buckets), 0) {
   HXSP_CHECK(bucket_width >= 1 && num_buckets >= 1);
 }
 
 void LatencyHistogram::add(Cycle latency) {
   if (latency < 0) latency = 0;
-  std::size_t b = static_cast<std::size_t>(latency / width_);
-  if (b >= buckets_.size()) b = buckets_.size() - 1;
+  const std::size_t b = static_cast<std::size_t>(latency / width_);
+  if (b >= buckets_.size()) buckets_.resize(b + 1, 0);
   ++buckets_[b];
   ++count_;
 }
@@ -42,8 +41,8 @@ Cycle LatencyHistogram::percentile(double p) const {
 }
 
 void LatencyHistogram::subtract(const LatencyHistogram& base) {
-  HXSP_CHECK(base.width_ == width_ && base.buckets_.size() == buckets_.size());
-  for (std::size_t b = 0; b < buckets_.size(); ++b)
+  HXSP_CHECK(base.width_ == width_ && base.buckets_.size() <= buckets_.size());
+  for (std::size_t b = 0; b < base.buckets_.size(); ++b)
     buckets_[b] -= base.buckets_[b];
   count_ -= base.count_;
 }

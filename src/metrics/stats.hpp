@@ -24,11 +24,12 @@ namespace hxsp {
 /// Returns 1.0 for an all-zero vector (vacuously fair).
 double jain_index(const std::vector<std::int64_t>& x);
 
-/// Fixed-width latency histogram with an overflow bucket; supports
-/// percentile queries for the extension analyses.
+/// Fixed-width latency histogram that grows to cover its largest sample;
+/// supports percentile queries for the extension analyses.
 class LatencyHistogram {
  public:
-  /// \p bucket_width cycles per bucket, \p num_buckets buckets + overflow.
+  /// \p bucket_width cycles per bucket, \p num_buckets buckets to start
+  /// with; add() appends buckets past the last as samples need them.
   explicit LatencyHistogram(int bucket_width = 8, int num_buckets = 1024);
 
   /// Records one sample.
@@ -42,12 +43,12 @@ class LatencyHistogram {
   Cycle percentile(double p) const;
 
   /// Removes the samples of \p base, an earlier snapshot of this
-  /// histogram (same bucket layout).
+  /// histogram (same bucket width, never more buckets).
   void subtract(const LatencyHistogram& base);
 
  private:
   int width_;
-  std::vector<std::int64_t> buckets_; ///< last bucket = overflow
+  std::vector<std::int64_t> buckets_; ///< bucket b counts [b*w, (b+1)*w)
   std::int64_t count_ = 0;
 };
 

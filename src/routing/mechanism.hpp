@@ -43,7 +43,6 @@ struct NetworkContext {
   const DistanceProvider* dist = nullptr;
   const EscapeUpDown* escape = nullptr;///< null unless SurePath
   int num_vcs = 0;
-  int packet_length = 0;
 };
 
 /// A port-level candidate handed to the allocator: one output port over an

@@ -4,7 +4,7 @@
 /// The engine keeps incrementally maintained state instead of full
 /// per-cycle scans: per-output-VC qs and per-port score sums (allocator
 /// scoring), feasibility masks, waiting counts, per-router active input
-/// lists, head gates, candidate slots, and the O(1) packet counter.
+/// lists, candidate slots, and the O(1) packet counter.
 /// Each of those is updated at a handful of mutation sites; a future edit
 /// that misses one site produces no crash — just a silently different (and
 /// wrong) simulation three PRs later. The auditor recomputes every one of those structures
@@ -42,7 +42,7 @@ void Router::audit_local(const SimConfig& cfg, Cycle now) const {
   HXSP_CHECK_MSG(len == len_ && outbuf_cap_ == cfg.output_buffer_phits(),
                  "audit: router config drifted from construction");
 
-  // --- inputs: occupancy, active list, head gates -------------------------
+  // --- inputs: occupancy, active list -------------------------------------
   int active_count = 0;
   for (Port p = 0; p < static_cast<Port>(outputs_.size()); ++p) {
     for (Vc v = 0; v < num_vcs_; ++v) {
@@ -59,12 +59,6 @@ void Router::audit_local(const SimConfig& cfg, Cycle now) const {
               active_[static_cast<std::size_t>(iv.active_pos)] ==
                   static_cast<std::int32_t>(vc_index(p, v)),
           "audit: active input list back-pointer corrupt");
-      // The head gate is a max of known lower bounds; each bound must
-      // still hold (a gate below one would let a head request early —
-      // an RNG draw the full rescan would not make).
-      const Cycle head = in_front(vc_index(p, v)).buf_head;
-      HXSP_CHECK_MSG(in_gate_[vc_index(p, v)] >= head_gate_floor(p, iv, head),
-                     "audit: head gate below a known lower bound");
     }
   }
   HXSP_CHECK_MSG(static_cast<int>(active_.size()) == active_count,

@@ -20,7 +20,6 @@ Network::Network(const NetworkContext& ctx, RoutingMechanism& mech,
       wheel_(kWheelSize) {
   HXSP_CHECK(ctx_.graph != nullptr && ctx_.dist != nullptr);
   HXSP_CHECK(ctx_.num_vcs == cfg_.num_vcs);
-  HXSP_CHECK(ctx_.packet_length == cfg_.packet_length);
   HXSP_CHECK_MSG(!mech_.needs_escape() || ctx_.escape != nullptr,
                  "mechanism requires an escape subnetwork in the context");
   HXSP_CHECK(servers_per_switch_ >= 1);

@@ -44,7 +44,6 @@ Router::Router(SwitchId id, int num_switch_ports, int num_server_ports,
   out_vcs_.assign(total_vcs, fresh);
   out_q_.reset(total_vcs, cfg.output_buffer_packets);
   out_qs_.assign(total_vcs, 0);
-  in_gate_.assign(total_vcs, 0);
   outputs_ = std::vector<OutputPort>(static_cast<std::size_t>(total_ports));
   for (Port p = 0; p < static_cast<Port>(total_ports); ++p)
     for (Vc v = 0; v < num_vcs_; ++v) update_feasible(p, v);
@@ -85,8 +84,6 @@ void Router::push_input(PacketPtr pkt, Port port, Vc vc, Cycle head,
   InputVc& iv = input_mut(port, vc);
   pkt->buf_head = head;
   pkt->buf_tail = tail;
-  if (iv.q.empty())
-    in_gate_[vc_index(port, vc)] = head_gate_floor(port, iv, head);
   in_q_.push_back(vc_index(port, vc), iv.q, std::move(pkt));
   mark_active(port, vc);
 }
@@ -109,15 +106,15 @@ void Router::compute_candidates(const Network& net, const Packet& head,
 
 void Router::precompute_candidates(const Network& net, Cycle now) {
   // Exactly the heads alloc_phase would compute candidates for this cycle:
-  // gate-open and cache-invalid. Gates and caches of *this* router cannot
-  // change between this phase and its alloc_phase (other routers' grants
-  // only touch their own state; cross-router effects travel through
+  // eligible and cache-invalid. Eligibility and caches of *this* router
+  // cannot change between this phase and its alloc_phase (other routers'
+  // grants only touch their own state; cross-router effects travel through
   // future-cycle events), so the precomputed set is exactly what serial
   // alloc would have computed — candidate caching is a pure function of
   // the head packet and shared-immutable tables, and draws no RNG.
   for (std::size_t ai = 0; ai < active_.size(); ++ai) {
     const std::size_t enc = static_cast<std::size_t>(active_[ai]);
-    if (now < in_gate_[enc]) continue;
+    if (!head_eligible(enc, now)) continue;
     CandSlot& slot = cand_slots_[ai];
     if (slot.valid) continue;
     compute_candidates(net, in_front(enc), slot);
@@ -132,47 +129,24 @@ void Router::alloc_phase(Network& net, Cycle now) {
   // --- request phase: every eligible head posts one request ---------------
   for (std::size_t ai = 0; ai < active_.size(); ++ai) {
     const std::int32_t enc = active_[ai];
-    // The gate is the max of every lower bound on this head's next
-    // possible request (arrival, drain, input crossbar, output parking),
-    // so one compare replaces the whole eligibility chain.
-    if (now < in_gate_[static_cast<std::size_t>(enc)]) { continue; }
-    HXSP_DCHECK(inputs_[static_cast<std::size_t>(enc)].drain_until <= now);
+    if (!head_eligible(static_cast<std::size_t>(enc), now)) continue;
     const Packet& pkt = in_front(static_cast<std::size_t>(enc));
-    HXSP_DCHECK(pkt.buf_head <= now);
-    HXSP_DCHECK(in_xbar_free_[static_cast<std::size_t>(enc / num_vcs_)] <= now);
-
     CandSlot& slot = cand_slots_[ai];
     if (!slot.valid) compute_candidates(net, pkt, slot);
-    if (slot.cand.empty()) {
-      // Stuck: no legal move at all (e.g. DOR + fault). Only a table
-      // rebuild can change that, and it resets the gate.
-      in_gate_[static_cast<std::size_t>(enc)] =
-          std::numeric_limits<Cycle>::max();
-      continue;
-    }
 
     // Single request: the feasible (port, VC) minimising Q + P, visited
-    // port-major and VC-ascending. While scanning, accumulate the earliest
-    // cycle any blocked candidate could become grantable, so a fruitless
-    // scan parks the head until then.
+    // port-major and VC-ascending. A scan that finds nothing (an empty
+    // list, or every port busy or full) posts no request and draws no RNG.
     int best_score = std::numeric_limits<int>::max();
     int best_idx = -1;
     Vc best_vc = 0;
     int ties = 0;
-    Cycle wake = std::numeric_limits<Cycle>::max();
     for (std::size_t i = 0; i < slot.cand.size(); ++i) {
       const Candidate& c = slot.cand[i];
       const OutputPort& op = outputs_[c.port];
-      if (op.xbar_free_at > now) {
-        // Release times only move forward: no VC of this port can be
-        // granted before op.xbar_free_at, whatever else happens.
-        if (op.xbar_free_at < wake) wake = op.xbar_free_at;
-        continue;
-      }
+      if (op.xbar_free_at > now) continue;
       const std::uint32_t range = (2u << c.vc_hi) - (1u << c.vc_lo);
       const std::uint32_t m = op.feasible_mask & range;
-      // Credits or space missing on some VC; either could return next cycle.
-      if (m != range) wake = now + 1;
       if (m == 0) continue;
       // Paper §3: qs = output buffer occupancy + consumed credits of the
       // requested queue; Q = qs + sum over all queues of the same port (so
@@ -197,12 +171,7 @@ void Router::alloc_phase(Network& net, Cycle now) {
         }
       }
     }
-    if (best_idx < 0) {
-      // No request this cycle (a state the full rescan would also reach
-      // with zero side effects every cycle until `wake`): park the head.
-      in_gate_[static_cast<std::size_t>(enc)] = wake;
-      continue;
-    }
+    if (best_idx < 0) continue;
     const Candidate& c = slot.cand[static_cast<std::size_t>(best_idx)];
     // A forced hop (paper §3) is a CRout packet pushed into the escape
     // because the base routing offered nothing; hops of packets already
@@ -277,24 +246,8 @@ void Router::alloc_phase(Network& net, Cycle now) {
                       id_ * net.servers_per_switch() + in_port -
                           num_switch_ports_});
       }
-      const Cycle xbar_free = now + cfg.xbar_cycles();
-      in_xbar_free_[static_cast<std::size_t>(in_port)] = xbar_free;
-      // Gate every VC of the claimed input port behind its crossbar; the
-      // granted VC additionally waits for its drain to finish and for the
-      // next head's phits to arrive.
-      for (Vc v = 0; v < num_vcs_; ++v) {
-        Cycle& gate = in_gate_[vc_index(in_port, v)];
-        if (gate < xbar_free) gate = xbar_free;
-      }
-      {
-        Cycle& gate = in_gate_[static_cast<std::size_t>(req.in_enc)];
-        gate = drain_done;
-        if (!iv.q.empty()) {
-          const Cycle next_head =
-              in_front(static_cast<std::size_t>(req.in_enc)).buf_head;
-          if (next_head > gate) gate = next_head;
-        }
-      }
+      in_xbar_free_[static_cast<std::size_t>(in_port)] =
+          now + cfg.xbar_cycles();
 
       OutputPort& op = outputs_[static_cast<std::size_t>(out_port)];
       op.xbar_free_at = now + cfg.xbar_cycles();
@@ -361,24 +314,15 @@ void Router::link_phase(const SimConfig& cfg, Cycle now, LinkStage& out) {
 
 void Router::on_tables_rebuilt() {
   for (CandSlot& slot : cand_slots_) slot.valid = false;
-  for (Port p = 0; p < static_cast<Port>(outputs_.size()); ++p) {
-    for (Vc v = 0; v < num_vcs_; ++v) {
-      const std::size_t idx = vc_index(p, v);
-      InputVc& iv = inputs_[idx];
-      // Drop the (stale-candidate-based) output park bound from the gate
-      // but keep the exact input-side bounds, so every head rescans as
-      // soon as it legally can on the new tables.
-      in_gate_[idx] =
-          iv.q.empty() ? 0 : head_gate_floor(p, iv, in_front(idx).buf_head);
-      // Strict-phase escape liveness is proven per table build; restart
-      // the phase so every packet re-derives a valid route on the new
-      // tables.
-      for (int i = 0; i < iv.q.size; ++i)
-        in_q_.at(idx, iv.q, i)->escape_gone_down = false;
-      const RingSlab<PacketPtr>::Ring oq = out_vcs_[idx].q;
-      for (int i = 0; i < oq.size; ++i)
-        out_q_.at(idx, oq, i)->escape_gone_down = false;
-    }
+  // Strict-phase escape liveness is proven per table build; restart the
+  // phase so every packet re-derives a valid route on the new tables.
+  for (std::size_t idx = 0; idx < inputs_.size(); ++idx) {
+    const RingSlab<PacketPtr>::Ring iq = inputs_[idx].q;
+    for (int i = 0; i < iq.size; ++i)
+      in_q_.at(idx, iq, i)->escape_gone_down = false;
+    const RingSlab<PacketPtr>::Ring oq = out_vcs_[idx].q;
+    for (int i = 0; i < oq.size; ++i)
+      out_q_.at(idx, oq, i)->escape_gone_down = false;
   }
 }
 

@@ -17,8 +17,12 @@
 /// the tail arrival), and credits are reserved whole-packet as classic
 /// conservative VCT does.
 ///
-/// Allocation (paper §3): each eligible head packet computes its candidate
-/// set once (cached while it waits) — one 8-byte entry per output port with
+/// Allocation (paper §3): a buffered head is eligible in a cycle when its
+/// head phit has arrived, the previous packet has drained out of its
+/// buffer and its input port's crossbar is free. The request loop reads
+/// those three facts where they are stored (Router::head_eligible) and
+/// keeps no copy of them. Each eligible head computes its candidate set
+/// once (cached while it waits) — one 8-byte entry per output port with
 /// the VC range it may use there — and scores every flow-control-feasible
 /// (port, VC) pair the entries cover with Q + P where
 ///     qs = output occupancy + consumed credits of the requested queue,
@@ -48,7 +52,6 @@
 /// buffer, so a router's state is a dozen flat arrays however many ports
 /// and VCs it has — no heap block per (port, VC).
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -258,7 +261,7 @@ class Router {
   /// Auditor (sim/audit.cpp): recomputes every incrementally maintained
   /// router structure from first principles — per-port score sums,
   /// feasibility masks, waiting counts, the active input list and its
-  /// back-pointers, head gates, candidate slots — and aborts on drift.
+  /// back-pointers, candidate slots — and aborts on drift.
   /// \p now is the current cycle (for the input buffer bounds). Debug
   /// builds also run it every 1024 cycles (Network::step).
   /// Wheel-dependent ledgers (in-flight credits, pending tail
@@ -314,11 +317,14 @@ class Router {
       op.feasible_mask &= ~bit;
   }
 
-  /// The input-side floor of a head's gate: its head phit at \p head,
-  /// any in-progress drain of \p iv done, and input \p p's crossbar free.
-  Cycle head_gate_floor(Port p, const InputVc& iv, Cycle head) const {
-    return std::max({head, iv.drain_until,
-                     in_xbar_free_[static_cast<std::size_t>(p)]});
+  /// True when the head of non-empty input \p idx may post a request at
+  /// \p now (paper §3): the previous packet has drained out of its
+  /// buffer, its input port's crossbar is free, and its head phit has
+  /// arrived. The packet is read last: it is the one cold load.
+  bool head_eligible(std::size_t idx, Cycle now) const {
+    return inputs_[idx].drain_until <= now &&
+           in_xbar_free_[idx / static_cast<std::size_t>(num_vcs_)] <= now &&
+           in_front(idx).buf_head <= now;
   }
 
   /// Adds (port,vc) to the active list if absent.
@@ -355,17 +361,6 @@ class Router {
   /// travel with their entry when a swap-remove moves it; slots past
   /// active_.size() are spares (always invalid) kept for their storage.
   std::vector<CandSlot> cand_slots_;
-  /// Head gate per input (port,vc): the earliest cycle the current head
-  /// could possibly post a request — the max of its known lower bounds
-  /// (head phit arrival, drain completion, the input port's crossbar
-  /// release, and the output-side park time from a fruitless scan; +inf
-  /// while the head has no legal candidate at all). Every bound has an
-  /// exactly-known expiry or is refreshed at its mutation site, so the
-  /// request loop's whole eligibility chain is one compare against a
-  /// compact array — and skipped heads are exactly the heads that could
-  /// not have posted a request (they draw no RNG, so skipping preserves
-  /// bit-identical behaviour).
-  std::vector<Cycle> in_gate_;
 
   /// Sorted ports with waiting > 0 (so the link phase visits only ports
   /// that can possibly transmit, in the same ascending order as a full

@@ -45,11 +45,16 @@ void dump_flight_recorders_on_abort();
 namespace hxsp {
 /// Aborts unless \p value >= \p min, naming \p key and the value
 /// ("spec.warmup = -10 is below 0"): the range check of a field read from
-/// a manifest or a command line.
+/// a manifest or a command line. The failure reports the caller's file
+/// and line (\p file and \p line default to the call site).
 inline void check_at_least(long long value, long long min,
-                           const std::string& key) {
-  HXSP_CHECK_MSG(value >= min, (key + " = " + std::to_string(value) +
-                                " is below " + std::to_string(min))
-                                   .c_str());
+                           const std::string& key,
+                           const char* file = __builtin_FILE(),
+                           int line = __builtin_LINE()) {
+  if (value >= min) return;
+  detail::check_failed("value >= min", file, line,
+                       (key + " = " + std::to_string(value) + " is below " +
+                        std::to_string(min))
+                           .c_str());
 }
 } // namespace hxsp

@@ -253,7 +253,6 @@ class RouteSetParity : public ::testing::Test {
     dctx.graph = cctx.graph = &hx.graph();
     dctx.hyperx = cctx.hyperx = &hx;
     dctx.num_vcs = cctx.num_vcs = 4;
-    dctx.packet_length = cctx.packet_length = 16;
     dctx.dist = &dense;
     cctx.dist = &comp;
 

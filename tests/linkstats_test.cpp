@@ -97,7 +97,7 @@ TEST(LinkStats, MeanBelowMax) {
   HyperX hx(s.sides, sps);
   DistanceTable dist(hx.graph());
   auto mech = make_mechanism("minimal");
-  NetworkContext ctx{&hx.graph(), &hx, &dist, nullptr, 4, 16};
+  NetworkContext ctx{&hx.graph(), &hx, &dist, nullptr, 4};
   Rng seed(1);
   auto traffic = make_traffic("uniform", hx, seed);
   Network net(ctx, *mech, *traffic, s.sim, sps, 5);
@@ -143,7 +143,7 @@ TEST(LinkStats, CountersAreCumulativeAcrossTheWindow) {
   const HyperX hx(s.sides, 1);
   DistanceTable dist(hx.graph());
   auto mech = make_mechanism("minimal");
-  NetworkContext ctx{&hx.graph(), &hx, &dist, nullptr, 2, 16};
+  NetworkContext ctx{&hx.graph(), &hx, &dist, nullptr, 2};
   Rng seed(1);
   auto traffic = make_traffic("shift", hx, seed);
   SimConfig cfg = s.sim;

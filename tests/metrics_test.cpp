@@ -51,6 +51,14 @@ TEST(Histogram, OverflowBucketCatchesLargeValues) {
   EXPECT_GE(h.percentile(0.5), 8);
 }
 
+TEST(Histogram, LargeLatenciesKeepTheirBucket) {
+  // Past the initial 1024 buckets of 8 cycles the histogram grows instead
+  // of clamping every sample to one overflow edge (8200).
+  LatencyHistogram h;
+  for (int i = 0; i < 100; ++i) h.add(10000);
+  EXPECT_EQ(h.percentile(0.99), 10008);  // bucket [10000, 10008)
+}
+
 TEST(Histogram, SubtractRemovesSnapshotSamples) {
   LatencyHistogram h;
   h.add(5);

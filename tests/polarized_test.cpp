@@ -198,7 +198,6 @@ TEST(Polarized, WorksOnGenericGraphs) {
   t.hx = std::make_unique<HyperX>(std::vector<int>{3, 3}, 1);
   t.rebuild();
   t.ctx.num_vcs = 4;
-  t.ctx.packet_length = 16;
   for (SwitchId a = 0; a < t.hx->num_switches(); ++a)
     for (SwitchId b = 0; b < t.hx->num_switches(); ++b)
       if (a != b) { EXPECT_GE(polarized_walk(t, a, b, 8), 0); }

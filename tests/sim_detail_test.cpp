@@ -215,6 +215,32 @@ TEST(SimDetailDeathTest, NegativeRunControlValuesRejected) {
                "events\\[0\\]\\.at = -5 is below 0");
 }
 
+// A range failure names the line that called the check, not the check
+// helper's own line, so the location alone says which check fired.
+TEST(SimDetailDeathTest, RangeFailureNamesTheCallingFile) {
+  ExperimentSpec s = k2_spec();
+  s.sim.watchdog_cycles = -1;
+  EXPECT_DEATH(Experiment(s).run_load(0.05),
+               "at [^ ]*sim/network\\.cpp:[0-9]+");
+}
+
+// An offered load below 0 and a series bucket below one cycle abort at
+// each entry point naming the key and the value, instead of deep inside
+// the server or the time series. An offered load of 0 stays legal.
+TEST(SimDetailDeathTest, NegativeLoadAndEmptyBucketRejectedNamingTheKey) {
+  EXPECT_DEATH(Experiment(k2_spec()).run_load(-0.5),
+               "offered = -0\\.5 is below 0");
+  EXPECT_DEATH(Experiment(k2_spec()).run_load_dynamic(-0.5, {}),
+               "offered = -0\\.5 is below 0");
+  EXPECT_DEATH(Experiment(k2_spec()).run_completion(1, 0, 1000),
+               "bucket_width = 0 is below 1");
+  EXPECT_DEATH(Experiment(k2_spec()).run_workload({}, 0, 1000),
+               "bucket_width = 0 is below 1");
+  EXPECT_DEATH(Experiment(k2_spec()).run_multitenant({}, 0, 1000),
+               "bucket_width = 0 is below 1");
+  EXPECT_EQ(Experiment(k2_spec()).run_load(0.0).accepted, 0.0);
+}
+
 TEST(SimDetailDeathTest, ZeroCrossbarSpeedupRejected) {
   ExperimentSpec s = k2_spec();
   s.sim.xbar_speedup = 0;

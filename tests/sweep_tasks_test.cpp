@@ -225,7 +225,7 @@ TEST(TaskSpecs, RateTasksMatchRunExactly) {
 TEST(TaskSpecs, NearSaturationMatchesSerialBitIdentically) {
   // Near/at saturation every engine structure is under pressure: ring
   // buffers run full, packets are created and destroyed at the maximum
-  // rate, heads park and wake constantly, and the escape subnetwork carries forced
+  // rate, heads wait on busy ports constantly, and the escape subnetwork carries forced
   // hops. A faulted spec on both SurePath mechanisms at loads up to 1.0
   // must still be bit-identical to the serial loop at any worker count —
   // the regression tripwire for the slab/ring/active-list engine.

@@ -44,7 +44,6 @@ inline TestNet make_net(int dims, int side, int num_vcs = 4,
       servers_per_switch);
   t.rebuild();
   t.ctx.num_vcs = num_vcs;
-  t.ctx.packet_length = 16;
   return t;
 }
 
