@@ -4,7 +4,7 @@
 /// The engine keeps incrementally maintained state instead of full
 /// per-cycle scans: per-output-VC qs and per-port score sums (allocator
 /// scoring), feasibility masks, waiting counts, per-router active input
-/// lists, candidate slots, and the O(1) packet counter.
+/// lists and candidate slots.
 /// Each of those is updated at a handful of mutation sites; a future edit
 /// that misses one site produces no crash — just a silently different (and
 /// wrong) simulation three PRs later. The auditor recomputes every one of those structures
@@ -22,8 +22,8 @@
 ///
 ///   credits:  base == held upstream + reserved by queued packets
 ///                  + queued downstream + in flight on the wheel
-///   packets:  packets_in_system == buffered in routers + queued in
-///             servers + pending consumptions
+///   packets:  live in the packet slab == buffered in routers + queued
+///             in servers + pending consumptions
 ///
 /// A packet granted out of an input buffer no longer counts downstream:
 /// its grant scheduled the credit for its space, which rides the wheel
@@ -182,10 +182,12 @@ void Network::run_audit() const {
           ++pending_consume;
           // The eject credit is scheduled only when this fires; until
           // then the pending consumption itself carries the reservation.
-          const SwitchId sw = ev.a / servers_per_switch_;
+          const ServerId dst =
+              packets_[static_cast<PacketHandle>(ev.a)].dst_server;
+          const SwitchId sw = dst / servers_per_switch_;
           const Router& r = routers_[static_cast<std::size_t>(sw)];
           const Port port = r.first_server_port() +
-                            static_cast<Port>(ev.a % servers_per_switch_);
+                            static_cast<Port>(dst % servers_per_switch_);
           credit_inflight[static_cast<std::size_t>(sw)]
                          [r.vc_index(port, ev.vc)] += len;
           break;
@@ -267,7 +269,7 @@ void Network::run_audit() const {
   for (const Router& r : routers_) buffered += r.buffered_packets();
   long queued = 0;
   for (const Server& s : servers_) queued += s.queued();
-  HXSP_CHECK_MSG(packets_in_system_ == buffered + queued + pending_consume,
+  HXSP_CHECK_MSG(packets_.live() == buffered + queued + pending_consume,
                  "audit: packet conservation violated");
 }
 

@@ -63,7 +63,8 @@ Network::Network(const NetworkContext& ctx, RoutingMechanism& mech,
 
   const SwitchId n = ctx_.graph->num_switches();
   for (SwitchId s = 0; s < n; ++s)
-    routers_.emplace_back(s, ctx_.graph->degree(s), servers_per_switch_, cfg_);
+    routers_.emplace_back(s, ctx_.graph->degree(s), servers_per_switch_, cfg_,
+                          packets_);
 
   const ServerId total = static_cast<ServerId>(n) * servers_per_switch_;
   server_queues_.reset(static_cast<std::size_t>(total),
@@ -109,17 +110,20 @@ void Network::enter_message_mode(MessageSource* source) {
 }
 
 void Network::handle_consume(const Event& ev) {
-  const ServerId dst = ev.a;
+  const PacketHandle h = static_cast<PacketHandle>(ev.a);
+  const Packet& pkt = packets_[h];
+  const ServerId dst = pkt.dst_server;
+  const std::int32_t msg = pkt.msg;
   const SwitchId sw = dst / servers_per_switch_;
-  metrics_.on_consumed(dst, ev.aux, now_);
+  metrics_.on_consumed(dst, pkt.created, now_);
+  packets_.free(h);
   if (timeseries_) timeseries_->add(now_, cfg_.packet_length);
   if (telemetry_) telemetry_->on_eject(sw);
-  on_packet_destroyed();
   note_progress();
   // Message mode: attribute the consumption to its message, which may
   // complete it and release dependent messages (the completion callback
   // chain feeding the next phase).
-  if (ev.msg >= 0) source_->on_packet_consumed(ev.msg, now_, *this);
+  if (msg >= 0) source_->on_packet_consumed(msg, now_, *this);
   // Return the eject credit to the router's server port.
   schedule(now_ + 1,
            {Event::Kind::CreditRouter, ev.vc,
@@ -134,12 +138,21 @@ void Network::process_events() {
   // (at most 63 cycles ahead), so scheduling while scanning is safe.
   slot.for_each([&](const Event& ev) {
     // Flight recorder: remember the event just before applying it, so the
-    // ring order is the application order.
-    if (flight_)
-      flight_->record(now_, static_cast<std::uint8_t>(ev.kind), ev.a, ev.port,
-                      ev.vc, ev.aux,
+    // ring order is the application order. A Consume is recorded by its
+    // destination server and creation cycle, not by its packet's handle.
+    if (flight_) {
+      std::int32_t target = ev.a;
+      Cycle created = 0;
+      if (ev.kind == Event::Kind::Consume) {
+        const Packet& pkt = packets_[static_cast<PacketHandle>(ev.a)];
+        target = pkt.dst_server;
+        created = pkt.created;
+      }
+      flight_->record(now_, static_cast<std::uint8_t>(ev.kind), target,
+                      ev.port, ev.vc, created,
                       ev.kind != Event::Kind::CreditServer &&
                           ev.kind != Event::Kind::Consume);
+    }
     switch (ev.kind) {
       case Event::Kind::CreditRouter:
         routers_[static_cast<std::size_t>(ev.a)].credit_return(ev.port, ev.vc);
@@ -159,30 +172,32 @@ void Network::process_events() {
   slot.clear();
 }
 
-void Network::deliver(PacketPtr pkt, SwitchId sw, Port port, Vc vc, Cycle head,
-                      Cycle tail) {
-  mech_.on_arrival(ctx_, *pkt, sw);
-  if (tracer_) tracer_->record(TraceEvent::kArrive, head, pkt->id, sw, port, vc);
+void Network::deliver(PacketHandle pkt, SwitchId sw, Port port, Vc vc,
+                      Cycle head, Cycle tail) {
+  Packet& p = packets_[pkt];
+  mech_.on_arrival(ctx_, p, sw);
+  if (tracer_) tracer_->record(TraceEvent::kArrive, head, p.id, sw, port, vc);
   Router& r = routers_[static_cast<std::size_t>(sw)];
-  r.push_input(std::move(pkt), port, vc, head, tail);
+  r.push_input(pkt, port, vc, head, tail);
   HXSP_DCHECK(r.input_occupancy(port, vc, now_) <= cfg_.input_buffer_phits());
   if (telemetry_)
     telemetry_->on_occupancy(sw, r.input_occupancy(port, vc, now_));
 }
 
-void Network::consume_at(PacketPtr pkt, Cycle when, Vc vc) {
-  HXSP_DCHECK(pkt->dst_switch ==
-              static_cast<SwitchId>(pkt->dst_server / servers_per_switch_));
-  // Trace here rather than in handle_consume: the Consume event does not
-  // carry the packet id. `when` is the cycle the tail phit is consumed.
+void Network::consume_at(PacketHandle pkt, Cycle when, Vc vc) {
+  const Packet& p = packets_[pkt];
+  HXSP_DCHECK(p.dst_switch ==
+              static_cast<SwitchId>(p.dst_server / servers_per_switch_));
+  // Trace at scheduling, not in handle_consume, so eject records keep
+  // their place in the trace order: `when` is the cycle the tail phit is
+  // consumed.
   if (tracer_)
-    tracer_->record(TraceEvent::kEject, when, pkt->id, pkt->dst_switch,
-                    router(pkt->dst_switch).first_server_port() +
-                        pkt->dst_server % servers_per_switch_,
+    tracer_->record(TraceEvent::kEject, when, p.id, p.dst_switch,
+                    router(p.dst_switch).first_server_port() +
+                        p.dst_server % servers_per_switch_,
                     vc);
-  schedule(when, {Event::Kind::Consume, vc, 0, pkt->dst_server, pkt->created,
-                  pkt->msg});
-  // The packet object dies here; the Consume event carries what remains.
+  // The packet stays in the slab until the event fires (handle_consume).
+  schedule(when, {Event::Kind::Consume, vc, 0, static_cast<std::int32_t>(pkt)});
 }
 
 void Network::set_step_pool(ThreadPool* pool) {
@@ -228,10 +243,9 @@ void Network::commit_link_stages() {
           routers_[static_cast<std::size_t>(t.src)].first_server_port()) {
         const PortInfo& pi = ctx_.graph->port(t.src, t.port);
         HXSP_DCHECK(ctx_.graph->link_alive(pi.link));
-        deliver(std::move(t.pkt), pi.neighbor, pi.remote_port, t.vc, head,
-                tail);
+        deliver(t.pkt, pi.neighbor, pi.remote_port, t.vc, head, tail);
       } else {
-        consume_at(std::move(t.pkt), tail, t.vc);
+        consume_at(t.pkt, tail, t.vc);
       }
       note_progress();
     }
@@ -331,14 +345,14 @@ void Network::step() {
   commit_link_stages();
   if (pt != nullptr) pt->link += pt->clock() - t_prev; // det-lint: allow(wall-clock)
 
-  if (cfg_.watchdog_cycles > 0 && packets_in_system_ > 0 &&
+  if (cfg_.watchdog_cycles > 0 && packets_.live() > 0 &&
       now_ - last_progress_ > cfg_.watchdog_cycles) {
     std::fprintf(stderr,
                  "hxsp watchdog: no packet movement for %" PRId64
                  " cycles at cycle %" PRId64 " with %ld packets in flight — "
                  "deadlock or livelock\n",
                  static_cast<std::int64_t>(now_ - last_progress_),
-                 static_cast<std::int64_t>(now_), packets_in_system_);
+                 static_cast<std::int64_t>(now_), packets_.live());
     HXSP_CHECK_MSG(false, "simulation stalled (watchdog)");
   }
 
@@ -360,13 +374,10 @@ void Network::on_link_failed(LinkId failed) {
   const auto& ends = ctx_.graph->link(failed);
   // Packets queued for the dead wire are lost (a real failure drops them;
   // end-to-end recovery is above this layer).
-  int lost = 0;
-  lost += routers_[static_cast<std::size_t>(ends.a)].drop_output_queue(
-      *this, ends.port_a);
-  lost += routers_[static_cast<std::size_t>(ends.b)].drop_output_queue(
-      *this, ends.port_b);
-  dropped_packets_ += lost;
-  packets_in_system_ -= lost;
+  dropped_packets_ += routers_[static_cast<std::size_t>(ends.a)]
+                          .drop_output_queue(*this, ends.port_a);
+  dropped_packets_ += routers_[static_cast<std::size_t>(ends.b)]
+                          .drop_output_queue(*this, ends.port_b);
   for (auto& r : routers_) r.on_tables_rebuilt();
   note_progress(); // recovery counts as progress for the watchdog
 }
@@ -387,16 +398,16 @@ void Network::export_telemetry(TelemetryCapture& out) {
 }
 
 bool Network::run_until_drained(Cycle max_cycles) {
-  // packets_in_system_ counts every generated-but-unconsumed packet
-  // (server queues included), so the servers are scanned only once it is
-  // 0. Work released inside a step (a Consume callback) is generated in
-  // that step's generation phase, so an empty fabric at a step boundary
+  // The slab holds every generated-but-unconsumed packet (server queues
+  // included), so the servers are scanned only once it is empty. Work
+  // released inside a step (a Consume callback) is generated in that
+  // step's generation phase, so an empty fabric at a step boundary
   // with work left means work released outside a step (a source's start,
   // a tenant arrival), which some server holds. A message not yet
   // released waits on one not yet consumed, so with every server idle
   // none is left (validated dependency lists are acyclic).
   const auto drained = [this] {
-    return packets_in_system_ == 0 &&
+    return packets_.live() == 0 &&
            std::none_of(servers_.begin(), servers_.end(), [](const Server& s) {
              return s.holds_message_work();
            });

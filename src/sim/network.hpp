@@ -50,14 +50,13 @@ struct TelemetryCapture; // telemetry/capture.hpp
 
 /// A deferred simulator action (credit return, tail departure, delivery).
 ///
-/// Laid out widest-first so one event is 24 bytes (vs 32 with natural
-/// field order): a 64-item wheel-slot chunk then spans 6 cache lines
-/// instead of 8, which the slot scan in process_events walks linearly
-/// every cycle. port/vc are stored narrow — ports are bounded by
-/// switch degree + servers per switch (hundreds), VCs by the allocator's
-/// 32-VC feasibility mask — and widen back to Port/Vc implicitly at use
-/// sites. The constructor keeps the historical (kind, vc, port, a [, aux
-/// [, msg]]) argument order so scheduling sites read unchanged.
+/// Every event is one id, a port and a VC: a consumed packet stays in the
+/// packet slab until its Consume fires, so the event carries only its
+/// handle. Eight bytes put a 64-item wheel-slot chunk in 8 cache lines
+/// of events, which the slot scan in process_events walks linearly every
+/// cycle. port/vc are stored narrow — ports are bounded by switch degree
+/// + servers per switch (hundreds), VCs by the allocator's 32-VC
+/// feasibility mask — and widen back to Port/Vc implicitly at use sites.
 struct Event {
   enum class Kind : std::uint8_t {
     CreditRouter, ///< a = router, port/vc: one packet's credit
@@ -65,25 +64,24 @@ struct Event {
     CreditServer, ///< a = server, vc: one packet's credit for the
                   ///< injection buffer
     OutTailGone,  ///< a = router, port/vc: tail left the output buffer
-    Consume       ///< a = server, vc = eject vc, aux = creation (port
-                  ///< unused: the server's switch and index name it)
+    Consume       ///< a = the packet's PacketHandle, vc = eject vc (port
+                  ///< unused: the packet's destination server names it)
   };
-  Cycle aux = 0;
   std::int32_t a = 0;
-  std::int32_t msg = kInvalid; ///< Consume: workload Message index (-1: none)
   std::int16_t port = 0;
   std::int8_t vc = 0;
   Kind kind = Kind::CreditRouter;
 
   Event() = default;
-  Event(Kind k, Vc v, Port p, std::int32_t a_, Cycle aux_ = 0,
-        std::int32_t msg_ = kInvalid)
-      : aux(aux_), a(a_), msg(msg_), port(static_cast<std::int16_t>(p)),
+  Event(Kind k, Vc v, Port p, std::int32_t a_)
+      : a(a_), port(static_cast<std::int16_t>(p)),
         vc(static_cast<std::int8_t>(v)), kind(k) {
     HXSP_DCHECK(p >= 0 && p <= INT16_MAX);
     HXSP_DCHECK(v >= 0 && v <= INT8_MAX);
   }
 };
+// Byte budget: the wheel holds two events per router hop in flight.
+static_assert(sizeof(Event) == 8, "Event grew past 8 bytes");
 
 /// Per-phase wall-time accumulator for Network::step (see
 /// Network::attach_phase_times). The clock is injected as a plain
@@ -121,6 +119,10 @@ class Network {
   Network(const NetworkContext& ctx, RoutingMechanism& mech,
           TrafficPattern& traffic, const SimConfig& cfg,
           int servers_per_switch, std::uint64_t seed);
+
+  // Routers hold the address of packets_, so a Network stays in place.
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
   // --- experiment control -------------------------------------------------
 
@@ -176,7 +178,8 @@ class Network {
   Cycle now() const { return now_; }
   SimMetrics& metrics() { return metrics_; }
   const SimMetrics& metrics() const { return metrics_; }
-  long packets_in_system() const { return packets_in_system_; }
+  /// Packets generated and not yet consumed or dropped.
+  long packets_in_system() const { return packets_.live(); }
   ServerId num_servers() const { return static_cast<ServerId>(servers_.size()); }
   int servers_per_switch() const { return servers_per_switch_; }
 
@@ -194,8 +197,11 @@ class Network {
   }
   Server& server(ServerId v) { return servers_[static_cast<std::size_t>(v)]; }
 
+  /// Every packet in flight; queues and events hold handles into it.
+  PacketSlab& packets() { return packets_; }
+
   /// Every server's injection queue: server v's queue is ring v.
-  RingSlab<PacketPtr>& server_queues() { return server_queues_; }
+  RingSlab<PacketHandle>& server_queues() { return server_queues_; }
 
   /// Server \p v's injection credits: free phits of its switch's
   /// server-port input buffer, one int per VC.
@@ -213,24 +219,17 @@ class Network {
   }
 
   /// Hands a packet to a router input buffer (runs the arrival hook).
-  void deliver(PacketPtr pkt, SwitchId sw, Port port, Vc vc, Cycle head,
+  void deliver(PacketHandle pkt, SwitchId sw, Port port, Vc vc, Cycle head,
                Cycle tail);
 
   /// Consumes \p pkt at cycle \p when; returns the eject credit afterwards.
-  void consume_at(PacketPtr pkt, Cycle when, Vc vc);
+  void consume_at(PacketHandle pkt, Cycle when, Vc vc);
 
   /// Registers packet movement (resets the watchdog).
   void note_progress() { last_progress_ = now_; }
 
   /// Unique id source for packets.
   std::int64_t next_packet_id() { return ++packet_ids_; }
-
-  /// A fresh packet.
-  PacketPtr alloc_packet() { return std::make_unique<Packet>(); }
-
-  /// Bookkeeping: a packet entered / left the system.
-  void on_packet_created() { ++packets_in_system_; }
-  void on_packet_destroyed() { --packets_in_system_; }
 
   // --- dynamic fault support ----------------------------------------------
 
@@ -291,16 +290,17 @@ class Network {
   /// incremental-state drift into a loud abort.
   void run_audit() const;
 
-  /// Test-only mutable access to the packet counter, for injecting the
-  /// conservation drift the auditor must catch. Never used by the engine.
-  long& corrupt_packets_in_system_for_test() { return packets_in_system_; }
+  /// Test-only: allocates a packet that no buffer, queue or event holds,
+  /// the conservation drift the auditor must catch. Never used by the
+  /// engine.
+  PacketHandle leak_packet_for_test() { return packets_.alloc(); }
 
  private:
   void step();
   void process_events();
 
   /// Applies one Consume event (metrics, time series, workload callback,
-  /// eject credit one cycle ahead).
+  /// eject credit one cycle ahead) and frees its packet.
   void handle_consume(const Event& ev);
 
   /// Runs \p fn(w, lo, hi) on the step pool for each worker w's
@@ -322,11 +322,12 @@ class Network {
   int servers_per_switch_;
   Rng rng_;
 
+  PacketSlab packets_; ///< before routers_, which point to it
   // deque: built one element at a time without relocating earlier ones.
   std::deque<Router> routers_;
   std::deque<Server> servers_;
   // Server-side storage kept outside the Server objects (see server.hpp).
-  RingSlab<PacketPtr> server_queues_;
+  RingSlab<PacketHandle> server_queues_;
   std::vector<int> server_credits_; ///< [server][vc]
 
   // Ids of the routers with work in the current phase, ascending (filled
@@ -366,7 +367,6 @@ class Network {
   /// Next cycle the telemetry window rolls (max() when telemetry is off) —
   /// the same one-compare gate as the auditor.
   Cycle next_telemetry_ = 0;
-  long packets_in_system_ = 0;
   long dropped_packets_ = 0;
   std::int64_t packet_ids_ = 0;
 };

@@ -27,10 +27,10 @@ void sorted_id_erase(std::vector<Port>& v, Port x) {
 } // namespace
 
 Router::Router(SwitchId id, int num_switch_ports, int num_server_ports,
-               const SimConfig& cfg)
+               const SimConfig& cfg, PacketSlab& packets)
     : id_(id), num_switch_ports_(num_switch_ports), num_vcs_(cfg.num_vcs),
       len_(cfg.packet_length), outbuf_cap_(cfg.output_buffer_phits()),
-      base_credits_(cfg.input_buffer_phits()) {
+      base_credits_(cfg.input_buffer_phits()), packets_(&packets) {
   HXSP_CHECK_MSG(num_vcs_ <= 32, "feasible_mask holds at most 32 VCs");
   const int total_ports = num_switch_ports + num_server_ports;
   HXSP_CHECK_MSG(total_ports <= std::numeric_limits<std::uint16_t>::max() + 1,
@@ -79,12 +79,13 @@ void Router::unmark_active(Port p, Vc v) {
   iv.active_pos = -1;
 }
 
-void Router::push_input(PacketPtr pkt, Port port, Vc vc, Cycle head,
+void Router::push_input(PacketHandle pkt, Port port, Vc vc, Cycle head,
                         Cycle tail) {
   InputVc& iv = input_mut(port, vc);
-  pkt->buf_head = head;
-  pkt->buf_tail = tail;
-  in_q_.push_back(vc_index(port, vc), iv.q, std::move(pkt));
+  Packet& p = (*packets_)[pkt];
+  p.buf_head = head;
+  p.buf_tail = tail;
+  in_q_.push_back(vc_index(port, vc), iv.q, pkt);
   mark_active(port, vc);
 }
 
@@ -225,8 +226,9 @@ void Router::alloc_phase(Network& net, Cycle now) {
       const Vc in_vc = static_cast<Vc>(req.in_enc % num_vcs_);
       // The cached candidates belonged to the departing head.
       cand_slots_[static_cast<std::size_t>(iv.active_pos)].valid = false;
-      PacketPtr pkt =
+      const PacketHandle h =
           in_q_.pop_front(static_cast<std::size_t>(req.in_enc), iv.q);
+      Packet& pkt = (*packets_)[h];
       if (iv.q.empty()) unmark_active(in_port, in_vc);
 
       // Cut-through: the tail leaves the input when the crossbar is done
@@ -234,7 +236,7 @@ void Router::alloc_phase(Network& net, Cycle now) {
       // returns upstream one cycle later, as a credit to the neighbour's
       // output VC or to the server.
       const Cycle drain_done =
-          std::max(now + cfg.xbar_cycles(), pkt->buf_tail);
+          std::max(now + cfg.xbar_cycles(), pkt.buf_tail);
       iv.drain_until = drain_done;
       if (in_port < num_switch_ports_) {
         const PortInfo& pi = net.ctx().graph->port(id_, in_port);
@@ -259,28 +261,28 @@ void Router::alloc_phase(Network& net, Cycle now) {
       update_feasible(out_port, req.out_vc);
       if (op.waiting++ == 0) sorted_id_insert(link_ports_, out_port);
 
-      pkt->buf_head = now + cfg.xbar_latency;
-      pkt->buf_tail = drain_done + cfg.xbar_latency;
+      pkt.buf_head = now + cfg.xbar_latency;
+      pkt.buf_tail = drain_done + cfg.xbar_latency;
 
-      // Telemetry: before commit_hop mutates pkt->in_escape, so an escape
+      // Telemetry: before commit_hop mutates pkt.in_escape, so an escape
       // grant of a packet not yet on the escape counts as a SurePath
       // activation. Server-port grants carry no hop semantics (the
       // switch-port branch below mirrors the metrics hook).
       if (TelemetryRegistry* const t = net.telemetry()) {
         if (out_port < num_switch_ports_)
-          t->on_grant(id_, req.out_vc, req.cand.escape && !pkt->in_escape);
+          t->on_grant(id_, req.out_vc, req.cand.escape && !pkt.in_escape);
       }
       if (PacketTracer* const tr = net.tracer())
-        tr->record(TraceEvent::kGrant, now, pkt->id, id_, out_port,
+        tr->record(TraceEvent::kGrant, now, pkt.id, id_, out_port,
                    req.out_vc);
 
       if (out_port < num_switch_ports_) {
-        net.mechanism().commit_hop(net.ctx(), *pkt, id_, req.cand, req.out_vc);
+        net.mechanism().commit_hop(net.ctx(), pkt, id_, req.cand, req.out_vc);
         net.metrics().on_hop(req.forced       ? HopKind::Forced
                              : req.cand.escape ? HopKind::Escape
                                                : HopKind::Routing);
       }
-      out_q_.push_back(out_idx, ov.q, std::move(pkt));
+      out_q_.push_back(out_idx, ov.q, h);
       net.note_progress();
     }
   }
@@ -301,12 +303,12 @@ void Router::link_phase(const SimConfig& cfg, Cycle now, LinkStage& out) {
       const std::size_t idx = vbase + static_cast<std::size_t>(v);
       OutputVc& ov = out_vcs_[idx];
       if (ov.q.empty() || out_front(idx).buf_head > now) continue;
-      PacketPtr pkt = out_q_.pop_front(idx, ov.q);
+      const PacketHandle pkt = out_q_.pop_front(idx, ov.q);
       if (--op.waiting == 0) sorted_id_erase(link_ports_, p);
       op.link_free_at = now + len;
       op.rr_next = (v + 1) % num_vcs_;
       if (p < num_switch_ports_) link_phits_[static_cast<std::size_t>(p)] += len;
-      out.push_back({std::move(pkt), id_, p, static_cast<Vc>(v)});
+      out.push_back({pkt, id_, p, static_cast<Vc>(v)});
       break;
     }
   }
@@ -317,12 +319,12 @@ void Router::on_tables_rebuilt() {
   // Strict-phase escape liveness is proven per table build; restart the
   // phase so every packet re-derives a valid route on the new tables.
   for (std::size_t idx = 0; idx < inputs_.size(); ++idx) {
-    const RingSlab<PacketPtr>::Ring iq = inputs_[idx].q;
+    const RingSlab<PacketHandle>::Ring iq = inputs_[idx].q;
     for (int i = 0; i < iq.size; ++i)
-      in_q_.at(idx, iq, i)->escape_gone_down = false;
-    const RingSlab<PacketPtr>::Ring oq = out_vcs_[idx].q;
+      (*packets_)[in_q_.at(idx, iq, i)].escape_gone_down = false;
+    const RingSlab<PacketHandle>::Ring oq = out_vcs_[idx].q;
     for (int i = 0; i < oq.size; ++i)
-      out_q_.at(idx, oq, i)->escape_gone_down = false;
+      (*packets_)[out_q_.at(idx, oq, i)].escape_gone_down = false;
   }
 }
 
@@ -334,7 +336,7 @@ int Router::drop_output_queue(Network& net, Port port) {
     const std::size_t idx = vc_index(port, v);
     OutputVc& ov = out_vcs_[idx];
     while (!ov.q.empty()) {
-      (void)out_q_.pop_front(idx, ov.q); // destroys the packet
+      packets_->free(out_q_.pop_front(idx, ov.q));
       ov.credits += len; // reserved downstream space unused
       // -len occupancy (no OutTailGone will fire), -len consumed credits
       op.score_sum -= 2 * len;

@@ -47,10 +47,11 @@
 /// All packet queues are bounded by flow control, so each router carves
 /// its queues out of two fixed slabs (util/ringbuf.hpp): one RingSlab for
 /// every input VC and one for every output VC, each queue a 4-byte Ring
-/// header in its InputVc/OutputVc. Candidate caches live in slots that
-/// travel with the active input list, and requests in one per-router
-/// buffer, so a router's state is a dozen flat arrays however many ports
-/// and VCs it has — no heap block per (port, VC).
+/// header in its InputVc/OutputVc and each slot a 4-byte PacketHandle into
+/// the Network's packet slab. Candidate caches live in slots that travel
+/// with the active input list, and requests in one per-router buffer, so
+/// a router's state is a dozen flat arrays however many ports and VCs it
+/// has — no heap block per (port, VC).
 
 #include <cstdint>
 #include <vector>
@@ -73,7 +74,7 @@ struct InputVc {
   Cycle drain_until = 0;         ///< cycle the last granted packet's tail
                                  ///< has left the buffer; a drain is in
                                  ///< progress while it lies past now
-  RingSlab<PacketPtr>::Ring q;   ///< waiting packets; front = head
+  RingSlab<PacketHandle>::Ring q; ///< waiting packets; front = head
   int active_pos = -1;           ///< index in Router::active_, -1 = not listed
 };
 
@@ -85,7 +86,7 @@ struct InputVc {
 /// occupancy (phits reserved from grant until the tail departs) is
 /// derived, not stored: qs minus consumed credits (Router::out_occupancy).
 struct OutputVc {
-  RingSlab<PacketPtr>::Ring q; ///< packets heading for the link; front = next
+  RingSlab<PacketHandle>::Ring q; ///< packets heading for the link; front = next
   int credits = 0;          ///< free phits in the downstream input buffer
 };
 
@@ -95,10 +96,9 @@ struct OutputVc {
 // of megabytes there.
 static_assert(sizeof(InputVc) <= 16, "InputVc grew past its per-VC budget");
 static_assert(sizeof(OutputVc) <= 8, "OutputVc grew past its per-VC budget");
-static_assert(sizeof(PacketPtr) == sizeof(Packet*),
-              "PacketPtr must stay one pointer: every slab slot holds one, "
-              "~27M slots on million_min, so a stateful deleter costs "
-              "~200 MB there");
+static_assert(sizeof(PacketHandle) == 4,
+              "a queue slot is one 4-byte handle: ~27M slots on "
+              "million_min, so each extra byte per slot costs ~27 MB there");
 
 /// Cached candidate set of one buffered input head. A router keeps one
 /// slot per entry of its active input list, at the same position, so
@@ -130,10 +130,10 @@ struct OutputPort {
 };
 
 /// One transmission popped by the link phase, awaiting its serial commit
-/// (wheel events, delivery/consumption). The packet is owned by the stage
+/// (wheel events, delivery/consumption). The packet is held by the stage
 /// between collect and commit.
 struct StagedTx {
-  PacketPtr pkt;
+  PacketHandle pkt = 0;
   SwitchId src = kInvalid;
   Port port = 0;
   Vc vc = 0;
@@ -151,8 +151,10 @@ class Router {
  public:
   /// \p num_switch_ports = topology degree (dead ports included);
   /// \p num_server_ports = servers attached to this switch.
+  /// \p packets is the owning Network's packet slab, which every handle
+  /// queued here names; it must outlive the router.
   Router(SwitchId id, int num_switch_ports, int num_server_ports,
-         const SimConfig& cfg);
+         const SimConfig& cfg, PacketSlab& packets);
 
   /// Total ports (switch + server).
   int num_ports() const { return static_cast<int>(outputs_.size()); }
@@ -165,7 +167,7 @@ class Router {
 
   /// Enqueues a packet into input (port, vc); \p head/\p tail are the
   /// arrival cycles of its first and last phit.
-  void push_input(PacketPtr pkt, Port port, Vc vc, Cycle head, Cycle tail);
+  void push_input(PacketHandle pkt, Port port, Vc vc, Cycle head, Cycle tail);
 
   /// Computes (and caches) the candidate set of every eligible head that
   /// does not have one, without posting requests or drawing RNG — the
@@ -292,10 +294,10 @@ class Router {
 
   /// Head packet of the input / output queue with flat index \p idx.
   const Packet& in_front(std::size_t idx) const {
-    return *in_q_.front(idx, inputs_[idx].q);
+    return (*packets_)[in_q_.front(idx, inputs_[idx].q)];
   }
   const Packet& out_front(std::size_t idx) const {
-    return *out_q_.front(idx, out_vcs_[idx].q);
+    return (*packets_)[out_q_.front(idx, out_vcs_[idx].q)];
   }
 
   /// Phits of output queue \p idx reserved from grant until the tail
@@ -345,10 +347,11 @@ class Router {
   int outbuf_cap_ = 0;              ///< SimConfig::output_buffer_phits()
   int base_credits_ = 0;            ///< downstream input capacity, phits
                                     ///< (for the consumed-credit Q term)
+  PacketSlab* packets_;             ///< the Network's, see the constructor
   std::vector<InputVc> inputs_;     ///< [port][vc] flattened
   std::vector<OutputVc> out_vcs_;   ///< [port][vc] flattened
-  RingSlab<PacketPtr> in_q_;        ///< input queues, ring = [port][vc]
-  RingSlab<PacketPtr> out_q_;       ///< output queues, ring = [port][vc]
+  RingSlab<PacketHandle> in_q_;     ///< input queues, ring = [port][vc]
+  RingSlab<PacketHandle> out_q_;    ///< output queues, ring = [port][vc]
   std::vector<OutputPort> outputs_; ///< [port]
   /// Incrementally maintained qs = occupancy + consumed credits per
   /// output (port,vc), flattened like out_vcs_. The request loop reads

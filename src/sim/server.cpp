@@ -23,27 +23,22 @@ void Server::set_message_mode() {
 }
 
 void Server::make_packet(Network& net, Cycle now, std::int32_t msg) {
-  PacketPtr pkt = net.alloc_packet();
-  pkt->id = net.next_packet_id();
-  pkt->dst_server = msg == kInvalid
-                        ? net.traffic().destination(id_, net.rng())
-                        : net.message_source()->msg_dst(msg, net.rng());
-  pkt->src_switch = switch_;
-  pkt->dst_switch = static_cast<SwitchId>(pkt->dst_server /
-                                          net.servers_per_switch());
-  pkt->created = now;
+  const PacketHandle h = net.packets().alloc();
+  Packet& pkt = net.packets()[h];
+  pkt.id = net.next_packet_id();
+  pkt.dst_server = msg == kInvalid
+                       ? net.traffic().destination(id_, net.rng())
+                       : net.message_source()->msg_dst(msg, net.rng());
+  pkt.src_switch = switch_;
+  pkt.dst_switch = static_cast<SwitchId>(pkt.dst_server /
+                                         net.servers_per_switch());
+  pkt.created = now;
   // The message id rides the packet so its consumption can be attributed
   // back to the message.
-  pkt->msg = msg;
-  net.mechanism().on_inject(net.ctx(), *pkt, net.rng());
+  pkt.msg = msg;
+  net.mechanism().on_inject(net.ctx(), pkt, net.rng());
   net.metrics().on_generated(id_, now);
-  net.on_packet_created();
-  enqueue(net, std::move(pkt));
-}
-
-void Server::enqueue(Network& net, PacketPtr pkt) {
-  net.server_queues().push_back(static_cast<std::size_t>(id_), queue_,
-                                std::move(pkt));
+  net.server_queues().push_back(static_cast<std::size_t>(id_), queue_, h);
 }
 
 void Server::message_refill(Network& net, Cycle now) {
@@ -61,7 +56,7 @@ void Server::message_refill(Network& net, Cycle now) {
 void Server::injection_phase(Network& net, Cycle now) {
   if (queue_.empty() || link_free_at_ > now) return;
   const int len = net.cfg().packet_length;
-  RingSlab<PacketPtr>& queues = net.server_queues();
+  RingSlab<PacketHandle>& queues = net.server_queues();
   const std::size_t ring = static_cast<std::size_t>(id_);
 
   // Join the emptiest legal VC with room for the whole packet.
@@ -84,8 +79,9 @@ void Server::injection_phase(Network& net, Cycle now) {
     return;
   }
 
-  PacketPtr pkt = queues.pop_front(ring, queue_);
-  pkt->cur_vc = best;
+  const PacketHandle pkt = queues.pop_front(ring, queue_);
+  Packet& p = net.packets()[pkt];
+  p.cur_vc = best;
   credits[best] -= len;
   link_free_at_ = now + len;
 
@@ -95,8 +91,8 @@ void Server::injection_phase(Network& net, Cycle now) {
   const Cycle tail = head + len - 1;
   if (TelemetryRegistry* const t = net.telemetry()) t->on_inject(switch_);
   if (PacketTracer* const tr = net.tracer())
-    tr->record(TraceEvent::kInject, now, pkt->id, switch_, port, best);
-  net.deliver(std::move(pkt), switch_, port, best, head, tail);
+    tr->record(TraceEvent::kInject, now, p.id, switch_, port, best);
+  net.deliver(pkt, switch_, port, best, head, tail);
   net.note_progress();
 }
 

@@ -100,9 +100,6 @@ class Server {
   /// from the network's MessageSource otherwise.
   void make_packet(Network& net, Cycle now, std::int32_t msg);
 
-  /// Appends \p pkt to this server's ring of the network's server slab.
-  void enqueue(Network& net, PacketPtr pkt);
-
   /// Message-mode branch of generation_phase: injects packets of the
   /// current message while the queue has room, starting the next released
   /// message whenever the current one is done.
@@ -113,7 +110,7 @@ class Server {
   double inject_prob_ = 0.0; ///< packets per cycle (0 in message mode)
   Cycle link_free_at_ = 0;
   int queue_capacity_;
-  RingSlab<PacketPtr>::Ring queue_; ///< ring id_ of Network::server_queues()
+  RingSlab<PacketHandle>::Ring queue_; ///< ring id_ of Network::server_queues()
   ServerId id_;
   SwitchId switch_;
   int local_; ///< index among the servers of this switch

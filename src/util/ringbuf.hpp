@@ -9,7 +9,8 @@
 /// output FIFO at output_buffer_packets, and the server queue at
 /// server_queue_packets. Each owner therefore carves all of its queues
 /// out of one RingSlab: a router holds one slab for its input VCs and one
-/// for its output VCs, the network one for every server queue. A queue
+/// for its output VCs, the network one for every server queue. Their
+/// slots hold 4-byte packet handles (sim/packet.hpp), not pointers. A queue
 /// is a 4-byte Ring header beside its owner's other per-queue state, and
 /// push/pop/front are a couple of arithmetic ops on a power-of-two slice
 /// of the slab. At a million servers a heap block per queue would
