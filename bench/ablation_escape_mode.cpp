@@ -57,9 +57,11 @@ int main(int argc, char** argv) {
                 r.mechanism.c_str(), r.offered, r.accepted, r.escape_frac);
     std::fflush(stdout);
   });
-  std::printf("\nExpectation: identical below saturation; at saturation the\n"
-              "memoryless rule can wedge escape buffers (PolSP especially)\n"
-              "while strict mode keeps degrading gracefully.\n");
+  std::printf("\nExpectation: identical below saturation. At saturation the\n"
+              "memoryless rule can wedge the escape (its channel dependencies\n"
+              "have a cycle); the strict rule cannot, but with one-way escape\n"
+              "entry PolSP collapses at paper scale (0.086 accepted on 16x16).\n"
+              "README's \"Reproduction notes\" give both causes.\n");
   bench::persist(opt, sink, "ablation_escape_mode");
   return 0;
 }

@@ -328,9 +328,9 @@ else
 fi
 
 # Intra-run step-pool smoke (see Network::set_step_pool): run the
-# workload grid's manifest through hxsp_runner --step-threads=2 —
-# candidate precompute and link-phase collect fan out across the pool —
-# and require the CSV byte-identical to the serial-step driver run above.
+# workload grid's manifest through hxsp_runner --step-threads=2 — the
+# link-phase collect fans out across the pool — and require the CSV
+# byte-identical to the serial-step driver run above.
 # This is the end-to-end check of the "bit-identical at every thread
 # count" engine contract, on a task kind that exercises Consume callbacks.
 if [[ -x "$BUILD_DIR/ext_workloads" && -x "$RUNNER" &&

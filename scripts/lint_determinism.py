@@ -24,6 +24,11 @@ from src/:
                         be instance members, the PR 1 rule)
   pointer-key           pointer keys in std::map/std::set — ordering then
                         depends on allocation addresses
+  sync-primitive        std::atomic / std::mutex / std::condition_variable /
+                        std::lock_guard / std::unique_lock — simulation
+                        code runs on the thread that steps the Network;
+                        only the allowlisted pool, sweep and flight-recorder
+                        files may synchronise threads
 
 Escapes, in decreasing locality:
   * a trailing comment `// det-lint: allow(<rule-id>)` on the flagged line;
@@ -80,6 +85,13 @@ RULES = [
         "pointer-key",
         re.compile(r"\bstd::(?:map|set|multimap|multiset)\s*<\s*[^,<>]*\*\s*[,>]"),
         "pointer-keyed ordered container; ordering depends on addresses",
+    ),
+    (
+        "sync-primitive",
+        re.compile(
+            r"\bstd::(?:atomic\w*|mutex|condition_variable|lock_guard|unique_lock)\b"
+        ),
+        "thread synchronisation; simulation code runs on the stepping thread",
     ),
 ]
 

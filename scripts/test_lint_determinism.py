@@ -127,6 +127,46 @@ class PointerKeyRule(unittest.TestCase):
         self.assertEqual(rules_hit("std::map<int, Packet*> by_id;\n"), [])
 
 
+class SyncPrimitiveRule(unittest.TestCase):
+    def test_atomic_fires(self):
+        self.assertEqual(
+            rules_hit("mutable std::atomic<long> rows_built_{0};\n"),
+            ["sync-primitive"])
+
+    def test_mutex_and_lock_guard_fire(self):
+        self.assertEqual(
+            rules_hit("std::mutex mu_;\nstd::lock_guard<std::mutex> lock(mu_);\n"),
+            ["sync-primitive", "sync-primitive"])
+
+    def test_condition_variable_and_unique_lock_fire(self):
+        self.assertEqual(
+            rules_hit("std::condition_variable cv;\n"
+                      "std::unique_lock<std::mutex> lock(mu);\n"),
+            ["sync-primitive", "sync-primitive"])
+
+    def test_plain_counter_and_include_clean(self):
+        self.assertEqual(
+            rules_hit("#include <atomic>\nmutable long rows_built_ = 0;\n"), [])
+
+    def test_allowlisted_pool_clean(self):
+        allow = lint.parse_allowlist("src/util/thread_pool:sync-primitive\n")
+        self.assertEqual(
+            rules_hit("std::mutex mu_;\n", path="src/util/thread_pool.hpp",
+                      allowlist=allow),
+            [])
+
+    def test_repo_allowlist_does_not_cover_routing_or_topology(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "scripts", "determinism_allowlist.txt")) as f:
+            allow = lint.parse_allowlist(f.read())
+        for path in ("src/topology/computed_distance.hpp",
+                     "src/routing/mechanism.cpp", "src/core/escape_updown.cpp",
+                     "src/sim/network.cpp"):
+            self.assertEqual(
+                rules_hit("std::mutex mu_;\n", path=path, allowlist=allow),
+                ["sync-primitive"], path)
+
+
 class CommentAndStringStripping(unittest.TestCase):
     def test_line_comment_mention_clean(self):
         self.assertEqual(

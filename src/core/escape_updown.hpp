@@ -97,7 +97,7 @@ class EscapeUpDown {
   /// Appends one Candidate::escape_hop entry per legal escape hop for a
   /// packet at \p current headed to \p target, its VC range left to the
   /// caller. \p gone_down is the packet's strict-phase bit (ignored in the
-  /// default memoryless mode).
+  /// memoryless mode, Config::strict_phase = false).
   void candidates(SwitchId current, SwitchId target, bool gone_down,
                   std::vector<Candidate>& out) const;
 

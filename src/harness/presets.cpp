@@ -52,8 +52,7 @@ ExperimentSpec spec_from_options(const Options& opt, int dims) {
   s.warmup = opt.get_int("warmup", s.warmup);
   s.measure = opt.get_int("measure", s.measure);
   s.seed = opt.get_int_as<std::uint64_t>("seed", 1);
-  s.escape_strict_phase =
-      opt.get_bool("strict-escape", !opt.get_bool("memoryless-escape", false));
+  s.escape_strict_phase = !opt.get_bool("memoryless-escape", false);
   s.escape_shortcuts = !opt.get_bool("no-shortcuts", false);
   s.escape_root = opt.get_int_as<SwitchId>("root", 0);
   s.traffic_params.hotspot_fraction =

@@ -29,7 +29,8 @@ std::vector<double> default_loads(bool paper);
 
 /// Applies the common bench CLI options to a spec:
 ///   --paper, --side, --sps, --vcs, --warmup, --measure, --seed,
-///   --strict-escape, --no-shortcuts, --root,
+///   --memoryless-escape (the paper's memoryless escape rule instead of
+///   the default strict up*/down* phases), --no-shortcuts, --root,
 ///   --hotspot-fraction, --hotspot-count (randomized-pattern knobs),
 ///   --audit=K (invariant auditor every K cycles, 0 = off),
 ///   --telemetry-window=W (windowed telemetry every W cycles, 0 = off),

@@ -173,8 +173,7 @@ class RoutingMechanism {
   /// algorithm's port order, then (SurePath) one entry per escape port on
   /// the last VC. Expanding each entry over [vc_lo, vc_hi] gives the
   /// allocator's visiting order: port-major, VC-ascending. Not called at
-  /// the destination switch (router ejects). Touches nothing but \p out,
-  /// so concurrent calls with distinct lists are safe.
+  /// the destination switch (router ejects). Touches nothing but \p out.
   void candidates(const NetworkContext& ctx, const Packet& p, SwitchId sw,
                   std::vector<Candidate>& out) const;
 

@@ -207,21 +207,6 @@ void Network::set_step_pool(ThreadPool* pool) {
       pool != nullptr ? static_cast<std::size_t>(pool->size()) : 1);
 }
 
-template <typename Fn>
-void Network::fan_out(const Fn& fn) {
-  // Contiguous ascending ranges, one per worker: concatenating the
-  // workers' outputs in worker order is the serial (router id) order.
-  const std::size_t n = phase_scratch_.size();
-  const std::size_t workers = static_cast<std::size_t>(step_pool_->size());
-  const std::size_t per = (n + workers - 1) / workers;
-  for (std::size_t w = 0; w * per < n; ++w) {
-    const std::size_t lo = w * per;
-    const std::size_t hi = std::min(lo + per, n);
-    step_pool_->submit([&fn, w, lo, hi] { fn(w, lo, hi); });
-  }
-  step_pool_->wait_idle();
-}
-
 void Network::commit_link_stages() {
   const int len = cfg_.packet_length;
   const Cycle head = now_ + cfg_.link_latency;
@@ -299,25 +284,12 @@ void Network::step() {
   // Routers without buffered input (resp. waiting output) packets would
   // run their alloc (resp. link) phase as a pure no-op — no RNG draws, no
   // events — so stepping only the busy ids, in ascending id order, is
-  // cycle-exact. The link list is built after alloc so a zero-latency
-  // crossbar grant can still transmit in the same cycle.
-  phase_scratch_.clear();
-  for (const Router& r : routers_)
-    if (r.has_input_work()) phase_scratch_.push_back(r.id());
-  if (step_pool_ != nullptr && phase_scratch_.size() > 1) {
-    // Candidate precompute — the RNG-free, read-mostly prefix of the
-    // alloc phase — fanned out across the pool; each job writes
-    // only its own routers' caches, so it is race-free by partition. The
-    // serial alloc loop below then finds every candidate set cached and
-    // performs requests, grants and RNG draws in exactly the serial order.
-    fan_out([this](std::size_t, std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i)
-        routers_[static_cast<std::size_t>(phase_scratch_[i])]
-            .precompute_candidates(*this, now_);
-    });
-  }
-  for (SwitchId s : phase_scratch_)
-    routers_[static_cast<std::size_t>(s)].alloc_phase(*this, now_);
+  // cycle-exact. An alloc phase reaches other routers only through
+  // future-cycle events, so no router gains input work during the scan.
+  // The link list is built after alloc so a zero-latency crossbar grant
+  // can still transmit in the same cycle.
+  for (Router& r : routers_)
+    if (r.has_input_work()) r.alloc_phase(*this, now_);
   if (pt != nullptr) {
     const double t = pt->clock(); // det-lint: allow(wall-clock)
     pt->alloc += t - t_prev;
@@ -332,16 +304,27 @@ void Network::step() {
   phase_scratch_.clear();
   for (const Router& r : routers_)
     if (r.has_link_work()) phase_scratch_.push_back(r.id());
+  const std::size_t n = phase_scratch_.size();
   const auto collect = [this](std::size_t w, std::size_t lo, std::size_t hi) {
     LinkStage& stage = link_stages_[w];
     for (std::size_t i = lo; i < hi; ++i)
       routers_[static_cast<std::size_t>(phase_scratch_[i])].link_phase(
           cfg_, now_, stage);
   };
-  if (step_pool_ != nullptr && phase_scratch_.size() > 1)
-    fan_out(collect);
-  else
-    collect(0, 0, phase_scratch_.size());
+  if (step_pool_ != nullptr && n > 1) {
+    // Contiguous ascending ranges, one per worker: concatenating the
+    // workers' stages in worker order is the serial (router id) order.
+    const std::size_t workers = static_cast<std::size_t>(step_pool_->size());
+    const std::size_t per = (n + workers - 1) / workers;
+    for (std::size_t w = 0; w * per < n; ++w) {
+      const std::size_t lo = w * per;
+      const std::size_t hi = std::min(lo + per, n);
+      step_pool_->submit([&collect, w, lo, hi] { collect(w, lo, hi); });
+    }
+    step_pool_->wait_idle();
+  } else {
+    collect(0, 0, n);
+  }
   commit_link_stages();
   if (pt != nullptr) pt->link += pt->clock() - t_prev; // det-lint: allow(wall-clock)
 

@@ -102,7 +102,7 @@ struct StepPhaseTimes {
   ClockFn clock;
   double events = 0.0;     ///< process_events (wheel slot application)
   double generation = 0.0; ///< server generation + injection
-  double alloc = 0.0;      ///< candidate precompute + allocation
+  double alloc = 0.0;      ///< allocation (candidates, requests, grants)
   double link = 0.0;       ///< link phase (collect + commit)
 
   double total() const { return events + generation + alloc + link; }
@@ -245,30 +245,21 @@ class Network {
 
   // --- deterministic intra-run parallel stepping ---------------------------
 
-  /// Attaches a worker pool for the parallel phases of step(). Two
-  /// phases fan out across the pool, over the same contiguous ascending
-  /// partition of their busy-router list, and both are bit-identical
-  /// to serial stepping:
+  /// Attaches a worker pool for the link phase of step(), the one phase
+  /// that fans out. Each worker takes a contiguous ascending range of the
+  /// routers with link work and pops their transmissions into its own
+  /// LinkStage (router-local mutations only, including each router's
+  /// link_phits() counters); the serial commit applies deliveries and
+  /// wheel events in concatenation order, which equals (source router id,
+  /// ordinal) order. Serial stepping is the one-stage case of the same
+  /// collect/commit, so the two cannot drift apart, and output is
+  /// bit-identical at every pool size.
   ///
-  ///  1. Candidate precompute — each worker precomputes its routers'
-  ///     routing candidates (pure, RNG-free); the serial allocation loop
-  ///     then replays them in ascending router id, so every request, grant
-  ///     and RNG draw keeps its serial order.
-  ///  2. Link phase — each worker pops its routers' transmissions into its
-  ///     own LinkStage (router-local mutations only, including each
-  ///     router's link_phits() counters), and the serial commit applies
-  ///     deliveries and wheel events in concatenation order, which equals
-  ///     (source router id, ordinal) order. Serial stepping is the
-  ///     one-stage case of the same collect/commit, so the two cannot
-  ///     drift apart.
-  ///
-  /// Event application, generation and allocation stay serial. Pass
-  /// nullptr to return to fully serial stepping. The pool is borrowed,
-  /// not owned, and must outlive the Network (or be detached first).
+  /// Event application, generation and allocation (routing included) run
+  /// on the thread that steps the Network. Pass nullptr to return to fully
+  /// serial stepping. The pool is borrowed, not owned, and must outlive
+  /// the Network (or be detached first).
   void set_step_pool(ThreadPool* pool);
-
-  /// The attached step pool (null = serial stepping).
-  ThreadPool* step_pool() const { return step_pool_; }
 
   /// Attaches a per-phase wall-time accumulator (see StepPhaseTimes in
   /// this header); null detaches. When attached, step() brackets its four
@@ -303,12 +294,6 @@ class Network {
   /// eject credit one cycle ahead) and frees its packet.
   void handle_consume(const Event& ev);
 
-  /// Runs \p fn(w, lo, hi) on the step pool for each worker w's
-  /// contiguous ascending range [lo, hi) of phase_scratch_, then waits
-  /// for all of them. Requires an attached pool.
-  template <typename Fn>
-  void fan_out(const Fn& fn);
-
   /// Serial commit of the link phase: replays every staged transmission
   /// (wheel events, delivery/consumption, watchdog progress) in (source
   /// router id, ordinal) order. The only place a transmission leaves a
@@ -330,8 +315,8 @@ class Network {
   RingSlab<PacketHandle> server_queues_;
   std::vector<int> server_credits_; ///< [server][vc]
 
-  // Ids of the routers with work in the current phase, ascending (filled
-  // by a scan in step(); the step pool partitions it).
+  // Ids of the routers with link work this cycle, ascending (filled by a
+  // scan in step(); the step pool partitions it).
   std::vector<SwitchId> phase_scratch_;
 
   static constexpr int kWheelBits = 6;

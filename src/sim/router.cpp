@@ -105,23 +105,6 @@ void Router::compute_candidates(const Network& net, const Packet& head,
   slot.valid = true;
 }
 
-void Router::precompute_candidates(const Network& net, Cycle now) {
-  // Exactly the heads alloc_phase would compute candidates for this cycle:
-  // eligible and cache-invalid. Eligibility and caches of *this* router
-  // cannot change between this phase and its alloc_phase (other routers'
-  // grants only touch their own state; cross-router effects travel through
-  // future-cycle events), so the precomputed set is exactly what serial
-  // alloc would have computed — candidate caching is a pure function of
-  // the head packet and shared-immutable tables, and draws no RNG.
-  for (std::size_t ai = 0; ai < active_.size(); ++ai) {
-    const std::size_t enc = static_cast<std::size_t>(active_[ai]);
-    if (!head_eligible(enc, now)) continue;
-    CandSlot& slot = cand_slots_[ai];
-    if (slot.valid) continue;
-    compute_candidates(net, in_front(enc), slot);
-  }
-}
-
 void Router::alloc_phase(Network& net, Cycle now) {
   if (active_.empty()) return;
   const SimConfig& cfg = net.cfg();

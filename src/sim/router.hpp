@@ -169,17 +169,6 @@ class Router {
   /// arrival cycles of its first and last phit.
   void push_input(PacketHandle pkt, Port port, Vc vc, Cycle head, Cycle tail);
 
-  /// Computes (and caches) the candidate set of every eligible head that
-  /// does not have one, without posting requests or drawing RNG — the
-  /// parallelizable prefix of alloc_phase. Safe to run concurrently for
-  /// different routers: it reads only shared-immutable state (topology,
-  /// distances, escape tables) and writes only this router's own candidate
-  /// slots (the mechanism's candidates() touches nothing but the list it
-  /// appends to).
-  /// alloc_phase finds the work already done and computes nothing; running
-  /// this for any subset of routers therefore cannot change behaviour.
-  void precompute_candidates(const Network& net, Cycle now);
-
   /// Allocation phase: requests + grants for this cycle.
   void alloc_phase(Network& net, Cycle now);
 
@@ -335,8 +324,7 @@ class Router {
   /// Removes (port,vc) from the active list.
   void unmark_active(Port p, Vc v);
 
-  /// Fills \p slot with the candidate set of \p head (the shared body of
-  /// alloc_phase and precompute_candidates).
+  /// Fills \p slot with the candidate set of \p head.
   void compute_candidates(const Network& net, const Packet& head,
                           CandSlot& slot);
 

@@ -29,7 +29,6 @@ void ComputedHyperXDistance::rebuild() {
   }
   // A healthy HyperX is connected by construction; only scan when faulted.
   connected_ = num_dead_ == 0 || g.connected();
-  std::lock_guard<std::mutex> lock(mu_);
   faulted_diameter_ = -1;
 }
 
@@ -37,7 +36,7 @@ int ComputedHyperXDistance::at(SwitchId a, SwitchId b) const {
   if (a == b) return 0;
   if (num_dead_ == 0 || minimal_path_intact(a, b))
     return hx_->hamming_distance(a, b);
-  rows_built_.fetch_add(1, std::memory_order_relaxed);
+  ++rows_built_;
   return hx_->graph().bfs(a)[static_cast<std::size_t>(b)];
 }
 
@@ -95,7 +94,6 @@ int ComputedHyperXDistance::diameter() const {
                  "diameter() on a disconnected graph; probe "
                  "diameter_if_connected() instead");
   if (num_dead_ == 0) return hx_->dims(); // all sides >= 2 by construction
-  std::lock_guard<std::mutex> lock(mu_);
   if (faulted_diameter_ < 0) {
     int diam = 0;
     for (SwitchId s = 0; s < hx_->num_switches(); ++s) {

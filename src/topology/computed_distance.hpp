@@ -31,9 +31,7 @@
 /// fabrics, so the row is not kept. Every query is exact, so simulation
 /// output never depends on which tier answered.
 
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "topology/distance.hpp"
@@ -78,9 +76,7 @@ class ComputedHyperXDistance final : public DistanceProvider {
   int num_dirty_switches() const;
 
   /// Queries answered by BFS because no minimal path survived (monotone).
-  long fallback_rows_built() const {
-    return rows_built_.load(std::memory_order_relaxed);
-  }
+  long fallback_rows_built() const { return rows_built_; }
 
  private:
   /// The minimal-path DP allocates its 2^h reachability table on the
@@ -99,9 +95,7 @@ class ComputedHyperXDistance final : public DistanceProvider {
   bool connected_ = true;
   std::vector<char> dirty_;           ///< [switch] incident to a dead link
 
-  /// Relaxed atomic: queries run concurrently on the step pool.
-  mutable std::atomic<long> rows_built_{0};
-  mutable std::mutex mu_;              ///< guards faulted_diameter_
+  mutable long rows_built_ = 0;
   mutable int faulted_diameter_ = -1; ///< lazy (-1 = not yet computed)
 };
 

@@ -31,10 +31,6 @@
 namespace hxsp {
 
 /// Abstract source of switch-to-switch hop counts over alive links.
-///
-/// Thread-safety contract: every const member may be called concurrently
-/// (the parallel stepping phase queries distances from worker threads);
-/// rebuild() must be externally serialized against queries.
 class DistanceProvider {
  public:
   virtual ~DistanceProvider() = default;

@@ -43,7 +43,7 @@ TEST(Presets, DefaultLoadsAscending) {
 
 TEST(Presets, SpecFromOptionsOverrides) {
   const char* argv[] = {"bench", "--side=4",  "--vcs=2", "--warmup=100",
-                        "--measure=200",      "--seed=9", "--strict-escape",
+                        "--measure=200",      "--seed=9", "--memoryless-escape",
                         "--no-shortcuts",     "--root=3"};
   Options opt(9, argv);
   const ExperimentSpec s = spec_from_options(opt, 2);
@@ -52,7 +52,7 @@ TEST(Presets, SpecFromOptionsOverrides) {
   EXPECT_EQ(s.warmup, 100);
   EXPECT_EQ(s.measure, 200);
   EXPECT_EQ(s.seed, 9u);
-  EXPECT_TRUE(s.escape_strict_phase);
+  EXPECT_FALSE(s.escape_strict_phase);
   EXPECT_FALSE(s.escape_shortcuts);
   EXPECT_EQ(s.escape_root, 3);
 }
@@ -62,6 +62,9 @@ TEST(Presets, SpecFromOptionsPaperFlag) {
   Options opt(2, argv);
   EXPECT_EQ(spec_from_options(opt, 3).sides, (std::vector<int>{8, 8, 8}));
   EXPECT_EQ(spec_from_options(opt, 2).sides, (std::vector<int>{16, 16}));
+  // The strict up*/down* escape is the default; only --memoryless-escape
+  // selects the paper's memoryless rule.
+  EXPECT_TRUE(spec_from_options(opt, 2).escape_strict_phase);
 }
 
 TEST(Presets, DescribeSimParametersMentionsTable2Values) {

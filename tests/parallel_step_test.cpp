@@ -1,17 +1,24 @@
 /// \file parallel_step_test.cpp
-/// Deterministic intra-run parallel stepping: partitioning the candidate
-/// precompute and the link phase across a worker pool must leave every
-/// simulation observable — rates, latencies, tail percentiles, packet
-/// counts — bit-identical to serial stepping at every thread count, for
-/// every mechanism family, with faults, online fault events and the
-/// invariant auditor enabled.
+/// Deterministic intra-run parallel stepping: partitioning the link phase
+/// across a worker pool must leave every simulation observable — rates,
+/// latencies, tail percentiles, packet counts — bit-identical to serial
+/// stepping at every thread count, for every mechanism family, with
+/// faults, online fault events and the invariant auditor enabled. Routing
+/// never runs on the pool: it stays on the thread that steps the Network.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "harness/experiment.hpp"
+#include "routing/minimal.hpp"
+#include "sim/network.hpp"
+#include "test_util.hpp"
+#include "util/thread_pool.hpp"
 
 namespace hxsp {
 namespace {
@@ -195,13 +202,56 @@ TEST(ParallelStep, BitIdenticalAtLongestLegalDelay) {
 TEST(ParallelStep, AuditorStaysGreenUnderPool) {
   // The invariant auditor recomputes every incrementally maintained
   // structure from scratch; running it every 256 cycles with the pool
-  // attached proves the parallel candidate phase leaves no drift.
+  // attached proves the pooled link phase leaves no drift.
   ExperimentSpec spec = small_spec("polsp");
   spec.sim.audit_interval = 256;
   Experiment e(spec);
   e.set_step_threads(4);
   const ResultRow row = e.run_load(0.7);
   EXPECT_GT(row.packets, 0);
+}
+
+/// Minimal routing that counts its ports() calls, and the calls made from
+/// any thread other than \p stepping.
+class CountingMinimal final : public RouteAlgorithm {
+ public:
+  CountingMinimal(std::thread::id stepping, std::atomic<int>& calls,
+                  std::atomic<int>& off_thread)
+      : stepping_(stepping), calls_(calls), off_thread_(off_thread) {}
+
+  void ports(const NetworkContext& ctx, const Packet& p, SwitchId sw,
+             std::vector<Candidate>& out) const override {
+    ++calls_;
+    if (std::this_thread::get_id() != stepping_) ++off_thread_;
+    minimal_next_hops(ctx, p.dst_switch, sw, out);
+  }
+
+ private:
+  std::thread::id stepping_;
+  std::atomic<int>& calls_;
+  std::atomic<int>& off_thread_;
+};
+
+TEST(ParallelStep, RoutingRunsOnTheSteppingThread) {
+  // With a pool attached, only the link phase fans out: every candidate
+  // computation, and with it every distance query, runs on the thread
+  // that steps the Network.
+  std::atomic<int> calls{0};
+  std::atomic<int> off_thread{0};
+  testutil::TestNet t = testutil::make_net(2, 4, 4, 4);
+  RoutingMechanism mech = RoutingMechanism::ladder(
+      std::make_unique<CountingMinimal>(std::this_thread::get_id(), calls,
+                                        off_thread),
+      2, "CountingMinimal");
+  const std::unique_ptr<TrafficPattern> traffic =
+      make_uniform_traffic(t.hx->num_servers());
+  ThreadPool pool(4);
+  Network net(t.ctx, mech, *traffic, SimConfig{}, 4, 7);
+  net.set_step_pool(&pool);
+  net.set_offered_load(1.0);
+  net.run_cycles(300);
+  EXPECT_GT(calls.load(), 0);
+  EXPECT_EQ(off_thread.load(), 0);
 }
 
 } // namespace

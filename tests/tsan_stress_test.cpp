@@ -138,8 +138,8 @@ TEST(TsanStress, TinySimulationGridMatchesSerial) {
 TEST(TsanStress, StagedStepPipelineUnderEightWorkerPool) {
   // The intra-run parallel step under maximum churn: an 8x8 HyperX at
   // near-saturation load keeps hundreds of routers transmitting per
-  // cycle, so both pooled phases engage — candidate precompute and the
-  // link-phase collect into per-worker staging buffers. Eight workers on
+  // cycle, so the pooled phase — the link-phase collect into per-worker
+  // staging buffers — engages every cycle. Eight workers on
   // few cores churn interleavings across the stage/commit boundary; under
   // TSan any missing happens-before edge between a worker's staged writes
   // and the serial commit becomes a failure. The auditor additionally
